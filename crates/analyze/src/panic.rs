@@ -78,12 +78,14 @@ pub fn count(tokens: &[Token]) -> PanicCounts {
                 }
             }
             TokenKind::Punct('[') => {
-                if matches!(
-                    prev,
-                    Some(TokenKind::Ident(_))
-                        | Some(TokenKind::Punct(')'))
-                        | Some(TokenKind::Punct(']'))
-                ) {
+                // `for x in [a, b]` iterates an array literal: `in` is a
+                // keyword, not the end of an indexable expression.
+                let postfix = match prev {
+                    Some(TokenKind::Ident(s)) => s != "in",
+                    Some(TokenKind::Punct(p)) => matches!(p, ')' | ']'),
+                    _ => false,
+                };
+                if postfix {
                     c.index += 1;
                 }
             }
@@ -256,7 +258,8 @@ mod tests {
     fn indexing_is_postfix_only() {
         let c = count(&lex("v[i] + f()[0] + m[k][j]").tokens);
         assert_eq!(c.index, 4);
-        let c = count(&lex("fn f(x: &[u8]) -> [u8; 4] { #[inline] vec![0; 4]; [1, 2] }").tokens);
+        let src = "fn f(x: &[u8]) -> [u8; 4] { #[inline] vec![0; 4]; for _ in [1, 2] {} [1, 2] }";
+        let c = count(&lex(src).tokens);
         assert_eq!(c.index, 0, "types, attrs, macros, literals don't count");
     }
 

@@ -1,805 +1,561 @@
-//! The fleet-scale experiment: the FaaS/IaaS trade-off under multi-tenant
-//! load, swept over arrival rate × scheduler policy.
-//!
-//! This is the first experiment beyond the paper's own figures: it measures
-//! the *fleet-level* consequences of the paper's single-job findings —
-//! warm pools amortizing cold starts, reserved clusters queueing, and the
-//! hybrid router buying tail latency with Lambda only when it pays.
-//!
-//! Besides the printed table, every (rate, policy) run writes its full
-//! metrics rollup as one JSON file under `target/fleet_scale/` (override
-//! with `LML_FLEET_OUT`), so future changes can be tracked as a perf/cost
-//! trajectory across commits.
+//! The fleet sweeps: the FaaS/IaaS trade-off under multi-tenant load,
+//! beyond the paper's single-job figures. Each sweep is a *declaration* —
+//! a `Sweep` naming its title, job counts, columns, and grid of
+//! `Cell`s — and one runner, `run_sweep`, executes them all: every cell
+//! is simulated on the parallel sweep engine, its full metrics rollup is
+//! written as one byte-stable JSON file (schema `lml-fleet/metrics/v1`)
+//! under `<Harness::out_root>/<sweep name>/`, and its row joins the printed
+//! table. CI diffs a pinned-serial run of every sweep against a
+//! multi-worker one.
 
 use crate::sweep;
 use crate::tablefmt::{f, table};
 use crate::Harness;
 use lml_fleet::{
-    simulate, simulate_observed, AllFaas, AllIaas, Analytic, ArrivalProcess, CheckpointPolicy,
-    CostAware, DeadlineAware, Estimator, FairShare, FleetConfig, FleetMetrics, Hybrid, JobClass,
-    JobMix, Online, Route, Scheduler, TenantSpec, ThroughputProbe, Trace,
+    simulate, AllFaas, AllIaas, Analytic, ArrivalProcess, CheckpointPolicy, CostAware,
+    DeadlineAware, Estimator, FairShare, FleetConfig, FleetMetrics, Hybrid, JobClass, JobMix,
+    Online, Route, Scheduler, TenantSpec, Trace,
 };
 use lml_sim::SimTime;
-use std::path::{Path, PathBuf};
 
-/// Write one sweep-cell JSON file, downgrading I/O failure to a warning:
-/// the printed table is the experiment's primary output and a read-only
-/// `target/` must not abort the sweep.
-fn write_json_or_warn(file: &Path, json: &str) {
-    if let Err(e) = std::fs::write(file, json) {
-        eprintln!("warning: could not write {}: {e}", file.display());
-    }
+/// A metric column: header + renderer over one cell's metrics.
+type Column = (&'static str, fn(&FleetMetrics) -> String);
+
+/// Fresh-scheduler factory: no routing state leaks between cells, and it
+/// sees the cell's config so cost-aware routing prices the substrates the
+/// simulator charges. `Send + Sync` because worker threads call it.
+type SchedFactory = Box<dyn Fn(&FleetConfig) -> Box<dyn Scheduler> + Send + Sync>;
+
+/// Constructors the grids name their rows with: a scheduler from the
+/// cell's config alone, plus a knob `K` (spot fraction, estimator), and an
+/// estimator.
+type MakeSched = fn(&FleetConfig) -> Box<dyn Scheduler>;
+type MakeSchedWith<K> = fn(&FleetConfig, K) -> Box<dyn Scheduler>;
+type MakeEstimator = fn(&FleetConfig) -> Box<dyn Estimator>;
+
+/// One grid cell: everything one simulation needs besides its trace.
+struct Cell {
+    /// File-name stem: `<prefix>-seed<seed>-<stem>.json`.
+    stem: String,
+    /// Leading table cells, one per [`Sweep::labels`] header.
+    labels: Vec<String>,
+    cfg: FleetConfig,
+    sched: SchedFactory,
 }
 
-/// A policy row of the sweep: display name + fresh-scheduler factory (each
-/// cell gets its own scheduler so no routing state leaks between runs; the
-/// factory sees the fleet config so cost-aware routing prices the same
-/// substrates the simulator charges). `Sync` because the parallel sweep
-/// engine calls the factories from worker threads.
-type PolicyRow = (
-    &'static str,
-    Box<dyn Fn(&FleetConfig) -> Box<dyn Scheduler> + Sync>,
-);
+/// A built grid: each trace with the cells that replay it, in table order
+/// (all cells of a trace share one arrival sequence).
+type Grid = Vec<(Trace, Vec<Cell>)>;
 
-/// Where the per-run JSON files go.
-fn out_dir() -> PathBuf {
-    std::env::var_os("LML_FLEET_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_scale"))
+/// A sweep declaration.
+struct Sweep {
+    /// Experiment name; also the output subdirectory.
+    name: &'static str,
+    /// File-name prefix of the per-cell JSON.
+    prefix: &'static str,
+    /// Table title after `"<name>: <n>-job "`.
+    title: &'static str,
+    /// Jobs per trace in (fast, full) mode.
+    jobs: (usize, usize),
+    /// Headers of the label columns every [`Cell`] fills.
+    labels: &'static [&'static str],
+    columns: &'static [Column],
+    grid: fn(n_jobs: usize, h: &Harness) -> Grid,
 }
 
-/// Where the throughput baseline goes. Deliberately independent of
-/// `LML_FLEET_OUT`: the probe JSON carries wall-clock numbers, so it must
-/// never land in a directory that gets byte-diffed across runs.
-fn probe_out_file() -> PathBuf {
-    std::env::var_os("LML_FLEET_PROBE_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_scale"))
-        .join("throughput_baseline.json")
-}
+const P50: Column = ("p50 s", |m| f(m.latency.p50));
+const P99: Column = ("p99 s", |m| f(m.latency.p99));
+const DL_HIT: Column = ("dl-hit", |m| {
+    format!("{:.0}%", m.deadline_hit_rate() * 100.0)
+});
+const PREEMPT: Column = ("preempt", |m| format!("{}", m.preemptions));
+const LOST: Column = ("lost s", |m| format!("{:.0}", m.lost_work.as_secs()));
+const COST: Column = ("cost", |m| format!("{}", m.total_cost()));
 
-/// One (arrival rate, policy) cell of the sweep. The trace is generated
-/// once per rate by the caller (all policies of a rate replay the same
-/// arrivals); the shared probe rides along so the grid doubles as the
-/// simulator's throughput baseline.
-fn run_cell(
-    trace: &Trace,
-    seed: u64,
-    make_sched: &dyn Fn(&FleetConfig) -> Box<dyn Scheduler>,
-    probe: &mut ThroughputProbe,
-) -> FleetMetrics {
-    let cfg = FleetConfig::default();
-    let mut sched = make_sched(&cfg);
-    simulate_observed(trace, &cfg, sched.as_mut(), seed, probe)
-}
-
-/// `fleet_scale`: arrival-rate × policy sweep with JSON emission.
-pub fn fleet_scale(h: &Harness) -> String {
-    let n_jobs = if h.fast { 400 } else { 2_000 };
-    let rates: &[f64] = if h.fast {
-        &[0.05, 0.2, 0.8]
-    } else {
-        &[0.05, 0.2, 0.8, 2.0]
-    };
-    let policies: Vec<PolicyRow> = vec![
-        (
-            "all-faas",
-            Box::new(|_: &FleetConfig| Box::new(AllFaas) as Box<dyn Scheduler>),
-        ),
-        (
-            "all-iaas",
-            Box::new(|_: &FleetConfig| Box::new(AllIaas) as Box<dyn Scheduler>),
-        ),
-        (
-            "cost-aware",
-            Box::new(|cfg: &FleetConfig| {
-                Box::new(CostAware::for_config(cfg)) as Box<dyn Scheduler>
-            }),
-        ),
-    ];
-
-    let dir = out_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let seed = h.seed;
-    // Workload setup happens before the probe starts its wall clock: every
-    // policy of a rate replays the same arrivals, so each trace is built
-    // exactly once and shared across the row.
-    let traces: Vec<Trace> = rates
+/// Execute one declaration: simulate every cell on `h.workers` threads,
+/// then — on this thread, in grid order, so output is byte-identical at
+/// any worker count — write each cell's JSON and render the table.
+fn run_sweep(s: &Sweep, h: &Harness) -> String {
+    let n_jobs = if h.fast { s.jobs.0 } else { s.jobs.1 };
+    let grid = (s.grid)(n_jobs, h);
+    let cells = grid
         .iter()
-        .map(|&rate| {
-            Trace::generate(
-                ArrivalProcess::Poisson { rate },
-                &JobMix::default_mix(),
-                n_jobs,
-                seed,
-            )
-        })
-        .collect();
-    // The master probe outlives the whole grid: its wall clock spans the
-    // sweep, and per-cell probes merged into it in grid order make the
-    // events/sec over the sweep the committed baseline the parallel-engine
-    // work is scored against.
-    let n_workers = sweep::workers();
-    // Artifact emission rides a spool thread: cell metrics go over a
-    // channel and are rendered to JSON and written while the reduction
-    // keeps folding probes. Spawned before the probe starts its wall
-    // clock — thread creation is setup cost, not sweep cost; the join
-    // below still guarantees every file is on disk before returning.
-    let (spool, writer) = {
-        let (tx, rx) = std::sync::mpsc::channel::<(PathBuf, FleetMetrics)>();
-        let writer = std::thread::spawn(move || {
-            for (path, m) in rx {
-                write_json_or_warn(&path, &m.to_json());
-            }
-        });
-        (tx, writer)
-    };
-    let mut cells = Vec::new();
-    for (&rate, trace) in rates.iter().zip(&traces) {
-        for (name, make) in &policies {
-            cells.push((rate, trace, *name, make.as_ref()));
-        }
-    }
-    // One untimed warm-up pass over the grid before the wall clock
-    // starts: first-touch page faults, allocator arena growth, and
-    // branch-predictor training are one-time process costs, not sweep
-    // throughput, and the committed baseline tracks the latter (the
-    // regression CI gate compares steady-state numbers, so cold-start
-    // jitter would only add noise). The timed pass below replays
-    // identical work — same cells, same seed — against a warm process.
-    for &(_, trace, _, make) in &cells {
-        let mut warm = ThroughputProbe::new();
-        std::hint::black_box(run_cell(trace, seed, make, &mut warm));
-    }
-    let mut probe = ThroughputProbe::new();
-    probe.set_workers(n_workers);
-    // Allocation accounting brackets exactly the measured sweep: counting
-    // is enabled here (workload setup above stays invisible) and the
-    // delta is stamped into the probe next to the wall-clock numbers.
-    let alloc_before = {
-        crate::alloc::enable();
-        crate::alloc::snapshot()
-    };
-    let results = sweep::parallel_map(cells, n_workers, |_, (rate, trace, name, make)| {
-        let mut cell_probe = ThroughputProbe::new();
-        let m = run_cell(trace, seed, make, &mut cell_probe);
-        (rate, name, m, cell_probe)
+        .flat_map(|(trace, cells)| cells.iter().map(move |c| (trace, c)));
+    let results = sweep::parallel_map(cells.collect(), h.workers, |_, (trace, cell)| {
+        let mut sched = (cell.sched)(&cell.cfg);
+        let m = simulate(trace, &cell.cfg, sched.as_mut(), h.seed);
+        let metrics = s.columns.iter().map(|(_, render)| render(&m));
+        let row: Vec<String> = cell.labels.iter().cloned().chain(metrics).collect();
+        let file = format!("{}-seed{}-{}.json", s.prefix, h.seed, cell.stem);
+        (file, m.to_json(), row)
     });
-    // Only the probe fold happens inside the measured window: row
-    // formatting, file naming, and artifact emission are presentation,
-    // not sweep, so they wait until the wall clock has been snapshotted.
-    let mut kept = Vec::with_capacity(results.len());
-    for (rate, name, m, cell_probe) in results {
-        probe.merge(cell_probe);
-        kept.push((rate, name, m));
-    }
-    let alloc_after = crate::alloc::snapshot();
-    crate::alloc::disable();
-    probe.set_alloc(
-        alloc_after.0 - alloc_before.0,
-        alloc_after.1 - alloc_before.1,
-    );
-    // Snapshot the probe as soon as the last cell is folded in: the wall
-    // clock is scoring the sweep, not the ASCII rendering of its table.
-    let probe_json = probe.to_json();
+    let dir = h.out_root.join(s.name);
+    let _ = std::fs::create_dir_all(&dir);
     let mut rows = Vec::new();
-    for (rate, name, m) in kept {
-        let row = vec![
-            format!("{rate}"),
-            name.to_string(),
-            f(m.latency.p50),
-            f(m.latency.p95),
-            f(m.latency.p99),
-            f(m.queue.p99),
-            format!("{}", m.total_cost()),
-            format!("{:.0}%", m.warm_hit_rate * 100.0),
-            format!("{:.0}%", m.iaas_utilization * 100.0),
-            format!("{}", m.jobs_on_faas),
-        ];
+    for (file, json, row) in results {
+        // The printed table is the primary output: a read-only output
+        // root downgrades to a warning rather than aborting the sweep.
+        let file = dir.join(file);
+        if let Err(e) = std::fs::write(&file, json) {
+            eprintln!("warning: could not write {}: {e}", file.display());
+        }
         rows.push(row);
-        let file = format!("fleet-seed{seed}-rate{rate}-{name}.json");
-        let _ = spool.send((dir.join(file), m));
     }
-    drop(spool);
-    let out = table(
-        &format!("fleet_scale: {n_jobs}-job Poisson fleets, arrival rate x policy"),
-        &[
-            "rate/s", "policy", "p50 s", "p95 s", "p99 s", "q-p99 s", "cost", "warm", "util",
-            "on-faas",
-        ],
-        &rows,
-    );
-    let probe_file = probe_out_file();
-    if let Some(parent) = probe_file.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    write_json_or_warn(&probe_file, &probe_json);
-    writer.join().expect("artifact spool thread");
+    let mut headers = s.labels.to_vec();
+    headers.extend(s.columns.iter().map(|c| c.0));
+    let title = format!("{}: {n_jobs}-job {}", s.name, s.title);
+    let out = table(&title, &headers, &rows);
     println!("{out}");
-    println!("{}", probe.summary());
     println!("per-run JSON written to {}", dir.display());
     out
 }
 
-/// Where the per-run `fleet_policies` JSON files go.
-fn policies_out_dir() -> PathBuf {
-    std::env::var_os("LML_FLEET_POLICIES_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_policies"))
-}
+/// `fleet_scale`: arrival rate × routing policy on Poisson fleets — warm
+/// pools amortizing cold starts, reserved clusters queueing, and the
+/// cost-aware router buying tail latency with Lambda only when it pays.
+const SCALE: Sweep = Sweep {
+    name: "fleet_scale",
+    prefix: "fleet",
+    title: "Poisson fleets, arrival rate x policy",
+    jobs: (400, 2_000),
+    labels: &["rate/s", "policy"],
+    columns: &[
+        P50,
+        ("p95 s", |m| f(m.latency.p95)),
+        P99,
+        ("q-p99 s", |m| f(m.queue.p99)),
+        COST,
+        ("warm", |m| format!("{:.0}%", m.warm_hit_rate * 100.0)),
+        ("util", |m| format!("{:.0}%", m.iaas_utilization * 100.0)),
+        ("on-faas", |m| format!("{}", m.jobs_on_faas)),
+    ],
+    grid: |n_jobs, h| {
+        let rates = [0.05, 0.2, 0.8, 2.0];
+        let n_rates = if h.fast { 3 } else { 4 };
+        let policies: [(&str, MakeSched); 3] = [
+            ("all-faas", |_| Box::new(AllFaas)),
+            ("all-iaas", |_| Box::new(AllIaas)),
+            ("cost-aware", |cfg| Box::new(CostAware::for_config(cfg))),
+        ];
+        let per_rate = |&rate: &f64| {
+            let process = ArrivalProcess::Poisson { rate };
+            let trace = Trace::generate(process, &JobMix::default_mix(), n_jobs, h.seed);
+            let cells = policies.iter().map(|&(name, make)| Cell {
+                stem: format!("rate{rate}-{name}"),
+                labels: vec![format!("{rate}"), name.to_string()],
+                cfg: FleetConfig::default(),
+                sched: Box::new(make),
+            });
+            (trace, cells.collect())
+        };
+        rates.iter().take(n_rates).map(per_rate).collect()
+    },
+};
 
-/// A `fleet_policies` policy row: display name, whether it honours the
-/// spot-fraction knob, and a factory seeing (config, spot fraction).
-/// `Sync` because the parallel sweep engine calls it from worker threads.
-type PolicyKnobRow = (
-    &'static str,
-    bool,
-    Box<dyn Fn(&FleetConfig, f64) -> Box<dyn Scheduler> + Sync>,
-);
-
-/// `fleet_policies`: the multi-tenant scheduling testbed sweep — policy ×
+/// `fleet_policies`: the multi-tenant scheduling testbed — policy ×
 /// spot-fraction × provisioned-concurrency over a bursty four-tenant
-/// trace where half the jobs carry deadlines. Emits one byte-stable JSON
-/// file per cell (schema `lml-fleet/metrics/v1`) for run-over-run
-/// diffing; the CI determinism step runs this twice and compares bytes.
-pub fn fleet_policies(h: &Harness) -> String {
-    let n_jobs = if h.fast { 300 } else { 1_200 };
-    let spec = TenantSpec {
-        n_tenants: 4,
-        deadline_frac: 0.5,
-        deadline_slack: 2.5,
-    };
-    let process = ArrivalProcess::Burst {
-        base_rate: 0.1,
-        burst_rate: 1.5,
-        period: 600.0,
-        duty: 0.25,
-    };
-    let trace = Trace::generate_multi(process, &JobMix::default_mix(), &spec, n_jobs, h.seed);
-
-    let policies: Vec<PolicyKnobRow> = vec![
-        (
-            "all-faas",
-            false,
-            Box::new(|_: &FleetConfig, _| Box::new(AllFaas) as Box<dyn Scheduler>),
-        ),
-        (
-            "all-iaas",
-            false,
-            Box::new(|_: &FleetConfig, _| Box::new(AllIaas) as Box<dyn Scheduler>),
-        ),
-        (
-            "cost-aware",
-            false,
-            Box::new(|cfg: &FleetConfig, _| {
-                Box::new(CostAware::for_config(cfg)) as Box<dyn Scheduler>
+/// trace where half the jobs carry deadlines.
+const POLICIES: Sweep = Sweep {
+    name: "fleet_policies",
+    prefix: "fleet-policies",
+    title: "bursty 4-tenant fleet (50% deadlines), \
+            policy x spot-fraction x provisioned-concurrency",
+    jobs: (300, 1_200),
+    labels: &["policy", "spot", "pc"],
+    columns: &[
+        P50,
+        P99,
+        DL_HIT,
+        ("fair", |m| format!("{:.2}", m.fairness)),
+        PREEMPT,
+        COST,
+        ("faas/iaas/spot", |m| {
+            format!("{}/{}/{}", m.jobs_on_faas, m.jobs_on_iaas, m.jobs_on_spot)
+        }),
+    ],
+    grid: |n_jobs, h| {
+        let spec = TenantSpec {
+            n_tenants: 4,
+            deadline_frac: 0.5,
+            deadline_slack: 2.5,
+        };
+        let process = ArrivalProcess::Burst {
+            base_rate: 0.1,
+            burst_rate: 1.5,
+            period: 600.0,
+            duty: 0.25,
+        };
+        let trace = Trace::generate_multi(process, &JobMix::default_mix(), &spec, n_jobs, h.seed);
+        // Name, whether the policy honours the spot-fraction knob, and a
+        // constructor seeing (config, spot fraction).
+        let policies: [(&str, bool, MakeSchedWith<f64>); 5] = [
+            ("all-faas", false, |_, _| Box::new(AllFaas)),
+            ("all-iaas", false, |_, _| Box::new(AllIaas)),
+            ("cost-aware", false, |cfg, _| {
+                Box::new(CostAware::for_config(cfg))
             }),
-        ),
-        (
-            "deadline-aware",
-            true,
-            Box::new(|cfg: &FleetConfig, frac| {
+            ("deadline-aware", true, |cfg, frac| {
                 Box::new(DeadlineAware::for_config(cfg).with_spot_fraction(frac))
-                    as Box<dyn Scheduler>
             }),
-        ),
-        (
-            "fair-share",
-            true,
-            Box::new(|cfg: &FleetConfig, frac| {
-                Box::new(FairShare::for_config(cfg).with_spot_fraction(frac)) as Box<dyn Scheduler>
+            ("fair-share", true, |cfg, frac| {
+                Box::new(FairShare::for_config(cfg).with_spot_fraction(frac))
             }),
-        ),
-    ];
-    let spot_fracs = [0.0, 0.6];
-    let provisioned = [0usize, 64];
-
-    let dir = policies_out_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let mut cells = Vec::new();
-    for &pc in &provisioned {
-        for &frac in &spot_fracs {
-            for (name, takes_spot, make) in &policies {
-                if frac > 0.0 && !takes_spot {
-                    // The knob is a no-op for this policy; skip the
-                    // duplicate cell rather than re-emitting identical
-                    // JSON under a different name.
-                    continue;
+        ];
+        let mut cells = Vec::new();
+        for pc in [0usize, 64] {
+            for frac in [0.0, 0.6] {
+                for (name, takes_spot, make) in policies {
+                    if frac > 0.0 && !takes_spot {
+                        // The knob is a no-op for this policy: skip the
+                        // cell rather than re-emit identical JSON.
+                        continue;
+                    }
+                    let mut cfg = FleetConfig::default();
+                    cfg.faas.provisioned_concurrency = pc;
+                    cells.push(Cell {
+                        stem: format!("{name}-spot{frac}-pc{pc}"),
+                        labels: vec![name.to_string(), format!("{frac}"), format!("{pc}")],
+                        cfg,
+                        sched: Box::new(move |cfg| make(cfg, frac)),
+                    });
                 }
-                cells.push((pc, frac, *name, make.as_ref()));
             }
         }
-    }
-    let seed = h.seed;
-    let trace = &trace;
-    let results = sweep::parallel_map(cells, sweep::workers(), |_, (pc, frac, name, make)| {
-        let mut cfg = FleetConfig::default();
-        cfg.faas.provisioned_concurrency = pc;
-        let mut sched = make(&cfg, frac);
-        let m = simulate(trace, &cfg, sched.as_mut(), seed);
-        let file = format!("fleet-policies-seed{seed}-{name}-spot{frac}-pc{pc}.json");
-        let row = vec![
-            name.to_string(),
-            format!("{frac}"),
-            format!("{pc}"),
-            f(m.latency.p50),
-            f(m.latency.p99),
-            format!("{:.0}%", m.deadline_hit_rate() * 100.0),
-            format!("{:.2}", m.fairness),
-            format!("{}", m.preemptions),
-            format!("{}", m.total_cost()),
-            format!("{}/{}/{}", m.jobs_on_faas, m.jobs_on_iaas, m.jobs_on_spot),
+        vec![(trace, cells)]
+    },
+};
+
+/// `fleet_recovery`: checkpoint policy × spot fraction × preemption rate
+/// on a spot-heavy fair-share fleet. Epoch-granular checkpoints (priced
+/// through the S3 profile) buy back lost-work seconds: resumes replace
+/// from-scratch restarts, and the bill shrinks with them.
+const RECOVERY: Sweep = Sweep {
+    name: "fleet_recovery",
+    prefix: "fleet-recovery",
+    title: "spot-heavy fleet, checkpoint policy x spot fraction x preemption rate",
+    jobs: (150, 600),
+    labels: &["policy", "spot", "mttp s"],
+    columns: &[
+        P99,
+        LOST,
+        ("resumes", |m| format!("{}", m.resumes)),
+        PREEMPT,
+        ("ckpts", |m| format!("{}", m.checkpoint_writes)),
+        COST,
+    ],
+    grid: |n_jobs, h| {
+        let process = ArrivalProcess::Poisson { rate: 0.4 };
+        let trace = Trace::generate(process, &JobMix::default_mix(), n_jobs, h.seed);
+        let policies = [
+            CheckpointPolicy::Never,
+            CheckpointPolicy::every(1),
+            CheckpointPolicy::every(4),
+            CheckpointPolicy::Adaptive,
         ];
-        (file, m.to_json(), row)
-    });
-    let mut rows = Vec::new();
-    for (file, json, row) in results {
-        write_json_or_warn(&dir.join(file), &json);
-        rows.push(row);
-    }
-    let out = table(
-        &format!(
-            "fleet_policies: {n_jobs}-job bursty 4-tenant fleet (50% deadlines), \
-             policy x spot-fraction x provisioned-concurrency"
-        ),
-        &[
-            "policy",
-            "spot",
-            "pc",
-            "p50 s",
-            "p99 s",
-            "dl-hit",
-            "fair",
-            "preempt",
-            "cost",
-            "faas/iaas/spot",
-        ],
-        &rows,
-    );
-    println!("{out}");
-    println!("per-run JSON written to {}", dir.display());
-    out
+        let mut cells = Vec::new();
+        for mttp in [900.0, 3_600.0] {
+            for frac in [0.6, 1.0] {
+                for policy in policies {
+                    let mut cfg = FleetConfig::default();
+                    cfg.spot.mean_time_to_preempt = SimTime::secs(mttp);
+                    cfg.checkpoint = policy;
+                    cells.push(Cell {
+                        stem: format!("{}-spot{frac}-mttp{mttp}", policy.name()),
+                        labels: vec![policy.name(), format!("{frac}"), format!("{mttp:.0}")],
+                        cfg,
+                        sched: Box::new(move |cfg| {
+                            Box::new(FairShare::for_config(cfg).with_spot_fraction(frac))
+                        }),
+                    });
+                }
+            }
+        }
+        vec![(trace, cells)]
+    },
+};
+
+/// `fleet_estimator`: estimator (analytic / online / hybrid) × scheduler ×
+/// zoo calibration (epoch scale 1 = the §5.3 prior is right, 2 = every job
+/// really needs twice the epochs it assumes). Calibrated, all three route
+/// identically (online/hybrid are seeded from the analytic prior);
+/// miscalibrated, the feedback loop earns its keep: runtime MAPE collapses
+/// and `deadline-aware + hybrid` beats the blind prior on deadline hits.
+const ESTIMATOR: Sweep = Sweep {
+    name: "fleet_estimator",
+    prefix: "fleet-estimator",
+    title: "3-tenant fleet (60% deadlines), zoo calibration x scheduler x estimator",
+    jobs: (300, 1_200),
+    labels: &["scale", "policy", "estimator"],
+    columns: &[
+        P50,
+        P99,
+        DL_HIT,
+        ("t-mape", |m| format!("{:.3}", m.runtime_mape)),
+        ("c-mape", |m| format!("{:.3}", m.cost_mape)),
+        COST,
+    ],
+    grid: |n_jobs, h| {
+        // The regime where the prediction matters: a fixed reserved pool at
+        // ~80% utilization (marginal pool waits are where a 2×-optimistic
+        // prior sends deadline jobs onto a pool that just misses, while a
+        // learned model escapes to Lambda), convex classes with deadlines
+        // at 2.7× their nominal runtime.
+        let spec = TenantSpec {
+            n_tenants: 3,
+            deadline_frac: 0.6,
+            deadline_slack: 2.7,
+        };
+        let mix = JobMix::new(vec![(JobClass::LrHiggs, 0.75), (JobClass::KmHiggs, 0.25)]);
+        let process = ArrivalProcess::Poisson { rate: 0.03 };
+        let trace = Trace::generate_multi(process, &mix, &spec, n_jobs, h.seed);
+        let estimators: [(&str, MakeEstimator); 3] = [
+            ("analytic", |cfg| Box::new(Analytic::for_config(cfg))),
+            ("online", |cfg| Box::new(Online::for_config(cfg))),
+            ("hybrid", |cfg| Box::new(Hybrid::for_config(cfg))),
+        ];
+        let schedulers: [(&str, MakeSchedWith<Box<dyn Estimator>>); 3] = [
+            ("cost-aware", |cfg, est| {
+                Box::new(CostAware::for_config(cfg).with_estimator(est))
+            }),
+            ("deadline-aware", |cfg, est| {
+                Box::new(DeadlineAware::for_config(cfg).with_estimator(est))
+            }),
+            ("fair-share", |cfg, est| {
+                Box::new(FairShare::for_config(cfg).with_estimator(est))
+            }),
+        ];
+        let mut cells = Vec::new();
+        for scale in [1.0, 2.0] {
+            for (sched_name, make_sched) in schedulers {
+                for (est_name, make_est) in estimators {
+                    let mut cfg = FleetConfig {
+                        epoch_scale: scale,
+                        ..FleetConfig::default()
+                    };
+                    // A fixed pool: no autoscaling to paper over the pool
+                    // waits the blind prior underestimates.
+                    cfg.iaas.min_instances = 60;
+                    cfg.iaas.max_instances = 60;
+                    cells.push(Cell {
+                        stem: format!("{sched_name}-{est_name}-scale{scale}"),
+                        labels: vec![
+                            format!("{scale}"),
+                            sched_name.to_string(),
+                            est_name.to_string(),
+                        ],
+                        cfg,
+                        sched: Box::new(move |cfg| make_sched(cfg, make_est(cfg))),
+                    });
+                }
+            }
+        }
+        vec![(trace, cells)]
+    },
+};
+
+/// `fleet_risk`: spot admission (learned preemption posterior vs the
+/// frozen static-mean config) × configured-prior error (the scheduler is
+/// told the mean time to preempt is right / 4× too optimistic) × true
+/// market hostility. A 4×-optimistic config keeps the static variant
+/// shipping deadline jobs onto a market that eats them, while the learned
+/// posterior prices them back onto firm capacity within a few reclaims;
+/// with a correct config the two are identical — risk-awareness is free.
+const RISK: Sweep = Sweep {
+    name: "fleet_risk",
+    prefix: "fleet-risk",
+    title: "spot-eligible deadline fleet, \
+            true preemption rate x configured-prior error x admission",
+    jobs: (200, 600),
+    labels: &["mttp s", "prior", "admission"],
+    columns: &[
+        ("dl-hit", |m| {
+            format!("{:.1}%", m.deadline_hit_rate() * 100.0)
+        }),
+        ("dl-spot", |m| {
+            let on_spot = m
+                .records
+                .iter()
+                .filter(|r| r.deadline.is_some() && r.route == Route::Spot);
+            format!("{}", on_spot.count())
+        }),
+        PREEMPT,
+        LOST,
+        P99,
+        ("p95-cov", |m| format!("{:.2}", m.eta_coverage())),
+        COST,
+    ],
+    grid: |n_jobs, h| {
+        // One convex class and two tenants: the preemption posterior is
+        // keyed per (tenant, class), so a narrow zoo makes the learning
+        // visible within one trace. Slack 6× nominal is the knife edge —
+        // rich enough that a benign-believing admission takes the discount,
+        // tight enough that a hostile market's reboots blow it.
+        let spec = TenantSpec {
+            n_tenants: 2,
+            deadline_frac: 0.5,
+            deadline_slack: 6.0,
+        };
+        let process = ArrivalProcess::Poisson { rate: 0.05 };
+        let mix = JobMix::only(JobClass::LrHiggs);
+        let trace = Trace::generate_multi(process, &mix, &spec, n_jobs, h.seed);
+        let mut cells = Vec::new();
+        for mttp in [600.0, 1_800.0] {
+            for err in [1.0, 4.0] {
+                for (name, frozen) in [("learned", false), ("static", true)] {
+                    let mut cfg = FleetConfig::default();
+                    cfg.spot.mean_time_to_preempt = SimTime::secs(mttp);
+                    cfg.checkpoint = CheckpointPolicy::every(1);
+                    cells.push(Cell {
+                        stem: format!("{name}-err{err}-mttp{mttp}"),
+                        labels: vec![format!("{mttp:.0}"), format!("{err}"), name.to_string()],
+                        cfg,
+                        sched: Box::new(move |cfg| {
+                            let sched = DeadlineAware::for_config(cfg)
+                                .with_spot_fraction(1.0)
+                                .with_spot_recovery(cfg.checkpoint)
+                                .with_preemption_prior(SimTime::secs(mttp * err));
+                            Box::new(if frozen {
+                                sched.with_static_preemption()
+                            } else {
+                                sched
+                            })
+                        }),
+                    });
+                }
+            }
+        }
+        vec![(trace, cells)]
+    },
+};
+
+pub fn fleet_scale(h: &Harness) -> String {
+    run_sweep(&SCALE, h)
 }
 
-/// Where the per-run `fleet_recovery` JSON files go.
-fn recovery_out_dir() -> PathBuf {
-    std::env::var_os("LML_FLEET_RECOVERY_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_recovery"))
+pub fn fleet_policies(h: &Harness) -> String {
+    run_sweep(&POLICIES, h)
 }
 
-/// `fleet_recovery`: the checkpoint-aware spot-recovery sweep — checkpoint
-/// policy × spot fraction × preemption rate on a spot-heavy fair-share
-/// fleet. Shows what epoch-granular checkpoints (priced through the S3
-/// profile) buy back from the market: lost-work-seconds collapse, resumes
-/// replace from-scratch restarts, and the bill shrinks with them. Emits
-/// one byte-stable JSON file per cell (schema `lml-fleet/metrics/v1`);
-/// the CI determinism step runs this twice and compares bytes.
 pub fn fleet_recovery(h: &Harness) -> String {
-    let n_jobs = if h.fast { 150 } else { 600 };
-    let trace = Trace::generate(
-        ArrivalProcess::Poisson { rate: 0.4 },
-        &JobMix::default_mix(),
-        n_jobs,
-        h.seed,
-    );
-    let policies = [
-        CheckpointPolicy::Never,
-        CheckpointPolicy::every(1),
-        CheckpointPolicy::every(4),
-        CheckpointPolicy::Adaptive,
-    ];
-    let spot_fracs = [0.6, 1.0];
-    let mttps = [900.0, 3_600.0];
-
-    let dir = recovery_out_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let mut cells = Vec::new();
-    for &mttp in &mttps {
-        for &frac in &spot_fracs {
-            for &policy in &policies {
-                cells.push((mttp, frac, policy));
-            }
-        }
-    }
-    let seed = h.seed;
-    let trace = &trace;
-    let results = sweep::parallel_map(cells, sweep::workers(), |_, (mttp, frac, policy)| {
-        let mut cfg = FleetConfig::default();
-        cfg.spot.mean_time_to_preempt = SimTime::secs(mttp);
-        cfg.checkpoint = policy;
-        let mut sched = FairShare::for_config(&cfg).with_spot_fraction(frac);
-        let m = simulate(trace, &cfg, &mut sched, seed);
-        let file = format!(
-            "fleet-recovery-seed{seed}-{}-spot{frac}-mttp{mttp}.json",
-            policy.name()
-        );
-        let row = vec![
-            policy.name(),
-            format!("{frac}"),
-            format!("{mttp:.0}"),
-            f(m.latency.p99),
-            format!("{:.0}", m.lost_work.as_secs()),
-            format!("{}", m.resumes),
-            format!("{}", m.preemptions),
-            format!("{}", m.checkpoint_writes),
-            format!("{}", m.total_cost()),
-        ];
-        (file, m.to_json(), row)
-    });
-    let mut rows = Vec::new();
-    for (file, json, row) in results {
-        write_json_or_warn(&dir.join(file), &json);
-        rows.push(row);
-    }
-    let out = table(
-        &format!(
-            "fleet_recovery: {n_jobs}-job spot-heavy fleet, \
-             checkpoint policy x spot fraction x preemption rate"
-        ),
-        &[
-            "policy", "spot", "mttp s", "p99 s", "lost s", "resumes", "preempt", "ckpts", "cost",
-        ],
-        &rows,
-    );
-    println!("{out}");
-    println!("per-run JSON written to {}", dir.display());
-    out
+    run_sweep(&RECOVERY, h)
 }
 
-/// Where the per-run `fleet_estimator` JSON files go.
-fn estimator_out_dir() -> PathBuf {
-    std::env::var_os("LML_FLEET_ESTIMATOR_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_estimator"))
-}
-
-/// Named estimator factory for the sweep.
-type EstimatorRow = (&'static str, fn(&FleetConfig) -> Box<dyn Estimator>);
-
-/// Named scheduler factory: builds the policy around a given estimator.
-type SchedulerEstRow = (
-    &'static str,
-    fn(&FleetConfig, Box<dyn Estimator>) -> Box<dyn Scheduler>,
-);
-
-/// `fleet_estimator`: the prediction-layer sweep — estimator (analytic /
-/// online / hybrid) × scheduler × zoo calibration (epoch scale 1 = the
-/// prior is right, 2 = every job really needs twice the epochs the §5.3
-/// prior assumes). On the calibrated zoo all three estimators route
-/// identically (the online/hybrid models are seeded from the analytic
-/// prior); on the miscalibrated zoo the closed feedback loop earns its
-/// keep: runtime MAPE collapses and `deadline-aware + hybrid` beats the
-/// blind prior on deadline-hit rate. Emits one byte-stable JSON file per
-/// cell (schema `lml-fleet/metrics/v1`); the CI determinism step runs
-/// this twice and compares bytes.
 pub fn fleet_estimator(h: &Harness) -> String {
-    let n_jobs = if h.fast { 300 } else { 1_200 };
-    // The regime where the prediction matters: a fixed reserved pool at
-    // ~80% utilization (busy but not visibly slammed — marginal pool
-    // waits are where a 2×-optimistic prior sends deadline jobs onto a
-    // pool that just misses, while a learned model escapes to Lambda),
-    // convex classes with deadlines at 2.7× their nominal runtime.
-    let spec = TenantSpec {
-        n_tenants: 3,
-        deadline_frac: 0.6,
-        deadline_slack: 2.7,
-    };
-    let mix = JobMix::new(vec![
-        (lml_fleet::JobClass::LrHiggs, 0.75),
-        (lml_fleet::JobClass::KmHiggs, 0.25),
-    ]);
-    let trace = Trace::generate_multi(
-        ArrivalProcess::Poisson { rate: 0.03 },
-        &mix,
-        &spec,
-        n_jobs,
-        h.seed,
-    );
-    let estimators: [EstimatorRow; 3] = [
-        ("analytic", |cfg| Box::new(Analytic::for_config(cfg))),
-        ("online", |cfg| Box::new(Online::for_config(cfg))),
-        ("hybrid", |cfg| Box::new(Hybrid::for_config(cfg))),
-    ];
-    let schedulers: [SchedulerEstRow; 3] = [
-        ("cost-aware", |cfg, est| {
-            Box::new(CostAware::for_config(cfg).with_estimator(est))
-        }),
-        ("deadline-aware", |cfg, est| {
-            Box::new(DeadlineAware::for_config(cfg).with_estimator(est))
-        }),
-        ("fair-share", |cfg, est| {
-            Box::new(FairShare::for_config(cfg).with_estimator(est))
-        }),
-    ];
-    let scales = [1.0, 2.0];
-
-    let dir = estimator_out_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let mut cells = Vec::new();
-    for &scale in &scales {
-        for &(sched_name, make_sched) in &schedulers {
-            for &(est_name, make_est) in &estimators {
-                cells.push((scale, sched_name, make_sched, est_name, make_est));
-            }
-        }
-    }
-    let seed = h.seed;
-    let trace = &trace;
-    let results = sweep::parallel_map(
-        cells,
-        sweep::workers(),
-        |_, (scale, sched_name, make_sched, est_name, make_est)| {
-            let mut cfg = FleetConfig {
-                epoch_scale: scale,
-                ..FleetConfig::default()
-            };
-            // A fixed pool: no autoscaling to paper over the pool
-            // waits the blind prior underestimates.
-            cfg.iaas.min_instances = 60;
-            cfg.iaas.max_instances = 60;
-            let mut sched = make_sched(&cfg, make_est(&cfg));
-            let m = simulate(trace, &cfg, sched.as_mut(), seed);
-            let file =
-                format!("fleet-estimator-seed{seed}-{sched_name}-{est_name}-scale{scale}.json");
-            let row = vec![
-                format!("{scale}"),
-                sched_name.to_string(),
-                est_name.to_string(),
-                f(m.latency.p50),
-                f(m.latency.p99),
-                format!("{:.0}%", m.deadline_hit_rate() * 100.0),
-                format!("{:.3}", m.runtime_mape),
-                format!("{:.3}", m.cost_mape),
-                format!("{}", m.total_cost()),
-            ];
-            (file, m.to_json(), row)
-        },
-    );
-    let mut rows = Vec::new();
-    for (file, json, row) in results {
-        write_json_or_warn(&dir.join(file), &json);
-        rows.push(row);
-    }
-    let out = table(
-        &format!(
-            "fleet_estimator: {n_jobs}-job 3-tenant fleet (60% deadlines), \
-             zoo calibration x scheduler x estimator"
-        ),
-        &[
-            "scale",
-            "policy",
-            "estimator",
-            "p50 s",
-            "p99 s",
-            "dl-hit",
-            "t-mape",
-            "c-mape",
-            "cost",
-        ],
-        &rows,
-    );
-    println!("{out}");
-    println!("per-run JSON written to {}", dir.display());
-    out
+    run_sweep(&ESTIMATOR, h)
 }
 
-/// Where the per-run `fleet_risk` JSON files go.
-fn risk_out_dir() -> PathBuf {
-    std::env::var_os("LML_FLEET_RISK_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_risk"))
-}
-
-/// `fleet_risk`: the risk-aware spot-admission sweep — admission variant
-/// (learned preemption posterior vs the frozen static-mean config) ×
-/// configured-prior error (the scheduler is told the per-instance mean
-/// time to preempt is right / 4× too optimistic) × true market hostility.
-///
-/// Deadline jobs are spot-eligible under checkpoint recovery with slack
-/// sitting exactly where the admission call matters: a 4×-optimistic
-/// config makes the static-mean variant keep shipping deadline jobs onto
-/// a market that eats them (reboot after reboot burns the laxity), while
-/// the learned posterior watches the same preemption feed and prices them
-/// back onto firm capacity within the first few reclaims. With a correct
-/// config the two are identical — risk-awareness costs nothing when the
-/// config is honest. Emits one byte-stable JSON file per cell (schema
-/// `lml-fleet/metrics/v1`); the CI determinism step runs this twice and
-/// compares bytes.
 pub fn fleet_risk(h: &Harness) -> String {
-    let n_jobs = if h.fast { 200 } else { 600 };
-    // One convex class and two tenants: the preemption posterior is keyed
-    // per (tenant, class), so a narrow zoo makes the learning visible
-    // within one trace. Slack 6× nominal is the deliberate knife edge —
-    // rich enough that a benign-believing admission takes the discount,
-    // tight enough that a hostile market's reboots blow it.
-    let spec = TenantSpec {
-        n_tenants: 2,
-        deadline_frac: 0.5,
-        deadline_slack: 6.0,
-    };
-    let trace = Trace::generate_multi(
-        ArrivalProcess::Poisson { rate: 0.05 },
-        &JobMix::only(JobClass::LrHiggs),
-        &spec,
-        n_jobs,
-        h.seed,
-    );
-    let admissions: [(&str, bool); 2] = [("learned", false), ("static", true)];
-    let prior_errs = [1.0, 4.0];
-    let mttps = [600.0, 1_800.0];
-
-    let dir = risk_out_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let mut cells = Vec::new();
-    for &mttp in &mttps {
-        for &err in &prior_errs {
-            for &(name, frozen) in &admissions {
-                cells.push((mttp, err, name, frozen));
-            }
-        }
-    }
-    let seed = h.seed;
-    let trace = &trace;
-    let results = sweep::parallel_map(cells, sweep::workers(), |_, (mttp, err, name, frozen)| {
-        let mut cfg = FleetConfig::default();
-        cfg.spot.mean_time_to_preempt = SimTime::secs(mttp);
-        cfg.checkpoint = CheckpointPolicy::every(1);
-        let mut sched = DeadlineAware::for_config(&cfg)
-            .with_spot_fraction(1.0)
-            .with_spot_recovery(cfg.checkpoint)
-            .with_preemption_prior(SimTime::secs(mttp * err));
-        if frozen {
-            sched = sched.with_static_preemption();
-        }
-        let m = simulate(trace, &cfg, &mut sched, seed);
-        let file = format!("fleet-risk-seed{seed}-{name}-err{err}-mttp{mttp}.json");
-        let dl_on_spot = m
-            .records
-            .iter()
-            .filter(|r| r.deadline.is_some() && r.route == Route::Spot)
-            .count();
-        let row = vec![
-            format!("{mttp:.0}"),
-            format!("{err}"),
-            name.to_string(),
-            format!("{:.1}%", m.deadline_hit_rate() * 100.0),
-            format!("{dl_on_spot}"),
-            format!("{}", m.preemptions),
-            format!("{:.0}", m.lost_work.as_secs()),
-            f(m.latency.p99),
-            format!("{:.2}", m.eta_coverage()),
-            format!("{}", m.total_cost()),
-        ];
-        (file, m.to_json(), row)
-    });
-    let mut rows = Vec::new();
-    for (file, json, row) in results {
-        write_json_or_warn(&dir.join(file), &json);
-        rows.push(row);
-    }
-    let out = table(
-        &format!(
-            "fleet_risk: {n_jobs}-job spot-eligible deadline fleet, \
-             true preemption rate x configured-prior error x admission"
-        ),
-        &[
-            "mttp s",
-            "prior",
-            "admission",
-            "dl-hit",
-            "dl-spot",
-            "preempt",
-            "lost s",
-            "p99 s",
-            "p95-cov",
-            "cost",
-        ],
-        &rows,
-    );
-    println!("{out}");
-    println!("per-run JSON written to {}", dir.display());
-    out
+    run_sweep(&RISK, h)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+    use std::path::{Path, PathBuf};
 
-    /// Serializes tests that point the same sweep's output env var at
-    /// different directories; without it a concurrent re-run could write
-    /// into a sibling test's snapshot mid-read.
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    const SWEEPS: [&Sweep; 5] = [&SCALE, &POLICIES, &RECOVERY, &ESTIMATOR, &RISK];
+    const SCHEMA_HEAD: &str = r#"{"schema":"lml-fleet/metrics/v1""#;
 
-    fn env_guard() -> std::sync::MutexGuard<'static, ()> {
-        ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    /// A fresh scratch directory under the system temp dir.
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn harness(seed: u64, out_root: &Path, workers: usize) -> Harness {
+        Harness {
+            seed,
+            fast: true,
+            out_root: out_root.to_path_buf(),
+            workers,
+        }
+    }
+
+    /// Every file in `dir`, name → contents.
+    fn snapshot(dir: &Path) -> BTreeMap<String, String> {
+        std::fs::read_dir(dir)
+            .expect("sweep dir written")
+            .map(|e| {
+                let e = e.unwrap();
+                (
+                    e.file_name().into_string().unwrap(),
+                    std::fs::read_to_string(e.path()).unwrap(),
+                )
+            })
+            .collect()
     }
 
     #[test]
     fn parallel_sweep_equals_serial_at_1_2_and_8_workers() {
-        let _guard = env_guard();
-        let h = Harness {
-            seed: 17,
-            fast: true,
-        };
-        let snapshot = |dir: &Path| -> std::collections::BTreeMap<String, String> {
-            std::fs::read_dir(dir)
-                .expect("sweep dir written")
-                .map(|e| {
-                    let e = e.unwrap();
-                    (
-                        e.file_name().into_string().unwrap(),
-                        std::fs::read_to_string(e.path()).unwrap(),
-                    )
-                })
-                .collect()
-        };
-        type SweepFn = fn(&Harness) -> String;
-        let sweeps: [(&str, &str, SweepFn); 2] = [
-            ("fleet_policies", "LML_FLEET_POLICIES_OUT", fleet_policies),
-            ("fleet_risk", "LML_FLEET_RISK_OUT", fleet_risk),
-        ];
-        for (name, var, run) in sweeps {
-            let base = std::env::temp_dir().join(format!("lml_par_eq_serial_{name}"));
-            let _ = std::fs::remove_dir_all(&base);
-            let serial_dir = base.join("w1");
-            std::env::set_var(var, &serial_dir);
-            std::env::set_var("LML_SWEEP_THREADS", "1");
-            let serial_table = run(&h);
-            let serial = snapshot(&serial_dir);
-            assert!(!serial.is_empty(), "{name}: serial run wrote JSON");
-            for w in [2usize, 8] {
-                let dir = base.join(format!("w{w}"));
-                std::env::set_var(var, &dir);
-                std::env::set_var("LML_SWEEP_THREADS", w.to_string());
-                let table = run(&h);
-                assert_eq!(table, serial_table, "{name}: table at {w} workers");
-                assert_eq!(snapshot(&dir), serial, "{name}: JSON bytes at {w} workers");
+        let base = scratch("lml_par_eq_serial");
+        for s in SWEEPS {
+            let run = |w: usize| {
+                let root = base.join(format!("w{w}"));
+                let table = run_sweep(s, &harness(17, &root, w));
+                (table, snapshot(&root.join(s.name)))
+            };
+            let serial = run(1);
+            assert!(!serial.1.is_empty(), "{}: serial run wrote JSON", s.name);
+            for w in [2, 8] {
+                assert!(run(w) == serial, "{}: table + JSON at {w} workers", s.name);
             }
-            std::env::remove_var(var);
-            std::env::remove_var("LML_SWEEP_THREADS");
-            let _ = std::fs::remove_dir_all(&base);
         }
+        let _ = std::fs::remove_dir_all(&base);
     }
 
+    /// The runner must not silently rename or drop a cell: the file-name
+    /// set of every sweep is pinned (seed 7, fast mode), as stems between
+    /// `<prefix>-seed7-` and `.json`.
     #[test]
-    fn fleet_scale_runs_and_emits_json() {
-        let tmp = std::env::temp_dir().join("lml_fleet_scale_test");
-        std::env::set_var("LML_FLEET_OUT", &tmp);
-        let h = Harness {
-            seed: 9,
-            fast: true,
-        };
-        let out = fleet_scale(&h);
-        std::env::remove_var("LML_FLEET_OUT");
-        assert!(out.contains("cost-aware"));
-        let one = tmp.join("fleet-seed9-rate0.2-all-faas.json");
-        let text = std::fs::read_to_string(&one).expect("JSON file written");
-        assert!(text.starts_with(r#"{"schema":"lml-fleet/metrics/v1""#));
-        let _ = std::fs::remove_dir_all(&tmp);
-    }
-
-    #[test]
-    fn fleet_policies_runs_and_emits_byte_stable_json() {
-        let _guard = env_guard();
-        let tmp = std::env::temp_dir().join("lml_fleet_policies_test");
-        std::env::set_var("LML_FLEET_POLICIES_OUT", &tmp);
-        let h = Harness {
-            seed: 11,
-            fast: true,
-        };
-        let out = fleet_policies(&h);
-        assert!(out.contains("deadline-aware") && out.contains("fair-share"));
-        let one = tmp.join("fleet-policies-seed11-fair-share-spot0.6-pc64.json");
-        let first = std::fs::read_to_string(&one).expect("JSON file written");
-        assert!(first.starts_with(r#"{"schema":"lml-fleet/metrics/v1""#));
-        assert!(first.contains(r#""per_tenant":["#));
-        // Re-running the sweep with the same seed rewrites identical bytes.
-        fleet_policies(&h);
-        let second = std::fs::read_to_string(&one).unwrap();
-        std::env::remove_var("LML_FLEET_POLICIES_OUT");
-        assert_eq!(first, second, "same seed, same bytes");
-        let _ = std::fs::remove_dir_all(&tmp);
+    fn every_sweep_emits_its_pinned_file_set() {
+        let pinned: [&str; 5] = [
+            "rate0.05-all-faas rate0.05-all-iaas rate0.05-cost-aware rate0.2-all-faas \
+             rate0.2-all-iaas rate0.2-cost-aware rate0.8-all-faas rate0.8-all-iaas \
+             rate0.8-cost-aware",
+            "all-faas-spot0-pc0 all-faas-spot0-pc64 all-iaas-spot0-pc0 all-iaas-spot0-pc64 \
+             cost-aware-spot0-pc0 cost-aware-spot0-pc64 deadline-aware-spot0-pc0 \
+             deadline-aware-spot0-pc64 deadline-aware-spot0.6-pc0 deadline-aware-spot0.6-pc64 \
+             fair-share-spot0-pc0 fair-share-spot0-pc64 fair-share-spot0.6-pc0 \
+             fair-share-spot0.6-pc64",
+            "adaptive-spot0.6-mttp3600 adaptive-spot0.6-mttp900 adaptive-spot1-mttp3600 \
+             adaptive-spot1-mttp900 every1-spot0.6-mttp3600 every1-spot0.6-mttp900 \
+             every1-spot1-mttp3600 every1-spot1-mttp900 every4-spot0.6-mttp3600 \
+             every4-spot0.6-mttp900 every4-spot1-mttp3600 every4-spot1-mttp900 \
+             never-spot0.6-mttp3600 never-spot0.6-mttp900 never-spot1-mttp3600 \
+             never-spot1-mttp900",
+            "cost-aware-analytic-scale1 cost-aware-analytic-scale2 cost-aware-hybrid-scale1 \
+             cost-aware-hybrid-scale2 cost-aware-online-scale1 cost-aware-online-scale2 \
+             deadline-aware-analytic-scale1 deadline-aware-analytic-scale2 \
+             deadline-aware-hybrid-scale1 deadline-aware-hybrid-scale2 \
+             deadline-aware-online-scale1 deadline-aware-online-scale2 \
+             fair-share-analytic-scale1 fair-share-analytic-scale2 fair-share-hybrid-scale1 \
+             fair-share-hybrid-scale2 fair-share-online-scale1 fair-share-online-scale2",
+            "learned-err1-mttp1800 learned-err1-mttp600 learned-err4-mttp1800 \
+             learned-err4-mttp600 static-err1-mttp1800 static-err1-mttp600 \
+             static-err4-mttp1800 static-err4-mttp600",
+        ];
+        let root = scratch("lml_fleet_pinned_files");
+        let h = harness(7, &root, 2);
+        for (s, stems) in SWEEPS.iter().zip(pinned) {
+            let table = run_sweep(s, &h);
+            assert!(table.contains(s.title), "{}: titled table", s.name);
+            let files = snapshot(&root.join(s.name));
+            let want: Vec<String> = stems
+                .split(' ')
+                .map(|stem| format!("{}-seed7-{stem}.json", s.prefix))
+                .collect();
+            assert_eq!(
+                files.keys().collect::<Vec<_>>(),
+                want.iter().collect::<Vec<_>>()
+            );
+            for (name, json) in &files {
+                assert!(json.starts_with(SCHEMA_HEAD), "{name}: schema header");
+                assert!(json.contains(r#""per_tenant":["#), "{name}: tenant rollup");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Pull one f64 field out of a flat JSON metrics file.
@@ -816,18 +572,12 @@ mod tests {
 
     #[test]
     fn fleet_estimator_hybrid_beats_blind_prior_on_miscalibrated_zoo() {
-        let tmp = std::env::temp_dir().join("lml_fleet_estimator_test");
-        std::env::set_var("LML_FLEET_ESTIMATOR_OUT", &tmp);
-        let h = Harness {
-            seed: 21,
-            fast: true,
-        };
-        let out = fleet_estimator(&h);
-        std::env::remove_var("LML_FLEET_ESTIMATOR_OUT");
+        let tmp = scratch("lml_fleet_estimator_test");
+        let out = fleet_estimator(&harness(21, &tmp, 2));
         assert!(out.contains("hybrid") && out.contains("analytic"));
         let read = |sched: &str, est: &str, scale: &str| {
             std::fs::read_to_string(tmp.join(format!(
-                "fleet-estimator-seed21-{sched}-{est}-scale{scale}.json"
+                "fleet_estimator/fleet-estimator-seed21-{sched}-{est}-scale{scale}.json"
             )))
             .expect("JSON file written")
         };
@@ -864,20 +614,13 @@ mod tests {
 
     #[test]
     fn fleet_risk_learned_admission_beats_static_on_wrong_config() {
-        let _guard = env_guard();
-        let tmp = std::env::temp_dir().join("lml_fleet_risk_test");
-        std::env::set_var("LML_FLEET_RISK_OUT", &tmp);
-        let h = Harness {
-            seed: 7,
-            fast: true,
-        };
-        let out = fleet_risk(&h);
-        std::env::remove_var("LML_FLEET_RISK_OUT");
+        let tmp = scratch("lml_fleet_risk_test");
+        let out = fleet_risk(&harness(7, &tmp, 2));
         assert!(out.contains("learned") && out.contains("static"));
         let read = |adm: &str, err: &str, mttp: &str| {
-            std::fs::read_to_string(
-                tmp.join(format!("fleet-risk-seed7-{adm}-err{err}-mttp{mttp}.json")),
-            )
+            std::fs::read_to_string(tmp.join(format!(
+                "fleet_risk/fleet-risk-seed7-{adm}-err{err}-mttp{mttp}.json"
+            )))
             .expect("JSON file written")
         };
         // The acceptance criterion: with the configured mean 4× too
@@ -902,19 +645,13 @@ mod tests {
 
     #[test]
     fn fleet_recovery_runs_and_checkpoints_beat_never() {
-        let tmp = std::env::temp_dir().join("lml_fleet_recovery_test");
-        std::env::set_var("LML_FLEET_RECOVERY_OUT", &tmp);
-        let h = Harness {
-            seed: 13,
-            fast: true,
-        };
-        let out = fleet_recovery(&h);
-        std::env::remove_var("LML_FLEET_RECOVERY_OUT");
+        let tmp = scratch("lml_fleet_recovery_test");
+        let out = fleet_recovery(&harness(13, &tmp, 2));
         assert!(out.contains("adaptive") && out.contains("every1"));
         let read = |policy: &str| {
-            std::fs::read_to_string(
-                tmp.join(format!("fleet-recovery-seed13-{policy}-spot1-mttp900.json")),
-            )
+            std::fs::read_to_string(tmp.join(format!(
+                "fleet_recovery/fleet-recovery-seed13-{policy}-spot1-mttp900.json"
+            )))
             .expect("JSON file written")
         };
         let lost = |json: &str| {

@@ -1,36 +1,37 @@
 //! # lml-bench — the experiment harness
 //!
-//! One module per paper table/figure (see DESIGN.md §3 for the index), each
-//! exposing a `run(&Harness) -> String` that regenerates the artifact's
-//! rows/series and returns the printed report. The `src/bin/` binaries are
-//! thin wrappers; `all_experiments` runs everything in order.
+//! One module per paper section (see DESIGN.md §3 for the index), each
+//! experiment a `fn(&Harness) -> String` that regenerates the artifact's
+//! rows/series, prints them, and returns the printed report. [`EXPERIMENTS`]
+//! is the one registry of them; the `lml-bench` binary is a thin CLI over
+//! [`select`]: `lml-bench <experiment|all> [--seed N] [--full]`.
 //!
 //! The harness defaults to **fast mode** (reduced samples/worker counts) so
 //! the whole suite finishes in minutes; pass `--full` for the paper-scale
 //! worker counts.
 
-// `deny`, not `forbid`: the counting global allocator (src/alloc.rs) is the
-// one sanctioned `unsafe` block in the workspace and carries a scoped allow.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
-pub mod alloc;
 pub mod experiments;
 pub mod registry;
 pub mod sweep;
 pub mod tablefmt;
 
-/// Every bench binary (and this crate's tests) runs under the counting
-/// allocator so `fleet_scale` can stamp allocation deltas into its
-/// throughput baseline. Counting is off unless [`alloc::enable`]d; the
-/// passive overhead is one relaxed atomic load per allocation.
-#[global_allocator]
-static GLOBAL_ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
+use experiments::{ablations, analytics, design, endtoend, fleet};
+use std::path::PathBuf;
 
-/// Global experiment settings, parsed from the command line.
-#[derive(Debug, Clone, Copy)]
+/// Global experiment settings. The binary fills them from the command line
+/// and the environment; nothing below it reads either.
+#[derive(Debug, Clone)]
 pub struct Harness {
     pub seed: u64,
     pub fast: bool,
+    /// Root of the fleet sweeps' per-cell JSON: each sweep writes
+    /// `<out_root>/<sweep name>/` (CLI: `LML_FLEET_OUT`).
+    pub out_root: PathBuf,
+    /// Worker threads for sweep fan-out (CLI: `LML_SWEEP_THREADS`); never
+    /// changes a byte of output.
+    pub workers: usize,
 }
 
 impl Default for Harness {
@@ -38,91 +39,50 @@ impl Default for Harness {
         Harness {
             seed: 42,
             fast: true,
+            out_root: PathBuf::from("target"),
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
 
-impl Harness {
-    /// Parse `--seed N` and `--full` from `std::env::args`.
-    pub fn from_args() -> Self {
-        let mut h = Harness::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--full" => h.fast = false,
-                "--fast" => h.fast = true,
-                "--seed" => {
-                    i += 1;
-                    h.seed = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--seed needs an integer");
-                }
-                other => eprintln!("ignoring unknown argument {other:?}"),
-            }
-            i += 1;
-        }
-        h
-    }
-}
+/// A registry entry: experiment name + its runner.
+pub type Experiment = (&'static str, fn(&Harness) -> String);
 
-/// Run one named experiment (used by the binaries and `all_experiments`).
-pub fn run_experiment(name: &str, h: &Harness) -> String {
-    use experiments::*;
-    match name {
-        "fig6_datasets" => design::fig6_datasets(h),
-        "fig7_optimizers" => design::fig7_optimizers(h),
-        "table1_channels" => design::table1_channels(h),
-        "table2_hybrid_rpc" => design::table2_hybrid_rpc(h),
-        "table3_patterns" => design::table3_patterns(h),
-        "fig8_sync_async" => design::fig8_sync_async(h),
-        "fig9_end_to_end" => endtoend::fig9_end_to_end(h),
-        "fig10_breakdown" => endtoend::fig10_breakdown(h),
-        "fig11_workers" => endtoend::fig11_workers(h),
-        "fig12_frontier" => endtoend::fig12_frontier(h),
-        "table5_pipeline" => endtoend::table5_pipeline(h),
-        "cost_sanity" => endtoend::cost_sanity(h),
-        "table6_constants" => analytics::table6_constants(h),
-        "fig13_model" => analytics::fig13_model(h),
-        "fig14_fast_hybrid" => analytics::fig14_fast_hybrid(h),
-        "fig15_hot_data" => analytics::fig15_hot_data(h),
-        "ablations" => ablations::run_all(h),
-        "fleet_scale" => fleet::fleet_scale(h),
-        "fleet_policies" => fleet::fleet_policies(h),
-        "fleet_recovery" => fleet::fleet_recovery(h),
-        "fleet_estimator" => fleet::fleet_estimator(h),
-        "fleet_risk" => fleet::fleet_risk(h),
-        other => panic!("unknown experiment {other:?}"),
-    }
-}
-
-/// All experiment names, in paper order (the fleet sweeps go beyond the
-/// paper).
-pub const ALL_EXPERIMENTS: [&str; 22] = [
-    "fig6_datasets",
-    "fig7_optimizers",
-    "table1_channels",
-    "table2_hybrid_rpc",
-    "table3_patterns",
-    "fig8_sync_async",
-    "fig9_end_to_end",
-    "fig10_breakdown",
-    "fig11_workers",
-    "fig12_frontier",
-    "table5_pipeline",
-    "cost_sanity",
-    "table6_constants",
-    "fig13_model",
-    "fig14_fast_hybrid",
-    "fig15_hot_data",
-    "ablations",
-    "fleet_scale",
-    "fleet_policies",
-    "fleet_recovery",
-    "fleet_estimator",
-    "fleet_risk",
+/// Every experiment, in paper order (the fleet sweeps go beyond the paper).
+pub static EXPERIMENTS: [Experiment; 22] = [
+    ("fig6_datasets", design::fig6_datasets),
+    ("fig7_optimizers", design::fig7_optimizers),
+    ("table1_channels", design::table1_channels),
+    ("table2_hybrid_rpc", design::table2_hybrid_rpc),
+    ("table3_patterns", design::table3_patterns),
+    ("fig8_sync_async", design::fig8_sync_async),
+    ("fig9_end_to_end", endtoend::fig9_end_to_end),
+    ("fig10_breakdown", endtoend::fig10_breakdown),
+    ("fig11_workers", endtoend::fig11_workers),
+    ("fig12_frontier", endtoend::fig12_frontier),
+    ("table5_pipeline", endtoend::table5_pipeline),
+    ("cost_sanity", endtoend::cost_sanity),
+    ("table6_constants", analytics::table6_constants),
+    ("fig13_model", analytics::fig13_model),
+    ("fig14_fast_hybrid", analytics::fig14_fast_hybrid),
+    ("fig15_hot_data", analytics::fig15_hot_data),
+    ("ablations", ablations::run_all),
+    ("fleet_scale", fleet::fleet_scale),
+    ("fleet_policies", fleet::fleet_policies),
+    ("fleet_recovery", fleet::fleet_recovery),
+    ("fleet_estimator", fleet::fleet_estimator),
+    ("fleet_risk", fleet::fleet_risk),
 ];
+
+/// The experiments `name` selects: the one entry it names, or the whole
+/// registry for `all`. `None` for a name the registry does not know.
+pub fn select(name: &str) -> Option<&'static [Experiment]> {
+    if name == "all" {
+        return Some(&EXPERIMENTS);
+    }
+    let entry = EXPERIMENTS.iter().find(|(n, _)| *n == name);
+    entry.map(std::slice::from_ref)
+}
 
 #[cfg(test)]
 mod tests {
@@ -133,15 +93,33 @@ mod tests {
         let h = Harness::default();
         assert!(h.fast);
         assert_eq!(h.seed, 42);
+        assert!(h.workers >= 1);
     }
 
     #[test]
-    fn all_experiment_names_resolve() {
-        // Only checks the dispatcher match arms exist — the cheap ones run.
-        let h = Harness::default();
-        for name in ["fig6_datasets", "table2_hybrid_rpc", "table3_patterns"] {
-            let out = run_experiment(name, &h);
-            assert!(!out.is_empty());
+    fn registry_names_are_unique_and_all_visits_each_once() {
+        let names: std::collections::BTreeSet<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+        assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate experiment name");
+        assert!(
+            !names.contains("all"),
+            "`all` is the selector, not an entry"
+        );
+        let selected = |name| select(name).map(|s| s.iter().map(|e| e.0).collect::<Vec<_>>());
+        assert_eq!(selected("all"), Some(EXPERIMENTS.map(|e| e.0).to_vec()));
+        for (name, _) in EXPERIMENTS {
+            assert_eq!(selected(name), Some(vec![name]));
         }
+        assert_eq!(selected("fig6_dataset"), None);
+    }
+
+    #[test]
+    fn cheap_experiments_run() {
+        let h = Harness::default();
+        let cheap = ["fig6_datasets", "table2_hybrid_rpc", "table3_patterns"];
+        let reports = EXPERIMENTS
+            .iter()
+            .filter(|e| cheap.contains(&e.0))
+            .map(|(_, run)| run(&h));
+        assert_eq!(reports.filter(|r| !r.is_empty()).count(), cheap.len());
     }
 }

@@ -3,8 +3,8 @@
 //! Every bench experiment is a grid of independent (config, seed) cells.
 //! This module fans the cells across a small hand-rolled scoped threadpool
 //! (std-only — no rayon) and hands the results back **in grid-index
-//! order**, so a sweep's observable output — table rows, JSON files,
-//! merged probes — is byte-identical however many workers ran it:
+//! order**, so a sweep's observable output — table rows and JSON files —
+//! is byte-identical however many workers ran it:
 //!
 //! * each cell computes from nothing but its own inputs (its own trace,
 //!   seed, scheduler, and observer), so execution order cannot change any
@@ -12,31 +12,17 @@
 //! * results land in a slot keyed by the cell's grid index, and the caller
 //!   reduces the slots `0..n` — the same order the serial nested loops
 //!   used;
-//! * all side effects (file writes, table rows, probe merges) happen in
-//!   the reduction, on the caller's thread, never in the cells.
+//! * all side effects (file writes, table rows) happen in the reduction,
+//!   on the caller's thread, never in the cells.
 //!
-//! The worker count comes from `LML_SWEEP_THREADS` when set (CI pins it to
-//! 1 for the serial half of its serial-vs-parallel determinism diffs),
-//! else from [`std::thread::available_parallelism`]. One worker runs the
-//! cells inline with no threads spawned at all.
+//! The caller picks the worker count (the `lml-bench` CLI takes it from
+//! `LML_SWEEP_THREADS`, which CI pins to 1 for the serial half of its
+//! serial-vs-parallel determinism diffs, else from
+//! [`std::thread::available_parallelism`]). One worker runs the cells
+//! inline with no threads spawned at all.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Worker count for sweep fan-out: `LML_SWEEP_THREADS` if set (values < 1
-/// or unparsable fall back to 1), else the machine's available
-/// parallelism.
-pub fn workers() -> usize {
-    match std::env::var("LML_SWEEP_THREADS") {
-        Ok(s) => s
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or(1),
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
 
 /// Run `run(index, item)` over every item, fanning across `n_workers`
 /// threads, and return the results **in item order**.
@@ -120,18 +106,5 @@ mod tests {
         let out: Vec<u32> = parallel_map(Vec::<u32>::new(), 4, |_, x| x);
         assert!(out.is_empty());
         assert_eq!(parallel_map(vec![7u32], 4, |_, x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn workers_env_override_wins() {
-        // Temporarily pin the env var; the invariant under test elsewhere
-        // (byte-identical output at any worker count) makes cross-test
-        // races on this variable benign.
-        std::env::set_var("LML_SWEEP_THREADS", "3");
-        assert_eq!(workers(), 3);
-        std::env::set_var("LML_SWEEP_THREADS", "junk");
-        assert_eq!(workers(), 1);
-        std::env::remove_var("LML_SWEEP_THREADS");
-        assert!(workers() >= 1);
     }
 }

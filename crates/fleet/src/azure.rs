@@ -8,10 +8,9 @@
 //! ids are hashed deterministically onto the Table 4 job zoo. The adapter
 //! converts rows directly into [`JobRequest`]s (sorted, validated) and
 //! hands them to the replay engine through [`AzureSource`], the adapter's
-//! [`TraceSource`]. The native-text rendering ([`to_trace_text`]) is kept
-//! as a tested compatibility shim — `parse` is asserted equal to the
-//! text round-trip — so an adapted trace still obeys exactly the same
-//! validation and replay guarantees as a hand-written one.
+//! [`TraceSource`], so an adapted trace obeys exactly the same validation
+//! and replay guarantees as a hand-written one (`parse(csv)?.to_text()`
+//! renders it in the portable native text form).
 //!
 //! Accepted line format (header line and `#` comments are skipped):
 //!
@@ -151,25 +150,6 @@ fn to_jobs(csv: &str) -> Result<Vec<JobRequest>, String> {
         .collect())
 }
 
-/// Convert Azure-style CSV to the native trace text format (v2).
-/// Compatibility shim: the direct path ([`parse`] / [`source`]) is the
-/// primary route; this rendering is kept byte-stable and tested equal to
-/// it for tools that want the portable text form.
-pub fn to_trace_text(csv: &str) -> Result<String, String> {
-    let mut out =
-        String::from("# lml-fleet trace v2 (azure adapter): submit\tclass\tworkers\ttenant\t-\n");
-    for j in to_jobs(csv)? {
-        out.push_str(&format!(
-            "{:?}\t{}\t{}\t{}\t-\n",
-            j.submit.as_secs(),
-            j.class.name(),
-            j.workers,
-            j.tenant
-        ));
-    }
-    Ok(out)
-}
-
 /// Parse Azure-style CSV straight into a [`Trace`] — rows convert
 /// directly to [`JobRequest`]s, no intermediate text.
 pub fn parse(csv: &str) -> Result<Trace, String> {
@@ -223,16 +203,6 @@ mod tests {
         // Tenant ids are dense, starting at 0.
         assert_eq!(tenants, (0..tenants.len() as u32).collect::<Vec<_>>());
         assert!(trace.jobs.windows(2).all(|w| w[0].submit <= w[1].submit));
-    }
-
-    #[test]
-    fn adapter_feeds_from_text_and_roundtrips() {
-        // The text shim stays equivalent to the direct path: rendering to
-        // trace text and re-parsing gives exactly the trace `parse` builds.
-        let text = to_trace_text(SAMPLE).unwrap();
-        let trace = Trace::from_text(&text).unwrap();
-        assert_eq!(trace.to_text().lines().count(), text.lines().count());
-        assert_eq!(parse(SAMPLE).unwrap(), trace);
     }
 
     #[test]

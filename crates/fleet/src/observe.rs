@@ -889,7 +889,7 @@ impl ThroughputProbe {
     }
 
     /// Stamp heap-allocation totals measured over the probed region (a
-    /// counting-allocator delta; see `lml_bench::alloc`).
+    /// counting-allocator delta supplied by the caller).
     pub fn set_alloc(&mut self, count: u64, bytes: u64) {
         self.alloc_count = count;
         self.alloc_bytes = bytes;
