@@ -87,6 +87,7 @@ pub mod metrics;
 pub mod observe;
 pub mod opendc;
 pub mod platform;
+mod queue;
 pub mod scheduler;
 pub mod sim;
 pub mod stream;

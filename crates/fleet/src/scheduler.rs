@@ -105,6 +105,11 @@ pub trait Scheduler: Send {
     /// Route one arriving job given the current platform load.
     fn route(&mut self, job: &JobRequest, view: &FleetView) -> Route;
     /// How the simulator's admission queues are ordered for this policy.
+    ///
+    /// Must be constant for the lifetime of a replay: the simulator reads
+    /// it once at replay start to index its queues and to decide whether
+    /// to keep the DRR service ledger, and debug-asserts at every drain
+    /// that it has not changed.
     fn discipline(&self) -> QueueDiscipline {
         QueueDiscipline::Fifo
     }

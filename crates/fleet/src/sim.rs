@@ -66,6 +66,7 @@ use crate::observe::{
     PlatformEvent, ReplayStats,
 };
 use crate::platform::{FaasConfig, FaasRegion, IaasConfig, IaasPool, SpotConfig, SpotTier};
+use crate::queue::{Pick, ReadyQueue};
 use crate::scheduler::{FleetView, QueueDiscipline, Route, Scheduler};
 use crate::stream::{InMemorySource, TraceSource};
 use crate::workload::Trace;
@@ -164,7 +165,7 @@ pub fn iaas_run(p: &AnalyticParams, case: &AnalyticCase, w: usize) -> SimTime {
 /// handles instead of trace indices, so the engine never needs the whole
 /// trace in memory; the generation counter turns any use-after-retire bug
 /// into a loud debug assertion instead of silent state corruption.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Handle {
     slot: u32,
     gen: u32,
@@ -371,21 +372,17 @@ struct Fleet<'a> {
     free: Vec<u32>,
     class_cache: [Option<ClassCache>; N_CLASSES],
     events: EventQueue<Event>,
-    /// FaaS admission queue. The live entries are `faas_queue[faas_head..]`:
-    /// FIFO consumption advances the cursor instead of shifting the tail,
-    /// and the drained prefix is compacted away only once it dominates
-    /// the buffer — amortized O(1) per start instead of O(queue).
-    faas_queue: Vec<Handle>,
-    faas_head: usize,
-    iaas_queue: Vec<Handle>,
-    /// Workers queued on each platform, maintained incrementally at
-    /// enqueue/start so `view()` and the autoscaler stay O(1) instead of
-    /// re-summing the queues on every admission.
-    faas_queued_workers: usize,
-    iaas_queued_workers: usize,
+    /// The scheduler's queue discipline, read once at replay start (it
+    /// must not change mid-replay — see [`Scheduler::discipline`]).
+    discipline: QueueDiscipline,
+    /// Per-platform admission queues, indexed for that discipline. Each
+    /// also keeps its queued-worker total, so `view()` and the autoscaler
+    /// stay O(1).
+    faas_queue: ReadyQueue<Handle>,
+    iaas_queue: ReadyQueue<Handle>,
     /// Weighted-service ledger behind the deficit-round-robin discipline:
     /// worker-seconds of run time started so far, per tenant. Only
-    /// maintained when the scheduler's discipline is DRR (`track_service`).
+    /// maintained under DRR.
     tenant_service: TenantMap<f64>,
     /// Attributed dollars per tenant — the budget-cap enforcement ledger
     /// (reset every accounting window when deferral is on). Only
@@ -413,8 +410,6 @@ struct Fleet<'a> {
     /// observer reads it — `sample_gauges` only runs on a gauge clock, so
     /// an observer without one never sees the ledger).
     track_spend: bool,
-    /// Maintain `tenant_service` (scheduler discipline is DRR).
-    track_service: bool,
     rollup: Option<RollupState>,
     sink: Sink,
     /// The observability sink: every lifecycle transition, scheduler
@@ -431,7 +426,7 @@ impl<'a> Fleet<'a> {
         seed: u64,
         obs: &'a mut (dyn FleetObserver + 'a),
         eta_quantile: f64,
-        track_service: bool,
+        discipline: QueueDiscipline,
         collect: bool,
     ) -> Self {
         let obs_on = obs.active();
@@ -467,11 +462,9 @@ impl<'a> Fleet<'a> {
             free: Vec::new(),
             class_cache: [None; N_CLASSES],
             events: EventQueue::new(),
-            faas_queue: Vec::new(),
-            faas_head: 0,
-            iaas_queue: Vec::new(),
-            faas_queued_workers: 0,
-            iaas_queued_workers: 0,
+            discipline,
+            faas_queue: ReadyQueue::new(discipline),
+            iaas_queue: ReadyQueue::new(discipline),
             tenant_service: TenantMap::new(),
             tenant_spend: TenantMap::new(),
             deferred_queue: Vec::new(),
@@ -482,7 +475,6 @@ impl<'a> Fleet<'a> {
             peak_resident: 0,
             eta_quantile,
             obs_on,
-            track_service,
             rollup,
             sink: if collect {
                 Sink::Records(Vec::new())
@@ -766,7 +758,7 @@ impl<'a> Fleet<'a> {
         }
         let g = GaugeSample {
             at: now,
-            queue_depth: (self.faas_queue.len() - self.faas_head) + self.iaas_queue.len(),
+            queue_depth: self.faas_queue.len() + self.iaas_queue.len(),
             deferred: self.deferred_queue.len(),
             faas_in_use: self.cfg.faas.concurrency_limit - self.faas.available(),
             faas_limit: self.cfg.faas.concurrency_limit,
@@ -815,34 +807,34 @@ impl<'a> Fleet<'a> {
             .is_some_and(|&cap| self.tenant_spend.get(tenant).copied().unwrap_or(0.0) >= cap)
     }
 
-    fn queued_workers(&self, q: &[Handle]) -> usize {
-        q.iter().map(|&h| self.slot(h).job.workers).sum()
+    fn queued_workers(&self, q: &ReadyQueue<Handle>) -> usize {
+        q.items().map(|h| self.slot(h).job.workers).sum()
     }
 
     fn view(&self) -> FleetView {
         debug_assert_eq!(
-            self.faas_queued_workers,
-            self.queued_workers(&self.faas_queue[self.faas_head..])
+            self.faas_queue.queued_workers(),
+            self.queued_workers(&self.faas_queue)
         );
         debug_assert_eq!(
-            self.iaas_queued_workers,
+            self.iaas_queue.queued_workers(),
             self.queued_workers(&self.iaas_queue)
         );
         FleetView {
             faas_in_use: self.cfg.faas.concurrency_limit - self.faas.available(),
             faas_limit: self.cfg.faas.concurrency_limit,
-            faas_queued_workers: self.faas_queued_workers,
+            faas_queued_workers: self.faas_queue.queued_workers(),
             iaas_free: self.iaas.free(),
             iaas_capacity: self.iaas.capacity(),
             iaas_provisioning: self.iaas.provisioning(),
-            iaas_queued_workers: self.iaas_queued_workers,
+            iaas_queued_workers: self.iaas_queue.queued_workers(),
         }
     }
 
     /// Credit a started job's service to its tenant (the DRR ledger).
     /// Skipped entirely under FIFO/EDF — nothing reads the ledger there.
     fn credit_service(&mut self, h: Handle, run: SimTime) {
-        if !self.track_service {
+        if self.discipline != QueueDiscipline::Drr {
             return;
         }
         let j = self.slot(h).job;
@@ -850,40 +842,22 @@ impl<'a> Fleet<'a> {
             j.workers as f64 * run.as_secs();
     }
 
-    /// Position in `q` of the job the discipline admits next, or `None` if
-    /// the queue is empty. All orders are deterministic: ties break by
-    /// arrival seq (the streaming stand-in for the submission index).
-    fn pick_pos(&self, q: &[Handle], sched: &dyn Scheduler) -> Option<usize> {
-        if q.is_empty() {
-            return None;
-        }
-        match sched.discipline() {
-            QueueDiscipline::Fifo => Some(0),
-            QueueDiscipline::Edf => q
-                .iter()
-                .enumerate()
-                .min_by(|&(_, &a), &(_, &b)| {
-                    let sa = self.slot(a);
-                    let sb = self.slot(b);
-                    let da = sa.job.deadline.map_or(f64::INFINITY, |d| d.as_secs());
-                    let db = sb.job.deadline.map_or(f64::INFINITY, |d| d.as_secs());
-                    da.total_cmp(&db).then(sa.seq.cmp(&sb.seq))
-                })
-                .map(|(pos, _)| pos),
-            QueueDiscipline::Drr => q
-                .iter()
-                .enumerate()
-                .min_by(|&(_, &a), &(_, &b)| {
-                    let norm = |h: Handle| {
-                        let t = self.slot(h).job.tenant;
-                        self.tenant_service.get(t).copied().unwrap_or(0.0) / sched.tenant_weight(t)
-                    };
-                    norm(a)
-                        .total_cmp(&norm(b))
-                        .then(self.slot(a).seq.cmp(&self.slot(b).seq))
-                })
-                .map(|(pos, _)| pos),
-        }
+    /// The queued job no wider than `cap` that the discipline admits next
+    /// (see [`ReadyQueue::pick`]); DRR ranks tenants by weighted service.
+    fn pick(
+        &self,
+        q: &ReadyQueue<Handle>,
+        cap: usize,
+        sched: &dyn Scheduler,
+    ) -> Option<Pick<Handle>> {
+        debug_assert_eq!(
+            sched.discipline(),
+            self.discipline,
+            "a scheduler's discipline must stay constant for a replay"
+        );
+        q.pick(cap, |t| {
+            self.tenant_service.get(t).copied().unwrap_or(0.0) / sched.tenant_weight(t)
+        })
     }
 
     /// Try to begin the job on FaaS at `now`; schedules its completion.
@@ -1131,49 +1105,56 @@ impl<'a> Fleet<'a> {
         self.spot.price_of(workers, held)
     }
 
+    /// Hand a ready job to the FaaS region. With nothing queued ahead the
+    /// job is the whole drain, so it gets `drain_faas`'s guard and its one
+    /// start attempt directly — an uncongested fleet never touches its
+    /// queues. A failed attempt has no side effects, so queueing and
+    /// draining after one changes nothing.
+    fn enqueue_faas(&mut self, h: Handle, now: SimTime, sched: &dyn Scheduler) {
+        if self.faas_queue.is_empty() && self.faas.available() > 0 && self.start_faas(h, now) {
+            return;
+        }
+        let Slot { job, seq, .. } = *self.slot(h);
+        self.faas_queue.push(h, &job, seq);
+        self.drain_faas(now, sched);
+    }
+
+    /// Hand a ready job to the reserved pool; the IaaS twin of
+    /// [`enqueue_faas`](Self::enqueue_faas). The `free() > 0` guard is
+    /// `drain_iaas`'s: with no idle instance the pool must not be ticked
+    /// before the autoscaler runs. A failed attempt only ticks the pool to
+    /// `now`, which the drain's own first attempt would have done.
+    fn enqueue_iaas(&mut self, h: Handle, now: SimTime, sched: &dyn Scheduler) {
+        if self.iaas_queue.is_empty() && self.iaas.free() > 0 && self.start_iaas(h, now) {
+            return;
+        }
+        let Slot { job, seq, .. } = *self.slot(h);
+        self.iaas_queue.push(h, &job, seq);
+        self.drain_iaas(now, sched);
+    }
+
     /// Drain the FaaS admission queue in discipline order. The picked job
     /// blocks the queue if it doesn't fit (strict priority — no backfill
     /// past an earlier deadline or a shorter-served tenant).
     fn drain_faas(&mut self, now: SimTime, sched: &dyn Scheduler) {
-        if self.faas_head == self.faas_queue.len() || self.faas.available() == 0 {
+        if self.faas_queue.is_empty() || self.faas.available() == 0 {
             // Nothing can start (every job needs ≥ 1 slot): skip the pass.
             // `try_start` only prunes the warm pool on the way to a
             // decision, and pruning is idempotent over advancing time, so
             // deferring it to the next attempt changes nothing.
             return;
         }
-        if matches!(sched.discipline(), QueueDiscipline::Fifo) {
-            // FIFO always picks the front: advance the standing head
-            // cursor past the started prefix — no tail shift at all —
-            // and compact the buffer only when the dead prefix dominates.
-            while self.faas_head < self.faas_queue.len() {
-                let h = self.faas_queue[self.faas_head];
-                if !self.start_faas(h, now) {
-                    break;
-                }
-                self.faas_queued_workers -= self.slot(h).job.workers;
-                self.faas_head += 1;
-            }
-            if self.faas_head > 32 && self.faas_head * 2 >= self.faas_queue.len() {
-                self.faas_queue.drain(..self.faas_head);
-                self.faas_head = 0;
-            }
-            return;
-        }
-        while let Some(pos) = self.pick_pos(&self.faas_queue[self.faas_head..], sched) {
-            let h = self.faas_queue[self.faas_head + pos];
-            if self.start_faas(h, now) {
-                self.faas_queued_workers -= self.slot(h).job.workers;
-                self.faas_queue.remove(self.faas_head + pos);
-            } else {
+        while let Some(p) = self.pick(&self.faas_queue, usize::MAX, sched) {
+            if !self.start_faas(p.item, now) {
                 break;
             }
+            self.faas_queue.take(p);
         }
     }
 
-    /// Discipline-ordered drain with backfill: every queued job is tried
-    /// once per drain (in pick order), so a blocked wide job does not
-    /// strand idle instances; leftovers re-trigger the autoscaler.
+    /// Discipline-ordered drain with backfill: every queued job that fits
+    /// the idle capacity starts (in pick order), so a blocked wide job
+    /// does not strand idle instances; leftovers re-trigger the autoscaler.
     fn drain_iaas(&mut self, now: SimTime, sched: &dyn Scheduler) {
         if self.iaas_queue.is_empty() {
             return;
@@ -1185,101 +1166,21 @@ impl<'a> Fleet<'a> {
             self.autoscale(now);
             return;
         }
-        let mut pending = std::mem::take(&mut self.iaas_queue);
-        // Backfill fail-fast: a job wider than the idle capacity cannot
-        // start, and after the first `start_iaas` of the pass has ticked
-        // the pool's billing integrals to `now`, a failed attempt is a
-        // pure no-op (its redundant tick advances by dt = 0, adding
-        // exactly +0.0) — so skipping the call is byte-identical output
-        // at a fraction of the cost. The first attempt always goes
-        // through, to keep the integral subdivision exactly as it was.
-        let mut ticked = false;
-        match sched.discipline() {
-            QueueDiscipline::Fifo => {
-                // FIFO visits jobs in queue order: one in-order pass,
-                // starters leave, blocked jobs stay — no per-pick scan
-                // or element shifting. Hand-rolled compaction instead of
-                // `retain` so the pass can stop the moment idle capacity
-                // hits zero (nothing after that point can start) and keep
-                // the entire tail with one bulk copy of handles.
-                let mut out = 0;
-                let mut i = 0;
-                while i < pending.len() {
-                    if ticked && self.iaas.free() == 0 {
-                        break;
-                    }
-                    let h = pending[i];
-                    i += 1;
-                    if ticked && self.slot(h).job.workers > self.iaas.free() {
-                        pending[out] = h;
-                        out += 1;
-                        continue;
-                    }
-                    ticked = true;
-                    if self.start_iaas(h, now) {
-                        self.iaas_queued_workers -= self.slot(h).job.workers;
-                    } else {
-                        pending[out] = h;
-                        out += 1;
-                    }
-                }
-                pending.copy_within(i.., out);
-                out += pending.len() - i;
-                pending.truncate(out);
+        // The first attempt is unconditional: it ticks the pool's billing
+        // integrals to `now`, keeping their subdivision exactly as it was.
+        // After it a failed attempt would be a pure no-op (its redundant
+        // tick advances by dt = 0, adding exactly +0.0), and a start fails
+        // iff the job is wider than the idle capacity — so every later
+        // pick is capped at that width and always starts.
+        let mut cap = usize::MAX;
+        while let Some(p) = self.pick(&self.iaas_queue, cap, sched) {
+            if self.start_iaas(p.item, now) {
+                self.iaas_queue.take(p);
+            } else {
+                debug_assert_eq!(cap, usize::MAX, "a job that fits must start");
             }
-            QueueDiscipline::Edf => {
-                // Deadlines are fixed within a drain, so sorting once
-                // yields exactly the order repeated min-picks would.
-                pending.sort_unstable_by(|&a, &b| {
-                    let sa = self.slot(a);
-                    let sb = self.slot(b);
-                    let da = sa.job.deadline.map_or(f64::INFINITY, |d| d.as_secs());
-                    let db = sb.job.deadline.map_or(f64::INFINITY, |d| d.as_secs());
-                    da.total_cmp(&db).then(sa.seq.cmp(&sb.seq))
-                });
-                pending.retain(|&h| {
-                    if ticked && self.slot(h).job.workers > self.iaas.free() {
-                        return true;
-                    }
-                    ticked = true;
-                    if self.start_iaas(h, now) {
-                        self.iaas_queued_workers -= self.slot(h).job.workers;
-                        false
-                    } else {
-                        true
-                    }
-                });
-                // Leftovers are deadline-ordered here; put them back in
-                // arrival order (seqs are submission-ordered).
-                pending.sort_unstable_by_key(|&h| self.slot(h).seq);
-            }
-            QueueDiscipline::Drr => {
-                // Deficit counters move as jobs start, so every pick
-                // re-scans; the pick is value-keyed (service, seq), so
-                // swap_remove is safe and avoids the shift.
-                let mut blocked = Vec::new();
-                while let Some(pos) = self.pick_pos(&pending, sched) {
-                    let h = pending.swap_remove(pos);
-                    if ticked && self.slot(h).job.workers > self.iaas.free() {
-                        blocked.push(h);
-                        continue;
-                    }
-                    ticked = true;
-                    if self.start_iaas(h, now) {
-                        self.iaas_queued_workers -= self.slot(h).job.workers;
-                    } else {
-                        blocked.push(h);
-                    }
-                }
-                pending = blocked;
-                // `swap_remove` scrambled the leftovers; put them back in
-                // arrival order (seqs are submission-ordered).
-                pending.sort_unstable_by_key(|&h| self.slot(h).seq);
-            }
+            cap = self.iaas.free();
         }
-        // The FIFO arm's `retain` never reorders, so the queue is already
-        // back in arrival order here for every discipline.
-        self.iaas_queue = pending;
         if !self.iaas_queue.is_empty() {
             self.autoscale(now);
         }
@@ -1288,7 +1189,8 @@ impl<'a> Fleet<'a> {
     /// Boot more instances if queued demand exceeds what is idle or coming.
     fn autoscale(&mut self, now: SimTime) {
         let deficit = self
-            .iaas_queued_workers
+            .iaas_queue
+            .queued_workers()
             .saturating_sub(self.iaas.free() + self.iaas.provisioning());
         if deficit > 0 {
             if let Some((k, boot)) = self.iaas.scale_up(now, deficit) {
@@ -1386,9 +1288,7 @@ impl<'a> Fleet<'a> {
                     "job {} routed to FaaS but wider than the account concurrency limit",
                     job.id
                 );
-                self.faas_queue.push(h);
-                self.faas_queued_workers += job.workers;
-                self.drain_faas(now, sched);
+                self.enqueue_faas(h, now, sched);
             }
             Route::Iaas => {
                 assert!(
@@ -1396,9 +1296,7 @@ impl<'a> Fleet<'a> {
                     "job {} routed to IaaS but wider than the autoscaling ceiling",
                     job.id
                 );
-                self.iaas_queue.push(h);
-                self.iaas_queued_workers += job.workers;
-                self.drain_iaas(now, sched);
+                self.enqueue_iaas(h, now, sched);
             }
             Route::Spot => {
                 assert!(
@@ -1666,9 +1564,7 @@ impl<'a> Fleet<'a> {
                 if self.slot(h).state.preemptions <= self.cfg.spot.max_retries {
                     self.start_spot(h, now);
                 } else {
-                    self.iaas_queue.push(h);
-                    self.iaas_queued_workers += workers;
-                    self.drain_iaas(now, sched);
+                    self.enqueue_iaas(h, now, sched);
                 }
             }
             Event::Provisioned(k) => {
@@ -1777,14 +1673,14 @@ fn run_replay<S: TraceSource>(
     observer.begin(scheduler.name(), seed, source.len_hint().unwrap_or(0));
     let mut pending = source.next_job()?;
     let eta_quantile = scheduler.eta_quantile();
-    let track_service = matches!(scheduler.discipline(), QueueDiscipline::Drr);
+    let discipline = scheduler.discipline();
     let mut fleet = Fleet::new(
         cfg,
         budgets,
         seed,
         observer,
         eta_quantile,
-        track_service,
+        discipline,
         collect,
     );
     fleet.more_arrivals = pending.is_some();
