@@ -12,9 +12,10 @@
 //!   mixes, multi-tenant/deadline generation ([`workload::TenantSpec`]),
 //!   and a replayable plain-text trace format, all seeded and
 //!   bit-reproducible.
-//! * [`azure`] — an Azure-Functions-style CSV adapter feeding
-//!   [`Trace::from_text`] (owners → tenants, function ids → job classes);
-//!   a bundled sample lives under `crates/fleet/data/`.
+//! * [`azure`] — an Azure-Functions-style CSV adapter (owners → tenants,
+//!   function ids → job classes): [`azure::parse`] materializes a
+//!   [`Trace`], [`azure::source`] streams it as a [`TraceSource`]; a
+//!   bundled sample lives under `crates/fleet/data/`.
 //! * [`google`] — a Google cluster-usage (task_events) adapter: a
 //!   streaming [`TraceSource`] mapping each job's first SUBMIT event onto
 //!   the job zoo (users → tenants), constant memory per row.
@@ -28,8 +29,10 @@
 //!   sorted-by-id cold iteration preserving `BTreeMap` output order.
 //! * [`stream`] — the pull-based [`TraceSource`] abstraction behind
 //!   streaming replay: in-memory ([`InMemorySource`]), chunked text
-//!   ([`TextSource`]), and generator-backed ([`GeneratorSource`])
-//!   sources, so million-job traces replay without materializing.
+//!   ([`TextSource`], the one statement of the trace grammar), and
+//!   generator-backed ([`GeneratorSource`], the one statement of the RNG
+//!   draw order) sources, so million-job traces replay without
+//!   materializing.
 //! * [`lifecycle`] — the explicit job-lifecycle state machine
 //!   (`Queued → Booting → Running{epochs_done} → … → Done/Rejected`)
 //!   shared by all schedulers and tiers, plus [`CheckpointPolicy`] and the
@@ -57,11 +60,15 @@
 //!   pricing through its estimator.
 //! * [`sim`] — the event-driven fleet loop on the shared
 //!   [`lml_sim::EventQueue`], with discipline-ordered admission queues and
-//!   per-tenant service accounting. Arrivals are *pulled* from a
-//!   [`TraceSource`] on demand and in-flight jobs live in a generational
-//!   slab, so resident memory is bounded by the working set — [`replay`]
-//!   collects full metrics, [`replay_stats`] runs in constant memory, and
-//!   [`simulate`] is the byte-identical in-memory wrapper.
+//!   per-tenant service accounting, one private module per stage a job
+//!   passes through: `engine` (the replay loop), `slab` (resident jobs
+//!   behind generational handles), `admission` (budgets, windows, pricing,
+//!   routing), `dispatch` (the one launch path, queues, spot outcomes) and
+//!   `retire` (the retire hook and its two sinks). Arrivals are *pulled*
+//!   from a [`TraceSource`] on demand, so resident memory is bounded by
+//!   the working set — [`replay`] collects full metrics, [`replay_stats`]
+//!   runs in constant memory, and [`simulate`] replays an in-memory
+//!   [`Trace`].
 //! * [`metrics`] — per-job queue/startup/run breakdowns rolled up into
 //!   p50/p95/p99 latency, dollars, warm-hit rate, utilization,
 //!   deadline-hit rate, preemption counts, and per-tenant fairness.

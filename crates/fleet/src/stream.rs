@@ -11,20 +11,17 @@
 //! Three sources live here; the Google cluster-usage adapter
 //! ([`crate::google::GoogleSource`]) is the fourth:
 //!
-//! * [`InMemorySource`] — borrows an existing [`Trace`]. The compatibility
-//!   path: `simulate`/`simulate_observed` delegate through it, and the
-//!   engine's byte-stability contract (streamed metrics JSON ≡ in-memory
-//!   metrics JSON) is tested against it.
+//! * [`InMemorySource`] — borrows an existing [`Trace`]; how
+//!   `simulate`/`simulate_observed` feed the engine.
 //! * [`TextSource`] — chunked reader over the v1/v2/v3 trace text format,
-//!   one line resident at a time. Shares the line grammar (and error
-//!   strings) with [`Trace::from_text`] via `workload::parse_trace_line`.
-//! * [`GeneratorSource`] — replays the exact RNG draw sequence of
-//!   [`Trace::generate_multi`] lazily, so million-job synthetic traces
-//!   never materialize and still match their materialized twin job for
-//!   job.
+//!   one line resident at a time. The line grammar and its error strings
+//!   live here and nowhere else: [`Trace::from_text`] drains this source.
+//! * [`GeneratorSource`] — the seeded arrival generator, one job per
+//!   pull, so million-job synthetic traces never materialize.
+//!   [`Trace::generate_multi`] is this source collected into a `Vec`.
 
-use crate::job::{JobRequest, TenantId};
-use crate::workload::{parse_trace_line, ArrivalProcess, JobMix, TenantSpec, Trace, TraceLine};
+use crate::job::{JobClass, JobRequest, TenantId};
+use crate::workload::{ArrivalProcess, JobMix, TenantSpec, Trace};
 use lml_sim::{Pcg64, SimTime};
 use std::collections::BTreeMap;
 use std::io::BufRead;
@@ -65,8 +62,8 @@ pub trait TraceSource {
     }
 }
 
-/// Streams a borrowed in-memory [`Trace`]. This is the reference source:
-/// replaying through it is byte-identical to the pre-streaming engine.
+/// Streams a borrowed in-memory [`Trace`] — the source behind
+/// [`crate::sim::simulate`].
 pub struct InMemorySource<'a> {
     trace: &'a Trace,
     next: usize,
@@ -96,14 +93,101 @@ impl TraceSource for InMemorySource<'_> {
     }
 }
 
+/// One parsed line of the trace text format — either a v3 budget preamble
+/// line or a v1/v2 job row (its `id` is a placeholder until the reader
+/// assigns the dense one).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum TraceLine {
+    Budget { tenant: TenantId, usd: f64 },
+    Job(JobRequest),
+}
+
+/// Parse one trimmed, non-empty, non-comment trace-text line. `lineno` is
+/// zero-based (error messages report `lineno + 1`). Duplicate-budget and
+/// sortedness checks stay with the caller, which owns the cross-line state.
+fn parse_trace_line(line: &str, lineno: usize) -> Result<TraceLine, String> {
+    let parts: Vec<&str> = line.split_whitespace().collect();
+    if parts[0] == "budget" {
+        if parts.len() != 3 {
+            return Err(format!(
+                "line {}: budget line needs `budget <tenant> <usd>`, got {} fields",
+                lineno + 1,
+                parts.len()
+            ));
+        }
+        let tenant: TenantId = parts[1]
+            .parse()
+            .map_err(|e| format!("line {}: bad budget tenant id: {e}", lineno + 1))?;
+        let usd: f64 = parts[2]
+            .parse()
+            .map_err(|e| format!("line {}: bad budget amount: {e}", lineno + 1))?;
+        if !usd.is_finite() || usd < 0.0 {
+            return Err(format!(
+                "line {}: budget must be finite and >= 0",
+                lineno + 1
+            ));
+        }
+        return Ok(TraceLine::Budget { tenant, usd });
+    }
+    if parts.len() != 3 && parts.len() != 5 {
+        return Err(format!(
+            "line {}: expected 3 (v1) or 5 (v2) fields, got {}",
+            lineno + 1,
+            parts.len()
+        ));
+    }
+    let t: f64 = parts[0]
+        .parse()
+        .map_err(|e| format!("line {}: bad time: {e}", lineno + 1))?;
+    if !t.is_finite() || t < 0.0 {
+        return Err(format!("line {}: time must be finite and >= 0", lineno + 1));
+    }
+    let class = JobClass::parse(parts[1])
+        .ok_or_else(|| format!("line {}: unknown job class {:?}", lineno + 1, parts[1]))?;
+    let workers: usize = parts[2]
+        .parse()
+        .map_err(|e| format!("line {}: bad workers: {e}", lineno + 1))?;
+    if workers == 0 {
+        return Err(format!("line {}: zero workers", lineno + 1));
+    }
+    let (tenant, deadline) = if parts.len() == 5 {
+        let tenant: TenantId = parts[3]
+            .parse()
+            .map_err(|e| format!("line {}: bad tenant id: {e}", lineno + 1))?;
+        let deadline = if parts[4] == "-" {
+            None
+        } else {
+            let d: f64 = parts[4]
+                .parse()
+                .map_err(|e| format!("line {}: bad deadline: {e}", lineno + 1))?;
+            if !d.is_finite() || d < t {
+                return Err(format!(
+                    "line {}: deadline must be finite and >= submit time",
+                    lineno + 1
+                ));
+            }
+            Some(SimTime::secs(d))
+        };
+        (tenant, deadline)
+    } else {
+        (0, None)
+    };
+    Ok(TraceLine::Job(JobRequest {
+        id: 0,
+        class,
+        submit: SimTime::secs(t),
+        workers,
+        tenant,
+        deadline,
+    }))
+}
+
 /// Chunked reader over the trace text format: one buffered line resident
 /// at a time, so memory is constant in trace length.
 ///
-/// Grammar and error strings match [`Trace::from_text`] exactly, with one
-/// documented divergence: v3 `budget` lines must precede the first job
-/// row. `from_text` accepts them anywhere because it sees the whole file;
-/// a streaming reader has already handed budgets to the engine by the
-/// time a late budget line shows up, so that is an error here.
+/// v3 `budget` lines must precede the first job row ([`Trace::to_text`]
+/// always writes them first): the budget map is handed to the engine
+/// before any job is pulled, so a late budget line is an error.
 pub struct TextSource<R> {
     reader: R,
     line: String,
@@ -152,31 +236,14 @@ impl<R: BufRead> TextSource<R> {
     }
 
     /// Check ordering, assign the next dense id, and admit a job row.
-    fn admit(&mut self, submit: SimTime, line: TraceLine) -> Result<JobRequest, String> {
-        if submit < self.last_submit {
+    fn admit(&mut self, mut job: JobRequest) -> Result<JobRequest, String> {
+        if job.submit < self.last_submit {
             return Err("trace not sorted by submission time".into());
         }
-        self.last_submit = submit;
-        let TraceLine::Job {
-            class,
-            workers,
-            tenant,
-            deadline,
-            ..
-        } = line
-        else {
-            unreachable!("admit is only called with job rows");
-        };
-        let id = self.next_id;
+        self.last_submit = job.submit;
+        job.id = self.next_id;
         self.next_id += 1;
-        Ok(JobRequest {
-            id,
-            class,
-            submit,
-            workers,
-            tenant,
-            deadline,
-        })
+        Ok(job)
     }
 }
 
@@ -194,9 +261,8 @@ impl<R: BufRead> TraceSource for TextSource<R> {
                         ));
                     }
                 }
-                Some((_, line @ TraceLine::Job { submit, .. })) => {
-                    let job = self.admit(submit, line)?;
-                    self.pending = Some(job);
+                Some((_, TraceLine::Job(row))) => {
+                    self.pending = Some(self.admit(row)?);
                     break;
                 }
             }
@@ -213,17 +279,17 @@ impl<R: BufRead> TraceSource for TextSource<R> {
         match self.next_line()? {
             None => Ok(None),
             Some((lineno, TraceLine::Budget { .. })) => Err(format!(
-                "line {}: budget lines must precede the first job row in a streamed trace",
+                "line {}: budget lines must precede the first job row",
                 lineno + 1
             )),
-            Some((_, line @ TraceLine::Job { submit, .. })) => self.admit(submit, line).map(Some),
+            Some((_, TraceLine::Job(row))) => self.admit(row).map(Some),
         }
     }
 }
 
-/// Replays the RNG draw sequence of [`Trace::generate_multi`] one job at
-/// a time: same seed, same process, same mix → the identical job stream,
-/// without ever materializing the `Vec`.
+/// The seeded arrival generator: same seed, same process, same mix → the
+/// identical job stream, one job per pull, without ever materializing the
+/// `Vec`. An infallible [`Iterator`]; the [`TraceSource`] impl wraps it.
 pub struct GeneratorSource {
     process: ArrivalProcess,
     mix: JobMix,
@@ -235,7 +301,10 @@ pub struct GeneratorSource {
 }
 
 impl GeneratorSource {
-    /// Same argument contract (and asserts) as [`Trace::generate_multi`].
+    /// `n_jobs` arrivals from `process` and `mix`: tenants drawn uniformly
+    /// from the spec's population, a `deadline_frac` share of jobs
+    /// carrying a deadline at `deadline_slack ×` the class's nominal
+    /// runtime.
     pub fn new(
         process: ArrivalProcess,
         mix: JobMix,
@@ -267,19 +336,17 @@ impl GeneratorSource {
     }
 }
 
-impl TraceSource for GeneratorSource {
-    fn budgets(&mut self) -> Result<BTreeMap<TenantId, f64>, String> {
-        Ok(BTreeMap::new())
-    }
+impl Iterator for GeneratorSource {
+    type Item = JobRequest;
 
-    fn next_job(&mut self) -> Result<Option<JobRequest>, String> {
+    fn next(&mut self) -> Option<JobRequest> {
         if self.emitted == self.n_jobs {
-            return Ok(None);
+            return None;
         }
         let id = self.emitted as u64;
         self.emitted += 1;
-        // Exactly the per-job draw order of `Trace::generate_multi`: gap,
-        // class, tenant (only when the population is > 1), deadline coin.
+        // The per-job draw order is part of the seed contract: gap, class,
+        // tenant (only when the population is > 1), deadline coin.
         self.t += self.process.next_gap(self.t, &mut self.rng);
         let class = self.mix.sample(&mut self.rng);
         let submit = SimTime::secs(self.t);
@@ -294,14 +361,29 @@ impl TraceSource for GeneratorSource {
             } else {
                 None
             };
-        Ok(Some(JobRequest {
+        Some(JobRequest {
             id,
             class,
             submit,
             workers: class.default_workers(),
             tenant,
             deadline,
-        }))
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.n_jobs - self.emitted;
+        (left, Some(left))
+    }
+}
+
+impl TraceSource for GeneratorSource {
+    fn budgets(&mut self) -> Result<BTreeMap<TenantId, f64>, String> {
+        Ok(BTreeMap::new())
+    }
+
+    fn next_job(&mut self) -> Result<Option<JobRequest>, String> {
+        Ok(self.next())
     }
 
     fn len_hint(&self) -> Option<usize> {
@@ -353,51 +435,81 @@ mod tests {
     }
 
     #[test]
-    fn text_source_matches_from_text_on_v1_v2_v3() {
-        for text in [
-            "# v1\n1.0\tlr-higgs\t10\n2.5\tsvm-rcv1\t5\n",
-            &sample_trace().to_text(),
-            &Trace::generate(
-                ArrivalProcess::Poisson { rate: 1.0 },
-                &JobMix::convex_mix(),
-                60,
-                5,
-            )
-            .to_text(),
-        ] {
-            let expected = Trace::from_text(text).unwrap();
-            let streamed = collect(TextSource::new(text.as_bytes())).unwrap();
-            assert_eq!(streamed, expected);
+    fn text_reader_accepts_v1_v2_v3() {
+        // v1: three columns, tenant 0, no deadline, ids in file order.
+        let v1 = Trace::from_text("# v1\n1.0\tlr-higgs\t10\n2.5\tsvm-rcv1\t5\n").unwrap();
+        assert!(v1.budgets.is_empty());
+        assert_eq!(
+            v1.jobs,
+            vec![
+                JobRequest::new(0, JobClass::LrHiggs, SimTime::secs(1.0), 10),
+                JobRequest::new(1, JobClass::SvmRcv1, SimTime::secs(2.5), 5),
+            ]
+        );
+        // v2 (tenants + deadlines) and v3 (budget preamble on top): what
+        // `to_text` writes reads back as the same trace.
+        let v3 = sample_trace();
+        let mut v2 = v3.clone();
+        v2.budgets.clear();
+        for trace in [v2, v3] {
+            let text = trace.to_text();
+            assert_eq!(Trace::from_text(&text).unwrap(), trace);
         }
     }
 
     #[test]
-    fn text_source_errors_match_from_text() {
-        for bad in [
-            "1.0\tnot-a-class\t10\n",
-            "abc\tlr-higgs\t10\n",
-            "1.0\tlr-higgs\t0\n",
-            "1.0\tlr-higgs\t10\t0\n",
-            "1.0\tlr-higgs\t10\t0\tsoon\n",
-            "budget\t0\n",
-            "budget\t0\t-1.0\n",
-            "budget\t0\t1.0\nbudget\t0\t2.0\n",
-            "5.0\tlr-higgs\t10\n1.0\tlr-higgs\t10\n",
+    fn malformed_trace_text_names_the_line_and_the_fault() {
+        for (bad, want) in [
+            (
+                "1.0\tnot-a-class\t10\n",
+                "line 1: unknown job class \"not-a-class\"",
+            ),
+            ("abc\tlr-higgs\t10\n", "line 1: bad time: "),
+            ("1.0\tlr-higgs\t0\n", "line 1: zero workers"),
+            (
+                "1.0\tlr-higgs\t10\t0\n",
+                "line 1: expected 3 (v1) or 5 (v2) fields, got 4",
+            ),
+            ("1.0\tlr-higgs\t10\t0\tsoon\n", "line 1: bad deadline: "),
+            (
+                "budget\t0\n",
+                "line 1: budget line needs `budget <tenant> <usd>`, got 2 fields",
+            ),
+            (
+                "budget\t0\t-1.0\n",
+                "line 1: budget must be finite and >= 0",
+            ),
+            (
+                "budget\t0\t1.0\nbudget\t0\t2.0\n",
+                "line 2: duplicate budget for tenant 0",
+            ),
+            (
+                "5.0\tlr-higgs\t10\n1.0\tlr-higgs\t10\n",
+                "trace not sorted by submission time",
+            ),
         ] {
-            let expected = Trace::from_text(bad).unwrap_err();
-            let got = collect(TextSource::new(bad.as_bytes())).unwrap_err();
-            assert_eq!(got, expected, "error parity for {bad:?}");
+            let got = Trace::from_text(bad).unwrap_err();
+            // The two `parse::<f64>` faults end in std's own wording.
+            assert!(got.starts_with(want), "{bad:?}: got {got:?}, want {want:?}");
+            assert!(want.ends_with(": ") || got == want, "{bad:?}: got {got:?}");
         }
     }
 
     #[test]
     fn text_source_rejects_budget_lines_after_jobs() {
-        // `from_text` accepts this (whole file in hand); the streaming
-        // reader has already surrendered the budget map, so it cannot.
+        // The budget map is handed over before any job is pulled, so a
+        // late cap could never take effect; `to_text` writes them first.
+        // One rule for every reader — `from_text` is this source, drained.
         let text = "1.0\tlr-higgs\t10\nbudget\t0\t5.0\n";
-        assert!(Trace::from_text(text).is_ok());
-        let err = collect(TextSource::new(text.as_bytes())).unwrap_err();
-        assert!(err.contains("budget lines must precede"), "{err}");
+        let want = "line 2: budget lines must precede the first job row";
+        assert_eq!(Trace::from_text(text).unwrap_err(), want);
+        let mut src = TextSource::new(text.as_bytes());
+        assert!(src.budgets().is_ok_and(|b| b.is_empty()));
+        assert!(
+            src.next_job().is_ok_and(|j| j.is_some()),
+            "the job row parses"
+        );
+        assert_eq!(src.next_job().unwrap_err(), want);
     }
 
     #[test]
@@ -418,39 +530,78 @@ mod tests {
         assert!(src.next_job().unwrap().is_none(), "stays exhausted");
     }
 
+    /// The seeded stream is a contract: these literals were read off the
+    /// generator before `Trace::generate_multi` became a drain of it.
     #[test]
-    fn generator_source_matches_materialized_generation() {
+    fn generator_stream_is_pinned_for_a_seed() {
         let spec = TenantSpec {
             n_tenants: 4,
             deadline_frac: 0.5,
             deadline_slack: 3.0,
         };
-        let mix = JobMix::default_mix();
         let process = ArrivalProcess::Burst {
             base_rate: 0.1,
             burst_rate: 5.0,
             period: 60.0,
             duty: 0.25,
         };
-        let expected = Trace::generate_multi(process, &mix, &spec, 500, 77);
-        let src = GeneratorSource::new(process, mix, spec, 500, 77);
+        let src = GeneratorSource::new(process, JobMix::default_mix(), spec, 500, 77);
         assert_eq!(src.len_hint(), Some(500));
-        let streamed = collect(src).unwrap();
-        assert_eq!(streamed, expected);
-    }
-
-    #[test]
-    fn generator_convenience_matches_trace_generate() {
-        let mix = JobMix::convex_mix();
-        let expected = Trace::generate(ArrivalProcess::Poisson { rate: 0.2 }, &mix, 200, 42);
-        let streamed = collect(GeneratorSource::generate(
-            ArrivalProcess::Poisson { rate: 0.2 },
-            mix,
-            200,
-            42,
-        ))
-        .unwrap();
-        assert_eq!(streamed, expected);
+        let jobs: Vec<JobRequest> = src.collect();
+        assert_eq!(jobs.len(), 500);
+        let row = |j: &JobRequest| {
+            let deadline = j.deadline.map(|d| d.as_secs());
+            (
+                j.id,
+                j.class,
+                j.submit.as_secs(),
+                j.workers,
+                j.tenant,
+                deadline,
+            )
+        };
+        assert_eq!(
+            jobs.iter().take(4).map(row).collect::<Vec<_>>(),
+            vec![
+                (0, JobClass::KmHiggs, 0.08316598247316674, 10, 1, None),
+                (1, JobClass::KmHiggs, 0.09793468921203147, 10, 3, None),
+                (2, JobClass::KmHiggs, 0.21527612981636066, 10, 1, None),
+                (
+                    3,
+                    JobClass::SvmRcv1,
+                    0.5918258345806623,
+                    5,
+                    3,
+                    Some(57.40103691150375)
+                ),
+            ]
+        );
+        assert_eq!(
+            jobs.last().map(row),
+            Some((
+                499,
+                JobClass::LrHiggs,
+                447.1782892296835,
+                10,
+                0,
+                Some(614.1333835213758)
+            ))
+        );
+        // The single-tenant convenience draws neither tenant nor coin.
+        let process = ArrivalProcess::Poisson { rate: 0.2 };
+        let plain: Vec<JobRequest> =
+            GeneratorSource::generate(process, JobMix::convex_mix(), 200, 42).collect();
+        assert_eq!(
+            plain.iter().take(2).map(row).collect::<Vec<_>>(),
+            vec![
+                (0, JobClass::LrHiggs, 4.267076113540078, 10, 0, None),
+                (1, JobClass::SvmRcv1, 6.733535725318465, 5, 0, None),
+            ]
+        );
+        assert_eq!(
+            plain.last().map(row),
+            Some((199, JobClass::LrHiggs, 1000.944061881196, 10, 0, None))
+        );
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Workload generation: arrival processes, job mixes, and replayable traces.
 //!
-//! A [`Trace`] is the unit of input to the fleet simulator: a list of
-//! [`JobRequest`]s sorted by submission time. Traces are either generated
-//! from an [`ArrivalProcess`] + [`JobMix`] with a seeded RNG (bit-identical
-//! across runs) or replayed from the plain-text format produced by
-//! [`Trace::to_text`], so a measured production trace can be swapped in
-//! without touching the simulator.
+//! A [`Trace`] is a materialized list of [`JobRequest`]s sorted by
+//! submission time. Traces are either generated from an [`ArrivalProcess`]
+//! and a [`JobMix`] with a seeded RNG (bit-identical across runs) or
+//! replayed from the plain-text format produced by [`Trace::to_text`], so a
+//! measured production trace can be swapped in without touching the
+//! simulator. Both constructors drain the pull sources of
+//! [`crate::stream`]: the RNG draw order and the text grammar are written
+//! there, once.
 
 use crate::job::{JobClass, JobRequest, TenantId};
+use crate::stream::{collect, GeneratorSource, TextSource};
 use lml_sim::{Pcg64, SimTime};
 use std::collections::BTreeMap;
 
@@ -51,9 +54,8 @@ impl ArrivalProcess {
 
     /// Sample the gap to the next arrival after time `t` (exponential at
     /// the local rate — exact for Poisson, a standard step approximation
-    /// for the modulated process). Crate-visible so the streaming
-    /// generator source replays the exact draw order of
-    /// [`Trace::generate_multi`].
+    /// for the modulated process). Crate-visible for
+    /// [`GeneratorSource`], the one place arrivals are drawn.
     pub(crate) fn next_gap(&self, t: f64, rng: &mut Pcg64) -> f64 {
         let rate = self.rate_at(t);
         assert!(rate > 0.0, "arrival rate must be positive");
@@ -121,104 +123,6 @@ impl JobMix {
         }
         self.entries.last().expect("non-empty mix").0
     }
-}
-
-/// One parsed line of the trace text format — either a v3 budget preamble
-/// line or a v1/v2 job row. Shared by [`Trace::from_text`] and the
-/// constant-memory streaming reader (`stream::TextSource`), so both paths
-/// accept the same syntax and emit byte-identical error strings.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum TraceLine {
-    Budget {
-        tenant: TenantId,
-        usd: f64,
-    },
-    Job {
-        submit: SimTime,
-        class: JobClass,
-        workers: usize,
-        tenant: TenantId,
-        deadline: Option<SimTime>,
-    },
-}
-
-/// Parse one trimmed, non-empty, non-comment trace-text line. `lineno` is
-/// zero-based (error messages report `lineno + 1`). Duplicate-budget and
-/// sortedness checks stay with the caller, which owns the cross-line state.
-pub(crate) fn parse_trace_line(line: &str, lineno: usize) -> Result<TraceLine, String> {
-    let parts: Vec<&str> = line.split_whitespace().collect();
-    if parts[0] == "budget" {
-        if parts.len() != 3 {
-            return Err(format!(
-                "line {}: budget line needs `budget <tenant> <usd>`, got {} fields",
-                lineno + 1,
-                parts.len()
-            ));
-        }
-        let tenant: TenantId = parts[1]
-            .parse()
-            .map_err(|e| format!("line {}: bad budget tenant id: {e}", lineno + 1))?;
-        let usd: f64 = parts[2]
-            .parse()
-            .map_err(|e| format!("line {}: bad budget amount: {e}", lineno + 1))?;
-        if !usd.is_finite() || usd < 0.0 {
-            return Err(format!(
-                "line {}: budget must be finite and >= 0",
-                lineno + 1
-            ));
-        }
-        return Ok(TraceLine::Budget { tenant, usd });
-    }
-    if parts.len() != 3 && parts.len() != 5 {
-        return Err(format!(
-            "line {}: expected 3 (v1) or 5 (v2) fields, got {}",
-            lineno + 1,
-            parts.len()
-        ));
-    }
-    let t: f64 = parts[0]
-        .parse()
-        .map_err(|e| format!("line {}: bad time: {e}", lineno + 1))?;
-    if !t.is_finite() || t < 0.0 {
-        return Err(format!("line {}: time must be finite and >= 0", lineno + 1));
-    }
-    let class = JobClass::parse(parts[1])
-        .ok_or_else(|| format!("line {}: unknown job class {:?}", lineno + 1, parts[1]))?;
-    let workers: usize = parts[2]
-        .parse()
-        .map_err(|e| format!("line {}: bad workers: {e}", lineno + 1))?;
-    if workers == 0 {
-        return Err(format!("line {}: zero workers", lineno + 1));
-    }
-    let (tenant, deadline) = if parts.len() == 5 {
-        let tenant: TenantId = parts[3]
-            .parse()
-            .map_err(|e| format!("line {}: bad tenant id: {e}", lineno + 1))?;
-        let deadline = if parts[4] == "-" {
-            None
-        } else {
-            let d: f64 = parts[4]
-                .parse()
-                .map_err(|e| format!("line {}: bad deadline: {e}", lineno + 1))?;
-            if !d.is_finite() || d < t {
-                return Err(format!(
-                    "line {}: deadline must be finite and >= submit time",
-                    lineno + 1
-                ));
-            }
-            Some(SimTime::secs(d))
-        };
-        (tenant, deadline)
-    } else {
-        (0, None)
-    };
-    Ok(TraceLine::Job {
-        submit: SimTime::secs(t),
-        class,
-        workers,
-        tenant,
-        deadline,
-    })
 }
 
 /// Tenant population and deadline shape of a generated trace.
@@ -290,39 +194,9 @@ impl Trace {
         n_jobs: usize,
         seed: u64,
     ) -> Trace {
-        assert!(tenants.n_tenants >= 1, "need at least one tenant");
-        assert!(
-            (0.0..=1.0).contains(&tenants.deadline_frac),
-            "deadline_frac must be in [0, 1]"
-        );
-        assert!(tenants.deadline_slack > 0.0, "deadline slack must be > 0");
-        let mut rng = Pcg64::new(seed ^ 0xF1EE7);
-        let mut t = 0.0;
-        let mut jobs = Vec::with_capacity(n_jobs);
-        for id in 0..n_jobs {
-            t += process.next_gap(t, &mut rng);
-            let class = mix.sample(&mut rng);
-            let submit = SimTime::secs(t);
-            let tenant = if tenants.n_tenants > 1 {
-                rng.below(tenants.n_tenants as u64) as TenantId
-            } else {
-                0
-            };
-            let deadline = if tenants.deadline_frac > 0.0 && rng.coin(tenants.deadline_frac) {
-                Some(submit + class.nominal_runtime() * tenants.deadline_slack)
-            } else {
-                None
-            };
-            jobs.push(JobRequest {
-                id: id as u64,
-                class,
-                submit,
-                workers: class.default_workers(),
-                tenant,
-                deadline,
-            });
-        }
-        Trace::from_jobs(jobs)
+        Trace::from_jobs(
+            GeneratorSource::new(process, mix.clone(), *tenants, n_jobs, seed).collect(),
+        )
     }
 
     /// Serialize to the replayable text format: one
@@ -361,48 +235,12 @@ impl Trace {
     }
 
     /// Parse the text format back into a trace (ids re-assigned in file
-    /// order). Round-trips [`Trace::to_text`] exactly; also accepts the
+    /// order) by draining a [`TextSource`], which owns the grammar.
+    /// Round-trips [`Trace::to_text`] exactly; also accepts the
     /// three-column v1 format (tenant 0, no deadline) and the v3 format's
-    /// optional `budget <tenant> <usd>` lines.
+    /// `budget <tenant> <usd>` lines, which must precede the first job row.
     pub fn from_text(text: &str) -> Result<Trace, String> {
-        let mut jobs: Vec<JobRequest> = Vec::new();
-        let mut budgets = BTreeMap::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            match parse_trace_line(line, lineno)? {
-                TraceLine::Budget { tenant, usd } => {
-                    if budgets.insert(tenant, usd).is_some() {
-                        return Err(format!(
-                            "line {}: duplicate budget for tenant {tenant}",
-                            lineno + 1
-                        ));
-                    }
-                }
-                TraceLine::Job {
-                    submit,
-                    class,
-                    workers,
-                    tenant,
-                    deadline,
-                } => {
-                    jobs.push(JobRequest {
-                        id: jobs.len() as u64,
-                        class,
-                        submit,
-                        workers,
-                        tenant,
-                        deadline,
-                    });
-                }
-            }
-        }
-        if !jobs.windows(2).all(|w| w[0].submit <= w[1].submit) {
-            return Err("trace not sorted by submission time".into());
-        }
-        Ok(Trace { jobs, budgets })
+        collect(TextSource::new(text.as_bytes()))
     }
 
     /// Tenant ids appearing in the trace, ascending and deduplicated.
