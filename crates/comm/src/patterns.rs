@@ -4,6 +4,22 @@
 //! statistic, move real blobs through the channel and return the
 //! element-wise **sum** plus the round's critical-path time.
 //!
+//! **Summation order.** Each pattern adds the statistics in a fixed order,
+//! and the two orders differ: ScatterReduce merges every chunk in worker
+//! order (`0, 1, …, w−1`, like `lml_optim::algorithm::sum_statistics`),
+//! AllReduce merges in the order of the leader's LIST, which is
+//! lexicographic in the key (`p0, p1, p10, p11, p2, …`). Up to 10 workers
+//! the two coincide; from 11 up the aggregates can differ in the last bits
+//! (f64 addition is not associative). Both orders are load-bearing — the
+//! benchmark goldens pin the 100-worker AllReduce — and
+//! `each_pattern_sums_in_its_own_fixed_order` holds them.
+//!
+//! **Host copies.** A round copies each statistic once, into a buffer the
+//! channel's store recycles from the blobs the previous round cleared
+//! (`StorageChannel::blob_of`); ScatterReduce's chunk files are windows of
+//! that copy. None of it is visible to the simulation: requests, wire
+//! bytes, billing and every duration depend on the logical sizes only.
+//!
 //! * **AllReduce** — all workers write; the leader (worker 0) reads all `w`
 //!   files, merges, writes one merged file; everyone else reads it back.
 //!   The leader's sequential reads make it the bottleneck for large models
@@ -13,7 +29,7 @@
 //!   chunks. More requests, but the merge work parallelizes.
 
 use lml_sim::{ByteSize, SimTime};
-use lml_storage::{Blob, StorageChannel, StorageError};
+use lml_storage::{StorageChannel, StorageError};
 
 /// The two MPI-style aggregation patterns LambdaML implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,7 +50,8 @@ impl Pattern {
 /// Outcome of one aggregation round.
 #[derive(Debug, Clone)]
 pub struct ReduceOutcome {
-    /// Element-wise sum of all workers' statistics.
+    /// Element-wise sum of all workers' statistics, added in the pattern's
+    /// own order (see the module docs).
     pub aggregate: Vec<f64>,
     /// Critical-path duration of the round (merging + updating phases,
     /// excluding synchronization polling, which the protocol layer adds).
@@ -93,19 +110,18 @@ fn reduce_allreduce(
     wire_total: ByteSize,
 ) -> Result<ReduceOutcome, StorageError> {
     let w = stats.len();
-    let len = stats[0].len();
+    let len = stats.first().map_or(0, Vec::len);
 
     // (1) every worker writes its local statistic — concurrent clients.
+    //     One host copy each, into a buffer the store recycles.
     for (i, s) in stats.iter().enumerate() {
-        channel.put(
-            format!("{round_key}_p{i}"),
-            Blob::from_vec(s.clone()).with_wire(wire_total),
-        )?;
+        let blob = channel.blob_of(s).with_wire(wire_total);
+        channel.put(format!("{round_key}_p{i}"), blob)?;
     }
     let put_phase = channel.parallel_leg(w, wire_total);
 
     // (2) the leader lists until all w files are present (atomic LIST),
-    //     then reads them back-to-back and merges.
+    //     then reads them back-to-back and merges them in listing order.
     let (list_t, keys) = channel.list(&format!("{round_key}_p"));
     debug_assert_eq!(keys.len(), w);
     let mut aggregate = vec![0.0; len];
@@ -116,10 +132,8 @@ fn reduce_allreduce(
     let leader_read_phase = channel.client_leg(w as u64, wire_total);
 
     // (3) the leader writes the merged file.
-    channel.put(
-        format!("{round_key}_merged"),
-        Blob::from_vec(aggregate.clone()).with_wire(wire_total),
-    )?;
+    let merged = channel.blob_of(&aggregate).with_wire(wire_total);
+    channel.put(format!("{round_key}_merged"), merged)?;
     let merged_put = channel.op_time(wire_total);
 
     // (4) the other w−1 workers read the merged file concurrently.
@@ -141,17 +155,17 @@ fn reduce_scatter(
     wire_total: ByteSize,
 ) -> Result<ReduceOutcome, StorageError> {
     let w = stats.len();
-    let len = stats[0].len();
+    let len = stats.first().map_or(0, Vec::len);
     let ranges = chunk_ranges(len, w);
     let chunk_wire = ByteSize::bytes((wire_total.as_f64() / w as f64).ceil() as u64);
 
-    // (1) every worker splits its statistic and writes w chunk files.
+    // (1) every worker splits its statistic and writes w chunk files: one
+    //     host copy per statistic, the chunks are windows of it.
     for (src, s) in stats.iter().enumerate() {
+        let whole = channel.blob_of(s);
         for (c, &(lo, hi)) in ranges.iter().enumerate() {
-            channel.put(
-                format!("{round_key}_src{src}_c{c}"),
-                Blob::from_vec(s[lo..hi].to_vec()).with_wire(chunk_wire),
-            )?;
+            let chunk = whole.slice(lo, hi).with_wire(chunk_wire);
+            channel.put(format!("{round_key}_src{src}_c{c}"), chunk)?;
         }
     }
     // client-bound: each client streams w chunks (m total); service sees w
@@ -160,15 +174,17 @@ fn reduce_scatter(
         .client_leg(w as u64, chunk_wire)
         .max(channel.parallel_leg(w, wire_total));
 
-    // (2) worker c reads everyone's chunk c and merges it.
-    let mut merged_chunks: Vec<Vec<f64>> = Vec::with_capacity(w);
+    // (2) worker c reads everyone's chunk c and merges it, in worker
+    //     order, into its range of the one aggregate.
+    let mut aggregate = vec![0.0; len];
+    let mut unmerged = aggregate.as_mut_slice();
     for (c, &(lo, hi)) in ranges.iter().enumerate() {
-        let mut acc = vec![0.0; hi - lo];
+        let (acc, rest) = std::mem::take(&mut unmerged).split_at_mut(hi - lo);
+        unmerged = rest;
         for src in 0..w {
             let (_t, blob) = channel.get(&format!("{round_key}_src{src}_c{c}"))?;
-            blob.add_into(&mut acc);
+            blob.add_into(acc);
         }
-        merged_chunks.push(acc);
     }
     let gather_wire = ByteSize::bytes((chunk_wire.as_f64() * (w as f64 - 1.0)) as u64);
     let gather_phase = channel
@@ -176,29 +192,24 @@ fn reduce_scatter(
         .max(channel.parallel_leg(w, gather_wire));
 
     // (3) each worker writes its merged chunk.
-    for (c, chunk) in merged_chunks.iter().enumerate() {
-        channel.put(
-            format!("{round_key}_merged_c{c}"),
-            Blob::from_vec(chunk.clone()).with_wire(chunk_wire),
-        )?;
+    let merged = channel.blob_of(&aggregate);
+    for (c, &(lo, hi)) in ranges.iter().enumerate() {
+        let chunk = merged.slice(lo, hi).with_wire(chunk_wire);
+        channel.put(format!("{round_key}_merged_c{c}"), chunk)?;
     }
     let merged_put_phase = channel
         .op_time(chunk_wire)
         .max(channel.parallel_leg(w, chunk_wire));
 
     // (4) each worker reads the other w−1 merged chunks to assemble the
-    //     full aggregate (every worker does this; we materialize it once).
+    //     full aggregate (every worker does this; it is materialized once,
+    //     above).
     for c in 0..w {
         let (_t, _b) = channel.get(&format!("{round_key}_merged_c{c}"))?;
     }
     let fan_back = channel
         .client_leg((w - 1) as u64, chunk_wire)
         .max(channel.parallel_leg(w, gather_wire));
-
-    let mut aggregate = Vec::with_capacity(len);
-    for chunk in merged_chunks {
-        aggregate.extend(chunk);
-    }
 
     Ok(ReduceOutcome {
         aggregate,
@@ -372,5 +383,164 @@ mod tests {
             .unwrap()
             .duration;
         assert!(t_mc.as_secs() * 3.0 < t_s3.as_secs(), "{t_mc} vs {t_s3}");
+    }
+
+    /// Values whose sum depends on the order they are added in: magnitudes
+    /// spread over 30 binades with mixed signs.
+    fn order_sensitive_stats(w: usize, len: usize) -> Vec<Vec<f64>> {
+        (0..w)
+            .map(|i| {
+                (0..len)
+                    .map(|j| {
+                        let k = (7 * i + 3 * j) % 31;
+                        let sign = if (i + j) % 3 == 0 { -1.0 } else { 1.0 };
+                        sign * (1.0 + 0.1 * i as f64) * 2f64.powi(k as i32 - 15) / 3.0
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `0 + s[order[0]] + s[order[1]] + …`, element-wise, as bit patterns.
+    fn fold_bits(stats: &[Vec<f64>], order: impl Iterator<Item = usize> + Clone) -> Vec<u64> {
+        let len = stats.first().map_or(0, Vec::len);
+        (0..len)
+            .map(|j| {
+                let picked = order.clone().filter_map(|i| stats.get(i)?.get(j));
+                picked.fold(0.0, |acc, v| acc + v).to_bits()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_pattern_sums_in_its_own_fixed_order() -> Result<(), StorageError> {
+        // 12 workers: the leader's listing is p0, p1, p10, p11, p2, …, p9.
+        let w = 12;
+        let s = order_sensitive_stats(w, 40);
+        let wire = ByteSize::of_f64s(40);
+        let listing = [0, 1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9];
+        let by_worker = fold_bits(&s, 0..w);
+        let by_listing = fold_bits(&s, listing.iter().copied());
+        assert_ne!(
+            by_worker, by_listing,
+            "the values must tell the orders apart"
+        );
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut ch = StorageChannel::new(ServiceProfile::s3());
+        let all = reduce(&mut ch, Pattern::AllReduce, "r", &s, wire)?;
+        assert_eq!(bits(&all.aggregate), by_listing, "AllReduce: LIST order");
+        let mut ch = StorageChannel::new(ServiceProfile::s3());
+        let scatter = reduce(&mut ch, Pattern::ScatterReduce, "r", &s, wire)?;
+        assert_eq!(
+            bits(&scatter.aggregate),
+            by_worker,
+            "ScatterReduce: worker order"
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn buffer_reuse_never_reaches_the_simulated_s3_numbers() -> Result<(), StorageError> {
+        // Literals read off the implementation that cloned every blob: the
+        // request counts, the bill, the round's duration and what is left
+        // in the store, for 17-element statistics shipped as 12 MB. Three
+        // rounds on one channel, so the second and third run on recycled
+        // buffers; every round must cost exactly what the first did.
+        struct Pin {
+            pattern: Pattern,
+            w: usize,
+            ops: (u64, u64, u64),
+            cost_bits: u64,
+            secs_bits: u64,
+            keys: usize,
+        }
+        let pins = [
+            Pin {
+                pattern: Pattern::AllReduce,
+                w: 10,
+                ops: (11, 19, 1),
+                cost_bits: 0x3f11_b88f_2826_8fb7, // $6.76e-5
+                secs_bits: 0x400c_28f5_c28f_5c29, // 3.52 s
+                keys: 11,
+            },
+            Pin {
+                pattern: Pattern::AllReduce,
+                w: 1,
+                ops: (2, 1, 1),
+                cost_bits: 0x3ef0_25e7_f115_8172, // $1.54e-5
+                secs_bits: 0x3feb_f68c_3590_25d0, // 0.8738… s
+                keys: 2,
+            },
+            Pin {
+                pattern: Pattern::ScatterReduce,
+                w: 10,
+                ops: (110, 110, 0),
+                cost_bits: 0x3f43_76d5_4973_10ad, // $5.94e-4
+                secs_bits: 0x4006_d7d3_e3a4_a0b1, // 2.8553… s
+                keys: 110,
+            },
+            Pin {
+                pattern: Pattern::ScatterReduce,
+                w: 1,
+                ops: (2, 1, 1),
+                cost_bits: 0x3ef0_25e7_f115_8172,
+                secs_bits: 0x3feb_f68c_3590_25d0,
+                keys: 2,
+            },
+        ];
+        for pin in pins {
+            let (pattern, w) = (pin.pattern, pin.w);
+            let s = stats(w, 17);
+            let mut ch = StorageChannel::new(ServiceProfile::s3());
+            let mut first_cost = 0.0;
+            for round in 0..3u64 {
+                let key = format!("ep0_it{round}");
+                let out = reduce(&mut ch, pattern, &key, &s, ByteSize::mb(12.0))?;
+                assert_eq!(out.aggregate, expected_sum(&s), "{pattern:?} w={w}");
+                assert_eq!(
+                    out.duration.as_secs().to_bits(),
+                    pin.secs_bits,
+                    "{pattern:?} w={w}"
+                );
+                let (puts, gets, lists) = ch.op_counts();
+                let n = round + 1;
+                assert_eq!(
+                    (puts, gets, lists),
+                    (pin.ops.0 * n, pin.ops.1 * n, pin.ops.2 * n),
+                    "{pattern:?} w={w} round {round}"
+                );
+                let cost = ch.request_cost().as_usd();
+                if round == 0 {
+                    assert_eq!(cost.to_bits(), pin.cost_bits, "{pattern:?} w={w}");
+                    first_cost = cost;
+                } else {
+                    assert!(
+                        (cost - first_cost * n as f64).abs() < 1e-15,
+                        "{pattern:?} w={w}"
+                    );
+                }
+
+                let mut want: Vec<String> = if pattern == Pattern::AllReduce || w == 1 {
+                    (0..w).map(|i| format!("{key}_p{i}")).collect()
+                } else {
+                    (0..w * w)
+                        .map(|n| format!("{key}_src{}_c{}", n / w, n % w))
+                        .collect()
+                };
+                if pattern == Pattern::AllReduce || w == 1 {
+                    want.push(format!("{key}_merged"));
+                } else {
+                    want.extend((0..w).map(|c| format!("{key}_merged_c{c}")));
+                }
+                want.sort();
+                assert_eq!(want.len(), pin.keys);
+                assert_eq!(ch.store().list(""), want, "{pattern:?} w={w}");
+                assert_eq!(ch.store().stored_bytes(), 12_000_000 * (w as u64 + 1));
+                // What `Bsp::run_round` does between rounds.
+                assert_eq!(ch.clear_prefix(&key), pin.keys);
+            }
+        }
+        Ok(())
     }
 }

@@ -136,7 +136,7 @@ pub fn run_sync(
     }
 
     // Guarantee a final observation.
-    let final_model = workers[0].eval_model(&ctx.algo);
+    let final_model = workers[0].eval_model(&ctx.algo).into_owned();
     if curve.is_empty() || curve.last().map(|p| p.rounds) != Some(rounds) {
         let loss = final_model.full_loss(ctx.valid);
         curve.push(CurvePoint {

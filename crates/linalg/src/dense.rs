@@ -67,26 +67,26 @@ pub fn dist2(x: &[f64], y: &[f64]) -> f64 {
 #[inline]
 pub fn argmax(x: &[f64]) -> usize {
     assert!(!x.is_empty(), "argmax of empty slice");
-    let mut best = 0;
-    for i in 1..x.len() {
-        if x[i] > x[best] {
-            best = i;
+    let mut best = (0, x.first().copied().unwrap_or(f64::NAN));
+    for (i, &v) in x.iter().enumerate().skip(1) {
+        if v > best.1 {
+            best = (i, v);
         }
     }
-    best
+    best.0
 }
 
 /// Index of the minimum element (first on ties). Panics on empty input.
 #[inline]
 pub fn argmin(x: &[f64]) -> usize {
     assert!(!x.is_empty(), "argmin of empty slice");
-    let mut best = 0;
-    for i in 1..x.len() {
-        if x[i] < x[best] {
-            best = i;
+    let mut best = (0, x.first().copied().unwrap_or(f64::NAN));
+    for (i, &v) in x.iter().enumerate().skip(1) {
+        if v < best.1 {
+            best = (i, v);
         }
     }
-    best
+    best.0
 }
 
 /// Average `n` equal-length vectors into `out` (pre-sized). This is the

@@ -11,9 +11,13 @@
 //!   dense interaction kernels.
 //! * [`matrix`] — row-major [`matrix::Matrix`] used for dense feature blocks
 //!   and MLP weight layers.
+//! * [`blocked`] — order-preserving blocked kernels: several independent
+//!   `dot`/`dist2` chains side by side, each bit-identical to the scalar
+//!   loop (the MLP forward pass and the k-means E-step run on these).
 
 #![forbid(unsafe_code)]
 
+pub mod blocked;
 pub mod dense;
 pub mod matrix;
 pub mod sparse;

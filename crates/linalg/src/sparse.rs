@@ -105,10 +105,17 @@ impl SparseVec {
     /// Materialize as a dense vector of length `dim`.
     pub fn to_dense(&self, dim: usize) -> Vec<f64> {
         let mut out = vec![0.0; dim];
+        self.write_dense(&mut out);
+        out
+    }
+
+    /// Overwrite `out` with the dense form of this vector (zeros where
+    /// nothing is stored) — `to_dense` into a buffer the caller reuses.
+    pub fn write_dense(&self, out: &mut [f64]) {
+        dense::zero(out);
         for (i, v) in self.iter() {
             out[i as usize] = v;
         }
-        out
     }
 
     /// Wire size: 4-byte index + 8-byte value per entry (the paper's sparse

@@ -7,7 +7,7 @@
 //! Table 1 varies `k` from 10 to 1000 precisely to scale this payload).
 
 use lml_data::Dataset;
-use lml_linalg::dense::dist2;
+use lml_linalg::blocked::nearest_row;
 use lml_linalg::Matrix;
 use lml_sim::Pcg64;
 
@@ -70,27 +70,37 @@ impl KMeans {
         self.centroids.as_flat_mut()
     }
 
+    /// Nearest centroid of every row of `rows`, in order: `f` receives the
+    /// row as a dense slice (a sparse row is written into one reused
+    /// buffer), the centroid's index and the squared distance to it.
+    fn for_each_nearest(
+        &self,
+        data: &Dataset,
+        rows: &[usize],
+        mut f: impl FnMut(&[f64], usize, f64),
+    ) {
+        let mut dense_buf = match data {
+            Dataset::Dense(_) => Vec::new(),
+            Dataset::Sparse(_) => vec![0.0; self.feature_dim()],
+        };
+        for &r in rows {
+            let x: &[f64] = match data.row(r) {
+                lml_data::Row::Dense(x) => x,
+                lml_data::Row::Sparse(sv) => {
+                    sv.write_dense(&mut dense_buf);
+                    &dense_buf
+                }
+            };
+            let (best, best_d) = nearest_row(self.centroids.as_flat(), x);
+            f(x, best, best_d);
+        }
+    }
+
     /// Nearest centroid of row `r`.
     pub fn assign(&self, data: &Dataset, r: usize) -> usize {
-        let d = self.feature_dim();
-        let dense_buf;
-        let x: &[f64] = match data.row(r) {
-            lml_data::Row::Dense(x) => x,
-            lml_data::Row::Sparse(sv) => {
-                dense_buf = sv.to_dense(d);
-                &dense_buf
-            }
-        };
-        let mut best = 0;
-        let mut best_d = f64::INFINITY;
-        for c in 0..self.k() {
-            let dd = dist2(x, self.centroids.row(c));
-            if dd < best_d {
-                best_d = dd;
-                best = c;
-            }
-        }
-        best
+        let mut nearest = 0;
+        self.for_each_nearest(data, &[r], |_, best, _| nearest = best);
+        nearest
     }
 
     /// E-step over `rows`: per-cluster feature sums and counts, flattened as
@@ -100,33 +110,16 @@ impl KMeans {
     pub fn sufficient_stats(&self, data: &Dataset, rows: &[usize]) -> Vec<f64> {
         let d = self.feature_dim();
         let mut stats = vec![0.0; self.stats_len()];
-        let mut dense_buf = vec![0.0; d];
-        for &r in rows {
-            let x: &[f64] = match data.row(r) {
-                lml_data::Row::Dense(x) => x,
-                lml_data::Row::Sparse(sv) => {
-                    dense_buf.iter_mut().for_each(|v| *v = 0.0);
-                    for (i, v) in sv.iter() {
-                        dense_buf[i as usize] = v;
-                    }
-                    &dense_buf
-                }
+        self.for_each_nearest(data, rows, |x, best, _| {
+            let cluster = stats.chunks_exact_mut(d + 1).nth(best);
+            let Some((count, sum)) = cluster.and_then(<[f64]>::split_last_mut) else {
+                return;
             };
-            let mut best = 0;
-            let mut best_d = f64::INFINITY;
-            for c in 0..self.k() {
-                let dd = dist2(x, self.centroids.row(c));
-                if dd < best_d {
-                    best_d = dd;
-                    best = c;
-                }
+            for (s, v) in sum.iter_mut().zip(x) {
+                *s += v;
             }
-            let base = best * (d + 1);
-            for (j, &v) in x.iter().enumerate() {
-                stats[base + j] += v;
-            }
-            stats[base + d] += 1.0;
-        }
+            *count += 1.0;
+        });
         stats
     }
 
@@ -150,26 +143,8 @@ impl KMeans {
     /// Clustering objective: mean squared distance to the nearest centroid.
     pub fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
         assert!(!rows.is_empty());
-        let d = self.feature_dim();
-        let mut dense_buf = vec![0.0; d];
         let mut total = 0.0;
-        for &r in rows {
-            let x: &[f64] = match data.row(r) {
-                lml_data::Row::Dense(x) => x,
-                lml_data::Row::Sparse(sv) => {
-                    dense_buf.iter_mut().for_each(|v| *v = 0.0);
-                    for (i, v) in sv.iter() {
-                        dense_buf[i as usize] = v;
-                    }
-                    &dense_buf
-                }
-            };
-            let mut best_d = f64::INFINITY;
-            for c in 0..self.k() {
-                best_d = best_d.min(dist2(x, self.centroids.row(c)));
-            }
-            total += best_d;
-        }
+        self.for_each_nearest(data, rows, |_, _, best_d| total += best_d);
         total / rows.len() as f64
     }
 
@@ -298,6 +273,56 @@ mod tests {
         km.em_epoch(&data, &rows);
         let after = km.loss(&data, &rows);
         assert!(after <= before + 1e-9);
+    }
+
+    /// The per-centroid scan the rows kernel replaced, kept as the oracle:
+    /// one `dist2` chain per centroid, first strict minimum wins.
+    fn oracle_nearest(km: &KMeans, x: &[f64]) -> (usize, f64) {
+        let mut best = (0, f64::INFINITY);
+        for c in 0..km.k() {
+            let dd = lml_linalg::dense::dist2(x, km.centroids.row(c));
+            if dd < best.1 {
+                best = (c, dd);
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn blocked_e_step_equals_the_scalar_scan_bit_for_bit() {
+        // Dense and sparse rows, cluster counts on both sides of the rows
+        // kernel's block width, dims that are no multiple of anything.
+        let datasets = [
+            DatasetId::Higgs.generate_rows(120, 11).data,
+            DatasetId::Rcv1.generate_rows(60, 12).data,
+        ];
+        for data in &datasets {
+            let rows: Vec<usize> = (0..data.len()).rev().collect();
+            for k in [1, 2, 3, 4, 5, 7, 8, 9, 13] {
+                let km = KMeans::init_from_data(data, k, k as u64);
+                let d = km.feature_dim();
+                let mut want = vec![0.0; km.stats_len()];
+                let mut want_loss = 0.0;
+                for &r in &rows {
+                    let x = match data.row(r) {
+                        lml_data::Row::Dense(x) => x.to_vec(),
+                        lml_data::Row::Sparse(sv) => sv.to_dense(d),
+                    };
+                    let (best, best_d) = oracle_nearest(&km, &x);
+                    assert_eq!(km.assign(data, r), best, "k={k} row {r}");
+                    let cluster = want.iter_mut().skip(best * (d + 1));
+                    for (sum, v) in cluster.zip(x.iter().chain(&[1.0])) {
+                        *sum += v;
+                    }
+                    want_loss += best_d;
+                }
+                let got = km.sufficient_stats(data, &rows);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "k={k}");
+                let want_loss = want_loss / rows.len() as f64;
+                assert_eq!(km.loss(data, &rows).to_bits(), want_loss.to_bits(), "k={k}");
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //! | EM (k-means) | per-cluster sums & counts | M-step on Σstats |
 //!
 //! Summation is the only operation the channel performs, so AllReduce and
-//! ScatterReduce apply uniformly.
+//! ScatterReduce apply uniformly (each in its own fixed order of addends,
+//! see [`sum_statistics`]).
 
-use crate::sgd::{apply_gradient, BatchCursor};
+use crate::sgd::BatchCursor;
 use lml_data::Dataset;
 use lml_models::AnyModel;
+use std::borrow::Cow;
 
 /// The paper's distributed optimization algorithms.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -127,13 +129,15 @@ impl WorkerState {
     }
 
     /// The model whose loss the experiment reports: the consensus `z` for
-    /// ADMM, the local replica otherwise.
-    pub fn eval_model(&self, algo: &Algorithm) -> AnyModel {
-        let mut m = self.model.clone();
-        if matches!(algo, Algorithm::Admm { .. }) {
-            m.params_mut().copy_from_slice(&self.consensus);
+    /// ADMM (a copy of the replica carrying `z`), the local replica itself
+    /// otherwise.
+    pub fn eval_model(&self, algo: &Algorithm) -> Cow<'_, AnyModel> {
+        if !matches!(algo, Algorithm::Admm { .. }) {
+            return Cow::Borrowed(&self.model);
         }
-        m
+        let mut m = self.model.clone();
+        m.params_mut().copy_from_slice(&self.consensus);
+        Cow::Owned(m)
     }
 
     /// Produce this round's statistic. Returns `(statistic, examples)` where
@@ -142,10 +146,11 @@ impl WorkerState {
     pub fn produce(&mut self, algo: &Algorithm, data: &Dataset, lr: f64) -> (Vec<f64>, u64) {
         match *algo {
             Algorithm::GaSgd { .. } => {
+                // The gradient is computed straight into the statistic.
                 let batch = self.cursor.next_batch();
-                self.grad_buf.iter_mut().for_each(|g| *g = 0.0);
-                self.model.grad(data, &batch, &mut self.grad_buf);
-                (self.grad_buf.clone(), batch.len() as u64)
+                let mut grad = vec![0.0; self.model.param_len()];
+                self.model.grad(data, &batch, &mut grad);
+                (grad, batch.len() as u64)
             }
             Algorithm::MaSgd { local_iters, .. } => {
                 let mut examples = 0u64;
@@ -196,10 +201,8 @@ impl WorkerState {
                 (msg, examples)
             }
             Algorithm::Em => {
-                let rows = self.cursor.rows().to_vec();
-                let n = rows.len() as u64;
-                let stats = self.model.em_stats(data, &rows);
-                (stats, n)
+                let rows = self.cursor.rows();
+                (self.model.em_stats(data, rows), rows.len() as u64)
             }
         }
     }
@@ -209,8 +212,13 @@ impl WorkerState {
         let inv_n = 1.0 / workers as f64;
         match *algo {
             Algorithm::GaSgd { .. } => {
-                let mean: Vec<f64> = agg_sum.iter().map(|g| g * inv_n).collect();
-                apply_gradient(&mut self.model, &mean, lr);
+                // `w ← w − lr·ḡ` with the mean `ḡ = g·(1/n)` rounded on its
+                // own first, as if it had been stored.
+                let params = self.model.params_mut();
+                assert_eq!(params.len(), agg_sum.len());
+                for (p, g) in params.iter_mut().zip(agg_sum) {
+                    *p -= lr * (g * inv_n);
+                }
             }
             Algorithm::MaSgd { .. } => {
                 let params = self.model.params_mut();
@@ -234,8 +242,14 @@ impl WorkerState {
     }
 }
 
-/// Element-wise sum of worker statistics — the reference aggregation the
-/// communication patterns must reproduce bit-for-bit.
+/// Element-wise sum of worker statistics, added in worker order
+/// (`0, 1, …, w−1`) — the in-memory aggregation of the serverful backends.
+///
+/// The storage patterns compute the same sum, but only ScatterReduce in
+/// the same *order*: AllReduce merges in the order of the leader's LIST,
+/// which is lexicographic (`p0, p1, p10, p11, p2, …`), so from 11 workers
+/// up its aggregate can differ from this one in the last bits. See
+/// `lml_comm::patterns`.
 pub fn sum_statistics(stats: &[Vec<f64>]) -> Vec<f64> {
     assert!(!stats.is_empty());
     let len = stats[0].len();

@@ -76,16 +76,6 @@ pub fn sgd_step(
     loss
 }
 
-/// Apply an (already averaged) gradient to the model: `w ← w − lr·ḡ`.
-/// This is the update step of gradient averaging after aggregation.
-pub fn apply_gradient(model: &mut AnyModel, mean_grad: &[f64], lr: f64) {
-    let params = model.params_mut();
-    assert_eq!(params.len(), mean_grad.len());
-    for (p, g) in params.iter_mut().zip(mean_grad) {
-        *p -= lr * g;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,15 +110,6 @@ mod tests {
         }
         let after = m.full_loss(&data);
         assert!(after < before, "{after} !< {before}");
-    }
-
-    #[test]
-    fn apply_gradient_is_linear_update() {
-        let data = DatasetId::Higgs.generate_rows(50, 1).data;
-        let mut m = ModelId::Lr { l2: 0.0 }.build(&data, 1);
-        let g = vec![1.0; m.param_len()];
-        apply_gradient(&mut m, &g, 0.25);
-        assert!(m.params().iter().all(|&p| (p + 0.25).abs() < 1e-12));
     }
 
     #[test]

@@ -90,6 +90,14 @@ impl StorageChannel {
         Ok(self.op_time(size))
     }
 
+    /// A blob holding a copy of `data`, in a buffer recycled from blobs
+    /// this channel's store has dropped (see [`ObjectStore::blob_of`]). A
+    /// host-side matter only: no request is made or billed until the blob
+    /// is `put`.
+    pub fn blob_of(&mut self, data: &[f64]) -> Blob {
+        self.store.blob_of(data)
+    }
+
     /// Fetch a blob. Returns `(duration, blob)`.
     pub fn get(&mut self, key: &str) -> Result<(SimTime, Blob), StorageError> {
         let blob = self.store.get(key).ok_or_else(|| StorageError::NotFound {

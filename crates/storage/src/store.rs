@@ -11,9 +11,22 @@ use crate::blob::Blob;
 use std::collections::BTreeMap;
 
 /// In-memory key→blob store with sorted, atomic prefix listing.
+///
+/// The store also recycles payload buffers: [`ObjectStore::blob_of`] copies
+/// a statistic into a buffer taken from blobs the store dropped earlier
+/// (overwritten, deleted or cleared) *while holding the last reference* to
+/// them, so a round that writes what the previous round cleared touches no
+/// fresh memory. Recycling is invisible in the stored data, the listing
+/// and [`ObjectStore::stored_bytes`].
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
     objects: BTreeMap<String, Blob>,
+    /// Buffers of dropped blobs, waiting for `blob_of`.
+    spare: Vec<Vec<f64>>,
+    /// Buffers `blob_of` has handed out and not had back. Only that many
+    /// dropped buffers are kept, so a store that is only ever overwritten
+    /// with blobs built elsewhere retains nothing.
+    lent: usize,
 }
 
 impl ObjectStore {
@@ -21,9 +34,32 @@ impl ObjectStore {
         ObjectStore::default()
     }
 
+    /// A blob holding a copy of `data` (wire size `8 × len`), in a recycled
+    /// buffer when the store has one.
+    pub fn blob_of(&mut self, data: &[f64]) -> Blob {
+        let mut buffer = self.spare.pop().unwrap_or_default();
+        buffer.clear();
+        buffer.extend_from_slice(data);
+        self.lent += 1;
+        Blob::from_vec(buffer)
+    }
+
+    /// Keep a dropped blob's buffer if nothing else refers to it.
+    fn recycle(&mut self, blob: Blob) {
+        if self.lent == 0 {
+            return;
+        }
+        if let Some(buffer) = blob.into_buffer() {
+            self.lent -= 1;
+            self.spare.push(buffer);
+        }
+    }
+
     /// Insert or overwrite.
     pub fn put(&mut self, key: impl Into<String>, blob: Blob) {
-        self.objects.insert(key.into(), blob);
+        if let Some(old) = self.objects.insert(key.into(), blob) {
+            self.recycle(old);
+        }
     }
 
     /// Fetch a blob (cheap Arc clone).
@@ -36,7 +72,11 @@ impl ObjectStore {
     }
 
     pub fn delete(&mut self, key: &str) -> bool {
-        self.objects.remove(key).is_some()
+        let Some(old) = self.objects.remove(key) else {
+            return false;
+        };
+        self.recycle(old);
+        true
     }
 
     /// All keys with the given prefix, in sorted order (atomic snapshot).
@@ -60,7 +100,7 @@ impl ObjectStore {
     pub fn clear_prefix(&mut self, prefix: &str) -> usize {
         let keys = self.list(prefix);
         for k in &keys {
-            self.objects.remove(k);
+            self.delete(k);
         }
         keys.len()
     }
@@ -147,5 +187,80 @@ mod tests {
             Blob::from_vec(vec![0.0; 5]).with_wire(lml_sim::ByteSize::mb(1.0)),
         );
         assert_eq!(s.stored_bytes(), 80 + 1_000_000);
+    }
+
+    #[test]
+    fn a_buffer_is_never_recycled_while_a_clone_of_it_is_alive() {
+        let mut s = ObjectStore::new();
+        let first = s.blob_of(&[1.0, 2.0, 3.0]);
+        let ptr = first.data().as_ptr();
+        s.put("a", first);
+        let held = s.get("a");
+        s.put("a", blob(9.0)); // the store drops its reference, `held` lives on
+        let other = s.blob_of(&[4.0, 5.0, 6.0]);
+        assert_ne!(
+            other.data().as_ptr(),
+            ptr,
+            "a live buffer was handed out again"
+        );
+        assert_eq!(
+            held.as_ref().map(|b| b.data().to_vec()),
+            Some(vec![1.0, 2.0, 3.0])
+        );
+        // Once the outside reference is gone too, a later drop recycles.
+        drop(held);
+        s.put("b", other);
+        let ptr = s.get("b").map(|b| b.data().as_ptr());
+        assert!(s.delete("b"));
+        let again = s.blob_of(&[7.0, 8.0]);
+        assert_eq!(
+            Some(again.data().as_ptr()),
+            ptr,
+            "last reference dropped by the store"
+        );
+        assert_eq!(
+            again.data(),
+            &[7.0, 8.0],
+            "recycled buffers carry no old data"
+        );
+    }
+
+    #[test]
+    fn slices_keep_the_whole_buffer_alive_until_the_last_one_is_cleared() {
+        let mut s = ObjectStore::new();
+        let whole = s.blob_of(&[0.0, 1.0, 2.0, 3.0]);
+        let ptr = whole.data().as_ptr();
+        s.put("r_c0", whole.slice(0, 2));
+        s.put("r_c1", whole.slice(2, 4));
+        drop(whole);
+        assert!(s.delete("r_c0"));
+        assert_ne!(
+            s.blob_of(&[5.0]).data().as_ptr(),
+            ptr,
+            "r_c1 still reads it"
+        );
+        assert_eq!(
+            s.get("r_c1").map(|b| b.data().to_vec()),
+            Some(vec![2.0, 3.0])
+        );
+        assert_eq!(s.clear_prefix("r_"), 1);
+        assert_eq!(s.blob_of(&[6.0]).data().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn overwriting_with_foreign_blobs_retains_nothing() {
+        // An ASP-style key rewritten forever with blobs built elsewhere:
+        // nothing was lent, so nothing is kept.
+        let mut s = ObjectStore::new();
+        for i in 0..100 {
+            s.put("global_model", Blob::from_vec(vec![i as f64; 64]));
+        }
+        assert!(s.spare.is_empty());
+        // One loan admits one return, whatever buffer it is.
+        let lent = s.blob_of(&[1.0]);
+        s.put("global_model", blob(0.0));
+        s.put("global_model", blob(0.0));
+        assert_eq!(s.spare.len(), 1);
+        drop(lent);
     }
 }
