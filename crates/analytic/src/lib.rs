@@ -13,7 +13,10 @@
 //! cannot compute, so the merged state makes one extra hop.
 //!
 //! * [`constants`] — Table 6 as code.
-//! * [`model`] — the two formulas plus dollar versions.
+//! * [`model`] — the two formulas as one body keyed by
+//!   [`model::Substrate`], their dollar version, and [`model::price`]: the
+//!   (start-up, run, run dollars) split every `lml-fleet` caller prices
+//!   through.
 //! * [`estimator`] — the sampling-based epoch estimator (after Kaoudi et
 //!   al. \[54\]): train on 10% of the data, observe epochs-to-threshold.
 //! * [`whatif`] — §5.3.1's case studies: Q1 (10 Gbps FaaS↔IaaS, GPU

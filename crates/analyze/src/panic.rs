@@ -49,9 +49,10 @@ impl PanicCounts {
 /// * `unwrap` / `expect`: method position only (preceded by `.`), so a
 ///   local named `expect` or `unwrap_or_default` never counts.
 /// * `panic`: the `panic!` macro.
-/// * `index`: a `[` in postfix position (right after an identifier, `)`,
-///   or `]`) — `v[i]`, `f()[0]`, `m[k][j]` count; slice types `&[u8]`,
-///   array literals `[0; 4]`, attributes `#[…]`, and `vec![…]` do not.
+/// * `index`: a `[` in postfix position (right after an identifier other
+///   than the keywords `in` and `mut`, a `)`, or a `]`) — `v[i]`, `f()[0]`,
+///   `m[k][j]` count; slice types `&[u8]` and `&mut [f64]`, array literals
+///   `[0; 4]`, attributes `#[…]`, and `vec![…]` do not.
 pub fn count(tokens: &[Token]) -> PanicCounts {
     let mut c = PanicCounts::default();
     for (i, t) in tokens.iter().enumerate() {
@@ -78,10 +79,11 @@ pub fn count(tokens: &[Token]) -> PanicCounts {
                 }
             }
             TokenKind::Punct('[') => {
-                // `for x in [a, b]` iterates an array literal: `in` is a
-                // keyword, not the end of an indexable expression.
+                // `for x in [a, b]` iterates an array literal and `&mut [f64]`
+                // is a slice type: `in` and `mut` are keywords, not the end
+                // of an indexable expression.
                 let postfix = match prev {
-                    Some(TokenKind::Ident(s)) => s != "in",
+                    Some(TokenKind::Ident(s)) => s != "in" && s != "mut",
                     Some(TokenKind::Punct(p)) => matches!(p, ')' | ']'),
                     _ => false,
                 };
@@ -258,7 +260,7 @@ mod tests {
     fn indexing_is_postfix_only() {
         let c = count(&lex("v[i] + f()[0] + m[k][j]").tokens);
         assert_eq!(c.index, 4);
-        let src = "fn f(x: &[u8]) -> [u8; 4] { #[inline] vec![0; 4]; for _ in [1, 2] {} [1, 2] }";
+        let src = "fn f(x: &[u8], y: &mut [f64]) -> [u8; 4] { #[inline] vec![0; 4]; for _ in [1, 2] {} [1, 2] }";
         let c = count(&lex(src).tokens);
         assert_eq!(c.index, 0, "types, attrs, macros, literals don't count");
     }

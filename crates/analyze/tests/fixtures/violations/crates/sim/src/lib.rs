@@ -19,3 +19,7 @@ static mut COUNTER: u64 = 0; // static-mut
 fn panic_site(v: &[u64]) -> u64 {
     v.first().unwrap() + v[0] // unwrap + index, against a zero budget
 }
+
+fn slice_type(v: &mut [u64]) -> usize {
+    v.len() // `mut [` is a slice type, not an index: the count stays 1
+}

@@ -1,4 +1,5 @@
-//! Ablations of the design choices DESIGN.md §4 calls out.
+//! Ablations of three design choices: the BSP polling interval, ADMM's
+//! local scans per round, and the 15-minute Lambda lifetime mechanism.
 
 use crate::registry::{scaled_batch, workload, WorkloadId};
 use crate::tablefmt::table;

@@ -5,7 +5,7 @@ use crate::tablefmt::{f, table};
 use crate::Harness;
 use lml_analytic::constants;
 use lml_analytic::estimator::estimate_epochs;
-use lml_analytic::model::{faas_time, iaas_time, AnalyticCase, AnalyticParams, Scaling};
+use lml_analytic::model::{time, AnalyticCase, AnalyticParams, Scaling, Substrate};
 use lml_analytic::whatif::Scenario;
 use lml_core::{Backend, JobConfig, RunResult, TrainingJob};
 use lml_iaas::{InstanceType, SystemProfile};
@@ -114,8 +114,9 @@ pub fn fig13_model(h: &Harness) -> String {
                 .run()
                 .expect("iaas run");
             let p = lr_higgs_params(e as f64);
-            let pred_f = faas_time(&p, &AnalyticCase::faas_s3(), Scaling::Perfect, 10);
-            let pred_i = iaas_time(&p, &AnalyticCase::iaas_t2(), Scaling::Perfect, 10);
+            let (faas_s3, iaas_t2) = (AnalyticCase::faas_s3(), AnalyticCase::iaas_t2());
+            let pred_f = time(&p, &faas_s3, Substrate::Faas, Scaling::Perfect, 10);
+            let pred_i = time(&p, &iaas_t2, Substrate::Iaas, Scaling::Perfect, 10);
             rows.push(vec![
                 e.to_string(),
                 format!("{:.0}s", sim_faas.runtime().as_secs()),

@@ -69,13 +69,7 @@ enum SystemChoice {
 /// Figure 9: end-to-end convergence across all twelve workloads.
 pub fn fig9_end_to_end(h: &Harness) -> String {
     let mut out = String::new();
-    let workloads: Vec<WorkloadId> = if h.fast {
-        // fast mode trims the two heaviest deep panels' epochs, not the set
-        WorkloadId::ALL.to_vec()
-    } else {
-        WorkloadId::ALL.to_vec()
-    };
-    for wid in workloads {
+    for wid in WorkloadId::ALL {
         let named = wid.build(h);
         let mut rows = Vec::new();
         for (name, backend, choice) in systems(wid) {

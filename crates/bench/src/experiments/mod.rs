@@ -4,7 +4,8 @@
 //! * [`endtoend`] — §5's FaaS-vs-IaaS study (Figures 9–12, Table 5, the
 //!   COST sanity check).
 //! * [`analytics`] — §5.3's analytical model (Table 6, Figures 13–15).
-//! * [`ablations`] — design-choice sweeps called out in DESIGN.md §4.
+//! * [`ablations`] — design-choice sweeps: BSP polling interval, ADMM local
+//!   scans, and the Lambda lifetime mechanism's overhead.
 //! * [`fleet`] — the fleet-scale multi-tenant sweep (beyond the paper).
 
 pub mod ablations;

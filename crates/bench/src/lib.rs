@@ -1,9 +1,9 @@
 //! # lml-bench — the experiment harness
 //!
-//! One module per paper section (see DESIGN.md §3 for the index), each
-//! experiment a `fn(&Harness) -> String` that regenerates the artifact's
-//! rows/series, prints them, and returns the printed report. [`EXPERIMENTS`]
-//! is the one registry of them; the `lml-bench` binary is a thin CLI over
+//! One module per paper section, each experiment a `fn(&Harness) ->
+//! String` that regenerates the artifact's rows/series, prints them, and
+//! returns the printed report. [`EXPERIMENTS`] is the one registry (and
+//! index) of them; the `lml-bench` binary is a thin CLI over
 //! [`select`]: `lml-bench <experiment|all> [--seed N] [--full]`.
 //!
 //! The harness defaults to **fast mode** (reduced samples/worker counts) so

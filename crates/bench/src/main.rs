@@ -1,6 +1,6 @@
 //! `lml-bench <experiment|all> [--seed N] [--full]` — regenerate one paper
-//! artifact or fleet sweep (see DESIGN.md §3 for the index), or all of
-//! them in paper order.
+//! artifact or fleet sweep (the index is `lml_bench::EXPERIMENTS`), or all
+//! of them in paper order.
 //!
 //! Two environment knobs, read here and nowhere else: `LML_FLEET_OUT`
 //! roots the fleet sweeps' per-cell JSON (default `target/`, each sweep

@@ -48,7 +48,7 @@ use crate::job::{JobClass, JobRequest, TenantId};
 use crate::platform::SpotConfig;
 use crate::scheduler::Route;
 use lml_analytic::estimator::estimate_epochs;
-use lml_analytic::model::{faas_cost, faas_time, iaas_time, AnalyticCase, Scaling};
+use lml_analytic::model::{price, AnalyticCase, Substrate};
 use lml_sim::{Cost, SimTime};
 
 /// The quantile fleet risk decisions are priced at by default: P95.
@@ -324,15 +324,10 @@ impl Default for Analytic {
 }
 
 impl Analytic {
-    /// Priced with the default cases (S3-channel FaaS, t2.medium IaaS) —
-    /// matches [`crate::sim::FleetConfig::default`].
+    /// Priced for [`crate::sim::FleetConfig::default`] (S3-channel FaaS,
+    /// t2.medium IaaS).
     pub fn new() -> Self {
-        Analytic {
-            faas_case: AnalyticCase::faas_s3(),
-            iaas_case: AnalyticCase::iaas_t2(),
-            epochs: [None; JobClass::ALL.len()],
-            memo: Default::default(),
-        }
+        Self::for_config(&crate::sim::FleetConfig::default())
     }
 
     /// Priced with the fleet's own channel/pricing cases, so predictions
@@ -348,8 +343,7 @@ impl Analytic {
 
     /// Directly pin the epoch estimate for a class (builder style).
     pub fn with_epochs(mut self, class: JobClass, epochs: f64) -> Self {
-        self.epochs[class as usize] = Some(epochs);
-        self.memo.get_mut()[class as usize] = None;
+        self.pin_epochs(class, epochs);
         self
     }
 
@@ -373,16 +367,15 @@ impl Estimator for Analytic {
         }
         let mut p = job.class.profile();
         p.epochs = self.epochs_for(job.class);
-        let w = job.workers;
-        let t_faas = faas_time(&p, &self.faas_case, Scaling::Perfect, w).as_secs()
-            - lml_analytic::constants::t_f().eval(w as f64);
-        let c_faas = faas_cost(&p, &self.faas_case, Scaling::Perfect, w).as_usd();
-        let t_iaas = iaas_time(&p, &self.iaas_case, Scaling::Perfect, w).as_secs()
-            - lml_analytic::constants::t_i().eval(w as f64);
-        // Warm-pool IaaS: bill the instances for the run, not the boot.
-        let c_iaas = w as f64 * self.iaas_case.worker_price_per_s * t_iaas;
-        let e = Estimate::point(t_faas, c_faas, t_iaas, c_iaas);
-        self.memo.borrow_mut()[idx] = Some((w, e));
+        let faas = price(&p, &self.faas_case, Substrate::Faas, job.workers);
+        let iaas = price(&p, &self.iaas_case, Substrate::Iaas, job.workers);
+        let e = Estimate::point(
+            faas.run.as_secs(),
+            faas.dollars.as_usd(),
+            iaas.run.as_secs(),
+            iaas.dollars.as_usd(),
+        );
+        self.memo.borrow_mut()[idx] = Some((job.workers, e));
         e
     }
 

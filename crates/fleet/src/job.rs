@@ -6,7 +6,7 @@
 //! prices it with. Epoch counts are calibrated defaults; the cost-aware
 //! scheduler can re-estimate them with the §5.3 sampling estimator.
 
-use lml_analytic::model::{faas_time, AnalyticCase, AnalyticParams, Scaling};
+use lml_analytic::model::{price, AnalyticCase, AnalyticParams, Substrate};
 use lml_data::generators::DatasetId;
 use lml_models::zoo::DeepProfile;
 use lml_models::ModelId;
@@ -148,13 +148,8 @@ impl JobClass {
     /// startup excluded) — the yardstick deadlines are expressed against:
     /// `deadline = submit + slack × nominal_runtime`.
     pub fn nominal_runtime(self) -> SimTime {
-        let w = self.default_workers();
-        faas_time(
-            &self.profile(),
-            &AnalyticCase::faas_s3(),
-            Scaling::Perfect,
-            w,
-        ) - SimTime::secs(lml_analytic::constants::t_f().eval(w as f64))
+        let (p, w) = (self.profile(), self.default_workers());
+        price(&p, &AnalyticCase::faas_s3(), Substrate::Faas, w).run
     }
 
     /// Paper-scale analytical profile of one job of this class.

@@ -165,6 +165,26 @@ pub(crate) fn spot_pick(id: u64, spot_fraction: f64) -> bool {
     ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < spot_fraction
 }
 
+/// The cost rule every model-driven policy routes by: the reserved pool
+/// when it is no dearer than FaaS (a `spot_fraction` share of those jobs
+/// ride the spot market instead), FaaS otherwise. [`CostAware`] passes 0.0.
+///
+/// Known difference, kept on purpose: when a deadline job can make its
+/// deadline on both sides, [`DeadlineAware`] breaks a cost tie toward FaaS
+/// (`c_faas <= c_iaas`), while this rule breaks it toward the pool.
+/// Aligning the two would move routing, so it is not done here.
+fn cost_route(e: &Estimate, job: &JobRequest, spot_fraction: f64) -> Route {
+    if e.c_iaas <= e.c_faas {
+        if spot_pick(job.id, spot_fraction) {
+            Route::Spot
+        } else {
+            Route::Iaas
+        }
+    } else {
+        Route::Faas
+    }
+}
+
 /// Route everything to Lambda.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AllFaas;
@@ -267,29 +287,20 @@ impl Scheduler for CostAware {
 
     fn route(&mut self, job: &JobRequest, view: &FleetView) -> Route {
         let e = self.est.predict(job);
-        let (cheap, t_cheap, t_other) = if e.c_iaas <= e.c_faas {
-            (Route::Iaas, e.t_iaas, e.t_faas)
+        // With no spot share the rule only ever picks a firm substrate.
+        let (cheap, dear) = match cost_route(&e, job, 0.0) {
+            Route::Faas => (Route::Faas, Route::Iaas),
+            _ => (Route::Iaas, Route::Faas),
+        };
+        let saturated = if cheap == Route::Iaas {
+            view.iaas_queued_workers + job.workers > view.iaas_free + view.iaas_provisioning
         } else {
-            (Route::Faas, e.t_faas, e.t_iaas)
+            view.faas_queued_workers + job.workers + view.faas_in_use > view.faas_limit
         };
-        // Saturation check for the cheaper side (this policy never routes
-        // to spot, so only the two firm substrates appear here).
-        let saturated = match cheap {
-            Route::Iaas => {
-                view.iaas_queued_workers + job.workers > view.iaas_free + view.iaas_provisioning
-            }
-            Route::Faas => {
-                view.faas_queued_workers + job.workers + view.faas_in_use > view.faas_limit
-            }
-            Route::Spot => unreachable!("cost-aware routes to firm capacity only"),
-        };
-        if saturated && t_other * self.patience < t_cheap + queue_penalty(cheap, view) {
+        if saturated && e.time(dear) * self.patience < e.time(cheap) + queue_penalty(cheap, view) {
             // The queue on the cheap side costs more time than the premium
             // side's whole run: buy latency.
-            return match cheap {
-                Route::Iaas => Route::Faas,
-                _ => Route::Iaas,
-            };
+            return dear;
         }
         cheap
     }
@@ -492,15 +503,7 @@ impl Scheduler for DeadlineAware {
         let e = self.est.predict(job);
         let Some(laxity) = job.laxity() else {
             // No deadline: pure cost routing, spot-eligible.
-            return if e.c_iaas <= e.c_faas {
-                if spot_pick(job.id, self.spot_fraction) {
-                    Route::Spot
-                } else {
-                    Route::Iaas
-                }
-            } else {
-                Route::Faas
-            };
+            return cost_route(&e, job, self.spot_fraction);
         };
         // Startup cushion per substrate: never below the static margin
         // (its slack also absorbs queue-model error), but learned
@@ -552,7 +555,8 @@ impl Scheduler for DeadlineAware {
             return Route::Spot;
         }
         match (faas_eta <= budget, iaas_eta <= budget) {
-            // Both make it: take the cheaper option.
+            // Both make it: take the cheaper option (ties go to FaaS — see
+            // `cost_route`).
             (true, true) => {
                 if e.c_faas <= e.c_iaas {
                     Route::Faas
@@ -675,16 +679,7 @@ impl Scheduler for FairShare {
     }
 
     fn route(&mut self, job: &JobRequest, _view: &FleetView) -> Route {
-        let e = self.est.predict(job);
-        if e.c_iaas <= e.c_faas {
-            if spot_pick(job.id, self.spot_fraction) {
-                Route::Spot
-            } else {
-                Route::Iaas
-            }
-        } else {
-            Route::Faas
-        }
+        cost_route(&self.est.predict(job), job, self.spot_fraction)
     }
 
     fn estimate(&self, job: &JobRequest) -> Option<Estimate> {

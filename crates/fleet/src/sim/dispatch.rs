@@ -170,7 +170,7 @@ impl Fleet<'_> {
             return false;
         };
         let cache = self.class_cache(job.class, job.workers);
-        let run = cache.faas_run;
+        let run = cache.faas.run;
         // Nothing to resume, so the restore-vs-redo rate is never read.
         let begun = self.begin_attempt(h, now, &cache, 0.0);
         let s = self.slab.state_mut(h);
@@ -191,7 +191,7 @@ impl Fleet<'_> {
             run,
             // GB-second billing of the execution (Lambda does not bill
             // provisioning time; the §5.3 cost formula is the same).
-            cost: cache.faas_cost,
+            cost: cache.faas.dollars,
             ends: (now + startup + run, Event::FaasDone(h)),
         };
         self.launch(h, now, begun.queued_at, plan);
@@ -209,7 +209,7 @@ impl Fleet<'_> {
         }
         let cache = self.class_cache(job.class, job.workers);
         // Restore-vs-redo priced at the reserved pool's own rate.
-        let rate = job.workers as f64 * self.cfg.iaas_case.worker_price_per_s;
+        let rate = self.cfg.iaas_case.rate(job.workers);
         let begun = self.begin_attempt(h, now, &cache, rate);
         let s = self.slab.state_mut(h);
         let run = SimTime::secs((s.epochs_total - begun.from) as f64 * cache.epoch_secs);
@@ -223,11 +223,7 @@ impl Fleet<'_> {
             run,
             // Attributed share of the pool bill; the pool's own integral
             // is authoritative for totals.
-            cost: Cost::usd(
-                job.workers as f64
-                    * self.cfg.iaas_case.worker_price_per_s
-                    * (startup + run).as_secs(),
-            ) + begun.restore_dollars,
+            cost: Cost::usd(rate * (startup + run).as_secs()) + begun.restore_dollars,
             ends: (now + startup + run, Event::IaasDone(h)),
         };
         self.launch(h, now, begun.queued_at, plan);

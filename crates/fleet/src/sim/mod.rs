@@ -2,11 +2,15 @@
 //! [`EventQueue`], driving arrivals through a [`Scheduler`] onto the three
 //! platform models until every job completes.
 //!
-//! Job service times come from the §5.3 analytical model (minus its
-//! single-job startup terms — the fleet charges the *actual* startup it
-//! simulates: warm/cold starts on FaaS, dispatch or queueing on IaaS, boot
-//! plus preemption restarts on spot), so a thousand-job fleet simulates in
-//! host milliseconds.
+//! Job service times and dollars come from the §5.3 analytical model
+//! through its one pricing seam, [`lml_analytic::model::price`] — the same
+//! function the [`crate::estimate::Analytic`] estimate and the
+//! [`JobClass::nominal_runtime`] deadline yardstick call, so truth and
+//! prediction cannot drift apart. The fleet takes the run (the formula
+//! minus its single-job startup term) and the run's dollars, and charges
+//! the *actual* startup it simulates: warm/cold starts on FaaS, dispatch or
+//! queueing on IaaS, boot plus preemption restarts on spot. A
+//! thousand-job fleet simulates in host milliseconds.
 //!
 //! Admission queues obey the scheduler's [`QueueDiscipline`]: FIFO, EDF
 //! (earliest deadline first), or deficit round-robin across tenants by
@@ -75,8 +79,7 @@ use crate::queue::ReadyQueue;
 use crate::scheduler::{QueueDiscipline, Scheduler};
 use crate::stream::{InMemorySource, TraceSource};
 use crate::workload::Trace;
-use lml_analytic::constants;
-use lml_analytic::model::{faas_cost, faas_time, iaas_time, AnalyticCase, AnalyticParams, Scaling};
+use lml_analytic::model::{price, AnalyticCase, Price, Substrate};
 use lml_sim::{ByteSize, Cost, EventQueue, SimTime};
 use lml_storage::checkpoint::{checkpoint_bytes, CheckpointCosting};
 use std::collections::BTreeMap;
@@ -84,6 +87,8 @@ use std::collections::BTreeMap;
 mod admission;
 mod dispatch;
 mod engine;
+#[cfg(test)]
+mod pricing_oracle;
 mod retire;
 mod slab;
 
@@ -166,17 +171,6 @@ impl Default for FleetConfig {
     }
 }
 
-/// Single-job service time on FaaS once its functions are up: data loading
-/// plus training (the analytical FaaS(w) minus its t_F(w) startup term).
-pub fn faas_run(p: &AnalyticParams, case: &AnalyticCase, w: usize) -> SimTime {
-    faas_time(p, case, Scaling::Perfect, w) - SimTime::secs(constants::t_f().eval(w as f64))
-}
-
-/// Single-job service time on booted IaaS instances (IaaS(w) minus t_I(w)).
-pub fn iaas_run(p: &AnalyticParams, case: &AnalyticCase, w: usize) -> SimTime {
-    iaas_time(p, case, Scaling::Perfect, w) - SimTime::secs(constants::t_i().eval(w as f64))
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Event {
     /// The resident job finishes on FaaS.
@@ -216,8 +210,9 @@ struct ClassCache {
     /// Whole epochs a job of the class actually needs, after the zoo
     /// miscalibration knob (≥ 1).
     epochs_total: u32,
-    faas_run: SimTime,
-    faas_cost: Cost,
+    /// The whole job on FaaS (its `startup` unread: the region simulates
+    /// start-up).
+    faas: Price,
     /// Seconds per epoch on booted IaaS or spot instances.
     epoch_secs: f64,
     ckpt_write_secs: f64,
@@ -330,13 +325,13 @@ impl<'a> Fleet<'a> {
         p.epochs *= self.cfg.epoch_scale;
         let bytes = checkpoint_bytes(class.profile().model_bytes);
         let epochs_total = ((class.default_epochs() * self.cfg.epoch_scale).ceil() as u32).max(1);
-        let iaas_run_full = iaas_run(&p, &self.cfg.iaas_case, workers);
+        let faas = price(&p, &self.cfg.faas_case, Substrate::Faas, workers);
+        let iaas = price(&p, &self.cfg.iaas_case, Substrate::Iaas, workers);
         let c = ClassCache {
             workers,
             epochs_total,
-            faas_run: faas_run(&p, &self.cfg.faas_case, workers),
-            faas_cost: faas_cost(&p, &self.cfg.faas_case, Scaling::Perfect, workers),
-            epoch_secs: iaas_run_full.as_secs() / epochs_total as f64,
+            faas,
+            epoch_secs: iaas.run.as_secs() / epochs_total as f64,
             ckpt_write_secs: self.ckpt.write_time(bytes).as_secs(),
             ckpt_write_dollars: self.ckpt.write_dollars(bytes),
             ckpt_read_time: self.ckpt.read_time(bytes),
@@ -594,8 +589,8 @@ mod tests {
     }
 
     /// On a perfectly calibrated zoo, cost-aware predictions match the
-    /// simulated FaaS runs exactly (identical formulas) — runtime MAPE is
-    /// ~0 — and constant routers predict nothing.
+    /// simulated FaaS runs to the bit (truth and estimate are both
+    /// `lml_analytic::model::price`), and constant routers predict nothing.
     #[test]
     fn predictions_are_snapshotted_and_scored() {
         let trace = small_trace(80, 0.5, 17);
@@ -608,8 +603,9 @@ mod tests {
             .filter(|r| r.route == Route::Faas)
             .filter_map(|r| r.runtime_ape())
             .collect();
+        assert!(!faas_apes.is_empty(), "premise: some jobs ran on FaaS");
         for ape in &faas_apes {
-            assert!(*ape < 1e-9, "calibrated FaaS prediction is exact: {ape}");
+            assert_eq!(*ape, 0.0, "calibrated FaaS prediction is exact");
         }
         let blind = simulate(&trace, &cfg, &mut AllFaas, 17);
         assert_eq!(blind.predicted_jobs, 0);
