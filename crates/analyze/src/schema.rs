@@ -5,10 +5,11 @@
 //! are **additive-only** (docs/SCHEMAS.md): new fields may appear, existing
 //! fields may never be removed or renamed. Until now that rule lived in
 //! prose. This pass extracts every field name the hand-rolled emitters
-//! actually write — the `JsonObject::{str,u64,f64,raw}("field", …)` calls
-//! in `metrics.rs` / `observe.rs`, plus key-taking helpers like
-//! `opt_f64(o, "field", …)` — and holds each committed `schemas/<name>.lock`
-//! to be a **subset** of the extracted set:
+//! actually write — the keyed `JsonObject` calls
+//! (`.str/.u64/.f64/.null("field", …)` and the nested
+//! `.object/.array("field", …)`) in `metrics.rs` / `observe.rs`, plus
+//! key-taking helpers like `opt_f64(o, "field", …)` — and holds each
+//! committed `schemas/<name>.lock` to be a **subset** of the extracted set:
 //!
 //! * a field in the lock but not in the source ⇒ gating error (something
 //!   was removed or renamed);
@@ -36,7 +37,8 @@ pub struct Emitter {
 /// Test-gated code is skipped — fixture objects in `mod tests` are not part
 /// of the schema.
 pub fn extract_fields(lexed: &Lexed, key_helpers: &[&str]) -> BTreeSet<String> {
-    const BUILDER_METHODS: [&str; 4] = ["str", "u64", "f64", "raw"];
+    // Every keyed method of `lml_fleet::json::JsonObject`.
+    const BUILDER_METHODS: [&str; 6] = ["str", "u64", "f64", "null", "object", "array"];
     let tokens = &lexed.tokens;
     let mask = test_mask(tokens);
     let mut fields = BTreeSet::new();
@@ -232,29 +234,40 @@ mod tests {
     fn extracts_builder_and_helper_keys() {
         let src = r#"
             fn to_json(&self) -> String {
-                let o = JsonObject::new()
-                    .str("schema", "v1")
-                    .u64("jobs", 3)
-                    .f64("cost_usd", self.cost)
-                    .raw("nested", &inner);
-                opt_f64(o, "laxity_s", self.laxity).finish()
+                json::document(64, |o| {
+                    o.str("schema", "v1")
+                        .u64("jobs", 3)
+                        .f64("cost_usd", self.cost)
+                        .null("missing")
+                        .object("nested", |o| {
+                            o.u64("inner", 1);
+                        })
+                        .array("rows", |a| {
+                            a.object(|o| {
+                                o.f64("row_s", 2.0);
+                            });
+                        });
+                    opt_f64(o, "laxity_s", self.laxity);
+                })
             }
         "#;
         let got = fields_of(src);
-        let want: BTreeSet<String> = ["schema", "jobs", "cost_usd", "nested", "laxity_s"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let want: BTreeSet<String> = [
+            "schema", "jobs", "cost_usd", "missing", "nested", "inner", "rows", "row_s", "laxity_s",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
         assert_eq!(got, want);
     }
 
     #[test]
     fn non_literal_keys_and_test_fixtures_are_skipped() {
         let src = r#"
-            fn f(o: JsonObject, k: &str) -> JsonObject { o.f64(k, 1.0) }
+            fn f(o: &mut JsonObject<'_>, k: &str) { o.f64(k, 1.0).array(k, |_| {}); }
             #[cfg(test)]
             mod tests {
-                fn t() { JsonObject::new().str("fixture_only", "x"); }
+                fn t() { json::document(8, |o| { o.str("fixture_only", "x"); }); }
             }
         "#;
         assert!(fields_of(src).is_empty());

@@ -3,8 +3,7 @@
 // gating.
 
 fn to_json() -> String {
-    JsonObject::new()
-        .str("schema", "fixture/v1")
-        .u64("jobs", 3)
-        .finish()
+    json::document(64, |o| {
+        o.str("schema", "fixture/v1").u64("jobs", 3);
+    })
 }

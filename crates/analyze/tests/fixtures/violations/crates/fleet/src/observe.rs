@@ -2,5 +2,7 @@
 // from this file.
 
 fn to_json() -> String {
-    JsonObject::new().f64("t", 1.5).finish()
+    json::document(32, |o| {
+        o.f64("t", 1.5);
+    })
 }

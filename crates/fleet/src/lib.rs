@@ -72,8 +72,8 @@
 //! * [`metrics`] — per-job queue/startup/run breakdowns rolled up into
 //!   p50/p95/p99 latency, dollars, warm-hit rate, utilization,
 //!   deadline-hit rate, preemption counts, and per-tenant fairness.
-//! * [`json`] — the deterministic JSON emitter behind
-//!   [`metrics::FleetMetrics::to_json`].
+//! * [`json`] — the deterministic one-buffer JSON writer behind
+//!   [`metrics::FleetMetrics::to_json`] and the [`observe`] exports.
 //! * [`observe`] — the observability layer: the [`FleetObserver`] hook
 //!   trait the simulator narrates runs through (lifecycle transitions,
 //!   scheduler decision audits, platform events, windowed gauges), with a

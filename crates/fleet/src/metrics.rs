@@ -4,7 +4,7 @@
 //! and a per-tenant fairness view, exported as deterministic JSON.
 
 use crate::job::{JobClass, TenantId};
-use crate::json::{array, JsonObject};
+use crate::json::{self, JsonObject};
 use crate::scheduler::Route;
 use lml_sim::stats::Summary;
 use lml_sim::{Cost, SimTime};
@@ -196,14 +196,12 @@ impl Quantiles {
         }
     }
 
-    fn to_json(self) -> String {
-        JsonObject::new()
-            .f64("mean", self.mean)
+    fn json_fields(self, o: &mut JsonObject<'_>) {
+        o.f64("mean", self.mean)
             .f64("p50", self.p50)
             .f64("p95", self.p95)
             .f64("p99", self.p99)
-            .f64("max", self.max)
-            .finish()
+            .f64("max", self.max);
     }
 }
 
@@ -625,85 +623,86 @@ impl FleetMetrics {
     /// Deterministic JSON export. Two runs with the same inputs produce
     /// byte-identical output.
     pub fn to_json(&self) -> String {
-        let per_class: Vec<String> = self
-            .per_class()
-            .into_iter()
-            .map(|c| {
-                JsonObject::new()
-                    .str("class", c.class.name())
-                    .u64("jobs", c.jobs as u64)
-                    .f64("latency_p99_s", c.latency_p99)
-                    .f64("mean_cost_usd", c.mean_cost)
-                    .u64("predicted", c.predicted as u64)
-                    .f64("runtime_mape", c.runtime_mape)
-                    .f64("cost_mape", c.cost_mape)
-                    .finish()
-            })
-            .collect();
-        let per_tenant: Vec<String> = self
-            .per_tenant()
-            .into_iter()
-            .map(|t| {
-                JsonObject::new()
-                    .u64("tenant", t.tenant as u64)
-                    .u64("jobs", t.jobs as u64)
-                    .u64("rejected", t.rejected as u64)
-                    .u64("deferred", t.deferred as u64)
-                    .f64("latency_p99_s", t.latency_p99)
-                    .f64("cost_usd", t.cost.as_usd())
-                    .f64("service_worker_s", t.service)
-                    .finish()
-            })
-            .collect();
-        JsonObject::new()
-            .str("schema", "lml-fleet/metrics/v1")
-            .str("policy", &self.policy)
-            .u64("seed", self.seed)
-            .u64("jobs", self.n_jobs as u64)
-            .f64("makespan_s", self.makespan.as_secs())
-            .f64("throughput_jobs_per_s", self.throughput())
-            .raw("latency_s", &self.latency.to_json())
-            .raw("queue_s", &self.queue.to_json())
-            .raw("startup_s", &self.startup.to_json())
-            .f64("faas_cost_usd", self.faas_cost.as_usd())
-            .f64(
-                "faas_provisioned_cost_usd",
-                self.faas_provisioned_cost.as_usd(),
-            )
-            .f64("iaas_cost_usd", self.iaas_cost.as_usd())
-            .f64("spot_cost_usd", self.spot_cost.as_usd())
-            .f64("total_cost_usd", self.total_cost().as_usd())
-            .u64("jobs_on_faas", self.jobs_on_faas as u64)
-            .u64("jobs_on_iaas", self.jobs_on_iaas as u64)
-            .u64("jobs_on_spot", self.jobs_on_spot as u64)
-            .f64("warm_hit_rate", self.warm_hit_rate)
-            .u64("cold_starts", self.cold_starts)
-            .f64("iaas_utilization", self.iaas_utilization)
-            .u64("iaas_peak_instances", self.iaas_peak_instances as u64)
-            .u64("faas_peak_concurrency", self.faas_peak_concurrency as u64)
-            .u64("spot_peak_instances", self.spot_peak_instances as u64)
-            .u64("preemptions", self.preemptions)
-            .u64("resumes", self.resumes)
-            .f64("lost_work_s", self.lost_work.as_secs())
-            .u64("checkpoint_writes", self.checkpoint_writes)
-            .f64("checkpoint_cost_usd", self.checkpoint_cost.as_usd())
-            .u64("rejected_jobs", self.rejected_jobs as u64)
-            .u64("deferred_jobs", self.deferred_jobs as u64)
-            .u64("predicted_jobs", self.predicted_jobs as u64)
-            .f64("runtime_mape", self.runtime_mape)
-            .f64("cost_mape", self.cost_mape)
-            .u64("eta_q_jobs", self.eta_q_jobs as u64)
-            .u64("eta_q_covered", self.eta_q_covered as u64)
-            .f64("eta_q_coverage", self.eta_coverage())
-            .u64("spot_attempts", self.spot_attempts)
-            .u64("deadline_jobs", self.deadline_jobs as u64)
-            .u64("deadline_hits", self.deadline_hits as u64)
-            .u64("deadline_jobs_rejected", self.deadline_jobs_rejected as u64)
-            .f64("deadline_hit_rate", self.deadline_hit_rate())
-            .f64("fairness", self.fairness)
-            .raw("per_class", &array(&per_class))
-            .raw("per_tenant", &array(&per_tenant))
-            .finish()
+        let per_class = self.per_class();
+        let per_tenant = self.per_tenant();
+        let bound = json::object_bound(METRICS_KEYS)
+            + json::quoted_bound(&self.policy)
+            + 3 * json::object_bound(QUANTILE_KEYS)
+            + per_class.len() * (json::object_bound(CLASS_KEYS) + 1)
+            + per_tenant.len() * (json::object_bound(TENANT_KEYS) + 1);
+        json::document(bound, |o| {
+            o.str("schema", "lml-fleet/metrics/v1")
+                .str("policy", &self.policy)
+                .u64("seed", self.seed)
+                .u64("jobs", self.n_jobs as u64)
+                .f64("makespan_s", self.makespan.as_secs())
+                .f64("throughput_jobs_per_s", self.throughput())
+                .object("latency_s", |o| self.latency.json_fields(o))
+                .object("queue_s", |o| self.queue.json_fields(o))
+                .object("startup_s", |o| self.startup.json_fields(o))
+                .f64("faas_cost_usd", self.faas_cost.as_usd())
+                .f64(
+                    "faas_provisioned_cost_usd",
+                    self.faas_provisioned_cost.as_usd(),
+                )
+                .f64("iaas_cost_usd", self.iaas_cost.as_usd())
+                .f64("spot_cost_usd", self.spot_cost.as_usd())
+                .f64("total_cost_usd", self.total_cost().as_usd())
+                .u64("jobs_on_faas", self.jobs_on_faas as u64)
+                .u64("jobs_on_iaas", self.jobs_on_iaas as u64)
+                .u64("jobs_on_spot", self.jobs_on_spot as u64)
+                .f64("warm_hit_rate", self.warm_hit_rate)
+                .u64("cold_starts", self.cold_starts)
+                .f64("iaas_utilization", self.iaas_utilization)
+                .u64("iaas_peak_instances", self.iaas_peak_instances as u64)
+                .u64("faas_peak_concurrency", self.faas_peak_concurrency as u64)
+                .u64("spot_peak_instances", self.spot_peak_instances as u64)
+                .u64("preemptions", self.preemptions)
+                .u64("resumes", self.resumes)
+                .f64("lost_work_s", self.lost_work.as_secs())
+                .u64("checkpoint_writes", self.checkpoint_writes)
+                .f64("checkpoint_cost_usd", self.checkpoint_cost.as_usd())
+                .u64("rejected_jobs", self.rejected_jobs as u64)
+                .u64("deferred_jobs", self.deferred_jobs as u64)
+                .u64("predicted_jobs", self.predicted_jobs as u64)
+                .f64("runtime_mape", self.runtime_mape)
+                .f64("cost_mape", self.cost_mape)
+                .u64("eta_q_jobs", self.eta_q_jobs as u64)
+                .u64("eta_q_covered", self.eta_q_covered as u64)
+                .f64("eta_q_coverage", self.eta_coverage())
+                .u64("spot_attempts", self.spot_attempts)
+                .u64("deadline_jobs", self.deadline_jobs as u64)
+                .u64("deadline_hits", self.deadline_hits as u64)
+                .u64("deadline_jobs_rejected", self.deadline_jobs_rejected as u64)
+                .f64("deadline_hit_rate", self.deadline_hit_rate())
+                .f64("fairness", self.fairness)
+                .array("per_class", |a| {
+                    for c in &per_class {
+                        a.object(|o| {
+                            o.str("class", c.class.name())
+                                .u64("jobs", c.jobs as u64)
+                                .f64("latency_p99_s", c.latency_p99)
+                                .f64("mean_cost_usd", c.mean_cost)
+                                .u64("predicted", c.predicted as u64)
+                                .f64("runtime_mape", c.runtime_mape)
+                                .f64("cost_mape", c.cost_mape);
+                        });
+                    }
+                })
+                .array("per_tenant", |a| {
+                    for t in &per_tenant {
+                        a.object(|o| {
+                            o.u64("tenant", t.tenant as u64)
+                                .u64("jobs", t.jobs as u64)
+                                .u64("rejected", t.rejected as u64)
+                                .u64("deferred", t.deferred as u64)
+                                .f64("latency_p99_s", t.latency_p99)
+                                .f64("cost_usd", t.cost.as_usd())
+                                .f64("service_worker_s", t.service);
+                        });
+                    }
+                });
+        })
     }
 
     /// One-line human summary — two lines when any tenant was deferred or
@@ -743,6 +742,74 @@ impl FleetMetrics {
         s
     }
 }
+
+// The keys each part of the metrics document writes — the inputs to its
+// upper bound (see `json::object_bound`).
+const METRICS_KEYS: &[&str] = &[
+    "schema",
+    "policy",
+    "seed",
+    "jobs",
+    "makespan_s",
+    "throughput_jobs_per_s",
+    "latency_s",
+    "queue_s",
+    "startup_s",
+    "faas_cost_usd",
+    "faas_provisioned_cost_usd",
+    "iaas_cost_usd",
+    "spot_cost_usd",
+    "total_cost_usd",
+    "jobs_on_faas",
+    "jobs_on_iaas",
+    "jobs_on_spot",
+    "warm_hit_rate",
+    "cold_starts",
+    "iaas_utilization",
+    "iaas_peak_instances",
+    "faas_peak_concurrency",
+    "spot_peak_instances",
+    "preemptions",
+    "resumes",
+    "lost_work_s",
+    "checkpoint_writes",
+    "checkpoint_cost_usd",
+    "rejected_jobs",
+    "deferred_jobs",
+    "predicted_jobs",
+    "runtime_mape",
+    "cost_mape",
+    "eta_q_jobs",
+    "eta_q_covered",
+    "eta_q_coverage",
+    "spot_attempts",
+    "deadline_jobs",
+    "deadline_hits",
+    "deadline_jobs_rejected",
+    "deadline_hit_rate",
+    "fairness",
+    "per_class",
+    "per_tenant",
+];
+const QUANTILE_KEYS: &[&str] = &["mean", "p50", "p95", "p99", "max"];
+const CLASS_KEYS: &[&str] = &[
+    "class",
+    "jobs",
+    "latency_p99_s",
+    "mean_cost_usd",
+    "predicted",
+    "runtime_mape",
+    "cost_mape",
+];
+const TENANT_KEYS: &[&str] = &[
+    "tenant",
+    "jobs",
+    "rejected",
+    "deferred",
+    "latency_p99_s",
+    "cost_usd",
+    "service_worker_s",
+];
 
 fn per_tenant_rows(records: &[JobRecord]) -> Vec<TenantRow> {
     /// Running per-tenant tallies; latencies collect for the quantile pass.

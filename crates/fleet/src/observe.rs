@@ -46,11 +46,12 @@
 //! configuration still produce byte-identical traces *and* metrics.
 
 use crate::job::TenantId;
-use crate::json::{array, JsonObject};
+use crate::json::{self, JsonObject};
 use crate::lifecycle::JobLifecycle;
 use crate::metrics::WindowRollup;
 use crate::scheduler::Route;
 use lml_sim::SimTime;
+use std::collections::BTreeMap;
 
 /// Streaming-replay counters handed to every observer just before
 /// [`FleetObserver::end`]: how many arrivals the engine pulled from its
@@ -347,81 +348,79 @@ impl RecordingObserver {
     /// Two same-seed runs with the same observer configuration produce
     /// byte-identical output.
     pub fn to_json(&self) -> String {
-        let events: Vec<String> = self
-            .events
-            .iter()
-            .map(|e| {
-                JsonObject::new()
-                    .f64("t", e.at.as_secs())
-                    .u64("job", e.job)
-                    .u64("tenant", e.tenant as u64)
-                    .str("route", e.route.name())
-                    .u64("attempt", e.attempt as u64)
-                    .str("from", e.from.name())
-                    .str("to", e.to.name())
-                    .finish()
-            })
-            .collect();
-        let decisions: Vec<String> = self.decisions.iter().map(decision_json).collect();
-        let platform: Vec<String> = self
-            .platform
-            .iter()
-            .map(|(at, ev)| platform_json(*at, ev))
-            .collect();
-        let attempts: Vec<String> = self
-            .attempts
-            .iter()
-            .map(|s| {
-                JsonObject::new()
-                    .u64("job", s.job)
-                    .u64("tenant", s.tenant as u64)
-                    .str("substrate", s.substrate.name())
-                    .u64("attempt", s.attempt as u64)
-                    .f64("queued_at_s", s.queued_at.as_secs())
-                    .f64("dispatched_at_s", s.dispatched_at.as_secs())
-                    .f64("startup_s", s.startup_s)
-                    .f64("run_s", s.run_s)
-                    .finish()
-            })
-            .collect();
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|g| {
-                let spend: Vec<String> = g
-                    .tenant_spend
-                    .iter()
-                    .map(|&(t, usd)| {
-                        JsonObject::new()
-                            .u64("tenant", t as u64)
-                            .f64("spend_usd", usd)
-                            .finish()
-                    })
-                    .collect();
-                JsonObject::new()
-                    .f64("t", g.at.as_secs())
-                    .u64("queue_depth", g.queue_depth as u64)
-                    .u64("deferred", g.deferred as u64)
-                    .u64("faas_in_use", g.faas_in_use as u64)
-                    .u64("faas_limit", g.faas_limit as u64)
-                    .u64("iaas_busy", g.iaas_busy as u64)
-                    .u64("iaas_capacity", g.iaas_capacity as u64)
-                    .u64("spot_in_use", g.spot_in_use as u64)
-                    .raw("tenant_spend", &array(&spend))
-                    .finish()
-            })
-            .collect();
-        JsonObject::new()
-            .str("schema", "lml-fleet/trace/v1")
-            .str("policy", &self.policy)
-            .u64("seed", self.seed)
-            .u64("jobs", self.n_jobs as u64)
-            .raw("events", &array(&events))
-            .raw("decisions", &array(&decisions))
-            .raw("platform", &array(&platform))
-            .raw("attempts", &array(&attempts))
-            .raw("gauges", &array(&gauges))
-            .finish()
+        let spend: usize = self.gauges.iter().map(|g| g.tenant_spend.len()).sum();
+        let bound = json::object_bound(TRACE_KEYS)
+            + json::quoted_bound(&self.policy)
+            + self.events.len() * (json::object_bound(EVENT_KEYS) + 1)
+            + self.decisions.len() * (json::object_bound(DECISION_KEYS) + 1)
+            + self.platform.len() * (json::object_bound(PLATFORM_KEYS) + 1)
+            + self.attempts.len() * (json::object_bound(ATTEMPT_KEYS) + 1)
+            + self.gauges.len() * (json::object_bound(GAUGE_KEYS) + 1)
+            + spend * (json::object_bound(SPEND_KEYS) + 1);
+        json::document(bound, |o| {
+            o.str("schema", "lml-fleet/trace/v1")
+                .str("policy", &self.policy)
+                .u64("seed", self.seed)
+                .u64("jobs", self.n_jobs as u64)
+                .array("events", |a| {
+                    for e in &self.events {
+                        a.object(|o| {
+                            o.f64("t", e.at.as_secs())
+                                .u64("job", e.job)
+                                .u64("tenant", e.tenant as u64)
+                                .str("route", e.route.name())
+                                .u64("attempt", e.attempt as u64)
+                                .str("from", e.from.name())
+                                .str("to", e.to.name());
+                        });
+                    }
+                })
+                .array("decisions", |a| {
+                    for d in &self.decisions {
+                        a.object(|o| decision_fields(o, d));
+                    }
+                })
+                .array("platform", |a| {
+                    for (at, ev) in &self.platform {
+                        a.object(|o| platform_fields(o, *at, ev));
+                    }
+                })
+                .array("attempts", |a| {
+                    for s in &self.attempts {
+                        a.object(|o| {
+                            o.u64("job", s.job)
+                                .u64("tenant", s.tenant as u64)
+                                .str("substrate", s.substrate.name())
+                                .u64("attempt", s.attempt as u64)
+                                .f64("queued_at_s", s.queued_at.as_secs())
+                                .f64("dispatched_at_s", s.dispatched_at.as_secs())
+                                .f64("startup_s", s.startup_s)
+                                .f64("run_s", s.run_s);
+                        });
+                    }
+                })
+                .array("gauges", |a| {
+                    for g in &self.gauges {
+                        a.object(|o| {
+                            o.f64("t", g.at.as_secs())
+                                .u64("queue_depth", g.queue_depth as u64)
+                                .u64("deferred", g.deferred as u64)
+                                .u64("faas_in_use", g.faas_in_use as u64)
+                                .u64("faas_limit", g.faas_limit as u64)
+                                .u64("iaas_busy", g.iaas_busy as u64)
+                                .u64("iaas_capacity", g.iaas_capacity as u64)
+                                .u64("spot_in_use", g.spot_in_use as u64)
+                                .array("tenant_spend", |a| {
+                                    for &(t, usd) in &g.tenant_spend {
+                                        a.object(|o| {
+                                            o.u64("tenant", t as u64).f64("spend_usd", usd);
+                                        });
+                                    }
+                                });
+                        });
+                    }
+                });
+        })
     }
 
     /// Per-job queue/startup/run seconds reconstructed from the attempt
@@ -430,46 +429,52 @@ impl RecordingObserver {
     /// startup, run)` rows in first-dispatch order — these sums reconcile
     /// *exactly* with the run's `JobRecord` timings.
     pub fn span_timings(&self) -> Vec<(u64, f64, f64, f64)> {
-        let mut order: Vec<u64> = Vec::new();
-        let mut rows: Vec<(f64, f64, f64)> = Vec::new();
-        let mut index = std::collections::BTreeMap::new();
+        let reclaims = self.reclaims();
+        let mut rows: Vec<(u64, f64, f64, f64)> = Vec::new();
+        let mut index = BTreeMap::new();
         for s in &self.attempts {
             let k = *index.entry(s.job).or_insert_with(|| {
-                order.push(s.job);
-                rows.push((0.0, 0.0, 0.0));
+                rows.push((s.job, 0.0, 0.0, 0.0));
                 rows.len() - 1
             });
-            let (startup, run) = match self.reclaim_of(s.job, s.attempt, s.substrate) {
-                // The market struck `held_s` after launch: startup is
-                // capped at the held seconds, run at what remained after
-                // the overhead — the simulator's truncation, verbatim.
-                Some(held_s) => (held_s.min(s.startup_s), (held_s - s.startup_s).max(0.0)),
-                None => (s.startup_s, s.run_s),
-            };
-            rows[k].0 += (s.dispatched_at - s.queued_at).as_secs();
-            rows[k].1 += startup;
-            rows[k].2 += run;
+            let (startup, run) = ran(s, &reclaims);
+            let row = &mut rows[k];
+            row.1 += (s.dispatched_at - s.queued_at).as_secs();
+            row.2 += startup;
+            row.3 += run;
         }
-        order
-            .into_iter()
-            .zip(rows)
-            .map(|(job, (q, s, r))| (job, q, s, r))
-            .collect()
+        rows
     }
 
-    fn reclaim_of(&self, job: u64, attempt: u32, substrate: Route) -> Option<f64> {
-        if substrate != Route::Spot {
-            return None;
-        }
-        self.platform.iter().find_map(|(_, ev)| match ev {
-            PlatformEvent::SpotReclaim {
-                job: j,
-                attempt: a,
+    /// Held seconds of each spot attempt the market reclaimed, keyed by
+    /// `(job, attempt)`; the first matching event wins.
+    fn reclaims(&self) -> BTreeMap<(u64, u32), f64> {
+        let mut held = BTreeMap::new();
+        for (_, ev) in &self.platform {
+            if let PlatformEvent::SpotReclaim {
+                job,
+                attempt,
                 held_s,
                 ..
-            } if *j == job && *a == attempt => Some(*held_s),
-            _ => None,
-        })
+            } = *ev
+            {
+                held.entry((job, attempt)).or_insert(held_s);
+            }
+        }
+        held
+    }
+
+    /// Each job's tenant: from its first attempt span, else from its first
+    /// lifecycle event.
+    fn tenants(&self) -> BTreeMap<u64, TenantId> {
+        let mut tenants = BTreeMap::new();
+        for s in &self.attempts {
+            tenants.entry(s.job).or_insert(s.tenant);
+        }
+        for e in &self.events {
+            tenants.entry(e.job).or_insert(e.tenant);
+        }
+        tenants
     }
 
     /// Export the run as Chrome trace-event JSON (the `traceEvents` array
@@ -481,105 +486,184 @@ impl RecordingObserver {
     /// microseconds.
     pub fn to_chrome_trace(&self) -> String {
         let us = |t: f64| t * 1e6;
-        let mut evs: Vec<String> = Vec::new();
-        let span = |name: &str, pid: TenantId, tid: u64, ts_s: f64, dur_s: f64, args: &str| {
-            JsonObject::new()
-                .str("name", name)
-                .str("ph", "X")
-                .f64("ts", us(ts_s))
-                .f64("dur", us(dur_s))
-                .u64("pid", pid as u64)
-                .u64("tid", tid)
-                .str("cat", "fleet")
-                .raw("args", args)
-                .finish()
-        };
-        for s in &self.attempts {
-            let (startup, run) = match self.reclaim_of(s.job, s.attempt, s.substrate) {
-                Some(held_s) => (held_s.min(s.startup_s), (held_s - s.startup_s).max(0.0)),
-                None => (s.startup_s, s.run_s),
-            };
-            let args = JsonObject::new()
-                .str("substrate", s.substrate.name())
-                .u64("attempt", s.attempt as u64)
-                .finish();
-            let q0 = s.queued_at.as_secs();
-            let d0 = s.dispatched_at.as_secs();
-            if d0 > q0 {
-                evs.push(span("queued", s.tenant, s.job, q0, d0 - q0, &args));
-            }
-            if startup > 0.0 {
-                evs.push(span("startup", s.tenant, s.job, d0, startup, &args));
-            }
-            if run > 0.0 {
-                evs.push(span("run", s.tenant, s.job, d0 + startup, run, &args));
-            }
-        }
-        for d in &self.decisions {
-            evs.push(
-                JsonObject::new()
-                    .str("name", d.decision.name())
-                    .str("ph", "i")
-                    .f64("ts", us(d.at.as_secs()))
-                    .u64("pid", d.tenant as u64)
-                    .u64("tid", d.job)
-                    .str("cat", "decision")
-                    .str("s", "t")
-                    .raw("args", &decision_json(d))
-                    .finish(),
-            );
-        }
-        for (at, ev) in &self.platform {
-            let (pid, tid) = match ev {
-                PlatformEvent::FaasStart { job, .. }
-                | PlatformEvent::SpotReclaim { job, .. }
-                | PlatformEvent::CheckpointWrite { job, .. }
-                | PlatformEvent::CheckpointRestore { job, .. } => (self.tenant_of(*job), *job),
-                _ => (0, 0),
-            };
-            evs.push(
-                JsonObject::new()
-                    .str("name", ev.name())
-                    .str("ph", "i")
-                    .f64("ts", us(at.as_secs()))
-                    .u64("pid", pid as u64)
-                    .u64("tid", tid)
-                    .str("cat", "platform")
-                    .str("s", "t")
-                    .raw("args", &platform_json(*at, ev))
-                    .finish(),
-            );
-        }
-        JsonObject::new()
-            .raw("traceEvents", &array(&evs))
+        let reclaims = self.reclaims();
+        let tenants = self.tenants();
+        let other = format!("lml-fleet policy={} seed={}", self.policy, self.seed);
+        let span = json::object_bound(SPAN_KEYS) + json::object_bound(SPAN_ARGS_KEYS) + 1;
+        let instant = json::object_bound(INSTANT_KEYS) + 1;
+        let bound = json::object_bound(CHROME_KEYS)
+            + json::quoted_bound(&other)
+            + self.attempts.len() * 3 * span
+            + self.decisions.len() * (instant + json::object_bound(DECISION_KEYS))
+            + self.platform.len() * (instant + json::object_bound(PLATFORM_KEYS));
+        json::document(bound, |o| {
+            o.array("traceEvents", |a| {
+                for s in &self.attempts {
+                    let (startup, run) = ran(s, &reclaims);
+                    let mut span = |name: &str, ts_s: f64, dur_s: f64| {
+                        a.object(|o| {
+                            o.str("name", name)
+                                .str("ph", "X")
+                                .f64("ts", us(ts_s))
+                                .f64("dur", us(dur_s))
+                                .u64("pid", s.tenant as u64)
+                                .u64("tid", s.job)
+                                .str("cat", "fleet")
+                                .object("args", |o| {
+                                    o.str("substrate", s.substrate.name())
+                                        .u64("attempt", s.attempt as u64);
+                                });
+                        });
+                    };
+                    let q0 = s.queued_at.as_secs();
+                    let d0 = s.dispatched_at.as_secs();
+                    if d0 > q0 {
+                        span("queued", q0, d0 - q0);
+                    }
+                    if startup > 0.0 {
+                        span("startup", d0, startup);
+                    }
+                    if run > 0.0 {
+                        span("run", d0 + startup, run);
+                    }
+                }
+                for d in &self.decisions {
+                    a.object(|o| {
+                        o.str("name", d.decision.name())
+                            .str("ph", "i")
+                            .f64("ts", us(d.at.as_secs()))
+                            .u64("pid", d.tenant as u64)
+                            .u64("tid", d.job)
+                            .str("cat", "decision")
+                            .str("s", "t")
+                            .object("args", |o| decision_fields(o, d));
+                    });
+                }
+                for (at, ev) in &self.platform {
+                    let (pid, tid) = match ev {
+                        PlatformEvent::FaasStart { job, .. }
+                        | PlatformEvent::SpotReclaim { job, .. }
+                        | PlatformEvent::CheckpointWrite { job, .. }
+                        | PlatformEvent::CheckpointRestore { job, .. } => {
+                            (tenants.get(job).copied().unwrap_or(0), *job)
+                        }
+                        _ => (0, 0),
+                    };
+                    a.object(|o| {
+                        o.str("name", ev.name())
+                            .str("ph", "i")
+                            .f64("ts", us(at.as_secs()))
+                            .u64("pid", pid as u64)
+                            .u64("tid", tid)
+                            .str("cat", "platform")
+                            .str("s", "t")
+                            .object("args", |o| platform_fields(o, *at, ev));
+                    });
+                }
+            })
             .str("displayTimeUnit", "ms")
-            .str(
-                "otherData",
-                &format!("lml-fleet policy={} seed={}", self.policy, self.seed),
-            )
-            .finish()
-    }
-
-    fn tenant_of(&self, job: u64) -> TenantId {
-        self.attempts
-            .iter()
-            .find(|s| s.job == job)
-            .map(|s| s.tenant)
-            .or_else(|| self.events.iter().find(|e| e.job == job).map(|e| e.tenant))
-            .unwrap_or(0)
+            .str("otherData", &other);
+        })
     }
 }
 
-fn opt_f64(o: JsonObject, k: &str, v: Option<f64>) -> JsonObject {
+// The keys each record kind writes — the inputs to the documents' upper
+// bounds (see `json::object_bound`). A kind with variants lists every key
+// any variant writes.
+const TRACE_KEYS: &[&str] = &[
+    "schema",
+    "policy",
+    "seed",
+    "jobs",
+    "events",
+    "decisions",
+    "platform",
+    "attempts",
+    "gauges",
+];
+const EVENT_KEYS: &[&str] = &["t", "job", "tenant", "route", "attempt", "from", "to"];
+const DECISION_KEYS: &[&str] = &[
+    "t",
+    "job",
+    "tenant",
+    "decision",
+    "route",
+    "eta_quantile",
+    "predicted_run_s",
+    "eta_q_s",
+    "spot_eta_s",
+    "laxity_s",
+    "release_s",
+    "deadline_miss_cost_usd",
+    "rejection_cost_usd",
+];
+const PLATFORM_KEYS: &[&str] = &[
+    "t",
+    "kind",
+    "job",
+    "workers",
+    "warm_hits",
+    "cold_starts",
+    "instances",
+    "boot_s",
+    "attempt",
+    "held_s",
+    "writes",
+    "epochs",
+];
+const ATTEMPT_KEYS: &[&str] = &[
+    "job",
+    "tenant",
+    "substrate",
+    "attempt",
+    "queued_at_s",
+    "dispatched_at_s",
+    "startup_s",
+    "run_s",
+];
+const GAUGE_KEYS: &[&str] = &[
+    "t",
+    "queue_depth",
+    "deferred",
+    "faas_in_use",
+    "faas_limit",
+    "iaas_busy",
+    "iaas_capacity",
+    "spot_in_use",
+    "tenant_spend",
+];
+const SPEND_KEYS: &[&str] = &["tenant", "spend_usd"];
+const CHROME_KEYS: &[&str] = &["traceEvents", "displayTimeUnit", "otherData"];
+const SPAN_KEYS: &[&str] = &["name", "ph", "ts", "dur", "pid", "tid", "cat", "args"];
+const SPAN_ARGS_KEYS: &[&str] = &["substrate", "attempt"];
+const INSTANT_KEYS: &[&str] = &["name", "ph", "ts", "pid", "tid", "cat", "s", "args"];
+
+/// Startup and run seconds of an attempt as it actually ran: a spot
+/// attempt the market struck `held_s` after launch has its startup capped
+/// at the held seconds and its run cut to what remained after the overhead
+/// — the simulator's truncation, verbatim.
+fn ran(s: &AttemptSpan, reclaims: &BTreeMap<(u64, u32), f64>) -> (f64, f64) {
+    let held = match s.substrate {
+        Route::Spot => reclaims.get(&(s.job, s.attempt)),
+        _ => None,
+    };
+    match held {
+        Some(&held_s) => (held_s.min(s.startup_s), (held_s - s.startup_s).max(0.0)),
+        None => (s.startup_s, s.run_s),
+    }
+}
+
+fn opt_f64(o: &mut JsonObject<'_>, k: &str, v: Option<f64>) {
     match v {
         Some(v) => o.f64(k, v),
-        None => o.raw(k, "null"),
-    }
+        None => o.null(k),
+    };
 }
 
-fn decision_json(d: &DecisionRecord) -> String {
-    let o = JsonObject::new()
-        .f64("t", d.at.as_secs())
+/// One decision record's members: the `trace/v1` element, and the Chrome
+/// export's `args`.
+fn decision_fields(o: &mut JsonObject<'_>, d: &DecisionRecord) {
+    o.f64("t", d.at.as_secs())
         .u64("job", d.job)
         .u64("tenant", d.tenant as u64)
         .str("decision", d.decision.name());
@@ -592,13 +676,12 @@ fn decision_json(d: &DecisionRecord) -> String {
             spot_eta_s,
             laxity_s,
         } => {
-            let o = o
-                .str("route", route.name())
+            o.str("route", route.name())
                 .f64("eta_quantile", eta_quantile);
-            let o = opt_f64(o, "predicted_run_s", predicted_run_s);
-            let o = opt_f64(o, "eta_q_s", eta_q_s);
-            let o = opt_f64(o, "spot_eta_s", spot_eta_s);
-            opt_f64(o, "laxity_s", laxity_s).finish()
+            opt_f64(o, "predicted_run_s", predicted_run_s);
+            opt_f64(o, "eta_q_s", eta_q_s);
+            opt_f64(o, "spot_eta_s", spot_eta_s);
+            opt_f64(o, "laxity_s", laxity_s);
         }
         Decision::Defer {
             laxity_s,
@@ -614,20 +697,19 @@ fn decision_json(d: &DecisionRecord) -> String {
             deadline_miss_cost,
             rejection_cost,
         } => {
-            let o = opt_f64(o, "laxity_s", laxity_s);
-            let o = opt_f64(o, "release_s", release_s);
-            let o = opt_f64(o, "eta_q_s", eta_q_s);
+            opt_f64(o, "laxity_s", laxity_s);
+            opt_f64(o, "release_s", release_s);
+            opt_f64(o, "eta_q_s", eta_q_s);
             o.f64("deadline_miss_cost_usd", deadline_miss_cost)
-                .f64("rejection_cost_usd", rejection_cost)
-                .finish()
+                .f64("rejection_cost_usd", rejection_cost);
         }
     }
 }
 
-fn platform_json(at: SimTime, ev: &PlatformEvent) -> String {
-    let o = JsonObject::new()
-        .f64("t", at.as_secs())
-        .str("kind", ev.name());
+/// One platform event's members: the `trace/v1` element, and the Chrome
+/// export's `args`.
+fn platform_fields(o: &mut JsonObject<'_>, at: SimTime, ev: &PlatformEvent) {
+    o.f64("t", at.as_secs()).str("kind", ev.name());
     match *ev {
         PlatformEvent::FaasStart {
             job,
@@ -637,13 +719,11 @@ fn platform_json(at: SimTime, ev: &PlatformEvent) -> String {
             .u64("job", job)
             .u64("workers", workers as u64)
             .u64("warm_hits", warm_hits as u64)
-            .u64("cold_starts", (workers - warm_hits) as u64)
-            .finish(),
-        PlatformEvent::AutoscaleUp { instances, boot_s } => o
-            .u64("instances", instances as u64)
-            .f64("boot_s", boot_s)
-            .finish(),
-        PlatformEvent::AutoscaleDown { instances } => o.u64("instances", instances as u64).finish(),
+            .u64("cold_starts", (workers - warm_hits) as u64),
+        PlatformEvent::AutoscaleUp { instances, boot_s } => {
+            o.u64("instances", instances as u64).f64("boot_s", boot_s)
+        }
+        PlatformEvent::AutoscaleDown { instances } => o.u64("instances", instances as u64),
         PlatformEvent::SpotReclaim {
             job,
             attempt,
@@ -653,15 +733,14 @@ fn platform_json(at: SimTime, ev: &PlatformEvent) -> String {
             .u64("job", job)
             .u64("attempt", attempt as u64)
             .u64("workers", workers as u64)
-            .f64("held_s", held_s)
-            .finish(),
+            .f64("held_s", held_s),
         PlatformEvent::CheckpointWrite { job, writes } => {
-            o.u64("job", job).u64("writes", writes as u64).finish()
+            o.u64("job", job).u64("writes", writes as u64)
         }
         PlatformEvent::CheckpointRestore { job, epochs } => {
-            o.u64("job", job).u64("epochs", epochs as u64).finish()
+            o.u64("job", job).u64("epochs", epochs as u64)
         }
-    }
+    };
 }
 
 impl FleetObserver for RecordingObserver {
@@ -898,38 +977,42 @@ impl ThroughputProbe {
     /// JSON report of the probe. Wall-clock figures are inherently
     /// nondeterministic; keep this out of byte-diffed artifacts.
     pub fn to_json(&self) -> String {
-        let spans: Vec<String> = self
+        let runs: usize = self
             .per_run
             .iter()
-            .map(|r| {
-                JsonObject::new()
-                    .str("policy", &r.policy)
-                    .u64("seed", r.seed)
-                    .u64("events", r.events)
-                    .f64("secs", r.secs)
-                    .f64("events_per_sec", r.events_per_sec())
-                    .finish()
-            })
-            .collect();
-        JsonObject::new()
-            .str("schema", "lml-fleet/throughput/v1")
-            .u64("runs", self.runs)
-            .u64("sim_events", self.heap_pops)
-            .u64("heap_pushes", self.heap_pushes)
-            .u64("heap_pops", self.heap_pops)
-            .u64("observer_events", self.observer_events)
-            .f64("wall_secs", self.wall_secs())
-            .f64("events_per_sec", self.events_per_sec())
-            .f64("busy_secs", self.busy_secs())
-            .f64("events_per_busy_sec", self.events_per_busy_sec())
-            .u64("workers", self.workers as u64)
-            .raw("per_run", &crate::json::array(&spans))
-            .u64("peak_resident_jobs", self.peak_resident_jobs)
-            .u64("arrivals_streamed", self.arrivals_streamed)
-            .u64("peak_queue_depth", self.peak_queue_depth)
-            .u64("alloc_count", self.alloc_count)
-            .u64("alloc_bytes", self.alloc_bytes)
-            .finish()
+            .map(|r| json::object_bound(RUN_KEYS) + json::quoted_bound(&r.policy) + 1)
+            .sum();
+        let bound =
+            json::object_bound(PROBE_KEYS) + json::quoted_bound("lml-fleet/throughput/v1") + runs;
+        json::document(bound, |o| {
+            o.str("schema", "lml-fleet/throughput/v1")
+                .u64("runs", self.runs)
+                .u64("sim_events", self.heap_pops)
+                .u64("heap_pushes", self.heap_pushes)
+                .u64("heap_pops", self.heap_pops)
+                .u64("observer_events", self.observer_events)
+                .f64("wall_secs", self.wall_secs())
+                .f64("events_per_sec", self.events_per_sec())
+                .f64("busy_secs", self.busy_secs())
+                .f64("events_per_busy_sec", self.events_per_busy_sec())
+                .u64("workers", self.workers as u64)
+                .array("per_run", |a| {
+                    for r in &self.per_run {
+                        a.object(|o| {
+                            o.str("policy", &r.policy)
+                                .u64("seed", r.seed)
+                                .u64("events", r.events)
+                                .f64("secs", r.secs)
+                                .f64("events_per_sec", r.events_per_sec());
+                        });
+                    }
+                })
+                .u64("peak_resident_jobs", self.peak_resident_jobs)
+                .u64("arrivals_streamed", self.arrivals_streamed)
+                .u64("peak_queue_depth", self.peak_queue_depth)
+                .u64("alloc_count", self.alloc_count)
+                .u64("alloc_bytes", self.alloc_bytes);
+        })
     }
 
     /// One-line human summary.
@@ -948,6 +1031,27 @@ impl ThroughputProbe {
         )
     }
 }
+
+const PROBE_KEYS: &[&str] = &[
+    "schema",
+    "runs",
+    "sim_events",
+    "heap_pushes",
+    "heap_pops",
+    "observer_events",
+    "wall_secs",
+    "events_per_sec",
+    "busy_secs",
+    "events_per_busy_sec",
+    "workers",
+    "per_run",
+    "peak_resident_jobs",
+    "arrivals_streamed",
+    "peak_queue_depth",
+    "alloc_count",
+    "alloc_bytes",
+];
+const RUN_KEYS: &[&str] = &["policy", "seed", "events", "secs", "events_per_sec"];
 
 impl FleetObserver for ThroughputProbe {
     fn begin(&mut self, policy: &str, seed: u64, _n_jobs: usize) {
@@ -989,6 +1093,9 @@ impl FleetObserver for ThroughputProbe {
         }
     }
 }
+
+#[cfg(test)]
+mod emit_oracle;
 
 #[cfg(test)]
 mod tests {
