@@ -48,8 +48,6 @@ pub const B_N_C5: f64 = 225e6;
 pub const L_N_C5: f64 = 1.5e-4;
 /// ElastiCache bandwidth, cache.t3.medium.
 pub const B_EC_T3: f64 = 630e6;
-/// ElastiCache bandwidth, cache.m5.large.
-pub const B_EC_M5: f64 = 1_260e6;
 /// ElastiCache latency.
 pub const L_EC: f64 = 1e-2;
 

@@ -16,20 +16,13 @@ pub fn crate_opts(package: &str) -> LintOpts {
         // contract; a HashMap in the data-prep or linalg layers cannot leak
         // iteration order into sweep JSON.
         hash_collections: matches!(package, "lml-sim" | "lml-fleet"),
-        // Wall clocks are banned everywhere except the bench harness,
-        // whose whole job is measuring wall time.
-        wall_clock: package != "lml-bench",
+        // Wall clocks are banned everywhere: the simulators run on virtual
+        // `SimTime`, and wall time is measured from outside (`benchmark/`).
+        wall_clock: true,
         float_eq: true,
         static_mut: true,
     }
 }
-
-/// Files allowed to read wall clocks despite their crate's ban.
-/// `observe.rs` hosts the `ThroughputProbe` self-profiler: its `Instant`
-/// reads feed the probe's own report, never simulation state — the
-/// separation the probe's docs promise is exactly what this allowlist
-/// pins down.
-pub const WALL_CLOCK_ALLOWED_FILES: [&str; 1] = ["crates/fleet/src/observe.rs"];
 
 /// The hand-rolled JSON emitters whose field sets are schema-locked.
 /// `fleet/src/json.rs` is the generic writer — it emits no fields of its

@@ -10,9 +10,8 @@
 //! Three passes share one hand-rolled lexer ([`lexer`]):
 //!
 //! * [`lints`] — **determinism lints**: `HashMap`/`HashSet` in the
-//!   simulation crates, `Instant`/`SystemTime` outside the allowlisted
-//!   observer probe, float `==`/`!=`, and `static mut`. Waivable inline
-//!   with `// lml-analyze: allow(<lint>)`.
+//!   simulation crates, `Instant`/`SystemTime` anywhere, float `==`/`!=`,
+//!   and `static mut`. Waivable inline with `// lml-analyze: allow(<lint>)`.
 //! * [`mod@panic`] — a **panic-surface ratchet**: per-crate `unwrap` / `expect`
 //!   / `panic!` / `[idx]` counts held to `crates/analyze/panic_budget.toml`,
 //!   which can only shrink.
@@ -131,15 +130,8 @@ pub fn analyze(root: &Path) -> io::Result<Analysis> {
             let rel_path = rel(root, &file);
             let source = fs::read_to_string(&file)?;
             let lexed = lexer::lex(&source);
-            let wall_clock_allowed = config::WALL_CLOCK_ALLOWED_FILES
-                .iter()
-                .any(|f| *f == rel_path);
-            a.findings.extend(lints::check_file(
-                &rel_path,
-                &lexed,
-                opts,
-                wall_clock_allowed,
-            ));
+            a.findings
+                .extend(lints::check_file(&rel_path, &lexed, opts));
             counts.add(panic::count(&lexed.tokens));
             for emitter in config::EMITTERS {
                 if emitter.file == rel_path {

@@ -199,17 +199,7 @@ pub fn test_mask(tokens: &[Token]) -> Vec<bool> {
 }
 
 /// Run the determinism lints on one lexed file.
-///
-/// `wall_clock_allowed` suppresses the wall-clock lint for an allowlisted
-/// file (the `observe.rs` throughput probe is the one sanctioned clock
-/// reader in `lml-fleet` — it feeds self-profiling output, never simulation
-/// state).
-pub fn check_file(
-    file: &str,
-    lexed: &Lexed,
-    opts: LintOpts,
-    wall_clock_allowed: bool,
-) -> Vec<Finding> {
+pub fn check_file(file: &str, lexed: &Lexed, opts: LintOpts) -> Vec<Finding> {
     let tokens = &lexed.tokens;
     let mask = test_mask(tokens);
     let waivers = Waivers::parse(&lexed.comments);
@@ -241,17 +231,13 @@ pub fn check_file(
                     ),
                 );
             }
-            TokenKind::Ident(s)
-                if opts.wall_clock
-                    && !wall_clock_allowed
-                    && (s == "Instant" || s == "SystemTime") =>
-            {
+            TokenKind::Ident(s) if opts.wall_clock && (s == "Instant" || s == "SystemTime") => {
                 report(
                     WALL_CLOCK,
                     t.line,
                     format!(
-                        "`{s}` outside the allowlisted observer probe: simulation logic must \
-                         read virtual `SimTime` only — wall clocks differ across runs"
+                        "`{s}` in workspace code: simulation logic must read virtual \
+                         `SimTime` only — wall clocks differ across runs"
                     ),
                 );
             }
@@ -311,7 +297,7 @@ mod tests {
     };
 
     fn lints_of(src: &str) -> Vec<String> {
-        check_file("t.rs", &lex(src), ALL, false)
+        check_file("t.rs", &lex(src), ALL)
             .into_iter()
             .map(|f| f.lint)
             .collect()

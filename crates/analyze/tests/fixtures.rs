@@ -3,9 +3,10 @@
 //!
 //! The corpus under `tests/fixtures/violations/` is a miniature workspace
 //! (never compiled — only lexed): a determinism-critical `sim` crate
-//! containing one representative of every determinism lint, a zeroed panic
-//! budget the fixture source exceeds, and a schema lock listing a field the
-//! fixture emitter no longer writes.
+//! containing one representative of every determinism lint, a `fleet`
+//! crate whose only violation is a wall-clock read in `observe.rs`, a
+//! zeroed panic budget the fixture source exceeds, and a schema lock
+//! listing a field the fixture emitter no longer writes.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -46,11 +47,28 @@ fn determinism_findings_point_into_the_sim_crate() {
         let f = report
             .findings
             .iter()
-            .find(|f| f.lint == lint)
-            .unwrap_or_else(|| panic!("missing {lint}"));
-        assert_eq!(f.file, "crates/sim/src/lib.rs", "{lint}");
+            .find(|f| f.lint == lint && f.file == "crates/sim/src/lib.rs")
+            .unwrap_or_else(|| panic!("missing {lint} in the sim crate"));
+        assert!(f.gating, "{lint} gates");
         assert!(f.line > 0, "{lint} carries a line number");
     }
+}
+
+#[test]
+fn a_wall_clock_in_the_fleet_observer_gates() {
+    let report = violations_report();
+    let fleet: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.file.starts_with("crates/fleet/"))
+        .collect();
+    assert_eq!(fleet.len(), 1, "{fleet:?}");
+    let f = fleet[0];
+    assert_eq!(
+        (f.file.as_str(), f.lint.as_str(), f.line, f.gating),
+        ("crates/fleet/src/observe.rs", "wall-clock", 12, true),
+        "{f:?}"
+    );
 }
 
 #[test]
@@ -90,16 +108,4 @@ fn schema_field_removal_is_the_only_schema_error() {
         .findings
         .iter()
         .any(|f| f.lint == "schema-docs-drift"));
-}
-
-#[test]
-fn the_clean_fixture_crate_reports_nothing() {
-    let report = violations_report();
-    assert!(
-        !report
-            .findings
-            .iter()
-            .any(|f| f.file.starts_with("crates/fleet/") && f.gating),
-        "fleet fixture files are clean"
-    );
 }

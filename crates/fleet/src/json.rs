@@ -1,11 +1,11 @@
 //! Minimal deterministic JSON writer.
 //!
-//! The fleet's documents (`lml-fleet/metrics/v1`, `lml-fleet/trace/v1`,
-//! the Chrome trace export and the throughput report) are written by this
-//! tiny hand-rolled emitter: no serialization crate is vendored in this
-//! offline build. Fields appear in insertion order, floats use Rust's
-//! shortest-roundtrip formatting, and nothing iterates a `HashMap`, so two
-//! runs with the same inputs produce byte-identical output.
+//! The fleet's documents (`lml-fleet/metrics/v1`, `lml-fleet/trace/v1`
+//! and the Chrome trace export) are written by this tiny hand-rolled
+//! emitter: no serialization crate is vendored in this offline build.
+//! Fields appear in insertion order, floats use Rust's shortest-roundtrip
+//! formatting, and nothing iterates a `HashMap`, so two runs with the same
+//! inputs produce byte-identical output.
 //!
 //! One buffer per document: [`document`] reserves one `String` to the
 //! caller's upper bound and every nested object and array is written into

@@ -79,7 +79,7 @@
 //!   scheduler decision audits, platform events, windowed gauges), with a
 //!   zero-cost [`NullObserver`] default, an in-memory [`RecordingObserver`]
 //!   (byte-stable `lml-fleet/trace/v1` JSON + Chrome trace-event export),
-//!   and a [`ThroughputProbe`] self-profiler.
+//!   and a [`RollupCollector`] for per-window metric rollups.
 
 #![forbid(unsafe_code)]
 
@@ -113,7 +113,7 @@ pub use metrics::{
 };
 pub use observe::{
     AttemptSpan, Decision, DecisionRecord, FleetEvent, FleetObserver, GaugeSample, NullObserver,
-    PlatformEvent, RecordingObserver, ReplayStats, RollupCollector, ThroughputProbe,
+    PlatformEvent, RecordingObserver, ReplayStats, RollupCollector,
 };
 pub use opendc::OpenDcSource;
 pub use platform::{FaasConfig, FaasRegion, IaasConfig, IaasPool, SpotConfig, SpotTier};

@@ -33,9 +33,10 @@
 //!   `lml-fleet/trace/v1`) and a Chrome trace-event exporter
 //!   ([`RecordingObserver::to_chrome_trace`]) loadable in Perfetto or
 //!   `chrome://tracing`.
-//! * [`ThroughputProbe`] — a self-profiler counting simulator events, heap
-//!   operations, and wall-clock events/second: the baseline number for the
-//!   ROADMAP's ≥10× sim-speed item.
+//! * [`RollupCollector`] — collects the incremental per-window metric
+//!   rollups ([`FleetObserver::rollup_period`]) and the run's
+//!   [`ReplayStats`], and nothing else: the constant-memory way to watch a
+//!   streamed replay.
 //!
 //! Determinism contract: with the default `NullObserver` nothing changes —
 //! no extra events enter the queue and every metrics byte matches the
@@ -296,9 +297,9 @@ pub trait FleetObserver: Send {
     /// before [`FleetObserver::end`]. Called on every observer, active or
     /// not (it carries no per-event payload).
     fn replay(&mut self, _stats: &ReplayStats) {}
-    /// The run finished: total event-queue pushes and pops — the heap-ops
-    /// numbers the [`ThroughputProbe`] turns into a baseline. Called on
-    /// every observer, active or not (it carries no per-event payload).
+    /// The run finished: total event-queue pushes and pops — what the repo
+    /// benchmark reports as `sim.heap_ops`. Called on every observer,
+    /// active or not (it carries no per-event payload).
     fn end(&mut self, _pushes: u64, _pops: u64) {}
 }
 
@@ -811,289 +812,6 @@ impl FleetObserver for RollupCollector {
     }
 }
 
-/// One simulator run's span inside a [`ThroughputProbe`]: which run it
-/// was, how many events it processed, and how long the simulation itself
-/// took (trace generation, JSON rendering and file I/O excluded).
-#[derive(Debug, Clone)]
-pub struct RunSpan {
-    /// Scheduler policy name the run used.
-    pub policy: String,
-    /// Run seed.
-    pub seed: u64,
-    /// Event-queue pops this run processed.
-    pub events: u64,
-    /// Wall-clock seconds between the run's `begin` and `end` hooks.
-    pub secs: f64,
-}
-
-impl RunSpan {
-    /// Events per second within this run's own span.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.secs > 0.0 {
-            self.events as f64 / self.secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Self-profiler: how fast does the simulator itself run? Counts observer
-/// deliveries and simulator heap operations, and measures wall-clock
-/// events/second — the baseline the ROADMAP's parallel-sweep/sim-speed
-/// items are scored against. Accumulates across runs, so one probe can
-/// baseline a whole sweep grid; per-cell probes from a parallel sweep are
-/// folded together with [`ThroughputProbe::merge`] in grid order.
-///
-/// Two clocks, two questions:
-/// * [`wall_secs`](ThroughputProbe::wall_secs) — probe creation to now:
-///   the sweep's end-to-end wall clock, I/O and all.
-/// * [`busy_secs`](ThroughputProbe::busy_secs) — the sum of per-run
-///   simulation spans (`begin`→`end`): CPU seconds spent simulating.
-///   Under a parallel sweep `busy_secs` can exceed `wall_secs` — that
-///   surplus IS the speedup.
-#[derive(Debug)]
-pub struct ThroughputProbe {
-    started: std::time::Instant,
-    /// Simulator runs folded into this probe.
-    pub runs: u64,
-    /// Lifecycle + decision + platform + attempt + gauge deliveries.
-    pub observer_events: u64,
-    /// Event-queue pushes across all runs.
-    pub heap_pushes: u64,
-    /// Event-queue pops across all runs.
-    pub heap_pops: u64,
-    /// Closed per-run spans, in completion (or merge) order.
-    pub per_run: Vec<RunSpan>,
-    /// Peak resident job slab occupancy across the folded runs (max over
-    /// runs — the bounded-memory headline for streamed replays).
-    pub peak_resident_jobs: u64,
-    /// Arrivals pulled from trace sources across the folded runs.
-    pub arrivals_streamed: u64,
-    /// Peak event-queue depth across the folded runs (max over runs).
-    pub peak_queue_depth: u64,
-    /// Heap allocations over the probed region, when the driver stamps
-    /// them from a counting allocator (0 = not measured).
-    pub alloc_count: u64,
-    /// Bytes requested by those allocations (0 = not measured).
-    pub alloc_bytes: u64,
-    /// Sweep-engine worker count, when a sweep stamps it (0 = unset).
-    pub workers: usize,
-    busy: std::time::Duration,
-    /// The in-flight run: (policy, seed, begin instant).
-    open_run: Option<(String, u64, std::time::Instant)>,
-}
-
-impl Default for ThroughputProbe {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ThroughputProbe {
-    pub fn new() -> Self {
-        ThroughputProbe {
-            started: std::time::Instant::now(),
-            runs: 0,
-            observer_events: 0,
-            heap_pushes: 0,
-            heap_pops: 0,
-            per_run: Vec::new(),
-            peak_resident_jobs: 0,
-            arrivals_streamed: 0,
-            peak_queue_depth: 0,
-            alloc_count: 0,
-            alloc_bytes: 0,
-            workers: 0,
-            busy: std::time::Duration::ZERO,
-            open_run: None,
-        }
-    }
-
-    /// Stamp the sweep-engine worker count onto the report.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers;
-    }
-
-    /// Wall-clock seconds since the probe was created.
-    pub fn wall_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
-    /// Summed per-run simulation seconds (`begin`→`end` spans only).
-    pub fn busy_secs(&self) -> f64 {
-        self.busy.as_secs_f64()
-    }
-
-    /// Simulator events processed per wall-clock second — the headline
-    /// baseline number.
-    pub fn events_per_sec(&self) -> f64 {
-        let w = self.wall_secs();
-        if w > 0.0 {
-            self.heap_pops as f64 / w
-        } else {
-            0.0
-        }
-    }
-
-    /// Simulator events processed per *simulation* second — excludes the
-    /// sweep's trace generation, JSON rendering and file I/O, so it tracks
-    /// the event loop itself.
-    pub fn events_per_busy_sec(&self) -> f64 {
-        let b = self.busy_secs();
-        if b > 0.0 {
-            self.heap_pops as f64 / b
-        } else {
-            0.0
-        }
-    }
-
-    /// Fold another probe's counters and spans into this one. The caller
-    /// merges in grid order, so the combined `per_run` list is
-    /// deterministic however the cells were scheduled; the earliest
-    /// creation instant wins, keeping `wall_secs` the whole sweep's span.
-    pub fn merge(&mut self, other: ThroughputProbe) {
-        debug_assert!(other.open_run.is_none(), "merge after the run ended");
-        self.started = self.started.min(other.started);
-        self.runs += other.runs;
-        self.observer_events += other.observer_events;
-        self.heap_pushes += other.heap_pushes;
-        self.heap_pops += other.heap_pops;
-        self.busy += other.busy;
-        self.per_run.extend(other.per_run);
-        self.peak_resident_jobs = self.peak_resident_jobs.max(other.peak_resident_jobs);
-        self.arrivals_streamed += other.arrivals_streamed;
-        self.peak_queue_depth = self.peak_queue_depth.max(other.peak_queue_depth);
-        self.alloc_count += other.alloc_count;
-        self.alloc_bytes += other.alloc_bytes;
-    }
-
-    /// Stamp heap-allocation totals measured over the probed region (a
-    /// counting-allocator delta supplied by the caller).
-    pub fn set_alloc(&mut self, count: u64, bytes: u64) {
-        self.alloc_count = count;
-        self.alloc_bytes = bytes;
-    }
-
-    /// JSON report of the probe. Wall-clock figures are inherently
-    /// nondeterministic; keep this out of byte-diffed artifacts.
-    pub fn to_json(&self) -> String {
-        let runs: usize = self
-            .per_run
-            .iter()
-            .map(|r| json::object_bound(RUN_KEYS) + json::quoted_bound(&r.policy) + 1)
-            .sum();
-        let bound =
-            json::object_bound(PROBE_KEYS) + json::quoted_bound("lml-fleet/throughput/v1") + runs;
-        json::document(bound, |o| {
-            o.str("schema", "lml-fleet/throughput/v1")
-                .u64("runs", self.runs)
-                .u64("sim_events", self.heap_pops)
-                .u64("heap_pushes", self.heap_pushes)
-                .u64("heap_pops", self.heap_pops)
-                .u64("observer_events", self.observer_events)
-                .f64("wall_secs", self.wall_secs())
-                .f64("events_per_sec", self.events_per_sec())
-                .f64("busy_secs", self.busy_secs())
-                .f64("events_per_busy_sec", self.events_per_busy_sec())
-                .u64("workers", self.workers as u64)
-                .array("per_run", |a| {
-                    for r in &self.per_run {
-                        a.object(|o| {
-                            o.str("policy", &r.policy)
-                                .u64("seed", r.seed)
-                                .u64("events", r.events)
-                                .f64("secs", r.secs)
-                                .f64("events_per_sec", r.events_per_sec());
-                        });
-                    }
-                })
-                .u64("peak_resident_jobs", self.peak_resident_jobs)
-                .u64("arrivals_streamed", self.arrivals_streamed)
-                .u64("peak_queue_depth", self.peak_queue_depth)
-                .u64("alloc_count", self.alloc_count)
-                .u64("alloc_bytes", self.alloc_bytes);
-        })
-    }
-
-    /// One-line human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "throughput: {} runs | {} sim events | {} heap ops | {:.2}s wall | \
-             {:.3}s sim | {:.0} events/s wall | {:.0} events/s sim | {} workers",
-            self.runs,
-            self.heap_pops,
-            self.heap_pushes + self.heap_pops,
-            self.wall_secs(),
-            self.busy_secs(),
-            self.events_per_sec(),
-            self.events_per_busy_sec(),
-            self.workers,
-        )
-    }
-}
-
-const PROBE_KEYS: &[&str] = &[
-    "schema",
-    "runs",
-    "sim_events",
-    "heap_pushes",
-    "heap_pops",
-    "observer_events",
-    "wall_secs",
-    "events_per_sec",
-    "busy_secs",
-    "events_per_busy_sec",
-    "workers",
-    "per_run",
-    "peak_resident_jobs",
-    "arrivals_streamed",
-    "peak_queue_depth",
-    "alloc_count",
-    "alloc_bytes",
-];
-const RUN_KEYS: &[&str] = &["policy", "seed", "events", "secs", "events_per_sec"];
-
-impl FleetObserver for ThroughputProbe {
-    fn begin(&mut self, policy: &str, seed: u64, _n_jobs: usize) {
-        self.open_run = Some((policy.to_string(), seed, std::time::Instant::now()));
-    }
-    fn lifecycle(&mut self, _ev: &FleetEvent) {
-        self.observer_events += 1;
-    }
-    fn decision(&mut self, _d: &DecisionRecord) {
-        self.observer_events += 1;
-    }
-    fn platform(&mut self, _at: SimTime, _ev: &PlatformEvent) {
-        self.observer_events += 1;
-    }
-    fn attempt(&mut self, _s: &AttemptSpan) {
-        self.observer_events += 1;
-    }
-    fn gauges(&mut self, _g: &GaugeSample) {
-        self.observer_events += 1;
-    }
-    fn replay(&mut self, stats: &ReplayStats) {
-        self.peak_resident_jobs = self.peak_resident_jobs.max(stats.peak_resident_jobs);
-        self.arrivals_streamed += stats.arrivals_streamed;
-        self.peak_queue_depth = self.peak_queue_depth.max(stats.peak_queue_depth);
-    }
-    fn end(&mut self, pushes: u64, pops: u64) {
-        self.runs += 1;
-        self.heap_pushes += pushes;
-        self.heap_pops += pops;
-        if let Some((policy, seed, at)) = self.open_run.take() {
-            let span = at.elapsed();
-            self.busy += span;
-            self.per_run.push(RunSpan {
-                policy,
-                seed,
-                events: pops,
-                secs: span.as_secs_f64(),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod emit_oracle;
 
@@ -1177,53 +895,6 @@ mod tests {
         let trace = obs.to_chrome_trace();
         assert!(trace.starts_with(r#"{"traceEvents":["#));
         assert!(trace.contains(r#""name":"run","ph":"X","ts":15000000.0,"dur":20000000.0"#));
-    }
-
-    #[test]
-    fn probe_counts_heap_ops() {
-        let mut p = ThroughputProbe::new();
-        p.end(10, 8);
-        p.end(5, 5);
-        assert_eq!(p.runs, 2);
-        assert_eq!(p.heap_pushes, 15);
-        assert_eq!(p.heap_pops, 13);
-        assert!(p.to_json().contains(r#""sim_events":13"#));
-    }
-
-    #[test]
-    fn probe_folds_replay_stats_and_merge_takes_peak_max() {
-        let mut a = ThroughputProbe::new();
-        a.replay(&ReplayStats {
-            arrivals_streamed: 400,
-            peak_resident_jobs: 12,
-            peak_queue_depth: 9,
-        });
-        a.end(10, 10);
-        let mut b = ThroughputProbe::new();
-        b.replay(&ReplayStats {
-            arrivals_streamed: 600,
-            peak_resident_jobs: 30,
-            peak_queue_depth: 25,
-        });
-        b.end(10, 10);
-        b.set_alloc(70, 4096);
-        a.merge(b);
-        assert_eq!(a.arrivals_streamed, 1000, "arrivals sum");
-        assert_eq!(a.peak_resident_jobs, 30, "peak is a max, not a sum");
-        assert_eq!(a.peak_queue_depth, 25, "queue depth is a max too");
-        assert_eq!((a.alloc_count, a.alloc_bytes), (70, 4096), "allocs sum");
-        let json = a.to_json();
-        assert!(json.contains(r#""peak_resident_jobs":30"#));
-        assert!(json.contains(r#""arrivals_streamed":1000"#));
-        assert!(json.contains(r#""peak_queue_depth":25"#));
-        assert!(json.contains(r#""alloc_count":70"#));
-        assert!(json.contains(r#""alloc_bytes":4096"#));
-        // Additive schema: the new fields land after the existing ones.
-        let per_run = json.find(r#""per_run""#).unwrap();
-        let peak = json.find(r#""peak_resident_jobs""#).unwrap();
-        assert!(peak > per_run);
-        assert!(json.find(r#""peak_queue_depth""#).unwrap() > peak);
-        assert!(json.find(r#""alloc_count""#).unwrap() > peak);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! joined by `array`, and copied into its parent with `.raw(..)`; the
 //! Chrome export found each attempt's reclaim and each platform event's
 //! tenant with a linear scan. All of that is kept here as it was (methods
-//! become functions of the recorder, metrics or probe they render), and
+//! become functions of the recorder or metrics they render), and
 //! the tests assert the writer reproduces it byte for byte.
 
 use super::*;
@@ -464,67 +464,13 @@ fn metrics_json(m: &FleetMetrics) -> String {
         .finish()
 }
 
-fn probe_json(p: &ThroughputProbe) -> String {
-    let spans: Vec<String> = p
-        .per_run
-        .iter()
-        .map(|r| {
-            OldJsonObject::new()
-                .str("policy", &r.policy)
-                .u64("seed", r.seed)
-                .u64("events", r.events)
-                .f64("secs", r.secs)
-                .f64("events_per_sec", r.events_per_sec())
-                .finish()
-        })
-        .collect();
-    OldJsonObject::new()
-        .str("schema", "lml-fleet/throughput/v1")
-        .u64("runs", p.runs)
-        .u64("sim_events", p.heap_pops)
-        .u64("heap_pushes", p.heap_pushes)
-        .u64("heap_pops", p.heap_pops)
-        .u64("observer_events", p.observer_events)
-        .f64("wall_secs", p.wall_secs())
-        .f64("events_per_sec", p.events_per_sec())
-        .f64("busy_secs", p.busy_secs())
-        .f64("events_per_busy_sec", p.events_per_busy_sec())
-        .u64("workers", p.workers as u64)
-        .raw("per_run", &array(&spans))
-        .u64("peak_resident_jobs", p.peak_resident_jobs)
-        .u64("arrivals_streamed", p.arrivals_streamed)
-        .u64("peak_queue_depth", p.peak_queue_depth)
-        .u64("alloc_count", p.alloc_count)
-        .u64("alloc_bytes", p.alloc_bytes)
-        .finish()
-}
-
-/// The probe's two wall-clock readings differ between any two renderings;
-/// blank the first `"wall_secs"` and `"events_per_sec"` values (the
-/// top-level ones) so the rest can be compared byte for byte.
-fn without_wall_clock(json: &str) -> String {
-    let mut out = json.to_string();
-    for key in ["\"wall_secs\":", "\"events_per_sec\":"] {
-        if let Some(at) = out.find(key).map(|i| i + key.len()) {
-            let len = out.get(at..).and_then(|v| v.find([',', '}'])).unwrap_or(0);
-            out.replace_range(at..at + len, "0");
-        }
-    }
-    out
-}
-
-/// The recorder, metrics and probe must render exactly what the old
-/// emitters rendered; the recorder's lookup maps must agree with the old
-/// linear scans.
-fn assert_same_bytes(obs: &RecordingObserver, m: &FleetMetrics, probe: &ThroughputProbe) {
+/// The recorder and metrics must render exactly what the old emitters
+/// rendered; the recorder's lookup maps must agree with the old linear
+/// scans.
+fn assert_same_bytes(obs: &RecordingObserver, m: &FleetMetrics) {
     assert_eq!(obs.to_json(), trace_json(obs), "trace/v1");
     assert_eq!(obs.to_chrome_trace(), chrome_trace(obs), "chrome trace");
     assert_eq!(m.to_json(), metrics_json(m), "metrics/v1");
-    assert_eq!(
-        without_wall_clock(&probe.to_json()),
-        without_wall_clock(&probe_json(probe)),
-        "throughput/v1"
-    );
     let reclaims = obs.reclaims();
     for s in &obs.attempts {
         let held = reclaim_of(obs, s.job, s.attempt, s.substrate);
@@ -548,11 +494,11 @@ fn assert_same_bytes(obs: &RecordingObserver, m: &FleetMetrics, probe: &Throughp
 
 /// A bursty three-tenant fleet with a budget-capped tenant, a hostile spot
 /// market under checkpointed recovery and a small autoscaling IaaS pool,
-/// run armed with the gauge clock and the throughput probe. `hard_cap`
+/// run armed with the gauge clock. `hard_cap`
 /// swaps the deadline-aware scheduler and its hourly budget window for
 /// all-FaaS under a hard cap: no predictions, and refusals with no release
 /// time.
-fn recorded(hard_cap: bool, seed: u64) -> (RecordingObserver, FleetMetrics, ThroughputProbe) {
+fn recorded(hard_cap: bool, seed: u64) -> (RecordingObserver, FleetMetrics) {
     let spec = TenantSpec {
         n_tenants: 3,
         deadline_frac: 0.5,
@@ -580,7 +526,6 @@ fn recorded(hard_cap: bool, seed: u64) -> (RecordingObserver, FleetMetrics, Thro
     cfg.checkpoint = CheckpointPolicy::every(1);
     cfg.iaas.min_instances = 2;
     let mut obs = RecordingObserver::new().with_gauge_period(SimTime::secs(600.0));
-    let mut probe = ThroughputProbe::new();
     let m = if hard_cap {
         simulate_observed(&trace, &cfg, &mut AllFaas, seed, &mut obs)
     } else {
@@ -589,9 +534,7 @@ fn recorded(hard_cap: bool, seed: u64) -> (RecordingObserver, FleetMetrics, Thro
             .with_spot_recovery(cfg.checkpoint);
         simulate_observed(&trace, &cfg, &mut sched, seed, &mut obs)
     };
-    let mut sched = DeadlineAware::for_config(&cfg).with_spot_fraction(0.6);
-    simulate_observed(&trace, &cfg, &mut sched, seed, &mut probe);
-    (obs, m, probe)
+    (obs, m)
 }
 
 #[test]
@@ -601,11 +544,11 @@ fn replays_render_the_same_bytes_as_the_old_emitters() {
     // optional decision field is written both as a number and as `null`.
     let decisions: Vec<&Decision> = runs
         .iter()
-        .flat_map(|(obs, _, _)| obs.decisions.iter().map(|d| &d.decision))
+        .flat_map(|(obs, _)| obs.decisions.iter().map(|d| &d.decision))
         .collect();
     let platform: Vec<&PlatformEvent> = runs
         .iter()
-        .flat_map(|(obs, _, _)| obs.platform.iter().map(|(_, ev)| ev))
+        .flat_map(|(obs, _)| obs.platform.iter().map(|(_, ev)| ev))
         .collect();
     for name in ["admit", "defer", "reject"] {
         assert!(decisions.iter().any(|d| d.name() == name), "no {name}");
@@ -660,20 +603,20 @@ fn replays_render_the_same_bytes_as_the_old_emitters() {
         assert!(seen.iter().any(Option::is_some), "{name} never Some");
         assert!(seen.iter().any(Option::is_none), "{name} never None");
     }
-    let (obs, m, _) = &runs[0];
+    let (obs, m) = &runs[0];
     assert!(
         m.preemptions > 0 && !obs.gauges.is_empty(),
         "spot-heavy, gauged"
     );
-    for (obs, m, probe) in &runs {
-        assert_same_bytes(obs, m, probe);
+    for (obs, m) in &runs {
+        assert_same_bytes(obs, m);
     }
 }
 
-/// A hand-fed recorder, rollup and probe, all named `policy`, with the
+/// A hand-fed recorder and rollup, both named `policy`, with the
 /// widest numbers and an IaaS span sharing a reclaimed spot attempt's
 /// `(job, attempt)` (only spot spans are truncated).
-fn hand_fed(policy: &str) -> (RecordingObserver, FleetMetrics, ThroughputProbe) {
+fn hand_fed(policy: &str) -> (RecordingObserver, FleetMetrics) {
     let mut obs = RecordingObserver::new();
     obs.begin(policy, 3, 2);
     obs.lifecycle(&FleetEvent {
@@ -746,10 +689,7 @@ fn hand_fed(policy: &str) -> (RecordingObserver, FleetMetrics, ThroughputProbe) 
         cost: Cost::usd(0.5),
     };
     let m = FleetMetrics::from_records(policy, 3, vec![record], PlatformTotals::default());
-    let mut probe = ThroughputProbe::new();
-    probe.begin(policy, 3, 1);
-    probe.end(4, 4);
-    (obs, m, probe)
+    (obs, m)
 }
 
 #[test]
@@ -762,10 +702,10 @@ fn escaped_strings_render_the_same_bytes_as_the_old_emitters() {
         "back\\slash",
         "p\"q\\r\ns\tt\ru\u{1}v\u{1f}wé∑",
     ] {
-        let (obs, m, probe) = hand_fed(policy);
-        assert_same_bytes(&obs, &m, &probe);
+        let (obs, m) = hand_fed(policy);
+        assert_same_bytes(&obs, &m);
     }
-    let (obs, _, _) = hand_fed("p\"q\\r\ns\tt\ru\u{1}v\u{1f}wé∑");
+    let (obs, _) = hand_fed("p\"q\\r\ns\tt\ru\u{1}v\u{1f}wé∑");
     assert!(obs
         .to_json()
         .contains(r#""policy":"p\"q\\r\ns\tt\ru\u0001v\u001fwé∑""#));

@@ -232,7 +232,6 @@ pub struct IaasPool {
     instance_seconds: f64,
     busy_instance_seconds: f64,
     peak_capacity: usize,
-    scale_ups: u64,
 }
 
 impl IaasPool {
@@ -247,7 +246,6 @@ impl IaasPool {
             instance_seconds: 0.0,
             busy_instance_seconds: 0.0,
             peak_capacity: cfg.min_instances,
-            scale_ups: 0,
         }
     }
 
@@ -308,7 +306,6 @@ impl IaasPool {
             return None;
         }
         self.provisioning += k;
-        self.scale_ups += 1;
         Some((k, SimTime::secs(iaas_startup_table().eval(k as f64))))
     }
 
@@ -358,10 +355,6 @@ impl IaasPool {
 
     pub fn peak_capacity(&self) -> usize {
         self.peak_capacity
-    }
-
-    pub fn scale_up_events(&self) -> u64 {
-        self.scale_ups
     }
 }
 

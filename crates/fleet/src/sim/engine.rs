@@ -263,8 +263,8 @@ pub(super) fn run_replay<S: TraceSource>(
         peak_queue_depth: fleet.events.peak_len() as u64,
     });
     // Arrivals never enter the heap, but they are events all the same:
-    // count them as both pushes and pops so the throughput headline stays
-    // comparable with the batch-scheduled engine.
+    // count them as both pushes and pops so the repo benchmark's
+    // `sim.heap_ops` stays comparable with the batch-scheduled engine.
     let pushes = fleet.events.pushes() + fleet.slab.arrivals();
     fleet.obs.end(pushes, pops);
     Ok(ReplayEnd {

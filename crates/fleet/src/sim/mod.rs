@@ -465,7 +465,7 @@ pub fn simulate(
 /// ```
 /// use lml_fleet::{
 ///     simulate, simulate_observed, AllIaas, ArrivalProcess, FleetConfig, JobMix,
-///     ThroughputProbe, Trace,
+///     RecordingObserver, Trace,
 /// };
 ///
 /// let trace = Trace::generate(
@@ -475,10 +475,9 @@ pub fn simulate(
 ///     7,
 /// );
 /// let cfg = FleetConfig::default();
-/// let mut probe = ThroughputProbe::new();
-/// let m = simulate_observed(&trace, &cfg, &mut AllIaas, 7, &mut probe);
-/// assert_eq!(probe.runs, 1);
-/// assert!(probe.heap_pops > 0 && probe.busy_secs() > 0.0);
+/// let mut obs = RecordingObserver::new();
+/// let m = simulate_observed(&trace, &cfg, &mut AllIaas, 7, &mut obs);
+/// assert_eq!(obs.attempts.len(), 50, "one IaaS dispatch span per job");
 ///
 /// // Passive observer: metrics match the unobserved run exactly.
 /// let unobserved = simulate(&trace, &cfg, &mut AllIaas, 7);

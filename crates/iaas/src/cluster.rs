@@ -50,11 +50,6 @@ impl ClusterSpec {
     pub fn cost(&self, elapsed: SimTime) -> Cost {
         self.instance.hourly() * (elapsed.as_hours() * self.workers as f64)
     }
-
-    /// Aggregate vCPUs across the cluster.
-    pub fn total_vcpus(&self) -> u32 {
-        self.instance.vcpus() * self.workers as u32
-    }
 }
 
 #[cfg(test)]

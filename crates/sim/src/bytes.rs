@@ -38,14 +38,6 @@ impl ByteSize {
         self.0 as f64
     }
 
-    pub fn as_mb(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
-    pub fn as_gb(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Size of `n` f64 values on the wire (8 bytes each) — the default model
     /// payload encoding used throughout.
     pub fn of_f64s(n: usize) -> Self {

@@ -116,14 +116,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Queue sized for a known event population up front, so the hot loop
-    /// never reallocates the backing buffers mid-simulation.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut q = Self::new();
-        q.overflow.reserve(capacity);
-        q
-    }
-
     /// Reserve room for at least `additional` more events.
     pub fn reserve(&mut self, additional: usize) {
         self.overflow.reserve(additional);
@@ -181,17 +173,6 @@ impl<T> EventQueue<T> {
         } else {
             let b = self.bucket_of(t);
             self.buckets[b].push(e);
-        }
-    }
-
-    /// Schedule a batch of `(time, payload)` pairs in iteration order —
-    /// FIFO tie-break sequence numbers are assigned exactly as repeated
-    /// [`push`](Self::push) calls would, after one up-front reservation.
-    pub fn push_batch(&mut self, events: impl IntoIterator<Item = (SimTime, T)>) {
-        let it = events.into_iter();
-        self.reserve(it.size_hint().0);
-        for (time, payload) in it {
-            self.push(time, payload);
         }
     }
 
@@ -317,13 +298,13 @@ impl<T> EventQueue<T> {
     }
 
     /// Total pushes over the queue's lifetime (the FIFO tie-break counter).
-    /// Lets self-profilers report heap traffic without shadow counting.
+    /// Lets observers see heap traffic without shadow counting.
     pub fn pushes(&self) -> u64 {
         self.seq
     }
 
     /// Peak number of pending events over the queue's lifetime — the
-    /// queue-depth statistic surfaced through `ThroughputProbe`.
+    /// queue-depth statistic the fleet engine reports in its `ReplayStats`.
     pub fn peak_len(&self) -> usize {
         self.peak_len
     }
@@ -370,22 +351,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::secs(5.0)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn push_batch_matches_repeated_push() {
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::with_capacity(4);
-        let events = [(2.0, "x"), (1.0, "y"), (2.0, "z"), (0.5, "w")];
-        for &(t, p) in &events {
-            a.push(SimTime::secs(t), p);
-        }
-        b.push_batch(events.iter().map(|&(t, p)| (SimTime::secs(t), p)));
-        assert_eq!(a.pushes(), b.pushes());
-        while let Some(ea) = a.pop() {
-            assert_eq!(Some(ea), b.pop());
-        }
-        assert!(b.pop().is_none());
     }
 
     #[test]

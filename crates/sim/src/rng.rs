@@ -90,11 +90,6 @@ impl Pcg64 {
         }
     }
 
-    /// Normal with given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std: f64) -> f64 {
-        mean + std * self.normal()
-    }
-
     /// Bernoulli trial with success probability `p`.
     pub fn coin(&mut self, p: f64) -> bool {
         self.uniform() < p

@@ -27,7 +27,7 @@
 
 use lambdaml::fleet::{
     simulate_observed, ArrivalProcess, CheckpointPolicy, DeadlineAware, Decision, FleetConfig,
-    JobMix, RecordingObserver, Route, TenantSpec, ThroughputProbe, Trace,
+    JobMix, RecordingObserver, Route, TenantSpec, Trace,
 };
 use lambdaml::sim::SimTime;
 use std::path::PathBuf;
@@ -180,24 +180,4 @@ fn main() {
         "wrote {}/trace.json and chrome_trace.json — load the latter at https://ui.perfetto.dev",
         dir.display()
     );
-
-    // ---- Self-profile -------------------------------------------------
-    // Same run through the ThroughputProbe sink: wall-clock numbers go to
-    // stdout only (never into the byte-diffed files above).
-    let mut probe = ThroughputProbe::new();
-    let mut sched = DeadlineAware::for_config(&cfg)
-        .with_spot_fraction(0.6)
-        .with_spot_recovery(cfg.checkpoint);
-    let m2 = simulate_observed(&trace, &cfg, &mut sched, seed, &mut probe);
-    assert_eq!(
-        m2.to_json(),
-        {
-            let mut sched = DeadlineAware::for_config(&cfg)
-                .with_spot_fraction(0.6)
-                .with_spot_recovery(cfg.checkpoint);
-            lambdaml::fleet::simulate(&trace, &cfg, &mut sched, seed).to_json()
-        },
-        "a gauge-free observer leaves the metrics byte-identical"
-    );
-    println!("{}", probe.summary());
 }

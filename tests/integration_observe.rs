@@ -7,8 +7,8 @@
 
 use lambdaml::fleet::{
     simulate, simulate_observed, ArrivalProcess, CheckpointPolicy, DeadlineAware, Decision,
-    FleetConfig, FleetMetrics, JobLifecycle, JobMix, NullObserver, PlatformEvent,
-    RecordingObserver, TenantSpec, ThroughputProbe, Trace,
+    FleetConfig, FleetMetrics, FleetObserver, JobLifecycle, JobMix, NullObserver, PlatformEvent,
+    RecordingObserver, ReplayStats, TenantSpec, Trace,
 };
 use lambdaml::sim::SimTime;
 
@@ -174,9 +174,36 @@ fn null_observer_is_behaviorally_inert() {
     let mut recording = RecordingObserver::new();
     let recorded = simulate_observed(&trace, &cfg, &mut sched, 42, &mut recording).to_json();
     assert_eq!(plain, recorded, "gauge-free recording changed the metrics");
+    // The end-of-run hooks reach an active observer with the run's real
+    // counters, and listening to them changes nothing either.
     let mut sched = scheduler(&cfg);
-    let mut probe = ThroughputProbe::new();
-    let probed = simulate_observed(&trace, &cfg, &mut sched, 42, &mut probe).to_json();
-    assert_eq!(plain, probed, "ThroughputProbe changed the metrics");
-    assert!(probe.heap_pops > 0 && probe.heap_pushes >= probe.heap_pops);
+    let mut tally = EndTally::default();
+    let tallied = simulate_observed(&trace, &cfg, &mut sched, 42, &mut tally).to_json();
+    assert_eq!(
+        plain, tallied,
+        "listening to replay/end changed the metrics"
+    );
+    let stats = tally.replay.expect("replay delivered before end");
+    let (pushes, pops) = tally.end.expect("end delivered");
+    assert!(
+        pushes >= pops && pops > 0,
+        "heap ops {pushes} >= {pops} > 0"
+    );
+    assert_eq!(stats.arrivals_streamed, trace.len() as u64);
+}
+
+/// Records what the two end-of-run hooks deliver.
+#[derive(Default)]
+struct EndTally {
+    replay: Option<ReplayStats>,
+    end: Option<(u64, u64)>,
+}
+
+impl FleetObserver for EndTally {
+    fn replay(&mut self, stats: &ReplayStats) {
+        self.replay = Some(*stats);
+    }
+    fn end(&mut self, pushes: u64, pops: u64) {
+        self.end = Some((pushes, pops));
+    }
 }
