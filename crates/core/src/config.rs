@@ -122,10 +122,6 @@ pub struct JobConfig {
     pub lr: LrSchedule,
     pub stop: StopSpec,
     pub backend: Backend,
-    /// Evaluate validation loss every this many communication rounds
-    /// (`0` = auto: ~4 evaluations per epoch, at least every round for
-    /// round-per-epoch algorithms).
-    pub eval_every: usize,
     pub seed: u64,
 }
 
@@ -137,7 +133,6 @@ impl JobConfig {
             lr: LrSchedule::Const(lr),
             stop,
             backend: Backend::faas_default(),
-            eval_every: 0,
             seed: 42,
         }
     }
@@ -152,22 +147,15 @@ impl JobConfig {
         self
     }
 
-    pub fn with_eval_every(mut self, rounds: usize) -> Self {
-        self.eval_every = rounds;
-        self
-    }
-
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
-    /// Resolve the evaluation cadence for a partition of `partition_len`
-    /// rows.
+    /// Evaluate validation loss every this many communication rounds for a
+    /// partition of `partition_len` rows: ~4 evaluations per epoch, at
+    /// least every round for round-per-epoch algorithms.
     pub fn resolved_eval_every(&self, partition_len: usize) -> usize {
-        if self.eval_every > 0 {
-            return self.eval_every;
-        }
         let per_epoch = self.algorithm.rounds_per_epoch(partition_len);
         ((per_epoch / 4.0).floor() as usize).max(1)
     }
@@ -208,7 +196,5 @@ mod tests {
         // EM: 1 round/epoch → every round
         let em = JobConfig::new(4, Algorithm::Em, 0.0, StopSpec::new(0.5, 10));
         assert_eq!(em.resolved_eval_every(1_000), 1);
-        // explicit override wins
-        assert_eq!(cfg.with_eval_every(7).resolved_eval_every(1_000), 7);
     }
 }

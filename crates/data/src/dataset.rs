@@ -197,17 +197,6 @@ impl Dataset {
             }
         }
     }
-
-    /// In-memory footprint of the stored examples in bytes (used for the
-    /// Lambda 3 GB memory-limit check).
-    pub fn storage_bytes(&self) -> u64 {
-        match self {
-            Dataset::Dense(d) => (d.len() as u64) * (d.dim() as u64 + 1) * 8,
-            Dataset::Sparse(d) => {
-                d.rows.iter().map(|r| r.wire_bytes()).sum::<u64>() + d.len() as u64 * 8
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -277,12 +266,6 @@ mod tests {
         } else {
             unreachable!()
         }
-    }
-
-    #[test]
-    fn storage_bytes_positive() {
-        assert!(dense3().storage_bytes() > 0);
-        assert!(sparse3().storage_bytes() > 0);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! LIBSVM text format.
 //!
 //! The paper's artifact distributes dataset partitions as LIBSVM files on
-//! S3 (`<label> <index>:<value> ...`, 1-based indices). The reader/writer
-//! here round-trips both layouts and is used by the `custom_dataset`
-//! example and the loader tests.
+//! S3 (`<label> <index>:<value> ...`, 1-based indices). The reader here
+//! parses into a sparse dataset and the writer serializes either layout;
+//! both are used by the `custom_dataset` example and the loader tests.
 
-use crate::dataset::{Dataset, DenseDataset, SparseDataset};
-use lml_linalg::{Matrix, SparseVec};
+use crate::dataset::{Dataset, SparseDataset};
+use lml_linalg::SparseVec;
 use std::fmt::Write as _;
 
 /// Parse error for LIBSVM input.
@@ -84,19 +84,6 @@ pub fn parse_sparse(text: &str, dim: usize) -> Result<SparseDataset, ParseError>
     Ok(SparseDataset::new(rows, labels, dim))
 }
 
-/// Parse LIBSVM text into a dense dataset of exactly `dim` columns.
-pub fn parse_dense(text: &str, dim: usize) -> Result<DenseDataset, ParseError> {
-    let sparse = parse_sparse(text, dim)?;
-    let n = sparse.len();
-    let mut m = Matrix::zeros(n, dim);
-    for r in 0..n {
-        for (i, v) in sparse.row(r).iter() {
-            m.set(r, i as usize, v);
-        }
-    }
-    Ok(DenseDataset::new(m, sparse.labels().to_vec()))
-}
-
 /// Serialize a dataset to LIBSVM text (1-based indices; dense zeros are
 /// omitted, matching how the paper's repo ships Higgs).
 pub fn write(data: &Dataset) -> String {
@@ -142,14 +129,6 @@ mod tests {
         assert_eq!(d.labels(), &[1.0, -1.0, 1.0]);
         assert_eq!(d.row(0).indices(), &[0, 2]);
         assert_eq!(d.row(0).values(), &[0.5, 1.5]);
-    }
-
-    #[test]
-    fn parse_dense_fills_zeros() {
-        let d = parse_dense(SAMPLE, 4).unwrap();
-        assert_eq!(d.dim(), 4);
-        assert_eq!(d.row(0), &[0.5, 0.0, 1.5, 0.0]);
-        assert_eq!(d.row(1), &[0.0, 2.0, 0.0, 0.0]);
     }
 
     #[test]

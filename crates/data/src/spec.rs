@@ -54,11 +54,6 @@ impl DatasetSpec {
         ByteSize::bytes((self.paper_bytes.as_f64() / workers as f64) as u64)
     }
 
-    /// Paper-scale instances per worker.
-    pub fn instances_per_worker(&self, workers: usize) -> u64 {
-        self.paper_instances / workers as u64
-    }
-
     /// Convert a paper-scale batch size to the equivalent batch size on the
     /// generated sample, preserving iterations-per-epoch. Clamped to ≥ 1.
     pub fn scaled_batch(&self, paper_batch: usize) -> usize {
@@ -95,7 +90,6 @@ mod tests {
     fn partition_bytes_divides_evenly() {
         let s = higgs_spec();
         assert_eq!(s.partition_bytes(10), ByteSize::bytes(800_000_000));
-        assert_eq!(s.instances_per_worker(10), 1_100_000);
     }
 
     #[test]

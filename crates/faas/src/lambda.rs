@@ -58,11 +58,6 @@ impl LambdaSpec {
         LambdaSpec { memory_mb: 3_008 }
     }
 
-    /// The 1 GB variant used in Table 2.
-    pub fn gb1() -> Self {
-        LambdaSpec { memory_mb: 1_024 }
-    }
-
     pub fn memory(&self) -> ByteSize {
         ByteSize::mb(self.memory_mb as f64)
     }
@@ -124,7 +119,7 @@ mod tests {
     #[test]
     fn vcpu_scaling_matches_table2() {
         assert!((LambdaSpec::gb3().vcpus() - 1.8).abs() < 1e-12);
-        assert!((LambdaSpec::gb1().vcpus() - 0.6127).abs() < 0.02);
+        assert!((LambdaSpec { memory_mb: 1_024 }.vcpus() - 0.6127).abs() < 0.02);
     }
 
     #[test]
@@ -160,7 +155,10 @@ mod tests {
 
     #[test]
     fn bigger_functions_cost_more_per_second() {
-        assert!(LambdaSpec::gb3().price_per_second() > LambdaSpec::gb1().price_per_second());
+        assert!(
+            LambdaSpec::gb3().price_per_second()
+                > LambdaSpec { memory_mb: 1_024 }.price_per_second()
+        );
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl LifetimeManager {
         SimTime::secs(wall)
     }
 
-    /// Whether a segment of `work` would trigger a rollover.
-    pub fn would_rollover(&self, work: SimTime) -> bool {
-        self.in_life + work.as_secs() > self.usable
-    }
-
     pub fn reinvocations(&self) -> u32 {
         self.reinvocations
     }
@@ -129,10 +124,12 @@ mod tests {
 
     #[test]
     fn margin_shrinks_usable_life() {
-        let lm = LifetimeManager::new(SimTime::secs(100.0), SimTime::ZERO);
+        let mut lm = LifetimeManager::new(SimTime::secs(100.0), SimTime::ZERO);
         assert_eq!(lm.remaining(), SimTime::secs(800.0));
-        assert!(lm.would_rollover(SimTime::secs(801.0)));
-        assert!(!lm.would_rollover(SimTime::secs(799.0)));
+        lm.charge(SimTime::secs(799.0));
+        assert_eq!(lm.reinvocations(), 0, "799 s fits in the usable 800 s");
+        lm.charge(SimTime::secs(2.0));
+        assert_eq!(lm.reinvocations(), 1, "crossing 800 s rolls over");
     }
 
     #[test]

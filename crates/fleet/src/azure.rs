@@ -22,7 +22,7 @@
 //! A bundled sample lives at `crates/fleet/data/azure_sample.csv`.
 
 use crate::job::{JobClass, JobRequest, TenantId};
-use crate::stream::TraceSource;
+use crate::stream::{is_csv_header, TraceSource};
 use crate::workload::Trace;
 use lml_sim::SimTime;
 use std::collections::BTreeMap;
@@ -35,36 +35,6 @@ struct AzureRow {
     func: String,
 }
 
-/// FNV-1a 64-bit hash: stable across platforms and runs, used to map
-/// opaque function ids onto the job zoo (here and in the Google adapter).
-pub(crate) fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The job class an Azure function id maps to (deterministic).
-pub fn class_for_function(func: &str) -> JobClass {
-    JobClass::ALL[(fnv1a(func) % JobClass::ALL.len() as u64) as usize]
-}
-
-/// Is this a header line naming the columns? The public traces (and tools
-/// that re-export them) vary the spelling — `end_timestamp_ms`,
-/// `EndTimestampMs`, `End Timestamp (ms)` — so the check normalizes case
-/// and separators on the first field rather than matching one string.
-fn is_header(line: &str) -> bool {
-    let first = line.split(',').next().unwrap_or("");
-    let normalized: String = first
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric())
-        .collect::<String>()
-        .to_ascii_lowercase();
-    normalized.starts_with("endtimestamp")
-}
-
 fn parse_rows(csv: &str) -> Result<Vec<AzureRow>, String> {
     let mut rows = Vec::new();
     for (lineno, line) in csv.lines().enumerate() {
@@ -74,7 +44,7 @@ fn parse_rows(csv: &str) -> Result<Vec<AzureRow>, String> {
         }
         // Skip header lines (also mid-file: concatenated shards re-emit
         // them).
-        if is_header(line) {
+        if is_csv_header(line, "endtimestamp") {
             continue;
         }
         let parts: Vec<&str> = line.split(',').map(str::trim).collect();
@@ -118,7 +88,7 @@ fn parse_rows(csv: &str) -> Result<Vec<AzureRow>, String> {
 
 /// Rows sorted and converted: owners become dense tenant ids in order of
 /// first appearance, function ids select job classes via
-/// [`class_for_function`], and ids are assigned in sorted-time order —
+/// [`JobClass::for_trace_id`], and ids are assigned in sorted-time order —
 /// the same mapping the text shim renders, without the intermediate
 /// `String`.
 fn to_jobs(csv: &str) -> Result<Vec<JobRequest>, String> {
@@ -137,7 +107,7 @@ fn to_jobs(csv: &str) -> Result<Vec<JobRequest>, String> {
                 next += 1;
                 t
             });
-            let class = class_for_function(&r.func);
+            let class = JobClass::for_trace_id(&r.func);
             JobRequest {
                 id: id as u64,
                 class,
@@ -213,17 +183,6 @@ mod tests {
         assert!(src.budgets().unwrap().is_empty());
         let streamed = crate::stream::collect(source(SAMPLE).unwrap()).unwrap();
         assert_eq!(streamed, trace);
-    }
-
-    #[test]
-    fn function_class_mapping_is_stable() {
-        let c = class_for_function("f-abc");
-        assert_eq!(c, class_for_function("f-abc"));
-        // The six-way hash spreads distinct functions over several classes.
-        let classes: std::collections::BTreeSet<_> = (0..40)
-            .map(|i| class_for_function(&format!("func-{i}")))
-            .collect();
-        assert!(classes.len() >= 3, "only {} classes hit", classes.len());
     }
 
     #[test]

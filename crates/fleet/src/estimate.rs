@@ -17,7 +17,7 @@
 //!   actual epoch times, dollars, and cold-start draws, seeded from the
 //!   analytic prior so cold-start behaviour is unchanged;
 //! * [`Hybrid`] — analytic prior morphing into the online posterior as
-//!   observations accumulate (`n / (n + prior_weight)` weighting).
+//!   observations accumulate (`n / (n + PRIOR_WEIGHT)` weighting).
 //!
 //! The point: the fleet simulator can now study what happens when the
 //! model is *wrong* (set [`crate::sim::FleetConfig::epoch_scale`] to
@@ -29,11 +29,11 @@
 //! vs reject an over-budget tenant) are tail decisions, not mean
 //! decisions:
 //!
-//! * [`Estimate::eta_q`] — a calibrated quantile ETA (P95 by default).
+//! * [`Estimate::eta_q`] — a calibrated quantile ETA (at P95).
 //!   [`Online`] turns its deviation EWMA into a margin whose multiplier is
 //!   calibrated online (adaptive-conformal style: the multiplier steps up
 //!   on every miss and down on every cover until empirical coverage
-//!   matches the target quantile).
+//!   matches [`ETA_QUANTILE`]).
 //! * [`RiskModel`] — learned per-(tenant, class) spot preemption rates: a
 //!   Gamma posterior over (preemption events / held instance-seconds),
 //!   seeded from the configured mean so zero observations reproduce the
@@ -69,12 +69,9 @@ pub struct Estimate {
     /// Predicted IaaS dollars (instance-seconds for the run).
     pub c_iaas: f64,
     /// Calibrated [`ETA_QUANTILE`] (P95) runtime margin *above the mean*
-    /// on FaaS, in seconds. Always stored in the P95 convention: an
-    /// estimator calibrating a different target quantile rescales its raw
-    /// margin through the same z-ratio [`Estimate::eta_q`] reads back
-    /// with, so `eta_q(route, target)` returns the calibrated cover point
-    /// exactly. 0 for estimators that carry no spread state (the analytic
-    /// prior, cold-start learners) — their quantile ETA is the mean.
+    /// on FaaS, in seconds. 0 for estimators that carry no spread state
+    /// (the analytic prior, cold-start learners) — their quantile ETA is
+    /// the mean.
     pub m_faas: f64,
     /// Calibrated P95 runtime margin above the mean on IaaS/spot, seconds.
     pub m_iaas: f64,
@@ -161,11 +158,6 @@ impl Estimate {
             z_score(q) / z_score_eta_quantile()
         };
         self.time(route) + self.shift(route) + self.margin(route) * rescale
-    }
-
-    /// The default-risk ETA: [`Estimate::eta_q`] at [`ETA_QUANTILE`].
-    pub fn eta_p95(&self, route: Route) -> f64 {
-        self.eta_q(route, ETA_QUANTILE)
     }
 }
 
@@ -341,12 +333,6 @@ impl Analytic {
         }
     }
 
-    /// Directly pin the epoch estimate for a class (builder style).
-    pub fn with_epochs(mut self, class: JobClass, epochs: f64) -> Self {
-        self.pin_epochs(class, epochs);
-        self
-    }
-
     /// Epochs-to-threshold the prior assumes for `class`.
     pub fn epochs_for(&self, class: JobClass) -> f64 {
         self.epochs[class as usize].unwrap_or_else(|| class.default_epochs())
@@ -409,8 +395,8 @@ struct SubstrateStats {
     /// Calibrated multiplier on `dev` whose product is the
     /// [`ETA_QUANTILE`] margin. Adapted online (adaptive-conformal step:
     /// up by `lr·q` on every miss, down by `lr·(1−q)` on every cover), so
-    /// empirical coverage converges to the target quantile regardless of
-    /// the error distribution's shape.
+    /// empirical coverage converges to [`ETA_QUANTILE`] regardless of the
+    /// error distribution's shape.
     q_mult: f64,
     /// EWMA of the attributed-dollars ratio vs the prior (firm routes
     /// only).
@@ -461,19 +447,14 @@ impl ClassStats {
 #[derive(Debug, Clone)]
 pub struct Online {
     prior: Analytic,
-    /// Weight each new observation gets in the EWMAs.
-    pub alpha: f64,
-    /// Deviations added on top of the mean runtime prediction — a cheap
-    /// quantile blend; 0.0 (the default) predicts the mean.
-    pub margin: f64,
-    /// Target coverage of the calibrated quantile margin carried in
-    /// [`Estimate::m_faas`]/[`Estimate::m_iaas`] (default
-    /// [`ETA_QUANTILE`]).
-    pub target_q: f64,
-    /// Step size of the online coverage calibration.
-    pub calib_lr: f64,
     state: TenantClassMap<ClassStats>,
 }
+
+/// Weight each new observation gets in [`Online`]'s EWMAs.
+const ALPHA: f64 = 0.3;
+
+/// Step size of [`Online`]'s coverage calibration.
+const CALIB_LR: f64 = 0.25;
 
 /// Where the calibrated margin multiplier starts: ≈ the normal-theory
 /// z₉₅/MAD ratio, so the very first margins are plausible before the
@@ -490,39 +471,12 @@ impl Online {
     pub fn new(prior: Analytic) -> Self {
         Online {
             prior,
-            alpha: 0.3,
-            margin: 0.0,
-            target_q: ETA_QUANTILE,
-            calib_lr: 0.25,
             state: TenantClassMap::new(),
         }
     }
 
     pub fn for_config(cfg: &crate::sim::FleetConfig) -> Self {
         Self::new(Analytic::for_config(cfg))
-    }
-
-    /// Set the EWMA observation weight (0 < α ≤ 1).
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        self.alpha = alpha;
-        self
-    }
-
-    /// Predict `mean + margin × deviation` instead of the mean — a
-    /// conservative quantile-style runtime estimate.
-    pub fn with_margin(mut self, margin: f64) -> Self {
-        assert!(margin >= 0.0, "margin must be >= 0");
-        self.margin = margin;
-        self
-    }
-
-    /// Set the target coverage of the calibrated quantile margin
-    /// (0.5 < q < 1).
-    pub fn with_target_q(mut self, q: f64) -> Self {
-        assert!(q > 0.5 && q < 1.0, "target quantile must be in (0.5, 1)");
-        self.target_q = q;
-        self
     }
 
     pub fn prior(&self) -> &Analytic {
@@ -557,23 +511,16 @@ impl Estimator for Online {
         let mut e = self.prior.predict(job);
         if let Some(cs) = self.state.get(job.tenant, job.class) {
             let prior_epochs = self.prior.epochs_for(job.class).max(1.0);
-            // The raw margin `dev × q_mult` is calibrated at `target_q`;
-            // the `Estimate` field contract stores margins in the
-            // ETA_QUANTILE (P95) convention, so rescale through the same
-            // z-ratio `eta_q` reads back with — `eta_q(route, target_q)`
-            // then returns exactly the calibrated cover point, whatever
-            // the target. The factor is 1.0 at the default target.
-            let to_p95 = z_score(ETA_QUANTILE) / z_score(self.target_q);
             // Learned corrections apply multiplicatively to the prior at
-            // *this* job's width: epoch-count ratio × per-epoch slowdown,
-            // plus the margin's share of the relative spread. The quantile
-            // margin is the calibrated multiple of the spread, scaled back
-            // into seconds through the prior at this width.
+            // *this* job's width: epoch-count ratio × per-epoch slowdown.
+            // The quantile margin is the calibrated multiple of the
+            // relative spread, scaled back into seconds through the prior
+            // at this width.
             let correct = |t: &mut f64, c: &mut f64, m: &mut f64, s: &SubstrateStats| {
                 let t_prior = *t;
-                *t = t_prior * (s.epochs / prior_epochs * s.epoch_ratio + self.margin * s.dev);
+                *t = t_prior * (s.epochs / prior_epochs * s.epoch_ratio);
                 *c *= s.cost_ratio;
-                *m = (t_prior * s.dev * s.q_mult * to_p95).max(0.0);
+                *m = (t_prior * s.dev * s.q_mult).max(0.0);
             };
             if let Some(s) = cs.faas {
                 correct(&mut e.t_faas, &mut e.c_faas, &mut e.m_faas, &s);
@@ -613,24 +560,23 @@ impl Estimator for Online {
             // draw seeds the EWMA directly.
             startup: done.startup.as_secs(),
         });
-        let a = self.alpha;
+        let a = ALPHA;
         let epochs_obs = done.epochs_total.max(1) as f64;
         let rel_obs = done.run.as_secs() / t_prior;
         let rel_prev = s.epochs / prior_epochs * s.epoch_ratio;
         // Coverage feedback first, against the quantile this state was
         // predicting *before* the observation teaches it — the mean
-        // correction (including the legacy `margin` blend, which predict()
-        // folds into the mean) plus the calibrated margin, i.e. exactly
-        // the `eta_q` this state was publishing. Step the multiplier up on
-        // a miss, down on a cover, so the long-run cover rate converges to
-        // `target_q` (adaptive conformal — distribution-free).
-        let covered = rel_obs <= rel_prev + (self.margin + s.q_mult) * s.dev;
+        // correction plus the calibrated margin, i.e. exactly the `eta_q`
+        // this state was publishing. Step the multiplier up on a miss,
+        // down on a cover, so the long-run cover rate converges to
+        // [`ETA_QUANTILE`] (adaptive conformal — distribution-free).
+        let covered = rel_obs <= rel_prev + s.q_mult * s.dev;
         let step = if covered {
-            self.target_q - 1.0
+            ETA_QUANTILE - 1.0
         } else {
-            self.target_q
+            ETA_QUANTILE
         };
-        s.q_mult = (s.q_mult + self.calib_lr * step).max(0.0);
+        s.q_mult = (s.q_mult + CALIB_LR * step).max(0.0);
         s.dev = (1.0 - a) * s.dev + a * (rel_obs - rel_prev).abs();
         s.epochs = (1.0 - a) * s.epochs + a * epochs_obs;
         // Per-epoch slowdown: how much longer one epoch really took than
@@ -670,16 +616,17 @@ impl Estimator for Online {
 
 /// Hybrid estimator: analytic prior morphing into the online posterior as
 /// observations accumulate. Each substrate's prediction is the linear
-/// blend `(1 − w) × prior + w × online` with `w = n / (n + prior_weight)`,
+/// blend `(1 − w) × prior + w × online` with `w = n / (n + PRIOR_WEIGHT)`,
 /// so a handful of noisy completions can't yank routing around, but a
 /// sustained miscalibration is eventually fully corrected.
 #[derive(Debug, Clone)]
 pub struct Hybrid {
     online: Online,
-    /// Observation count at which the online posterior carries half the
-    /// weight.
-    pub prior_weight: f64,
 }
+
+/// Observation count at which [`Hybrid`]'s online posterior carries half
+/// the weight.
+const PRIOR_WEIGHT: f64 = 4.0;
 
 impl Default for Hybrid {
     fn default() -> Self {
@@ -691,7 +638,6 @@ impl Hybrid {
     pub fn new(prior: Analytic) -> Self {
         Hybrid {
             online: Online::new(prior),
-            prior_weight: 4.0,
         }
     }
 
@@ -699,17 +645,9 @@ impl Hybrid {
         Self::new(Analytic::for_config(cfg))
     }
 
-    /// Observations needed before the online posterior carries half the
-    /// weight (must be > 0).
-    pub fn with_prior_weight(mut self, w: f64) -> Self {
-        assert!(w > 0.0, "prior weight must be > 0");
-        self.prior_weight = w;
-        self
-    }
-
     fn weight(&self, tenant: TenantId, class: JobClass, route: Route) -> f64 {
         let n = self.online.observations(tenant, class, route) as f64;
-        n / (n + self.prior_weight)
+        n / (n + PRIOR_WEIGHT)
     }
 
     /// Blend weight for the *cost* posterior: counts firm-route cost
@@ -719,7 +657,7 @@ impl Hybrid {
     /// confidence for spot-heavy tenants.
     fn cost_weight(&self, tenant: TenantId, class: JobClass, route: Route) -> f64 {
         let n = self.online.cost_observations(tenant, class, route) as f64;
-        n / (n + self.prior_weight)
+        n / (n + PRIOR_WEIGHT)
     }
 }
 
@@ -802,8 +740,10 @@ pub struct PreemptionObs {
 /// (exponential lifetimes — see [`crate::platform::SpotTier`]), so the
 /// sufficient statistics per key are (preemption events, held
 /// instance-seconds of exposure). The posterior is Gamma–Poisson: the
-/// configured mean time to preempt enters as `prior_weight` pseudo-events
-/// spread over `prior_weight × mttp` pseudo-exposure, so **zero
+/// configured mean time to preempt enters as `PREEMPT_PRIOR_WEIGHT`
+/// pseudo-events spread over `PREEMPT_PRIOR_WEIGHT × mttp` pseudo-exposure
+/// — how much evidence it takes for the posterior to carry half the
+/// weight — so **zero
 /// observations reproduce the static config exactly** and sustained
 /// evidence overturns it. [`RiskModel::frozen`] pins the posterior at the
 /// prior — the static-mean baseline the risk-aware admission is measured
@@ -813,13 +753,13 @@ pub struct RiskModel {
     /// Configured per-instance mean time to preempt — the zero-observation
     /// prior.
     prior_mttp: SimTime,
-    /// Pseudo-events the prior is worth: how much evidence it takes for
-    /// the posterior to carry half the weight.
-    pub prior_weight: f64,
     /// Learning disabled: the posterior never moves off the prior.
     frozen: bool,
     state: TenantClassMap<RateStats>,
 }
+
+/// Pseudo-events [`RiskModel`]'s configured prior is worth.
+const PREEMPT_PRIOR_WEIGHT: f64 = 4.0;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct RateStats {
@@ -840,20 +780,9 @@ impl RiskModel {
         );
         RiskModel {
             prior_mttp,
-            prior_weight: 4.0,
             frozen: false,
             state: TenantClassMap::new(),
         }
-    }
-
-    /// Posterior seeded from a per-instance preemption rate λ (events per
-    /// instance-second) instead of its inverse.
-    pub fn from_rate(rate_per_instance_s: f64) -> Self {
-        assert!(
-            rate_per_instance_s > 0.0 && rate_per_instance_s.is_finite(),
-            "preemption rate must be positive and finite"
-        );
-        Self::new(SimTime::secs(1.0 / rate_per_instance_s))
     }
 
     /// Seeded from the fleet's spot configuration — the prior is exactly
@@ -861,14 +790,12 @@ impl RiskModel {
     /// ([`SpotConfig::preemption_rate_per_instance_s`]), so an unobserved
     /// posterior and the simulated market speak the same λ.
     pub fn for_config(cfg: &SpotConfig) -> Self {
-        Self::from_rate(cfg.preemption_rate_per_instance_s())
-    }
-
-    /// Pseudo-events the prior is worth (must be > 0).
-    pub fn with_prior_weight(mut self, w: f64) -> Self {
-        assert!(w > 0.0, "prior weight must be > 0");
-        self.prior_weight = w;
-        self
+        let rate = cfg.preemption_rate_per_instance_s();
+        assert!(
+            rate > 0.0 && rate.is_finite(),
+            "preemption rate must be positive and finite"
+        );
+        Self::new(SimTime::secs(1.0 / rate))
     }
 
     /// Freeze the posterior at the configured prior — the static-mean
@@ -910,7 +837,8 @@ impl RiskModel {
                 .get(tenant, class)
                 .map_or((0.0, 0.0), |s| (s.events, s.exposure))
         };
-        (self.prior_weight + events) / (self.prior_weight * self.prior_mttp.as_secs() + exposure)
+        (PREEMPT_PRIOR_WEIGHT + events)
+            / (PREEMPT_PRIOR_WEIGHT * self.prior_mttp.as_secs() + exposure)
     }
 
     /// Posterior mean per-instance time to preempt for (tenant, class).
@@ -990,12 +918,12 @@ mod tests {
         };
         // At the calibration point the margin applies verbatim (plus any
         // quantile-invariant shift).
-        assert!((e.eta_p95(Route::Faas) - 12.0).abs() < 1e-12);
+        assert!((e.eta_q(Route::Faas, ETA_QUANTILE) - 12.0).abs() < 1e-12);
         assert!((e.eta_q(Route::Iaas, ETA_QUANTILE) - 25.0).abs() < 1e-12);
         // Monotone in q; the median collapses to the mean.
         assert_eq!(e.eta_q(Route::Iaas, 0.5), 20.0);
-        assert!(e.eta_q(Route::Iaas, 0.99) > e.eta_p95(Route::Iaas));
-        assert!(e.eta_q(Route::Iaas, 0.9) < e.eta_p95(Route::Iaas));
+        assert!(e.eta_q(Route::Iaas, 0.99) > e.eta_q(Route::Iaas, ETA_QUANTILE));
+        assert!(e.eta_q(Route::Iaas, 0.9) < e.eta_q(Route::Iaas, ETA_QUANTILE));
         assert!(e.eta_q(Route::Iaas, 0.9) > e.time(Route::Iaas));
         // The shift is a displacement, not a dispersion: it survives the
         // z-rescaling untouched (the spread alone shrinks toward P50).
@@ -1032,7 +960,7 @@ mod tests {
             let e = online.predict(&j);
             if k >= 10 {
                 seen += 1;
-                if actual <= e.eta_p95(Route::Iaas) + 1e-9 {
+                if actual <= e.eta_q(Route::Iaas, ETA_QUANTILE) + 1e-9 {
                     covered += 1;
                 }
             }
@@ -1056,41 +984,12 @@ mod tests {
     }
 
     #[test]
-    fn off_default_target_q_round_trips_through_eta_q() {
-        // An estimator calibrating P80 must publish its margin so that
-        // `eta_q(route, 0.8)` returns the *calibrated* cover point — not
-        // the P95-convention margin shrunk by z(0.8)/z(0.95) a second
-        // time. After exactly one 2× observation the raw P80 margin is
-        // computable by hand: dev = α·|2−1| = 0.3 and q_mult stepped once
-        // from its seed on a miss (2.0 + lr·q = 2.2), both scaled by the
-        // prior runtime.
-        let j = job(JobClass::LrHiggs);
-        let prior_t = Analytic::new().predict(&j).t_iaas;
-        let mut o = Online::new(Analytic::new()).with_target_q(0.8);
-        o.observe(&done_after(JobClass::LrHiggs, prior_t * 2.0, Route::Iaas));
-        let e = o.predict(&j);
-        let raw_margin = prior_t * 0.3 * (2.0 + 0.25 * 0.8);
-        assert!(
-            (e.eta_q(Route::Iaas, 0.8) - (e.t_iaas + raw_margin)).abs() < 1e-9,
-            "eta_q at the calibration target must return the calibrated point: {} vs {}",
-            e.eta_q(Route::Iaas, 0.8),
-            e.t_iaas + raw_margin
-        );
-        // Stored in the P95 convention: the field itself is the raw
-        // margin stretched by z(0.95)/z(0.8).
-        assert!(
-            e.m_iaas > raw_margin,
-            "P95 convention stretches a P80 margin"
-        );
-    }
-
-    #[test]
     fn hybrid_quantile_eta_reaches_the_calibrated_posterior() {
         // The blend's mean is dragged toward a 2×-optimistic prior, but
         // its published quantile ETA must still reach the posterior's
         // calibrated cover point — otherwise the blend's "P95" sits below
         // the truth and covers nothing.
-        let mut hybrid = Hybrid::new(Analytic::new()).with_prior_weight(4.0);
+        let mut hybrid = Hybrid::new(Analytic::new());
         let j = job(JobClass::LrHiggs);
         let actual = hybrid.predict(&j).t_iaas * 2.0;
         for _ in 0..12 {
@@ -1105,7 +1004,7 @@ mod tests {
             online.predict(&j)
         };
         assert!(
-            e.t_iaas < post.eta_p95(Route::Iaas),
+            e.t_iaas < post.eta_q(Route::Iaas, ETA_QUANTILE),
             "premise: the prior drags the mean"
         );
         // At every quantile above the median — not just the calibration
@@ -1130,7 +1029,7 @@ mod tests {
         // 30 spot completions teach runtimes but not dollars: the hybrid
         // runtime prediction must move while the cost prediction stays the
         // pure prior (the seed is all the cost evidence there is).
-        let mut hybrid = Hybrid::new(Analytic::new()).with_prior_weight(4.0);
+        let mut hybrid = Hybrid::new(Analytic::new());
         let j = job(JobClass::LrHiggs);
         let prior = Analytic::new().predict(&j);
         for _ in 0..30 {
@@ -1169,7 +1068,7 @@ mod tests {
     fn risk_model_posterior_overturns_a_wrong_prior() {
         // Config says instances live 4 000 s; the observed market kills a
         // 10-wide cluster every ~100 s (true per-instance mttp 1 000 s).
-        let mut r = RiskModel::new(SimTime::secs(4_000.0)).with_prior_weight(4.0);
+        let mut r = RiskModel::new(SimTime::secs(4_000.0));
         for _ in 0..40 {
             r.observe(&PreemptionObs {
                 class: JobClass::LrHiggs,
@@ -1196,7 +1095,7 @@ mod tests {
     fn risk_model_clean_attempts_pull_the_rate_down() {
         // A benign market observed through clean completions only: the
         // posterior rate must drop below an alarmist prior.
-        let mut r = RiskModel::new(SimTime::secs(100.0)).with_prior_weight(2.0);
+        let mut r = RiskModel::new(SimTime::secs(100.0));
         for _ in 0..20 {
             r.observe(&PreemptionObs {
                 class: JobClass::KmHiggs,
@@ -1252,12 +1151,8 @@ mod tests {
         pinned.pin_epochs(JobClass::LrHiggs, JobClass::LrHiggs.default_epochs() * 10.0);
         let j = job(JobClass::LrHiggs);
         assert!(pinned.predict(&j).t_faas > base.predict(&j).t_faas * 5.0);
-        assert_eq!(
-            Analytic::new()
-                .with_epochs(JobClass::LrHiggs, 60.0)
-                .epochs_for(JobClass::LrHiggs),
-            60.0
-        );
+        pinned.pin_epochs(JobClass::LrHiggs, 60.0);
+        assert_eq!(pinned.epochs_for(JobClass::LrHiggs), 60.0);
     }
 
     #[test]
@@ -1313,31 +1208,6 @@ mod tests {
     }
 
     #[test]
-    fn online_margin_is_conservative_under_noise() {
-        let base = Online::new(Analytic::new());
-        let mut plain = base.clone();
-        let mut wide = base.with_margin(1.0);
-        let j = job(JobClass::KmHiggs);
-        let prior_t = plain.predict(&j).t_iaas;
-        for k in 0..20 {
-            // Alternate fast/slow actuals: the mean is ~prior, the spread
-            // is large.
-            let run = if k % 2 == 0 {
-                prior_t * 0.5
-            } else {
-                prior_t * 1.5
-            };
-            let d = done_after(JobClass::KmHiggs, run, Route::Iaas);
-            plain.observe(&d);
-            wide.observe(&d);
-        }
-        assert!(
-            wide.predict(&j).t_iaas > plain.predict(&j).t_iaas,
-            "margin must add spread on top of the mean"
-        );
-    }
-
-    #[test]
     fn spot_observations_fold_into_the_iaas_slot() {
         let mut online = Online::new(Analytic::new());
         let j = job(JobClass::LrHiggs);
@@ -1378,7 +1248,7 @@ mod tests {
 
     #[test]
     fn hybrid_moves_from_prior_to_posterior() {
-        let mut hybrid = Hybrid::new(Analytic::new()).with_prior_weight(4.0);
+        let mut hybrid = Hybrid::new(Analytic::new());
         let j = job(JobClass::LrHiggs);
         let prior_t = hybrid.predict(&j).t_iaas;
         let actual = prior_t * 2.0;

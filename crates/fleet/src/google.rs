@@ -27,32 +27,12 @@
 //!
 //! A bundled sample lives at `crates/fleet/data/google_sample.csv`.
 
-use crate::azure::fnv1a;
 use crate::job::{JobClass, JobRequest, TenantId};
-use crate::stream::TraceSource;
+use crate::stream::{is_csv_header, TraceSource};
 use crate::workload::Trace;
 use lml_sim::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufRead;
-
-/// The job class a Google job id maps to (deterministic, same FNV-1a
-/// spread as the Azure adapter's function mapping).
-pub fn class_for_job(job_id: &str) -> JobClass {
-    JobClass::ALL[(fnv1a(job_id) % JobClass::ALL.len() as u64) as usize]
-}
-
-/// Is this a header line naming the columns? Public exports vary the
-/// spelling — `timestamp`, `time_us`, `Timestamp (us)` — so normalize
-/// case and separators on the first field rather than matching a string.
-fn is_header(line: &str) -> bool {
-    let first = line.split(',').next().unwrap_or("");
-    let normalized: String = first
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric())
-        .collect::<String>()
-        .to_ascii_lowercase();
-    normalized.starts_with("time")
-}
 
 /// Streaming adapter over task_events CSV: pull-based, constant memory
 /// per row (plus the O(#jobs) dedupe set).
@@ -102,7 +82,7 @@ impl<R: BufRead> TraceSource for GoogleSource<R> {
             let lineno = self.lineno;
             self.lineno += 1;
             let line = self.line.trim();
-            if line.is_empty() || line.starts_with('#') || is_header(line) {
+            if line.is_empty() || line.starts_with('#') || is_csv_header(line, "time") {
                 continue;
             }
             let parts: Vec<&str> = line.split(',').map(str::trim).collect();
@@ -157,7 +137,7 @@ impl<R: BufRead> TraceSource for GoogleSource<R> {
                     t
                 }
             };
-            let class = class_for_job(parts[2]);
+            let class = JobClass::for_trace_id(parts[2]);
             let id = self.next_id;
             self.next_id += 1;
             return Ok(Some(JobRequest {
@@ -255,15 +235,6 @@ mod tests {
             assert_eq!(t.len(), 1, "{header:?}");
         }
         assert!(parse("").unwrap().is_empty());
-    }
-
-    #[test]
-    fn job_class_mapping_is_stable_and_spread() {
-        assert_eq!(class_for_job("6253708944"), class_for_job("6253708944"));
-        let classes: std::collections::BTreeSet<_> = (0..40)
-            .map(|i| class_for_job(&format!("62537{i}")))
-            .collect();
-        assert!(classes.len() >= 3, "only {} classes hit", classes.len());
     }
 
     #[test]

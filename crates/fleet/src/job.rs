@@ -56,6 +56,13 @@ impl JobClass {
         JobClass::ALL.into_iter().find(|c| c.name() == s)
     }
 
+    /// The class an opaque public-trace id maps to — an Azure function
+    /// id, a Google job id, an OpenDC function name. Deterministic: the
+    /// FNV-1a hash of the id's bytes, modulo the zoo.
+    pub(crate) fn for_trace_id(id: &str) -> JobClass {
+        JobClass::ALL[(fnv1a(id) % JobClass::ALL.len() as u64) as usize]
+    }
+
     pub fn dataset(self) -> DatasetId {
         match self {
             JobClass::LrHiggs | JobClass::KmHiggs => DatasetId::Higgs,
@@ -185,6 +192,16 @@ impl JobClass {
     }
 }
 
+/// FNV-1a 64-bit hash: stable across platforms and runs.
+fn fnv1a(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Identity of the tenant submitting a job. Tenants are dense small
 /// integers; the fair-share scheduler assigns each a weight (default 1).
 pub type TenantId = u32;
@@ -236,6 +253,27 @@ mod tests {
             assert_eq!(JobClass::parse(c.name()), Some(c));
         }
         assert_eq!(JobClass::parse("nope"), None);
+    }
+
+    #[test]
+    fn trace_id_class_mapping_is_stable_and_spread() {
+        assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
+        // One id family per adapter: Azure function ids, Google job ids,
+        // OpenDC function names. Each maps the same way every time, and
+        // the six-way hash spreads distinct ids over several classes.
+        for family in ["func-", "62537", "fn-"] {
+            let id = format!("{family}0");
+            assert_eq!(JobClass::for_trace_id(&id), JobClass::for_trace_id(&id));
+            let classes: std::collections::BTreeSet<_> = (0..40)
+                .map(|i| JobClass::for_trace_id(&format!("{family}{i}")))
+                .collect();
+            assert!(
+                classes.len() >= 3,
+                "{family}: only {} classes hit",
+                classes.len()
+            );
+        }
     }
 
     #[test]

@@ -31,31 +31,12 @@
 //!
 //! A bundled fixture lives under `crates/fleet/data/opendc/`.
 
-use crate::azure::fnv1a;
 use crate::job::{JobClass, JobRequest, TenantId};
-use crate::stream::TraceSource;
+use crate::stream::{is_csv_header, TraceSource};
 use crate::workload::Trace;
 use lml_sim::SimTime;
 use std::collections::BTreeMap;
 use std::io::BufRead;
-
-/// The job class an OpenDC function name maps to (deterministic, same
-/// FNV-1a spread as the Azure and Google adapters).
-pub fn class_for_function(name: &str) -> JobClass {
-    JobClass::ALL[(fnv1a(name) % JobClass::ALL.len() as u64) as usize]
-}
-
-/// Is this a header line? OpenDC spells the first column `Timestamp [ms]`
-/// but exports vary, so normalize the first field like the other adapters.
-fn is_header(line: &str) -> bool {
-    let first = line.split(',').next().unwrap_or("");
-    let normalized: String = first
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric())
-        .collect::<String>()
-        .to_ascii_lowercase();
-    normalized.starts_with("time")
-}
 
 /// One per-function timeline being streamed: the reader plus the one
 /// buffered row the k-way merge peeks at.
@@ -87,7 +68,7 @@ impl<R: BufRead> FunctionStream<R> {
             let lineno = self.lineno;
             self.lineno += 1;
             let row = line.trim();
-            if row.is_empty() || row.starts_with('#') || is_header(row) {
+            if row.is_empty() || row.starts_with('#') || is_csv_header(row, "time") {
                 continue;
             }
             let mut fields = row.split(',').map(str::trim);
@@ -220,7 +201,7 @@ impl<R: BufRead> TraceSource for OpenDcSource<R> {
         }
         let id = self.next_id;
         self.next_id += 1;
-        let class = class_for_function(&f.name);
+        let class = JobClass::for_trace_id(&f.name);
         Ok(Some(JobRequest {
             id,
             class,
@@ -327,18 +308,6 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert!(parse(&[]).unwrap().is_empty(), "no functions, no jobs");
         assert!(parse(&[("f", "")]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn class_mapping_is_stable_and_spread() {
-        assert_eq!(
-            class_for_function("ml-train"),
-            class_for_function("ml-train")
-        );
-        let classes: std::collections::BTreeSet<_> = (0..40)
-            .map(|i| class_for_function(&format!("fn-{i}")))
-            .collect();
-        assert!(classes.len() >= 3, "only {} classes hit", classes.len());
     }
 
     #[test]

@@ -137,7 +137,9 @@ pub trait Scheduler: Send {
     /// snapshots admission-time quantile ETAs (scored as coverage in the
     /// metrics) and prices deferral-vs-rejection at the same tail the
     /// policy routes with, so the two subsystems can't judge one job at
-    /// different quantiles. Defaults to [`ETA_QUANTILE`].
+    /// different quantiles. Defaults to [`ETA_QUANTILE`], and no in-tree
+    /// policy overrides it; it stays a trait method because wrapping
+    /// schedulers forward it and the decision trace records its value.
     fn eta_quantile(&self) -> f64 {
         ETA_QUANTILE
     }
@@ -218,10 +220,11 @@ impl Scheduler for AllIaas {
 #[derive(Debug, Clone)]
 pub struct CostAware {
     est: Box<dyn Estimator>,
-    /// How much slower the cheaper option may be (vs the other side) before
-    /// the router abandons it while it is saturated.
-    pub patience: f64,
 }
+
+/// How much slower the cheaper option may be (vs the other side) before
+/// [`CostAware`] abandons it while it is saturated.
+const PATIENCE: f64 = 2.0;
 
 impl Default for CostAware {
     fn default() -> Self {
@@ -238,7 +241,6 @@ impl CostAware {
     pub fn new() -> Self {
         CostAware {
             est: Box::new(Analytic::new()),
-            patience: 2.0,
         }
     }
 
@@ -247,7 +249,6 @@ impl CostAware {
     pub fn for_config(cfg: &crate::sim::FleetConfig) -> Self {
         CostAware {
             est: Box::new(Analytic::for_config(cfg)),
-            ..Self::new()
         }
     }
 
@@ -263,20 +264,6 @@ impl CostAware {
     pub fn calibrate(&mut self, class: JobClass, sample_frac: f64, max_epochs: usize, seed: u64) {
         let epochs = calibrate_epochs(class, sample_frac, max_epochs, seed);
         self.est.pin_epochs(class, epochs);
-    }
-
-    /// Directly pin the epoch estimate for a class (e.g. from an offline
-    /// estimator run).
-    pub fn with_epochs(mut self, class: JobClass, epochs: f64) -> Self {
-        self.est.pin_epochs(class, epochs);
-        self
-    }
-
-    /// Public view of the per-job runtime estimate (FaaS, IaaS), for
-    /// reporting.
-    pub fn estimated_run(&self, job: &JobRequest) -> (SimTime, SimTime) {
-        let e = self.est.predict(job);
-        (SimTime::secs(e.t_faas), SimTime::secs(e.t_iaas))
     }
 }
 
@@ -297,7 +284,7 @@ impl Scheduler for CostAware {
         } else {
             view.faas_queued_workers + job.workers + view.faas_in_use > view.faas_limit
         };
-        if saturated && e.time(dear) * self.patience < e.time(cheap) + queue_penalty(cheap, view) {
+        if saturated && e.time(dear) * PATIENCE < e.time(cheap) + queue_penalty(cheap, view) {
             // The queue on the cheap side costs more time than the premium
             // side's whole run: buy latency.
             return dear;
@@ -333,9 +320,9 @@ impl Scheduler for CostAware {
 /// spot ETA ride the market too.
 ///
 /// Deadline tests price runtimes at a quantile, not the mean: every ETA
-/// uses [`Estimate::eta_q`] at `eta_quantile` (P95 by default), so an
-/// estimator that has learned its spread makes the laxity test honest
-/// about the tail. Spot admission is risk-aware: the expected
+/// uses [`Estimate::eta_q`] at [`ETA_QUANTILE`], so an estimator that
+/// has learned its spread makes the laxity test honest about the tail.
+/// Spot admission is risk-aware: the expected
 /// resume-and-rerun cycles come from the [`RiskModel`]'s learned
 /// preemption-rate posterior (per tenant and class, fed by
 /// [`Scheduler::observe_preemption`]), falling back to the configured
@@ -346,7 +333,7 @@ impl Scheduler for CostAware {
 ///
 /// With a learning estimator plugged in, the startup cushion also adapts
 /// upward: once the model's observed cold-start/dispatch draws for a
-/// (tenant, class) exceed the static `startup_margin` (wide cold
+/// (tenant, class) exceed the static `STARTUP_MARGIN` (wide cold
 /// fan-outs), the honest number is used instead. The cushion never
 /// shrinks below the margin — its slack also absorbs queue-model error.
 #[derive(Debug, Clone)]
@@ -359,27 +346,27 @@ pub struct DeadlineAware {
     /// deadline-less IaaS-bound jobs always, slack-rich deadline jobs too
     /// when `spot_recovery` is on. At 0.0 (the default) nothing routes to
     /// spot regardless of the recovery setting.
-    pub spot_fraction: f64,
-    /// Startup cushion subtracted from the laxity before a substrate is
-    /// deemed to meet the deadline (covers cold starts / dispatch). A
-    /// floor, not a constant: the estimator's learned cold-start draws
-    /// grow it per (tenant, class) when they exceed it, never shrink it.
-    pub startup_margin: SimTime,
+    spot_fraction: f64,
     /// The fleet resumes preempted jobs from durable checkpoints, so a
     /// deadline job with enough slack may ride the spot market.
-    pub spot_recovery: bool,
-    /// Safety multiple on the risk-adjusted spot ETA before a deadline job
-    /// is trusted to the market (absorbs queue-model and posterior error).
-    pub recovery_slack: f64,
-    /// Quantile the deadline tests price runtimes at ([`ETA_QUANTILE`] by
-    /// default; 0.5 degrades every ETA to the mean).
-    pub eta_quantile: f64,
-    /// Fraction of the quantile run redone per expected preemption, on top
-    /// of a re-boot — the per-cycle resume-and-rerun allowance (with
-    /// epoch-granular checkpoints the redo slice is bounded by the
-    /// checkpoint interval; half the run is deliberately conservative).
-    pub rerun_overhead: f64,
+    spot_recovery: bool,
 }
+
+/// Startup cushion [`DeadlineAware`] subtracts from the laxity before a
+/// substrate is deemed to meet the deadline (covers cold starts /
+/// dispatch). It is a floor: the estimator's learned cold-start draws grow
+/// the cushion per (tenant, class) when they exceed it, never shrink it.
+const STARTUP_MARGIN: SimTime = SimTime(30.0);
+
+/// Safety multiple on the risk-adjusted spot ETA before a deadline job is
+/// trusted to the market (absorbs queue-model and posterior error).
+const RECOVERY_SLACK: f64 = 3.0;
+
+/// Fraction of the quantile run redone per expected preemption, on top of
+/// a re-boot — the per-cycle resume-and-rerun allowance (with
+/// epoch-granular checkpoints the redo slice is bounded by the checkpoint
+/// interval; half the run is deliberately conservative).
+const RERUN_OVERHEAD: f64 = 0.5;
 
 impl Default for DeadlineAware {
     fn default() -> Self {
@@ -393,11 +380,7 @@ impl DeadlineAware {
             est: Box::new(Analytic::new()),
             risk: RiskModel::for_config(&crate::platform::SpotConfig::default()),
             spot_fraction: 0.0,
-            startup_margin: SimTime::secs(30.0),
             spot_recovery: false,
-            recovery_slack: 3.0,
-            eta_quantile: ETA_QUANTILE,
-            rerun_overhead: 0.5,
         }
     }
 
@@ -427,7 +410,7 @@ impl DeadlineAware {
 
     /// Trust checkpoint-aware recovery: pass the fleet config's
     /// [`CheckpointPolicy`] and, if it actually checkpoints, deadline jobs
-    /// whose laxity exceeds `recovery_slack ×` the risk-adjusted spot ETA
+    /// whose laxity exceeds `RECOVERY_SLACK ×` the risk-adjusted spot ETA
     /// ride the spot market too. Passing [`CheckpointPolicy::Never`]
     /// keeps deadline jobs off the market — without durable checkpoints a
     /// preemption restarts from zero, which a deadline can't afford. Spot
@@ -460,16 +443,6 @@ impl DeadlineAware {
         self
     }
 
-    /// Set the quantile deadline tests price runtimes at (must be in
-    /// [0, 1); 0.5 or below degrades every ETA to the mean). Validated
-    /// here so a bad knob fails at configuration time, not deep inside
-    /// `route()`.
-    pub fn with_eta_quantile(mut self, q: f64) -> Self {
-        assert!((0.0..1.0).contains(&q), "eta quantile must be in [0, 1)");
-        self.eta_quantile = q;
-        self
-    }
-
     /// The learned preemption-rate posterior, for reporting.
     pub fn risk(&self) -> &RiskModel {
         &self.risk
@@ -479,14 +452,14 @@ impl DeadlineAware {
     /// cushion + quantile run) plus the expected resume-and-rerun cycles
     /// from the preemption posterior, each costing a re-boot and a redo
     /// slice. This is what the laxity must cover (times
-    /// `recovery_slack`) before a deadline job rides the market.
+    /// `RECOVERY_SLACK`) before a deadline job rides the market.
     pub fn spot_eta(&self, job: &JobRequest, e: &Estimate, cushion_secs: f64) -> f64 {
-        let run_q = e.eta_q(Route::Spot, self.eta_quantile);
+        let run_q = e.eta_q(Route::Spot, ETA_QUANTILE);
         let attempt = cushion_secs + run_q;
         let cycles = self
             .risk
             .expected_preemptions(job.tenant, job.class, job.workers, attempt);
-        attempt + cycles * (cushion_secs + self.rerun_overhead * run_q)
+        attempt + cycles * (cushion_secs + RERUN_OVERHEAD * run_q)
     }
 }
 
@@ -513,15 +486,15 @@ impl Scheduler for DeadlineAware {
             self.est
                 .startup_hint(job, route)
                 .unwrap_or(SimTime::ZERO)
-                .max(self.startup_margin)
+                .max(STARTUP_MARGIN)
                 .as_secs()
         };
         let margin_f = cushion(Route::Faas);
         let margin_i = cushion(Route::Iaas);
         // Every deadline test prices the run at the estimator's calibrated
-        // quantile (P95 by default): tails miss deadlines, means don't.
-        let t_faas_q = e.eta_q(Route::Faas, self.eta_quantile);
-        let t_iaas_q = e.eta_q(Route::Iaas, self.eta_quantile);
+        // quantile (P95): tails miss deadlines, means don't.
+        let t_faas_q = e.eta_q(Route::Faas, ETA_QUANTILE);
+        let t_iaas_q = e.eta_q(Route::Iaas, ETA_QUANTILE);
         // Predicted completion on FaaS: the run itself (Lambda is elastic)
         // unless the account concurrency limit is already saturated.
         let faas_saturated =
@@ -550,7 +523,7 @@ impl Scheduler for DeadlineAware {
         // alive prices itself out; a benign one prices itself in.
         if self.spot_recovery
             && spot_pick(job.id, self.spot_fraction)
-            && budget >= self.recovery_slack * self.spot_eta(job, &e, cushion(Route::Spot))
+            && budget >= RECOVERY_SLACK * self.spot_eta(job, &e, cushion(Route::Spot))
         {
             return Route::Spot;
         }
@@ -592,16 +565,12 @@ impl Scheduler for DeadlineAware {
         self.risk.observe(obs);
     }
 
-    fn eta_quantile(&self) -> f64 {
-        self.eta_quantile
-    }
-
     fn spot_eta_hint(&self, job: &JobRequest, e: &Estimate) -> Option<f64> {
         let cushion = self
             .est
             .startup_hint(job, Route::Spot)
             .unwrap_or(SimTime::ZERO)
-            .max(self.startup_margin)
+            .max(STARTUP_MARGIN)
             .as_secs();
         Some(self.spot_eta(job, e, cushion))
     }
@@ -617,7 +586,7 @@ pub struct FairShare {
     est: Box<dyn Estimator>,
     weights: TenantMap<f64>,
     /// Share of IaaS-bound jobs routed to spot.
-    pub spot_fraction: f64,
+    spot_fraction: f64,
 }
 
 impl Default for FairShare {
@@ -715,6 +684,12 @@ mod tests {
         JobRequest::new(0, class, SimTime::ZERO, class.default_workers())
     }
 
+    /// The analytic prior's predicted run times (FaaS, IaaS) for a job.
+    fn run_times(job: &JobRequest) -> (SimTime, SimTime) {
+        let e = Analytic::new().predict(job);
+        (SimTime::secs(e.t_faas), SimTime::secs(e.t_iaas))
+    }
+
     #[test]
     fn pure_policies_are_constant() {
         let v = FleetView::default();
@@ -774,7 +749,7 @@ mod tests {
         // deadline between the two predicted runtimes is only meetable on
         // the reserved pool, however idle Lambda is.
         let mut deep = job(JobClass::MnCifar);
-        let (t_f, t_i) = CostAware::new().estimated_run(&deep);
+        let (t_f, t_i) = run_times(&deep);
         assert!(
             t_f > t_i * 3.0,
             "premise: FaaS is much slower for deep jobs"
@@ -791,7 +766,7 @@ mod tests {
     fn deadline_aware_escapes_a_backlogged_pool() {
         let mut s = DeadlineAware::new();
         let mut j = job(JobClass::LrHiggs);
-        let (t_f, _) = CostAware::new().estimated_run(&j);
+        let (t_f, _) = run_times(&j);
         j.deadline = Some(j.submit + t_f * 2.0 + SimTime::secs(60.0));
         // Slammed reserved pool: the backlog estimate blows the deadline,
         // Lambda's elasticity saves it.
@@ -860,7 +835,7 @@ mod tests {
             ..Default::default()
         };
         let mut j = job(JobClass::LrHiggs);
-        let (_, t_i) = CostAware::new().estimated_run(&j);
+        let (_, t_i) = run_times(&j);
         // Huge slack: recovery makes the discount safe.
         j.deadline = Some(j.submit + t_i * 100.0);
         assert_eq!(s.route(&j, &idle), Route::Spot, "slack deadline rides spot");
@@ -972,27 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn eta_quantile_knob_is_validated_and_published() {
-        let s = DeadlineAware::new().with_eta_quantile(0.9);
-        assert_eq!(
-            Scheduler::eta_quantile(&s),
-            0.9,
-            "policy publishes its tail"
-        );
-        assert_eq!(
-            Scheduler::eta_quantile(&AllFaas),
-            crate::estimate::ETA_QUANTILE,
-            "constant routers default to the fleet standard"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "eta quantile")]
-    fn eta_quantile_knob_rejects_out_of_range() {
-        DeadlineAware::new().with_eta_quantile(1.0);
-    }
-
-    #[test]
     fn fair_share_weights_default_to_one_for_unknown_tenants() {
         let s = FairShare::new().with_weight(0, 3.0);
         assert_eq!(s.tenant_weight(0), 3.0);
@@ -1000,6 +954,11 @@ mod tests {
         assert_eq!(s.discipline(), QueueDiscipline::Drr);
         assert_eq!(DeadlineAware::new().discipline(), QueueDiscipline::Edf);
         assert_eq!(AllFaas.discipline(), QueueDiscipline::Fifo);
+        assert_eq!(
+            Scheduler::eta_quantile(&DeadlineAware::new()),
+            ETA_QUANTILE,
+            "every policy prices tails at the fleet standard"
+        );
     }
 
     #[test]
@@ -1016,12 +975,18 @@ mod tests {
 
     #[test]
     fn epoch_override_changes_the_estimate() {
-        let base = CostAware::new();
-        let long = CostAware::new().with_epochs(JobClass::LrHiggs, 600.0);
+        let mut pinned = Analytic::new();
+        pinned.pin_epochs(JobClass::LrHiggs, 600.0);
         let j = job(JobClass::LrHiggs);
-        let (t_base, _) = base.estimated_run(&j);
-        let (t_long, _) = long.estimated_run(&j);
+        let (t_base, _) = run_times(&j);
+        let t_long = SimTime::secs(pinned.predict(&j).t_faas);
         assert!(t_long > t_base * 10.0, "{t_long} vs {t_base}");
+        let long = CostAware::new().with_estimator(Box::new(pinned.clone()));
+        assert_eq!(
+            long.estimate(&j),
+            Some(pinned.predict(&j)),
+            "the router prices with the pinned prior"
+        );
     }
 
     #[test]
@@ -1058,9 +1023,9 @@ mod tests {
             ..Default::default()
         };
         let mut j = job(JobClass::LrHiggs);
-        let (t_f, t_i) = CostAware::new().estimated_run(&j);
+        let (t_f, t_i) = run_times(&j);
         j.deadline = Some(j.submit + t_f * 2.0 + SimTime::secs(120.0));
-        let mut online = Online::new(Analytic::new()).with_alpha(0.9);
+        let mut online = Online::new(Analytic::new());
         for _ in 0..8 {
             online.observe(&CompletedJob {
                 id: 7,

@@ -391,6 +391,21 @@ impl TraceSource for GeneratorSource {
     }
 }
 
+/// Is this CSV line a header naming the columns? Public trace exports vary
+/// the spelling of the first column (`end_timestamp_ms`, `EndTimestampMs`,
+/// `Timestamp [ms]`, `time_us`, ...), so the first field is compared with
+/// case and separators stripped: a header is one whose normalized first
+/// field starts with `prefix`.
+pub(crate) fn is_csv_header(line: &str, prefix: &str) -> bool {
+    let first = line.split(',').next().unwrap_or("");
+    let normalized: String = first
+        .chars()
+        .filter(|c| c.is_ascii_alphanumeric())
+        .collect::<String>()
+        .to_ascii_lowercase();
+    normalized.starts_with(prefix)
+}
+
 /// Drain any source into an in-memory [`Trace`] (test/debug helper; the
 /// whole point of streaming is usually *not* to do this).
 pub fn collect(mut source: impl TraceSource) -> Result<Trace, String> {

@@ -19,28 +19,6 @@ pub fn ring_allreduce_time(w: usize, m: ByteSize, link: Link) -> SimTime {
     link.transfer_time(chunk) * steps as f64
 }
 
-/// Gather-to-master time (parameter collection in the COST-style
-/// single-master baselines): the master receives `w − 1` messages of `m`
-/// bytes over its single NIC.
-pub fn gather_time(w: usize, m: ByteSize, link: Link) -> SimTime {
-    assert!(w >= 1);
-    if w == 1 {
-        return SimTime::ZERO;
-    }
-    link.transfer_time(m) * (w - 1) as f64
-}
-
-/// Broadcast-from-master time under a binomial tree: `ceil(log2 w)` rounds
-/// of `m` bytes.
-pub fn broadcast_time(w: usize, m: ByteSize, link: Link) -> SimTime {
-    assert!(w >= 1);
-    if w == 1 {
-        return SimTime::ZERO;
-    }
-    let rounds = (w as f64).log2().ceil() as usize;
-    link.transfer_time(m) * rounds as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,8 +33,6 @@ mod tests {
             ring_allreduce_time(1, ByteSize::mb(100.0), link()),
             SimTime::ZERO
         );
-        assert_eq!(gather_time(1, ByteSize::mb(1.0), link()), SimTime::ZERO);
-        assert_eq!(broadcast_time(1, ByteSize::mb(1.0), link()), SimTime::ZERO);
     }
 
     #[test]
@@ -82,13 +58,5 @@ mod tests {
         // LR on Higgs is 224 bytes; the ring cost is almost pure latency.
         let t = ring_allreduce_time(10, ByteSize::bytes(224), link());
         assert!((t.as_secs() - 18.0 * 1e-3).abs() < 1e-4);
-    }
-
-    #[test]
-    fn gather_scales_linearly_broadcast_logarithmically() {
-        let m = ByteSize::mb(10.0);
-        let g = gather_time(16, m, link());
-        let b = broadcast_time(16, m, link());
-        assert!((g.as_secs() / b.as_secs() - 15.0 / 4.0).abs() < 1e-6);
     }
 }

@@ -135,11 +135,6 @@ impl InstanceType {
             _ => None,
         }
     }
-
-    /// EBS throughput for locally cached data (Table 6 `B_EBS` gp2).
-    pub fn ebs_link(self) -> Link {
-        Link::mbps(1_950.0, 3e-5)
-    }
 }
 
 #[cfg(test)]
@@ -173,13 +168,6 @@ mod tests {
         let t4 = GpuKind::T4;
         assert!(t4.effective_flops() > m60.effective_flops());
         assert!(InstanceType::G4dnXLarge.hourly() < InstanceType::G3sXLarge.hourly());
-    }
-
-    #[test]
-    fn ebs_matches_table6() {
-        let ebs = InstanceType::T2Medium.ebs_link();
-        assert_eq!(ebs.bandwidth_bps, 1_950e6);
-        assert_eq!(ebs.latency_s, 3e-5);
     }
 
     #[test]

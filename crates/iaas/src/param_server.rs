@@ -65,9 +65,6 @@ pub struct PsModel {
     pub instance: InstanceType,
     /// Lambda worker vCPU share (3 GB function = 1.8).
     pub lambda_vcpus: f64,
-    /// Override of the Lambda↔VM bandwidth (the Q1 what-if raises it to
-    /// 10 Gbps; `None` keeps the measured 70 MB/s).
-    pub bandwidth_override: Option<f64>,
 }
 
 /// PS-side deserialization contention growth per additional concurrent
@@ -85,25 +82,14 @@ impl PsModel {
             rpc,
             instance,
             lambda_vcpus,
-            bandwidth_override: None,
         }
-    }
-
-    /// The Q1 what-if: replace the Lambda↔VM path with `bw` bytes/s.
-    pub fn with_bandwidth(mut self, bw: f64) -> Self {
-        self.bandwidth_override = Some(bw);
-        self
-    }
-
-    fn bandwidth(&self) -> f64 {
-        self.bandwidth_override.unwrap_or(LAMBDA_TO_VM_BW)
     }
 
     /// One Lambda moving `m` bytes to/from the PS (Table 2 "Data
     /// Transmission"): wire time + serialization on the Lambda's fractional
     /// vCPU.
     pub fn transfer_time_single(&self, m: ByteSize) -> SimTime {
-        let wire = m.as_f64() / self.bandwidth();
+        let wire = m.as_f64() / LAMBDA_TO_VM_BW;
         let ser = m.as_f64() / (self.rpc.ser_rate_per_vcpu() * self.lambda_vcpus);
         SimTime::secs(wire + ser)
     }
@@ -190,17 +176,6 @@ mod tests {
         let c5 = PsModel::new(RpcKind::Grpc, InstanceType::C5XLarge4, 1.8);
         let t2 = PsModel::new(RpcKind::Grpc, InstanceType::T2XLarge2, 1.8);
         assert!(t2.update_time_single(M75) > c5.update_time_single(M75));
-    }
-
-    #[test]
-    fn bandwidth_override_accelerates_q1() {
-        let base = PsModel::new(RpcKind::Grpc, InstanceType::C5XLarge4, 1.8);
-        let fast = base.with_bandwidth(1_250e6); // 10 Gbps
-        assert!(fast.transfer_time_single(M75) < base.transfer_time_single(M75));
-        // but serialization still bounds it: not 17× faster
-        let ratio =
-            base.transfer_time_single(M75).as_secs() / fast.transfer_time_single(M75).as_secs();
-        assert!(ratio < 3.0, "serialization remains the bottleneck: {ratio}");
     }
 
     #[test]

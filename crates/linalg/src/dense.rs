@@ -89,17 +89,6 @@ pub fn argmin(x: &[f64]) -> usize {
     best.0
 }
 
-/// Average `n` equal-length vectors into `out` (pre-sized). This is the
-/// reducer of gradient averaging and model averaging.
-pub fn mean_into(vectors: &[&[f64]], out: &mut [f64]) {
-    assert!(!vectors.is_empty(), "mean of zero vectors");
-    zero(out);
-    for v in vectors {
-        add_assign(out, v);
-    }
-    scale(out, 1.0 / vectors.len() as f64);
-}
-
 /// Numerically-stable logistic sigmoid.
 #[inline]
 pub fn sigmoid(z: f64) -> f64 {
@@ -178,15 +167,6 @@ mod tests {
         assert_eq!(argmax(&[1.0, 5.0, 3.0]), 1);
         assert_eq!(argmin(&[1.0, 5.0, 3.0]), 0);
         assert_eq!(argmax(&[2.0, 2.0]), 0, "first wins ties");
-    }
-
-    #[test]
-    fn mean_of_vectors() {
-        let a = [1.0, 2.0];
-        let b = [3.0, 6.0];
-        let mut out = vec![0.0; 2];
-        mean_into(&[&a, &b], &mut out);
-        assert_eq!(out, vec![2.0, 4.0]);
     }
 
     #[test]

@@ -90,17 +90,6 @@ impl Matrix {
             dense::axpy(xr, self.row(r), out);
         }
     }
-
-    /// Rank-1 update `self += a * u vᵀ` — the weight-gradient accumulation
-    /// kernel (`δ xᵀ`).
-    pub fn rank1_update(&mut self, a: f64, u: &[f64], v: &[f64]) {
-        assert_eq!(u.len(), self.rows, "rank1: u length");
-        assert_eq!(v.len(), self.cols, "rank1: v length");
-        for (r, &ur) in u.iter().enumerate() {
-            let s = a * ur;
-            dense::axpy(s, v, &mut self.data[r * self.cols..(r + 1) * self.cols]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -142,13 +131,6 @@ mod tests {
         let mut out = vec![0.0; 2];
         m.matvec_t(&[1.0, 1.0], &mut out);
         assert_eq!(out, vec![4.0, 6.0]);
-    }
-
-    #[test]
-    fn rank1_update_is_outer_product() {
-        let mut m = Matrix::zeros(2, 2);
-        m.rank1_update(2.0, &[1.0, 3.0], &[5.0, 7.0]);
-        assert_eq!(m.as_flat(), &[10.0, 14.0, 30.0, 42.0]);
     }
 
     #[test]

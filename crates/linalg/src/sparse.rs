@@ -34,16 +34,6 @@ impl SparseVec {
         SparseVec { idx, val }
     }
 
-    /// Build from pre-sorted parallel arrays (checked in debug builds).
-    pub fn from_sorted(idx: Vec<u32>, val: Vec<f64>) -> Self {
-        assert_eq!(idx.len(), val.len(), "parallel arrays must match");
-        debug_assert!(
-            idx.windows(2).all(|w| w[0] < w[1]),
-            "indices must strictly increase"
-        );
-        SparseVec { idx, val }
-    }
-
     pub fn nnz(&self) -> usize {
         self.idx.len()
     }
@@ -117,12 +107,6 @@ impl SparseVec {
             out[i as usize] = v;
         }
     }
-
-    /// Wire size: 4-byte index + 8-byte value per entry (the paper's sparse
-    /// tensors ship index/value pairs).
-    pub fn wire_bytes(&self) -> u64 {
-        self.nnz() as u64 * 12
-    }
 }
 
 #[cfg(test)]
@@ -167,17 +151,5 @@ mod tests {
     fn to_dense_roundtrip() {
         let v = SparseVec::from_pairs(vec![(1, 5.0)]);
         assert_eq!(v.to_dense(3), vec![0.0, 5.0, 0.0]);
-    }
-
-    #[test]
-    fn wire_bytes_counts_pairs() {
-        let v = SparseVec::from_pairs(vec![(1, 5.0), (2, 1.0)]);
-        assert_eq!(v.wire_bytes(), 24);
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_sorted_rejects_mismatched_arrays() {
-        SparseVec::from_sorted(vec![1, 2], vec![1.0]);
     }
 }

@@ -91,23 +91,6 @@ impl LossCurve {
         self.points.last().map_or(f64::INFINITY, |p| p.loss)
     }
 
-    /// First time at which the loss reached `target`, if ever.
-    pub fn time_to_loss(&self, target: f64) -> Option<SimTime> {
-        self.points
-            .iter()
-            .find(|p| p.loss <= target)
-            .map(|p| p.time)
-    }
-
-    /// First round count at which the loss reached `target` — the paper's
-    /// "# communications" axis in Figure 7.
-    pub fn rounds_to_loss(&self, target: f64) -> Option<u64> {
-        self.points
-            .iter()
-            .find(|p| p.loss <= target)
-            .map(|p| p.rounds)
-    }
-
     /// Best (minimum) loss seen.
     pub fn best_loss(&self) -> f64 {
         self.points
@@ -157,14 +140,11 @@ mod tests {
     }
 
     #[test]
-    fn curve_time_and_rounds_to_loss() {
+    fn curve_final_and_best_loss() {
         let mut c = LossCurve::new();
         for (t, l) in [(1.0, 0.9), (2.0, 0.7), (3.0, 0.6), (4.0, 0.55)] {
             c.push(point(t, l));
         }
-        assert_eq!(c.time_to_loss(0.65), Some(SimTime::secs(3.0)));
-        assert_eq!(c.rounds_to_loss(0.65), Some(3));
-        assert_eq!(c.time_to_loss(0.1), None);
         assert_eq!(c.final_loss(), 0.55);
         assert_eq!(c.best_loss(), 0.55);
     }
@@ -173,7 +153,6 @@ mod tests {
     fn empty_curve_is_safe() {
         let c = LossCurve::new();
         assert!(c.final_loss().is_infinite());
-        assert_eq!(c.time_to_loss(1.0), None);
         assert_eq!(c.tail_oscillation(5), 0.0);
         assert!(c.is_empty());
     }

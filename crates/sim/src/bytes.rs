@@ -43,12 +43,6 @@ impl ByteSize {
     pub fn of_f64s(n: usize) -> Self {
         ByteSize((n as u64) * 8)
     }
-
-    /// Size of `n` f32 values (PyTorch's default tensor dtype; the paper's
-    /// deep models ship f32 parameters).
-    pub fn of_f32s(n: usize) -> Self {
-        ByteSize((n as u64) * 4)
-    }
 }
 
 impl Add for ByteSize {
@@ -116,7 +110,6 @@ mod tests {
         assert_eq!(ByteSize::mb(12.0), ByteSize(12_000_000));
         assert_eq!(ByteSize::gb(1.5), ByteSize(1_500_000_000));
         assert_eq!(ByteSize::of_f64s(28), ByteSize(224)); // the paper's LR-on-Higgs model size
-        assert_eq!(ByteSize::of_f32s(3_000_000), ByteSize::mb(12.0));
     }
 
     #[test]

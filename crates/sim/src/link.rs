@@ -36,14 +36,6 @@ impl Link {
         SimTime::secs(self.latency_s + size.as_f64() / self.bandwidth_bps)
     }
 
-    /// Time to move `size` bytes split into `msgs` sequential messages
-    /// (`msgs * L + size / B`). Models chunked transfers such as DynamoDB's
-    /// 400 KB item cap.
-    pub fn transfer_time_chunked(&self, size: ByteSize, msgs: u64) -> SimTime {
-        assert!(msgs >= 1);
-        SimTime::secs(self.latency_s * msgs as f64 + size.as_f64() / self.bandwidth_bps)
-    }
-
     /// A link with bandwidth scaled by `k` (contention sharing, GPU links,
     /// what-if bandwidth upgrades). Latency is unchanged.
     pub fn scaled(&self, k: f64) -> Link {
@@ -67,14 +59,6 @@ mod tests {
     fn zero_bytes_costs_latency_only() {
         let l = Link::mbps(100.0, 0.05);
         assert_eq!(l.transfer_time(ByteSize::ZERO), SimTime::secs(0.05));
-    }
-
-    #[test]
-    fn chunked_pays_latency_per_message() {
-        let l = Link::mbps(100.0, 0.01);
-        let one = l.transfer_time(ByteSize::mb(1.0));
-        let four = l.transfer_time_chunked(ByteSize::mb(1.0), 4);
-        assert!((four.as_secs() - one.as_secs() - 0.03).abs() < 1e-12);
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl Summary {
             }
         })
     }
-
-    /// Format as `mean ± std` with the given precision, Table 6 style.
-    pub fn pm(&self, digits: usize) -> String {
-        format!("({:.d$} ± {:.d$})", self.mean(), self.std(), d = digits)
-    }
 }
 
 #[cfg(test)]
@@ -144,11 +139,5 @@ mod tests {
         let s = Summary::from_values(vec![3.0, -1.0, 7.0]);
         assert_eq!(s.min(), -1.0);
         assert_eq!(s.max(), 7.0);
-    }
-
-    #[test]
-    fn pm_format() {
-        let s = Summary::from_values(vec![65.0, 65.0]);
-        assert_eq!(s.pm(0), "(65 ± 0)");
     }
 }
