@@ -2,6 +2,8 @@
 //! dollar version, and [`price`], the form the fleet simulator consumes.
 
 use crate::constants;
+use lml_faas::lambda::{FUNCTION_GB, PRICE_PER_GB_SECOND};
+use lml_iaas::InstanceType;
 use lml_sim::{Cost, PiecewiseLinear, SimTime};
 
 /// Workload-level inputs of the analytical model.
@@ -34,16 +36,16 @@ pub struct AnalyticCase {
 
 impl AnalyticCase {
     /// FaaS over S3 with 3 GB functions.
-    pub fn faas_s3() -> Self {
+    pub const fn faas_s3() -> Self {
         AnalyticCase {
             bandwidth: constants::B_S3,
             latency: constants::L_S3,
-            worker_price_per_s: 3.008 * lml_faas::lambda::PRICE_PER_GB_SECOND,
+            worker_price_per_s: FUNCTION_GB * PRICE_PER_GB_SECOND,
         }
     }
 
     /// FaaS over ElastiCache (cache.t3.medium).
-    pub fn faas_elasticache() -> Self {
+    pub const fn faas_elasticache() -> Self {
         AnalyticCase {
             bandwidth: constants::B_EC_T3,
             latency: constants::L_EC,
@@ -52,20 +54,20 @@ impl AnalyticCase {
     }
 
     /// IaaS on t2.medium.
-    pub fn iaas_t2() -> Self {
+    pub const fn iaas_t2() -> Self {
         AnalyticCase {
             bandwidth: constants::B_N_T2,
             latency: constants::L_N_T2,
-            worker_price_per_s: 0.0464 / 3600.0,
+            worker_price_per_s: InstanceType::T2Medium.hourly().as_usd() / 3600.0,
         }
     }
 
     /// IaaS on c5.large.
-    pub fn iaas_c5() -> Self {
+    pub const fn iaas_c5() -> Self {
         AnalyticCase {
             bandwidth: constants::B_N_C5,
             latency: constants::L_N_C5,
-            worker_price_per_s: 0.085 / 3600.0,
+            worker_price_per_s: InstanceType::C5Large.hourly().as_usd() / 3600.0,
         }
     }
 
@@ -257,6 +259,23 @@ mod tests {
             10,
         );
         assert!(ec < s3);
+    }
+
+    /// The cases read their prices from `lml-faas` and `lml-iaas`, and the
+    /// bits are the ones the old literal expressions gave.
+    #[test]
+    fn worker_prices_match_the_old_literals_bit_for_bit() {
+        use std::hint::black_box;
+        let faas = black_box(3.008) * PRICE_PER_GB_SECOND;
+        let pins = [
+            (AnalyticCase::faas_s3(), faas),
+            (AnalyticCase::faas_elasticache(), faas),
+            (AnalyticCase::iaas_t2(), black_box(0.0464) / 3600.0),
+            (AnalyticCase::iaas_c5(), black_box(0.085) / 3600.0),
+        ];
+        for (case, want) in pins {
+            assert_eq!(case.worker_price_per_s.to_bits(), want.to_bits());
+        }
     }
 
     #[test]

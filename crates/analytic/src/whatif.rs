@@ -102,7 +102,9 @@ mod tests {
             rounds_per_epoch: 42.0,
             comm_round: 8.0,
             compute_per_epoch: 170.0,
-            rate_per_s: 10.0 * 3.008 * lml_faas::lambda::PRICE_PER_GB_SECOND,
+            rate_per_s: 10.0
+                * lml_faas::lambda::FUNCTION_GB
+                * lml_faas::lambda::PRICE_PER_GB_SECOND,
             bills_startup: false,
         }
     }

@@ -221,7 +221,8 @@ fn base_scenarios(h: &Harness, wid: WorkloadId, max_ep: usize) -> Vec<Scenario> 
     let mut named = wid.build(h);
     named.config.stop = StopSpec::new(wid.threshold(), max_ep);
     let w = named.config.workers;
-    let lambda_rate = w as f64 * 3.008 * lml_faas::lambda::PRICE_PER_GB_SECOND;
+    let lambda_rate =
+        w as f64 * lml_faas::lambda::FUNCTION_GB * lml_faas::lambda::PRICE_PER_GB_SECOND;
     let mut v = Vec::new();
 
     let faas = TrainingJob::new(&named.workload, named.model, named.config)

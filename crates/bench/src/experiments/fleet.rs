@@ -22,8 +22,9 @@ use lml_sim::SimTime;
 type Column = (&'static str, fn(&FleetMetrics) -> String);
 
 /// Fresh-scheduler factory: no routing state leaks between cells, and it
-/// sees the cell's config so cost-aware routing prices the substrates the
-/// simulator charges. `Send + Sync` because worker threads call it.
+/// sees the cell's config so deadline-aware admission seeds its preemption
+/// prior from the cell's spot market. `Send + Sync` because worker threads
+/// call it.
 type SchedFactory = Box<dyn Fn(&FleetConfig) -> Box<dyn Scheduler> + Send + Sync>;
 
 /// Constructors the grids name their rows with: a scheduler from the
@@ -31,7 +32,7 @@ type SchedFactory = Box<dyn Fn(&FleetConfig) -> Box<dyn Scheduler> + Send + Sync
 /// estimator.
 type MakeSched = fn(&FleetConfig) -> Box<dyn Scheduler>;
 type MakeSchedWith<K> = fn(&FleetConfig, K) -> Box<dyn Scheduler>;
-type MakeEstimator = fn(&FleetConfig) -> Box<dyn Estimator>;
+type MakeEstimator = fn() -> Box<dyn Estimator>;
 
 /// One grid cell: everything one simulation needs besides its trace.
 struct Cell {
@@ -135,7 +136,7 @@ const SCALE: Sweep = Sweep {
         let policies: [(&str, MakeSched); 3] = [
             ("all-faas", |_| Box::new(AllFaas)),
             ("all-iaas", |_| Box::new(AllIaas)),
-            ("cost-aware", |cfg| Box::new(CostAware::for_config(cfg))),
+            ("cost-aware", |_| Box::new(CostAware::new())),
         ];
         let per_rate = |&rate: &f64| {
             let process = ArrivalProcess::Poisson { rate };
@@ -191,14 +192,12 @@ const POLICIES: Sweep = Sweep {
         let policies: [(&str, bool, MakeSchedWith<f64>); 5] = [
             ("all-faas", false, |_, _| Box::new(AllFaas)),
             ("all-iaas", false, |_, _| Box::new(AllIaas)),
-            ("cost-aware", false, |cfg, _| {
-                Box::new(CostAware::for_config(cfg))
-            }),
+            ("cost-aware", false, |_, _| Box::new(CostAware::new())),
             ("deadline-aware", true, |cfg, frac| {
                 Box::new(DeadlineAware::for_config(cfg).with_spot_fraction(frac))
             }),
-            ("fair-share", true, |cfg, frac| {
-                Box::new(FairShare::for_config(cfg).with_spot_fraction(frac))
+            ("fair-share", true, |_, frac| {
+                Box::new(FairShare::new().with_spot_fraction(frac))
             }),
         ];
         let mut cells = Vec::new();
@@ -263,8 +262,8 @@ const RECOVERY: Sweep = Sweep {
                         stem: format!("{}-spot{frac}-mttp{mttp}", policy.name()),
                         labels: vec![policy.name(), format!("{frac}"), format!("{mttp:.0}")],
                         cfg,
-                        sched: Box::new(move |cfg| {
-                            Box::new(FairShare::for_config(cfg).with_spot_fraction(frac))
+                        sched: Box::new(move |_| {
+                            Box::new(FairShare::new().with_spot_fraction(frac))
                         }),
                     });
                 }
@@ -309,19 +308,19 @@ const ESTIMATOR: Sweep = Sweep {
         let process = ArrivalProcess::Poisson { rate: 0.03 };
         let trace = Trace::generate_multi(process, &mix, &spec, n_jobs, h.seed);
         let estimators: [(&str, MakeEstimator); 3] = [
-            ("analytic", |cfg| Box::new(Analytic::for_config(cfg))),
-            ("online", |cfg| Box::new(Online::for_config(cfg))),
-            ("hybrid", |cfg| Box::new(Hybrid::for_config(cfg))),
+            ("analytic", || Box::new(Analytic::new())),
+            ("online", || Box::new(Online::default())),
+            ("hybrid", || Box::new(Hybrid::default())),
         ];
         let schedulers: [(&str, MakeSchedWith<Box<dyn Estimator>>); 3] = [
-            ("cost-aware", |cfg, est| {
-                Box::new(CostAware::for_config(cfg).with_estimator(est))
+            ("cost-aware", |_, est| {
+                Box::new(CostAware::new().with_estimator(est))
             }),
             ("deadline-aware", |cfg, est| {
                 Box::new(DeadlineAware::for_config(cfg).with_estimator(est))
             }),
-            ("fair-share", |cfg, est| {
-                Box::new(FairShare::for_config(cfg).with_estimator(est))
+            ("fair-share", |_, est| {
+                Box::new(FairShare::new().with_estimator(est))
             }),
         ];
         let mut cells = Vec::new();
@@ -344,7 +343,7 @@ const ESTIMATOR: Sweep = Sweep {
                             est_name.to_string(),
                         ],
                         cfg,
-                        sched: Box::new(move |cfg| make_sched(cfg, make_est(cfg))),
+                        sched: Box::new(move |cfg| make_sched(cfg, make_est())),
                     });
                 }
             }

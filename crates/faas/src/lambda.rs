@@ -5,6 +5,10 @@ use lml_sim::{ByteSize, Cost, SimTime};
 /// Lambda per-GB-second price (AWS, as at the paper's evaluation).
 pub const PRICE_PER_GB_SECOND: f64 = 1.66667e-5;
 
+/// Memory of the paper's standard worker ([`LambdaSpec::gb3`]) in GB, the
+/// unit [`PRICE_PER_GB_SECOND`] bills.
+pub const FUNCTION_GB: f64 = 3.008;
+
 /// Errors raised by the FaaS runtime.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaasError {

@@ -22,7 +22,7 @@
 //! A bundled sample lives at `crates/fleet/data/azure_sample.csv`.
 
 use crate::job::{JobClass, JobRequest, TenantId};
-use crate::stream::{is_csv_header, TraceSource};
+use crate::stream::{CsvRows, TraceSource};
 use crate::workload::Trace;
 use lml_sim::SimTime;
 use std::collections::BTreeMap;
@@ -37,45 +37,34 @@ struct AzureRow {
 
 fn parse_rows(csv: &str) -> Result<Vec<AzureRow>, String> {
     let mut rows = Vec::new();
-    for (lineno, line) in csv.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        // Skip header lines (also mid-file: concatenated shards re-emit
-        // them).
-        if is_csv_header(line, "endtimestamp") {
-            continue;
-        }
-        let parts: Vec<&str> = line.split(',').map(str::trim).collect();
+    let mut lines = CsvRows::new(csv.as_bytes(), "endtimestamp");
+    while let Some((line, fields)) = lines.next_row()? {
+        let parts: Vec<&str> = fields.collect();
         if parts.len() != 5 {
             return Err(format!(
-                "line {}: expected 5 comma-separated fields, got {}",
-                lineno + 1,
+                "line {line}: expected 5 comma-separated fields, got {}",
                 parts.len()
             ));
         }
         let end_ms: f64 = parts[0]
             .parse()
-            .map_err(|e| format!("line {}: bad end timestamp: {e}", lineno + 1))?;
+            .map_err(|e| format!("line {line}: bad end timestamp: {e}"))?;
         let duration_ms: f64 = parts[4]
             .parse()
-            .map_err(|e| format!("line {}: bad duration: {e}", lineno + 1))?;
+            .map_err(|e| format!("line {line}: bad duration: {e}"))?;
         if !end_ms.is_finite() || !duration_ms.is_finite() || duration_ms < 0.0 {
             return Err(format!(
-                "line {}: timestamps must be finite, duration >= 0",
-                lineno + 1
+                "line {line}: timestamps must be finite, duration >= 0"
             ));
         }
         let submit_secs = (end_ms - duration_ms) / 1_000.0;
         if submit_secs < 0.0 {
             return Err(format!(
-                "line {}: invocation starts before the trace epoch",
-                lineno + 1
+                "line {line}: invocation starts before the trace epoch"
             ));
         }
         if parts[1].is_empty() || parts[3].is_empty() {
-            return Err(format!("line {}: empty owner or function id", lineno + 1));
+            return Err(format!("line {line}: empty owner or function id"));
         }
         rows.push(AzureRow {
             submit_secs,

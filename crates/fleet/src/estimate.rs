@@ -45,10 +45,10 @@
 
 use crate::intern::TenantClassMap;
 use crate::job::{JobClass, JobRequest, TenantId};
-use crate::platform::SpotConfig;
+use crate::platform::{SpotConfig, FAAS_CASE, IAAS_CASE};
 use crate::scheduler::Route;
 use lml_analytic::estimator::estimate_epochs;
-use lml_analytic::model::{price, AnalyticCase, Substrate};
+use lml_analytic::model::{price, Substrate};
 use lml_sim::{Cost, SimTime};
 
 /// The quantile fleet risk decisions are priced at by default: P95.
@@ -297,8 +297,6 @@ pub fn calibrate_epochs(class: JobClass, sample_frac: f64, max_epochs: usize, se
 /// exactly.
 #[derive(Debug, Clone)]
 pub struct Analytic {
-    faas_case: AnalyticCase,
-    iaas_case: AnalyticCase,
     /// Per-class epoch overrides (sampling-estimator calibration).
     epochs: [Option<f64>; JobClass::ALL.len()],
     /// Memoized `(workers, estimate)` per class: the prediction is a pure
@@ -316,21 +314,19 @@ impl Default for Analytic {
 }
 
 impl Analytic {
-    /// Priced for [`crate::sim::FleetConfig::default`] (S3-channel FaaS,
-    /// t2.medium IaaS).
+    /// Priced on the fleet's own substrate (S3-channel FaaS, t2.medium
+    /// IaaS), so predictions price what the simulator charges.
     pub fn new() -> Self {
-        Self::for_config(&crate::sim::FleetConfig::default())
-    }
-
-    /// Priced with the fleet's own channel/pricing cases, so predictions
-    /// price the same substrates the simulator charges.
-    pub fn for_config(cfg: &crate::sim::FleetConfig) -> Self {
         Analytic {
-            faas_case: cfg.faas_case,
-            iaas_case: cfg.iaas_case,
             epochs: [None; JobClass::ALL.len()],
             memo: Default::default(),
         }
+    }
+
+    /// Equals [`Analytic::new`]: no configuration moves the substrate.
+    /// Kept because the repo benchmark calls it.
+    pub fn for_config(_cfg: &crate::sim::FleetConfig) -> Self {
+        Self::new()
     }
 
     /// Epochs-to-threshold the prior assumes for `class`.
@@ -353,8 +349,8 @@ impl Estimator for Analytic {
         }
         let mut p = job.class.profile();
         p.epochs = self.epochs_for(job.class);
-        let faas = price(&p, &self.faas_case, Substrate::Faas, job.workers);
-        let iaas = price(&p, &self.iaas_case, Substrate::Iaas, job.workers);
+        let faas = price(&p, &FAAS_CASE, Substrate::Faas, job.workers);
+        let iaas = price(&p, &IAAS_CASE, Substrate::Iaas, job.workers);
         let e = Estimate::point(
             faas.run.as_secs(),
             faas.dollars.as_usd(),
@@ -473,10 +469,6 @@ impl Online {
             prior,
             state: TenantClassMap::new(),
         }
-    }
-
-    pub fn for_config(cfg: &crate::sim::FleetConfig) -> Self {
-        Self::new(Analytic::for_config(cfg))
     }
 
     pub fn prior(&self) -> &Analytic {
@@ -639,10 +631,6 @@ impl Hybrid {
         Hybrid {
             online: Online::new(prior),
         }
-    }
-
-    pub fn for_config(cfg: &crate::sim::FleetConfig) -> Self {
-        Self::new(Analytic::for_config(cfg))
     }
 
     fn weight(&self, tenant: TenantId, class: JobClass, route: Route) -> f64 {

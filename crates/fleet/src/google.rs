@@ -28,7 +28,7 @@
 //! A bundled sample lives at `crates/fleet/data/google_sample.csv`.
 
 use crate::job::{JobClass, JobRequest, TenantId};
-use crate::stream::{is_csv_header, TraceSource};
+use crate::stream::{CsvRows, TraceSource};
 use crate::workload::Trace;
 use lml_sim::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
@@ -37,10 +37,7 @@ use std::io::BufRead;
 /// Streaming adapter over task_events CSV: pull-based, constant memory
 /// per row (plus the O(#jobs) dedupe set).
 pub struct GoogleSource<R> {
-    reader: R,
-    line: String,
-    /// Zero-based index of the next line to read.
-    lineno: usize,
+    rows: CsvRows<R>,
     seen_jobs: BTreeSet<u64>,
     tenants: BTreeMap<String, TenantId>,
     next_tenant: TenantId,
@@ -51,9 +48,7 @@ pub struct GoogleSource<R> {
 impl<R: BufRead> GoogleSource<R> {
     pub fn new(reader: R) -> Self {
         GoogleSource {
-            reader,
-            line: String::new(),
-            lineno: 0,
+            rows: CsvRows::new(reader, "time"),
             seen_jobs: BTreeSet::new(),
             tenants: BTreeMap::new(),
             next_tenant: 0,
@@ -71,62 +66,46 @@ impl<R: BufRead> TraceSource for GoogleSource<R> {
 
     fn next_job(&mut self) -> Result<Option<JobRequest>, String> {
         loop {
-            self.line.clear();
-            let n = self
-                .reader
-                .read_line(&mut self.line)
-                .map_err(|e| format!("line {}: read error: {e}", self.lineno + 1))?;
-            if n == 0 {
+            let Some((line, fields)) = self.rows.next_row()? else {
                 return Ok(None);
-            }
-            let lineno = self.lineno;
-            self.lineno += 1;
-            let line = self.line.trim();
-            if line.is_empty() || line.starts_with('#') || is_csv_header(line, "time") {
-                continue;
-            }
-            let parts: Vec<&str> = line.split(',').map(str::trim).collect();
+            };
+            let parts: Vec<&str> = fields.collect();
             if parts.len() < 7 {
                 return Err(format!(
-                    "line {}: expected >= 7 comma-separated fields, got {}",
-                    lineno + 1,
+                    "line {line}: expected >= 7 comma-separated fields, got {}",
                     parts.len()
                 ));
             }
             let event_type: u32 = parts[5]
                 .parse()
-                .map_err(|e| format!("line {}: bad event type: {e}", lineno + 1))?;
+                .map_err(|e| format!("line {line}: bad event type: {e}"))?;
             // Only SUBMIT (0) events become job arrivals.
             if event_type != 0 {
                 continue;
             }
             let ts_us: f64 = parts[0]
                 .parse()
-                .map_err(|e| format!("line {}: bad timestamp: {e}", lineno + 1))?;
+                .map_err(|e| format!("line {line}: bad timestamp: {e}"))?;
             if !ts_us.is_finite() || ts_us < 0.0 {
-                return Err(format!(
-                    "line {}: timestamp must be finite and >= 0",
-                    lineno + 1
-                ));
+                return Err(format!("line {line}: timestamp must be finite and >= 0"));
             }
             let submit = SimTime::secs(ts_us / 1e6);
             if submit < self.last_submit {
                 return Err(format!(
-                    "line {}: task_events not sorted by timestamp (the streaming \
-                     adapter cannot re-sort)",
-                    lineno + 1
+                    "line {line}: task_events not sorted by timestamp (the streaming \
+                     adapter cannot re-sort)"
                 ));
             }
             self.last_submit = submit;
             let job_id: u64 = parts[2]
                 .parse()
-                .map_err(|e| format!("line {}: bad job id: {e}", lineno + 1))?;
+                .map_err(|e| format!("line {line}: bad job id: {e}"))?;
             // One arrival per job: later tasks / resubmissions are skipped.
             if !self.seen_jobs.insert(job_id) {
                 continue;
             }
             if parts[6].is_empty() {
-                return Err(format!("line {}: empty user", lineno + 1));
+                return Err(format!("line {line}: empty user"));
             }
             let tenant = match self.tenants.get(parts[6]) {
                 Some(&t) => t,

@@ -6,7 +6,8 @@
 //! prices it with. Epoch counts are calibrated defaults; the cost-aware
 //! scheduler can re-estimate them with the §5.3 sampling estimator.
 
-use lml_analytic::model::{price, AnalyticCase, AnalyticParams, Substrate};
+use crate::platform::FAAS_CASE;
+use lml_analytic::model::{price, AnalyticParams, Substrate};
 use lml_data::generators::DatasetId;
 use lml_models::zoo::DeepProfile;
 use lml_models::ModelId;
@@ -151,12 +152,12 @@ impl JobClass {
         (self.default_epochs().ceil() as u32).max(1)
     }
 
-    /// Nominal single-job FaaS runtime (S3 channel, default workers,
-    /// startup excluded) — the yardstick deadlines are expressed against:
-    /// `deadline = submit + slack × nominal_runtime`.
+    /// Nominal single-job FaaS runtime (the fleet's FaaS case, default
+    /// workers, startup excluded) — the yardstick deadlines are expressed
+    /// against: `deadline = submit + slack × nominal_runtime`.
     pub fn nominal_runtime(self) -> SimTime {
         let (p, w) = (self.profile(), self.default_workers());
-        price(&p, &AnalyticCase::faas_s3(), Substrate::Faas, w).run
+        price(&p, &FAAS_CASE, Substrate::Faas, w).run
     }
 
     /// Paper-scale analytical profile of one job of this class.

@@ -32,7 +32,7 @@
 //! A bundled fixture lives under `crates/fleet/data/opendc/`.
 
 use crate::job::{JobClass, JobRequest, TenantId};
-use crate::stream::{is_csv_header, TraceSource};
+use crate::stream::{CsvRows, TraceSource};
 use crate::workload::Trace;
 use lml_sim::SimTime;
 use std::collections::BTreeMap;
@@ -42,8 +42,7 @@ use std::io::BufRead;
 /// buffered row the k-way merge peeks at.
 struct FunctionStream<R> {
     name: String,
-    reader: R,
-    lineno: usize,
+    rows: CsvRows<R>,
     last_ts: f64,
     /// Next unconsumed row: `(timestamp_secs, invocations_left)`.
     pending: Option<(f64, u64)>,
@@ -54,49 +53,33 @@ impl<R: BufRead> FunctionStream<R> {
     /// Advance to the next row with a positive invocation count, filling
     /// `pending`. Returns an error on malformed or time-disordered rows.
     fn refill(&mut self) -> Result<(), String> {
-        let mut line = String::new();
         while self.pending.is_none() && !self.done {
-            line.clear();
-            let n = self
-                .reader
-                .read_line(&mut line)
-                .map_err(|e| format!("{}: line {}: read error: {e}", self.name, self.lineno + 1))?;
-            if n == 0 {
+            let name = &self.name;
+            let row = self.rows.next_row().map_err(|e| format!("{name}: {e}"))?;
+            let Some((line, mut fields)) = row else {
                 self.done = true;
                 return Ok(());
-            }
-            let lineno = self.lineno;
-            self.lineno += 1;
-            let row = line.trim();
-            if row.is_empty() || row.starts_with('#') || is_csv_header(row, "time") {
-                continue;
-            }
-            let mut fields = row.split(',').map(str::trim);
-            let ts_ms: f64 =
-                fields.next().unwrap_or("").parse().map_err(|e| {
-                    format!("{}: line {}: bad timestamp: {e}", self.name, lineno + 1)
-                })?;
+            };
+            let ts_ms: f64 = fields
+                .next()
+                .unwrap_or("")
+                .parse()
+                .map_err(|e| format!("{name}: line {line}: bad timestamp: {e}"))?;
             if !ts_ms.is_finite() || ts_ms < 0.0 {
                 return Err(format!(
-                    "{}: line {}: timestamp must be finite and >= 0",
-                    self.name,
-                    lineno + 1
+                    "{name}: line {line}: timestamp must be finite and >= 0"
                 ));
             }
-            let invocations: u64 = fields.next().unwrap_or("").parse().map_err(|e| {
-                format!(
-                    "{}: line {}: bad invocation count: {e}",
-                    self.name,
-                    lineno + 1
-                )
-            })?;
+            let invocations: u64 = fields
+                .next()
+                .unwrap_or("")
+                .parse()
+                .map_err(|e| format!("{name}: line {line}: bad invocation count: {e}"))?;
             let ts = ts_ms / 1e3;
             if ts < self.last_ts {
                 return Err(format!(
-                    "{}: line {}: timeline not sorted by timestamp (the streaming \
-                     adapter cannot re-sort)",
-                    self.name,
-                    lineno + 1
+                    "{name}: line {line}: timeline not sorted by timestamp (the streaming \
+                     adapter cannot re-sort)"
                 ));
             }
             self.last_ts = ts;
@@ -126,8 +109,7 @@ impl<R: BufRead> OpenDcSource<R> {
                 .into_iter()
                 .map(|(name, reader)| FunctionStream {
                     name,
-                    reader,
-                    lineno: 0,
+                    rows: CsvRows::new(reader, "time"),
                     last_ts: 0.0,
                     pending: None,
                     done: false,

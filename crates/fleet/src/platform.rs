@@ -7,29 +7,64 @@
 //! cold-start probability falling as traffic rises, account concurrency
 //! limits, queueing on reserved clusters, and idle reserved capacity
 //! billing whether busy or not (§2.2).
+//!
+//! The substrate itself is fixed, as in the paper's §5.3 model: one FaaS
+//! case (S3 channel, 3 GB functions) and one IaaS case (t2.medium, which
+//! the reserved pool and the spot tier both rent). So are the platform
+//! timings nobody varies: the warm keep-alive, the pool's idle release and
+//! dispatch latency, the spot discount and its retry budget. Only the
+//! capacities and the market's hostility are configured.
 
+use lml_analytic::model::AnalyticCase;
+use lml_faas::lambda::FUNCTION_GB;
 use lml_faas::startup::{faas_startup_time, INVOKE_LATENCY};
 use lml_iaas::cluster::iaas_startup_table;
 use lml_iaas::InstanceType;
 use lml_sim::{Cost, Pcg64, SimTime};
+
+/// The §5.3 case every FaaS price comes from: the S3 channel and 3 GB
+/// ([`FUNCTION_GB`]) functions.
+pub(crate) const FAAS_CASE: AnalyticCase = AnalyticCase::faas_s3();
+
+/// The §5.3 case every IaaS price comes from: [`INSTANCE`]'s network and
+/// hourly price.
+pub(crate) const IAAS_CASE: AnalyticCase = AnalyticCase::iaas_t2();
+
+/// What the reserved pool and the spot tier rent.
+const INSTANCE: InstanceType = InstanceType::T2Medium;
+
+/// How long a finished container stays warm before the platform reclaims
+/// it: ten minutes.
+const KEEP_ALIVE: SimTime = SimTime(600.0);
+
+/// How long idle pool capacity above the floor survives before release:
+/// five minutes.
+pub(crate) const IDLE_AFTER: SimTime = SimTime(300.0);
+
+/// Dispatch latency of a job onto already-running pool instances (the
+/// master dispensing scripts when the cluster is warm — vastly below the
+/// cold `t_I(w)` boot).
+pub(crate) const DISPATCH_LATENCY: SimTime = SimTime(2.0);
+
+/// Spot price multiplier vs on-demand: a 70% discount, the typical
+/// spot/preemptible market band.
+const PRICE_FACTOR: f64 = 0.3;
+
+/// Preemptions a spot job tolerates before it gives up on the market and
+/// falls back to the reserved pool (bounds the restart storm a long job
+/// would otherwise spin through on a hostile market).
+pub(crate) const MAX_RETRIES: u32 = 3;
 
 /// Provisioned-concurrency price per GB-second: what an always-warm
 /// container costs whether invoked or not (AWS Lambda provisioned
 /// concurrency, ≈¼ the on-demand duration rate).
 pub const PROVISIONED_PRICE_PER_GB_SECOND: f64 = 0.000_004_166_7;
 
-/// Function memory the fleet provisions, matching the §5.3 pricing case
-/// (3 GB functions plus runtime overhead).
-pub const FUNCTION_GB: f64 = 3.008;
-
 /// FaaS region configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaasConfig {
     /// Account-level concurrent-execution limit (AWS default: 1000).
     pub concurrency_limit: usize,
-    /// How long a finished container stays warm before the platform
-    /// reclaims it.
-    pub keep_alive: SimTime,
     /// Always-warm containers the account pre-pays for (provisioned
     /// concurrency). They never go cold, are consumed before the organic
     /// warm pool, and bill at [`PROVISIONED_PRICE_PER_GB_SECOND`] for the
@@ -41,7 +76,6 @@ impl Default for FaasConfig {
     fn default() -> Self {
         FaasConfig {
             concurrency_limit: 1_000,
-            keep_alive: SimTime::minutes(10.0),
             provisioned_concurrency: 0,
         }
     }
@@ -54,7 +88,7 @@ pub struct FaasRegion {
     /// Functions currently executing.
     in_use: usize,
     /// Expiry times of idle warm containers, ascending. Releases happen in
-    /// event-time order and `keep_alive` is constant, so appends keep the
+    /// event-time order and [`KEEP_ALIVE`] is constant, so appends keep the
     /// deque sorted for free: pruning pops stale entries from the front and
     /// warm hits consume the freshest entries from the back — no per-start
     /// sort or scan.
@@ -145,7 +179,7 @@ impl FaasRegion {
         let to_provisioned =
             (self.cfg.provisioned_concurrency - self.provisioned_free).min(workers);
         self.provisioned_free += to_provisioned;
-        let expire = now.as_secs() + self.cfg.keep_alive.as_secs();
+        let expire = now.as_secs() + KEEP_ALIVE.as_secs();
         debug_assert!(
             self.warm.back().is_none_or(|&e| e <= expire),
             "releases must arrive in event-time order to keep the pool sorted"
@@ -192,27 +226,17 @@ impl FaasRegion {
 /// IaaS pool configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IaasConfig {
-    pub instance: InstanceType,
     /// Instances kept reserved at all times (bill from t = 0).
     pub min_instances: usize,
     /// Autoscaling ceiling.
     pub max_instances: usize,
-    /// How long idle capacity above the floor survives before release.
-    pub idle_after: SimTime,
-    /// Dispatch latency of a job onto already-running instances (the master
-    /// dispensing scripts when the cluster is warm — vastly below the cold
-    /// t_I(w) boot).
-    pub dispatch_latency: SimTime,
 }
 
 impl Default for IaasConfig {
     fn default() -> Self {
         IaasConfig {
-            instance: InstanceType::T2Medium,
             min_instances: 20,
             max_instances: 400,
-            idle_after: SimTime::minutes(5.0),
-            dispatch_latency: SimTime::secs(2.0),
         }
     }
 }
@@ -339,7 +363,7 @@ impl IaasPool {
     /// Reserved-capacity bill so far: every booted instance-second, busy or
     /// idle (§2.2: "reserved resources bill whether busy or idle").
     pub fn cost(&self) -> Cost {
-        self.cfg.instance.hourly() * (self.instance_seconds / 3_600.0)
+        INSTANCE.hourly() * (self.instance_seconds / 3_600.0)
     }
 
     /// Busy fraction of all billed instance-seconds.
@@ -361,18 +385,10 @@ impl IaasPool {
 /// Spot/preemptible tier configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpotConfig {
-    pub instance: InstanceType,
-    /// Price multiplier vs on-demand (0.3 ⇒ a 70% discount — the typical
-    /// spot/preemptible market band).
-    pub price_factor: f64,
     /// Mean time to preemption of a single spot instance (exponential,
     /// seeded). A `workers`-wide job dies when its *first* instance is
     /// reclaimed, so its effective mean is `mean_time_to_preempt/workers`.
     pub mean_time_to_preempt: SimTime,
-    /// Preemptions a job tolerates before it gives up on the market and
-    /// falls back to the reserved pool (bounds the restart storm a long
-    /// job would otherwise spin through on a hostile market).
-    pub max_retries: u32,
 }
 
 impl SpotConfig {
@@ -391,10 +407,7 @@ impl SpotConfig {
 impl Default for SpotConfig {
     fn default() -> Self {
         SpotConfig {
-            instance: InstanceType::T2Medium,
-            price_factor: 0.3,
             mean_time_to_preempt: SimTime::hours(4.0),
-            max_retries: 3,
         }
     }
 }
@@ -407,7 +420,7 @@ impl Default for SpotConfig {
 /// seeded exponential preemption clock, and a preempted job rolls back to
 /// its last durable checkpoint (or to zero without one) and must requeue.
 /// Billing covers exactly the instance-seconds actually held (boot + run
-/// until completion or preemption) at the discounted rate.
+/// until completion or preemption) at a 70% discount.
 #[derive(Debug, Clone)]
 pub struct SpotTier {
     pub cfg: SpotConfig,
@@ -420,7 +433,6 @@ pub struct SpotTier {
 
 impl SpotTier {
     pub fn new(cfg: SpotConfig, seed: u64) -> Self {
-        assert!(cfg.price_factor > 0.0 && cfg.price_factor <= 1.0);
         assert!(cfg.mean_time_to_preempt.as_secs() > 0.0);
         SpotTier {
             cfg,
@@ -490,7 +502,7 @@ impl SpotTier {
     /// Discounted price of `instance_seconds` on this market — the single
     /// pricing point behind both the tier bill and per-job attribution.
     fn price(&self, instance_seconds: f64) -> Cost {
-        self.cfg.instance.hourly() * (instance_seconds / 3_600.0 * self.cfg.price_factor)
+        INSTANCE.hourly() * (instance_seconds / 3_600.0 * PRICE_FACTOR)
     }
 
     /// Discounted price of holding `workers` instances for `held`.
@@ -551,14 +563,11 @@ mod tests {
 
     #[test]
     fn warm_containers_expire() {
-        let mut r = FaasRegion::new(FaasConfig {
-            keep_alive: SimTime::secs(60.0),
-            ..Default::default()
-        });
+        let mut r = FaasRegion::new(FaasConfig::default());
         r.try_start(SimTime::ZERO, 10).unwrap();
         r.release(SimTime::secs(10.0), 10);
-        // 100 s later the pool is stale: all cold again.
-        let (_, hits) = r.try_start(SimTime::secs(200.0), 10).unwrap();
+        // 100 s past the keep-alive the pool is stale: all cold again.
+        let (_, hits) = r.try_start(SimTime::secs(710.0), 10).unwrap();
         assert_eq!(hits, 0);
     }
 
@@ -607,7 +616,6 @@ mod tests {
         let mut p = IaasPool::new(IaasConfig {
             min_instances: 5,
             max_instances: 50,
-            ..Default::default()
         });
         let (k, boot) = p.scale_up(SimTime::ZERO, 20).unwrap();
         assert_eq!(k, 20);
@@ -624,7 +632,6 @@ mod tests {
     fn provisioned_concurrency_is_always_warm() {
         let mut r = FaasRegion::new(FaasConfig {
             provisioned_concurrency: 10,
-            keep_alive: SimTime::secs(60.0),
             ..Default::default()
         });
         // First job, hours into the trace: still fully warm.
@@ -655,16 +662,12 @@ mod tests {
 
     #[test]
     fn spot_tier_bills_discounted_held_seconds() {
-        let cfg = SpotConfig {
-            price_factor: 0.25,
-            ..Default::default()
-        };
-        let mut s = SpotTier::new(cfg, 1);
+        let mut s = SpotTier::new(SpotConfig::default(), 1);
         let boot = s.start(10);
         assert!(boot.as_secs() > 0.0, "spot clusters still boot");
         s.finish(10, SimTime::hours(1.0));
-        // 10 instances × 1 h × $0.0464 × 0.25.
-        assert!((s.cost().as_usd() - 0.116).abs() < 1e-9);
+        // 10 instances × 1 h × $0.0464 × 0.3.
+        assert!((s.cost().as_usd() - 0.1392).abs() < 1e-9);
         assert_eq!(s.preemptions(), 0);
     }
 
@@ -692,7 +695,6 @@ mod tests {
     fn preemption_clock_mean_divides_by_width() {
         let cfg = SpotConfig {
             mean_time_to_preempt: SimTime::secs(8_000.0),
-            ..Default::default()
         };
         let s = SpotTier::new(cfg, 5);
         let n = 4_000u64;
@@ -715,7 +717,6 @@ mod tests {
     fn preemption_rate_inverts_the_sampled_mean() {
         let cfg = SpotConfig {
             mean_time_to_preempt: SimTime::secs(5_000.0),
-            ..Default::default()
         };
         assert!((cfg.preemption_rate_per_instance_s() - 2e-4).abs() < 1e-15);
         let s = SpotTier::new(cfg, 9);
@@ -733,12 +734,18 @@ mod tests {
         );
     }
 
+    /// The IaaS case prices the instance the pool and the spot tier rent.
+    #[test]
+    fn iaas_case_prices_the_rented_instance() {
+        let rate = INSTANCE.hourly().as_usd() / 3_600.0;
+        assert_eq!(IAAS_CASE.worker_price_per_s.to_bits(), rate.to_bits());
+    }
+
     #[test]
     fn iaas_scale_up_respects_ceiling() {
         let mut p = IaasPool::new(IaasConfig {
             min_instances: 5,
             max_instances: 10,
-            ..Default::default()
         });
         let (k, _) = p.scale_up(SimTime::ZERO, 100).unwrap();
         assert_eq!(k, 5, "ceiling of 10 minus 5 booted");

@@ -233,22 +233,11 @@ impl Default for CostAware {
 }
 
 impl CostAware {
-    /// Router predicting with the analytic model over the default cases
-    /// (S3-channel FaaS, t2.medium IaaS) — matches
-    /// [`crate::sim::FleetConfig::default`]. For any other fleet
-    /// configuration use [`CostAware::for_config`] so the routing
-    /// estimates price the same substrates the simulator charges.
+    /// Router predicting with the analytic model, which prices the
+    /// fleet's own substrate whatever the [`crate::sim::FleetConfig`].
     pub fn new() -> Self {
         CostAware {
             est: Box::new(Analytic::new()),
-        }
-    }
-
-    /// Router predicting with the analytic model over the fleet's own
-    /// channel/pricing cases.
-    pub fn for_config(cfg: &crate::sim::FleetConfig) -> Self {
-        CostAware {
-            est: Box::new(Analytic::for_config(cfg)),
         }
     }
 
@@ -384,12 +373,10 @@ impl DeadlineAware {
         }
     }
 
-    /// Scheduler predicting with the analytic model over the fleet's own
-    /// channel/pricing cases, and the preemption-rate prior seeded from
-    /// the fleet's spot configuration.
+    /// Scheduler with the preemption-rate prior seeded from the fleet's
+    /// spot configuration.
     pub fn for_config(cfg: &crate::sim::FleetConfig) -> Self {
         DeadlineAware {
-            est: Box::new(Analytic::for_config(cfg)),
             risk: RiskModel::for_config(&cfg.spot),
             ..Self::new()
         }
@@ -604,13 +591,10 @@ impl FairShare {
         }
     }
 
-    /// Scheduler predicting with the analytic model over the fleet's own
-    /// channel/pricing cases.
-    pub fn for_config(cfg: &crate::sim::FleetConfig) -> Self {
-        FairShare {
-            est: Box::new(Analytic::for_config(cfg)),
-            ..Self::new()
-        }
+    /// Equals [`FairShare::new`]: no configuration moves the substrate
+    /// its estimates price. Kept because the repo benchmark calls it.
+    pub fn for_config(_cfg: &crate::sim::FleetConfig) -> Self {
+        Self::new()
     }
 
     /// Swap in a different prediction model (online, hybrid, …).

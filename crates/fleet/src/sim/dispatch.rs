@@ -15,6 +15,7 @@ use crate::estimate::{CompletedJob, PreemptionObs};
 use crate::job::JobRequest;
 use crate::lifecycle::{preempt_outcome, restore_beats_redo, AttemptPlan, JobLifecycle};
 use crate::observe::{AttemptSpan, PlatformEvent};
+use crate::platform::{DISPATCH_LATENCY, IDLE_AFTER, MAX_RETRIES};
 use crate::queue::Pick;
 use crate::scheduler::Route;
 use lml_sim::Cost;
@@ -209,11 +210,11 @@ impl Fleet<'_> {
         }
         let cache = self.class_cache(job.class, job.workers);
         // Restore-vs-redo priced at the reserved pool's own rate.
-        let rate = self.cfg.iaas_case.rate(job.workers);
+        let rate = IAAS_CASE.rate(job.workers);
         let begun = self.begin_attempt(h, now, &cache, rate);
         let s = self.slab.state_mut(h);
         let run = SimTime::secs((s.epochs_total - begun.from) as f64 * cache.epoch_secs);
-        let startup = self.cfg.iaas.dispatch_latency + begun.restore;
+        let startup = DISPATCH_LATENCY + begun.restore;
         s.startup += startup;
         s.run += run;
         let plan = Launch {
@@ -410,8 +411,7 @@ impl Fleet<'_> {
         self.complete(h, now, sched);
         self.drain_iaas(now, sched);
         if self.iaas_queue.is_empty() {
-            self.events
-                .push(now + self.cfg.iaas.idle_after, Event::IdleCheck);
+            self.events.push(now + IDLE_AFTER, Event::IdleCheck);
         }
     }
 
@@ -525,7 +525,7 @@ impl Fleet<'_> {
         // fresh spot cluster, or — once the retry budget is spent — fall
         // back to the reserved pool, resuming from the checkpoint there
         // (the record keeps its Spot route and its preemption history).
-        if preemptions <= self.cfg.spot.max_retries {
+        if preemptions <= MAX_RETRIES {
             self.start_spot(h, now);
         } else {
             self.enqueue_iaas(h, now, sched);
@@ -562,6 +562,7 @@ mod tests {
     use super::super::{simulate, small_trace, FleetConfig};
     use crate::job::{JobClass, JobRequest};
     use crate::lifecycle::CheckpointPolicy;
+    use crate::platform::MAX_RETRIES;
     use crate::scheduler::{AllFaas, AllIaas, DeadlineAware, FairShare, Route};
     use crate::workload::{ArrivalProcess, JobMix, TenantSpec, Trace};
     use lml_sim::SimTime;
@@ -634,19 +635,20 @@ mod tests {
     fn hostile_spot_market_falls_back_to_reserved_pool() {
         let mut cfg = FleetConfig::default();
         cfg.spot.mean_time_to_preempt = SimTime::secs(50.0); // 10-wide: ~5 s
-        cfg.spot.max_retries = 2;
         let trace = small_trace(60, 0.5, 31);
         let mut sched = FairShare::new().with_spot_fraction(1.0);
         let m = simulate(&trace, &cfg, &mut sched, 31);
         assert_eq!(m.n_jobs, 60, "every job completes despite the market");
-        assert!(m.preemptions > 0);
+        assert!(
+            m.records.iter().any(|r| r.preemptions == MAX_RETRIES + 1),
+            "premise: some job spends the whole retry budget"
+        );
         for r in &m.records {
             assert!(
-                r.preemptions <= cfg.spot.max_retries + 1,
-                "job {} preempted {} times, budget is {}",
+                r.preemptions <= MAX_RETRIES + 1,
+                "job {} preempted {} times, budget is {MAX_RETRIES}",
                 r.id,
                 r.preemptions,
-                cfg.spot.max_retries
             );
             // Accounting stays consistent across restarts and fallback.
             assert!(
@@ -684,7 +686,6 @@ mod tests {
     fn fallback_queue_time_accumulates_once_per_wait() {
         let mut cfg = FleetConfig::default();
         cfg.spot.mean_time_to_preempt = SimTime::secs(100.0); // ~10 s for 10-wide
-        cfg.spot.max_retries = 0; // first preemption falls back to the pool
         cfg.checkpoint = CheckpointPolicy::every(1);
         cfg.iaas.min_instances = 10;
         cfg.iaas.max_instances = 10; // one 10-wide job at a time: fallback queues
@@ -695,7 +696,10 @@ mod tests {
         let mut sched = FairShare::new().with_spot_fraction(1.0);
         let m = simulate(&trace, &cfg, &mut sched, 5);
         assert_eq!(m.n_jobs, 4);
-        assert!(m.preemptions > 0, "premise: the market strikes");
+        assert!(
+            m.records.iter().all(|r| r.preemptions == MAX_RETRIES + 1),
+            "premise: every job falls back to the pool"
+        );
         let mut someone_waited = false;
         for r in &m.records {
             assert!(

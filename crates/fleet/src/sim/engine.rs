@@ -146,6 +146,37 @@ impl Fleet<'_> {
     }
 }
 
+/// Refuse a config the engine cannot run, before a single job is pulled:
+/// each of these would otherwise panic in a platform constructor or
+/// mid-replay, or (a zero budget window) re-arm its clock forever.
+fn check_config(cfg: &FleetConfig) -> Result<(), String> {
+    let (faas, iaas) = (cfg.faas, cfg.iaas);
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    let mttp = cfg.spot.mean_time_to_preempt.as_secs();
+    let window = cfg.budget_window.map(SimTime::as_secs);
+    let fault = if !positive(cfg.epoch_scale) {
+        format!(
+            "epoch_scale must be finite and > 0, got {}",
+            cfg.epoch_scale
+        )
+    } else if iaas.min_instances > iaas.max_instances {
+        let (min, max) = (iaas.min_instances, iaas.max_instances);
+        format!("iaas.min_instances must be <= max_instances ({max}), got {min}")
+    } else if faas.provisioned_concurrency > faas.concurrency_limit {
+        let (pc, limit) = (faas.provisioned_concurrency, faas.concurrency_limit);
+        format!("faas.provisioned_concurrency must be <= concurrency_limit ({limit}), got {pc}")
+    } else if mttp.is_nan() || mttp <= 0.0 {
+        format!("spot.mean_time_to_preempt must be > 0, got {mttp}")
+    } else if cfg.checkpoint == CheckpointPolicy::EveryK(0) {
+        "checkpoint interval must be >= 1 epoch, got every0".into()
+    } else if let Some(w) = window.filter(|&w| !positive(w)) {
+        format!("budget_window must be finite and > 0, got {w}")
+    } else {
+        return Ok(());
+    };
+    Err(format!("FleetConfig::{fault}"))
+}
+
 /// The streaming replay driver behind every public entry point: pull
 /// arrivals from `source` on demand, merge them with the event heap on
 /// simulation time (arrival wins ties — it would have carried the lowest
@@ -160,12 +191,7 @@ pub(super) fn run_replay<S: TraceSource>(
     observer: &mut (dyn FleetObserver + '_),
     sink: &mut dyn Retire,
 ) -> Result<ReplayEnd, String> {
-    if !(cfg.epoch_scale.is_finite() && cfg.epoch_scale > 0.0) {
-        return Err(format!(
-            "FleetConfig::epoch_scale must be finite and > 0, got {}",
-            cfg.epoch_scale
-        ));
-    }
+    check_config(cfg)?;
     // The budget preamble comes first (sources deliver it before any job).
     let budgets = source.budgets()?;
     // Advisory only: a wrong hint costs a realloc or some slack.

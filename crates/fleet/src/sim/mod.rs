@@ -74,12 +74,14 @@ use crate::job::{JobClass, TenantId};
 use crate::lifecycle::CheckpointPolicy;
 use crate::metrics::FleetMetrics;
 use crate::observe::{FleetObserver, NullObserver};
-use crate::platform::{FaasConfig, FaasRegion, IaasConfig, IaasPool, SpotConfig, SpotTier};
+use crate::platform::{
+    FaasConfig, FaasRegion, IaasConfig, IaasPool, SpotConfig, SpotTier, FAAS_CASE, IAAS_CASE,
+};
 use crate::queue::ReadyQueue;
 use crate::scheduler::{QueueDiscipline, Scheduler};
 use crate::stream::{InMemorySource, TraceSource};
 use crate::workload::Trace;
-use lml_analytic::model::{price, AnalyticCase, Price, Substrate};
+use lml_analytic::model::{price, Price, Substrate};
 use lml_sim::{ByteSize, Cost, EventQueue, SimTime};
 use lml_storage::checkpoint::{checkpoint_bytes, CheckpointCosting};
 use std::collections::BTreeMap;
@@ -98,7 +100,11 @@ use engine::run_replay;
 use retire::{RecordSink, Retire, RollupState, SummaryAcc};
 use slab::{Handle, Slab};
 
-/// Fleet-wide configuration: the three platforms and their channel cases.
+/// Fleet-wide configuration: the three platforms' capacities, the spot
+/// market, checkpointing, the zoo's calibration and budget accounting.
+/// The substrate itself — the §5.3 channel and pricing cases, the rented
+/// instance type and the platform timings — is fixed (see
+/// [`crate::platform`]).
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
     pub faas: FaasConfig,
@@ -109,10 +115,6 @@ pub struct FleetConfig {
     /// by size class — see [`CHECKPOINT_TIER_THRESHOLD`]); `Never`
     /// reproduces the PR 2 lose-everything behaviour.
     pub checkpoint: CheckpointPolicy,
-    /// Analytical channel/pricing case for FaaS jobs (default: S3, 3 GB).
-    pub faas_case: AnalyticCase,
-    /// Analytical case for IaaS jobs (default: t2.medium network).
-    pub iaas_case: AnalyticCase,
     /// Zoo miscalibration knob: the *actual* epochs every job needs are
     /// the class's calibrated count times this factor, while schedulers'
     /// analytic priors keep assuming the unscaled count. 1.0 (the
@@ -161,8 +163,6 @@ impl Default for FleetConfig {
             iaas: IaasConfig::default(),
             spot: SpotConfig::default(),
             checkpoint: CheckpointPolicy::Never,
-            faas_case: AnalyticCase::faas_s3(),
-            iaas_case: AnalyticCase::iaas_t2(),
             epoch_scale: 1.0,
             budget_window: None,
             deadline_miss_cost: 1.0,
@@ -325,8 +325,8 @@ impl<'a> Fleet<'a> {
         p.epochs *= self.cfg.epoch_scale;
         let bytes = checkpoint_bytes(class.profile().model_bytes);
         let epochs_total = ((class.default_epochs() * self.cfg.epoch_scale).ceil() as u32).max(1);
-        let faas = price(&p, &self.cfg.faas_case, Substrate::Faas, workers);
-        let iaas = price(&p, &self.cfg.iaas_case, Substrate::Iaas, workers);
+        let faas = price(&p, &FAAS_CASE, Substrate::Faas, workers);
+        let iaas = price(&p, &IAAS_CASE, Substrate::Iaas, workers);
         let c = ClassCache {
             workers,
             epochs_total,
@@ -347,10 +347,14 @@ impl<'a> Fleet<'a> {
 ///
 /// Memory holds the in-flight working set plus one [`crate::metrics::JobRecord`] per
 /// streamed job (the metrics need them); for traces too large even for
-/// that, use [`replay_stats`]. A source the engine cannot run — a read or
-/// parse error, out-of-order arrivals, a job wider than the platform it is
-/// routed to, a non-positive [`FleetConfig::epoch_scale`] — is an `Err`,
-/// never a panic.
+/// that, use [`replay_stats`]. A source or config the engine cannot run
+/// is an `Err`, never a panic or a hang: a read or parse error,
+/// out-of-order arrivals, a job wider than the platform it is routed to,
+/// a non-positive [`FleetConfig::epoch_scale`], `iaas.min_instances` above
+/// `iaas.max_instances`, `faas.provisioned_concurrency` above
+/// `faas.concurrency_limit`, a non-positive `spot.mean_time_to_preempt`,
+/// [`CheckpointPolicy::EveryK`]`(0)`, or a non-positive or non-finite
+/// [`FleetConfig::budget_window`].
 ///
 /// ```
 /// use lml_fleet::{replay, AllFaas, FleetConfig, TextSource};
@@ -413,9 +417,9 @@ pub fn replay_stats<S: TraceSource>(
 /// # Panics
 ///
 /// Where [`replay`] returns `Err` (a job wider than its routed platform,
-/// a bad `epoch_scale`), this panics with that error — build the trace
-/// and config so that cannot happen, or call [`replay`] through an
-/// [`InMemorySource`] to handle it.
+/// a hostile config — see [`replay`] for the list), this panics with that
+/// error — build the trace and config so that cannot happen, or call
+/// [`replay`] through an [`InMemorySource`] to handle it.
 ///
 /// Observability-free view of [`simulate_observed`]: the default
 /// [`NullObserver`] makes every hook a no-op, so this is byte-identical to
@@ -713,21 +717,54 @@ mod tests {
 
     /// A config the engine cannot run is an `Err` from every `replay*`
     /// entry point, before a single job is pulled — and the documented
-    /// panic from `simulate*`.
+    /// panic from `simulate*`. The trace is budgeted and the scheduler
+    /// routes to spot, so a field that got through would be read.
     #[test]
-    fn bad_epoch_scale_is_an_error_not_a_panic() {
-        let trace = small_trace(5, 0.5, 1);
+    fn hostile_config_is_an_error_not_a_panic() {
+        use crate::observe::RecordingObserver;
+        let trace = small_trace(5, 0.5, 1).with_budget(0, 0.5);
+        let with = |edit: &dyn Fn(&mut FleetConfig)| {
+            let mut cfg = FleetConfig::default();
+            edit(&mut cfg);
+            cfg
+        };
+        let mut hostile = vec![
+            ("iaas.min_instances", with(&|c| c.iaas.min_instances = 401)),
+            (
+                "faas.provisioned_concurrency",
+                with(&|c| c.faas.provisioned_concurrency = 1_001),
+            ),
+            (
+                "checkpoint",
+                with(&|c| c.checkpoint = CheckpointPolicy::EveryK(0)),
+            ),
+        ];
         for bad in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
-            let cfg = FleetConfig {
-                epoch_scale: bad,
-                ..FleetConfig::default()
-            };
-            let err = replay(InMemorySource::new(&trace), &cfg, &mut AllFaas, 1).unwrap_err();
-            assert!(err.contains("epoch_scale") && err.contains("> 0"), "{err}");
+            hostile.push(("epoch_scale", with(&|c| c.epoch_scale = bad)));
+            let window = with(&|c| c.budget_window = Some(SimTime::secs(bad)));
+            hostile.push(("budget_window", window));
+        }
+        for bad in [f64::NAN, 0.0, -1.0] {
+            let mttp = with(&|c| c.spot.mean_time_to_preempt = SimTime::secs(bad));
+            hostile.push(("spot.mean_time_to_preempt", mttp));
+        }
+        let sched = || FairShare::new().with_spot_fraction(1.0);
+        for (field, cfg) in &hostile {
+            let err = replay(InMemorySource::new(&trace), cfg, &mut sched(), 1).unwrap_err();
+            let prefix = format!("FleetConfig::{field} ");
+            assert!(err.starts_with(&prefix) && err.contains("must"), "{err}");
+            let observed = replay_observed(
+                InMemorySource::new(&trace),
+                cfg,
+                &mut sched(),
+                1,
+                &mut RecordingObserver::new(),
+            );
+            assert_eq!(observed.unwrap_err(), err);
             let stats = replay_stats(
                 InMemorySource::new(&trace),
-                &cfg,
-                &mut AllFaas,
+                cfg,
+                &mut sched(),
                 1,
                 &mut NullObserver,
             );

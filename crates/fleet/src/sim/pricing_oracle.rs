@@ -5,13 +5,14 @@
 //! (the simulator's ground truth), `Analytic::predict` (the estimate) and
 //! `JobClass::nominal_runtime` (the deadline yardstick). That arithmetic is
 //! kept here verbatim, and a Pcg64 case sweep asserts the seam reproduces it
-//! to the bit.
+//! to the bit: on all four §5.3 cases for the seam itself, and on the
+//! fleet's two cases for the truth and the estimate.
 
 use super::*;
 use crate::estimate::{Analytic, Estimate, Estimator};
 use crate::job::JobRequest;
 use lml_analytic::constants;
-use lml_analytic::model::{AnalyticParams, Scaling};
+use lml_analytic::model::{AnalyticCase, AnalyticParams, Scaling};
 use lml_sim::Pcg64;
 
 fn faas_time(p: &AnalyticParams, c: &AnalyticCase, scaling: Scaling, w: usize) -> SimTime {
@@ -52,24 +53,24 @@ fn class_cache(cfg: &FleetConfig, class: JobClass, workers: usize) -> (SimTime, 
     let mut p = class.profile();
     p.epochs *= cfg.epoch_scale;
     let epochs_total = ((class.default_epochs() * cfg.epoch_scale).ceil() as u32).max(1);
-    let iaas_run_full = iaas_run(&p, &cfg.iaas_case, workers);
+    let iaas_run_full = iaas_run(&p, &IAAS_CASE, workers);
     (
-        faas_run(&p, &cfg.faas_case, workers),
-        faas_cost(&p, &cfg.faas_case, Scaling::Perfect, workers),
+        faas_run(&p, &FAAS_CASE, workers),
+        faas_cost(&p, &FAAS_CASE, Scaling::Perfect, workers),
         iaas_run_full.as_secs() / epochs_total as f64,
     )
 }
 
-fn predict(cfg: &FleetConfig, epochs: f64, job: &JobRequest) -> Estimate {
+fn predict(epochs: f64, job: &JobRequest) -> Estimate {
     let mut p = job.class.profile();
     p.epochs = epochs;
     let w = job.workers;
-    let t_faas = faas_time(&p, &cfg.faas_case, Scaling::Perfect, w).as_secs()
+    let t_faas = faas_time(&p, &FAAS_CASE, Scaling::Perfect, w).as_secs()
         - lml_analytic::constants::t_f().eval(w as f64);
-    let c_faas = faas_cost(&p, &cfg.faas_case, Scaling::Perfect, w).as_usd();
-    let t_iaas = iaas_time(&p, &cfg.iaas_case, Scaling::Perfect, w).as_secs()
+    let c_faas = faas_cost(&p, &FAAS_CASE, Scaling::Perfect, w).as_usd();
+    let t_iaas = iaas_time(&p, &IAAS_CASE, Scaling::Perfect, w).as_secs()
         - lml_analytic::constants::t_i().eval(w as f64);
-    let c_iaas = w as f64 * cfg.iaas_case.worker_price_per_s * t_iaas;
+    let c_iaas = w as f64 * IAAS_CASE.worker_price_per_s * t_iaas;
     Estimate::point(t_faas, c_faas, t_iaas, c_iaas)
 }
 
@@ -113,9 +114,8 @@ fn truth_estimate_and_yardstick_match_the_kept_arithmetic_bit_for_bit() {
     let mut rng = Pcg64::new(0x9e1c_e5ea);
     for (&class, case) in JobClass::ALL.iter().cycle().zip(0..1_200) {
         let w = 1 + rng.index(1_000);
+        let (faas_case, iaas_case) = (any_case(&mut rng), any_case(&mut rng));
         let cfg = FleetConfig {
-            faas_case: any_case(&mut rng),
-            iaas_case: any_case(&mut rng),
             epoch_scale: match rng.index(4) {
                 0 => 0.5,
                 1 => 1.0,
@@ -130,27 +130,19 @@ fn truth_estimate_and_yardstick_match_the_kept_arithmetic_bit_for_bit() {
         // The seam itself, on the miscalibrated profile the truth uses.
         let mut p = class.profile();
         p.epochs *= cfg.epoch_scale;
-        let faas = price(&p, &cfg.faas_case, Substrate::Faas, w);
-        let iaas = price(&p, &cfg.iaas_case, Substrate::Iaas, w);
+        let faas = price(&p, &faas_case, Substrate::Faas, w);
+        let iaas = price(&p, &iaas_case, Substrate::Iaas, w);
         let t_f = constants::t_f().eval(w as f64);
         let t_i = constants::t_i().eval(w as f64);
         assert_eq!(secs(faas.startup), t_f.to_bits(), "{at}");
         assert_eq!(secs(iaas.startup), t_i.to_bits(), "{at}");
-        assert_eq!(
-            secs(faas.run),
-            secs(faas_run(&p, &cfg.faas_case, w)),
-            "{at}"
-        );
-        assert_eq!(
-            secs(iaas.run),
-            secs(iaas_run(&p, &cfg.iaas_case, w)),
-            "{at}"
-        );
-        let want = faas_cost(&p, &cfg.faas_case, Scaling::Perfect, w);
+        assert_eq!(secs(faas.run), secs(faas_run(&p, &faas_case, w)), "{at}");
+        assert_eq!(secs(iaas.run), secs(iaas_run(&p, &iaas_case, w)), "{at}");
+        let want = faas_cost(&p, &faas_case, Scaling::Perfect, w);
         assert_eq!(usd(faas.dollars), usd(want), "{at}");
-        let rate = w as f64 * cfg.iaas_case.worker_price_per_s;
-        assert_eq!(cfg.iaas_case.rate(w).to_bits(), rate.to_bits(), "{at}");
-        let want = rate * iaas_run(&p, &cfg.iaas_case, w).as_secs();
+        let rate = w as f64 * iaas_case.worker_price_per_s;
+        assert_eq!(iaas_case.rate(w).to_bits(), rate.to_bits(), "{at}");
+        let want = rate * iaas_run(&p, &iaas_case, w).as_secs();
         assert_eq!(usd(iaas.dollars), want.to_bits(), "{at}");
 
         // The simulator's ground truth.
@@ -172,13 +164,13 @@ fn truth_estimate_and_yardstick_match_the_kept_arithmetic_bit_for_bit() {
         assert_eq!(got.epoch_secs.to_bits(), epoch_secs.to_bits(), "{at}");
 
         // The estimate, cold and memoised.
-        let mut analytic = Analytic::for_config(&cfg);
+        let mut analytic = Analytic::new();
         if let Some(epochs) = pinned {
             analytic.pin_epochs(class, epochs);
         }
         let job = JobRequest::new(0, class, SimTime::ZERO, w);
         let epochs = pinned.unwrap_or_else(|| class.default_epochs());
-        let want = estimate_bits(&predict(&cfg, epochs, &job));
+        let want = estimate_bits(&predict(epochs, &job));
         assert_eq!(estimate_bits(&analytic.predict(&job)), want, "{at}");
         assert_eq!(estimate_bits(&analytic.predict(&job)), want, "{at}");
     }

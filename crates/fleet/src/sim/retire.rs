@@ -61,7 +61,7 @@ impl RecordSink {
             .collect();
         // The provisioned floor bills over the makespan (last job finish),
         // not over the last event — the trailing IaaS IdleCheck would
-        // otherwise add phantom idle_after seconds only to policies that
+        // otherwise add phantom `IDLE_AFTER` seconds only to policies that
         // touch the pool. One definition, shared with the metrics rollup.
         let makespan = JobRecord::makespan(&records);
         let ReplayEnd {

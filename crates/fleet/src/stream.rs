@@ -391,12 +391,63 @@ impl TraceSource for GeneratorSource {
     }
 }
 
+/// A CSV trace export read one row at a time, with one line resident: the
+/// steps the Azure, Google and OpenDC adapters share. Lines are counted,
+/// trimmed and split on `,` into trimmed fields; blank lines, `#` comments
+/// and header lines are skipped (headers also mid-file: concatenated shards
+/// re-emit them).
+pub(crate) struct CsvRows<R> {
+    reader: R,
+    line: String,
+    /// Lines read so far.
+    lineno: usize,
+    /// What a header's normalized first field starts with (see
+    /// [`is_csv_header`]).
+    header: &'static str,
+}
+
+impl<R: BufRead> CsvRows<R> {
+    pub(crate) fn new(reader: R, header: &'static str) -> Self {
+        CsvRows {
+            reader,
+            line: String::new(),
+            lineno: 0,
+            header,
+        }
+    }
+
+    /// The next data row: its 1-based line number and its fields, or
+    /// `None` at the end of the input. A failed read is an `Err` naming
+    /// the line.
+    pub(crate) fn next_row(
+        &mut self,
+    ) -> Result<Option<(usize, impl Iterator<Item = &str>)>, String> {
+        loop {
+            self.line.clear();
+            let n = self
+                .reader
+                .read_line(&mut self.line)
+                .map_err(|e| format!("line {}: read error: {e}", self.lineno + 1))?;
+            if n == 0 {
+                return Ok(None);
+            }
+            self.lineno += 1;
+            let row = self.line.trim();
+            if !(row.is_empty() || row.starts_with('#') || is_csv_header(row, self.header)) {
+                break;
+            }
+        }
+        let fields = self.line.trim().split(',').map(str::trim);
+        Ok(Some((self.lineno, fields)))
+    }
+}
+
 /// Is this CSV line a header naming the columns? Public trace exports vary
 /// the spelling of the first column (`end_timestamp_ms`, `EndTimestampMs`,
 /// `Timestamp [ms]`, `time_us`, ...), so the first field is compared with
 /// case and separators stripped: a header is one whose normalized first
 /// field starts with `prefix`.
-pub(crate) fn is_csv_header(line: &str, prefix: &str) -> bool {
+fn is_csv_header(line: &str, prefix: &str) -> bool {
     let first = line.split(',').next().unwrap_or("");
     let normalized: String = first
         .chars()

@@ -101,7 +101,7 @@ impl InstanceType {
     }
 
     /// On-demand hourly price (us-east-1, paper era).
-    pub fn hourly(self) -> Cost {
+    pub const fn hourly(self) -> Cost {
         let usd = match self {
             InstanceType::T2Medium => 0.0464,
             InstanceType::T2XLarge2 => 0.3712,

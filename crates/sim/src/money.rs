@@ -16,12 +16,12 @@ impl Cost {
     pub const ZERO: Cost = Cost(0.0);
 
     /// Construct from dollars.
-    pub fn usd(d: f64) -> Self {
+    pub const fn usd(d: f64) -> Self {
         Cost(d)
     }
 
     /// Value in dollars.
-    pub fn as_usd(self) -> f64 {
+    pub const fn as_usd(self) -> f64 {
         self.0
     }
 

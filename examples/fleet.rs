@@ -36,7 +36,7 @@ fn main() {
     let schedulers: Vec<Box<dyn Scheduler>> = vec![
         Box::new(AllFaas),
         Box::new(AllIaas),
-        Box::new(CostAware::for_config(&cfg)),
+        Box::new(CostAware::new()),
     ];
     let mut results = Vec::new();
     for mut s in schedulers {
@@ -58,7 +58,7 @@ fn main() {
     );
 
     // 4. Determinism: a second identical run produces byte-identical JSON.
-    let mut again = CostAware::for_config(&cfg);
+    let mut again = CostAware::new();
     let rerun = simulate(&trace, &cfg, &mut again, seed);
     assert_eq!(rerun.to_json(), hybrid.to_json(), "same seed, same bytes");
     let out = std::path::Path::new("target/fleet-example.json");

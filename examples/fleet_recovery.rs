@@ -36,7 +36,7 @@ fn main() {
         let mut cfg = FleetConfig::default();
         cfg.spot.mean_time_to_preempt = SimTime::secs(900.0);
         cfg.checkpoint = policy;
-        let mut sched = FairShare::for_config(&cfg).with_spot_fraction(1.0);
+        let mut sched = FairShare::new().with_spot_fraction(1.0);
         let m = simulate(&trace, &cfg, &mut sched, seed);
         println!(
             "{:>9}: lost {:>8} | {:>3} resumes | {:>3} preemptions | {:>4} ckpt writes \
@@ -77,7 +77,7 @@ fn main() {
     )
     .with_budget(0, 0.05);
     let cfg = FleetConfig::default();
-    let m = simulate(&capped, &cfg, &mut CostAware::for_config(&cfg), seed);
+    let m = simulate(&capped, &cfg, &mut CostAware::new(), seed);
     for t in m.per_tenant() {
         println!(
             "  tenant {}: {:>3} jobs, {:>3} rejected, spent {}",

@@ -44,9 +44,9 @@ fn main() {
     let schedulers: Vec<Box<dyn Scheduler>> = vec![
         Box::new(AllFaas),
         Box::new(AllIaas),
-        Box::new(CostAware::for_config(&cfg)),
+        Box::new(CostAware::new()),
         Box::new(DeadlineAware::for_config(&cfg)),
-        Box::new(FairShare::for_config(&cfg)),
+        Box::new(FairShare::new()),
     ];
     println!("\n— policy comparison —");
     let mut deadline_aware_json = String::new();
@@ -59,7 +59,7 @@ fn main() {
     }
 
     // 2. Fair share: per-tenant p99 under the fair-share policy.
-    let mut fair = FairShare::for_config(&cfg);
+    let mut fair = FairShare::new();
     let m = simulate(&trace, &cfg, &mut fair, seed);
     println!(
         "\n— fair-share per-tenant view (Jain index {:.3}) —",
@@ -73,7 +73,7 @@ fn main() {
     }
 
     // 3. Spot: send 60% of IaaS-bound jobs to the preemptible tier.
-    let mut spotty = FairShare::for_config(&cfg).with_spot_fraction(0.6);
+    let mut spotty = FairShare::new().with_spot_fraction(0.6);
     let spot = simulate(&trace, &cfg, &mut spotty, seed);
     println!(
         "\nspot: {} jobs preemptible, {} preemptions, spot bill {} (vs {} total)",
@@ -86,7 +86,7 @@ fn main() {
     // 4. Replay the bundled Azure-Functions-style sample trace.
     let azure_csv = include_str!("../crates/fleet/data/azure_sample.csv");
     let azure = lambdaml::fleet::azure::parse(azure_csv).expect("bundled sample parses");
-    let mut sched = CostAware::for_config(&cfg);
+    let mut sched = CostAware::new();
     let am = simulate(&azure, &cfg, &mut sched, seed);
     println!(
         "\nazure sample: {} jobs from {} tenants replayed -> {}",

@@ -151,7 +151,7 @@ fn budget_window_defers_the_overspending_tail() {
         budget_window: Some(SimTime::hours(1.0)),
         ..FleetConfig::default()
     };
-    let m = simulate(&trace, &cfg, &mut CostAware::for_config(&cfg), 31);
+    let m = simulate(&trace, &cfg, &mut CostAware::new(), 31);
     assert_eq!(m.rejected_jobs, 0, "deferral replaces rejection");
     assert!(m.deferred_jobs > 0, "the cap must bite");
     assert_eq!(m.n_jobs, 300, "every job completes eventually");

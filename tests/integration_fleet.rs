@@ -217,7 +217,7 @@ fn fair_share_bounds_tenant_shares_in_a_two_tenant_burst() {
     };
 
     let fifo = simulate(&trace, &cfg, &mut AllIaas, 1);
-    let fair = simulate(&trace, &cfg, &mut FairShare::for_config(&cfg), 1);
+    let fair = simulate(&trace, &cfg, &mut FairShare::new(), 1);
     let (r_fifo, r_fair) = (wait_ratio(&fifo), wait_ratio(&fair));
     assert!(
         r_fair < r_fifo,
@@ -240,8 +240,8 @@ fn azure_sample_replays_through_the_public_surface() {
     assert!(trace.len() >= 30);
     assert!(trace.tenants().len() >= 3);
     let cfg = FleetConfig::default();
-    let a = simulate(&trace, &cfg, &mut CostAware::for_config(&cfg), 2).to_json();
-    let b = simulate(&trace, &cfg, &mut CostAware::for_config(&cfg), 2).to_json();
+    let a = simulate(&trace, &cfg, &mut CostAware::new(), 2).to_json();
+    let b = simulate(&trace, &cfg, &mut CostAware::new(), 2).to_json();
     assert_eq!(a, b, "replays are byte-deterministic");
     // Adapter output is native v2 text: it survives another round-trip.
     let text = trace.to_text();
@@ -281,8 +281,8 @@ fn spot_fraction_cuts_cost_on_preemptible_work() {
         37,
     );
     let cfg = FleetConfig::default();
-    let firm = simulate(&trace, &cfg, &mut FairShare::for_config(&cfg), 37);
-    let mut spotty = FairShare::for_config(&cfg).with_spot_fraction(0.8);
+    let firm = simulate(&trace, &cfg, &mut FairShare::new(), 37);
+    let mut spotty = FairShare::new().with_spot_fraction(0.8);
     let spot = simulate(&trace, &cfg, &mut spotty, 37);
     assert!(spot.jobs_on_spot > 0);
     assert!(

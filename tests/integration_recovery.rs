@@ -22,7 +22,7 @@ fn spot_heavy(policy: CheckpointPolicy, mttp_secs: f64, seed: u64) -> FleetMetri
     let mut cfg = FleetConfig::default();
     cfg.spot.mean_time_to_preempt = SimTime::secs(mttp_secs);
     cfg.checkpoint = policy;
-    let mut sched = FairShare::for_config(&cfg).with_spot_fraction(1.0);
+    let mut sched = FairShare::new().with_spot_fraction(1.0);
     simulate(&trace, &cfg, &mut sched, seed)
 }
 
@@ -195,11 +195,11 @@ fn tenant_budget_caps_reject_the_overspending_tail() {
         31,
     );
     let cfg = FleetConfig::default();
-    let uncapped = simulate(&base, &cfg, &mut CostAware::for_config(&cfg), 31);
+    let uncapped = simulate(&base, &cfg, &mut CostAware::new(), 31);
     assert_eq!(uncapped.rejected_jobs, 0, "no budgets, no rejections");
 
     let capped_trace = base.clone().with_budget(0, 0.02);
-    let capped = simulate(&capped_trace, &cfg, &mut CostAware::for_config(&cfg), 31);
+    let capped = simulate(&capped_trace, &cfg, &mut CostAware::new(), 31);
     assert!(capped.rejected_jobs > 0, "the cap must bite");
     let rows = capped.per_tenant();
     let t0 = rows.iter().find(|t| t.tenant == 0).unwrap();
@@ -219,6 +219,6 @@ fn tenant_budget_caps_reject_the_overspending_tail() {
     // v3 text round-trip preserves the cap and replays identically.
     let replayed = Trace::from_text(&capped_trace.to_text()).expect("v3 parses");
     assert_eq!(replayed, capped_trace);
-    let again = simulate(&replayed, &cfg, &mut CostAware::for_config(&cfg), 31);
+    let again = simulate(&replayed, &cfg, &mut CostAware::new(), 31);
     assert_eq!(again.to_json(), capped.to_json());
 }

@@ -184,7 +184,7 @@ fn admission_pricing_rejects_doomed_jobs_and_defers_viable_ones() {
         deadline_miss_cost: 1.0,
         ..FleetConfig::default()
     };
-    let m = simulate(&mk_trace(), &cfg, &mut CostAware::for_config(&cfg), 3);
+    let m = simulate(&mk_trace(), &cfg, &mut CostAware::new(), 3);
     assert_eq!(m.rejected_jobs, 1, "the doomed job is refused cleanly");
     assert_eq!(m.deferred_jobs, 1, "the viable job waits for its window");
     assert_eq!(m.n_jobs, 3);
@@ -192,12 +192,7 @@ fn admission_pricing_rejects_doomed_jobs_and_defers_viable_ones() {
         budget_window: Some(SimTime::hours(1.0)),
         ..FleetConfig::default()
     };
-    let m = simulate(
-        &mk_trace(),
-        &defaults,
-        &mut CostAware::for_config(&defaults),
-        3,
-    );
+    let m = simulate(&mk_trace(), &defaults, &mut CostAware::new(), 3);
     assert_eq!(m.rejected_jobs, 0, "equal prices tie, and ties defer");
     assert_eq!(m.deferred_jobs, 2);
 }

@@ -106,6 +106,10 @@ fn case(seed: u64, trace: &Trace, cfg: FleetConfig, sched: usize) -> Case {
 /// Number of spot-heavy cases appended after the `CASES` mixed ones.
 const SPOT_CASES: u64 = 6;
 
+/// Reclaims a spot job survives before it falls back to the reserved
+/// pool: the spot tier's fixed retry budget.
+const SPOT_MAX_RETRIES: u32 = 3;
+
 fn build_cases() -> Vec<Case> {
     let mixed = cases(0xEA7).map(|(seed, mut rng)| {
         let trace = random_trace(&mut rng);
@@ -116,9 +120,10 @@ fn build_cases() -> Vec<Case> {
         case(seed, &trace, cfg, rng.index(5))
     });
     // Spot-heavy, checkpointing, pool-fallback: a hostile market (a
-    // 10-wide cluster is reclaimed every 10–30 s), a retry budget of 0–2
-    // before the reserved pool takes over, and a pool small enough that
-    // fallbacks queue behind each other.
+    // 10-wide cluster is reclaimed every 10–30 s, well inside its boot),
+    // so jobs spend the tier's retry budget before the reserved pool
+    // takes over, and a pool small enough that fallbacks queue behind
+    // each other.
     let spot = cases(0x5907)
         .take(SPOT_CASES as usize)
         .map(|(seed, mut rng)| {
@@ -128,7 +133,6 @@ fn build_cases() -> Vec<Case> {
                 ..FleetConfig::default()
             };
             cfg.spot.mean_time_to_preempt = SimTime::secs(rng.range(100.0, 300.0));
-            cfg.spot.max_retries = rng.below(3) as u32;
             cfg.iaas.min_instances = 10;
             if !trace.budgets.is_empty() {
                 cfg.budget_window = Some(SimTime::secs(3_600.0));
@@ -200,7 +204,7 @@ fn check_case(case: &Case) -> (String, [u64; 3]) {
     check_summary_is_the_fold_of_the_records(case, &m);
     let spot = m.records.iter().filter(|r| r.route == Route::Spot);
     let churn = spot.fold([0; 3], |[p, r, f], rec| {
-        let fell_back = rec.preemptions > case.cfg.spot.max_retries;
+        let fell_back = rec.preemptions > SPOT_MAX_RETRIES;
         [
             p + rec.preemptions as u64,
             r + rec.resumes as u64,
