@@ -11,16 +11,16 @@
 
 use crate::config::{ChannelKind, Protocol};
 use crate::engine;
-use crate::executor::sync_driver::{run_sync, DriverCtx};
-use crate::executor::{memory_required, partition_load_time, request_cost_per_round};
+use crate::executor::sync_driver::{replicas, run_backend, SyncBackend};
+use crate::executor::{check_lambda_memory, lambda_bill, partition_load_time};
 use crate::job::{JobError, TrainingJob};
 use crate::result::{Breakdown, CostBreakdown, RunResult};
 use lml_comm::{Asp, Bsp, Pattern};
-use lml_faas::{GbSecondsMeter, InvocationPlan, LambdaSpec, LifetimeManager};
+use lml_faas::{InvocationPlan, LambdaSpec, LifetimeManager};
 use lml_models::AnyModel;
-use lml_optim::algorithm::{Algorithm, WorkerState};
+use lml_optim::algorithm::Algorithm;
 use lml_optim::{CurvePoint, LossCurve};
-use lml_sim::{Cost, EventQueue, Pcg64, SimTime};
+use lml_sim::{EventQueue, Pcg64, SimTime};
 use lml_storage::StorageChannel;
 
 /// Run a FaaS job (dispatched from [`TrainingJob::run`]).
@@ -38,16 +38,12 @@ pub fn run(
     }
 }
 
-/// Common setup: memory admission, partitions, channel, timings.
+/// What both protocols share: memory admission, the channel, timings.
 struct Setup {
     channel: StorageChannel,
-    workers: Vec<WorkerState>,
     startup: SimTime,
     load: SimTime,
     rollover: SimTime,
-    scale_inv: f64,
-    nnz: f64,
-    part_len: usize,
 }
 
 fn setup(
@@ -56,17 +52,8 @@ fn setup(
     spec: LambdaSpec,
     channel_kind: ChannelKind,
 ) -> Result<Setup, JobError> {
-    let cfg = &job.config;
-    let wl = job.workload;
-    let w = cfg.workers;
-    let parts = lml_data::partition::partition_rows(wl.train.len(), w);
-    let part_len = parts[0].len();
-    let batch = cfg.algorithm.batch_size(part_len);
-    let scale_inv = wl.scale_inv();
-
-    // Admission: does a worker's working set fit the function memory?
-    let paper_batch = batch as f64 * scale_inv;
-    spec.check_memory(memory_required(model, &wl.spec, w, paper_batch))?;
+    let (w, wl) = (job.config.workers, job.workload);
+    check_lambda_memory(job, model, spec)?;
 
     let channel = StorageChannel::new(channel_kind.profile());
     let plan = InvocationPlan::fan_out(w, wl.spec.name);
@@ -77,21 +64,11 @@ fn setup(
     // Lifetime rollover: checkpoint write + read on the channel, then
     // reload the data partition from S3.
     let rollover = channel.op_time(model.wire_bytes()) * 2.0 + load;
-
-    let workers: Vec<WorkerState> = parts
-        .iter()
-        .map(|p| WorkerState::new(p.worker, model.clone(), p.indices().collect(), batch))
-        .collect();
-
     Ok(Setup {
         channel,
-        workers,
         startup,
         load,
         rollover,
-        scale_inv,
-        nnz: engine::avg_nnz(&wl.train),
-        part_len,
     })
 }
 
@@ -102,90 +79,35 @@ fn run_bsp(
     channel_kind: ChannelKind,
     pattern: Pattern,
 ) -> Result<RunResult, JobError> {
-    let cfg = &job.config;
-    let wl = job.workload;
-    let w = cfg.workers;
-    let s = setup(job, &model, spec, channel_kind)?;
+    let w = job.config.workers;
     let Setup {
         mut channel,
-        workers,
         startup,
         load,
         rollover,
-        scale_inv,
-        nnz,
-        part_len,
-    } = s;
-
+    } = setup(job, &model, spec, channel_kind)?;
+    let backend = SyncBackend {
+        system: format!("LambdaML({})", channel_kind.name()),
+        partitions: w,
+        startup,
+        load,
+        vcpus: spec.vcpus(),
+        gpu: None,
+        compute_factor: 1.0,
+        lifetime: Some(LifetimeManager::with_overhead(rollover)),
+    };
     let stat_wire = model.statistic_wire_bytes();
     let bsp = Bsp::new(pattern);
-    let mut lifetime = LifetimeManager::with_overhead(rollover);
-    let req_per_round = request_cost_per_round(channel.profile(), pattern, w, stat_wire);
-    let node_hourly = channel.profile().hourly;
-    let price_ps = spec.price_per_second();
-
-    let ctx = DriverCtx {
-        train: &wl.train,
-        valid: &wl.valid,
-        algo: cfg.algorithm,
-        schedule: cfg.lr,
-        stop: cfg.stop,
-        eval_every: cfg.resolved_eval_every(part_len),
-        start_offset: startup + load,
+    let mut run = run_backend(job, &model, backend, &mut |round, epoch, stats| {
+        let o = bsp.run_round(&mut channel, epoch, round as usize, stats, stat_wire)?;
+        Ok((o.aggregate, o.duration))
+    })?;
+    run.result.cost = CostBreakdown {
+        compute: lambda_bill(spec, w, run.busy),
+        requests: channel.request_cost(),
+        nodes: channel.node_cost(run.elapsed),
     };
-    let compute_time_of =
-        |ex: u64| engine::compute_time(&model, ex as f64 * scale_inv, nnz, spec.vcpus(), None, 1.0);
-    let cost_at = |elapsed: SimTime, rounds: u64| {
-        let busy = (elapsed - startup).max(SimTime::ZERO);
-        price_ps * (busy.as_secs() * w as f64)
-            + req_per_round * rounds as f64
-            + node_hourly * elapsed.as_hours()
-    };
-
-    let out = {
-        let channel = &mut channel;
-        let lifetime = &mut lifetime;
-        run_sync(
-            &ctx,
-            workers,
-            &compute_time_of,
-            &mut |round, epoch, stats| {
-                let o = bsp.run_round(channel, epoch, round as usize, stats, stat_wire)?;
-                Ok((o.aggregate, o.duration))
-            },
-            &mut |t| lifetime.charge(t),
-            &cost_at,
-        )?
-    };
-
-    let elapsed = startup + load + out.compute + out.comm + out.overhead;
-    let mut meter = GbSecondsMeter::new();
-    for _ in 0..w {
-        meter.charge(spec, load + out.compute + out.comm + out.overhead);
-    }
-    let final_accuracy = out.final_model.full_accuracy(&wl.valid);
-    let final_loss = out.curve.final_loss();
-    Ok(RunResult {
-        system: format!("LambdaML({})", channel_kind.name()),
-        curve: out.curve,
-        breakdown: Breakdown {
-            startup: startup + out.overhead,
-            load,
-            compute: out.compute,
-            comm: out.comm,
-        },
-        cost: CostBreakdown {
-            compute: meter.cost(),
-            requests: channel.request_cost(),
-            nodes: channel.node_cost(elapsed),
-        },
-        epochs: out.epochs,
-        rounds: out.rounds,
-        converged: out.converged,
-        final_loss,
-        final_accuracy,
-        reinvocations: lifetime.reinvocations(),
-    })
+    Ok(run.result)
 }
 
 fn run_asp(
@@ -206,17 +128,15 @@ fn run_asp(
             cfg.algorithm.name()
         )));
     }
-    let s = setup(job, &model, spec, channel_kind)?;
     let Setup {
         mut channel,
-        mut workers,
         startup,
         load,
         rollover,
-        scale_inv,
-        nnz,
-        part_len,
-    } = s;
+    } = setup(job, &model, spec, channel_kind)?;
+    let (mut workers, part_len) = replicas(job, &model, w);
+    let scale_inv = wl.scale_inv();
+    let nnz = engine::avg_nnz(&wl.train);
 
     let wire = model.wire_bytes();
     let mut asp = Asp::new();
@@ -231,10 +151,6 @@ fn run_asp(
         .collect();
 
     let eval_every = (cfg.resolved_eval_every(part_len) * w).max(1) as u64;
-    let node_hourly = channel.profile().hourly;
-    let price_ps = spec.price_per_second();
-    let req_per_iter =
-        channel.profile().put_price.price(wire) + channel.profile().get_price.price(wire);
 
     let mut queue: EventQueue<usize> = EventQueue::new();
     for wid in 0..w {
@@ -291,15 +207,11 @@ fn run_asp(
             let mut eval = model.clone();
             eval.params_mut().copy_from_slice(&gp);
             let loss = eval.full_loss(&wl.valid);
-            let busy_all = (elapsed - startup).max(SimTime::ZERO);
             curve.push(CurvePoint {
                 time: elapsed,
                 epoch: epochs,
                 rounds: events,
                 loss,
-                cost: price_ps * (busy_all.as_secs() * w as f64)
-                    + req_per_iter * events as f64
-                    + node_hourly * elapsed.as_hours(),
             });
             if cfg.stop.converged(loss) {
                 converged = true;
@@ -322,23 +234,19 @@ fn run_asp(
             epoch: epochs,
             rounds: events,
             loss,
-            cost: Cost::ZERO,
         });
     }
 
     // Billing: every worker is busy from fan-out to the end (async workers
     // never idle).
     let busy_per_worker = (elapsed - startup).max(SimTime::ZERO);
-    let mut meter = GbSecondsMeter::new();
-    for _ in 0..w {
-        meter.charge(spec, busy_per_worker);
-    }
     let reinvocations = lifetimes.iter().map(|l| l.reinvocations()).sum();
     let final_accuracy = final_model.full_accuracy(&wl.valid);
     let per_worker = 1.0 / w as f64;
     Ok(RunResult {
         system: format!("LambdaML-ASP({})", channel_kind.name()),
-        curve: curve.clone(),
+        final_loss: curve.final_loss(),
+        curve,
         breakdown: Breakdown {
             startup: startup + overhead_total * per_worker,
             load,
@@ -346,14 +254,13 @@ fn run_asp(
             comm: comm_total * per_worker,
         },
         cost: CostBreakdown {
-            compute: meter.cost(),
+            compute: lambda_bill(spec, w, busy_per_worker),
             requests: channel.request_cost(),
             nodes: channel.node_cost(elapsed),
         },
         epochs,
         rounds: events,
         converged,
-        final_loss: curve.final_loss(),
         final_accuracy,
         reinvocations,
     })

@@ -7,15 +7,14 @@
 //! Table 2 shows, the pipeline is bounded by serialization on the Lambda's
 //! fractional vCPU and by update locking on the PS.
 
-use crate::engine;
-use crate::executor::sync_driver::{run_sync, DriverCtx};
-use crate::executor::{memory_required, partition_load_time};
+use crate::executor::sync_driver::{run_backend, SyncBackend};
+use crate::executor::{check_lambda_memory, lambda_bill, partition_load_time};
 use crate::job::{JobError, TrainingJob};
-use crate::result::{Breakdown, CostBreakdown, RunResult};
-use lml_faas::{faas_startup_time, GbSecondsMeter, LambdaSpec, LifetimeManager};
+use crate::result::{CostBreakdown, RunResult};
+use lml_faas::{faas_startup_time, LambdaSpec, LifetimeManager};
 use lml_iaas::{cluster::iaas_startup_table, InstanceType, PsModel, RpcKind};
 use lml_models::AnyModel;
-use lml_optim::algorithm::{sum_statistics, WorkerState};
+use lml_optim::algorithm::sum_statistics;
 use lml_sim::{Cost, SimTime};
 
 /// Run a hybrid job (dispatched from [`TrainingJob::run`]).
@@ -26,112 +25,34 @@ pub fn run(
     ps_instance: InstanceType,
     rpc: RpcKind,
 ) -> Result<RunResult, JobError> {
-    run_with_ps(job, model, spec, PsModel::new(rpc, ps_instance, 1.8))
-}
+    let (w, wl) = (job.config.workers, job.workload);
+    check_lambda_memory(job, &model, spec)?;
 
-/// Run with an explicit [`PsModel`] — the analytical what-ifs (Figure 14)
-/// pass bandwidth-upgraded models here.
-pub fn run_with_ps(
-    job: &TrainingJob<'_>,
-    model: AnyModel,
-    spec: LambdaSpec,
-    ps: PsModel,
-) -> Result<RunResult, JobError> {
-    let cfg = &job.config;
-    let wl = job.workload;
-    let w = cfg.workers;
-    let parts = lml_data::partition::partition_rows(wl.train.len(), w);
-    let part_len = parts[0].len();
-    let batch = cfg.algorithm.batch_size(part_len);
-    let scale_inv = wl.scale_inv();
-
-    let ps_model = PsModel {
-        lambda_vcpus: spec.vcpus(),
-        ..ps
-    };
-    spec.check_memory(memory_required(
-        &model,
-        &wl.spec,
-        w,
-        batch as f64 * scale_inv,
-    ))?;
-
-    // One VM boots (t_I(1)) while the Lambda fleet cold-starts after it —
-    // Figure 10 measures ~123 s for the hybrid's start-up.
-    let startup = SimTime::secs(iaas_startup_table().eval(1.0)) + faas_startup_time(w);
+    let ps = PsModel::new(rpc, ps_instance, spec.vcpus());
     let load = partition_load_time(&wl.spec, w);
-    let stat_wire = model.statistic_wire_bytes();
     // Rollover: model pull + push through the PS plus the partition reload.
-    let rollover = ps_model.transfer_time_single(model.wire_bytes()) * 2.0 + load;
-    let mut lifetime = LifetimeManager::with_overhead(rollover);
-
-    let nnz = engine::avg_nnz(&wl.train);
-    let price_ps = spec.price_per_second();
-    let ps_hourly = ps_model.instance.hourly();
-
-    let workers: Vec<WorkerState> = parts
-        .iter()
-        .map(|p| WorkerState::new(p.worker, model.clone(), p.indices().collect(), batch))
-        .collect();
-
-    let ctx = DriverCtx {
-        train: &wl.train,
-        valid: &wl.valid,
-        algo: cfg.algorithm,
-        schedule: cfg.lr,
-        stop: cfg.stop,
-        eval_every: cfg.resolved_eval_every(part_len),
-        start_offset: startup + load,
+    let rollover = ps.transfer_time_single(model.wire_bytes()) * 2.0 + load;
+    let backend = SyncBackend {
+        system: format!("HybridPS({})", rpc.name()),
+        partitions: w,
+        // One VM boots (t_I(1)) while the Lambda fleet cold-starts after it
+        // — Figure 10 measures ~123 s for the hybrid's start-up.
+        startup: SimTime::secs(iaas_startup_table().eval(1.0)) + faas_startup_time(w),
+        load,
+        vcpus: spec.vcpus(),
+        gpu: None,
+        compute_factor: 1.0,
+        lifetime: Some(LifetimeManager::with_overhead(rollover)),
     };
-    let compute_time_of =
-        |ex: u64| engine::compute_time(&model, ex as f64 * scale_inv, nnz, spec.vcpus(), None, 1.0);
-    let cost_at = |elapsed: SimTime, _rounds: u64| {
-        let busy = (elapsed - startup).max(SimTime::ZERO);
-        price_ps * (busy.as_secs() * w as f64) + ps_hourly * elapsed.as_hours()
+    let stat_wire = model.statistic_wire_bytes();
+    let mut run = run_backend(job, &model, backend, &mut |_, _, stats| {
+        // The PS receives every statistic and computes the sum.
+        Ok((sum_statistics(stats), ps.round_time(w, stat_wire)))
+    })?;
+    run.result.cost = CostBreakdown {
+        compute: lambda_bill(spec, w, run.busy),
+        requests: Cost::ZERO,
+        nodes: ps_instance.hourly() * run.elapsed.as_hours(),
     };
-
-    let out = {
-        let lifetime = &mut lifetime;
-        run_sync(
-            &ctx,
-            workers,
-            &compute_time_of,
-            &mut |_round, _epoch, stats| {
-                // The PS receives every statistic and computes the sum.
-                let agg = sum_statistics(stats);
-                Ok((agg, ps_model.round_time(w, stat_wire)))
-            },
-            &mut |t| lifetime.charge(t),
-            &cost_at,
-        )?
-    };
-
-    let elapsed = startup + load + out.compute + out.comm + out.overhead;
-    let mut meter = GbSecondsMeter::new();
-    for _ in 0..w {
-        meter.charge(spec, load + out.compute + out.comm + out.overhead);
-    }
-    let final_accuracy = out.final_model.full_accuracy(&wl.valid);
-    let final_loss = out.curve.final_loss();
-    Ok(RunResult {
-        system: format!("HybridPS({})", ps_model.rpc.name()),
-        curve: out.curve,
-        breakdown: Breakdown {
-            startup: startup + out.overhead,
-            load,
-            compute: out.compute,
-            comm: out.comm,
-        },
-        cost: CostBreakdown {
-            compute: meter.cost(),
-            requests: Cost::ZERO,
-            nodes: ps_hourly * elapsed.as_hours(),
-        },
-        epochs: out.epochs,
-        rounds: out.rounds,
-        converged: out.converged,
-        final_loss,
-        final_accuracy,
-        reinvocations: lifetime.reinvocations(),
-    })
+    Ok(run.result)
 }

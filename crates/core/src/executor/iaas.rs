@@ -8,16 +8,13 @@
 //! to convergence — reserved resources bill through start-up and stragglers
 //! alike (§2.2).
 
-use crate::engine;
-use crate::executor::partition_load_time;
-use crate::executor::sync_driver::{run_sync, DriverCtx};
+use crate::executor::sync_driver::{run_backend, SyncBackend};
+use crate::executor::{check_vm_memory, partition_load_time};
 use crate::job::{JobError, TrainingJob};
-use crate::result::{Breakdown, CostBreakdown, RunResult};
-use lml_faas::FaasError;
+use crate::result::{CostBreakdown, RunResult};
 use lml_iaas::{ring_allreduce_time, ClusterSpec, InstanceType, SystemProfile};
 use lml_models::AnyModel;
-use lml_optim::algorithm::{sum_statistics, WorkerState};
-use lml_sim::{Cost, SimTime};
+use lml_optim::algorithm::sum_statistics;
 
 /// Run an IaaS job (dispatched from [`TrainingJob::run`]).
 pub fn run(
@@ -26,105 +23,38 @@ pub fn run(
     instance: InstanceType,
     system: SystemProfile,
 ) -> Result<RunResult, JobError> {
-    let cfg = &job.config;
-    let wl = job.workload;
-    let w = cfg.workers;
+    let (w, wl) = (job.config.workers, job.workload);
+    // Admission: the partition must fit the VM's memory.
+    check_vm_memory(instance, wl.spec.partition_bytes(w))?;
+
     let cluster = ClusterSpec::new(instance, w);
-    let parts = lml_data::partition::partition_rows(wl.train.len(), w);
-    let part_len = parts[0].len();
-    let batch = cfg.algorithm.batch_size(part_len);
-    let scale_inv = wl.scale_inv();
-
-    // Admission: the partition must fit the VM's memory (with headroom for
-    // the engine).
-    let partition = wl.spec.partition_bytes(w);
-    if partition.as_f64() > instance.memory().as_f64() * 0.8 {
-        return Err(JobError::Faas(FaasError::OutOfMemory {
-            required: partition,
-            limit: instance.memory(),
-        }));
-    }
-
-    let startup = system.startup_time(&cluster);
-    let load = partition_load_time(&wl.spec, w) * system.load_factor();
-    let stat_wire = model.statistic_wire_bytes();
-    let link = instance.vm_link();
-    // Deep models train on the GPU when the instance has one.
-    let gpu = match model {
-        AnyModel::Mlp { .. } => instance.gpu(),
-        _ => None,
+    let backend = SyncBackend {
+        system: format!("{}({})", system.name(), instance.name()),
+        partitions: w,
+        startup: system.startup_time(&cluster),
+        load: partition_load_time(&wl.spec, w) * system.load_factor(),
+        vcpus: instance.vcpus() as f64,
+        // Deep models train on the GPU when the instance has one.
+        gpu: instance
+            .gpu()
+            .filter(|_| matches!(model, AnyModel::Mlp { .. })),
+        compute_factor: system.compute_factor(),
+        lifetime: None,
     };
-    let nnz = engine::avg_nnz(&wl.train);
-    let vcpus = instance.vcpus() as f64;
-    let compute_factor = system.compute_factor();
     // Angel's PS-based exchange is marginally slower than the ring
     // (Figure 10: 1.1 s vs 0.9 s).
     let comm_factor = match system {
         SystemProfile::PyTorch => 1.0,
         SystemProfile::Angel => 1.2,
     };
-
-    let workers: Vec<WorkerState> = parts
-        .iter()
-        .map(|p| WorkerState::new(p.worker, model.clone(), p.indices().collect(), batch))
-        .collect();
-
-    let ctx = DriverCtx {
-        train: &wl.train,
-        valid: &wl.valid,
-        algo: cfg.algorithm,
-        schedule: cfg.lr,
-        stop: cfg.stop,
-        eval_every: cfg.resolved_eval_every(part_len),
-        start_offset: startup + load,
+    let ring =
+        ring_allreduce_time(w, model.statistic_wire_bytes(), instance.vm_link()) * comm_factor;
+    let mut run = run_backend(job, &model, backend, &mut |_, _, stats| {
+        Ok((sum_statistics(stats), ring))
+    })?;
+    run.result.cost = CostBreakdown {
+        compute: cluster.cost(run.elapsed),
+        ..CostBreakdown::default()
     };
-    let compute_time_of = |ex: u64| {
-        engine::compute_time(
-            &model,
-            ex as f64 * scale_inv,
-            nnz,
-            vcpus,
-            gpu,
-            compute_factor,
-        )
-    };
-    let cost_at = |elapsed: SimTime, _rounds: u64| cluster.cost(elapsed);
-
-    let out = run_sync(
-        &ctx,
-        workers,
-        &compute_time_of,
-        &mut |_round, _epoch, stats| {
-            let agg = sum_statistics(stats);
-            let t = ring_allreduce_time(w, stat_wire, link) * comm_factor;
-            Ok((agg, t))
-        },
-        &mut |t| t, // VMs have no lifetime limit
-        &cost_at,
-    )?;
-
-    let elapsed = startup + load + out.compute + out.comm;
-    let final_accuracy = out.final_model.full_accuracy(&wl.valid);
-    let final_loss = out.curve.final_loss();
-    Ok(RunResult {
-        system: format!("{}({})", system.name(), instance.name()),
-        curve: out.curve,
-        breakdown: Breakdown {
-            startup,
-            load,
-            compute: out.compute,
-            comm: out.comm,
-        },
-        cost: CostBreakdown {
-            compute: cluster.cost(elapsed),
-            requests: Cost::ZERO,
-            nodes: Cost::ZERO,
-        },
-        epochs: out.epochs,
-        rounds: out.rounds,
-        converged: out.converged,
-        final_loss,
-        final_accuracy,
-        reinvocations: 0,
-    })
+    Ok(run.result)
 }

@@ -10,7 +10,8 @@
 //!   AllReduce.
 //! * [`hybrid`] — Cirrus-style Lambda workers + VM parameter server.
 //! * [`single`] — one machine (the COST sanity check).
-//! * [`sync_driver`] — the shared synchronous round loop.
+//! * [`sync_driver`] — the one synchronous runner the four synchronous
+//!   backends share; S-ASP (in [`faas`]) is the only other loop.
 
 pub mod faas;
 pub mod hybrid;
@@ -18,11 +19,12 @@ pub mod iaas;
 pub mod single;
 pub mod sync_driver;
 
-use lml_comm::Pattern;
+use crate::job::{JobError, TrainingJob};
 use lml_data::DatasetSpec;
+use lml_faas::{FaasError, GbSecondsMeter, LambdaSpec};
+use lml_iaas::InstanceType;
 use lml_models::AnyModel;
 use lml_sim::{ByteSize, Cost, Link, SimTime};
-use lml_storage::ServiceProfile;
 
 /// The link every backend loads training data over (S3, Table 6).
 pub(crate) fn s3_data_link() -> Link {
@@ -39,7 +41,7 @@ pub(crate) fn partition_load_time(spec: &DatasetSpec, workers: usize) -> SimTime
 /// communication buffers, and the mini-batch materialization (activations
 /// for deep models — the term that blows ResNet50 past 3 GB at batch 64,
 /// §5.2).
-pub(crate) fn memory_required(
+fn memory_required(
     model: &AnyModel,
     spec: &DatasetSpec,
     workers: usize,
@@ -59,22 +61,41 @@ pub(crate) fn memory_required(
     ByteSize::bytes((partition + model_mem + batch_mem) as u64)
 }
 
-/// Estimated request charges of one synchronous round (used for live
-/// curve-point costs; the final result uses the channel's exact meter).
-pub(crate) fn request_cost_per_round(
-    profile: &ServiceProfile,
-    pattern: Pattern,
-    w: usize,
-    wire: ByteSize,
-) -> Cost {
-    let (puts, gets, lists, op_bytes) = match pattern {
-        Pattern::AllReduce => ((w + 1) as u64, (2 * w - 1) as u64, 1u64, wire),
-        Pattern::ScatterReduce => {
-            let chunk = ByteSize::bytes((wire.as_f64() / w as f64).ceil() as u64);
-            ((w * w + w) as u64, (w * w + w) as u64, 0u64, chunk)
-        }
-    };
-    profile.put_price.price(op_bytes) * puts as f64
-        + profile.get_price.price(op_bytes) * gets as f64
-        + profile.put_price.per_request * lists as f64
+/// Admission for Lambda workers: one worker's working set (at the
+/// paper-scale batch of its partition) must fit the function's memory.
+pub(crate) fn check_lambda_memory(
+    job: &TrainingJob<'_>,
+    model: &AnyModel,
+    spec: LambdaSpec,
+) -> Result<(), JobError> {
+    let (w, wl) = (job.config.workers, job.workload);
+    let batch = job.config.algorithm.batch_size(wl.train.len().div_ceil(w));
+    spec.check_memory(memory_required(
+        model,
+        &wl.spec,
+        w,
+        batch as f64 * wl.scale_inv(),
+    ))?;
+    Ok(())
+}
+
+/// Admission for a VM: `required` bytes must fit its memory, with headroom
+/// for the engine.
+pub(crate) fn check_vm_memory(instance: InstanceType, required: ByteSize) -> Result<(), JobError> {
+    if required.as_f64() > instance.memory().as_f64() * 0.8 {
+        return Err(JobError::Faas(FaasError::OutOfMemory {
+            required,
+            limit: instance.memory(),
+        }));
+    }
+    Ok(())
+}
+
+/// GB-second billing of `workers` functions, each busy for `busy`.
+pub(crate) fn lambda_bill(spec: LambdaSpec, workers: usize, busy: SimTime) -> Cost {
+    let mut meter = GbSecondsMeter::new();
+    for _ in 0..workers {
+        meter.charge(spec, busy);
+    }
+    meter.cost()
 }

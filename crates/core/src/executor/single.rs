@@ -5,16 +5,13 @@
 //! every scaled-up configuration beat this baseline before its scalability
 //! numbers mean anything.
 
-use crate::engine;
-use crate::executor::s3_data_link;
-use crate::executor::sync_driver::{run_sync, DriverCtx};
+use crate::executor::sync_driver::{run_backend, SyncBackend};
+use crate::executor::{check_vm_memory, s3_data_link};
 use crate::job::{JobError, TrainingJob};
-use crate::result::{Breakdown, CostBreakdown, RunResult};
-use lml_faas::FaasError;
+use crate::result::{CostBreakdown, RunResult};
 use lml_iaas::{cluster::iaas_startup_table, InstanceType};
 use lml_models::AnyModel;
-use lml_optim::algorithm::WorkerState;
-use lml_sim::{Cost, SimTime};
+use lml_sim::SimTime;
 
 /// Run a single-machine job (dispatched from [`TrainingJob::run`]).
 pub fn run(
@@ -22,76 +19,28 @@ pub fn run(
     model: AnyModel,
     instance: InstanceType,
 ) -> Result<RunResult, JobError> {
-    let cfg = &job.config;
-    let wl = job.workload;
-    let n = wl.train.len();
-    let batch = cfg.algorithm.batch_size(n);
-    let scale_inv = wl.scale_inv();
-
+    let bytes = job.workload.spec.paper_bytes;
     // The whole dataset must fit in memory.
-    if wl.spec.paper_bytes.as_f64() > instance.memory().as_f64() * 0.8 {
-        return Err(JobError::Faas(FaasError::OutOfMemory {
-            required: wl.spec.paper_bytes,
-            limit: instance.memory(),
-        }));
-    }
+    check_vm_memory(instance, bytes)?;
 
-    let startup = SimTime::secs(iaas_startup_table().eval(1.0));
-    let load = s3_data_link().transfer_time(wl.spec.paper_bytes);
-    let gpu = match model {
-        AnyModel::Mlp { .. } => instance.gpu(),
-        _ => None,
-    };
-    let nnz = engine::avg_nnz(&wl.train);
-    let vcpus = instance.vcpus() as f64;
-    let hourly = instance.hourly();
-
-    let workers = vec![WorkerState::new(0, model.clone(), (0..n).collect(), batch)];
-
-    let ctx = DriverCtx {
-        train: &wl.train,
-        valid: &wl.valid,
-        algo: cfg.algorithm,
-        schedule: cfg.lr,
-        stop: cfg.stop,
-        eval_every: cfg.resolved_eval_every(n),
-        start_offset: startup + load,
-    };
-    let compute_time_of =
-        |ex: u64| engine::compute_time(&model, ex as f64 * scale_inv, nnz, vcpus, gpu, 1.0);
-    let cost_at = |elapsed: SimTime, _r: u64| hourly * elapsed.as_hours();
-
-    let out = run_sync(
-        &ctx,
-        workers,
-        &compute_time_of,
-        &mut |_r, _e, stats| Ok((stats[0].clone(), SimTime::ZERO)),
-        &mut |t| t,
-        &cost_at,
-    )?;
-
-    let elapsed = startup + load + out.compute;
-    let final_accuracy = out.final_model.full_accuracy(&wl.valid);
-    let final_loss = out.curve.final_loss();
-    Ok(RunResult {
+    let backend = SyncBackend {
         system: format!("Single({})", instance.name()),
-        curve: out.curve,
-        breakdown: Breakdown {
-            startup,
-            load,
-            compute: out.compute,
-            comm: SimTime::ZERO,
-        },
-        cost: CostBreakdown {
-            compute: hourly * elapsed.as_hours(),
-            requests: Cost::ZERO,
-            nodes: Cost::ZERO,
-        },
-        epochs: out.epochs,
-        rounds: out.rounds,
-        converged: out.converged,
-        final_loss,
-        final_accuracy,
-        reinvocations: 0,
-    })
+        partitions: 1,
+        startup: SimTime::secs(iaas_startup_table().eval(1.0)),
+        load: s3_data_link().transfer_time(bytes),
+        vcpus: instance.vcpus() as f64,
+        gpu: instance
+            .gpu()
+            .filter(|_| matches!(model, AnyModel::Mlp { .. })),
+        compute_factor: 1.0,
+        lifetime: None,
+    };
+    let mut run = run_backend(job, &model, backend, &mut |_, _, stats| {
+        Ok((stats.concat(), SimTime::ZERO))
+    })?;
+    run.result.cost = CostBreakdown {
+        compute: instance.hourly() * run.elapsed.as_hours(),
+        ..CostBreakdown::default()
+    };
+    Ok(run.result)
 }

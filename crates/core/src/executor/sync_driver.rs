@@ -1,17 +1,130 @@
-//! The shared bulk-synchronous training loop.
+//! The one synchronous training runner.
 //!
-//! All synchronous backends differ only in three hooks:
-//! how long a worker's computation takes, how a round's statistics get
-//! aggregated (and how long that takes), and what a second of everything
-//! costs. The driver owns the rest: producing/consuming statistics,
-//! epoch accounting, periodic validation, curve recording and stopping.
+//! FaaS-BSP, IaaS, hybrid and single-machine training differ only in a
+//! [`SyncBackend`] (start-up, data loading, the engine a worker computes
+//! on, and Lambda lifetimes), an aggregation hook and a bill.
+//! [`run_backend`] builds the partitions, the worker replicas and the
+//! loop's inputs from a job, runs [`run_sync`], and assembles the
+//! [`RunResult`]; the executor then prices its own [`CostBreakdown`] from
+//! the final meters. Dollars are never estimated per curve point.
+//!
+//! [`run_sync`] owns the loop: producing/consuming statistics, epoch
+//! accounting, periodic validation, curve recording and stopping. The
+//! S-ASP protocol (`faas::run_asp`) is the one other loop.
 
-use crate::job::JobError;
+use crate::engine;
+use crate::job::{JobError, TrainingJob};
+use crate::result::{Breakdown, CostBreakdown, RunResult};
+use lml_data::partition::partition_rows;
 use lml_data::Dataset;
+use lml_faas::LifetimeManager;
+use lml_iaas::GpuKind;
 use lml_models::AnyModel;
 use lml_optim::algorithm::{Algorithm, WorkerState};
 use lml_optim::{CurvePoint, LossCurve, LrSchedule, StopSpec};
-use lml_sim::{Cost, SimTime};
+use lml_sim::SimTime;
+
+/// What one synchronous backend contributes to a run.
+pub struct SyncBackend {
+    /// `RunResult::system`.
+    pub system: String,
+    /// Data partitions, one worker replica each.
+    pub partitions: usize,
+    /// Infrastructure start-up before the first round.
+    pub startup: SimTime,
+    /// Loading one partition, after start-up.
+    pub load: SimTime,
+    /// The worker's engine (see [`engine::compute_time`]).
+    pub vcpus: f64,
+    pub gpu: Option<GpuKind>,
+    pub compute_factor: f64,
+    /// Lambda workers' 15-minute lifetime; `None` for VMs.
+    pub lifetime: Option<LifetimeManager>,
+}
+
+/// A finished synchronous run, before the executor's bill.
+pub struct SyncRun {
+    /// Everything a run reports; `cost` is zero until the executor bills.
+    pub result: RunResult,
+    /// Launch to finish: what instance- and node-hours bill.
+    pub elapsed: SimTime,
+    /// One Lambda worker's billed time: loading, rounds and rollovers.
+    pub busy: SimTime,
+}
+
+/// One model replica per partition of the job's training rows, and the
+/// longest partition's length.
+pub(crate) fn replicas(
+    job: &TrainingJob<'_>,
+    model: &AnyModel,
+    partitions: usize,
+) -> (Vec<WorkerState>, usize) {
+    let n = job.workload.train.len();
+    let part_len = n.div_ceil(partitions);
+    let batch = job.config.algorithm.batch_size(part_len);
+    let workers = partition_rows(n, partitions)
+        .iter()
+        .map(|p| WorkerState::new(p.worker, model.clone(), p.indices().collect(), batch))
+        .collect();
+    (workers, part_len)
+}
+
+/// Train `job` on `backend`, aggregating each round with `comm_round`.
+pub fn run_backend(
+    job: &TrainingJob<'_>,
+    model: &AnyModel,
+    backend: SyncBackend,
+    comm_round: &mut CommRoundFn<'_>,
+) -> Result<SyncRun, JobError> {
+    let (cfg, wl) = (&job.config, job.workload);
+    let (workers, part_len) = replicas(job, model, backend.partitions);
+    let ctx = DriverCtx {
+        train: &wl.train,
+        valid: &wl.valid,
+        algo: cfg.algorithm,
+        schedule: cfg.lr,
+        stop: cfg.stop,
+        eval_every: cfg.resolved_eval_every(part_len),
+        start_offset: backend.startup + backend.load,
+    };
+    let scale_inv = wl.scale_inv();
+    let nnz = engine::avg_nnz(&wl.train);
+    let compute_time_of = |ex: u64| {
+        engine::compute_time(
+            model,
+            ex as f64 * scale_inv,
+            nnz,
+            backend.vcpus,
+            backend.gpu,
+            backend.compute_factor,
+        )
+    };
+    let mut lifetime = backend.lifetime;
+    let out = run_sync(&ctx, workers, &compute_time_of, comm_round, &mut |t| {
+        lifetime.as_mut().map_or(t, |l| l.charge(t))
+    })?;
+    Ok(SyncRun {
+        elapsed: backend.startup + backend.load + out.compute + out.comm + out.overhead,
+        busy: backend.load + out.compute + out.comm + out.overhead,
+        result: RunResult {
+            system: backend.system,
+            final_loss: out.curve.final_loss(),
+            final_accuracy: out.final_model.full_accuracy(&wl.valid),
+            curve: out.curve,
+            breakdown: Breakdown {
+                startup: backend.startup + out.overhead,
+                load: backend.load,
+                compute: out.compute,
+                comm: out.comm,
+            },
+            cost: CostBreakdown::default(),
+            epochs: out.epochs,
+            rounds: out.rounds,
+            converged: out.converged,
+            reinvocations: lifetime.map_or(0, |l| l.reinvocations()),
+        },
+    })
+}
 
 /// Inputs common to every synchronous run.
 pub struct DriverCtx<'a> {
@@ -56,17 +169,13 @@ pub type CommRoundFn<'a> =
 /// * `comm_round(round, epoch, stats)` — aggregate the statistics, return
 ///   the element-wise sum and the communication time.
 /// * `wall_of_round(t)` — wall time consumed by a round of busy time `t`
-///   (identity for IaaS; lifetime rollovers for FaaS).
-/// * `cost_at(elapsed, rounds)` — dollars spent by `elapsed` after
-///   `rounds` rounds (for curve points).
-#[allow(clippy::too_many_arguments)]
+///   (identity for VMs; lifetime rollovers for Lambda workers).
 pub fn run_sync(
     ctx: &DriverCtx<'_>,
     mut workers: Vec<WorkerState>,
     compute_time_of: &dyn Fn(u64) -> SimTime,
     comm_round: &mut CommRoundFn<'_>,
     wall_of_round: &mut dyn FnMut(SimTime) -> SimTime,
-    cost_at: &dyn Fn(SimTime, u64) -> Cost,
 ) -> Result<DriverOutput, JobError> {
     assert!(!workers.is_empty());
     assert!(ctx.eval_every >= 1);
@@ -126,7 +235,6 @@ pub fn run_sync(
                 epoch: epochs,
                 rounds,
                 loss,
-                cost: cost_at(elapsed, rounds),
             });
             if ctx.stop.converged(loss) {
                 converged = true;
@@ -144,7 +252,6 @@ pub fn run_sync(
             epoch: epochs,
             rounds,
             loss,
-            cost: cost_at(elapsed, rounds),
         });
         if ctx.stop.converged(loss) {
             converged = true;
@@ -195,7 +302,6 @@ mod tests {
             &|ex| SimTime::secs(ex as f64 * 0.001),
             &mut |_r, _e, stats| Ok((sum_statistics(stats), SimTime::secs(0.5))),
             &mut |t| t,
-            &|elapsed, _| Cost::usd(elapsed.as_secs() * 0.01),
         )
         .unwrap()
     }
@@ -247,11 +353,10 @@ mod tests {
     }
 
     #[test]
-    fn curve_costs_are_monotone() {
+    fn curve_times_are_monotone() {
         let out = drive(StopSpec::new(0.0, 2), 1);
         let pts = out.curve.points();
         for w in pts.windows(2) {
-            assert!(w[1].cost >= w[0].cost);
             assert!(w[1].time >= w[0].time);
         }
     }

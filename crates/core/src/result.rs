@@ -56,7 +56,7 @@ impl CostBreakdown {
 pub struct RunResult {
     /// Human-readable backend description.
     pub system: String,
-    /// Convergence trajectory (time/epoch/rounds/loss/cost points).
+    /// Convergence trajectory (time/epoch/rounds/loss points).
     pub curve: LossCurve,
     pub breakdown: Breakdown,
     pub cost: CostBreakdown,

@@ -5,7 +5,7 @@
 //! safety bounds; [`LossCurve`] records `(time, epoch, rounds, loss)` points
 //! that the figure binaries print.
 
-use lml_sim::{Cost, SimTime};
+use lml_sim::SimTime;
 
 /// When to stop a training job.
 #[derive(Debug, Clone, Copy)]
@@ -54,8 +54,6 @@ pub struct CurvePoint {
     pub rounds: u64,
     /// Validation loss.
     pub loss: f64,
-    /// Dollars spent so far.
-    pub cost: Cost,
 }
 
 /// The recorded convergence trajectory of one run.
@@ -125,7 +123,6 @@ mod tests {
             epoch: t,
             rounds: t as u64,
             loss,
-            cost: Cost::ZERO,
         }
     }
 
