@@ -21,7 +21,7 @@ pub mod sync_driver;
 
 use crate::job::{JobError, TrainingJob};
 use lml_data::DatasetSpec;
-use lml_faas::{FaasError, GbSecondsMeter, LambdaSpec};
+use lml_faas::{GbSecondsMeter, LambdaSpec};
 use lml_iaas::InstanceType;
 use lml_models::AnyModel;
 use lml_sim::{ByteSize, Cost, Link, SimTime};
@@ -83,10 +83,7 @@ pub(crate) fn check_lambda_memory(
 /// for the engine.
 pub(crate) fn check_vm_memory(instance: InstanceType, required: ByteSize) -> Result<(), JobError> {
     if required.as_f64() > instance.memory().as_f64() * 0.8 {
-        return Err(JobError::Faas(FaasError::OutOfMemory {
-            required,
-            limit: instance.memory(),
-        }));
+        return Err(JobError::VmOutOfMemory { instance, required });
     }
     Ok(())
 }

@@ -8,7 +8,9 @@ use lml_data::generators::Generated;
 use lml_data::transform::train_valid_split;
 use lml_data::{Dataset, DatasetSpec};
 use lml_faas::FaasError;
+use lml_iaas::InstanceType;
 use lml_models::{AnyModel, ModelId};
+use lml_sim::ByteSize;
 use lml_storage::StorageError;
 
 /// A dataset prepared for training: 90/10 train/validation split (the
@@ -47,6 +49,12 @@ pub enum JobError {
     /// The FaaS runtime refused (out of memory, invalid function spec —
     /// e.g. ResNet50 with batch 64, §5.2).
     Faas(FaasError),
+    /// A VM cannot hold its share of the data with headroom for the
+    /// engine (e.g. all of Higgs on one t2.medium, Figure 11).
+    VmOutOfMemory {
+        instance: InstanceType,
+        required: ByteSize,
+    },
     /// The (algorithm, model, backend) combination is invalid
     /// (e.g. ADMM on a neural network, §4.2).
     NotApplicable(String),
@@ -57,6 +65,12 @@ impl std::fmt::Display for JobError {
         match self {
             JobError::Storage(e) => write!(f, "storage: {e}"),
             JobError::Faas(e) => write!(f, "faas: {e}"),
+            JobError::VmOutOfMemory { instance, required } => write!(
+                f,
+                "iaas: {} cannot hold {required} in its {} RAM",
+                instance.name(),
+                instance.memory()
+            ),
             JobError::NotApplicable(m) => write!(f, "not applicable: {m}"),
         }
     }
@@ -164,5 +178,10 @@ mod tests {
     fn job_error_display() {
         let e = JobError::NotApplicable("x".into());
         assert!(e.to_string().contains("not applicable"));
+        let vm = JobError::VmOutOfMemory {
+            instance: InstanceType::T2Medium,
+            required: ByteSize::gb(8.0),
+        };
+        assert!(vm.to_string().starts_with("iaas: t2.medium "), "{vm}");
     }
 }

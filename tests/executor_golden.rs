@@ -32,8 +32,8 @@ faas_bsp_rollover_mobilenet run=409f48c882ee956e usd=3fda65cecd570096 bd=400d494
 hybrid_rollover_mobilenet run=40a12011229ac887 usd=3fea8acc29403938 bd=405eee4382795179,3feda30d640973ca,4093f38e38e38e62,4088b3f6e4fbd8cb cost=3fda95c989c5bb4e,0000000000000000,3fda7fcec8bab722 ep=4008091a2b3c4d75 loss=3fe4d08430637724 acc=3feccccccccccccd rounds=338 reinv=2 points=13 curve=18a3b3a9283faeb8
 err_dynamodb_refuses_mobilenet err storage: item of 12.0MB exceeds the service cap of 400.0KB
 err_resnet50_batch64_lambda_oom err faas: function needs 3.35GB but is limited to 3.01GB
-err_iaas_t2_one_worker_oom err faas: function needs 8.00GB but is limited to 4.00GB
-err_single_t2_oom err faas: function needs 8.00GB but is limited to 4.00GB
+err_iaas_t2_one_worker_oom err iaas: t2.medium cannot hold 8.00GB in its 4.00GB RAM
+err_single_t2_oom err iaas: t2.medium cannot hold 8.00GB in its 4.00GB RAM
 ";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
