@@ -35,6 +35,7 @@ pub fn run(
         compute_factor: 1.0,
         lifetime: None,
     };
+    // One worker, no communication: its statistic is the aggregate.
     let mut run = run_backend(job, &model, backend, &mut |_, _, stats| {
         Ok((stats.concat(), SimTime::ZERO))
     })?;

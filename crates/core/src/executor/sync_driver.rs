@@ -1,9 +1,9 @@
 //! The one synchronous training runner.
 //!
 //! FaaS-BSP, IaaS, hybrid and single-machine training differ only in a
-//! [`SyncBackend`] (start-up, data loading, the engine a worker computes
+//! `SyncBackend` (start-up, data loading, the engine a worker computes
 //! on, and Lambda lifetimes), an aggregation hook and a bill.
-//! [`run_backend`] builds the partitions, the worker replicas and the
+//! `run_backend` builds the partitions, the worker replicas and the
 //! loop's inputs from a job, runs [`run_sync`], and assembles the
 //! [`RunResult`]; the executor then prices its own [`CostBreakdown`] from
 //! the final meters. Dollars are never estimated per curve point.
@@ -25,7 +25,7 @@ use lml_optim::{CurvePoint, LossCurve, LrSchedule, StopSpec};
 use lml_sim::SimTime;
 
 /// What one synchronous backend contributes to a run.
-pub struct SyncBackend {
+pub(crate) struct SyncBackend {
     /// `RunResult::system`.
     pub system: String,
     /// Data partitions, one worker replica each.
@@ -43,7 +43,7 @@ pub struct SyncBackend {
 }
 
 /// A finished synchronous run, before the executor's bill.
-pub struct SyncRun {
+pub(crate) struct SyncRun {
     /// Everything a run reports; `cost` is zero until the executor bills.
     pub result: RunResult,
     /// Launch to finish: what instance- and node-hours bill.
@@ -70,7 +70,7 @@ pub(crate) fn replicas(
 }
 
 /// Train `job` on `backend`, aggregating each round with `comm_round`.
-pub fn run_backend(
+pub(crate) fn run_backend(
     job: &TrainingJob<'_>,
     model: &AnyModel,
     backend: SyncBackend,
