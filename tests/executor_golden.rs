@@ -13,6 +13,9 @@
 //! and hybrid, and the admission errors. A change that moves a line on
 //! purpose re-blesses it: the failure message prints the whole new table.
 
+mod golden;
+
+use golden::{fnv1a, FNV_OFFSET};
 use lambdaml::prelude::*;
 
 const GOLDEN: &str = "\
@@ -36,17 +39,6 @@ err_iaas_t2_one_worker_oom err iaas: t2.medium cannot hold 8.00GB in its 4.00GB 
 err_single_t2_oom err iaas: t2.medium cannot hold 8.00GB in its 4.00GB RAM
 ";
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 fn line(name: &str, result: Result<RunResult, JobError>) -> String {
     let r = match result {
         Ok(r) => r,
@@ -56,10 +48,10 @@ fn line(name: &str, result: Result<RunResult, JobError>) -> String {
     let b = r.breakdown;
     let c = r.cost;
     let curve = r.curve.points().iter().fold(FNV_OFFSET, |h, p| {
-        let h = fnv1a(h, p.time.as_secs().to_bits());
-        let h = fnv1a(h, p.epoch.to_bits());
-        let h = fnv1a(h, p.rounds);
-        fnv1a(h, p.loss.to_bits())
+        let h = fnv1a(h, &p.time.as_secs().to_bits().to_le_bytes());
+        let h = fnv1a(h, &p.epoch.to_bits().to_le_bytes());
+        let h = fnv1a(h, &p.rounds.to_le_bytes());
+        fnv1a(h, &p.loss.to_bits().to_le_bytes())
     });
     format!(
         "{name} run={} usd={} bd={},{},{},{} cost={},{},{} ep={} loss={} acc={} \
