@@ -5,8 +5,8 @@
 //! is simulated on the parallel sweep engine, its full metrics rollup is
 //! written as one byte-stable JSON file (schema `lml-fleet/metrics/v1`)
 //! under `<Harness::out_root>/<sweep name>/`, and its row joins the printed
-//! table. CI diffs a pinned-serial run of every sweep against a
-//! multi-worker one.
+//! table. `tests/fleet_artifacts.rs` pins every sweep's bytes at seeds 7
+//! and 42, fast and full, at 1, 2 and 8 workers.
 
 use crate::sweep;
 use crate::tablefmt::{f, table};
@@ -450,111 +450,24 @@ pub fn fleet_risk(h: &Harness) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
     use std::path::{Path, PathBuf};
 
-    const SWEEPS: [&Sweep; 5] = [&SCALE, &POLICIES, &RECOVERY, &ESTIMATOR, &RISK];
-    const SCHEMA_HEAD: &str = r#"{"schema":"lml-fleet/metrics/v1""#;
-
-    /// A fresh scratch directory under the system temp dir.
+    /// A fresh scratch directory under the system temp dir, private to
+    /// this process so concurrent test runs never delete each other's
+    /// files.
     fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(name);
+        let dir = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
 
-    fn harness(seed: u64, out_root: &Path, workers: usize) -> Harness {
+    fn harness(seed: u64, out_root: &Path) -> Harness {
         Harness {
             seed,
             fast: true,
             out_root: out_root.to_path_buf(),
-            workers,
+            workers: 2,
         }
-    }
-
-    /// Every file in `dir`, name → contents.
-    fn snapshot(dir: &Path) -> BTreeMap<String, String> {
-        std::fs::read_dir(dir)
-            .expect("sweep dir written")
-            .map(|e| {
-                let e = e.unwrap();
-                (
-                    e.file_name().into_string().unwrap(),
-                    std::fs::read_to_string(e.path()).unwrap(),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_sweep_equals_serial_at_1_2_and_8_workers() {
-        let base = scratch("lml_par_eq_serial");
-        for s in SWEEPS {
-            let run = |w: usize| {
-                let root = base.join(format!("w{w}"));
-                let table = run_sweep(s, &harness(17, &root, w));
-                (table, snapshot(&root.join(s.name)))
-            };
-            let serial = run(1);
-            assert!(!serial.1.is_empty(), "{}: serial run wrote JSON", s.name);
-            for w in [2, 8] {
-                assert!(run(w) == serial, "{}: table + JSON at {w} workers", s.name);
-            }
-        }
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    /// The runner must not silently rename or drop a cell: the file-name
-    /// set of every sweep is pinned (seed 7, fast mode), as stems between
-    /// `<prefix>-seed7-` and `.json`.
-    #[test]
-    fn every_sweep_emits_its_pinned_file_set() {
-        let pinned: [&str; 5] = [
-            "rate0.05-all-faas rate0.05-all-iaas rate0.05-cost-aware rate0.2-all-faas \
-             rate0.2-all-iaas rate0.2-cost-aware rate0.8-all-faas rate0.8-all-iaas \
-             rate0.8-cost-aware",
-            "all-faas-spot0-pc0 all-faas-spot0-pc64 all-iaas-spot0-pc0 all-iaas-spot0-pc64 \
-             cost-aware-spot0-pc0 cost-aware-spot0-pc64 deadline-aware-spot0-pc0 \
-             deadline-aware-spot0-pc64 deadline-aware-spot0.6-pc0 deadline-aware-spot0.6-pc64 \
-             fair-share-spot0-pc0 fair-share-spot0-pc64 fair-share-spot0.6-pc0 \
-             fair-share-spot0.6-pc64",
-            "adaptive-spot0.6-mttp3600 adaptive-spot0.6-mttp900 adaptive-spot1-mttp3600 \
-             adaptive-spot1-mttp900 every1-spot0.6-mttp3600 every1-spot0.6-mttp900 \
-             every1-spot1-mttp3600 every1-spot1-mttp900 every4-spot0.6-mttp3600 \
-             every4-spot0.6-mttp900 every4-spot1-mttp3600 every4-spot1-mttp900 \
-             never-spot0.6-mttp3600 never-spot0.6-mttp900 never-spot1-mttp3600 \
-             never-spot1-mttp900",
-            "cost-aware-analytic-scale1 cost-aware-analytic-scale2 cost-aware-hybrid-scale1 \
-             cost-aware-hybrid-scale2 cost-aware-online-scale1 cost-aware-online-scale2 \
-             deadline-aware-analytic-scale1 deadline-aware-analytic-scale2 \
-             deadline-aware-hybrid-scale1 deadline-aware-hybrid-scale2 \
-             deadline-aware-online-scale1 deadline-aware-online-scale2 \
-             fair-share-analytic-scale1 fair-share-analytic-scale2 fair-share-hybrid-scale1 \
-             fair-share-hybrid-scale2 fair-share-online-scale1 fair-share-online-scale2",
-            "learned-err1-mttp1800 learned-err1-mttp600 learned-err4-mttp1800 \
-             learned-err4-mttp600 static-err1-mttp1800 static-err1-mttp600 \
-             static-err4-mttp1800 static-err4-mttp600",
-        ];
-        let root = scratch("lml_fleet_pinned_files");
-        let h = harness(7, &root, 2);
-        for (s, stems) in SWEEPS.iter().zip(pinned) {
-            let table = run_sweep(s, &h);
-            assert!(table.contains(s.title), "{}: titled table", s.name);
-            let files = snapshot(&root.join(s.name));
-            let want: Vec<String> = stems
-                .split(' ')
-                .map(|stem| format!("{}-seed7-{stem}.json", s.prefix))
-                .collect();
-            assert_eq!(
-                files.keys().collect::<Vec<_>>(),
-                want.iter().collect::<Vec<_>>()
-            );
-            for (name, json) in &files {
-                assert!(json.starts_with(SCHEMA_HEAD), "{name}: schema header");
-                assert!(json.contains(r#""per_tenant":["#), "{name}: tenant rollup");
-            }
-        }
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Pull one f64 field out of a flat JSON metrics file.
@@ -572,7 +485,7 @@ mod tests {
     #[test]
     fn fleet_estimator_hybrid_beats_blind_prior_on_miscalibrated_zoo() {
         let tmp = scratch("lml_fleet_estimator_test");
-        let out = fleet_estimator(&harness(21, &tmp, 2));
+        let out = fleet_estimator(&harness(21, &tmp));
         assert!(out.contains("hybrid") && out.contains("analytic"));
         let read = |sched: &str, est: &str, scale: &str| {
             std::fs::read_to_string(tmp.join(format!(
@@ -614,7 +527,7 @@ mod tests {
     #[test]
     fn fleet_risk_learned_admission_beats_static_on_wrong_config() {
         let tmp = scratch("lml_fleet_risk_test");
-        let out = fleet_risk(&harness(7, &tmp, 2));
+        let out = fleet_risk(&harness(7, &tmp));
         assert!(out.contains("learned") && out.contains("static"));
         let read = |adm: &str, err: &str, mttp: &str| {
             std::fs::read_to_string(tmp.join(format!(
@@ -645,7 +558,7 @@ mod tests {
     #[test]
     fn fleet_recovery_runs_and_checkpoints_beat_never() {
         let tmp = scratch("lml_fleet_recovery_test");
-        let out = fleet_recovery(&harness(13, &tmp, 2));
+        let out = fleet_recovery(&harness(13, &tmp));
         assert!(out.contains("adaptive") && out.contains("every1"));
         let read = |policy: &str| {
             std::fs::read_to_string(tmp.join(format!(

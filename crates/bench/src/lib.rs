@@ -21,7 +21,7 @@ use experiments::{ablations, analytics, design, endtoend, fleet};
 use std::path::PathBuf;
 
 /// Global experiment settings. The binary fills them from the command line
-/// and the environment; nothing below it reads either.
+/// and `LML_FLEET_OUT`; nothing below it reads either.
 #[derive(Debug, Clone)]
 pub struct Harness {
     pub seed: u64,
@@ -29,8 +29,8 @@ pub struct Harness {
     /// Root of the fleet sweeps' per-cell JSON: each sweep writes
     /// `<out_root>/<sweep name>/` (CLI: `LML_FLEET_OUT`).
     pub out_root: PathBuf,
-    /// Worker threads for sweep fan-out (CLI: `LML_SWEEP_THREADS`); never
-    /// changes a byte of output.
+    /// Worker threads for sweep fan-out (CLI: every core); never changes a
+    /// byte of output (`tests/fleet_artifacts.rs` pins them at 1, 2 and 8).
     pub workers: usize,
 }
 

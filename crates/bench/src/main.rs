@@ -2,11 +2,10 @@
 //! artifact or fleet sweep (the index is `lml_bench::EXPERIMENTS`), or all
 //! of them in paper order.
 //!
-//! Two environment knobs, read here and nowhere else: `LML_FLEET_OUT`
+//! One environment knob, read here and nowhere else: `LML_FLEET_OUT`
 //! roots the fleet sweeps' per-cell JSON (default `target/`, each sweep
-//! writing `<root>/<sweep name>/`), and `LML_SWEEP_THREADS` pins the sweep
-//! worker count (default: every core; output is byte-identical at any
-//! count).
+//! writing `<root>/<sweep name>/`). Sweeps fan out over every core; the
+//! bytes never depend on the worker count (`tests/fleet_artifacts.rs`).
 
 #![forbid(unsafe_code)]
 
@@ -14,21 +13,15 @@ use lml_bench::{select, Experiment, Harness, EXPERIMENTS};
 use std::ffi::OsString;
 use std::process::ExitCode;
 
-/// Resolve the command line and the two environment knobs to the
-/// experiments to run and their settings, or a one-line error.
+/// Resolve the command line and the output-root knob to the experiments
+/// to run and their settings, or a one-line error.
 fn parse(
     args: &[String],
     out_root: Option<OsString>,
-    threads: Option<String>,
 ) -> Result<(&'static [Experiment], Harness), String> {
     let mut h = Harness::default();
     if let Some(root) = out_root {
         h.out_root = root.into();
-    }
-    if let Some(n) = threads {
-        let count = n.trim().parse().ok().filter(|&n: &usize| n >= 1);
-        h.workers =
-            count.ok_or_else(|| usage(&format!("LML_SWEEP_THREADS={n:?} is not a count >= 1")))?;
     }
     let mut name = None;
     let mut args = args.iter();
@@ -62,9 +55,7 @@ fn usage(problem: &str) -> String {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_root = std::env::var_os("LML_FLEET_OUT");
-    let threads = std::env::var("LML_SWEEP_THREADS").ok();
-    match parse(&args, out_root, threads) {
+    match parse(&args, std::env::var_os("LML_FLEET_OUT")) {
         Ok((selected, h)) => {
             for (name, run) in selected {
                 eprintln!(">>> {name}");
@@ -86,7 +77,7 @@ mod tests {
 
     fn parse_args(args: &[&str]) -> Result<(Vec<&'static str>, Harness), String> {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        let (selected, h) = parse(&args, Some("/tmp/x".into()), Some("3".into()))?;
+        let (selected, h) = parse(&args, Some("/tmp/x".into()))?;
         Ok((selected.iter().map(|e| e.0).collect(), h))
     }
 
@@ -94,12 +85,12 @@ mod tests {
     fn flags_and_knobs_land_in_the_harness() -> Result<(), String> {
         let (selected, h) = parse_args(&["fleet_risk", "--seed", "7", "--full"])?;
         assert_eq!(selected, ["fleet_risk"]);
-        assert_eq!((h.seed, h.fast, h.workers), (7, false, 3));
+        assert_eq!((h.seed, h.fast), (7, false));
         assert_eq!(h.out_root, Path::new("/tmp/x"));
         let (all, h) = parse_args(&["all"])?;
         assert_eq!(all.len(), EXPERIMENTS.len());
         assert_eq!((h.seed, h.fast), (42, true));
-        let (_, h) = parse(&["all".to_string()], None, None)?;
+        let (_, h) = parse(&["all".to_string()], None)?;
         assert_eq!(h.out_root, Path::new("target"));
         assert!(h.workers >= 1);
         Ok(())
@@ -122,13 +113,6 @@ mod tests {
             assert!(
                 e.contains("fleet_scale") && e.contains("table6_constants"),
                 "{e}"
-            );
-        }
-        for threads in ["junk", "0", ""] {
-            let args = ["fleet_scale".to_string()];
-            assert!(
-                parse(&args, None, Some(threads.into())).is_err(),
-                "{threads:?}"
             );
         }
     }

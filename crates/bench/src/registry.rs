@@ -4,8 +4,7 @@
 //! Loss thresholds are re-calibrated to the synthetic generators (the
 //! achievable optima differ from the real datasets'); each sits slightly
 //! above the empirically observed plateau so "time to threshold" is a
-//! meaningful convergence measure, exactly as in the paper. The calibration
-//! probes are recorded in EXPERIMENTS.md.
+//! meaningful convergence measure, exactly as in the paper.
 
 use crate::Harness;
 use lml_core::job::Workload;
@@ -207,7 +206,7 @@ impl WorkloadId {
     }
 
     /// Validation-loss threshold, calibrated to the synthetic generators
-    /// (slightly above the observed plateau — see EXPERIMENTS.md).
+    /// (slightly above the observed plateau).
     pub fn threshold(self) -> f64 {
         match self {
             WorkloadId::LrHiggs => 0.645,

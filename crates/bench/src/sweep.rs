@@ -15,11 +15,11 @@
 //! * all side effects (file writes, table rows) happen in the reduction,
 //!   on the caller's thread, never in the cells.
 //!
-//! The caller picks the worker count (the `lml-bench` CLI takes it from
-//! `LML_SWEEP_THREADS`, which CI pins to 1 for the serial half of its
-//! serial-vs-parallel determinism diffs, else from
-//! [`std::thread::available_parallelism`]). One worker runs the cells
-//! inline with no threads spawned at all.
+//! The caller picks the worker count (the `lml-bench` CLI takes
+//! [`std::thread::available_parallelism`]); `tests/fleet_artifacts.rs`
+//! holds every fleet sweep's bytes to one committed manifest at 1, 2 and 8
+//! workers. One worker runs the cells inline with no threads spawned at
+//! all.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
