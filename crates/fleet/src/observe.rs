@@ -813,9 +813,6 @@ impl FleetObserver for RollupCollector {
 }
 
 #[cfg(test)]
-mod emit_oracle;
-
-#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1,11 +1,11 @@
 //! Streaming replay at fleet scale, end to end: a **million-job** trace
 //! replayed straight out of a generator — never materialized — in constant
-//! resident memory, plus the byte-identity and Google-adapter checks that
-//! pin the streaming engine to the in-memory one.
+//! resident memory, plus the byte-identity check that pins the streaming
+//! engine to the in-memory one.
 //!
 //! Run with: `cargo run --release --example fleet_stream`
 //!
-//! Three things are asserted, all hard:
+//! Two things are asserted, both hard:
 //!
 //! 1. **Bounded residency.** `replay_stats` over 1,000,000 generated jobs
 //!    reports a `peak_resident_jobs` high-water mark bounded by the
@@ -16,17 +16,14 @@
 //!    materialized and run through the classic in-memory `simulate`,
 //!    produces metrics JSON byte-identical to streaming replay of that
 //!    prefix.
-//! 3. **Google adapter determinism.** The bundled cluster-usage fixture
-//!    streams to the same metrics bytes twice; the JSON lands in
-//!    `LML_FLEET_STREAM_OUT` (default `target/fleet_stream/`) so CI can
-//!    diff two independent processes.
+//!
+//! The Google cluster-usage adapter's metrics on the bundled fixture are
+//! pinned in `tests/fleet_artifacts.rs`.
 
 use lambdaml::fleet::{
     replay, replay_stats, simulate, stream, ArrivalProcess, CostAware, FleetConfig,
-    GeneratorSource, GoogleSource, JobMix, NullObserver, TenantSpec,
+    GeneratorSource, JobMix, NullObserver, TenantSpec,
 };
-use std::io::BufReader;
-use std::path::PathBuf;
 use std::time::Instant;
 
 const MILLION: usize = 1_000_000;
@@ -47,10 +44,6 @@ fn gen_source(n_jobs: usize) -> GeneratorSource {
 }
 
 fn main() {
-    let out: PathBuf = std::env::var_os("LML_FLEET_STREAM_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_stream"));
-    std::fs::create_dir_all(&out).expect("output dir");
     let cfg = FleetConfig::default();
 
     // 1. One million jobs, streamed from the generator: constant memory.
@@ -102,30 +95,6 @@ fn main() {
     println!(
         "prefix check: {PREFIX} jobs, streamed == in-memory ({} bytes)",
         in_memory.len()
-    );
-
-    // 3. The Google cluster-usage adapter streams deterministically: same
-    // fixture, same bytes, written out for CI to diff across processes.
-    let fixture =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates/fleet/data/google_sample.csv");
-    let open = || {
-        GoogleSource::new(BufReader::new(
-            std::fs::File::open(&fixture).expect("bundled fixture"),
-        ))
-    };
-    let google_a = replay(open(), &cfg, &mut CostAware::new(), 7)
-        .expect("google fixture streams")
-        .to_json();
-    let google_b = replay(open(), &cfg, &mut CostAware::new(), 7)
-        .expect("google fixture streams")
-        .to_json();
-    assert_eq!(google_a, google_b, "google adapter must be deterministic");
-    std::fs::write(out.join("google_metrics.json"), &google_a).expect("write metrics");
-    println!(
-        "google fixture: {} -> {} bytes of metrics JSON at {}",
-        fixture.display(),
-        google_a.len(),
-        out.join("google_metrics.json").display()
     );
 
     println!("fleet_stream: all assertions passed");

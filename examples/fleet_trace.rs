@@ -17,26 +17,20 @@
 //! * every deferred, rejected, and spot-admitted job has a
 //!   [`Decision`] record naming the prices and ETAs that decided it.
 //!
-//! Two files land in `target/fleet_trace/` (override with
-//! `LML_FLEET_TRACE_OUT`): `trace.json` (schema `lml-fleet/trace/v1`) and
-//! `chrome_trace.json`. Load the latter at <https://ui.perfetto.dev> (or
-//! `chrome://tracing`): each tenant is a process, each job a track with
-//! queued/startup/run spans per attempt, decisions and platform events as
-//! instants. Both files are byte-stable across same-seed runs — CI runs
-//! this example twice and diffs them.
+//! Two files land in `target/fleet_trace/`: `trace.json` (schema
+//! `lml-fleet/trace/v1`) and `chrome_trace.json`. Load the latter at
+//! <https://ui.perfetto.dev> (or `chrome://tracing`): each tenant is a
+//! process, each job a track with queued/startup/run spans per attempt,
+//! decisions and platform events as instants.
 
 use lambdaml::fleet::{
     simulate_observed, ArrivalProcess, CheckpointPolicy, DeadlineAware, Decision, FleetConfig,
     JobMix, RecordingObserver, Route, TenantSpec, Trace,
 };
 use lambdaml::sim::SimTime;
-use std::path::PathBuf;
+use std::path::Path;
 
-fn out_dir() -> PathBuf {
-    std::env::var_os("LML_FLEET_TRACE_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_trace"))
-}
+const OUT_DIR: &str = "target/fleet_trace";
 
 fn main() {
     let seed = 42;
@@ -170,8 +164,8 @@ fn main() {
     println!("{audited} deferred/rejected/spot admissions carry full decision audits ✓");
 
     // ---- Export -------------------------------------------------------
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir).expect("create trace output dir");
+    let dir = Path::new(OUT_DIR);
+    std::fs::create_dir_all(dir).expect("create trace output dir");
     let chrome = obs.to_chrome_trace();
     assert!(chrome.starts_with(r#"{"traceEvents":["#));
     std::fs::write(dir.join("trace.json"), obs.to_json()).expect("write trace.json");

@@ -15,8 +15,8 @@
 //!   gauged spot-heavy replays and four hand-fed recorders, one per class
 //!   of escaped byte.
 //! - `adapters/google-sample-7/metrics.json`: the bundled Google
-//!   cluster-usage fixture streamed under `CostAware` at seed 7, the
-//!   `google_metrics.json` that `examples/fleet_stream.rs` once wrote.
+//!   cluster-usage fixture (`crates/fleet/data/google_sample.csv`)
+//!   streamed under `CostAware` and the default config at seed 7.
 //!
 //! A mismatch names every moved, missing and extra path with its new hash,
 //! then prints the whole new manifest. A change that moves artifacts on
@@ -312,12 +312,11 @@ fn documents() -> Files {
     observed("all-faas-hard-cap-7", &runs[1]);
     // Each class of escaped byte alone, so the fast path must notice each,
     // then all of them together.
-    let all = "p\"q\\r\ns\tt\ru\u{1}v\u{1f}wé∑";
     for (case, policy) in [
         ("escaped-control", "tab\tlf\ncr\r\u{1}\u{1f}é∑"),
         ("escaped-quote", "say \"hi\""),
         ("escaped-backslash", "back\\slash"),
-        ("escaped-all", all),
+        ("escaped-all", "p\"q\\r\ns\tt\ru\u{1}v\u{1f}wé∑"),
     ] {
         observed(case, &hand_fed(policy));
     }
