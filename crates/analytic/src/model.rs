@@ -287,6 +287,80 @@ mod tests {
         assert!(degraded > perfect);
     }
 
+    /// One line per [`AnalyticCase`] constructor, over its share of 2,000
+    /// random workloads at perfect or power-law scaling: an FNV-1a over the
+    /// `to_bits` of [`time`], of [`cost`] and of [`price`]'s three fields,
+    /// each on both substrates. A moved column names the formula that
+    /// moved; the failure prints the whole new table to paste over it.
+    const GOLDEN: &str = "\
+faas_s3 time=488b7196e8245c96 cost=d539e99dac76737a price=f86bb458fb5f9b19
+faas_elasticache time=6238bea99db8f606 cost=26a98c9e33ab0613 price=3015b2dd43a18435
+iaas_t2 time=435cd8dc278940d4 cost=a6d0cff5bac260c5 price=f5af2e68a52ea7de
+iaas_c5 time=54fab1c36eb283c4 cost=b48005be3eb3be72 price=3c70c8ed04edaed3
+";
+
+    #[test]
+    fn every_formula_matches_the_golden_table() {
+        let fnv = |h: u64, bits: u64| {
+            let fold = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            bits.to_le_bytes().iter().fold(h, fold)
+        };
+        let offset = 0xcbf2_9ce4_8422_2325_u64;
+        let mut lines = [
+            ("faas_s3", AnalyticCase::faas_s3(), [offset; 3]),
+            (
+                "faas_elasticache",
+                AnalyticCase::faas_elasticache(),
+                [offset; 3],
+            ),
+            ("iaas_t2", AnalyticCase::iaas_t2(), [offset; 3]),
+            ("iaas_c5", AnalyticCase::iaas_c5(), [offset; 3]),
+        ];
+        let mut rng = lml_sim::Pcg64::new(0x5eed_0053);
+        // 2,000 cases, dealt to the four constructors in turn.
+        for _ in 0..500 {
+            for (_, c, [time_h, cost_h, price_h]) in &mut lines {
+                let p = AnalyticParams {
+                    dataset_bytes: rng.range(1e6, 1e11),
+                    model_bytes: rng.range(8.0, 1e8),
+                    epochs: rng.range(0.1, 100.0),
+                    rounds_per_epoch: rng.range(0.01, 2_000.0),
+                    compute_per_epoch: rng.range(0.1, 20_000.0),
+                };
+                let scaling = if rng.coin(0.5) {
+                    Scaling::Perfect
+                } else {
+                    Scaling::Power {
+                        alpha: rng.range(0.0, 1.0),
+                    }
+                };
+                let w = 1 + rng.index(1_000);
+                for s in [Faas, Iaas] {
+                    *time_h = fnv(*time_h, time(&p, c, s, scaling, w).as_secs().to_bits());
+                    *cost_h = fnv(*cost_h, cost(&p, c, s, scaling, w).as_usd().to_bits());
+                    let got = price(&p, c, s, w);
+                    for v in [
+                        got.startup.as_secs(),
+                        got.run.as_secs(),
+                        got.dollars.as_usd(),
+                    ] {
+                        *price_h = fnv(*price_h, v.to_bits());
+                    }
+                }
+            }
+        }
+        let table: String = lines
+            .iter()
+            .map(|(name, _, [t, c, p])| {
+                format!("{name} time={t:016x} cost={c:016x} price={p:016x}\n")
+            })
+            .collect();
+        assert!(
+            table == GOLDEN,
+            "the analytic formulas moved; new table:\n{table}"
+        );
+    }
+
     /// The per-substrate formulas `time`/`cost` replaced, kept verbatim as
     /// the oracle the keyed bodies are held to bit for bit.
     mod oracle {

@@ -85,6 +85,52 @@ impl DatasetId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Row;
+
+    /// One line per dataset: its dimension and an FNV-1a over the first
+    /// 200 rows at seed 42 (each row's label bits, then its entries' bits,
+    /// with the index of each stored sparse entry). A mismatch prints the
+    /// whole new table to paste over this one.
+    const GOLDEN: &str = "\
+Higgs dim=28 rows=6da6f9c74c6c8049
+RCV1 dim=47236 rows=510258bfbf219ae0
+Cifar10 dim=1024 rows=053ae1026ffd1591
+YFCC100M dim=4096 rows=4c66daf85865aa71
+Criteo dim=1000000 rows=99d9423e57c1ab02
+";
+
+    #[test]
+    fn every_dataset_matches_the_golden_table() {
+        let fnv = |h: u64, bytes: &[u8]| {
+            let fold = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            bytes.iter().fold(h, fold)
+        };
+        let mut table = String::new();
+        for id in DatasetId::ALL {
+            let g = id.generate_rows(200, 42);
+            assert_eq!(g.data.len(), 200, "{}", id.name());
+            assert_eq!(g.spec.name, id.name());
+            let mut h = 0xcbf2_9ce4_8422_2325;
+            for i in 0..g.data.len() {
+                h = fnv(h, &g.data.label(i).to_bits().to_le_bytes());
+                match g.data.row(i) {
+                    Row::Dense(x) => {
+                        for v in x {
+                            h = fnv(h, &v.to_bits().to_le_bytes());
+                        }
+                    }
+                    Row::Sparse(x) => {
+                        for (j, v) in x.iter() {
+                            h = fnv(h, &j.to_le_bytes());
+                            h = fnv(h, &v.to_bits().to_le_bytes());
+                        }
+                    }
+                }
+            }
+            table += &format!("{} dim={} rows={h:016x}\n", id.name(), g.data.dim());
+        }
+        assert!(table == GOLDEN, "generated rows moved; new table:\n{table}");
+    }
 
     #[test]
     fn all_datasets_generate_and_are_deterministic() {

@@ -90,6 +90,8 @@ mod admission;
 mod dispatch;
 mod engine;
 #[cfg(test)]
+mod pricing_golden;
+#[cfg(test)]
 mod pricing_oracle;
 mod retire;
 mod slab;

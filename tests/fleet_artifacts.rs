@@ -1,5 +1,7 @@
 //! The fleet's JSON documents, pinned byte for byte: the sweeps' artifacts,
-//! the observer's documents and the Google adapter's metrics.
+//! the observer's documents and the trace adapters' metrics. The
+//! adapters' lines replace the run-it-twice checks that only caught
+//! non-determinism: a pin also catches a change.
 //!
 //! `golden/fleet_artifacts.txt` holds one line per artifact,
 //! `<fnv1a-64 hex> <bytes> <path>`, sorted by path. The paths:
@@ -14,9 +16,10 @@
 //!   `trace/v1` and Chrome export, and the run's `metrics/v1`, for two
 //!   gauged spot-heavy replays and four hand-fed recorders, one per class
 //!   of escaped byte.
-//! - `adapters/google-sample-7/metrics.json`: the bundled Google
-//!   cluster-usage fixture (`crates/fleet/data/google_sample.csv`)
-//!   streamed under `CostAware` and the default config at seed 7.
+//! - `adapters/{google,azure,opendc}-sample-7/metrics.json`: the bundled
+//!   Google cluster-usage, Azure Functions and OpenDC fixtures
+//!   (`crates/fleet/data/`), each streamed through its own `TraceSource`
+//!   under `CostAware` and the default config at seed 7.
 //!
 //! A mismatch names every moved, missing and extra path with its new hash,
 //! then prints the whole new manifest. A change that moves artifacts on
@@ -45,10 +48,11 @@ mod golden;
 
 use golden::{fnv1a, FNV_OFFSET};
 use lambdaml::fleet::{
-    replay, simulate_observed, AllFaas, ArrivalProcess, AttemptSpan, CheckpointPolicy, CostAware,
-    DeadlineAware, Decision, FleetConfig, FleetEvent, FleetMetrics, FleetObserver, GaugeSample,
-    GoogleSource, JobClass, JobLifecycle, JobMix, JobRecord, PlatformEvent, PlatformTotals,
-    RecordingObserver, Route, TenantId, TenantSpec, Trace,
+    azure, replay, simulate_observed, AllFaas, ArrivalProcess, AttemptSpan, CheckpointPolicy,
+    CostAware, DeadlineAware, Decision, FleetConfig, FleetEvent, FleetMetrics, FleetObserver,
+    GaugeSample, GoogleSource, JobClass, JobLifecycle, JobMix, JobRecord, OpenDcSource,
+    PlatformEvent, PlatformTotals, RecordingObserver, Route, TenantId, TenantSpec, Trace,
+    TraceSource,
 };
 use lambdaml::sim::{Cost, SimTime};
 use lml_bench::{Harness, EXPERIMENTS};
@@ -293,7 +297,7 @@ fn hand_fed(policy: &str) -> (RecordingObserver, FleetMetrics) {
     (obs, m)
 }
 
-/// The observer's and the Google adapter's documents. None depends on the
+/// The observer's and the trace adapters' documents. None depends on the
 /// sweep worker count.
 fn documents() -> Files {
     let mut out = Files::new();
@@ -322,17 +326,31 @@ fn documents() -> Files {
     }
     let trace = std::str::from_utf8(&out["observe/escaped-all/trace.json"]).expect("UTF-8");
     assert!(trace.contains(r#""policy":"p\"q\\r\ns\tt\ru\u0001v\u001fwé∑""#));
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/fleet/data/google_sample.csv");
-    let source = GoogleSource::new(BufReader::new(
-        std::fs::File::open(fixture).expect("bundled fixture"),
-    ));
-    let m = replay(source, &FleetConfig::default(), &mut CostAware::new(), 7)
-        .expect("google fixture streams");
-    out.insert(
-        "adapters/google-sample-7/metrics.json".to_string(),
-        m.to_json().into_bytes(),
-    );
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/fleet/data");
+    let google = std::fs::File::open(data.join("google_sample.csv")).expect("bundled fixture");
+    let google = Ok(GoogleSource::new(BufReader::new(google)));
+    let azure_csv =
+        std::fs::read_to_string(data.join("azure_sample.csv")).expect("bundled fixture");
+    for (name, doc) in [
+        ("google", adapter_metrics("google", google)),
+        ("azure", adapter_metrics("azure", azure::source(&azure_csv))),
+        (
+            "opendc",
+            adapter_metrics("opendc", OpenDcSource::from_dir(data.join("opendc"))),
+        ),
+    ] {
+        out.insert(format!("adapters/{name}-sample-7/metrics.json"), doc);
+    }
     out
+}
+
+/// A bundled adapter fixture's `metrics/v1`, streamed under `CostAware`,
+/// the default config and seed 7.
+fn adapter_metrics(name: &str, source: Result<impl TraceSource, String>) -> Vec<u8> {
+    let source = source.unwrap_or_else(|e| panic!("{name} fixture: {e}"));
+    let m = replay(source, &FleetConfig::default(), &mut CostAware::new(), 7)
+        .unwrap_or_else(|e| panic!("{name} fixture streams: {e}"));
+    m.to_json().into_bytes()
 }
 
 /// Checks each JSON document's head, then pins each file: its FNV-1a and
