@@ -360,88 +360,4 @@ iaas_c5 time=54fab1c36eb283c4 cost=b48005be3eb3be72 price=3c70c8ed04edaed3
             "the analytic formulas moved; new table:\n{table}"
         );
     }
-
-    /// The per-substrate formulas `time`/`cost` replaced, kept verbatim as
-    /// the oracle the keyed bodies are held to bit for bit.
-    mod oracle {
-        use super::super::*;
-
-        pub fn faas_time(
-            p: &AnalyticParams,
-            c: &AnalyticCase,
-            scaling: Scaling,
-            w: usize,
-        ) -> SimTime {
-            assert!(w >= 1);
-            let startup = constants::t_f().eval(w as f64);
-            let load = p.dataset_bytes / w as f64 / constants::B_S3;
-            let comm_per_round =
-                (3.0 * w as f64 - 2.0) * (p.model_bytes / w as f64 / c.bandwidth + c.latency);
-            let per_epoch = p.rounds_per_epoch * comm_per_round + p.compute_per_epoch / w as f64;
-            SimTime::secs(startup + load + p.epochs * scaling.f(w) * per_epoch)
-        }
-
-        pub fn iaas_time(
-            p: &AnalyticParams,
-            c: &AnalyticCase,
-            scaling: Scaling,
-            w: usize,
-        ) -> SimTime {
-            assert!(w >= 1);
-            let startup = constants::t_i().eval(w as f64);
-            let load = p.dataset_bytes / w as f64 / constants::B_S3;
-            let comm_per_round =
-                (2.0 * w as f64 - 2.0) * (p.model_bytes / w as f64 / c.bandwidth + c.latency);
-            let per_epoch = p.rounds_per_epoch * comm_per_round + p.compute_per_epoch / w as f64;
-            SimTime::secs(startup + load + p.epochs * scaling.f(w) * per_epoch)
-        }
-
-        pub fn faas_cost(p: &AnalyticParams, c: &AnalyticCase, scaling: Scaling, w: usize) -> Cost {
-            let t = faas_time(p, c, scaling, w).as_secs() - constants::t_f().eval(w as f64);
-            Cost::usd(w as f64 * c.worker_price_per_s * t)
-        }
-
-        pub fn iaas_cost(p: &AnalyticParams, c: &AnalyticCase, scaling: Scaling, w: usize) -> Cost {
-            let t = iaas_time(p, c, scaling, w).as_secs();
-            Cost::usd(w as f64 * c.worker_price_per_s * t)
-        }
-    }
-
-    #[test]
-    fn keyed_bodies_match_the_per_substrate_oracle_bit_for_bit() {
-        let cases = [
-            AnalyticCase::faas_s3(),
-            AnalyticCase::faas_elasticache(),
-            AnalyticCase::iaas_t2(),
-            AnalyticCase::iaas_c5(),
-        ];
-        let mut rng = lml_sim::Pcg64::new(0x5eed_0053);
-        for (c, _) in cases.iter().cycle().zip(0..2_000) {
-            let p = AnalyticParams {
-                dataset_bytes: rng.range(1e6, 1e11),
-                model_bytes: rng.range(8.0, 1e8),
-                epochs: rng.range(0.1, 100.0),
-                rounds_per_epoch: rng.range(0.01, 2_000.0),
-                compute_per_epoch: rng.range(0.1, 20_000.0),
-            };
-            let scaling = if rng.coin(0.5) {
-                Scaling::Perfect
-            } else {
-                Scaling::Power {
-                    alpha: rng.range(0.0, 1.0),
-                }
-            };
-            let w = 1 + rng.index(1_000);
-            let bits = |t: SimTime| t.as_secs().to_bits();
-            let usd = |d: Cost| d.as_usd().to_bits();
-            let want_f = oracle::faas_time(&p, c, scaling, w);
-            let want_i = oracle::iaas_time(&p, c, scaling, w);
-            assert_eq!(bits(time(&p, c, Faas, scaling, w)), bits(want_f));
-            assert_eq!(bits(time(&p, c, Iaas, scaling, w)), bits(want_i));
-            let want = oracle::faas_cost(&p, c, scaling, w);
-            assert_eq!(usd(cost(&p, c, Faas, scaling, w)), usd(want));
-            let want = oracle::iaas_cost(&p, c, scaling, w);
-            assert_eq!(usd(cost(&p, c, Iaas, scaling, w)), usd(want));
-        }
-    }
 }

@@ -133,22 +133,6 @@ Criteo dim=1000000 rows=99d9423e57c1ab02
     }
 
     #[test]
-    fn all_datasets_generate_and_are_deterministic() {
-        for id in DatasetId::ALL {
-            let a = id.generate_rows(200, 42);
-            let b = id.generate_rows(200, 42);
-            assert_eq!(a.data.len(), 200, "{}", id.name());
-            assert_eq!(a.spec.name, id.name());
-            // Deterministic: first row and label identical across runs.
-            assert_eq!(a.data.label(0), b.data.label(0));
-            assert_eq!(
-                a.data.row(0).dot(&vec![1.0; a.data.dim()]),
-                b.data.row(0).dot(&vec![1.0; b.data.dim()])
-            );
-        }
-    }
-
-    #[test]
     fn seeds_change_content() {
         let a = DatasetId::Higgs.generate_rows(100, 1);
         let b = DatasetId::Higgs.generate_rows(100, 2);

@@ -88,14 +88,30 @@ mod tests {
         assert_eq!(va.len(), 1);
     }
 
+    /// A row's label and feature bits, so equal fingerprints mean equal rows.
+    fn fingerprints(d: &Dataset) -> Vec<Vec<u64>> {
+        let row = |i: usize| match d.row(i) {
+            crate::dataset::Row::Dense(x) => x.iter().map(|v| v.to_bits()).collect(),
+            crate::dataset::Row::Sparse(x) => x
+                .iter()
+                .flat_map(|(j, v)| [u64::from(j), v.to_bits()])
+                .collect(),
+        };
+        (0..d.len())
+            .map(|i| [vec![d.label(i).to_bits()], row(i)].concat())
+            .collect()
+    }
+
     #[test]
-    fn split_is_deterministic_and_disjoint() {
+    fn split_partitions_the_rows() {
         let big = crate::generators::higgs::generate_rows(100, 7).data;
-        let (tr1, va1) = train_valid_split(&big, 0.9, 1);
-        let (tr2, _) = train_valid_split(&big, 0.9, 1);
-        assert_eq!(tr1.len(), tr2.len());
-        assert_eq!(tr1.label(0), tr2.label(0));
-        assert_eq!(tr1.len() + va1.len(), big.len());
+        let (tr, va) = train_valid_split(&big, 0.9, 1);
+        assert_eq!((tr.len(), va.len()), (90, 10));
+        let mut parts = [fingerprints(&tr), fingerprints(&va)].concat();
+        let mut rows = fingerprints(&big);
+        parts.sort();
+        rows.sort();
+        assert_eq!(parts, rows, "train and valid together are the input rows");
     }
 
     #[test]

@@ -215,11 +215,4 @@ mod tests {
         }
         assert!(parse("").unwrap().is_empty());
     }
-
-    #[test]
-    fn streaming_twice_is_deterministic() {
-        // The CI fixture diff relies on this: two independent streams of
-        // the same bytes produce identical traces.
-        assert_eq!(parse(SAMPLE).unwrap(), parse(SAMPLE).unwrap());
-    }
 }

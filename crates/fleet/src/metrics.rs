@@ -948,14 +948,10 @@ mod tests {
     }
 
     #[test]
-    fn json_is_deterministic_and_versioned() {
-        let m1 = metrics(vec![rec(0, Route::Faas, 0.0, 10.0, 0.5)]);
-        let m2 = metrics(vec![rec(0, Route::Faas, 0.0, 10.0, 0.5)]);
-        assert_eq!(m1.to_json(), m2.to_json());
-        assert!(m1
-            .to_json()
-            .starts_with(r#"{"schema":"lml-fleet/metrics/v1""#));
-        assert!(m1.to_json().contains(r#""per_tenant":["#));
+    fn json_is_versioned() {
+        let json = metrics(vec![rec(0, Route::Faas, 0.0, 10.0, 0.5)]).to_json();
+        assert!(json.starts_with(r#"{"schema":"lml-fleet/metrics/v1""#));
+        assert!(json.contains(r#""per_tenant":["#));
     }
 
     #[test]

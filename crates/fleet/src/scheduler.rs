@@ -946,7 +946,7 @@ mod tests {
     }
 
     #[test]
-    fn spot_pick_matches_fraction_and_is_stable() {
+    fn spot_pick_matches_fraction() {
         assert!(!spot_pick(5, 0.0));
         assert!(spot_pick(5, 1.0));
         let n = (0..10_000).filter(|&i| spot_pick(i, 0.3)).count();
@@ -954,7 +954,6 @@ mod tests {
             (2_700..3_300).contains(&n),
             "~30% of ids picked, got {n} of 10000"
         );
-        assert_eq!(spot_pick(123, 0.3), spot_pick(123, 0.3));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! the fleet simulator routes them onto a Lambda region (warm container
 //! pool, account concurrency limit) and/or an autoscaling EC2 pool, then
 //! reports tail latencies and dollars per scheduling policy. The whole
-//! thing is deterministic: same seed, byte-identical metrics.
+//! thing is deterministic: same seed, byte-identical metrics (the fleet
+//! sweeps' bytes are pinned in `tests/golden/fleet_artifacts.txt`).
 
 use lambdaml::prelude::*;
 
@@ -57,15 +58,9 @@ fn main() {
         faas.total_cost(),
     );
 
-    // 4. Determinism: a second identical run produces byte-identical JSON.
-    let mut again = CostAware::new();
-    let rerun = simulate(&trace, &cfg, &mut again, seed);
-    assert_eq!(rerun.to_json(), hybrid.to_json(), "same seed, same bytes");
+    // 4. The hybrid's metrics as JSON (schema lml-fleet/metrics/v1).
     let out = std::path::Path::new("target/fleet-example.json");
-    if std::fs::write(out, rerun.to_json()).is_ok() {
-        println!(
-            "metrics JSON (byte-stable across runs) -> {}",
-            out.display()
-        );
+    if std::fs::write(out, hybrid.to_json()).is_ok() {
+        println!("metrics JSON -> {}", out.display());
     }
 }

@@ -92,6 +92,4 @@ fn main() {
         cal_hybrid.deadline_hit_rate() >= cal_blind.deadline_hit_rate(),
         "a right prior must not be hurt by the feedback loop"
     );
-
-    println!("\nestimator metrics JSON is byte-stable: re-run to verify ✓");
 }

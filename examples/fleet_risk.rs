@@ -141,6 +141,4 @@ fn main() {
         blind.eta_coverage() < 0.5,
         "premise: the blind prior's tail is fiction on this zoo"
     );
-
-    println!("\nrisk metrics JSON is byte-stable: re-run to verify ✓");
 }

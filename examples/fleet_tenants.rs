@@ -8,7 +8,9 @@
 //! and the reserved pool to hit them; the fair-share policy drains queues
 //! deficit-round-robin so one tenant's burst can't starve the rest; the
 //! spot knob trades preemption restarts for a discounted bill. All of it
-//! is deterministic: same seed, byte-identical metrics JSON.
+//! is deterministic: same seed, byte-identical metrics JSON (the fleet
+//! sweeps' and the Azure fixture's bytes are pinned in
+//! `tests/golden/fleet_artifacts.txt`).
 
 use lambdaml::prelude::*;
 
@@ -49,13 +51,9 @@ fn main() {
         Box::new(FairShare::new()),
     ];
     println!("\n— policy comparison —");
-    let mut deadline_aware_json = String::new();
     for mut s in schedulers {
         let m = simulate(&trace, &cfg, s.as_mut(), seed);
         println!("{}", m.summary());
-        if m.policy == "deadline-aware" {
-            deadline_aware_json = m.to_json();
-        }
     }
 
     // 2. Fair share: per-tenant p99 under the fair-share policy.
@@ -94,14 +92,4 @@ fn main() {
         azure.tenants().len(),
         am.summary().trim_start(),
     );
-
-    // 5. Determinism: a second identical run produces byte-identical JSON.
-    let mut again = DeadlineAware::for_config(&cfg);
-    let rerun = simulate(&trace, &cfg, &mut again, seed);
-    assert_eq!(
-        rerun.to_json(),
-        deadline_aware_json,
-        "same seed, same bytes"
-    );
-    println!("\nmetrics JSON is byte-stable across identical runs ✓");
 }

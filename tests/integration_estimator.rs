@@ -1,7 +1,7 @@
 //! Integration tests of the prediction layer through the public
 //! `lambdaml` surface: estimator convergence on a miscalibrated zoo,
 //! no-regression when the prior is right, the closed sim→estimator
-//! feedback loop, budget deferral, and byte-stable prediction metrics.
+//! feedback loop, budget deferral, and the prediction metrics' keys.
 
 use lambdaml::fleet::{
     simulate, Analytic, ArrivalProcess, CostAware, DeadlineAware, Estimator, FleetConfig,
@@ -108,14 +108,12 @@ fn hybrid_never_does_worse_than_analytic_on_a_calibrated_zoo() {
     }
 }
 
-/// Prediction metrics are part of the deterministic JSON contract:
-/// same seed → byte-identical output, with the additive schema keys
-/// present; different estimators leave different bytes.
+/// Prediction metrics carry the additive schema keys, and different
+/// estimators leave different bytes. (The estimator sweep's bytes are
+/// pinned by the `fleet_estimator` lines of `tests/fleet_artifacts.rs`.)
 #[test]
-fn prediction_metrics_are_byte_stable_and_additive() {
+fn prediction_metrics_carry_the_additive_keys() {
     let a = deadline_fleet(2.0, Box::new(Hybrid::new(Analytic::new())), 11).to_json();
-    let b = deadline_fleet(2.0, Box::new(Hybrid::new(Analytic::new())), 11).to_json();
-    assert_eq!(a, b, "same seed, same bytes");
     assert!(a.starts_with(r#"{"schema":"lml-fleet/metrics/v1""#));
     for key in [
         r#""predicted_jobs":"#,

@@ -79,27 +79,6 @@ fn iaas_startup_dominates_fast_jobs_figure10() {
 }
 
 #[test]
-fn deterministic_given_seed() {
-    let wl = higgs_workload();
-    let cfg = JobConfig::new(
-        4,
-        Algorithm::GaSgd { batch: 100 },
-        0.5,
-        StopSpec::new(0.68, 5),
-    );
-    let a = TrainingJob::new(&wl, ModelId::Lr { l2: 0.0 }, cfg)
-        .run()
-        .unwrap();
-    let b = TrainingJob::new(&wl, ModelId::Lr { l2: 0.0 }, cfg)
-        .run()
-        .unwrap();
-    assert_eq!(a.final_loss, b.final_loss);
-    assert_eq!(a.rounds, b.rounds);
-    assert_eq!(a.runtime().as_secs(), b.runtime().as_secs());
-    assert_eq!(a.dollars().as_usd(), b.dollars().as_usd());
-}
-
-#[test]
 fn hybrid_ps_runs_lr_higgs() {
     let wl = higgs_workload();
     let cfg = JobConfig::new(

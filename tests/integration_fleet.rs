@@ -1,5 +1,5 @@
 //! Integration tests of the fleet simulator, exercised through the public
-//! `lambdaml` surface: determinism, fleet-level cold-start amortization,
+//! `lambdaml` surface: seed sensitivity, fleet-level cold-start amortization,
 //! and the cost sanity of the hybrid router.
 
 use lambdaml::fleet::{
@@ -21,14 +21,14 @@ fn run(trace: &Trace, sched: &mut dyn Scheduler, seed: u64) -> FleetMetrics {
     simulate(trace, &FleetConfig::default(), sched, seed)
 }
 
-/// Same seed → identical trace AND identical metrics, byte for byte.
+/// The seed reaches the metrics: a different seed moves the bytes. (What
+/// one seed gives is pinned by `tests/fleet_artifacts.rs`.)
 #[test]
-fn determinism_same_seed_identical_json() {
+fn different_seeds_give_different_json() {
     let one = |seed: u64| {
         let trace = poisson_trace(500, 0.5, seed);
         run(&trace, &mut CostAware::new(), seed).to_json()
     };
-    assert_eq!(one(42), one(42));
     assert_ne!(one(42), one(43), "different seeds must differ");
 }
 
@@ -232,7 +232,8 @@ fn fair_share_bounds_tenant_shares_in_a_two_tenant_burst() {
 }
 
 /// The bundled Azure-style sample feeds `Trace::from_text` through the
-/// adapter and replays deterministically on the public surface.
+/// adapter and replays on the public surface (its streamed metrics are
+/// pinned by `tests/fleet_artifacts.rs`).
 #[test]
 fn azure_sample_replays_through_the_public_surface() {
     let csv = include_str!("../crates/fleet/data/azure_sample.csv");
@@ -240,9 +241,8 @@ fn azure_sample_replays_through_the_public_surface() {
     assert!(trace.len() >= 30);
     assert!(trace.tenants().len() >= 3);
     let cfg = FleetConfig::default();
-    let a = simulate(&trace, &cfg, &mut CostAware::new(), 2).to_json();
-    let b = simulate(&trace, &cfg, &mut CostAware::new(), 2).to_json();
-    assert_eq!(a, b, "replays are byte-deterministic");
+    let m = simulate(&trace, &cfg, &mut CostAware::new(), 2);
+    assert_eq!(m.n_jobs, trace.len(), "every job replays");
     // Adapter output is native v2 text: it survives another round-trip.
     let text = trace.to_text();
     assert_eq!(Trace::from_text(&text).unwrap(), trace);

@@ -1,5 +1,5 @@
 //! Integration tests of checkpoint-aware spot recovery and tenant budget
-//! caps, exercised through the public `lambdaml` surface: determinism,
+//! caps, exercised through the public `lambdaml` surface: seed sensitivity,
 //! the lost-work monotonicity guarantee, and resume-vs-restart cost
 //! sanity on a spot-heavy sweep.
 
@@ -26,18 +26,13 @@ fn spot_heavy(policy: CheckpointPolicy, mttp_secs: f64, seed: u64) -> FleetMetri
     simulate(&trace, &cfg, &mut sched, seed)
 }
 
-/// Same seed → byte-identical JSON, with checkpoint recovery in the loop.
+/// The seed reaches the metrics with checkpoint recovery in the loop. (The
+/// recovery sweep's bytes are pinned by the `fleet_recovery` lines of
+/// `tests/fleet_artifacts.rs`.)
 #[test]
-fn recovery_runs_are_deterministic() {
+fn recovery_runs_differ_across_seeds() {
     for policy in [CheckpointPolicy::every(2), CheckpointPolicy::Adaptive] {
         let a = spot_heavy(policy, 900.0, 7).to_json();
-        let b = spot_heavy(policy, 900.0, 7).to_json();
-        assert_eq!(
-            a,
-            b,
-            "{}: same seed must give the same bytes",
-            policy.name()
-        );
         let c = spot_heavy(policy, 900.0, 8).to_json();
         assert_ne!(a, c, "{}: different seeds must differ", policy.name());
     }

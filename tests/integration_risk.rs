@@ -137,14 +137,12 @@ fn learned_preemption_rates_beat_the_static_mean_on_a_wrong_config() {
     }
 }
 
-/// The risk sweep's output is part of the deterministic JSON contract:
-/// same inputs → byte-identical metrics, with the additive risk keys
-/// present.
+/// The risk sweep's metrics carry the additive risk keys, and the
+/// admission variant shows in them. (The sweep's bytes are pinned by the
+/// `fleet_risk` lines of `tests/fleet_artifacts.rs`.)
 #[test]
-fn risk_metrics_are_byte_stable_and_additive() {
+fn risk_metrics_carry_the_additive_keys() {
     let a = risk_fleet(600.0, 4.0, false, 11).to_json();
-    let b = risk_fleet(600.0, 4.0, false, 11).to_json();
-    assert_eq!(a, b, "same seed, same bytes");
     assert!(a.starts_with(r#"{"schema":"lml-fleet/metrics/v1""#));
     for key in [
         r#""eta_q_jobs":"#,
