@@ -776,14 +776,11 @@ impl RiskModel {
     /// Seeded from the fleet's spot configuration — the prior is exactly
     /// the tier's advertised exponential-clock parameter
     /// ([`SpotConfig::preemption_rate_per_instance_s`]), so an unobserved
-    /// posterior and the simulated market speak the same λ.
+    /// posterior and the simulated market speak the same λ. A rate of 0
+    /// (`mean_time_to_preempt = +∞`, a market that never reclaims) gives
+    /// an infinite prior and a posterior rate of 0.
     pub fn for_config(cfg: &SpotConfig) -> Self {
-        let rate = cfg.preemption_rate_per_instance_s();
-        assert!(
-            rate > 0.0 && rate.is_finite(),
-            "preemption rate must be positive and finite"
-        );
-        Self::new(SimTime::secs(1.0 / rate))
+        Self::new(SimTime::secs(1.0 / cfg.preemption_rate_per_instance_s()))
     }
 
     /// Freeze the posterior at the configured prior — the static-mean

@@ -5,8 +5,9 @@
 //! JSON across degenerate fleets.
 
 use lambdaml::fleet::{
-    simulate, AllFaas, Analytic, ArrivalProcess, CheckpointPolicy, CostAware, DeadlineAware,
-    Estimator, FleetConfig, FleetMetrics, JobClass, JobMix, JobRequest, Online, TenantSpec, Trace,
+    replay, simulate, AllFaas, Analytic, ArrivalProcess, CheckpointPolicy, CostAware,
+    DeadlineAware, Estimator, FleetConfig, FleetMetrics, InMemorySource, JobClass, JobMix,
+    JobRequest, Online, TenantSpec, Trace,
 };
 use lambdaml::sim::SimTime;
 
@@ -157,6 +158,40 @@ fn risk_metrics_carry_the_additive_keys() {
         risk_fleet(600.0, 4.0, true, 11).to_json(),
         "the admission variant visibly changes the rollup"
     );
+}
+
+/// A market that never reclaims (`mean_time_to_preempt = +∞`) is a valid
+/// config for the replay, and so for risk-aware admission: its learned
+/// preemption rate starts at 0. Under every checkpoint policy a spot-heavy
+/// replay finishes with no preemption and finite metrics.
+#[test]
+fn an_infinite_mean_time_to_preempt_never_preempts() {
+    let trace = Trace::generate(
+        ArrivalProcess::Poisson { rate: 0.05 },
+        &JobMix::only(JobClass::LrHiggs),
+        100,
+        5,
+    );
+    for policy in [
+        CheckpointPolicy::Never,
+        CheckpointPolicy::every(1),
+        CheckpointPolicy::Adaptive,
+    ] {
+        let mut cfg = FleetConfig::default();
+        cfg.spot.mean_time_to_preempt = SimTime::secs(f64::INFINITY);
+        cfg.checkpoint = policy;
+        let mut sched = DeadlineAware::for_config(&cfg)
+            .with_spot_fraction(1.0)
+            .with_spot_recovery(policy);
+        let m = replay(InMemorySource::new(&trace), &cfg, &mut sched, 5)
+            .unwrap_or_else(|e| panic!("{}: {e}", policy.name()));
+        assert!(m.jobs_on_spot > 0, "{}: premise, spot-heavy", policy.name());
+        assert_eq!(m.preemptions, 0, "{}", policy.name());
+        let json = m.to_json();
+        for token in ["NaN", "inf", "null"] {
+            assert!(!json.contains(token), "{}: {token}", policy.name());
+        }
+    }
 }
 
 /// Deferral-vs-rejection pricing through the public surface: rejection
