@@ -674,14 +674,19 @@ mod tests {
     #[test]
     fn spot_preemption_clocks_are_seeded_per_job_and_attempt() {
         let s = SpotTier::new(SpotConfig::default(), 7);
-        // Pure function of (seed, job, attempt): re-asking gives the same
-        // answer, every coordinate changes it.
-        assert_eq!(s.preemption_clock(3, 0, 10), s.preemption_clock(3, 0, 10));
-        assert_ne!(s.preemption_clock(3, 0, 10), s.preemption_clock(3, 1, 10));
-        assert_ne!(s.preemption_clock(3, 0, 10), s.preemption_clock(4, 0, 10));
+        // Pure function of (seed, job, attempt): one answer is pinned,
+        // and every coordinate changes it.
+        let pinned = s.preemption_clock(3, 0, 10);
+        assert_eq!(
+            pinned.as_secs().to_bits(),
+            0x40a8_06d0_07d3_fb70,
+            "{pinned}"
+        );
+        assert_ne!(pinned, s.preemption_clock(3, 1, 10));
+        assert_ne!(pinned, s.preemption_clock(4, 0, 10));
         let other = SpotTier::new(SpotConfig::default(), 8);
         assert_ne!(
-            s.preemption_clock(3, 0, 10),
+            pinned,
             other.preemption_clock(3, 0, 10),
             "different tier seeds give different markets"
         );
