@@ -88,30 +88,24 @@ mod tests {
         assert_eq!(va.len(), 1);
     }
 
-    /// A row's label and feature bits, so equal fingerprints mean equal rows.
-    fn fingerprints(d: &Dataset) -> Vec<Vec<u64>> {
-        let row = |i: usize| match d.row(i) {
-            crate::dataset::Row::Dense(x) => x.iter().map(|v| v.to_bits()).collect(),
-            crate::dataset::Row::Sparse(x) => x
-                .iter()
-                .flat_map(|(j, v)| [u64::from(j), v.to_bits()])
-                .collect(),
-        };
-        (0..d.len())
-            .map(|i| [vec![d.label(i).to_bits()], row(i)].concat())
-            .collect()
-    }
-
     #[test]
     fn split_partitions_the_rows() {
         let big = crate::generators::higgs::generate_rows(100, 7).data;
         let (tr, va) = train_valid_split(&big, 0.9, 1);
-        assert_eq!((tr.len(), va.len()), (90, 10));
-        let mut parts = [fingerprints(&tr), fingerprints(&va)].concat();
-        let mut rows = fingerprints(&big);
-        parts.sort();
-        rows.sort();
-        assert_eq!(parts, rows, "train and valid together are the input rows");
+        // Per-row fingerprint: the bits of the label and of a weighted
+        // feature sum, sorted.
+        let w: Vec<f64> = (1..=big.dim()).map(|j| j as f64).collect();
+        let rows = |parts: &[&Dataset]| {
+            let mut f: Vec<(u64, u64)> = parts
+                .iter()
+                .flat_map(|d| (0..d.len()).map(|i| (d.label(i), d.row(i).dot(&w))))
+                .map(|(y, x)| (y.to_bits(), x.to_bits()))
+                .collect();
+            f.sort();
+            f
+        };
+        assert_eq!(tr.len(), 90);
+        assert_eq!(rows(&[&tr, &va]), rows(&[&big]), "a partition of the rows");
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! The fleet's JSON documents, pinned byte for byte: the sweeps' artifacts,
-//! the observer's documents and the trace adapters' metrics. The
-//! adapters' lines replace the run-it-twice checks that only caught
-//! non-determinism: a pin also catches a change.
+//! the observer's documents and the trace adapters' metrics.
 //!
 //! `golden/fleet_artifacts.txt` holds one line per artifact,
 //! `<fnv1a-64 hex> <bytes> <path>`, sorted by path. The paths:
@@ -328,29 +326,23 @@ fn documents() -> Files {
     assert!(trace.contains(r#""policy":"p\"q\\r\ns\tt\ru\u0001v\u001fwé∑""#));
     let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/fleet/data");
     let google = std::fs::File::open(data.join("google_sample.csv")).expect("bundled fixture");
-    let google = Ok(GoogleSource::new(BufReader::new(google)));
-    let azure_csv =
-        std::fs::read_to_string(data.join("azure_sample.csv")).expect("bundled fixture");
-    for (name, doc) in [
-        ("google", adapter_metrics("google", google)),
-        ("azure", adapter_metrics("azure", azure::source(&azure_csv))),
-        (
-            "opendc",
-            adapter_metrics("opendc", OpenDcSource::from_dir(data.join("opendc"))),
-        ),
-    ] {
-        out.insert(format!("adapters/{name}-sample-7/metrics.json"), doc);
-    }
+    let google = GoogleSource::new(BufReader::new(google));
+    adapter(&mut out, "google", Ok(google));
+    let csv = std::fs::read_to_string(data.join("azure_sample.csv")).expect("bundled fixture");
+    adapter(&mut out, "azure", azure::source(&csv));
+    let opendc = OpenDcSource::from_dir(data.join("opendc"));
+    adapter(&mut out, "opendc", opendc);
     out
 }
 
-/// A bundled adapter fixture's `metrics/v1`, streamed under `CostAware`,
-/// the default config and seed 7.
-fn adapter_metrics(name: &str, source: Result<impl TraceSource, String>) -> Vec<u8> {
+/// Streams a bundled adapter fixture under `CostAware`, the default config
+/// and seed 7, and files its `metrics/v1` as `adapters/<name>-sample-7`.
+fn adapter(out: &mut Files, name: &str, source: Result<impl TraceSource, String>) {
     let source = source.unwrap_or_else(|e| panic!("{name} fixture: {e}"));
     let m = replay(source, &FleetConfig::default(), &mut CostAware::new(), 7)
         .unwrap_or_else(|e| panic!("{name} fixture streams: {e}"));
-    m.to_json().into_bytes()
+    let path = format!("adapters/{name}-sample-7/metrics.json");
+    out.insert(path, m.to_json().into_bytes());
 }
 
 /// Checks each JSON document's head, then pins each file: its FNV-1a and

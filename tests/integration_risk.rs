@@ -187,10 +187,10 @@ fn an_infinite_mean_time_to_preempt_never_preempts() {
             .unwrap_or_else(|e| panic!("{}: {e}", policy.name()));
         assert!(m.jobs_on_spot > 0, "{}: premise, spot-heavy", policy.name());
         assert_eq!(m.preemptions, 0, "{}", policy.name());
-        let json = m.to_json();
-        for token in ["NaN", "inf", "null"] {
-            assert!(!json.contains(token), "{}: {token}", policy.name());
-        }
+        // `to_json` asserts that every number it writes is finite.
+        assert!(m
+            .to_json()
+            .starts_with(r#"{"schema":"lml-fleet/metrics/v1""#));
     }
 }
 
