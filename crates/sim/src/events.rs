@@ -403,58 +403,27 @@ mod tests {
         assert_eq!(q.len(), 2);
     }
 
-    /// The reference implementation the calendar queue must match
-    /// pop-for-pop: the `BinaryHeap` the queue used before the swap.
-    struct RefQueue<T> {
-        heap: std::collections::BinaryHeap<RefEntry<T>>,
-        seq: u64,
-    }
+    /// The specification every pop is checked against: the pending events,
+    /// kept in insertion order and stably sorted by `f64::total_cmp` time,
+    /// pop from the front. Times compare as bits, so `-0.0` is not `0.0`.
+    #[derive(Default)]
+    struct Spec(Vec<(f64, u64)>);
 
-    struct RefEntry<T> {
-        time: f64,
-        seq: u64,
-        payload: T,
-    }
-
-    impl<T> PartialEq for RefEntry<T> {
-        fn eq(&self, other: &Self) -> bool {
-            self.time.total_cmp(&other.time).is_eq() && self.seq == other.seq
+    impl Spec {
+        fn push(&mut self, time: f64, payload: u64) {
+            self.0.push((time, payload));
         }
-    }
-    impl<T> Eq for RefEntry<T> {}
-    impl<T> PartialOrd for RefEntry<T> {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<T> Ord for RefEntry<T> {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Reversed: BinaryHeap is a max-heap, we want earliest first.
-            other
-                .time
-                .total_cmp(&self.time)
-                .then(other.seq.cmp(&self.seq))
+        fn pop(&mut self) -> Option<(u64, u64)> {
+            self.0.sort_by(|a, b| a.0.total_cmp(&b.0));
+            (!self.0.is_empty()).then(|| {
+                let (t, p) = self.0.remove(0);
+                (t.to_bits(), p)
+            })
         }
     }
 
-    impl<T> RefQueue<T> {
-        fn new() -> Self {
-            RefQueue {
-                heap: std::collections::BinaryHeap::new(),
-                seq: 0,
-            }
-        }
-        fn push(&mut self, time: SimTime, payload: T) {
-            self.heap.push(RefEntry {
-                time: time.as_secs(),
-                seq: self.seq,
-                payload,
-            });
-            self.seq += 1;
-        }
-        fn pop(&mut self) -> Option<(SimTime, T)> {
-            self.heap.pop().map(|e| (SimTime::secs(e.time), e.payload))
-        }
+    fn bits(popped: Option<(SimTime, u64)>) -> Option<(u64, u64)> {
+        popped.map(|(t, p)| (t.as_secs().to_bits(), p))
     }
 
     /// Split-mix style PRNG — deterministic, no external crates.
@@ -474,15 +443,15 @@ mod tests {
     }
 
     /// Property: over randomized workloads — heavy ties, zero-delay
-    /// events, far-future horizon hops, pushes into the past — the
-    /// calendar queue pops the exact `(time, seq)` sequence the
-    /// reference heap does.
+    /// events, far-future hops, pushes into the past — every pop and the
+    /// final drain take exactly the `(time, payload)` the stable-sort
+    /// specification does.
     #[test]
-    fn property_pop_order_matches_binary_heap() {
+    fn property_pops_follow_a_stable_sort_by_time() {
         for seed in 0..20u64 {
             let mut rng = Rng(0xC0FFEE ^ (seed.wrapping_mul(0x9E3779B9)));
-            let mut cal: EventQueue<u64> = EventQueue::new();
-            let mut reference: RefQueue<u64> = RefQueue::new();
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut spec = Spec::default();
             let mut clock = 0.0f64;
             let mut id = 0u64;
             for _ in 0..2_000 {
@@ -497,20 +466,15 @@ mod tests {
                             4 => (clock - rng.below(50) as f64).max(0.0), // the past
                             _ => rng.below(16) as f64,                    // dense ties
                         };
-                        cal.push(SimTime::secs(t), id);
-                        reference.push(SimTime::secs(t), id);
+                        q.push(SimTime::secs(t), id);
+                        spec.push(t, id);
                         id += 1;
                     }
                     // Pop and advance the clock to the popped time.
                     _ => {
-                        let a = cal.pop();
-                        let b = reference.pop();
-                        assert_eq!(
-                            a.as_ref().map(|(t, p)| (t.as_secs().to_bits(), *p)),
-                            b.as_ref().map(|(t, p)| (t.as_secs().to_bits(), *p)),
-                            "seed {seed}: pop diverged"
-                        );
-                        if let Some((t, _)) = a {
+                        let popped = q.pop();
+                        assert_eq!(bits(popped), spec.pop(), "seed {seed}: pop diverged");
+                        if let Some((t, _)) = popped {
                             clock = clock.max(t.as_secs());
                         }
                     }
@@ -518,23 +482,18 @@ mod tests {
             }
             // Drain: the tails must agree too.
             loop {
-                let a = cal.pop();
-                let b = reference.pop();
-                assert_eq!(
-                    a.as_ref().map(|(t, p)| (t.as_secs().to_bits(), *p)),
-                    b.as_ref().map(|(t, p)| (t.as_secs().to_bits(), *p)),
-                    "seed {seed}: drain diverged"
-                );
-                if a.is_none() {
+                let popped = bits(q.pop());
+                assert_eq!(popped, spec.pop(), "seed {seed}: drain diverged");
+                if popped.is_none() {
                     break;
                 }
             }
-            assert_eq!(cal.pushes(), reference.seq);
+            assert_eq!(q.pushes(), id);
         }
     }
 
-    /// Burst-of-ties stress: thousands of identical timestamps exercise
-    /// the split guard (ties cannot be separated by any bucket width).
+    /// Burst of ties: thousands of identical timestamps, where only the
+    /// insertion sequence decides the order.
     #[test]
     fn massive_tie_burst_stays_fifo() {
         let mut q = EventQueue::new();
@@ -547,31 +506,58 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// A tight near-future cluster plus one far outlier: the outlier
-    /// stretches the wheel span, piling the cluster into one bucket —
-    /// the split path must keep the order exact regardless.
+    /// A tight near-future cluster pushed after one far outlier drains in
+    /// exactly the specification's order, the outlier last.
     #[test]
     fn cluster_with_outlier_stays_ordered() {
         let mut q = EventQueue::new();
-        let mut reference = RefQueue::new();
+        let mut spec = Spec::default();
         q.push(SimTime::secs(1.0e4), 9_999u64);
-        reference.push(SimTime::secs(1.0e4), 9_999u64);
+        spec.push(1.0e4, 9_999);
         let mut rng = Rng(3);
         for i in 0..500 {
             let t = 1.0 + rng.below(1_000) as f64 / 1_000.0;
             q.push(SimTime::secs(t), i);
-            reference.push(SimTime::secs(t), i);
+            spec.push(t, i);
         }
         loop {
-            let a = q.pop();
-            let b = reference.pop();
-            assert_eq!(
-                a.as_ref().map(|(t, p)| (t.as_secs().to_bits(), *p)),
-                b.as_ref().map(|(t, p)| (t.as_secs().to_bits(), *p))
-            );
-            if a.is_none() {
+            let popped = bits(q.pop());
+            assert_eq!(popped, spec.pop());
+            if popped.is_none() {
                 break;
             }
+        }
+    }
+
+    /// `-0.0` is a valid time, and under `total_cmp` it is earlier than
+    /// `+0.0`: it pops first even when pushed second, and keeps its sign.
+    #[test]
+    fn negative_zero_pops_before_positive_zero() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::secs(0.0), "positive");
+        q.push(SimTime::secs(-0.0), "negative");
+        assert_eq!(
+            q.peek_time().map(|t| t.as_secs().to_bits()),
+            Some((-0.0f64).to_bits())
+        );
+        let drained: Vec<_> = std::iter::from_fn(|| q.pop())
+            .map(|(t, p)| (t.as_secs().to_bits(), p))
+            .collect();
+        assert_eq!(
+            drained,
+            [
+                ((-0.0f64).to_bits(), "negative"),
+                (0.0f64.to_bits(), "positive")
+            ]
+        );
+    }
+
+    /// `push` refuses NaN, a negative time and `+∞`.
+    #[test]
+    fn push_panics_on_an_invalid_time() {
+        for t in [f64::NAN, -1.0, f64::INFINITY] {
+            let pushed = std::panic::catch_unwind(|| EventQueue::new().push(SimTime::secs(t), ()));
+            assert!(pushed.is_err(), "push accepted {t}");
         }
     }
 }
