@@ -58,6 +58,13 @@ pub enum JobError {
     /// The (algorithm, model, backend) combination is invalid
     /// (e.g. ADMM on a neural network, §4.2).
     NotApplicable(String),
+    /// A `JobConfig` field holds a value no executor can run, e.g. zero
+    /// workers.
+    InvalidConfig {
+        field: &'static str,
+        value: String,
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for JobError {
@@ -72,6 +79,11 @@ impl std::fmt::Display for JobError {
                 instance.memory()
             ),
             JobError::NotApplicable(m) => write!(f, "not applicable: {m}"),
+            JobError::InvalidConfig {
+                field,
+                value,
+                reason,
+            } => write!(f, "invalid config: {field} = {value}: {reason}"),
         }
     }
 }
@@ -112,8 +124,32 @@ impl<'a> TrainingJob<'a> {
         self.model_id.build(&self.workload.train, self.config.seed)
     }
 
+    /// Reject a configuration that would otherwise panic inside an
+    /// executor.
+    fn check_config(&self) -> Result<(), JobError> {
+        let workers = self.config.workers;
+        let rows = self.workload.train.len();
+        let partitioned = !matches!(self.config.backend, Backend::Single { .. });
+        let reason = if workers == 0 {
+            "a job needs at least one worker".to_string()
+        } else if partitioned && workers > rows {
+            format!(
+                "{} splits {rows} training rows over the workers, so some would get none",
+                self.config.backend.name()
+            )
+        } else {
+            return Ok(());
+        };
+        Err(JobError::InvalidConfig {
+            field: "workers",
+            value: workers.to_string(),
+            reason,
+        })
+    }
+
     /// Execute the job on its configured backend.
     pub fn run(&self) -> Result<RunResult, JobError> {
+        self.check_config()?;
         let model = self.build_model();
         if !self.config.algorithm.applicable(&model) {
             return Err(JobError::NotApplicable(format!(
@@ -174,6 +210,65 @@ mod tests {
         }
     }
 
+    /// Logistic regression on 400 Higgs rows (360 for training) under the
+    /// default FaaS backend.
+    fn lr_on_higgs(wl: &Workload, workers: usize) -> TrainingJob<'_> {
+        let cfg = JobConfig::new(
+            workers,
+            Algorithm::GaSgd { batch: 10 },
+            0.1,
+            StopSpec::new(0.0, 1),
+        );
+        TrainingJob::new(wl, ModelId::Lr { l2: 0.0 }, cfg)
+    }
+
+    fn rejected_workers(job: &TrainingJob<'_>) -> Option<String> {
+        match job.run() {
+            Err(JobError::InvalidConfig {
+                field: "workers",
+                value,
+                ..
+            }) => Some(value),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn zero_workers_is_rejected() {
+        let wl = Workload::from_generated(&DatasetId::Higgs.generate_rows(400, 1), 1);
+        assert_eq!(rejected_workers(&lr_on_higgs(&wl, 0)), Some("0".into()));
+    }
+
+    /// Every backend that partitions the rows over its workers refuses
+    /// more workers than training rows; `Single` ignores the field.
+    #[test]
+    fn more_workers_than_training_rows_is_rejected() {
+        let wl = Workload::from_generated(&DatasetId::Higgs.generate_rows(400, 1), 1);
+        for backend in [
+            Backend::faas_default(),
+            Backend::iaas_default(),
+            Backend::hybrid_default(),
+        ] {
+            let mut job = lr_on_higgs(&wl, 10_000);
+            job.config = job.config.with_backend(backend);
+            assert_eq!(
+                rejected_workers(&job),
+                Some("10000".into()),
+                "{}",
+                backend.name()
+            );
+        }
+        let mut single = lr_on_higgs(&wl, 10_000);
+        single.config = single.config.with_backend(Backend::Single {
+            instance: InstanceType::C5XLarge4,
+        });
+        assert!(single.run().is_ok(), "Single ignores workers");
+        assert!(
+            lr_on_higgs(&wl, 360).run().is_ok(),
+            "one row per worker runs"
+        );
+    }
+
     #[test]
     fn job_error_display() {
         let e = JobError::NotApplicable("x".into());
@@ -183,5 +278,14 @@ mod tests {
             required: ByteSize::gb(8.0),
         };
         assert!(vm.to_string().starts_with("iaas: t2.medium "), "{vm}");
+        let bad = JobError::InvalidConfig {
+            field: "workers",
+            value: "0".into(),
+            reason: "a job needs at least one worker".into(),
+        };
+        assert_eq!(
+            bad.to_string(),
+            "invalid config: workers = 0: a job needs at least one worker"
+        );
     }
 }
