@@ -1,7 +1,7 @@
 //! Earliest-first event queue for the simulators that interleave events
 //! in virtual time.
 //!
-//! Two callers run on it: the fleet simulator's replay loop
+//! Two callers use it: the fleet simulator's replay loop
 //! (`lml_fleet::sim`), which schedules job completions, provisioning,
 //! budget windows and gauge ticks, and the asynchronous S-ASP executor
 //! (§4.5 of the paper), whose workers finish iterations at interleaved
@@ -180,7 +180,7 @@ mod tests {
         for i in 0..100 {
             q.push(SimTime::secs(100.0 + i as f64), i);
         }
-        // Drain a few so the cursor has moved, then schedule before it.
+        // Pop a few, then schedule earlier than everything still pending.
         q.pop();
         q.pop();
         q.push(SimTime::secs(0.5), 777);
@@ -189,9 +189,9 @@ mod tests {
     }
 
     #[test]
-    fn far_future_horizon_wrap_preserves_order() {
+    fn far_future_events_keep_their_order() {
         let mut q = EventQueue::new();
-        // Way past the initial horizon, then near events.
+        // A far-future event first, then nearer ones.
         q.push(SimTime::secs(1.0e9), "far");
         q.push(SimTime::secs(2.0), "near");
         q.push(SimTime::secs(5.0e8), "mid");

@@ -13,7 +13,9 @@
 //!   as a function of worker count, Table 6 of the paper).
 //! * [`resource`] — a FIFO bandwidth resource used to model contention on a
 //!   shared service (storage channel, parameter server).
-//! * [`events`] — a tiny event queue for asynchronous-protocol simulation.
+//! * [`events`] — the earliest-first event queue ([`EventQueue`]) that
+//!   the fleet simulator's replay loop and the asynchronous S-ASP
+//!   executor run on.
 //! * [`stats`] — summary statistics used by the calibration harness.
 
 #![forbid(unsafe_code)]
