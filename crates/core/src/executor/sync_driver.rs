@@ -360,4 +360,128 @@ mod tests {
             assert!(w[1].time >= w[0].time);
         }
     }
+
+    /// One line per case: an FNV-1a over the `to_bits` of the final
+    /// parameters and of the curve's losses, the rounds, and the epochs'
+    /// `to_bits` hex. Every driver case runs 5 workers and sums in memory,
+    /// as the IaaS and hybrid backends do. The last line pins
+    /// `sum_statistics` alone. A mismatch prints the whole new table.
+    const PIN: &str = "\
+ga_sgd_dense params=c73df6c9a0666656 losses=1d13ab015f67c83f rounds=11 epochs=4001999999999999
+ga_sgd_sparse params=2d877df4d3c41121 losses=ecb8d1e0b95d1a4c rounds=11 epochs=4001999999999999
+ma_sgd_dense params=008f10e7ef505c27 losses=73177b9c13d9b3ea rounds=5 epochs=4000000000000000
+ma_sgd_sparse params=b90ecb42f91fe109 losses=c7cac599a69c3f15 rounds=5 epochs=4000000000000000
+admm_dense params=6b5a348c93266a5b losses=7df80e7be1ba23bc rounds=2 epochs=4000000000000000
+admm_sparse params=f95b58f48c0d0671 losses=36bbe4552c94556e rounds=2 epochs=4000000000000000
+em_dense params=6bc5b190390b62df losses=e007f98ed788a149 rounds=2 epochs=4000000000000000
+em_sparse params=3fa7f58d6cf1ace4 losses=d044e04bcab9d2ae rounds=2 epochs=4000000000000000
+sum_statistics sum=e9b4344a9d575bcb
+";
+
+    fn fnv(h: u64, bits: u64) -> u64 {
+        let fold = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        bits.to_le_bytes().iter().fold(h, fold)
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    fn fnv_f64s<'a>(xs: impl IntoIterator<Item = &'a f64>) -> u64 {
+        xs.into_iter().fold(FNV_OFFSET, |h, x| fnv(h, x.to_bits()))
+    }
+
+    /// Train `model` on 200 rows of `data` for two epochs over 5 workers
+    /// and render the pin line.
+    fn pin_line(
+        name: &str,
+        data: DatasetId,
+        model: ModelId,
+        algo: Algorithm,
+        lr: f64,
+    ) -> Result<String, JobError> {
+        let train = data.generate_rows(200, 42).data;
+        let valid = data.generate_rows(40, 43).data;
+        let model = model.build(&train, 7);
+        let batch = algo.batch_size(train.len() / 5);
+        let workers: Vec<WorkerState> = partition_rows(train.len(), 5)
+            .iter()
+            .map(|p| WorkerState::new(p.worker, model.clone(), p.indices().collect(), batch))
+            .collect();
+        let ctx = DriverCtx {
+            train: &train,
+            valid: &valid,
+            algo,
+            schedule: LrSchedule::Const(lr),
+            stop: StopSpec::new(0.0, 2),
+            eval_every: 1,
+            start_offset: SimTime::ZERO,
+        };
+        let out = run_sync(
+            &ctx,
+            workers,
+            &|_| SimTime::secs(1.0),
+            &mut |_r, _e, stats| Ok((sum_statistics(stats), SimTime::ZERO)),
+            &mut |t| t,
+        )?;
+        let losses = out.curve.points().iter().map(|p| &p.loss);
+        Ok(format!(
+            "{name} params={:016x} losses={:016x} rounds={} epochs={:016x}",
+            fnv_f64s(out.final_model.params()),
+            fnv_f64s(losses),
+            out.rounds,
+            out.epochs.to_bits(),
+        ))
+    }
+
+    /// 5 statistics of 200,003 values (not a multiple of 2, 3 or 8), each
+    /// a normal deviate scaled by 2^-15 … 2^15.
+    fn sum_case() -> Vec<Vec<f64>> {
+        let mut rng = lml_sim::Pcg64::new(42);
+        (0..5)
+            .map(|_| {
+                (0..200_003)
+                    .map(|_| rng.normal() * 2f64.powi(rng.below(31) as i32 - 15))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn sum_line() -> String {
+        let sum = sum_statistics(&sum_case());
+        format!("sum_statistics sum={:016x}", fnv_f64s(&sum))
+    }
+
+    fn pin_table() -> Result<String, JobError> {
+        let lr = ModelId::Lr { l2: 0.0 };
+        let ga = Algorithm::GaSgd { batch: 8 };
+        let ma = Algorithm::MaSgd {
+            batch: 8,
+            local_iters: 2,
+        };
+        let admm = Algorithm::Admm {
+            rho: 0.1,
+            local_scans: 1,
+            batch: 8,
+        };
+        let km = |k| ModelId::KMeans { k };
+        let (cifar, rcv1, yfcc) = (DatasetId::Cifar10, DatasetId::Rcv1, DatasetId::Yfcc100m);
+        let lines = [
+            pin_line("ga_sgd_dense", cifar, ModelId::MobileNet, ga, 0.1)?,
+            pin_line("ga_sgd_sparse", rcv1, lr, ga, 0.5)?,
+            pin_line("ma_sgd_dense", cifar, ModelId::MobileNet, ma, 0.1)?,
+            pin_line("ma_sgd_sparse", rcv1, lr, ma, 0.5)?,
+            pin_line("admm_dense", yfcc, lr, admm, 0.3)?,
+            pin_line("admm_sparse", rcv1, lr, admm, 0.3)?,
+            pin_line("em_dense", yfcc, km(10), Algorithm::Em, 0.0)?,
+            pin_line("em_sparse", rcv1, km(3), Algorithm::Em, 0.0)?,
+            sum_line(),
+        ];
+        Ok(lines.iter().map(|l| format!("{l}\n")).collect())
+    }
+
+    #[test]
+    fn driver_bits_match_the_pin() -> Result<(), JobError> {
+        let table = pin_table()?;
+        assert!(table == PIN, "the driver's bits moved; new table:\n{table}");
+        Ok(())
+    }
 }
