@@ -2,13 +2,12 @@
 //! beyond the paper's single-job figures. Each sweep is a *declaration* —
 //! a `Sweep` naming its title, job counts, columns, and grid of
 //! `Cell`s — and one runner, `run_sweep`, executes them all: every cell
-//! is simulated on the parallel sweep engine, its full metrics rollup is
+//! is simulated on `lml_sim::par`'s fan-out, its full metrics rollup is
 //! written as one byte-stable JSON file (schema `lml-fleet/metrics/v1`)
 //! under `<Harness::out_root>/<sweep name>/`, and its row joins the printed
 //! table. `tests/fleet_artifacts.rs` pins every sweep's bytes at seeds 7
 //! and 42, fast and full, at 1, 2 and 8 workers.
 
-use crate::sweep;
 use crate::tablefmt::{f, table};
 use crate::Harness;
 use lml_fleet::{
@@ -16,6 +15,7 @@ use lml_fleet::{
     DeadlineAware, Estimator, FairShare, FleetConfig, FleetMetrics, Hybrid, JobClass, JobMix,
     Online, Route, Scheduler, TenantSpec, Trace,
 };
+use lml_sim::par::parallel_map;
 use lml_sim::SimTime;
 
 /// A metric column: header + renderer over one cell's metrics.
@@ -82,7 +82,7 @@ fn run_sweep(s: &Sweep, h: &Harness) -> String {
     let cells = grid
         .iter()
         .flat_map(|(trace, cells)| cells.iter().map(move |c| (trace, c)));
-    let results = sweep::parallel_map(cells.collect(), h.workers, |_, (trace, cell)| {
+    let results = parallel_map(cells, h.workers, |_, (trace, cell)| {
         let mut sched = (cell.sched)(&cell.cfg);
         let m = simulate(trace, &cell.cfg, sched.as_mut(), h.seed);
         let metrics = s.columns.iter().map(|(_, render)| render(&m));

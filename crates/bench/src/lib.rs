@@ -14,7 +14,6 @@
 
 pub mod experiments;
 pub mod registry;
-pub mod sweep;
 pub mod tablefmt;
 
 use experiments::{ablations, analytics, design, endtoend, fleet};
@@ -40,7 +39,7 @@ impl Default for Harness {
             seed: 42,
             fast: true,
             out_root: PathBuf::from("target"),
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            workers: lml_sim::par::available_threads(),
         }
     }
 }

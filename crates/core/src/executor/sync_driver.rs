@@ -11,6 +11,13 @@
 //! [`run_sync`] owns the loop: producing/consuming statistics, epoch
 //! accounting, periodic validation, curve recording and stopping. The
 //! S-ASP protocol (`faas::run_asp`) is the one other loop.
+//!
+//! A round's workers compute at once, as the paper's Lambdas and VMs do:
+//! `produce` and `consume` fan out over the host's cores through
+//! [`lml_sim::par`], which returns results in worker order, so every bit
+//! is the one a serial loop computes. Rounds below
+//! [`par::FAN_OUT_MIN_F64S`] (statistic length × workers) stay on one
+//! thread, where a fan-out would cost more than it saves.
 
 use crate::engine;
 use crate::job::{JobError, TrainingJob};
@@ -22,7 +29,7 @@ use lml_iaas::GpuKind;
 use lml_models::AnyModel;
 use lml_optim::algorithm::{Algorithm, WorkerState};
 use lml_optim::{CurvePoint, LossCurve, LrSchedule, StopSpec};
-use lml_sim::SimTime;
+use lml_sim::{par, SimTime};
 
 /// What one synchronous backend contributes to a run.
 pub(crate) struct SyncBackend {
@@ -172,6 +179,30 @@ pub type CommRoundFn<'a> =
 ///   (identity for VMs; lifetime rollovers for Lambda workers).
 pub fn run_sync(
     ctx: &DriverCtx<'_>,
+    workers: Vec<WorkerState>,
+    compute_time_of: &dyn Fn(u64) -> SimTime,
+    comm_round: &mut CommRoundFn<'_>,
+    wall_of_round: &mut dyn FnMut(SimTime) -> SimTime,
+) -> Result<DriverOutput, JobError> {
+    let stat_len = workers
+        .first()
+        .map_or(0, |w| ctx.algo.statistic_len(&w.model));
+    let threads = par::threads_for(stat_len * workers.len());
+    run_sync_on(
+        threads,
+        ctx,
+        workers,
+        compute_time_of,
+        comm_round,
+        wall_of_round,
+    )
+}
+
+/// [`run_sync`] with each round's `produce` and `consume` on `threads`
+/// threads.
+fn run_sync_on(
+    threads: usize,
+    ctx: &DriverCtx<'_>,
     mut workers: Vec<WorkerState>,
     compute_time_of: &dyn Fn(u64) -> SimTime,
     comm_round: &mut CommRoundFn<'_>,
@@ -180,7 +211,8 @@ pub fn run_sync(
     assert!(!workers.is_empty());
     assert!(ctx.eval_every >= 1);
     let n = workers.len();
-    let part_len = workers[0].partition_len();
+    let first = &workers[0];
+    let (part_len, stat_len) = (first.partition_len(), ctx.algo.statistic_len(&first.model));
 
     let mut curve = LossCurve::new();
     let mut elapsed = ctx.start_offset;
@@ -198,23 +230,25 @@ pub fn run_sync(
         let epoch_idx = epochs.floor() as usize;
         let lr = ctx.schedule.lr(epoch_idx);
 
-        // Every worker produces its statistic (real math).
-        let mut stats = Vec::with_capacity(n);
-        let mut max_examples = 0u64;
-        for w in workers.iter_mut() {
-            let (s, ex) = w.produce(&ctx.algo, ctx.train, lr);
-            max_examples = max_examples.max(ex);
-            stats.push(s);
-        }
+        // Every worker produces its statistic (real math). The buffers are
+        // allocated here, on the calling thread: statistics allocated by
+        // short-lived helper threads would sit in their own malloc arenas
+        // and raise peak RSS (see `lml_sim::par`).
+        let mut stats: Vec<Vec<f64>> = (0..n).map(|_| vec![0.0; stat_len]).collect();
+        let examples =
+            par::parallel_map(workers.iter_mut().zip(&mut stats), threads, |_, (w, s)| {
+                w.produce_into(&ctx.algo, ctx.train, lr, s)
+            });
+        let max_examples = examples.into_iter().fold(0, u64::max);
         let compute_t = compute_time_of(max_examples);
 
         // Aggregate (real data through the backend's channel).
         let (agg, comm_t) = comm_round(rounds, epoch_idx, &stats)?;
 
         // Everyone consumes the sum.
-        for w in workers.iter_mut() {
-            w.consume(&ctx.algo, &agg, n, lr);
-        }
+        par::parallel_map(workers.iter_mut(), threads, |_, w| {
+            w.consume(&ctx.algo, &agg, n, lr)
+        });
 
         rounds += 1;
         epochs += max_examples as f64 / part_len as f64;
@@ -364,8 +398,12 @@ mod tests {
     /// One line per case: an FNV-1a over the `to_bits` of the final
     /// parameters and of the curve's losses, the rounds, and the epochs'
     /// `to_bits` hex. Every driver case runs 5 workers and sums in memory,
-    /// as the IaaS and hybrid backends do. The last line pins
-    /// `sum_statistics` alone. A mismatch prints the whole new table.
+    /// as the IaaS and hybrid backends do; each is above
+    /// `par::FAN_OUT_MIN_F64S` except the dense convex ones (no dense
+    /// dataset is wide enough), and the test forces the thread count
+    /// anyway. The last line pins `sum_statistics` alone (its range split
+    /// is checked at 1, 2, 3 and 8 threads in `lml-optim`). A mismatch
+    /// prints the whole new table.
     const PIN: &str = "\
 ga_sgd_dense params=c73df6c9a0666656 losses=1d13ab015f67c83f rounds=11 epochs=4001999999999999
 ga_sgd_sparse params=2d877df4d3c41121 losses=ecb8d1e0b95d1a4c rounds=11 epochs=4001999999999999
@@ -390,8 +428,9 @@ sum_statistics sum=e9b4344a9d575bcb
     }
 
     /// Train `model` on 200 rows of `data` for two epochs over 5 workers
-    /// and render the pin line.
+    /// on `threads` threads and render the pin line.
     fn pin_line(
+        threads: usize,
         name: &str,
         data: DatasetId,
         model: ModelId,
@@ -415,7 +454,8 @@ sum_statistics sum=e9b4344a9d575bcb
             eval_every: 1,
             start_offset: SimTime::ZERO,
         };
-        let out = run_sync(
+        let out = run_sync_on(
+            threads,
             &ctx,
             workers,
             &|_| SimTime::secs(1.0),
@@ -450,7 +490,7 @@ sum_statistics sum=e9b4344a9d575bcb
         format!("sum_statistics sum={:016x}", fnv_f64s(&sum))
     }
 
-    fn pin_table() -> Result<String, JobError> {
+    fn pin_table(threads: usize) -> Result<String, JobError> {
         let lr = ModelId::Lr { l2: 0.0 };
         let ga = Algorithm::GaSgd { batch: 8 };
         let ma = Algorithm::MaSgd {
@@ -465,23 +505,28 @@ sum_statistics sum=e9b4344a9d575bcb
         let km = |k| ModelId::KMeans { k };
         let (cifar, rcv1, yfcc) = (DatasetId::Cifar10, DatasetId::Rcv1, DatasetId::Yfcc100m);
         let lines = [
-            pin_line("ga_sgd_dense", cifar, ModelId::MobileNet, ga, 0.1)?,
-            pin_line("ga_sgd_sparse", rcv1, lr, ga, 0.5)?,
-            pin_line("ma_sgd_dense", cifar, ModelId::MobileNet, ma, 0.1)?,
-            pin_line("ma_sgd_sparse", rcv1, lr, ma, 0.5)?,
-            pin_line("admm_dense", yfcc, lr, admm, 0.3)?,
-            pin_line("admm_sparse", rcv1, lr, admm, 0.3)?,
-            pin_line("em_dense", yfcc, km(10), Algorithm::Em, 0.0)?,
-            pin_line("em_sparse", rcv1, km(3), Algorithm::Em, 0.0)?,
+            pin_line(threads, "ga_sgd_dense", cifar, ModelId::MobileNet, ga, 0.1)?,
+            pin_line(threads, "ga_sgd_sparse", rcv1, lr, ga, 0.5)?,
+            pin_line(threads, "ma_sgd_dense", cifar, ModelId::MobileNet, ma, 0.1)?,
+            pin_line(threads, "ma_sgd_sparse", rcv1, lr, ma, 0.5)?,
+            pin_line(threads, "admm_dense", yfcc, lr, admm, 0.3)?,
+            pin_line(threads, "admm_sparse", rcv1, lr, admm, 0.3)?,
+            pin_line(threads, "em_dense", yfcc, km(10), Algorithm::Em, 0.0)?,
+            pin_line(threads, "em_sparse", rcv1, km(3), Algorithm::Em, 0.0)?,
             sum_line(),
         ];
         Ok(lines.iter().map(|l| format!("{l}\n")).collect())
     }
 
     #[test]
-    fn driver_bits_match_the_pin() -> Result<(), JobError> {
-        let table = pin_table()?;
-        assert!(table == PIN, "the driver's bits moved; new table:\n{table}");
+    fn driver_bits_match_the_pin_at_any_thread_count() -> Result<(), JobError> {
+        for threads in [1, 2, 3, 8] {
+            let table = pin_table(threads)?;
+            assert!(
+                table == PIN,
+                "the driver's bits moved at {threads} threads; new table:\n{table}"
+            );
+        }
         Ok(())
     }
 }

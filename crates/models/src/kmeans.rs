@@ -108,8 +108,16 @@ impl KMeans {
     /// **sum across workers** — the aggregation the communication layer
     /// performs.
     pub fn sufficient_stats(&self, data: &Dataset, rows: &[usize]) -> Vec<f64> {
-        let d = self.feature_dim();
         let mut stats = vec![0.0; self.stats_len()];
+        self.add_sufficient_stats(data, rows, &mut stats);
+        stats
+    }
+
+    /// [`KMeans::sufficient_stats`] added into `stats` (of
+    /// [`KMeans::stats_len`]); a zeroed `stats` receives the same bits.
+    pub fn add_sufficient_stats(&self, data: &Dataset, rows: &[usize], stats: &mut [f64]) {
+        assert_eq!(stats.len(), self.stats_len(), "stats length mismatch");
+        let d = self.feature_dim();
         self.for_each_nearest(data, rows, |x, best, _| {
             let cluster = stats.chunks_exact_mut(d + 1).nth(best);
             let Some((count, sum)) = cluster.and_then(<[f64]>::split_last_mut) else {
@@ -120,7 +128,6 @@ impl KMeans {
             }
             *count += 1.0;
         });
-        stats
     }
 
     /// M-step: replace centroids with the means in the aggregated statistics.

@@ -210,9 +210,18 @@ impl AnyModel {
 
     /// EM sufficient statistics (k-means only).
     pub fn em_stats(&self, data: &Dataset, rows: &[usize]) -> Vec<f64> {
+        self.kmeans().sufficient_stats(data, rows)
+    }
+
+    /// [`AnyModel::em_stats`] added into `stats`.
+    pub fn add_em_stats(&self, data: &Dataset, rows: &[usize], stats: &mut [f64]) {
+        self.kmeans().add_sufficient_stats(data, rows, stats);
+    }
+
+    fn kmeans(&self) -> &KMeans {
         match self {
-            AnyModel::KMeans(m) => m.sufficient_stats(data, rows),
-            _ => panic!("em_stats only applies to k-means"),
+            AnyModel::KMeans(m) => m,
+            _ => panic!("EM statistics only apply to k-means"),
         }
     }
 

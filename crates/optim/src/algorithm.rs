@@ -19,6 +19,7 @@
 use crate::sgd::BatchCursor;
 use lml_data::Dataset;
 use lml_models::AnyModel;
+use lml_sim::par;
 use std::borrow::Cow;
 
 /// The paper's distributed optimization algorithms.
@@ -79,6 +80,16 @@ impl Algorithm {
             Algorithm::Em => partition_len,
         };
         b.min(partition_len).max(1)
+    }
+
+    /// Length of the statistic a worker produces for `model`: k-means'
+    /// per-cluster sums and counts under EM, the model's parameters
+    /// otherwise.
+    pub fn statistic_len(&self, model: &AnyModel) -> usize {
+        match (self, model) {
+            (Algorithm::Em, AnyModel::KMeans(km)) => km.stats_len(),
+            _ => model.param_len(),
+        }
     }
 
     /// Whether this algorithm is applicable to the model (§4.2: ADMM needs
@@ -144,13 +155,35 @@ impl WorkerState {
     /// `examples` is the number of training examples touched (the compute
     /// cost driver for the simulator).
     pub fn produce(&mut self, algo: &Algorithm, data: &Dataset, lr: f64) -> (Vec<f64>, u64) {
+        let mut stat = vec![0.0; algo.statistic_len(&self.model)];
+        let examples = self.produce_into(algo, data, lr, &mut stat);
+        (stat, examples)
+    }
+
+    /// [`WorkerState::produce`] into a zeroed `stat` of
+    /// [`Algorithm::statistic_len`]; returns the examples touched.
+    ///
+    /// The caller owns the buffer, so a round that runs its workers on
+    /// several threads can allocate every statistic on its own thread
+    /// (see `lml_sim::par`).
+    pub fn produce_into(
+        &mut self,
+        algo: &Algorithm,
+        data: &Dataset,
+        lr: f64,
+        stat: &mut [f64],
+    ) -> u64 {
+        assert_eq!(
+            stat.len(),
+            algo.statistic_len(&self.model),
+            "statistic length"
+        );
         match *algo {
             Algorithm::GaSgd { .. } => {
                 // The gradient is computed straight into the statistic.
                 let batch = self.cursor.next_batch();
-                let mut grad = vec![0.0; self.model.param_len()];
-                self.model.grad(data, &batch, &mut grad);
-                (grad, batch.len() as u64)
+                self.model.grad(data, &batch, stat);
+                batch.len() as u64
             }
             Algorithm::MaSgd { local_iters, .. } => {
                 let mut examples = 0u64;
@@ -159,7 +192,8 @@ impl WorkerState {
                     examples += batch.len() as u64;
                     crate::sgd::sgd_step(&mut self.model, data, &batch, lr, &mut self.grad_buf);
                 }
-                (self.model.params().to_vec(), examples)
+                stat.copy_from_slice(self.model.params());
+                examples
             }
             Algorithm::Admm {
                 rho, local_scans, ..
@@ -191,18 +225,16 @@ impl WorkerState {
                         }
                     }
                 }
-                let msg: Vec<f64> = self
-                    .model
-                    .params()
-                    .iter()
-                    .zip(&self.dual)
-                    .map(|(w, u)| w + u)
-                    .collect();
-                (msg, examples)
+                let w = self.model.params();
+                for (m, (wj, uj)) in stat.iter_mut().zip(w.iter().zip(&self.dual)) {
+                    *m = wj + uj;
+                }
+                examples
             }
             Algorithm::Em => {
                 let rows = self.cursor.rows();
-                (self.model.em_stats(data, rows), rows.len() as u64)
+                self.model.add_em_stats(data, rows, stat);
+                rows.len() as u64
             }
         }
     }
@@ -245,21 +277,37 @@ impl WorkerState {
 /// Element-wise sum of worker statistics, added in worker order
 /// (`0, 1, …, w−1`) — the in-memory aggregation of the serverful backends.
 ///
+/// From [`par::FAN_OUT_MIN_F64S`] values up, the output is split into one
+/// contiguous element range per core and the ranges are summed at once.
+/// Each range still adds the statistics in worker order, so every element
+/// has the same chain of additions, and the same bits, at any split.
+///
 /// The storage patterns compute the same sum, but only ScatterReduce in
 /// the same *order*: AllReduce merges in the order of the leader's LIST,
 /// which is lexicographic (`p0, p1, p10, p11, p2, …`), so from 11 workers
 /// up its aggregate can differ from this one in the last bits. See
 /// `lml_comm::patterns`.
 pub fn sum_statistics(stats: &[Vec<f64>]) -> Vec<f64> {
+    let f64s = stats.first().map_or(0, Vec::len) * stats.len();
+    sum_statistics_on(stats, par::threads_for(f64s))
+}
+
+/// [`sum_statistics`] split into `threads` element ranges.
+fn sum_statistics_on(stats: &[Vec<f64>], threads: usize) -> Vec<f64> {
     assert!(!stats.is_empty());
     let len = stats[0].len();
-    let mut out = vec![0.0; len];
     for s in stats {
         assert_eq!(s.len(), len, "statistic length mismatch across workers");
-        for (o, v) in out.iter_mut().zip(s) {
-            *o += v;
-        }
     }
+    let mut out = vec![0.0; len];
+    let range = len.div_ceil(threads.max(1)).max(1);
+    par::parallel_map(out.chunks_mut(range), threads, |i, chunk| {
+        for s in stats {
+            for (o, v) in chunk.iter_mut().zip(&s[i * range..]) {
+                *o += v;
+            }
+        }
+    });
     out
 }
 
@@ -547,6 +595,41 @@ mod tests {
         let mut w = WorkerState::new(0, km, (0..200).collect(), 200);
         let (stats, examples) = w.produce(&Algorithm::Em, &data, 0.0);
         assert_eq!(stats.len(), 4 * 29);
+        assert_eq!(Algorithm::Em.statistic_len(&w.model), stats.len());
         assert_eq!(examples, 200);
+        let lr = ModelId::Lr { l2: 0.0 }.build(&data, 1);
+        let mut w = WorkerState::new(0, lr, (0..200).collect(), 20);
+        let ga = Algorithm::GaSgd { batch: 20 };
+        let (grad, _) = w.produce(&ga, &data, 0.1);
+        assert_eq!(ga.statistic_len(&w.model), grad.len());
+    }
+
+    /// The range split of the in-memory sum leaves every bit where the
+    /// serial worker-order fold puts it, at any thread count: 5 statistics
+    /// of 200,003 values (not a multiple of 2, 3 or 8), each a normal
+    /// deviate scaled by 2^-15 … 2^15.
+    #[test]
+    fn sum_statistics_has_the_same_bits_at_any_range_split() {
+        let mut rng = lml_sim::Pcg64::new(42);
+        let stats: Vec<Vec<f64>> = (0..5)
+            .map(|_| {
+                (0..200_003)
+                    .map(|_| rng.normal() * 2f64.powi(rng.below(31) as i32 - 15))
+                    .collect()
+            })
+            .collect();
+        let mut fold = vec![0.0; 200_003];
+        for s in &stats {
+            for (o, v) in fold.iter_mut().zip(s) {
+                *o += v;
+            }
+        }
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want = bits(&fold);
+        for threads in [1, 2, 3, 8] {
+            let got = sum_statistics_on(&stats, threads);
+            assert!(bits(&got) == want, "{threads} threads moved a bit");
+        }
+        assert!(bits(&sum_statistics(&stats)) == want);
     }
 }

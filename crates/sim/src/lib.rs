@@ -17,6 +17,10 @@
 //!   the fleet simulator's replay loop and the asynchronous S-ASP
 //!   executor run on.
 //! * [`stats`] — summary statistics used by the calibration harness.
+//! * [`par`] — the deterministic fan-out ([`par::parallel_map`]): results
+//!   in item order at any thread count. It is the only code in the
+//!   workspace that starts threads; the bench sweeps and the synchronous
+//!   training round run on it.
 
 #![forbid(unsafe_code)]
 
@@ -24,6 +28,7 @@ pub mod bytes;
 pub mod events;
 pub mod link;
 pub mod money;
+pub mod par;
 pub mod resource;
 pub mod rng;
 pub mod stats;

@@ -14,8 +14,8 @@ use lambdaml::fleet::{
     DeadlineAware, FairShare, FleetConfig, FleetMetrics, JobMix, NullObserver, Route, Scheduler,
     TenantSpec, TextSource, Trace,
 };
+use lambdaml::sim::par::parallel_map;
 use lambdaml::sim::{Pcg64, SimTime};
-use lml_bench::sweep::parallel_map;
 
 /// Number of random cases per property.
 const CASES: u64 = 64;
