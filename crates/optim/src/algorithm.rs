@@ -109,6 +109,8 @@ pub struct WorkerState {
     pub id: usize,
     pub model: AnyModel,
     cursor: BatchCursor,
+    /// Mini-batch gradient scratch. MA-SGD's `sgd_step` zeroes it before
+    /// each use; ADMM keeps it all zeros between its steps.
     grad_buf: Vec<f64>,
     /// ADMM dual variable `u_i`.
     dual: Vec<f64>,
@@ -200,28 +202,27 @@ impl WorkerState {
             } => {
                 // Local subproblem: minimize f_i(w) + (ρ/2)‖w − z + u‖² by
                 // `local_scans` mini-batch passes over the partition.
+                //
+                // `grad_buf` is all zeros between steps, so `grad` can add
+                // the mini-batch gradient straight into it: it is cleared
+                // here (the last algorithm to use it may have left a
+                // gradient), and each step clears every element as it
+                // applies it. One pass per step then adds the proximal term
+                // `ρ((w − z) + u)`, takes the step and clears the element.
+                self.grad_buf.fill(0.0);
                 let batches = self.cursor.batches_per_epoch();
                 let mut examples = 0u64;
                 for _ in 0..local_scans {
                     for _ in 0..batches {
                         let batch = self.cursor.next_batch();
                         examples += batch.len() as u64;
-                        self.grad_buf.iter_mut().for_each(|g| *g = 0.0);
                         self.model.grad(data, &batch, &mut self.grad_buf);
-                        // + ρ(w − z + u)
-                        {
-                            let w = self.model.params();
-                            for (g, ((&wj, &zj), &uj)) in self
-                                .grad_buf
-                                .iter_mut()
-                                .zip(w.iter().zip(&self.consensus).zip(&self.dual))
-                            {
-                                *g += rho * (wj - zj + uj);
-                            }
-                        }
                         let w = self.model.params_mut();
-                        for (p, g) in w.iter_mut().zip(&self.grad_buf) {
+                        let zu = self.consensus.iter().zip(&self.dual);
+                        for ((p, b), (&zj, &uj)) in w.iter_mut().zip(&mut self.grad_buf).zip(zu) {
+                            let g = *b + rho * (*p - zj + uj);
                             *p -= lr * g;
+                            *b = 0.0;
                         }
                     }
                 }
