@@ -10,6 +10,7 @@ use lml_data::{Dataset, DatasetSpec};
 use lml_faas::FaasError;
 use lml_iaas::InstanceType;
 use lml_models::{AnyModel, ModelId};
+use lml_optim::{Algorithm, LrSchedule};
 use lml_sim::ByteSize;
 use lml_storage::StorageError;
 
@@ -125,26 +126,76 @@ impl<'a> TrainingJob<'a> {
     }
 
     /// Reject a configuration that would otherwise panic inside an
-    /// executor.
+    /// executor, or run to a meaningless `Ok` (a NaN loss, a batch of one
+    /// row where zero was asked for, rounds that never finish an epoch).
     fn check_config(&self) -> Result<(), JobError> {
-        let workers = self.config.workers;
-        let rows = self.workload.train.len();
-        let partitioned = !matches!(self.config.backend, Backend::Single { .. });
-        let reason = if workers == 0 {
-            "a job needs at least one worker".to_string()
-        } else if partitioned && workers > rows {
-            format!(
-                "{} splits {rows} training rows over the workers, so some would get none",
-                self.config.backend.name()
-            )
-        } else {
-            return Ok(());
+        let cfg = &self.config;
+        let invalid = |field, value: String, reason: String| {
+            Err(JobError::InvalidConfig {
+                field,
+                value,
+                reason,
+            })
         };
-        Err(JobError::InvalidConfig {
-            field: "workers",
-            value: workers.to_string(),
-            reason,
-        })
+        let workers = cfg.workers;
+        let rows = self.workload.train.len();
+        let partitioned = !matches!(cfg.backend, Backend::Single { .. });
+        if workers == 0 {
+            return invalid(
+                "workers",
+                "0".into(),
+                "a job needs at least one worker".into(),
+            );
+        }
+        if partitioned && workers > rows {
+            let reason = format!(
+                "{} splits {rows} training rows over the workers, so some would get none",
+                cfg.backend.name()
+            );
+            return invalid("workers", workers.to_string(), reason);
+        }
+        // 0 is a legal rate: EM ignores it and its jobs pass 0.
+        let (base, factor) = match cfg.lr {
+            LrSchedule::Const(lr) => (lr, 1.0),
+            LrSchedule::InvSqrt { base } => (base, 1.0),
+            LrSchedule::StepDecay { base, factor, .. } => (base, factor),
+        };
+        if let Some(v) = [base, factor].into_iter().find(|v| !v.is_finite()) {
+            return invalid(
+                "lr",
+                v.to_string(),
+                "a learning-rate parameter must be finite".into(),
+            );
+        }
+        match cfg.algorithm {
+            Algorithm::GaSgd { batch: 0 }
+            | Algorithm::MaSgd { batch: 0, .. }
+            | Algorithm::Admm { batch: 0, .. } => {
+                return invalid(
+                    "batch",
+                    "0".into(),
+                    "a mini-batch needs at least one row".into(),
+                );
+            }
+            Algorithm::MaSgd { local_iters: 0, .. } => {
+                let reason = "a round needs at least one local step".into();
+                return invalid("local_iters", "0".into(), reason);
+            }
+            Algorithm::Admm { local_scans: 0, .. } => {
+                let reason = "a round needs at least one pass over the partition".into();
+                return invalid("local_scans", "0".into(), reason);
+            }
+            Algorithm::Admm { rho, .. } if !(rho.is_finite() && rho >= 0.0) => {
+                let reason = "the ADMM penalty must be finite and non-negative".into();
+                return invalid("rho", rho.to_string(), reason);
+            }
+            _ => {}
+        }
+        if cfg.stop.target_loss.is_nan() {
+            let reason = "no loss reaches a NaN target".into();
+            return invalid("target_loss", "NaN".into(), reason);
+        }
+        Ok(())
     }
 
     /// Execute the job on its configured backend.
@@ -231,6 +282,123 @@ mod tests {
             }) => Some(value),
             _ => None,
         }
+    }
+
+    /// The field `check_config` names for `job` with `edit` applied, or
+    /// `None` when the job runs.
+    fn rejected_field(wl: &Workload, edit: impl FnOnce(&mut JobConfig)) -> Option<&'static str> {
+        let mut job = lr_on_higgs(wl, 4);
+        // Past any accidental run-away: a job that escapes the check stops here.
+        job.config.stop = job
+            .config
+            .stop
+            .with_max_time(lml_sim::SimTime::secs(3_600.0));
+        edit(&mut job.config);
+        match job.run() {
+            Err(JobError::InvalidConfig { field, .. }) => Some(field),
+            _ => None,
+        }
+    }
+
+    fn higgs400() -> Workload {
+        Workload::from_generated(&DatasetId::Higgs.generate_rows(400, 1), 1)
+    }
+
+    #[test]
+    fn non_finite_learning_rate_parameters_are_rejected() {
+        let wl = higgs400();
+        for lr in [
+            LrSchedule::Const(f64::NAN),
+            LrSchedule::Const(f64::INFINITY),
+            LrSchedule::InvSqrt {
+                base: f64::NEG_INFINITY,
+            },
+            LrSchedule::StepDecay {
+                base: 0.1,
+                factor: f64::NAN,
+                every: 1,
+            },
+        ] {
+            assert_eq!(rejected_field(&wl, |c| c.lr = lr), Some("lr"), "{lr:?}");
+        }
+        assert_eq!(rejected_field(&wl, |c| c.lr = LrSchedule::Const(0.0)), None);
+    }
+
+    #[test]
+    fn zero_batch_is_rejected() {
+        let wl = higgs400();
+        for algo in [
+            Algorithm::GaSgd { batch: 0 },
+            Algorithm::MaSgd {
+                batch: 0,
+                local_iters: 2,
+            },
+            Algorithm::Admm {
+                rho: 0.1,
+                local_scans: 1,
+                batch: 0,
+            },
+        ] {
+            assert_eq!(
+                rejected_field(&wl, |c| c.algorithm = algo),
+                Some("batch"),
+                "{algo:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_local_steps_are_rejected() {
+        let wl = higgs400();
+        let ma = Algorithm::MaSgd {
+            batch: 10,
+            local_iters: 0,
+        };
+        assert_eq!(
+            rejected_field(&wl, |c| c.algorithm = ma),
+            Some("local_iters")
+        );
+        let admm = Algorithm::Admm {
+            rho: 0.1,
+            local_scans: 0,
+            batch: 10,
+        };
+        assert_eq!(
+            rejected_field(&wl, |c| c.algorithm = admm),
+            Some("local_scans")
+        );
+    }
+
+    #[test]
+    fn negative_or_non_finite_rho_is_rejected() {
+        let wl = higgs400();
+        for rho in [-0.1, f64::NAN, f64::INFINITY] {
+            let admm = Algorithm::Admm {
+                rho,
+                local_scans: 1,
+                batch: 10,
+            };
+            assert_eq!(
+                rejected_field(&wl, |c| c.algorithm = admm),
+                Some("rho"),
+                "{rho}"
+            );
+        }
+        let free = Algorithm::Admm {
+            rho: 0.0,
+            local_scans: 1,
+            batch: 10,
+        };
+        assert_eq!(rejected_field(&wl, |c| c.algorithm = free), None);
+    }
+
+    #[test]
+    fn nan_target_loss_is_rejected() {
+        let wl = higgs400();
+        assert_eq!(
+            rejected_field(&wl, |c| c.stop.target_loss = f64::NAN),
+            Some("target_loss")
+        );
     }
 
     #[test]
