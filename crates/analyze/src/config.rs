@@ -8,9 +8,14 @@
 use crate::lints::LintOpts;
 use crate::schema::Emitter;
 
-/// Lint options for a workspace crate, keyed by package name
-/// (`lml-<dir>` for `crates/<dir>`, `lambdaml` for the root `src/`).
-pub fn crate_opts(package: &str) -> LintOpts {
+/// The one file allowed to start threads: the deterministic fan-out that
+/// hands results back in item order.
+pub const THREAD_HOME: &str = "crates/sim/src/par.rs";
+
+/// Lint options for workspace file `file` (workspace-relative) of a crate
+/// keyed by package name (`lml-<dir>` for `crates/<dir>`, `lambdaml` for
+/// the root `src/`).
+pub fn lint_opts(package: &str, file: &str) -> LintOpts {
     LintOpts {
         // Only the simulation crates carry the byte-stable-artifact
         // contract; a HashMap in the data-prep or linalg layers cannot leak
@@ -21,6 +26,9 @@ pub fn crate_opts(package: &str) -> LintOpts {
         wall_clock: true,
         float_eq: true,
         static_mut: true,
+        // Thread scheduling must never order a result: work fans out only
+        // through `lml_sim::par`, which returns results in item order.
+        threads: file != THREAD_HOME,
     }
 }
 

@@ -11,7 +11,8 @@
 //!
 //! * [`lints`] — **determinism lints**: `HashMap`/`HashSet` in the
 //!   simulation crates, `Instant`/`SystemTime` anywhere, float `==`/`!=`,
-//!   and `static mut`. Waivable inline with `// lml-analyze: allow(<lint>)`.
+//!   `static mut`, and `thread::spawn`/`scope`/`Builder` outside
+//!   `lml_sim::par`. Waivable inline with `// lml-analyze: allow(<lint>)`.
 //! * [`mod@panic`] — a **panic-surface ratchet**: per-crate `unwrap` / `expect`
 //!   / `panic!` / `[idx]` counts held to `crates/analyze/panic_budget.toml`,
 //!   which can only shrink.
@@ -124,10 +125,10 @@ fn rel(root: &Path, p: &Path) -> String {
 pub fn analyze(root: &Path) -> io::Result<Analysis> {
     let mut a = Analysis::default();
     for (package, src_dir) in discover_crates(root)? {
-        let opts = config::crate_opts(&package);
         let mut counts = PanicCounts::default();
         for file in rust_files(&src_dir)? {
             let rel_path = rel(root, &file);
+            let opts = config::lint_opts(&package, &rel_path);
             let source = fs::read_to_string(&file)?;
             let lexed = lexer::lex(&source);
             a.findings

@@ -16,6 +16,7 @@ pub const HASH_COLLECTIONS: &str = "hash-collections";
 pub const WALL_CLOCK: &str = "wall-clock";
 pub const FLOAT_EQ: &str = "float-eq";
 pub const STATIC_MUT: &str = "static-mut";
+pub const THREADS: &str = "threads";
 
 /// One reported problem. `gating` findings fail `--check`; the rest are
 /// advisory.
@@ -48,6 +49,7 @@ pub struct LintOpts {
     pub wall_clock: bool,
     pub float_eq: bool,
     pub static_mut: bool,
+    pub threads: bool,
 }
 
 /// Inline waivers parsed from comments: lint name → lines that carry a
@@ -264,6 +266,31 @@ pub fn check_file(file: &str, lexed: &Lexed, opts: LintOpts) -> Vec<Finding> {
                     );
                 }
             }
+            TokenKind::Ident(s) if opts.threads && s == "thread" => {
+                let path = (tokens.get(i + 1), tokens.get(i + 2), tokens.get(i + 3));
+                if let (
+                    Some(c1),
+                    Some(c2),
+                    Some(Token {
+                        kind: TokenKind::Ident(f),
+                        ..
+                    }),
+                ) = path
+                {
+                    let sep = c1.kind == TokenKind::Punct(':') && c2.kind == TokenKind::Punct(':');
+                    if sep && matches!(f.as_str(), "spawn" | "scope" | "Builder") {
+                        report(
+                            THREADS,
+                            t.line,
+                            format!(
+                                "`thread::{f}` outside `lml_sim::par`: fan work out with \
+                                 `lml_sim::par::parallel_map`, which hands results back in item \
+                                 order at any thread count"
+                            ),
+                        );
+                    }
+                }
+            }
             TokenKind::Ident(s) if opts.static_mut && s == "static" => {
                 if matches!(
                     tokens.get(i + 1).map(|t| &t.kind),
@@ -294,6 +321,7 @@ mod tests {
         wall_clock: true,
         float_eq: true,
         static_mut: true,
+        threads: true,
     };
 
     fn lints_of(src: &str) -> Vec<String> {
@@ -362,6 +390,17 @@ mod tests {
         assert!(lints_of(src).is_empty());
         let src2 = "#[cfg(not(test))]\nfn prod() { let _ = Instant::now(); }\n";
         assert_eq!(lints_of(src2), [WALL_CLOCK]);
+    }
+
+    #[test]
+    fn threads_start_only_through_the_fan_out() {
+        assert_eq!(lints_of("std::thread::spawn(|| ());"), [THREADS]);
+        assert_eq!(lints_of("thread::scope(|s| {});"), [THREADS]);
+        assert_eq!(lints_of("let b = thread::Builder::new();"), [THREADS]);
+        // Spawning on a scope handle, reading the core count and a waiver
+        // are not findings.
+        assert!(lints_of("s.spawn(f); let n = thread::available_parallelism();").is_empty());
+        assert!(lints_of("thread::scope(|s| {}); // lml-analyze: allow(threads)").is_empty());
     }
 
     #[test]

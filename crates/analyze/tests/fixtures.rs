@@ -3,10 +3,11 @@
 //!
 //! The corpus under `tests/fixtures/violations/` is a miniature workspace
 //! (never compiled — only lexed): a determinism-critical `sim` crate
-//! containing one representative of every determinism lint, a `fleet`
-//! crate whose only violation is a wall-clock read in `observe.rs`, a
-//! zeroed panic budget the fixture source exceeds, and a schema lock
-//! listing a field the fixture emitter no longer writes.
+//! containing one representative of every determinism lint, plus a
+//! `par.rs` whose thread start is the one the `threads` lint exempts; a
+//! `fleet` crate whose only violation is a wall-clock read in
+//! `observe.rs`; a zeroed panic budget the fixture source exceeds; and a
+//! schema lock listing a field the fixture emitter no longer writes.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -30,6 +31,7 @@ fn every_violation_class_gates() {
         "wall-clock",
         "float-eq",
         "static-mut",
+        "threads",
         "panic-ratchet",
         "schema-lock",
     ] {
@@ -43,7 +45,13 @@ fn every_violation_class_gates() {
 #[test]
 fn determinism_findings_point_into_the_sim_crate() {
     let report = violations_report();
-    for lint in ["hash-collections", "wall-clock", "float-eq", "static-mut"] {
+    for lint in [
+        "hash-collections",
+        "wall-clock",
+        "float-eq",
+        "static-mut",
+        "threads",
+    ] {
         let f = report
             .findings
             .iter()
@@ -52,6 +60,18 @@ fn determinism_findings_point_into_the_sim_crate() {
         assert!(f.gating, "{lint} gates");
         assert!(f.line > 0, "{lint} carries a line number");
     }
+}
+
+#[test]
+fn threads_start_only_in_the_fan_out() {
+    let report = violations_report();
+    let threads: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.lint == "threads")
+        .map(|f| (f.file.as_str(), f.line))
+        .collect();
+    assert_eq!(threads, [("crates/sim/src/lib.rs", 28)], "par.rs is exempt");
 }
 
 #[test]

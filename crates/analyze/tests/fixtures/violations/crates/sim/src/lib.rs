@@ -23,3 +23,9 @@ fn panic_site(v: &[u64]) -> u64 {
 fn slice_type(v: &mut [u64]) -> usize {
     v.len() // `mut [` is a slice type, not an index: the count stays 1
 }
+
+fn fan_out() {
+    std::thread::scope(|s| {
+        s.spawn(|| ()); // threads: only `crates/sim/src/par.rs` may start threads
+    });
+}
