@@ -166,8 +166,8 @@ impl WorkerState {
     /// [`Algorithm::statistic_len`]; returns the examples touched.
     ///
     /// The caller owns the buffer, so a round that runs its workers on
-    /// several threads can allocate every statistic on its own thread
-    /// (see `lml_sim::par`).
+    /// several threads can still allocate every statistic on the calling
+    /// thread (see `lml_sim::par`).
     pub fn produce_into(
         &mut self,
         algo: &Algorithm,
@@ -598,8 +598,8 @@ mod tests {
         assert_eq!(stats.len(), 4 * 29);
         assert_eq!(Algorithm::Em.statistic_len(&w.model), stats.len());
         assert_eq!(examples, 200);
-        let lr = ModelId::Lr { l2: 0.0 }.build(&data, 1);
-        let mut w = WorkerState::new(0, lr, (0..200).collect(), 20);
+        let logistic = ModelId::Lr { l2: 0.0 }.build(&data, 1);
+        let mut w = WorkerState::new(0, logistic, (0..200).collect(), 20);
         let ga = Algorithm::GaSgd { batch: 20 };
         let (grad, _) = w.produce(&ga, &data, 0.1);
         assert_eq!(ga.statistic_len(&w.model), grad.len());

@@ -31,14 +31,15 @@ use std::sync::Mutex;
 /// The fewest `f64`s a training phase must touch before it fans out: a
 /// round's statistic length × workers, or a sum's length × addends.
 ///
-/// Calibrated on a 2-vCPU box, where a two-thread fan-out costs about
-/// 60 µs per call. The slowest per-`f64` phase it gates, the in-memory sum,
-/// adds about 0.4 ns per `f64` serially, so at 2¹⁷ `f64`s two threads save
-/// about 26 µs of a 52 µs sum and the fan-out about breaks even; `produce`
-/// and `consume` spend far more per `f64` and gain well below it. Every
-/// job of the benchmark's training workloads is above it (the smallest,
-/// ADMM on RCV1, has 47,236 × 5); LR and k-means on Higgs (29 and
-/// 10 × 29 `f64`s per worker) are far below.
+/// Calibrated on a 2-vCPU box, where a two-thread fan-out costs 59 µs per
+/// call. The cheapest work per `f64` it gates, the in-memory sum of 5
+/// statistics, takes 53 µs serially at 2¹⁷ `f64`s (95 µs on two threads)
+/// and breaks even between 2¹⁸ and 2¹⁹; `produce` and `consume` do more
+/// per `f64`. The smallest job of the benchmark's training workloads,
+/// ADMM on RCV1 at 47,236 × 5, must clear the gate, so it sits at 2¹⁷:
+/// below it the sum and `consume` are too small to repay a fan-out, and
+/// above it a phase that does not pay loses about one fan-out. LR and
+/// k-means on Higgs (29 and 10 × 29 `f64`s per worker) stay far below.
 pub const FAN_OUT_MIN_F64S: usize = 1 << 17;
 
 /// The host's cores, as the operating system reports them (1 when it
