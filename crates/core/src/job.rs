@@ -130,29 +130,25 @@ impl<'a> TrainingJob<'a> {
     /// row where zero was asked for, rounds that never finish an epoch).
     fn check_config(&self) -> Result<(), JobError> {
         let cfg = &self.config;
-        let invalid = |field, value: String, reason: String| {
+        let invalid = |field, value: &str, reason: &str| {
             Err(JobError::InvalidConfig {
                 field,
-                value,
-                reason,
+                value: value.to_string(),
+                reason: reason.to_string(),
             })
         };
         let workers = cfg.workers;
         let rows = self.workload.train.len();
         let partitioned = !matches!(cfg.backend, Backend::Single { .. });
         if workers == 0 {
-            return invalid(
-                "workers",
-                "0".into(),
-                "a job needs at least one worker".into(),
-            );
+            return invalid("workers", "0", "a job needs at least one worker");
         }
         if partitioned && workers > rows {
             let reason = format!(
                 "{} splits {rows} training rows over the workers, so some would get none",
                 cfg.backend.name()
             );
-            return invalid("workers", workers.to_string(), reason);
+            return invalid("workers", &workers.to_string(), &reason);
         }
         // 0 is a legal rate: EM ignores it and its jobs pass 0.
         let (base, factor) = match cfg.lr {
@@ -161,39 +157,30 @@ impl<'a> TrainingJob<'a> {
             LrSchedule::StepDecay { base, factor, .. } => (base, factor),
         };
         if let Some(v) = [base, factor].into_iter().find(|v| !v.is_finite()) {
-            return invalid(
-                "lr",
-                v.to_string(),
-                "a learning-rate parameter must be finite".into(),
-            );
+            let reason = "a learning-rate parameter must be finite";
+            return invalid("lr", &v.to_string(), reason);
         }
         match cfg.algorithm {
             Algorithm::GaSgd { batch: 0 }
             | Algorithm::MaSgd { batch: 0, .. }
             | Algorithm::Admm { batch: 0, .. } => {
-                return invalid(
-                    "batch",
-                    "0".into(),
-                    "a mini-batch needs at least one row".into(),
-                );
+                return invalid("batch", "0", "a mini-batch needs at least one row");
             }
             Algorithm::MaSgd { local_iters: 0, .. } => {
-                let reason = "a round needs at least one local step".into();
-                return invalid("local_iters", "0".into(), reason);
+                return invalid("local_iters", "0", "a round needs at least one local step");
             }
             Algorithm::Admm { local_scans: 0, .. } => {
-                let reason = "a round needs at least one pass over the partition".into();
-                return invalid("local_scans", "0".into(), reason);
+                let reason = "a round needs at least one pass over the partition";
+                return invalid("local_scans", "0", reason);
             }
             Algorithm::Admm { rho, .. } if !(rho.is_finite() && rho >= 0.0) => {
-                let reason = "the ADMM penalty must be finite and non-negative".into();
-                return invalid("rho", rho.to_string(), reason);
+                let reason = "the ADMM penalty must be finite and non-negative";
+                return invalid("rho", &rho.to_string(), reason);
             }
             _ => {}
         }
         if cfg.stop.target_loss.is_nan() {
-            let reason = "no loss reaches a NaN target".into();
-            return invalid("target_loss", "NaN".into(), reason);
+            return invalid("target_loss", "NaN", "no loss reaches a NaN target");
         }
         Ok(())
     }

@@ -115,7 +115,7 @@ impl KMeans {
 
     /// [`KMeans::sufficient_stats`] added into `stats` (of
     /// [`KMeans::stats_len`]); a zeroed `stats` receives the same bits.
-    pub fn add_sufficient_stats(&self, data: &Dataset, rows: &[usize], stats: &mut [f64]) {
+    pub(crate) fn add_sufficient_stats(&self, data: &Dataset, rows: &[usize], stats: &mut [f64]) {
         assert_eq!(stats.len(), self.stats_len(), "stats length mismatch");
         let d = self.feature_dim();
         self.for_each_nearest(data, rows, |x, best, _| {
