@@ -161,6 +161,109 @@ mod tests {
         );
     }
 
+    /// One line per case: `epochs` and `final_loss` as `to_bits` hex, and
+    /// `reached`. The cases cover GA-SGD, ADMM and EM on dense data (Higgs,
+    /// YFCC) and on sparse data (SVM on RCV1, whose 4 × 47k-value round is
+    /// above `par::FAN_OUT_MIN_F64S`), a reached and a capped run, and a
+    /// run on the whole dataset. A mismatch prints the whole new table.
+    const GOLDEN: &str = "\
+ga_sgd_lr_higgs epochs=3faf07c1f07c1f08 final_loss=3fe555e5dc80cd28 reached=true
+ga_sgd_lr_higgs_capped epochs=4008123274a07722 final_loss=3fe43a710fdad197 reached=false
+ga_sgd_lr_higgs_full epochs=3faf07c1f07c1f08 final_loss=3fe531cc3dcf8cf9 reached=true
+admm_lr_higgs epochs=402433b79890cede final_loss=3fe46fdf708f936d reached=true
+admm_lr_yfcc epochs=4034000000000000 final_loss=3fd7d49c638a9816 reached=false
+ga_sgd_svm_rcv1 epochs=4001d59ae78a9946 final_loss=3fcc07d53ca0a6d9 reached=true
+admm_svm_rcv1 epochs=40297a4b01a16d40 final_loss=3fcd68377d945a1f reached=false
+em_km_higgs epochs=4028000000000000 final_loss=4039a15ff7963485 reached=false
+";
+
+    fn golden_line(
+        name: &str,
+        (dataset, model, algo): (DatasetId, ModelId, Algorithm),
+        (lr, threshold, sample_frac): (f64, f64, f64),
+        (max_epochs, seed): (usize, u64),
+    ) -> String {
+        let est = estimate_epochs(
+            dataset,
+            model,
+            algo,
+            lr,
+            threshold,
+            sample_frac,
+            max_epochs,
+            seed,
+        );
+        format!(
+            "{name} epochs={:016x} final_loss={:016x} reached={}\n",
+            est.epochs.to_bits(),
+            est.final_loss.to_bits(),
+            est.reached,
+        )
+    }
+
+    #[test]
+    fn estimates_match_the_golden_table() {
+        let lr = ModelId::Lr { l2: 0.0 };
+        let admm = Algorithm::Admm {
+            rho: 0.1,
+            local_scans: 10,
+            batch: 500,
+        };
+        let ga = Algorithm::GaSgd { batch: 500 };
+        let (higgs, rcv1, yfcc) = (DatasetId::Higgs, DatasetId::Rcv1, DatasetId::Yfcc100m);
+        let svm = ModelId::Svm { l2: 0.0 };
+        let table: String = [
+            golden_line(
+                "ga_sgd_lr_higgs",
+                (higgs, lr, ga),
+                (0.5, 0.67, 0.1),
+                (60, 7),
+            ),
+            golden_line(
+                "ga_sgd_lr_higgs_capped",
+                (higgs, lr, ga),
+                (0.5, 0.0, 0.05),
+                (3, 1),
+            ),
+            golden_line(
+                "ga_sgd_lr_higgs_full",
+                (higgs, lr, ga),
+                (0.5, 0.67, 1.0),
+                (60, 7),
+            ),
+            golden_line(
+                "admm_lr_higgs",
+                (higgs, lr, admm),
+                (0.5, 0.645, 0.1),
+                (12, 5),
+            ),
+            golden_line("admm_lr_yfcc", (yfcc, lr, admm), (0.1, 0.12, 0.1), (12, 7)),
+            golden_line(
+                "ga_sgd_svm_rcv1",
+                (rcv1, svm, ga),
+                (1.0, 0.22, 0.1),
+                (12, 5),
+            ),
+            golden_line(
+                "admm_svm_rcv1",
+                (rcv1, svm, admm),
+                (1.0, 0.22, 0.1),
+                (12, 7),
+            ),
+            golden_line(
+                "em_km_higgs",
+                (higgs, ModelId::KMeans { k: 10 }, Algorithm::Em),
+                (0.0, 25.5, 0.1),
+                (12, 5),
+            ),
+        ]
+        .concat();
+        assert!(
+            table == GOLDEN,
+            "the estimator's bits moved; new table:\n{table}"
+        );
+    }
+
     #[test]
     fn unreachable_threshold_reports_cap() {
         let est = estimate_epochs(
