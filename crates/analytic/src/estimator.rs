@@ -5,12 +5,17 @@
 //! 10% sample and takes the observed epochs-to-threshold as the estimate.
 //! Figure 13b validates exactly this procedure; we implement it by running
 //! the real algorithm (single aggregation domain — statistics of a sampled
-//! run converge like the full run's) without any simulated infrastructure.
+//! run converge like the full run's) through the executors' own loop,
+//! [`run_sync`], with an in-memory sum and no simulated infrastructure.
 
 use lml_data::generators::DatasetId;
 use lml_data::transform::train_valid_split;
 use lml_models::ModelId;
-use lml_optim::algorithm::{sum_statistics, Algorithm, WorkerState};
+use lml_optim::algorithm::{sum_statistics, Algorithm};
+use lml_optim::driver::{replicas, run_sync, DriverCtx};
+use lml_optim::{LrSchedule, StopSpec};
+use lml_sim::SimTime;
+use std::convert::Infallible;
 
 /// Result of one estimation run.
 #[derive(Debug, Clone, Copy)]
@@ -25,6 +30,12 @@ pub struct EpochEstimate {
 
 /// Estimate epochs-to-threshold by training on a `sample_frac` subsample of
 /// the (already scaled) dataset.
+///
+/// The sample trains on 4 workers through [`run_sync`], validating after
+/// every round, until the validation loss is at or below `threshold` or
+/// `max_epochs` have passed. With `max_epochs = 0` nothing trains: the
+/// estimate is 0 epochs with the untrained model's validation loss, reached
+/// when that loss already meets `threshold`.
 // The argument list mirrors the §5.3 estimator inputs one-to-one; bundling
 // them into a struct would just rename the same eight knobs.
 #[allow(clippy::too_many_arguments)]
@@ -69,43 +80,27 @@ pub fn estimate_epochs(
     };
 
     let model = model_id.build(&train, seed);
-    let n_workers = 4; // estimation runs on a small local degree
-    let parts = lml_data::partition::partition_rows(train.len(), n_workers);
-    let batch = algo.batch_size(parts[0].len());
-    let mut workers: Vec<WorkerState> = parts
-        .iter()
-        .map(|p| WorkerState::new(p.worker, model.clone(), p.indices().collect(), batch))
-        .collect();
-
-    let part_len = parts[0].len() as f64;
-    let mut epochs = 0.0;
-    let mut loss = f64::INFINITY;
-    while epochs < max_epochs as f64 {
-        let mut stats = Vec::with_capacity(n_workers);
-        let mut ex0 = 0u64;
-        for w in workers.iter_mut() {
-            let (s, ex) = w.produce(&algo, &train, lr);
-            ex0 = ex0.max(ex);
-            stats.push(s);
-        }
-        let agg = sum_statistics(&stats);
-        for w in workers.iter_mut() {
-            w.consume(&algo, &agg, n_workers, lr);
-        }
-        epochs += ex0 as f64 / part_len;
-        loss = workers[0].eval_model(&algo).full_loss(&valid);
-        if loss <= threshold {
-            return EpochEstimate {
-                epochs,
-                reached: true,
-                final_loss: loss,
-            };
-        }
-    }
+    let workers = replicas(&model, train.len(), 4, &algo);
+    let ctx = DriverCtx {
+        train: &train,
+        valid: &valid,
+        algo,
+        schedule: LrSchedule::Const(lr),
+        stop: StopSpec::new(threshold, max_epochs),
+        eval_every: 1,
+        start_offset: SimTime::ZERO,
+    };
+    let Ok(out) = run_sync::<Infallible>(
+        &ctx,
+        workers,
+        &|_| SimTime::ZERO,
+        &mut |_, _, stats| Ok((sum_statistics(stats), SimTime::ZERO)),
+        &mut |t| t,
+    );
     EpochEstimate {
-        epochs,
-        reached: false,
-        final_loss: loss,
+        epochs: out.epochs,
+        reached: out.converged,
+        final_loss: out.curve.final_loss(),
     }
 }
 
@@ -262,6 +257,29 @@ em_km_higgs epochs=4028000000000000 final_loss=4039a15ff7963485 reached=false
             table == GOLDEN,
             "the estimator's bits moved; new table:\n{table}"
         );
+    }
+
+    /// With no epochs to train, the estimate is the untrained model's
+    /// validation loss (the loop's final observation), not +∞.
+    #[test]
+    fn zero_epochs_report_the_untrained_loss() {
+        let est = |threshold| {
+            estimate_epochs(
+                DatasetId::Higgs,
+                ModelId::Lr { l2: 0.0 },
+                Algorithm::GaSgd { batch: 500 },
+                0.5,
+                threshold,
+                0.05,
+                0,
+                1,
+            )
+        };
+        let cold = est(0.0);
+        assert_eq!(cold.epochs, 0.0);
+        assert!(!cold.reached);
+        assert!(cold.final_loss.is_finite() && cold.final_loss > 0.0);
+        assert!(est(f64::INFINITY).reached, "an untrained model meets +∞");
     }
 
     #[test]

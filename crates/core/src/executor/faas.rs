@@ -11,7 +11,7 @@
 
 use crate::config::{ChannelKind, Protocol};
 use crate::engine;
-use crate::executor::sync_driver::{replicas, run_backend, SyncBackend};
+use crate::executor::sync_driver::{run_backend, SyncBackend};
 use crate::executor::{check_lambda_memory, lambda_bill, partition_load_time};
 use crate::job::{JobError, TrainingJob};
 use crate::result::{Breakdown, CostBreakdown, RunResult};
@@ -19,6 +19,7 @@ use lml_comm::{Asp, Bsp, Pattern};
 use lml_faas::{InvocationPlan, LambdaSpec, LifetimeManager};
 use lml_models::AnyModel;
 use lml_optim::algorithm::Algorithm;
+use lml_optim::driver::replicas;
 use lml_optim::{CurvePoint, LossCurve};
 use lml_sim::{EventQueue, Pcg64, SimTime};
 use lml_storage::StorageChannel;
@@ -134,7 +135,7 @@ fn run_asp(
         load,
         rollover,
     } = setup(job, &model, spec, channel_kind)?;
-    let (mut workers, part_len) = replicas(job, &model, w);
+    let mut workers = replicas(&model, wl.train.len(), w, &cfg.algorithm);
     let scale_inv = wl.scale_inv();
     let nnz = engine::avg_nnz(&wl.train);
 
@@ -150,7 +151,7 @@ fn run_asp(
         .map(|_| LifetimeManager::with_overhead(rollover))
         .collect();
 
-    let eval_every = (cfg.resolved_eval_every(part_len) * w).max(1) as u64;
+    let eval_every = (cfg.resolved_eval_every(workers[0].partition_len()) * w).max(1) as u64;
 
     let mut queue: EventQueue<usize> = EventQueue::new();
     for wid in 0..w {
@@ -224,18 +225,9 @@ fn run_asp(
     let (_, gp) = asp.read_model(&mut channel)?;
     let mut final_model = model.clone();
     final_model.params_mut().copy_from_slice(&gp);
-    if curve.is_empty() || curve.last().map(|p| p.rounds) != Some(events) {
-        let loss = final_model.full_loss(&wl.valid);
-        if cfg.stop.converged(loss) {
-            converged = true;
-        }
-        curve.push(CurvePoint {
-            time: elapsed,
-            epoch: epochs,
-            rounds: events,
-            loss,
-        });
-    }
+    converged |= curve.close(&cfg.stop, elapsed, epochs, events, || {
+        final_model.full_loss(&wl.valid)
+    });
 
     // Billing: every worker is busy from fan-out to the end (async workers
     // never idle).

@@ -10,8 +10,9 @@
 //!   AllReduce.
 //! * [`hybrid`] — Cirrus-style Lambda workers + VM parameter server.
 //! * [`single`] — one machine (the COST sanity check).
-//! * [`sync_driver`] — the one synchronous runner the four synchronous
-//!   backends share; S-ASP (in [`faas`]) is the only other loop.
+//! * [`sync_driver`] — the one synchronous job runner the four synchronous
+//!   backends share, around `lml_optim::driver`'s loop; S-ASP (in
+//!   [`faas`]) is the only other loop.
 
 pub mod faas;
 pub mod hybrid;

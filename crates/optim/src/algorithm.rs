@@ -132,11 +132,6 @@ impl WorkerState {
         }
     }
 
-    /// Rows of this worker's partition.
-    pub fn partition(&self) -> &[usize] {
-        self.cursor.rows()
-    }
-
     pub fn partition_len(&self) -> usize {
         self.cursor.partition_len()
     }
@@ -315,6 +310,7 @@ fn sum_statistics_on(stats: &[Vec<f64>], threads: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::replicas;
     use lml_data::generators::DatasetId;
     use lml_data::partition::partition_rows;
     use lml_models::ModelId;
@@ -326,16 +322,11 @@ mod tests {
         model_id: ModelId,
         data: &Dataset,
         n: usize,
-        batch: usize,
         lr: f64,
         rounds: usize,
     ) -> f64 {
         let model = model_id.build(data, 7);
-        let parts = partition_rows(data.len(), n);
-        let mut workers: Vec<WorkerState> = parts
-            .iter()
-            .map(|p| WorkerState::new(p.worker, model.clone(), p.indices().collect(), batch))
-            .collect();
+        let mut workers = replicas(&model, data.len(), n, &algo);
         for _ in 0..rounds {
             let stats: Vec<Vec<f64>> = workers
                 .iter_mut()
@@ -359,7 +350,6 @@ mod tests {
             ModelId::Lr { l2: 0.0 },
             &data,
             4,
-            100,
             0.5,
             100,
         );
@@ -377,7 +367,6 @@ mod tests {
             ModelId::Lr { l2: 0.0 },
             &data,
             4,
-            100,
             0.5,
             20,
         );
@@ -396,7 +385,6 @@ mod tests {
             ModelId::Lr { l2: 0.0 },
             &data,
             4,
-            100,
             0.3,
             5,
         );
@@ -414,7 +402,6 @@ mod tests {
             ModelId::Lr { l2: 0.0 },
             &data,
             4,
-            100,
             0.5,
             rounds,
         );
@@ -427,7 +414,6 @@ mod tests {
             ModelId::Lr { l2: 0.0 },
             &data,
             4,
-            100,
             0.3,
             rounds,
         );
@@ -485,11 +471,7 @@ mod tests {
         let data = DatasetId::Higgs.generate_rows(400, 5).data;
         let algo = Algorithm::GaSgd { batch: 100 };
         let model = ModelId::Lr { l2: 0.0 }.build(&data, 1);
-        let parts = partition_rows(400, 4);
-        let mut workers: Vec<WorkerState> = parts
-            .iter()
-            .map(|p| WorkerState::new(p.worker, model.clone(), p.indices().collect(), 100))
-            .collect();
+        let mut workers = replicas(&model, 400, 4, &algo);
         let lr = 0.5;
         for _ in 0..3 {
             let stats: Vec<Vec<f64>> = workers
@@ -527,11 +509,7 @@ mod tests {
             local_iters: 3,
         };
         let model = ModelId::Lr { l2: 0.0 }.build(&data, 2);
-        let parts = partition_rows(300, 3);
-        let mut workers: Vec<WorkerState> = parts
-            .iter()
-            .map(|p| WorkerState::new(p.worker, model.clone(), p.indices().collect(), 30))
-            .collect();
+        let mut workers = replicas(&model, 300, 3, &algo);
         for _ in 0..4 {
             let stats: Vec<Vec<f64>> = workers
                 .iter_mut()

@@ -48,10 +48,6 @@ impl BatchCursor {
         self.rows.len()
     }
 
-    pub fn batch_size(&self) -> usize {
-        self.batch
-    }
-
     pub fn rows(&self) -> &[usize] {
         &self.rows
     }
@@ -93,8 +89,8 @@ mod tests {
 
     #[test]
     fn cursor_clamps_batch_to_partition() {
-        let c = BatchCursor::new(vec![1, 2], 100);
-        assert_eq!(c.batch_size(), 2);
+        let mut c = BatchCursor::new(vec![1, 2], 100);
+        assert_eq!(c.next_batch(), vec![1, 2]);
     }
 
     #[test]

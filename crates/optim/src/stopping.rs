@@ -84,6 +84,31 @@ impl LossCurve {
         self.points.last()
     }
 
+    /// Close a run that ended after `rounds` rounds: unless the last point
+    /// is already at `rounds`, push one at `(time, epoch, rounds)` with the
+    /// loss `eval` returns. Returns whether that new point meets `stop`'s
+    /// target (`false` when the curve already ended there).
+    pub fn close(
+        &mut self,
+        stop: &StopSpec,
+        time: SimTime,
+        epoch: f64,
+        rounds: u64,
+        eval: impl FnOnce() -> f64,
+    ) -> bool {
+        if self.last().map(|p| p.rounds) == Some(rounds) {
+            return false;
+        }
+        let loss = eval();
+        self.push(CurvePoint {
+            time,
+            epoch,
+            rounds,
+            loss,
+        });
+        stop.converged(loss)
+    }
+
     /// Final loss (∞ when nothing was recorded).
     pub fn final_loss(&self) -> f64 {
         self.points.last().map_or(f64::INFINITY, |p| p.loss)
@@ -152,6 +177,20 @@ mod tests {
         assert!(c.final_loss().is_infinite());
         assert_eq!(c.tail_oscillation(5), 0.0);
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn close_adds_the_final_point_once() {
+        let stop = StopSpec::new(0.6, 10);
+        let mut c = LossCurve::new();
+        assert!(
+            c.close(&stop, SimTime::ZERO, 0.0, 0, || 0.5),
+            "met at round 0"
+        );
+        assert_eq!(c.points().len(), 1);
+        assert!(!c.close(&stop, SimTime::ZERO, 0.0, 0, || unreachable!()));
+        assert!(!c.close(&stop, SimTime::secs(1.0), 1.0, 3, || 0.7));
+        assert_eq!((c.points().len(), c.final_loss()), (2, 0.7));
     }
 
     #[test]
