@@ -59,8 +59,8 @@ pub enum JobError {
     /// The (algorithm, model, backend) combination is invalid
     /// (e.g. ADMM on a neural network, §4.2).
     NotApplicable(String),
-    /// A `JobConfig` field holds a value no executor can run, e.g. zero
-    /// workers.
+    /// A `JobConfig` field, or the workload's training or validation set,
+    /// holds a value no executor can run, e.g. zero workers.
     InvalidConfig {
         field: &'static str,
         value: String,
@@ -140,6 +140,13 @@ impl<'a> TrainingJob<'a> {
         let workers = cfg.workers;
         let rows = self.workload.train.len();
         let partitioned = !matches!(cfg.backend, Backend::Single { .. });
+        if rows == 0 {
+            return invalid("train", "0 rows", "a job needs at least one training row");
+        }
+        if self.workload.valid.is_empty() {
+            let reason = "the validation loss needs at least one row";
+            return invalid("valid", "0 rows", reason);
+        }
         if workers == 0 {
             return invalid("workers", "0", "a job needs at least one worker");
         }
@@ -181,6 +188,15 @@ impl<'a> TrainingJob<'a> {
         }
         if cfg.stop.target_loss.is_nan() {
             return invalid("target_loss", "NaN", "no loss reaches a NaN target");
+        }
+        if cfg.stop.max_epochs == 0 {
+            return invalid("max_epochs", "0", "a job needs at least one epoch to train");
+        }
+        // +∞ is legal: `max_epochs` bounds the run.
+        let max_time = cfg.stop.max_time.as_secs();
+        if max_time.is_nan() || max_time <= 0.0 {
+            let reason = "the time cap must be positive";
+            return invalid("max_time", &max_time.to_string(), reason);
         }
         Ok(())
     }
@@ -386,6 +402,47 @@ mod tests {
             rejected_field(&wl, |c| c.stop.target_loss = f64::NAN),
             Some("target_loss")
         );
+    }
+
+    #[test]
+    fn zero_max_epochs_is_rejected() {
+        let wl = higgs400();
+        assert_eq!(
+            rejected_field(&wl, |c| c.stop.max_epochs = 0),
+            Some("max_epochs")
+        );
+    }
+
+    /// A NaN or non-positive time cap is rejected; +∞ runs, bounded by
+    /// `max_epochs`.
+    #[test]
+    fn nan_or_non_positive_max_time_is_rejected() {
+        let wl = higgs400();
+        for t in [f64::NAN, 0.0, -1.0] {
+            let cap = |c: &mut JobConfig| c.stop.max_time = lml_sim::SimTime::secs(t);
+            assert_eq!(rejected_field(&wl, cap), Some("max_time"), "{t}");
+        }
+        let unbounded = |c: &mut JobConfig| c.stop.max_time = lml_sim::SimTime::secs(f64::INFINITY);
+        assert_eq!(rejected_field(&wl, unbounded), None);
+    }
+
+    #[test]
+    fn empty_validation_set_is_rejected() {
+        let mut wl = higgs400();
+        wl.valid = wl.valid.subset(&[]);
+        assert_eq!(rejected_field(&wl, |_| {}), Some("valid"));
+    }
+
+    /// `Single` skips the workers-per-row check, so an empty training set
+    /// needs its own.
+    #[test]
+    fn empty_training_set_is_rejected() {
+        let mut wl = higgs400();
+        wl.train = wl.train.subset(&[]);
+        let single = Backend::Single {
+            instance: InstanceType::C5XLarge4,
+        };
+        assert_eq!(rejected_field(&wl, |c| c.backend = single), Some("train"));
     }
 
     #[test]
