@@ -9,13 +9,12 @@
 //! ETA, market reclaims and checkpoint restores, and deferral-vs-rejection
 //! calls at the budget boundary. A [`RecordingObserver`] captures all five
 //! streams (lifecycle transitions, decision audit, platform events,
-//! dispatch spans, windowed gauges) and the example then *proves* the
-//! trace is faithful:
-//!
-//! * the per-attempt spans re-sum — exactly, in f64 — to each job's
-//!   `JobRecord` queue/startup/run timings;
-//! * every deferred, rejected, and spot-admitted job has a
-//!   [`Decision`] record naming the prices and ETAs that decided it.
+//! dispatch spans, windowed gauges), and the example checks that the
+//! per-attempt spans re-sum — exactly, in f64 — to each job's `JobRecord`
+//! queue/startup/run timings. `tests/integration_observe.rs` holds the
+//! same check on a smaller fleet, and checks there that every deferred,
+//! rejected and spot-admitted job has a `Decision` record naming the
+//! prices and ETAs that decided it.
 //!
 //! Two files land in `target/fleet_trace/`: `trace.json` (schema
 //! `lml-fleet/trace/v1`) and `chrome_trace.json`. Load the latter at
@@ -24,8 +23,8 @@
 //! decisions and platform events as instants.
 
 use lambdaml::fleet::{
-    simulate_observed, ArrivalProcess, CheckpointPolicy, DeadlineAware, Decision, FleetConfig,
-    JobMix, RecordingObserver, Route, TenantSpec, Trace,
+    simulate_observed, ArrivalProcess, CheckpointPolicy, DeadlineAware, FleetConfig, JobMix,
+    RecordingObserver, TenantSpec, Trace,
 };
 use lambdaml::sim::SimTime;
 use std::path::Path;
@@ -106,62 +105,6 @@ fn main() {
         "every non-rejected job has dispatch spans"
     );
     println!("spans reconcile with JobRecord timings for all {dispatched} dispatched jobs ✓");
-
-    // Every deferred/rejected/spot-admitted job is explained: a decision
-    // record names the prices and ETAs that settled it.
-    let mut audited = 0;
-    for rec in &m.records {
-        let decisions: Vec<&Decision> = obs
-            .decisions
-            .iter()
-            .filter(|d| d.job == rec.id)
-            .map(|d| &d.decision)
-            .collect();
-        if rec.deferred {
-            assert!(
-                decisions.iter().any(|d| matches!(
-                    d,
-                    Decision::Defer {
-                        release_s: Some(_),
-                        ..
-                    }
-                )),
-                "deferred job {} lacks a priced Defer record",
-                rec.id
-            );
-            audited += 1;
-        }
-        if rec.rejected {
-            assert!(
-                decisions
-                    .iter()
-                    .any(|d| matches!(d, Decision::Reject { .. })),
-                "rejected job {} lacks a Reject record",
-                rec.id
-            );
-            audited += 1;
-        }
-        if !rec.rejected && rec.route == Route::Spot {
-            assert!(
-                decisions.iter().any(|d| matches!(
-                    d,
-                    Decision::Admit {
-                        route: Route::Spot,
-                        spot_eta_s: Some(_),
-                        ..
-                    }
-                )),
-                "spot job {} lacks an Admit record with its risk-adjusted ETA",
-                rec.id
-            );
-            audited += 1;
-        }
-    }
-    assert!(
-        m.deferred_jobs > 0 && m.jobs_on_spot > 0,
-        "premise: the workload exercises deferrals and spot admissions"
-    );
-    println!("{audited} deferred/rejected/spot admissions carry full decision audits ✓");
 
     // ---- Export -------------------------------------------------------
     let dir = Path::new(OUT_DIR);

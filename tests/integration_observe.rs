@@ -9,7 +9,7 @@
 use lambdaml::fleet::{
     simulate, simulate_observed, ArrivalProcess, CheckpointPolicy, DeadlineAware, Decision,
     FleetConfig, FleetMetrics, FleetObserver, JobLifecycle, JobMix, NullObserver, PlatformEvent,
-    RecordingObserver, ReplayStats, TenantSpec, Trace,
+    RecordingObserver, ReplayStats, Route, TenantSpec, Trace,
 };
 use lambdaml::sim::SimTime;
 
@@ -132,14 +132,65 @@ fn observer_streams_reconcile_with_metrics_record_for_record() {
     assert_eq!(done, m.n_jobs - m.rejected_jobs);
     assert_eq!(rejected, m.rejected_jobs);
 
+    // Every deferred, rejected and spot-admitted job is explained: a
+    // decision record names the prices and ETAs that settled it.
+    assert!(m.jobs_on_spot > 0, "premise: spot admissions fired");
+    for rec in &m.records {
+        let decisions: Vec<&Decision> = obs
+            .decisions
+            .iter()
+            .filter(|d| d.job == rec.id)
+            .map(|d| &d.decision)
+            .collect();
+        if rec.deferred {
+            assert!(
+                decisions.iter().any(|d| matches!(
+                    d,
+                    Decision::Defer {
+                        release_s: Some(_),
+                        ..
+                    }
+                )),
+                "deferred job {} lacks a priced Defer record",
+                rec.id
+            );
+        }
+        if rec.rejected {
+            assert!(
+                decisions
+                    .iter()
+                    .any(|d| matches!(d, Decision::Reject { .. })),
+                "rejected job {} lacks a Reject record",
+                rec.id
+            );
+        }
+        if !rec.rejected && rec.route == Route::Spot {
+            assert!(
+                decisions.iter().any(|d| matches!(
+                    d,
+                    Decision::Admit {
+                        route: Route::Spot,
+                        spot_eta_s: Some(_),
+                        ..
+                    }
+                )),
+                "spot job {} lacks an Admit record with its risk-adjusted ETA",
+                rec.id
+            );
+        }
+    }
+
     // Span timings re-sum to the JobRecord columns exactly (same f64
-    // operations, same bits) — the invariant the Chrome export rides on.
-    for (job, queue, startup, run) in obs.span_timings() {
+    // operations, same bits) — the invariant the Chrome export rides on —
+    // and every job that was not rejected has spans.
+    let timings = obs.span_timings();
+    for &(job, queue, startup, run) in &timings {
         let rec = m.records.iter().find(|r| r.id == job).unwrap();
         assert_eq!(queue, rec.queue.as_secs());
         assert_eq!(startup, rec.startup.as_secs());
         assert_eq!(run, rec.run.as_secs());
     }
+    assert_eq!(timings.len(), m.n_jobs - m.rejected_jobs);
 }
 
 #[test]
