@@ -14,17 +14,18 @@ use lml_sim::Pcg64;
 
 /// `nominal=` is `nominal_runtime`'s seconds as hex. `truth=` is an FNV-1a
 /// over the class cache's `faas.run`, `faas.dollars`, `epoch_secs` and
-/// `epochs_total`; `estimate=` one over all eight `Estimate` fields of a
-/// cold and then a memoised `Analytic::predict`, with the class's epochs
-/// pinned in about half the cases. A mismatch prints the whole new table
+/// `epochs_total`; `ckpt=` one over its checkpoint write seconds and
+/// dollars and read time and dollars; `estimate=` one over all eight
+/// `Estimate` fields of a cold and then a memoised `Analytic::predict`,
+/// with the class's epochs pinned in about half the cases. A mismatch prints the whole new table
 /// to paste over this one.
 const GOLDEN: &str = "\
-lr-higgs nominal=404bd36ad7df3c5c truth=e5824d545857ee6e estimate=cea9337678c2b901
-svm-rcv1 nominal=4032efb8270250b1 truth=16f1eeed801ecfb4 estimate=2d99c6d9df2bdb89
-km-higgs nominal=406e96ad9a332d13 truth=3e01568db04cf1f6 estimate=3f79c955ec5057a9
-lr-yfcc nominal=4047ffb3c9f22456 truth=296fe7425d634ec9 estimate=42dd71050a003679
-mn-cifar nominal=40d3886a56a56a56 truth=1f4e196d5e403aed estimate=74129c7b05b42cbd
-rn-cifar nominal=41070cda17a17a18 truth=229290d40ffc86d7 estimate=ea6cf9c4d01f5bf5
+lr-higgs nominal=404bd36ad7df3c5c truth=e5824d545857ee6e ckpt=87a8e2b472ca6085 estimate=cea9337678c2b901
+svm-rcv1 nominal=4032efb8270250b1 truth=16f1eeed801ecfb4 ckpt=586baee1db0450b5 estimate=2d99c6d9df2bdb89
+km-higgs nominal=406e96ad9a332d13 truth=3e01568db04cf1f6 ckpt=70a9c784781bb015 estimate=3f79c955ec5057a9
+lr-yfcc nominal=4047ffb3c9f22456 truth=296fe7425d634ec9 ckpt=c0fd1ccd83b26bb5 estimate=42dd71050a003679
+mn-cifar nominal=40d3886a56a56a56 truth=1f4e196d5e403aed ckpt=1cce8f2b70f73455 estimate=74129c7b05b42cbd
+rn-cifar nominal=41070cda17a17a18 truth=229290d40ffc86d7 ckpt=077218773221f175 estimate=ea6cf9c4d01f5bf5
 ";
 
 #[test]
@@ -34,11 +35,11 @@ fn truth_estimate_and_yardstick_match_the_golden_table() {
         bytes.iter().fold(h, fold)
     };
     let offset = 0xcbf2_9ce4_8422_2325_u64;
-    let mut lines = JobClass::ALL.map(|class| (class, offset, offset));
+    let mut lines = JobClass::ALL.map(|class| (class, offset, offset, offset));
     let mut rng = Pcg64::new(0x9e1c_e5ea);
     // 1,200 cases, dealt to the six classes in turn.
     for _ in 0..200 {
-        for (class, truth, estimate) in &mut lines {
+        for (class, truth, ckpt, estimate) in &mut lines {
             let (class, w) = (*class, 1 + rng.index(1_000));
             // The two §5.3 cases this stream also drew for the seam itself.
             let _ = (rng.index(4), rng.index(4));
@@ -69,6 +70,15 @@ fn truth_estimate_and_yardstick_match_the_golden_table() {
                 *truth = fnv(*truth, &v.to_bits().to_le_bytes());
             }
             *truth = fnv(*truth, &c.epochs_total.to_le_bytes());
+            let ckpt_fields = [
+                c.ckpt_write_secs,
+                c.ckpt_write_dollars.as_usd(),
+                c.ckpt_read_time.as_secs(),
+                c.ckpt_read_dollars.as_usd(),
+            ];
+            for v in ckpt_fields {
+                *ckpt = fnv(*ckpt, &v.to_bits().to_le_bytes());
+            }
 
             let mut analytic = Analytic::new();
             if let Some(epochs) = pinned {
@@ -87,9 +97,9 @@ fn truth_estimate_and_yardstick_match_the_golden_table() {
     }
     let table: String = lines
         .iter()
-        .map(|(class, truth, estimate)| {
+        .map(|(class, truth, ckpt, estimate)| {
             format!(
-                "{} nominal={:016x} truth={truth:016x} estimate={estimate:016x}\n",
+                "{} nominal={:016x} truth={truth:016x} ckpt={ckpt:016x} estimate={estimate:016x}\n",
                 class.name(),
                 class.nominal_runtime().as_secs().to_bits(),
             )
