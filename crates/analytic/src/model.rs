@@ -288,15 +288,15 @@ mod tests {
     }
 
     /// One line per [`AnalyticCase`] constructor, over its share of 2,000
-    /// random workloads at perfect or power-law scaling: an FNV-1a over the
+    /// random workloads at perfect scaling: an FNV-1a over the
     /// `to_bits` of [`time`], of [`cost`] and of [`price`]'s three fields,
     /// each on both substrates. A moved column names the formula that
     /// moved; the failure prints the whole new table to paste over it.
     const GOLDEN: &str = "\
-faas_s3 time=488b7196e8245c96 cost=d539e99dac76737a price=f86bb458fb5f9b19
-faas_elasticache time=6238bea99db8f606 cost=26a98c9e33ab0613 price=3015b2dd43a18435
-iaas_t2 time=435cd8dc278940d4 cost=a6d0cff5bac260c5 price=f5af2e68a52ea7de
-iaas_c5 time=54fab1c36eb283c4 cost=b48005be3eb3be72 price=3c70c8ed04edaed3
+faas_s3 time=fd2fcfc6c3769fa0 cost=221614040b83ae70 price=62d3219e63222594
+faas_elasticache time=d16061b93fab7be4 cost=14df07743f6567df price=c2bfc5ee0d58fd63
+iaas_t2 time=caf6d95b2cdef2b7 cost=9bef1b854c3bd8bc price=3f789e5d014805de
+iaas_c5 time=df3b9f90f991fd3b cost=bd05a58db089bd4b price=b0d156ef910fffc6
 ";
 
     #[test]
@@ -327,17 +327,16 @@ iaas_c5 time=54fab1c36eb283c4 cost=b48005be3eb3be72 price=3c70c8ed04edaed3
                     rounds_per_epoch: rng.range(0.01, 2_000.0),
                     compute_per_epoch: rng.range(0.1, 20_000.0),
                 };
-                let scaling = if rng.coin(0.5) {
-                    Scaling::Perfect
-                } else {
-                    Scaling::Power {
-                        alpha: rng.range(0.0, 1.0),
-                    }
-                };
                 let w = 1 + rng.index(1_000);
                 for s in [Faas, Iaas] {
-                    *time_h = fnv(*time_h, time(&p, c, s, scaling, w).as_secs().to_bits());
-                    *cost_h = fnv(*cost_h, cost(&p, c, s, scaling, w).as_usd().to_bits());
+                    *time_h = fnv(
+                        *time_h,
+                        time(&p, c, s, Scaling::Perfect, w).as_secs().to_bits(),
+                    );
+                    *cost_h = fnv(
+                        *cost_h,
+                        cost(&p, c, s, Scaling::Perfect, w).as_usd().to_bits(),
+                    );
                     let got = price(&p, c, s, w);
                     for v in [
                         got.startup.as_secs(),
