@@ -11,8 +11,6 @@
 //! * [`link`] — latency + bandwidth transfer-time model.
 //! * [`table`] — piecewise-linear lookup tables (e.g. cluster start-up time
 //!   as a function of worker count, Table 6 of the paper).
-//! * [`resource`] — a FIFO bandwidth resource used to model contention on a
-//!   shared service (storage channel, parameter server).
 //! * [`events`] — the earliest-first event queue ([`EventQueue`]) that
 //!   the fleet simulator's replay loop and the asynchronous S-ASP
 //!   executor run on.
@@ -29,7 +27,6 @@ pub mod events;
 pub mod link;
 pub mod money;
 pub mod par;
-pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod table;
@@ -39,7 +36,6 @@ pub use bytes::ByteSize;
 pub use events::EventQueue;
 pub use link::Link;
 pub use money::Cost;
-pub use resource::FifoResource;
 pub use rng::Pcg64;
 pub use table::PiecewiseLinear;
 pub use time::SimTime;

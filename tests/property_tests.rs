@@ -12,7 +12,7 @@ use lambdaml::comm::patterns::{chunk_ranges, reduce, Pattern};
 use lambdaml::data::libsvm;
 use lambdaml::faas::LifetimeManager;
 use lambdaml::linalg::SparseVec;
-use lambdaml::sim::{ByteSize, EventQueue, FifoResource, Pcg64, PiecewiseLinear, SimTime};
+use lambdaml::sim::{ByteSize, EventQueue, Pcg64, PiecewiseLinear, SimTime};
 use lambdaml::storage::{ServiceProfile, StorageChannel};
 
 /// Number of random cases per property.
@@ -146,37 +146,6 @@ fn piecewise_linear_interpolates() {
         assert!(
             v >= lo - 1e-9 && v <= hi + 1e-9,
             "case {seed}: {v} outside [{lo}, {hi}]"
-        );
-    }
-}
-
-/// A FIFO resource never finishes an op before `arrival + service` and total
-/// throughput never exceeds aggregate bandwidth.
-#[test]
-fn fifo_resource_is_conservative() {
-    for (seed, mut rng) in cases(5) {
-        let n_ops = 1 + rng.index(29);
-        let parallelism = 1 + rng.index(7);
-        let ops: Vec<(f64, u64)> = (0..n_ops)
-            .map(|_| (rng.range(0.0, 100.0), 1 + rng.below(50_000_000)))
-            .collect();
-        let bw = 100e6;
-        let mut r = FifoResource::new(bw, 0.0, parallelism);
-        let mut total_bytes = 0u64;
-        let mut max_finish: f64 = 0.0;
-        let mut min_arrival = f64::INFINITY;
-        for &(arrival, bytes) in &ops {
-            let done = r.submit(SimTime::secs(arrival), ByteSize::bytes(bytes));
-            let service = bytes as f64 / (bw / parallelism as f64);
-            assert!(done.as_secs() >= arrival + service - 1e-9, "case {seed}");
-            total_bytes += bytes;
-            max_finish = max_finish.max(done.as_secs());
-            min_arrival = min_arrival.min(arrival);
-        }
-        // Conservation: you cannot move N bytes faster than N/bandwidth.
-        assert!(
-            max_finish - min_arrival >= total_bytes as f64 / bw - 1e-6,
-            "case {seed}"
         );
     }
 }
