@@ -16,7 +16,8 @@ use crate::executor::{check_lambda_memory, lambda_bill, partition_load_time};
 use crate::job::{JobError, TrainingJob};
 use crate::result::{Breakdown, CostBreakdown, RunResult};
 use lml_comm::{Asp, Bsp, Pattern};
-use lml_faas::{InvocationPlan, LambdaSpec, LifetimeManager};
+use lml_faas::startup::{faas_startup_time, INVOKE_LATENCY};
+use lml_faas::{LambdaSpec, LifetimeManager};
 use lml_models::AnyModel;
 use lml_optim::algorithm::Algorithm;
 use lml_optim::driver::replicas;
@@ -57,10 +58,10 @@ fn setup(
     check_lambda_memory(job, model, spec)?;
 
     let channel = StorageChannel::new(channel_kind.profile());
-    let plan = InvocationPlan::fan_out(w, wl.spec.name);
     // The channel must be provisioned before the functions start
-    // ("we trigger Lambda functions after ... Memcached is launched").
-    let startup = channel.startup() + plan.startup_time();
+    // ("we trigger Lambda functions after ... Memcached is launched"); then
+    // the starter's one invoke call fans out to all `w` workers (§3.3.1).
+    let startup = channel.startup() + (INVOKE_LATENCY + faas_startup_time(w));
     let load = partition_load_time(&wl.spec, w);
     // Lifetime rollover: checkpoint write + read on the channel, then
     // reload the data partition from S3.

@@ -13,17 +13,15 @@
 //!   drives the paper's cost results.
 //!
 //! Modules: [`lambda`] (function specs, memory checks, billing),
-//! [`startup`] (cold-start model), [`lifetime`] (15-minute rollover logic),
-//! [`invoke`] (hierarchical starter→worker triggering).
+//! [`startup`] (cold-start model: one starter invoke plus `t_F(w)`),
+//! [`lifetime`] (15-minute rollover logic).
 
 #![forbid(unsafe_code)]
 
-pub mod invoke;
 pub mod lambda;
 pub mod lifetime;
 pub mod startup;
 
-pub use invoke::InvocationPlan;
 pub use lambda::{FaasError, GbSecondsMeter, LambdaSpec};
 pub use lifetime::LifetimeManager;
 pub use startup::faas_startup_time;
