@@ -226,7 +226,7 @@ const POLICIES: Sweep = Sweep {
 
 /// `fleet_recovery`: checkpoint policy × spot fraction × preemption rate
 /// on a spot-heavy fair-share fleet. Epoch-granular checkpoints (priced
-/// through the S3 profile) buy back lost-work seconds: resumes replace
+/// through DynamoDB or S3 by size) buy back lost-work seconds: resumes replace
 /// from-scratch restarts, and the bill shrinks with them.
 const RECOVERY: Sweep = Sweep {
     name: "fleet_recovery",

@@ -123,7 +123,6 @@ pub use scheduler::{
 };
 pub use sim::{
     replay, replay_observed, replay_stats, simulate, simulate_observed, FleetConfig, ReplaySummary,
-    CHECKPOINT_TIER_THRESHOLD,
 };
 pub use stream::{GeneratorSource, InMemorySource, TextSource, TraceSource};
 pub use workload::{ArrivalProcess, JobMix, TenantSpec, Trace};

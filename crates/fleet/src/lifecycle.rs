@@ -24,7 +24,7 @@
 //! epochs a job on the preemptible tier uploads a recovery checkpoint.
 //! Uploads are asynchronous (a background stream to the store): training
 //! is not paused, but a checkpoint only becomes *durable* once its write —
-//! priced through `lml-storage`'s S3 profile — completes. A preemption
+//! priced through `lml-storage`'s checkpoint store — completes. A preemption
 //! rolls the job back to its last durable checkpoint instead of to zero;
 //! everything after it is counted as lost work.
 //!

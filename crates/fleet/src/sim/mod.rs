@@ -82,7 +82,7 @@ use crate::scheduler::{QueueDiscipline, Scheduler};
 use crate::stream::{InMemorySource, TraceSource};
 use crate::workload::Trace;
 use lml_analytic::model::{price, Price, Substrate};
-use lml_sim::{ByteSize, Cost, EventQueue, SimTime};
+use lml_sim::{Cost, EventQueue, SimTime};
 use lml_storage::checkpoint::{checkpoint_bytes, CheckpointCosting};
 use std::collections::BTreeMap;
 
@@ -112,8 +112,8 @@ pub struct FleetConfig {
     /// The preemptible tier (only exercised when a policy routes there).
     pub spot: SpotConfig,
     /// Recovery-checkpoint policy for spot-routed jobs (uploads are priced
-    /// by size class — see [`CHECKPOINT_TIER_THRESHOLD`]); `Never`
-    /// reproduces the PR 2 lose-everything behaviour.
+    /// by size class — see [`lml_storage::checkpoint::TIER_THRESHOLD`]);
+    /// `Never` reproduces the PR 2 lose-everything behaviour.
     pub checkpoint: CheckpointPolicy,
     /// Zoo miscalibration knob: the *actual* epochs every job needs are
     /// the class's calibrated count times this factor, while schedulers'
@@ -143,18 +143,6 @@ pub struct FleetConfig {
     /// rejecting the jobs deferral can only doom.
     pub rejection_cost: f64,
 }
-
-/// Checkpoint storage-class threshold: recovery checkpoints at or under
-/// this size go through the DynamoDB profile (per-unit puts, 30 ms latency
-/// — right for tiny convex models), larger ones through S3. It is the
-/// cost break-even where DynamoDB's per-KB write units (4 × $1.25e-6)
-/// meet S3's flat $5e-6 PUT: at or under it DynamoDB is never dearer and
-/// always faster (30 ms vs 80 ms), so tiering is strictly dominant; above
-/// it S3's flat request price wins on dollars. The storage-class choice
-/// itself is made by `lml_storage::checkpoint::CheckpointCosting::tiered`,
-/// which every replay prices checkpoints through (its all-S3 alternative,
-/// `CheckpointCosting::s3`, is exercised by `lml-storage`'s own tests).
-pub const CHECKPOINT_TIER_THRESHOLD: ByteSize = ByteSize(4_000);
 
 impl Default for FleetConfig {
     fn default() -> Self {
@@ -294,7 +282,7 @@ impl<'a> Fleet<'a> {
             faas: FaasRegion::new(cfg.faas),
             iaas: IaasPool::new(cfg.iaas),
             spot: SpotTier::new(cfg.spot, seed),
-            ckpt: CheckpointCosting::tiered(CHECKPOINT_TIER_THRESHOLD),
+            ckpt: CheckpointCosting::tiered(),
             slab: Slab::new(len_hint),
             class_cache: [None; N_CLASSES],
             events: EventQueue::new(),

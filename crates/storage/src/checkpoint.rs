@@ -8,18 +8,16 @@
 //!
 //! Write/read time and dollars go through the same [`ServiceProfile`]
 //! channel model as every other storage operation in the repository
-//! (`L + m/B`, per-request billing). By default recovery checkpoints go
-//! through the S3 profile: always-on, no node to keep warm, and the
-//! per-PUT price is flat regardless of object size — exactly the
-//! "checkpoint to object storage" pattern serverless frameworks use.
-//!
-//! S3's flat per-request price is the wrong deal for *tiny* convex-model
-//! checkpoints, though: DynamoDB bills per KB-unit (a 448 B LR checkpoint
-//! costs one write unit, 4× less than an S3 PUT) and answers in 30 ms
-//! instead of 80 ms — but caps items at 400 KB, so deep-model checkpoints
-//! don't fit. [`CheckpointCosting::tiered`] makes the storage-class
-//! choice per checkpoint: DynamoDB at or under a size threshold, S3
-//! above it.
+//! (`L + m/B`, per-request billing). There is one checkpoint store,
+//! [`CheckpointCosting::tiered`], and it makes a storage-class choice per
+//! checkpoint: DynamoDB at or under [`TIER_THRESHOLD`], S3 above it.
+//! S3 is always-on, has no node to keep warm, and charges a flat per-PUT
+//! price whatever the object's size, the "checkpoint to object storage"
+//! pattern serverless frameworks use. That flat price is the wrong deal
+//! for *tiny* convex-model checkpoints, though: DynamoDB bills per KB unit
+//! (a 448 B LR checkpoint costs one write unit, 4× less than an S3 PUT)
+//! and answers in 30 ms instead of 80 ms, but caps items at 400 KB, so
+//! deep-model checkpoints don't fit.
 
 use crate::profile::ServiceProfile;
 use lml_sim::{ByteSize, Cost, SimTime};
@@ -37,8 +35,16 @@ pub fn checkpoint_bytes(model_bytes: f64) -> ByteSize {
     ByteSize::bytes((model_bytes * CHECKPOINT_AUX_FACTOR).ceil() as u64)
 }
 
-/// Checkpoint write/read pricing against a storage service profile — or
-/// two of them, with a per-checkpoint storage-class choice.
+/// The storage-class threshold: checkpoints at or under this size go
+/// through DynamoDB, larger ones through S3. It is the cost break-even
+/// where DynamoDB's per-KB write units (4 × $1.25e-6) meet S3's flat $5e-6
+/// PUT: at or under it DynamoDB is never dearer and always faster (30 ms
+/// vs 80 ms), so tiering is strictly dominant; above it S3's flat request
+/// price wins on dollars. It sits far below DynamoDB's 400 KB item cap.
+pub const TIER_THRESHOLD: ByteSize = ByteSize(4_000);
+
+/// Checkpoint write/read pricing: DynamoDB or S3, chosen per checkpoint
+/// by size.
 ///
 /// The costing is stateless: both operations follow the chosen profile's
 /// single-stream channel model (`latency + bytes / stream_bw`) and its
@@ -47,61 +53,30 @@ pub fn checkpoint_bytes(model_bytes: f64) -> ByteSize {
 /// gradient storm the [`crate::channel::StorageChannel`] models.
 #[derive(Debug, Clone)]
 pub struct CheckpointCosting {
-    profile: ServiceProfile,
-    /// Small-object tier: checkpoints at or under the threshold (that the
-    /// service also admits) go through this profile instead.
-    small: Option<(ServiceProfile, ByteSize)>,
+    /// Checkpoints at or under [`TIER_THRESHOLD`].
+    small: ServiceProfile,
+    /// Everything larger.
+    large: ServiceProfile,
 }
 
 impl CheckpointCosting {
-    pub fn new(profile: ServiceProfile) -> Self {
-        assert!(
-            profile.stream_bw > 0.0,
-            "checkpoint store needs positive bandwidth"
-        );
+    /// The checkpoint store: DynamoDB for checkpoints at or under
+    /// [`TIER_THRESHOLD`] (tiny convex models — cheaper per-unit puts,
+    /// 30 ms latency), S3 for everything larger.
+    pub fn tiered() -> Self {
         CheckpointCosting {
-            profile,
-            small: None,
-        }
-    }
-
-    /// The default checkpoint store: S3 for everything.
-    pub fn s3() -> Self {
-        CheckpointCosting::new(ServiceProfile::s3())
-    }
-
-    /// The storage-class choice: DynamoDB for checkpoints at or under
-    /// `threshold` (tiny convex models — cheaper per-unit puts, 30 ms
-    /// latency), S3 for everything larger (deep models blow DynamoDB's
-    /// 400 KB item cap). A zero threshold degenerates to all-S3.
-    pub fn tiered(threshold: ByteSize) -> Self {
-        let dynamo = ServiceProfile::dynamodb();
-        assert!(
-            dynamo.admits(threshold),
-            "threshold must fit DynamoDB's item cap"
-        );
-        CheckpointCosting {
-            profile: ServiceProfile::s3(),
-            small: Some((dynamo, threshold)),
+            small: ServiceProfile::dynamodb(),
+            large: ServiceProfile::s3(),
         }
     }
 
     /// The profile a checkpoint of this size is routed through.
     pub fn profile_for(&self, bytes: ByteSize) -> &ServiceProfile {
-        match &self.small {
-            Some((p, threshold)) if bytes <= *threshold && p.admits(bytes) => p,
-            _ => &self.profile,
+        if bytes <= TIER_THRESHOLD {
+            &self.small
+        } else {
+            &self.large
         }
-    }
-
-    /// The large-object (default) profile.
-    pub fn profile(&self) -> &ServiceProfile {
-        &self.profile
-    }
-
-    /// Does the chosen service admit an object of this size at all?
-    pub fn admits(&self, bytes: ByteSize) -> bool {
-        self.profile_for(bytes).admits(bytes)
     }
 
     /// Wall-clock time of one checkpoint upload: `L + m/B`.
@@ -131,6 +106,7 @@ impl CheckpointCosting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::ServiceKind;
 
     #[test]
     fn checkpoint_size_scales_the_model() {
@@ -144,80 +120,73 @@ mod tests {
 
     #[test]
     fn s3_write_time_follows_the_channel_model() {
-        let c = CheckpointCosting::s3();
+        let c = CheckpointCosting::tiered();
         // 65 MB at 65 MB/s + 80 ms latency = 1.08 s.
         let t = c.write_time(ByteSize::mb(65.0));
         assert!((t.as_secs() - 1.08).abs() < 1e-9, "{t}");
         // Reads pay the same channel.
         assert_eq!(c.read_time(ByteSize::mb(65.0)), t);
-        // A tiny checkpoint is latency-bound.
-        assert!((c.write_time(ByteSize::bytes(448)).as_secs() - 0.08).abs() < 1e-4);
+        // A tiny checkpoint goes to DynamoDB and is latency-bound.
+        assert!((c.write_time(ByteSize::bytes(448)).as_secs() - 0.03).abs() < 1e-4);
     }
 
     #[test]
     fn s3_checkpoint_dollars_are_flat_per_request() {
-        let c = CheckpointCosting::s3();
+        let c = CheckpointCosting::tiered();
+        // ResNet50: a 178 MB checkpoint pays one flat S3 PUT.
+        let deep = checkpoint_bytes(89e6);
+        assert_eq!(c.write_dollars(deep), Cost::usd(5e-6));
         assert_eq!(c.write_dollars(ByteSize::gb(1.0)), Cost::usd(5e-6));
-        assert_eq!(c.write_dollars(ByteSize::bytes(1)), Cost::usd(5e-6));
-        assert_eq!(c.read_dollars(ByteSize::mb(178.0)), Cost::usd(4e-7));
-        assert!(c.admits(ByteSize::gb(5.0)));
+        assert_eq!(c.read_dollars(deep), Cost::usd(4e-7));
     }
 
     #[test]
     fn dynamodb_costing_respects_the_item_cap() {
-        let c = CheckpointCosting::new(ServiceProfile::dynamodb());
-        assert!(c.admits(ByteSize::kb(399.0)));
-        assert!(!c.admits(ByteSize::mb(178.0)), "deep checkpoints don't fit");
+        let c = CheckpointCosting::tiered();
+        // Everything DynamoDB is handed fits its 400 KB item cap …
+        assert!(ServiceProfile::dynamodb().admits(TIER_THRESHOLD));
+        // … and what it would still admit above the threshold goes to S3.
+        let kind = |b: ByteSize| c.profile_for(b).kind;
+        assert_eq!(kind(ByteSize::kb(399.0)), ServiceKind::S3);
+        assert_eq!(kind(ByteSize::mb(178.0)), ServiceKind::S3);
     }
 
     #[test]
     fn tiered_store_routes_by_size() {
-        use crate::profile::ServiceKind;
-        let c = CheckpointCosting::tiered(ByteSize::kb(400.0));
-        // LR/Higgs: 448 B checkpoint → DynamoDB.
+        let c = CheckpointCosting::tiered();
+        let kind = |b: ByteSize| c.profile_for(b).kind;
+        // LR/Higgs: 448 B checkpoint → DynamoDB, one write unit.
         let tiny = checkpoint_bytes(224.0);
-        assert_eq!(c.profile_for(tiny).kind, ServiceKind::DynamoDb);
-        // ResNet50: 178 MB checkpoint → S3 (blows the item cap).
+        assert_eq!(kind(tiny), ServiceKind::DynamoDb);
+        assert_eq!(c.write_dollars(tiny), Cost::usd(1.25e-6));
+        // ResNet50: 178 MB checkpoint → S3 at the flat PUT price.
         let deep = checkpoint_bytes(89e6);
-        assert_eq!(c.profile_for(deep).kind, ServiceKind::S3);
-        assert!(c.admits(deep), "the S3 side admits deep checkpoints");
-        // The threshold knob bites below the item cap too: at 100 B even
-        // the tiny checkpoint goes to S3.
-        let strict = CheckpointCosting::tiered(ByteSize::bytes(100));
-        assert_eq!(strict.profile_for(tiny).kind, ServiceKind::S3);
-        // Zero threshold degenerates to all-S3.
-        let off = CheckpointCosting::tiered(ByteSize::ZERO);
-        assert_eq!(off.profile_for(tiny).kind, ServiceKind::S3);
+        assert_eq!(kind(deep), ServiceKind::S3);
+        assert_eq!(c.write_dollars(deep), Cost::usd(5e-6));
+        // The threshold is inclusive.
+        assert_eq!(kind(ByteSize::bytes(4_000)), ServiceKind::DynamoDb);
+        assert_eq!(kind(ByteSize::bytes(4_001)), ServiceKind::S3);
     }
 
     #[test]
     fn tiny_checkpoints_are_cheaper_and_faster_on_dynamodb() {
-        let tiered = CheckpointCosting::tiered(ByteSize::kb(400.0));
-        let s3 = CheckpointCosting::s3();
+        let c = CheckpointCosting::tiered();
+        let s3 = ServiceProfile::s3();
         let tiny = checkpoint_bytes(224.0); // 448 B LR/Higgs checkpoint
-                                            // Cost comparison: one DynamoDB write unit ($1.25e-6) vs a flat S3
-                                            // PUT ($5e-6) — 4× cheaper; reads $0.25e-6 vs $4e-7.
-        assert_eq!(tiered.write_dollars(tiny), Cost::usd(1.25e-6));
-        assert_eq!(s3.write_dollars(tiny), Cost::usd(5e-6));
-        assert!(tiered.write_dollars(tiny) < s3.write_dollars(tiny));
-        assert!(tiered.read_dollars(tiny) < s3.read_dollars(tiny));
+                                            // One DynamoDB write unit ($1.25e-6) vs a flat S3 PUT ($5e-6),
+                                            // 4× cheaper; reads $0.25e-6 vs $4e-7.
+        assert!(c.write_dollars(tiny) < s3.put_price.price(tiny));
+        assert!(c.read_dollars(tiny) < s3.get_price.price(tiny));
         // Latency: 30 ms vs 80 ms dominates a 448 B transfer.
-        assert!(tiered.write_time(tiny) < s3.write_time(tiny));
-        assert!(tiered.read_time(tiny) < s3.read_time(tiny));
-        // Deep checkpoints price identically to plain S3 under the tiered
-        // store — the choice only redirects what DynamoDB can hold.
-        let deep = checkpoint_bytes(89e6);
-        assert_eq!(tiered.write_dollars(deep), s3.write_dollars(deep));
-        assert_eq!(tiered.write_time(deep), s3.write_time(deep));
-        // But a *mid-size* checkpoint under the cap would be dearer on
-        // DynamoDB's per-KB billing: 300 KB = 300 units = $375e-6 ≫ $5e-6.
-        let mid = ByteSize::kb(300.0);
-        assert!(tiered.write_dollars(mid) > s3.write_dollars(mid));
-    }
-
-    #[test]
-    #[should_panic(expected = "item cap")]
-    fn tiered_threshold_must_fit_dynamodb() {
-        CheckpointCosting::tiered(ByteSize::mb(1.0));
+        assert!(c.write_time(tiny) < s3.latency);
+        assert!(c.read_time(tiny) < s3.latency);
+        // The threshold is the write break-even: 4,000 B is four DynamoDB
+        // units, exactly one S3 PUT; one byte more would be five units,
+        // dearer than S3's flat price.
+        let dynamo = ServiceProfile::dynamodb();
+        let at = TIER_THRESHOLD;
+        let above = ByteSize::bytes(TIER_THRESHOLD.as_bytes() + 1);
+        assert_eq!(c.write_dollars(at), s3.put_price.price(at));
+        assert!(dynamo.put_price.price(above) > c.write_dollars(above));
     }
 }

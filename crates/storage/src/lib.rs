@@ -18,9 +18,10 @@
 //! * [`channel`] — [`channel::StorageChannel`]: store + profile + contention
 //!   model + request/node billing. All executor communication goes through
 //!   this type.
-//! * [`checkpoint`] — recovery-checkpoint sizing from model dims and
-//!   write/read time+dollar costing through a service profile (the fleet
-//!   simulator's spot recovery prices checkpoints through the S3 profile).
+//! * [`checkpoint`] — recovery-checkpoint sizing from model dims and the
+//!   one checkpoint store the fleet simulator's spot recovery prices
+//!   through: write/read time and dollars on DynamoDB at or under 4,000 B,
+//!   on S3 above.
 
 #![forbid(unsafe_code)]
 

@@ -5,8 +5,8 @@
 //!
 //! A spot-heavy fleet rides a market that reclaims instances every ~15
 //! minutes. Without checkpoints every preemption throws away the whole
-//! run; with them (priced through the S3 profile: write time, PUT/GET
-//! dollars) a preempted job resumes from its last durable checkpoint —
+//! run; with them (priced through DynamoDB or S3 by size: write time,
+//! PUT/GET dollars) a preempted job resumes from its last durable checkpoint —
 //! on a fresh spot cluster, or on the reserved pool once the retry budget
 //! is spent. The lifecycle of every job moves through the same explicit
 //! state machine: Queued → Booting → Running{epochs} → Checkpointing →
