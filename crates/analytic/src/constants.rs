@@ -34,10 +34,6 @@ pub fn t_i() -> &'static PiecewiseLinear {
 pub const B_S3: f64 = 65e6;
 /// S3 latency, seconds.
 pub const L_S3: f64 = 8e-2;
-/// EBS (gp2) bandwidth.
-pub const B_EBS: f64 = 1_950e6;
-/// EBS latency.
-pub const L_EBS: f64 = 3e-5;
 /// VM network bandwidth, t2.medium↔t2.medium.
 pub const B_N_T2: f64 = 120e6;
 /// VM network latency, t2.

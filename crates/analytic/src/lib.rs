@@ -8,19 +8,23 @@
 //! ```
 //!
 //! (ρ = communication rounds per epoch; the paper's formula absorbs it into
-//! R.) The green/red terms of the paper map to: FaaS wins start-up, IaaS
+//! R.) The convergence-scaling factor `f(w)` is 1 here, the value the
+//! paper's own validation uses with measured `R`. The green/red terms of the paper map to: FaaS wins start-up, IaaS
 //! wins communication — `(3w−2)` vs `(2w−2)` because a storage service
 //! cannot compute, so the merged state makes one extra hop.
 //!
 //! * [`constants`] — Table 6 as code.
 //! * [`model`] — the two formulas as one body keyed by
-//!   [`model::Substrate`], their dollar version, and [`model::price`]: the
-//!   (start-up, run, run dollars) split every `lml-fleet` caller prices
-//!   through.
+//!   [`model::Substrate`] and evaluated through the closed form
+//!   [`Scenario`] (`startup + load + R·(ρ·comm_round + compute)`, with
+//!   the start-up billing rule), their dollar version, and
+//!   [`model::price`]: the (start-up, run, run dollars) split every
+//!   `lml-fleet` caller prices through.
 //! * [`estimator`] — the sampling-based epoch estimator (after Kaoudi et
 //!   al. \[54\]): train on 10% of the data, observe epochs-to-threshold.
-//! * [`whatif`] — §5.3.1's case studies: Q1 (10 Gbps FaaS↔IaaS, GPU
-//!   Lambda pricing) and Q2 (hot data).
+//! * [`whatif`] — §5.3.1's case studies as transforms of a [`Scenario`]
+//!   built from a simulated run: Q1 (10 Gbps FaaS↔IaaS, GPU Lambda
+//!   pricing) and Q2 (hot data).
 
 #![forbid(unsafe_code)]
 
@@ -30,5 +34,4 @@ pub mod model;
 pub mod whatif;
 
 pub use estimator::estimate_epochs;
-pub use model::{AnalyticCase, AnalyticParams};
-pub use whatif::Scenario;
+pub use model::{AnalyticCase, AnalyticParams, Scenario};

@@ -1,5 +1,6 @@
-//! The FaaS(w) / IaaS(w) formulas: one body keyed by [`Substrate`], its
-//! dollar version, and [`price`], the form the fleet simulator consumes.
+//! The FaaS(w) / IaaS(w) formulas: one body keyed by [`Substrate`] and
+//! evaluated through the closed form [`Scenario`], its dollar version, and
+//! [`price`], the form the fleet simulator consumes.
 
 use crate::constants;
 use lml_faas::lambda::{FUNCTION_GB, PRICE_PER_GB_SECOND};
@@ -98,61 +99,92 @@ impl Substrate {
     }
 }
 
-/// Convergence scaling factor `f(w)` — more workers can need more epochs.
-/// The paper's validation uses perfect scaling (`f ≡ 1`) with measured `R`;
-/// `sqrt_degradation` models workloads that scale poorly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Scaling {
-    Perfect,
-    /// `f(w) = w^alpha` — statistical-efficiency loss with more workers.
-    Power {
-        alpha: f64,
-    },
+/// The §5.3 closed form, `startup + load + R·(ρ·comm_round + compute)`,
+/// over already-evaluated terms. [`time`], [`cost`] and [`price`] build
+/// one from the formula's inputs; the `whatif` case studies transform one
+/// built from a simulated run.
+#[derive(Debug, Clone)]
+pub struct Scenario {
+    pub name: String,
+    pub workers: usize,
+    /// Start-up seconds.
+    pub startup: f64,
+    /// Per-worker data-loading seconds.
+    pub load: f64,
+    /// Epochs to converge.
+    pub epochs: f64,
+    /// Communication rounds per epoch.
+    pub rounds_per_epoch: f64,
+    /// Seconds per communication round.
+    pub comm_round: f64,
+    /// Per-worker compute seconds per epoch.
+    pub compute_per_epoch: f64,
+    /// Billed rate, $/s, while workers execute (Lambda) or while the
+    /// cluster exists (EC2) — see `bills_startup`.
+    pub rate_per_s: f64,
+    /// Whether the start-up window is billed (IaaS yes, FaaS no).
+    pub bills_startup: bool,
 }
 
-impl Scaling {
-    pub fn f(&self, w: usize) -> f64 {
-        match *self {
-            Scaling::Perfect => 1.0,
-            Scaling::Power { alpha } => (w as f64).powf(alpha),
+impl Scenario {
+    /// End-to-end runtime: `startup + load + epochs·(ρ·comm_round +
+    /// compute)`.
+    pub fn time(&self) -> SimTime {
+        SimTime::secs(
+            self.startup
+                + self.load
+                + self.epochs * (self.rounds_per_epoch * self.comm_round + self.compute_per_epoch),
+        )
+    }
+
+    /// End-to-end dollars: `rate × billed seconds`.
+    pub fn cost(&self) -> Cost {
+        Cost::usd(self.rate_per_s * self.billed_secs())
+    }
+
+    /// Lambda bills execution only (time minus start-up); a VM is paid
+    /// from boot.
+    fn billed_secs(&self) -> f64 {
+        let time = self.time().as_secs();
+        if self.bills_startup {
+            time
+        } else {
+            time - self.startup
         }
     }
 }
 
-/// `FaaS(w)` or `IaaS(w)`: start-up + loading + R·f(w)·(ρ·(a·w−2)(m/w/B + L)
-/// + C/w), with `a` = 3 on FaaS and 2 on IaaS.
-pub fn time(
-    p: &AnalyticParams,
-    c: &AnalyticCase,
-    s: Substrate,
-    scaling: Scaling,
-    w: usize,
-) -> SimTime {
+/// The formula's terms for `w` workers on substrate `s`: start-up,
+/// loading `s/w/B_S3`, one round's `(a·w − 2)(m/w/B + L)` with `a` = 3 on
+/// FaaS and 2 on IaaS, and compute `C/w`.
+fn scenario(p: &AnalyticParams, c: &AnalyticCase, s: Substrate, w: usize) -> Scenario {
     assert!(w >= 1);
-    let (hops_per_worker, startup_table, _) = s.terms();
-    let startup = startup_table.eval(w as f64);
-    let load = p.dataset_bytes / w as f64 / constants::B_S3;
-    let comm_per_round =
-        (hops_per_worker * w as f64 - 2.0) * (p.model_bytes / w as f64 / c.bandwidth + c.latency);
-    let per_epoch = p.rounds_per_epoch * comm_per_round + p.compute_per_epoch / w as f64;
-    SimTime::secs(startup + load + p.epochs * scaling.f(w) * per_epoch)
+    let (hops_per_worker, startup_table, bills_startup) = s.terms();
+    let wf = w as f64;
+    Scenario {
+        name: String::new(),
+        workers: w,
+        startup: startup_table.eval(wf),
+        load: p.dataset_bytes / wf / constants::B_S3,
+        epochs: p.epochs,
+        rounds_per_epoch: p.rounds_per_epoch,
+        comm_round: (hops_per_worker * wf - 2.0) * (p.model_bytes / wf / c.bandwidth + c.latency),
+        compute_per_epoch: p.compute_per_epoch / wf,
+        rate_per_s: c.rate(w),
+        bills_startup,
+    }
+}
+
+/// `FaaS(w)` or `IaaS(w)`: start-up + loading + R·(ρ·(a·w−2)(m/w/B + L)
+/// + C/w), with `a` = 3 on FaaS and 2 on IaaS.
+pub fn time(p: &AnalyticParams, c: &AnalyticCase, s: Substrate, w: usize) -> SimTime {
+    scenario(p, c, s, w).time()
 }
 
 /// Dollar cost `w × price × billed seconds`: FaaS bills only execution
 /// (time minus start-up), IaaS bills wall time including start-up.
-pub fn cost(
-    p: &AnalyticParams,
-    c: &AnalyticCase,
-    s: Substrate,
-    scaling: Scaling,
-    w: usize,
-) -> Cost {
-    let (_, startup, bills_startup) = s.terms();
-    let mut billed = time(p, c, s, scaling, w).as_secs();
-    if !bills_startup {
-        billed -= startup.eval(w as f64);
-    }
-    Cost::usd(c.rate(w) * billed)
+pub fn cost(p: &AnalyticParams, c: &AnalyticCase, s: Substrate, w: usize) -> Cost {
+    scenario(p, c, s, w).cost()
 }
 
 /// One job on one substrate, split the way the fleet simulator uses it.
@@ -166,16 +198,18 @@ pub struct Price {
     pub dollars: Cost,
 }
 
-/// The fleet's price of one job at perfect scaling. Unlike [`cost`],
-/// `dollars` never bills start-up, even on IaaS: the fleet simulates
-/// start-up (and bills it) itself.
+/// The fleet's price of one job. Unlike [`cost`], `dollars` never bills
+/// start-up, even on IaaS: the fleet simulates start-up (and bills it)
+/// itself.
 pub fn price(p: &AnalyticParams, c: &AnalyticCase, s: Substrate, w: usize) -> Price {
-    let startup = s.terms().1.eval(w as f64);
-    let run = time(p, c, s, Scaling::Perfect, w).as_secs() - startup;
+    let unbilled_startup = Scenario {
+        bills_startup: false,
+        ..scenario(p, c, s, w)
+    };
     Price {
-        startup: SimTime::secs(startup),
-        run: SimTime::secs(run),
-        dollars: Cost::usd(c.rate(w) * run),
+        startup: SimTime::secs(unbilled_startup.startup),
+        run: SimTime::secs(unbilled_startup.billed_secs()),
+        dollars: unbilled_startup.cost(),
     }
 }
 
@@ -212,8 +246,8 @@ mod tests {
     fn faas_wins_communication_light_workloads() {
         // LR/Higgs: tiny model, few rounds — the FaaS start-up edge decides.
         let p = lr_higgs();
-        let f = time(&p, &AnalyticCase::faas_s3(), Faas, Scaling::Perfect, 10);
-        let i = time(&p, &AnalyticCase::iaas_t2(), Iaas, Scaling::Perfect, 10);
+        let f = time(&p, &AnalyticCase::faas_s3(), Faas, 10);
+        let i = time(&p, &AnalyticCase::iaas_t2(), Iaas, 10);
         assert!(f < i, "FaaS {f} vs IaaS {i}");
     }
 
@@ -222,8 +256,8 @@ mod tests {
         // MN/Cifar10: 422 rounds/epoch of 12 MB — the (3w−2) storage-hop
         // penalty at 65 MB/s buries FaaS.
         let p = mn_cifar();
-        let f = time(&p, &AnalyticCase::faas_s3(), Faas, Scaling::Perfect, 10);
-        let i = time(&p, &AnalyticCase::iaas_t2(), Iaas, Scaling::Perfect, 10);
+        let f = time(&p, &AnalyticCase::faas_s3(), Faas, 10);
+        let i = time(&p, &AnalyticCase::iaas_t2(), Iaas, 10);
         assert!(i < f, "IaaS {i} vs FaaS {f}");
     }
 
@@ -231,8 +265,8 @@ mod tests {
     fn faas_is_not_proportionally_cheaper() {
         // Even when FaaS is much faster it is never much cheaper (§1).
         let p = lr_higgs();
-        let fc = cost(&p, &AnalyticCase::faas_s3(), Faas, Scaling::Perfect, 10).as_usd();
-        let ic = cost(&p, &AnalyticCase::iaas_t2(), Iaas, Scaling::Perfect, 10).as_usd();
+        let fc = cost(&p, &AnalyticCase::faas_s3(), Faas, 10).as_usd();
+        let ic = cost(&p, &AnalyticCase::iaas_t2(), Iaas, 10).as_usd();
         assert!(fc > 0.2 * ic, "FaaS ${fc} vs IaaS ${ic}");
     }
 
@@ -240,9 +274,9 @@ mod tests {
     fn adding_workers_has_diminishing_returns_then_hurts() {
         let p = mn_cifar();
         let c = AnalyticCase::faas_s3();
-        let t10 = time(&p, &c, Faas, Scaling::Perfect, 10);
-        let t50 = time(&p, &c, Faas, Scaling::Perfect, 50);
-        let t200 = time(&p, &c, Faas, Scaling::Perfect, 200);
+        let t10 = time(&p, &c, Faas, 10);
+        let t50 = time(&p, &c, Faas, 50);
+        let t200 = time(&p, &c, Faas, 200);
         // communication term grows with w: large fleets lose
         assert!(t50 > t10 || t200 > t50, "{t10} {t50} {t200}");
     }
@@ -250,14 +284,8 @@ mod tests {
     #[test]
     fn elasticache_beats_s3_per_round_in_the_model() {
         let p = mn_cifar();
-        let s3 = time(&p, &AnalyticCase::faas_s3(), Faas, Scaling::Perfect, 10);
-        let ec = time(
-            &p,
-            &AnalyticCase::faas_elasticache(),
-            Faas,
-            Scaling::Perfect,
-            10,
-        );
+        let s3 = time(&p, &AnalyticCase::faas_s3(), Faas, 10);
+        let ec = time(&p, &AnalyticCase::faas_elasticache(), Faas, 10);
         assert!(ec < s3);
     }
 
@@ -276,15 +304,6 @@ mod tests {
         for (case, want) in pins {
             assert_eq!(case.worker_price_per_s.to_bits(), want.to_bits());
         }
-    }
-
-    #[test]
-    fn scaling_degradation_raises_time() {
-        let p = lr_higgs();
-        let c = AnalyticCase::faas_s3();
-        let perfect = time(&p, &c, Faas, Scaling::Perfect, 50);
-        let degraded = time(&p, &c, Faas, Scaling::Power { alpha: 0.3 }, 50);
-        assert!(degraded > perfect);
     }
 
     /// One line per [`AnalyticCase`] constructor, over its share of 2,000
@@ -329,14 +348,8 @@ iaas_c5 time=df3b9f90f991fd3b cost=bd05a58db089bd4b price=b0d156ef910fffc6
                 };
                 let w = 1 + rng.index(1_000);
                 for s in [Faas, Iaas] {
-                    *time_h = fnv(
-                        *time_h,
-                        time(&p, c, s, Scaling::Perfect, w).as_secs().to_bits(),
-                    );
-                    *cost_h = fnv(
-                        *cost_h,
-                        cost(&p, c, s, Scaling::Perfect, w).as_usd().to_bits(),
-                    );
+                    *time_h = fnv(*time_h, time(&p, c, s, w).as_secs().to_bits());
+                    *cost_h = fnv(*cost_h, cost(&p, c, s, w).as_usd().to_bits());
                     let got = price(&p, c, s, w);
                     for v in [
                         got.startup.as_secs(),

@@ -3,56 +3,14 @@
 //! The paper uses the analytical model to ask how the tradeoff shifts if
 //! (Q1) the Lambda↔VM path reached 10 Gbps (and Lambda offered GPUs at
 //! IaaS-comparable pricing), and (Q2) the training data were already "hot"
-//! inside a VM rather than on S3. A [`Scenario`] is a small closed-form
-//! time/cost description of one system configuration under one such regime.
+//! inside a VM rather than on S3. Each what-if transforms a [`Scenario`],
+//! the model's closed form, taken from one simulated system configuration
+//! (`lml-bench` builds them from runs).
 
+use crate::model::Scenario;
 use lml_iaas::param_server::LAMBDA_TO_VM_BW;
-use lml_sim::{Cost, SimTime};
-
-/// A closed-form system configuration for what-if exploration.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    pub name: String,
-    pub workers: usize,
-    /// Start-up seconds.
-    pub startup: f64,
-    /// Per-worker data-loading seconds.
-    pub load: f64,
-    /// Epochs to converge.
-    pub epochs: f64,
-    /// Communication rounds per epoch.
-    pub rounds_per_epoch: f64,
-    /// Seconds per communication round.
-    pub comm_round: f64,
-    /// Per-worker compute seconds per epoch.
-    pub compute_per_epoch: f64,
-    /// Billed rate, $/s, while workers execute (Lambda) or while the
-    /// cluster exists (EC2) — see `bills_startup`.
-    pub rate_per_s: f64,
-    /// Whether the start-up window is billed (IaaS yes, FaaS no).
-    pub bills_startup: bool,
-}
 
 impl Scenario {
-    /// End-to-end runtime.
-    pub fn time(&self) -> SimTime {
-        SimTime::secs(
-            self.startup
-                + self.load
-                + self.epochs * (self.rounds_per_epoch * self.comm_round + self.compute_per_epoch),
-        )
-    }
-
-    /// End-to-end dollars.
-    pub fn cost(&self) -> Cost {
-        let billed = if self.bills_startup {
-            self.time().as_secs()
-        } else {
-            self.time().as_secs() - self.startup
-        };
-        Cost::usd(self.rate_per_s * billed)
-    }
-
     /// Q1: replace this scenario's Lambda↔VM communication with a 10 Gbps
     /// path — communication time shrinks by the bandwidth ratio on the
     /// wire-bound share of each round. `wire_share` is the fraction of

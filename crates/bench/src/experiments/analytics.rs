@@ -5,8 +5,7 @@ use crate::tablefmt::{f, table};
 use crate::Harness;
 use lml_analytic::constants;
 use lml_analytic::estimator::estimate_epochs;
-use lml_analytic::model::{time, AnalyticCase, AnalyticParams, Scaling, Substrate};
-use lml_analytic::whatif::Scenario;
+use lml_analytic::model::{time, AnalyticCase, AnalyticParams, Scenario, Substrate};
 use lml_core::{Backend, JobConfig, RunResult, TrainingJob};
 use lml_iaas::{InstanceType, SystemProfile};
 use lml_optim::StopSpec;
@@ -115,8 +114,8 @@ pub fn fig13_model(h: &Harness) -> String {
                 .expect("iaas run");
             let p = lr_higgs_params(e as f64);
             let (faas_s3, iaas_t2) = (AnalyticCase::faas_s3(), AnalyticCase::iaas_t2());
-            let pred_f = time(&p, &faas_s3, Substrate::Faas, Scaling::Perfect, 10);
-            let pred_i = time(&p, &iaas_t2, Substrate::Iaas, Scaling::Perfect, 10);
+            let pred_f = time(&p, &faas_s3, Substrate::Faas, 10);
+            let pred_i = time(&p, &iaas_t2, Substrate::Iaas, 10);
             rows.push(vec![
                 e.to_string(),
                 format!("{:.0}s", sim_faas.runtime().as_secs()),
