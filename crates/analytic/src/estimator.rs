@@ -50,8 +50,7 @@ pub fn estimate_epochs(
     seed: u64,
 ) -> EpochEstimate {
     assert!(sample_frac > 0.0 && sample_frac <= 1.0);
-    let full = dataset.generate(seed);
-    let rows = ((full.data.len() as f64 * sample_frac) as usize).max(50);
+    let rows = ((dataset.default_rows() as f64 * sample_frac) as usize).max(50);
     let sampled = dataset.generate_rows(rows, seed ^ 0x5A17);
     let (train, valid) = train_valid_split(&sampled.data, 0.9, seed);
 

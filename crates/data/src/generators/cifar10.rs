@@ -54,10 +54,6 @@ pub fn prototypes() -> (Matrix, Matrix) {
     (means, styles)
 }
 
-pub fn generate(seed: u64) -> Generated {
-    generate_rows(DEFAULT_ROWS, seed)
-}
-
 pub fn generate_rows(rows: usize, seed: u64) -> Generated {
     let mut rng = Pcg64::new(seed ^ 0x4349_4641_u64); // "CIFA"
     let (means, styles) = prototypes();
@@ -144,7 +140,7 @@ mod tests {
 
     #[test]
     fn spec_matches_paper() {
-        let g = generate(1);
+        let g = generate_rows(DEFAULT_ROWS, 1);
         assert_eq!(g.spec.paper_instances, 60_000);
         assert_eq!(g.spec.features, 1_024);
         matches!(g.spec.task, Task::Multiclass { classes: 10 });

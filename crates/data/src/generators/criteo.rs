@@ -32,10 +32,6 @@ pub const CATEGORICAL_FIELDS: usize = 26;
 /// Ground-truth support size for the click logit.
 const TRUE_SUPPORT: usize = 50_000;
 
-pub fn generate(seed: u64) -> Generated {
-    generate_rows(DEFAULT_ROWS, seed)
-}
-
 pub fn generate_rows(rows: usize, seed: u64) -> Generated {
     let mut rng = Pcg64::new(seed ^ 0x4352_5445_u64); // "CRTE"
     let mut truth_rng = Pcg64::new(0xD1CE_0005);

@@ -25,11 +25,6 @@ pub const DIM: usize = 28;
 /// loss ≈ 0.62 (empirically verified in tests).
 const SEPARATION: f64 = 0.12;
 
-/// Generate the default-size sample.
-pub fn generate(seed: u64) -> Generated {
-    generate_rows(DEFAULT_ROWS, seed)
-}
-
 /// Generate `rows` examples.
 pub fn generate_rows(rows: usize, seed: u64) -> Generated {
     let mut rng = Pcg64::new(seed ^ 0x0048_6967_6773_u64); // "Higgs"
@@ -126,7 +121,7 @@ mod tests {
 
     #[test]
     fn spec_matches_paper_scale() {
-        let g = generate(1);
+        let g = generate_rows(DEFAULT_ROWS, 1);
         assert_eq!(g.spec.paper_instances, 11_000_000);
         assert_eq!(g.spec.paper_bytes, ByteSize::gb(8.0));
         assert!((g.spec.scale() - 0.01).abs() < 1e-9);

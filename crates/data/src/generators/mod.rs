@@ -1,8 +1,11 @@
 //! Synthetic dataset generators.
 //!
-//! One module per paper dataset (Figure 6). Every generator is deterministic
-//! in its seed and returns `(Dataset, DatasetSpec)`: the scaled sample for
-//! the numerics plus paper-scale metadata for the system model.
+//! One module per paper dataset (Figure 6). Every generator's
+//! `generate_rows(n, seed)` is deterministic in its seed and returns
+//! exactly `n` rows as `(Dataset, DatasetSpec)`: the scaled sample for the
+//! numerics plus paper-scale metadata for the system model. Each module's
+//! `DEFAULT_ROWS` is its default sample size
+//! ([`DatasetId::default_rows`]).
 //!
 //! | Paper dataset | Generator | Dim | Sample rows (default) | Paper rows |
 //! |---|---|---|---|---|
@@ -58,14 +61,14 @@ impl DatasetId {
         }
     }
 
-    /// Generate with default sample sizes.
-    pub fn generate(self, seed: u64) -> Generated {
+    /// Rows in the default-size sample (the table above).
+    pub fn default_rows(self) -> usize {
         match self {
-            DatasetId::Higgs => higgs::generate(seed),
-            DatasetId::Rcv1 => rcv1::generate(seed),
-            DatasetId::Cifar10 => cifar10::generate(seed),
-            DatasetId::Yfcc100m => yfcc::generate(seed),
-            DatasetId::Criteo => criteo::generate(seed),
+            DatasetId::Higgs => higgs::DEFAULT_ROWS,
+            DatasetId::Rcv1 => rcv1::DEFAULT_ROWS,
+            DatasetId::Cifar10 => cifar10::DEFAULT_ROWS,
+            DatasetId::Yfcc100m => yfcc::DEFAULT_ROWS,
+            DatasetId::Criteo => criteo::DEFAULT_ROWS,
         }
     }
 

@@ -31,10 +31,6 @@ const TRUE_SUPPORT: usize = 2_000;
 /// Label noise rate — keeps the problem not-exactly-separable.
 const LABEL_NOISE: f64 = 0.02;
 
-pub fn generate(seed: u64) -> Generated {
-    generate_rows(DEFAULT_ROWS, seed)
-}
-
 pub fn generate_rows(rows: usize, seed: u64) -> Generated {
     let mut rng = Pcg64::new(seed ^ 0x5243_5631_u64); // "RCV1"
                                                       // Fixed ground-truth weights over the most frequent (low Zipf index)
@@ -155,7 +151,7 @@ mod tests {
 
     #[test]
     fn spec_scale() {
-        let g = generate(9);
+        let g = generate_rows(DEFAULT_ROWS, 9);
         assert!((g.spec.scale() - 0.01).abs() < 1e-4);
     }
 }

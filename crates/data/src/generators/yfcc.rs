@@ -35,10 +35,6 @@ const ZERO_RATE: f64 = 0.55;
 /// zero on a perfectly separable synthetic.
 const LABEL_NOISE: f64 = 0.03;
 
-pub fn generate(seed: u64) -> Generated {
-    generate_rows(DEFAULT_ROWS, seed)
-}
-
 pub fn generate_rows(rows: usize, seed: u64) -> Generated {
     let mut rng = Pcg64::new(seed ^ 0x5946_4343_u64); // "YFCC"
                                                       // Fixed signal direction over a subset of activations.

@@ -12,7 +12,10 @@
 //!
 //! * [`dataset`] — dense/sparse containers and the unified [`dataset::Dataset`].
 //! * [`spec`] — per-dataset metadata (paper size, scale factor, wire bytes).
-//! * [`generators`] — one module per dataset.
+//! * [`generators`] — one module per dataset, each a seeded
+//!   `generate_rows(n, seed)` that returns exactly `n` rows, behind
+//!   [`generators::DatasetId`] (which also names each default sample's
+//!   row count).
 //! * [`libsvm`] — LIBSVM text-format reader/writer (the format the paper's
 //!   repo distributes Higgs/RCV1 partitions in).
 //! * [`partition`] — contiguous range partitioning across workers.
