@@ -2,7 +2,8 @@
 //! in-memory simulator — on randomized v1/v2/v3 traces read back through
 //! the text source, and at any sweep width — and the two retire sinks
 //! agree: `replay_stats`' constant-size summary equals the fold of the
-//! same run's per-job records.
+//! same run's per-job records. A long generated stream keeps its resident
+//! jobs bounded.
 //!
 //! The harness is hand-rolled: `proptest` is not vendored in this offline
 //! build, so each property draws its random cases from the repository's own
@@ -11,8 +12,8 @@
 
 use lambdaml::fleet::{
     replay, replay_stats, simulate, AllFaas, AllIaas, ArrivalProcess, CheckpointPolicy, CostAware,
-    DeadlineAware, FairShare, FleetConfig, FleetMetrics, JobMix, NullObserver, Route, Scheduler,
-    TenantSpec, TextSource, Trace,
+    DeadlineAware, FairShare, FleetConfig, FleetMetrics, GeneratorSource, JobMix, NullObserver,
+    Route, Scheduler, TenantSpec, TextSource, Trace,
 };
 use lambdaml::sim::par::parallel_map;
 use lambdaml::sim::{Pcg64, SimTime};
@@ -239,5 +240,44 @@ fn streaming_replay_matches_in_memory_at_any_sweep_width() {
     assert!(
         churn.iter().all(|&n| n > 0),
         "spot cases saw (preemptions, resumes, fallbacks) = {churn:?}"
+    );
+}
+
+/// Streaming replay holds only the in-flight jobs: 100,000 jobs pulled
+/// from the generator, with `examples/fleet_stream.rs`' arrival process,
+/// tenants and `CostAware`, keep `peak_resident_jobs` bounded by the
+/// working set, not the trace length. The measured peak is 20 (21 over the
+/// example's million jobs); the bound of 100 leaves a 5× margin and sits
+/// three orders of magnitude under the trace, which a slab that never
+/// recycled would reach.
+#[test]
+fn generated_stream_keeps_resident_jobs_bounded() {
+    const JOBS: usize = 100_000;
+    let source = GeneratorSource::new(
+        ArrivalProcess::Poisson { rate: 0.05 },
+        JobMix::convex_mix(),
+        TenantSpec {
+            n_tenants: 4,
+            deadline_frac: 0.25,
+            deadline_slack: 4.0,
+        },
+        JOBS,
+        42,
+    );
+    let s = replay_stats(
+        source,
+        &FleetConfig::default(),
+        &mut CostAware::new(),
+        42,
+        &mut NullObserver,
+    )
+    .expect("a generated stream cannot fail");
+    assert_eq!(s.jobs, JOBS as u64);
+    assert_eq!(s.completed + s.rejected, JOBS as u64);
+    assert!(
+        s.peak_resident_jobs < 100,
+        "resident jobs must stay bounded: peak {} on {} jobs",
+        s.peak_resident_jobs,
+        s.jobs
     );
 }
