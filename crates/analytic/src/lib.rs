@@ -9,9 +9,10 @@
 //!
 //! (ρ = communication rounds per epoch; the paper's formula absorbs it into
 //! R.) The convergence-scaling factor `f(w)` is 1 here, the value the
-//! paper's own validation uses with measured `R`. The green/red terms of the paper map to: FaaS wins start-up, IaaS
-//! wins communication — `(3w−2)` vs `(2w−2)` because a storage service
-//! cannot compute, so the merged state makes one extra hop.
+//! paper's own validation uses with measured `R`. The green/red terms of
+//! the paper map to: FaaS wins start-up, IaaS wins communication —
+//! `(3w−2)` vs `(2w−2)` because a storage service cannot compute, so the
+//! merged state makes one extra hop.
 //!
 //! * [`constants`] — Table 6 as code.
 //! * [`model`] — the two formulas as one body keyed by
