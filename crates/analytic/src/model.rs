@@ -307,10 +307,10 @@ mod tests {
     }
 
     /// One line per [`AnalyticCase`] constructor, over its share of 2,000
-    /// random workloads at perfect scaling: an FNV-1a over the
-    /// `to_bits` of [`time`], of [`cost`] and of [`price`]'s three fields,
-    /// each on both substrates. A moved column names the formula that
-    /// moved; the failure prints the whole new table to paste over it.
+    /// random workloads: an FNV-1a over the `to_bits` of [`time`], of
+    /// [`cost`] and of [`price`]'s three fields, each on both substrates.
+    /// A moved column names the formula that moved; the failure prints the
+    /// whole new table to paste over it.
     const GOLDEN: &str = "\
 faas_s3 time=fd2fcfc6c3769fa0 cost=221614040b83ae70 price=62d3219e63222594
 faas_elasticache time=d16061b93fab7be4 cost=14df07743f6567df price=c2bfc5ee0d58fd63

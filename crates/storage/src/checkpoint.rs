@@ -175,9 +175,9 @@ mod tests {
     fn tiny_checkpoints_are_cheaper_and_faster_on_dynamodb() {
         let c = CheckpointCosting::tiered();
         let s3 = ServiceProfile::s3();
-        let tiny = checkpoint_bytes(224.0); // 448 B LR/Higgs checkpoint
-                                            // One DynamoDB write unit ($1.25e-6) vs a flat S3 PUT ($5e-6),
-                                            // 4× cheaper; reads $0.25e-6 vs $4e-7.
+        // A 448 B LR/Higgs checkpoint: one DynamoDB write unit ($1.25e-6)
+        // vs a flat S3 PUT ($5e-6), 4× cheaper; reads $0.25e-6 vs $4e-7.
+        let tiny = checkpoint_bytes(224.0);
         assert!(c.write_dollars(tiny) < s3.put_price.price(tiny));
         assert!(c.read_dollars(tiny) < s3.get_price.price(tiny));
         // Latency: 30 ms vs 80 ms dominates a 448 B transfer.
