@@ -93,7 +93,7 @@ pub fn estimate_epochs(
         &ctx,
         workers,
         &|_| SimTime::ZERO,
-        &mut |_, _, stats| Ok((sum_statistics(stats), SimTime::ZERO)),
+        &mut |_, _, stats| Ok((sum_statistics(&stats), SimTime::ZERO)),
         &mut |t| t,
     );
     EpochEstimate {

@@ -19,5 +19,5 @@
 pub mod patterns;
 pub mod protocols;
 
-pub use patterns::Pattern;
+pub use patterns::{Pattern, Statistics};
 pub use protocols::{round_key, Asp, Bsp};

@@ -14,11 +14,23 @@
 //! benchmark goldens pin the 100-worker AllReduce — and
 //! `each_pattern_sums_in_its_own_fixed_order` holds them.
 //!
-//! **Host copies.** A round copies each statistic once, into a buffer the
-//! channel's store recycles from the blobs the previous round cleared
-//! (`StorageChannel::blob_of`); ScatterReduce's chunk files are windows of
-//! that copy. None of it is visible to the simulation: requests, wire
-//! bytes, billing and every duration depend on the logical sizes only.
+//! **Merging on every core.** From [`par::FAN_OUT_MIN_F64S`] values
+//! (statistic length × workers) up, the merge fans out through
+//! [`lml_sim::par`]: AllReduce splits the aggregate into element ranges,
+//! each adding the `w` files in LIST order ([`par::sum_in_order`]), and
+//! ScatterReduce merges its `w` chunks at once, each in worker order.
+//! Every element gets the same additions in the same order at any thread
+//! count, so the bits are those of a serial merge.
+//!
+//! **Host copies.** Statistics handed over by value ([`Statistics`] for
+//! `Vec<Vec<f64>>`, what the training loop passes) move into the channel
+//! as they are: each becomes a blob without a copy, and ScatterReduce's
+//! chunk files are windows of it. Borrowed statistics are copied once each,
+//! into buffers the channel's store recycles from the blobs the previous
+//! round cleared (`StorageChannel::blob_of`), and then take the same path.
+//! The merged file is always such a recycled copy of the aggregate. None
+//! of it is visible to the simulation: requests, wire bytes, billing and
+//! every duration depend on the logical sizes only.
 //!
 //! * **AllReduce** — all workers write; the leader (worker 0) reads all `w`
 //!   files, merges, writes one merged file; everyone else reads it back.
@@ -28,8 +40,8 @@
 //!   merges everyone's chunk `i`; everyone reads the other `w−1` merged
 //!   chunks. More requests, but the merge work parallelizes.
 
-use lml_sim::{ByteSize, SimTime};
-use lml_storage::{StorageChannel, StorageError};
+use lml_sim::{par, ByteSize, SimTime};
+use lml_storage::{Blob, StorageChannel, StorageError};
 
 /// The two MPI-style aggregation patterns LambdaML implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,6 +56,27 @@ impl Pattern {
             Pattern::AllReduce => "AllReduce",
             Pattern::ScatterReduce => "ScatterReduce",
         }
+    }
+}
+
+/// One statistic vector per worker (equal lengths), as a round takes them:
+/// owned (`Vec<Vec<f64>>`) or borrowed (`&[Vec<f64>]`, `&Vec<Vec<f64>>`).
+pub trait Statistics {
+    /// One blob per worker, in worker order: an owned statistic becomes
+    /// its blob as it is, a borrowed one is copied into a buffer recycled
+    /// by `channel`'s store.
+    fn into_blobs(self, channel: &mut StorageChannel) -> Vec<Blob>;
+}
+
+impl Statistics for Vec<Vec<f64>> {
+    fn into_blobs(self, _: &mut StorageChannel) -> Vec<Blob> {
+        self.into_iter().map(Blob::from_vec).collect()
+    }
+}
+
+impl<T: AsRef<[Vec<f64>]> + ?Sized> Statistics for &T {
+    fn into_blobs(self, channel: &mut StorageChannel) -> Vec<Blob> {
+        self.as_ref().iter().map(|s| channel.blob_of(s)).collect()
     }
 }
 
@@ -77,46 +110,62 @@ pub fn chunk_ranges(len: usize, w: usize) -> Vec<(usize, usize)> {
 ///
 /// * `round_key` — unique per (epoch, iteration); object keys derive from it
 ///   using the paper's naming scheme.
-/// * `stats` — one statistic vector per worker (equal lengths).
+/// * `stats` — one statistic vector per worker (equal lengths); owned ones
+///   move into the channel without a copy (see the module docs).
 /// * `wire_total` — logical wire size of one full statistic message (may
 ///   exceed `8·len` for deep-model surrogates).
 pub fn reduce(
     channel: &mut StorageChannel,
     pattern: Pattern,
     round_key: &str,
-    stats: &[Vec<f64>],
+    stats: impl Statistics,
+    wire_total: ByteSize,
+) -> Result<ReduceOutcome, StorageError> {
+    let stats = stats.into_blobs(channel);
+    let f64s = stats.first().map_or(0, Blob::len) * stats.len();
+    reduce_on(
+        par::threads_for(f64s),
+        channel,
+        pattern,
+        round_key,
+        stats,
+        wire_total,
+    )
+}
+
+/// [`reduce`] with the merge on `threads` threads.
+fn reduce_on(
+    threads: usize,
+    channel: &mut StorageChannel,
+    pattern: Pattern,
+    round_key: &str,
+    stats: Vec<Blob>,
     wire_total: ByteSize,
 ) -> Result<ReduceOutcome, StorageError> {
     assert!(!stats.is_empty(), "no workers");
-    let w = stats.len();
-    let len = stats[0].len();
+    let len = stats.first().map_or(0, Blob::len);
     assert!(stats.iter().all(|s| s.len() == len), "ragged statistics");
     match pattern {
-        Pattern::AllReduce => reduce_allreduce(channel, round_key, stats, wire_total),
-        Pattern::ScatterReduce => {
-            if w == 1 {
-                // degenerate: same as AllReduce with a single worker
-                return reduce_allreduce(channel, round_key, stats, wire_total);
-            }
-            reduce_scatter(channel, round_key, stats, wire_total)
+        // degenerate: ScatterReduce with a single worker is AllReduce
+        Pattern::ScatterReduce if stats.len() > 1 => {
+            reduce_scatter(threads, channel, round_key, stats, wire_total)
         }
+        _ => reduce_allreduce(threads, channel, round_key, stats, wire_total),
     }
 }
 
 fn reduce_allreduce(
+    threads: usize,
     channel: &mut StorageChannel,
     round_key: &str,
-    stats: &[Vec<f64>],
+    stats: Vec<Blob>,
     wire_total: ByteSize,
 ) -> Result<ReduceOutcome, StorageError> {
     let w = stats.len();
-    let len = stats.first().map_or(0, Vec::len);
 
     // (1) every worker writes its local statistic — concurrent clients.
-    //     One host copy each, into a buffer the store recycles.
-    for (i, s) in stats.iter().enumerate() {
-        let blob = channel.blob_of(s).with_wire(wire_total);
-        channel.put(format!("{round_key}_p{i}"), blob)?;
+    for (i, s) in stats.into_iter().enumerate() {
+        channel.put(format!("{round_key}_p{i}"), s.with_wire(wire_total))?;
     }
     let put_phase = channel.parallel_leg(w, wire_total);
 
@@ -124,21 +173,22 @@ fn reduce_allreduce(
     //     then reads them back-to-back and merges them in listing order.
     let (list_t, keys) = channel.list(&format!("{round_key}_p"));
     debug_assert_eq!(keys.len(), w);
-    let mut aggregate = vec![0.0; len];
+    let mut files = Vec::with_capacity(w);
     for key in &keys {
-        let (_t, blob) = channel.get(key)?;
-        blob.add_into(&mut aggregate);
+        files.push(channel.get(key)?.1);
     }
+    let aggregate = par::sum_in_order(&files, threads);
     let leader_read_phase = channel.client_leg(w as u64, wire_total);
 
     // (3) the leader writes the merged file.
+    let merged_key = format!("{round_key}_merged");
     let merged = channel.blob_of(&aggregate).with_wire(wire_total);
-    channel.put(format!("{round_key}_merged"), merged)?;
+    channel.put(merged_key.as_str(), merged)?;
     let merged_put = channel.op_time(wire_total);
 
     // (4) the other w−1 workers read the merged file concurrently.
     for _ in 0..w - 1 {
-        let (_t, _blob) = channel.get(&format!("{round_key}_merged"))?;
+        let (_t, _blob) = channel.get(&merged_key)?;
     }
     let fan_back = channel.parallel_leg(w.saturating_sub(1), wire_total);
 
@@ -149,20 +199,20 @@ fn reduce_allreduce(
 }
 
 fn reduce_scatter(
+    threads: usize,
     channel: &mut StorageChannel,
     round_key: &str,
-    stats: &[Vec<f64>],
+    stats: Vec<Blob>,
     wire_total: ByteSize,
 ) -> Result<ReduceOutcome, StorageError> {
     let w = stats.len();
-    let len = stats.first().map_or(0, Vec::len);
+    let len = stats.first().map_or(0, Blob::len);
     let ranges = chunk_ranges(len, w);
     let chunk_wire = ByteSize::bytes((wire_total.as_f64() / w as f64).ceil() as u64);
 
-    // (1) every worker splits its statistic and writes w chunk files: one
-    //     host copy per statistic, the chunks are windows of it.
-    for (src, s) in stats.iter().enumerate() {
-        let whole = channel.blob_of(s);
+    // (1) every worker splits its statistic and writes w chunk files,
+    //     windows of the statistic's blob.
+    for (src, whole) in stats.into_iter().enumerate() {
         for (c, &(lo, hi)) in ranges.iter().enumerate() {
             let chunk = whole.slice(lo, hi).with_wire(chunk_wire);
             channel.put(format!("{round_key}_src{src}_c{c}"), chunk)?;
@@ -175,17 +225,27 @@ fn reduce_scatter(
         .max(channel.parallel_leg(w, wire_total));
 
     // (2) worker c reads everyone's chunk c and merges it, in worker
-    //     order, into its range of the one aggregate.
-    let mut aggregate = vec![0.0; len];
-    let mut unmerged = aggregate.as_mut_slice();
-    for (c, &(lo, hi)) in ranges.iter().enumerate() {
-        let (acc, rest) = std::mem::take(&mut unmerged).split_at_mut(hi - lo);
-        unmerged = rest;
+    //     order, into its range of the one aggregate; the w merges run at
+    //     once.
+    let mut chunks = Vec::with_capacity(w * w);
+    for c in 0..w {
         for src in 0..w {
-            let (_t, blob) = channel.get(&format!("{round_key}_src{src}_c{c}"))?;
-            blob.add_into(acc);
+            chunks.push(channel.get(&format!("{round_key}_src{src}_c{c}"))?.1);
         }
     }
+    let mut aggregate = vec![0.0; len];
+    let mut unmerged = aggregate.as_mut_slice();
+    let ranges_of_aggregate = ranges.iter().map(|&(lo, hi)| {
+        let (acc, rest) = std::mem::take(&mut unmerged).split_at_mut(hi - lo);
+        unmerged = rest;
+        acc
+    });
+    let merges = ranges_of_aggregate.zip(chunks.chunks(w));
+    par::parallel_map(merges, threads, |_, (acc, chunk_c)| {
+        for chunk in chunk_c {
+            chunk.add_into(acc);
+        }
+    });
     let gather_wire = ByteSize::bytes((chunk_wire.as_f64() * (w as f64 - 1.0)) as u64);
     let gather_phase = channel
         .client_leg((w - 1) as u64, chunk_wire)
@@ -437,6 +497,100 @@ mod tests {
             by_worker,
             "ScatterReduce: worker order"
         );
+        Ok(())
+    }
+
+    #[test]
+    fn owned_statistics_move_into_the_store_without_a_copy() -> Result<(), StorageError> {
+        let (w, len) = (5, 17);
+        for pattern in [Pattern::AllReduce, Pattern::ScatterReduce] {
+            let s = stats(w, len);
+            let want = expected_sum(&s);
+            let ptrs: Vec<*const f64> = s.iter().map(|v| v.as_ptr()).collect();
+            let mut ch = StorageChannel::new(ServiceProfile::s3());
+            let out = reduce(&mut ch, pattern, "r", s, ByteSize::of_f64s(len))?;
+            assert_eq!(out.aggregate, want, "{pattern:?}");
+            let stored = |key: String| ch.store().get(&key).map(|b| b.data().as_ptr());
+            for (i, &ptr) in ptrs.iter().enumerate() {
+                if pattern == Pattern::AllReduce {
+                    assert_eq!(stored(format!("r_p{i}")), Some(ptr), "r_p{i}");
+                    continue;
+                }
+                for (c, (lo, _)) in chunk_ranges(len, w).into_iter().enumerate() {
+                    let key = format!("r_src{i}_c{c}");
+                    assert_eq!(stored(key.clone()), Some(ptr.wrapping_add(lo)), "{key}");
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_cleared_round_leaves_one_spare_buffer_the_merged_files() -> Result<(), StorageError> {
+        // Owned statistics are freed when the round is cleared; only the
+        // merged file's buffer, the one `blob_of` lent, stays, and the
+        // next round's merged file reuses it. Borrowed statistics lend one
+        // copy each as well.
+        let (w, len) = (10, 17);
+        for pattern in [Pattern::AllReduce, Pattern::ScatterReduce] {
+            let mut ch = StorageChannel::new(ServiceProfile::s3());
+            let mut last_merged = None;
+            for round in 0..3 {
+                let key = format!("ep0_it{round}");
+                reduce(&mut ch, pattern, &key, stats(w, len), ByteSize::mb(12.0))?;
+                let merged = match pattern {
+                    Pattern::AllReduce => format!("{key}_merged"),
+                    Pattern::ScatterReduce => format!("{key}_merged_c0"),
+                };
+                let merged = ch.store().get(&merged).map(|b| b.data().as_ptr());
+                if round > 0 {
+                    assert_eq!(merged, last_merged, "{pattern:?} round {round}");
+                }
+                last_merged = merged;
+                ch.clear_prefix(&key);
+                assert_eq!(ch.store().spare_buffers(), 1, "{pattern:?} round {round}");
+            }
+            let mut ch = StorageChannel::new(ServiceProfile::s3());
+            let borrowed = stats(w, len);
+            reduce(
+                &mut ch,
+                pattern,
+                "r",
+                borrowed.as_slice(),
+                ByteSize::mb(12.0),
+            )?;
+            ch.clear_prefix("r");
+            assert_eq!(ch.store().spare_buffers(), w + 1, "{pattern:?} borrowed");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn the_merge_keeps_each_patterns_order_at_any_thread_count() -> Result<(), StorageError> {
+        // 12 workers over a statistic past the fan-out gate, whose sums
+        // tell LIST order from worker order.
+        let (w, len) = (12, par::FAN_OUT_MIN_F64S + 5);
+        let s = order_sensitive_stats(w, len);
+        let listing = [0, 1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9];
+        let by_worker = fold_bits(&s, 0..w);
+        let by_listing = fold_bits(&s, listing.iter().copied());
+        assert_ne!(by_worker, by_listing);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let wire = ByteSize::of_f64s(len);
+        for threads in [1, 2, 3, 8] {
+            for (pattern, want) in [
+                (Pattern::AllReduce, &by_listing),
+                (Pattern::ScatterReduce, &by_worker),
+            ] {
+                let mut ch = StorageChannel::new(ServiceProfile::s3());
+                let blobs = s.clone().into_blobs(&mut ch);
+                let out = reduce_on(threads, &mut ch, pattern, "r", blobs, wire)?;
+                assert!(
+                    bits(&out.aggregate) == *want,
+                    "{pattern:?} moved a bit at {threads} threads"
+                );
+            }
+        }
         Ok(())
     }
 

@@ -12,7 +12,7 @@
 //! whatever model was last written. Convergence consequences (Figure 8's
 //! instability) emerge from the numerics.
 
-use crate::patterns::{reduce, Pattern, ReduceOutcome};
+use crate::patterns::{reduce, Pattern, ReduceOutcome, Statistics};
 use lml_sim::{ByteSize, SimTime};
 use lml_storage::{Blob, StorageChannel, StorageError};
 
@@ -45,15 +45,16 @@ impl Bsp {
         self
     }
 
-    /// Execute one synchronous round: all workers' statistics in, summed
-    /// aggregate out, with the round's critical-path time (pattern legs +
-    /// two polling waits). Cleans the previous round's objects.
+    /// Execute one synchronous round: all workers' statistics in (owned
+    /// ones move into the channel without a copy), summed aggregate out,
+    /// with the round's critical-path time (pattern legs + two polling
+    /// waits). Cleans the round's objects.
     pub fn run_round(
         &self,
         channel: &mut StorageChannel,
         epoch: usize,
         iter: usize,
-        stats: &[Vec<f64>],
+        stats: impl Statistics,
         wire_total: ByteSize,
     ) -> Result<ReduceOutcome, StorageError> {
         let key = round_key(epoch, iter);

@@ -47,7 +47,7 @@ pub fn run(
     let stat_wire = model.statistic_wire_bytes();
     let mut run = run_backend(job, &model, backend, &mut |_, _, stats| {
         // The PS receives every statistic and computes the sum.
-        Ok((sum_statistics(stats), ps.round_time(w, stat_wire)))
+        Ok((sum_statistics(&stats), ps.round_time(w, stat_wire)))
     })?;
     run.result.cost = CostBreakdown {
         compute: lambda_bill(spec, w, run.busy),

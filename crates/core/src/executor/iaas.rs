@@ -50,7 +50,7 @@ pub fn run(
     let ring =
         ring_allreduce_time(w, model.statistic_wire_bytes(), instance.vm_link()) * comm_factor;
     let mut run = run_backend(job, &model, backend, &mut |_, _, stats| {
-        Ok((sum_statistics(stats), ring))
+        Ok((sum_statistics(&stats), ring))
     })?;
     run.result.cost = CostBreakdown {
         compute: cluster.cost(run.elapsed),

@@ -37,7 +37,7 @@ pub fn run(
     };
     // One worker, no communication: its statistic is the aggregate.
     let mut run = run_backend(job, &model, backend, &mut |_, _, stats| {
-        Ok((stats.concat(), SimTime::ZERO))
+        Ok((stats.into_iter().next().unwrap_or_default(), SimTime::ZERO))
     })?;
     run.result.cost = CostBreakdown {
         compute: instance.hourly() * run.elapsed.as_hours(),

@@ -274,9 +274,10 @@ impl WorkerState {
 /// (`0, 1, …, w−1`) — the in-memory aggregation of the serverful backends.
 ///
 /// From [`par::FAN_OUT_MIN_F64S`] values up, the output is split into one
-/// contiguous element range per core and the ranges are summed at once.
-/// Each range still adds the statistics in worker order, so every element
-/// has the same chain of additions, and the same bits, at any split.
+/// contiguous element range per core and the ranges are summed at once
+/// ([`par::sum_in_order`]). Each range still adds the statistics in worker
+/// order, so every element has the same chain of additions, and the same
+/// bits, at any split.
 ///
 /// The storage patterns compute the same sum, but only ScatterReduce in
 /// the same *order*: AllReduce merges in the order of the leader's LIST,
@@ -291,20 +292,7 @@ pub fn sum_statistics(stats: &[Vec<f64>]) -> Vec<f64> {
 /// [`sum_statistics`] split into `threads` element ranges.
 fn sum_statistics_on(stats: &[Vec<f64>], threads: usize) -> Vec<f64> {
     assert!(!stats.is_empty());
-    let len = stats[0].len();
-    for s in stats {
-        assert_eq!(s.len(), len, "statistic length mismatch across workers");
-    }
-    let mut out = vec![0.0; len];
-    let range = len.div_ceil(threads.max(1)).max(1);
-    par::parallel_map(out.chunks_mut(range), threads, |i, chunk| {
-        for s in stats {
-            for (o, v) in chunk.iter_mut().zip(&s[i * range..]) {
-                *o += v;
-            }
-        }
-    });
-    out
+    par::sum_in_order(stats, threads)
 }
 
 #[cfg(test)]

@@ -10,6 +10,10 @@
 //! §5.3 epoch estimator (`lml_analytic::estimate_epochs`) with an
 //! in-memory sum and no clock at all.
 //!
+//! The hook owns each round's statistics: [`run_sync`] hands them over by
+//! value, so a storage channel can take them as they are (the FaaS
+//! executor's `Bsp::run_round`) while in-memory sums read them in place.
+//!
 //! A round's workers compute at once, as the paper's Lambdas and VMs do:
 //! `produce` and `consume` fan out over the host's cores through
 //! [`lml_sim::par`], which returns results in worker order, so every bit
@@ -72,16 +76,17 @@ pub struct DriverOutput {
 }
 
 /// The per-round aggregation hook: `(round, epoch, stats)` → element-wise
-/// sum and communication time, or the caller's error `E`.
+/// sum and communication time, or the caller's error `E`. It takes the
+/// round's statistics by value.
 pub type CommRoundFn<'a, E> =
-    dyn FnMut(u64, usize, &[Vec<f64>]) -> Result<(Vec<f64>, SimTime), E> + 'a;
+    dyn FnMut(u64, usize, Vec<Vec<f64>>) -> Result<(Vec<f64>, SimTime), E> + 'a;
 
 /// Run the synchronous loop.
 ///
 /// * `compute_time_of(max_examples)` — critical-path compute time of one
 ///   round in which the busiest worker touched `max_examples` *sample*
 ///   rows (the hook applies the paper-scale conversion).
-/// * `comm_round(round, epoch, stats)` — aggregate the statistics, return
+/// * `comm_round(round, epoch, stats)` — take the statistics, return
 ///   the element-wise sum and the communication time; its error ends the
 ///   run.
 /// * `wall_of_round(t)` — wall time consumed by a round of busy time `t`
@@ -155,7 +160,7 @@ fn run_sync_on<E>(
         let compute_t = compute_time_of(max_examples);
 
         // Aggregate (real data through the backend's channel).
-        let (agg, comm_t) = comm_round(rounds, epoch_idx, &stats)?;
+        let (agg, comm_t) = comm_round(rounds, epoch_idx, stats)?;
 
         // Everyone consumes the sum.
         par::parallel_map(workers.iter_mut(), threads, |_, w| {
@@ -233,7 +238,7 @@ mod tests {
             &ctx,
             workers,
             &|ex| SimTime::secs(ex as f64 * 0.001),
-            &mut |_r, _e, stats| Ok((sum_statistics(stats), SimTime::secs(0.5))),
+            &mut |_r, _e, stats| Ok((sum_statistics(&stats), SimTime::secs(0.5))),
             &mut |t| t,
         );
         out
@@ -354,7 +359,7 @@ sum_statistics sum=e9b4344a9d575bcb
             &ctx,
             workers,
             &|_| SimTime::secs(1.0),
-            &mut |_r, _e, stats| Ok((sum_statistics(stats), SimTime::ZERO)),
+            &mut |_r, _e, stats| Ok((sum_statistics(&stats), SimTime::ZERO)),
             &mut |t| t,
         );
         let losses = out.curve.points().iter().map(|p| &p.loss);

@@ -15,8 +15,10 @@
 //!
 //! The callers are `lml-bench`'s sweeps (one item per grid cell),
 //! `lml-core`'s synchronous round (one item per worker, for `produce` and
-//! `consume`) and `lml-optim`'s `sum_statistics` (one item per element
-//! range). The calling thread works as one of the threads, so `t` threads
+//! `consume`), [`sum_in_order`] (one item per element range; under
+//! `lml-optim`'s `sum_statistics` and `lml-comm`'s AllReduce merge) and
+//! `lml-comm`'s ScatterReduce merge (one item per chunk). The calling
+//! thread works as one of the threads, so `t` threads
 //! spawn `t − 1` helpers: a caller that only waited would hold its own
 //! buffers while one more helper allocated, and on the training workloads
 //! that raised peak RSS by about 11%.
@@ -26,7 +28,7 @@
 //! in hand: [`threads_for`] gives one thread below [`FAN_OUT_MIN_F64S`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// The fewest `f64`s a training phase must touch before it fans out: a
 /// round's statistic length × workers, or a sum's length × addends.
@@ -43,9 +45,11 @@ use std::sync::Mutex;
 pub const FAN_OUT_MIN_F64S: usize = 1 << 17;
 
 /// The host's cores, as the operating system reports them (1 when it
-/// cannot say).
+/// cannot say). Read once per process: the query reads cgroup files, and
+/// a training round asks on every call.
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Threads for a training phase that touches `f64s` values: every core
@@ -121,6 +125,32 @@ where
                 .expect("every claimed index stores a result")
         })
         .collect()
+}
+
+/// Element-wise sum of `addends`, added in slice order: element `j` is
+/// `0 + a₀[j] + a₁[j] + …`, the chain of a serial fold.
+///
+/// The output is split into `threads` contiguous element ranges summed at
+/// once. Each range adds the addends in slice order, so every element
+/// has the same chain of additions, and the same bits, at any split.
+/// Every addend must have the first one's length.
+pub fn sum_in_order<A: AsRef<[f64]> + Sync>(addends: &[A], threads: usize) -> Vec<f64> {
+    let len = addends.first().map_or(0, |a| a.as_ref().len());
+    assert!(
+        addends.iter().all(|a| a.as_ref().len() == len),
+        "addends of different lengths"
+    );
+    let mut out = vec![0.0; len];
+    let range = len.div_ceil(threads.max(1)).max(1);
+    parallel_map(out.chunks_mut(range), threads, |i, chunk| {
+        for a in addends {
+            let tail = a.as_ref().get(i * range..).unwrap_or_default();
+            for (o, v) in chunk.iter_mut().zip(tail) {
+                *o += v;
+            }
+        }
+    });
+    out
 }
 
 #[cfg(test)]

@@ -25,8 +25,15 @@ impl PartialEq for Blob {
     }
 }
 
+impl AsRef<[f64]> for Blob {
+    fn as_ref(&self) -> &[f64] {
+        self.data()
+    }
+}
+
 impl Blob {
-    /// Wrap a statistic vector; wire size defaults to `8 × len` (f64 encoding).
+    /// Wrap a statistic vector, without copying it; wire size defaults to
+    /// `8 × len` (f64 encoding).
     pub fn from_vec(data: Vec<f64>) -> Self {
         Blob {
             wire: ByteSize::of_f64s(data.len()),

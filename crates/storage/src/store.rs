@@ -13,20 +13,43 @@ use std::collections::BTreeMap;
 /// In-memory key→blob store with sorted, atomic prefix listing.
 ///
 /// The store also recycles payload buffers: [`ObjectStore::blob_of`] copies
-/// a statistic into a buffer taken from blobs the store dropped earlier
+/// data into a buffer taken from blobs the store dropped earlier
 /// (overwritten, deleted or cleared) *while holding the last reference* to
 /// them, so a round that writes what the previous round cleared touches no
-/// fresh memory. Recycling is invisible in the stored data, the listing
+/// fresh memory. It keeps only as many dropped buffers as `blob_of` has
+/// lent: in a BSP round that is the merged file's buffer, plus one copy per
+/// statistic when the caller lent its statistics instead of handing them
+/// over (owned statistics move in through [`Blob::from_vec`] and are freed
+/// when cleared). Recycling is invisible in the stored data, the listing
 /// and [`ObjectStore::stored_bytes`].
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
     objects: BTreeMap<String, Blob>,
+    spare: Spare,
+}
+
+/// The buffers `blob_of` recycles.
+#[derive(Debug, Clone, Default)]
+struct Spare {
     /// Buffers of dropped blobs, waiting for `blob_of`.
-    spare: Vec<Vec<f64>>,
+    buffers: Vec<Vec<f64>>,
     /// Buffers `blob_of` has handed out and not had back. Only that many
     /// dropped buffers are kept, so a store that is only ever overwritten
     /// with blobs built elsewhere retains nothing.
     lent: usize,
+}
+
+impl Spare {
+    /// Keep a dropped blob's buffer if nothing else refers to it.
+    fn recycle(&mut self, blob: Blob) {
+        if self.lent == 0 {
+            return;
+        }
+        if let Some(buffer) = blob.into_buffer() {
+            self.lent -= 1;
+            self.buffers.push(buffer);
+        }
+    }
 }
 
 impl ObjectStore {
@@ -37,28 +60,23 @@ impl ObjectStore {
     /// A blob holding a copy of `data` (wire size `8 × len`), in a recycled
     /// buffer when the store has one.
     pub fn blob_of(&mut self, data: &[f64]) -> Blob {
-        let mut buffer = self.spare.pop().unwrap_or_default();
+        let mut buffer = self.spare.buffers.pop().unwrap_or_default();
         buffer.clear();
         buffer.extend_from_slice(data);
-        self.lent += 1;
+        self.spare.lent += 1;
         Blob::from_vec(buffer)
     }
 
-    /// Keep a dropped blob's buffer if nothing else refers to it.
-    fn recycle(&mut self, blob: Blob) {
-        if self.lent == 0 {
-            return;
-        }
-        if let Some(buffer) = blob.into_buffer() {
-            self.lent -= 1;
-            self.spare.push(buffer);
-        }
+    /// Dropped buffers held for the next `blob_of` calls (a host-side
+    /// count; nothing simulated depends on it).
+    pub fn spare_buffers(&self) -> usize {
+        self.spare.buffers.len()
     }
 
     /// Insert or overwrite.
     pub fn put(&mut self, key: impl Into<String>, blob: Blob) {
         if let Some(old) = self.objects.insert(key.into(), blob) {
-            self.recycle(old);
+            self.spare.recycle(old);
         }
     }
 
@@ -75,7 +93,7 @@ impl ObjectStore {
         let Some(old) = self.objects.remove(key) else {
             return false;
         };
-        self.recycle(old);
+        self.spare.recycle(old);
         true
     }
 
@@ -96,13 +114,18 @@ impl ObjectStore {
             .count()
     }
 
-    /// Remove all keys with the given prefix; returns how many were removed.
+    /// Remove all keys with the given prefix, in key order; returns how
+    /// many were removed.
     pub fn clear_prefix(&mut self, prefix: &str) -> usize {
-        let keys = self.list(prefix);
-        for k in &keys {
-            self.delete(k);
+        let gone = self
+            .objects
+            .extract_if(prefix.to_string().., |k, _| k.starts_with(prefix));
+        let mut n = 0;
+        for (_, blob) in gone {
+            self.spare.recycle(blob);
+            n += 1;
         }
-        keys.len()
+        n
     }
 
     pub fn len(&self) -> usize {
@@ -255,12 +278,12 @@ mod tests {
         for i in 0..100 {
             s.put("global_model", Blob::from_vec(vec![i as f64; 64]));
         }
-        assert!(s.spare.is_empty());
+        assert_eq!(s.spare_buffers(), 0);
         // One loan admits one return, whatever buffer it is.
         let lent = s.blob_of(&[1.0]);
         s.put("global_model", blob(0.0));
         s.put("global_model", blob(0.0));
-        assert_eq!(s.spare.len(), 1);
+        assert_eq!(s.spare_buffers(), 1);
         drop(lent);
     }
 }
