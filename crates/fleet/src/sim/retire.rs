@@ -318,7 +318,9 @@ mod tests {
             s.total_cost.as_usd(),
             m.total_cost().as_usd()
         );
-        assert!(s.peak_resident_jobs >= 1 && s.peak_resident_jobs <= 300);
+        // Retired jobs leave the slab: 11 of the 300 are ever resident at
+        // once (measured), where holding the whole trace would read 300.
+        assert_eq!(s.peak_resident_jobs, 11);
     }
 
     #[test]
