@@ -294,6 +294,75 @@ mod tests {
         assert!(n_reg < n_free, "{n_reg} vs {n_free}");
     }
 
+    /// One line per {loss} × {dataset} × {l2}: ten full-batch steps from
+    /// zero (enough for hinge to skip rows on both datasets), then four Pcg64-drawn batches of 32 rows. `grad` folds each
+    /// batch's gradient and returned loss, `loss` the batch `loss`, `acc`
+    /// the batch `accuracy`, all as FNV-1a over `to_bits`. Every other
+    /// gradient starts from `-0.0`, which an entry no row touches must keep.
+    /// A mismatch prints the whole new table.
+    const GOLDEN: &str = "\
+logistic higgs_dense l2=0 grad=8fd67e3338e066f4 loss=c1cfa7361d114d5b acc=4ee9a7ddb1ec6fcd
+logistic higgs_dense l2=0.01 grad=5b51e57c677cc3c5 loss=6ba8753066b56084 acc=4ee9a7ddb1ec6fcd
+logistic rcv1_sparse l2=0 grad=2ce5f54b47617d18 loss=0805754a61b4842c acc=eb6c350be52923e6
+logistic rcv1_sparse l2=0.01 grad=10e4805522a1db16 loss=4722e8b570de11a2 acc=eb6c350be52923e6
+hinge higgs_dense l2=0 grad=99e0283911af5807 loss=cb5c3478598f28cd acc=8798e380b744a448
+hinge higgs_dense l2=0.01 grad=4540dd48b34709c7 loss=770e16bba480df7f acc=0d99115400e7ae71
+hinge rcv1_sparse l2=0 grad=f9f6f3c309495fe7 loss=2d89fb83f0f1deaa acc=eb6c350be52923e6
+hinge rcv1_sparse l2=0.01 grad=1e23e29433838e4a loss=c5082d493a5b61b3 acc=eb6c350be52923e6
+";
+
+    fn fnv(h: u64, x: f64) -> u64 {
+        let fold = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        x.to_bits().to_le_bytes().iter().fold(h, fold)
+    }
+
+    fn golden_line(
+        mut m: impl Objective,
+        loss: &str,
+        name: &str,
+        data: &Dataset,
+        l2: f64,
+    ) -> String {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        gd_steps(&mut m, data, 0.5, 10);
+        let mut rng = lml_sim::Pcg64::new(42);
+        let (mut g, mut l, mut a) = (FNV_OFFSET, FNV_OFFSET, FNV_OFFSET);
+        let mut grad = vec![0.0; m.dim()];
+        for zero in [0.0, -0.0, 0.0, -0.0] {
+            let rows = rng.sample_indices(data.len(), 32);
+            grad.fill(zero);
+            let batch_loss = m.grad(data, &rows, &mut grad);
+            g = fnv(grad.iter().fold(g, |h, &v| fnv(h, v)), batch_loss);
+            l = fnv(l, m.loss(data, &rows));
+            a = fnv(a, m.accuracy(data, &rows));
+        }
+        format!("{loss} {name} l2={l2} grad={g:016x} loss={l:016x} acc={a:016x}")
+    }
+
+    #[test]
+    fn losses_match_the_golden_table() {
+        let (higgs, rcv1) = (tiny_higgs(), tiny_rcv1());
+        let mut table = String::new();
+        for loss in ["logistic", "hinge"] {
+            for (name, data) in [("higgs_dense", &higgs), ("rcv1_sparse", &rcv1)] {
+                for l2 in [0.0, 0.01] {
+                    let dim = data.dim();
+                    table += &match loss {
+                        "logistic" => {
+                            golden_line(LogisticRegression::new(dim, l2), loss, name, data, l2)
+                        }
+                        _ => golden_line(LinearSvm::new(dim, l2), loss, name, data, l2),
+                    };
+                    table.push('\n');
+                }
+            }
+        }
+        assert!(
+            table == GOLDEN,
+            "linear golden table moved; new table:\n{table}"
+        );
+    }
+
     #[test]
     fn both_are_convex() {
         assert!(LogisticRegression::new(2, 0.0).is_convex());
