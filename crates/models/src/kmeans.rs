@@ -160,13 +160,6 @@ impl KMeans {
         let rows: Vec<usize> = (0..data.len()).collect();
         self.loss(data, &rows)
     }
-
-    /// One full EM epoch on `rows` (E + M locally; single-machine baseline).
-    pub fn em_epoch(&mut self, data: &Dataset, rows: &[usize]) -> f64 {
-        let stats = self.sufficient_stats(data, rows);
-        self.apply_stats(&stats);
-        self.loss(data, rows)
-    }
 }
 
 #[cfg(test)]
@@ -174,6 +167,12 @@ mod tests {
     use super::*;
     use lml_data::dataset::DenseDataset;
     use lml_data::generators::DatasetId;
+
+    /// One full EM epoch on `rows`: E and M steps on one machine.
+    fn em_epoch(km: &mut KMeans, data: &Dataset, rows: &[usize]) {
+        let stats = km.sufficient_stats(data, rows);
+        km.apply_stats(&stats);
+    }
 
     fn two_blob_data() -> Dataset {
         // 2 tight blobs at (0,0) and (10,10)
@@ -197,7 +196,7 @@ mod tests {
         let mut km = KMeans::init_from_data(&data, 2, 7);
         let rows: Vec<usize> = (0..data.len()).collect();
         for _ in 0..10 {
-            km.em_epoch(&data, &rows);
+            em_epoch(&mut km, &data, &rows);
         }
         let loss = km.full_loss(&data);
         assert!(loss < 0.1, "loss {loss} should be tiny for separated blobs");
@@ -216,7 +215,7 @@ mod tests {
         let rows: Vec<usize> = (0..data.len()).collect();
         let mut prev = km.loss(&data, &rows);
         for _ in 0..8 {
-            km.em_epoch(&data, &rows);
+            em_epoch(&mut km, &data, &rows);
             let l = km.loss(&data, &rows);
             assert!(l <= prev + 1e-9, "EM must not increase loss: {l} > {prev}");
             prev = l;
@@ -253,7 +252,7 @@ mod tests {
         // All points still closer to centroid 1 than (100,100)? No: blob at
         // (10,10) is nearer to (100,100)? dist to (0,0) = 200, to (100,100)
         // = 16200 — everything assigns to centroid 0.
-        km.em_epoch(&data, &rows);
+        em_epoch(&mut km, &data, &rows);
         assert_eq!(
             km.centroids().row(1),
             &[100.0, 100.0],
@@ -277,7 +276,7 @@ mod tests {
         let mut km = KMeans::init_from_data(&data, 3, 2);
         let rows: Vec<usize> = (0..data.len()).collect();
         let before = km.loss(&data, &rows);
-        km.em_epoch(&data, &rows);
+        em_epoch(&mut km, &data, &rows);
         let after = km.loss(&data, &rows);
         assert!(after <= before + 1e-9);
     }

@@ -7,8 +7,9 @@
 //!
 //! * [`objective`] — the [`objective::Objective`] trait for gradient-based
 //!   models, plus batch-loss/accuracy helpers.
-//! * [`linear`] — [`linear::LogisticRegression`] and [`linear::LinearSvm`],
-//!   both working on dense and sparse rows.
+//! * [`linear`] — [`linear::Linear`]: logistic regression and linear SVM
+//!   as one model that differs only in its [`linear::LinearLoss`], on dense
+//!   and sparse rows.
 //! * [`kmeans`] — [`kmeans::KMeans`] trained by EM with aggregatable
 //!   sufficient statistics (the distributed form used by LambdaML).
 //! * [`mlp`] — [`mlp::Mlp`]: ReLU feed-forward network with softmax
@@ -27,7 +28,7 @@ pub mod objective;
 pub mod zoo;
 
 pub use kmeans::KMeans;
-pub use linear::{LinearSvm, LogisticRegression};
+pub use linear::{Linear, LinearLoss};
 pub use mlp::Mlp;
 pub use objective::Objective;
 pub use zoo::{AnyModel, ModelId};

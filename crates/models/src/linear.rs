@@ -1,48 +1,59 @@
-//! Linear classifiers: logistic regression and linear SVM.
+//! Linear classifiers: one [`Linear`] model whose [`LinearLoss`] makes it
+//! logistic regression (LR) or a linear SVM.
 //!
-//! Both take ±1 labels, support dense and sparse rows, and carry optional L2
-//! regularization — matching the models the paper trains with SGD and ADMM
-//! on Higgs, RCV1, YFCC100M and Criteo.
+//! Both losses act on the margin `z = y·w·x` with ±1 labels, take dense and
+//! sparse rows, and carry optional L2 regularization — matching the models
+//! the paper trains with SGD and ADMM on Higgs, RCV1, YFCC100M and Criteo.
 
 use crate::objective::Objective;
 use lml_data::Dataset;
-use lml_linalg::dense::{dot, log1p_exp_neg, scale, sigmoid};
+use lml_linalg::dense::{dot, log1p_exp_neg, sigmoid};
 
-/// L2-regularized logistic regression with ±1 labels.
-///
-/// `loss = mean_i log(1 + exp(-y_i w·x_i)) + (l2/2)·‖w‖²`
-#[derive(Debug, Clone)]
-pub struct LogisticRegression {
-    w: Vec<f64>,
-    l2: f64,
+/// The per-example loss a [`Linear`] model applies to the margin `z`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinearLoss {
+    /// `log(1 + exp(-z))`: logistic regression.
+    Logistic,
+    /// `max(0, 1 - z)`: linear SVM.
+    Hinge,
 }
 
-impl LogisticRegression {
+/// L2-regularized linear classifier with ±1 labels.
+///
+/// `loss = mean_i ℓ(y_i w·x_i) + (l2/2)·‖w‖²`, with `ℓ` its [`LinearLoss`].
+#[derive(Debug, Clone)]
+pub struct Linear {
+    w: Vec<f64>,
+    l2: f64,
+    loss: LinearLoss,
+}
+
+impl Linear {
     /// Zero-initialized model (the paper's convex workloads start at 0).
-    pub fn new(dim: usize, l2: f64) -> Self {
+    pub fn new(dim: usize, l2: f64, loss: LinearLoss) -> Self {
         assert!(l2 >= 0.0);
-        LogisticRegression {
+        Linear {
             w: vec![0.0; dim],
             l2,
+            loss,
         }
     }
 
-    /// Decision value `w·x`.
-    pub fn decision(&self, data: &Dataset, row: usize) -> f64 {
-        data.row(row).dot(&self.w)
+    /// The paper's name for the model: "LR" or "SVM".
+    pub fn name(&self) -> &'static str {
+        match self.loss {
+            LinearLoss::Logistic => "LR",
+            LinearLoss::Hinge => "SVM",
+        }
     }
 
-    /// Predicted probability of the positive class.
-    pub fn predict_proba(&self, data: &Dataset, row: usize) -> f64 {
-        sigmoid(self.decision(data, row))
-    }
-
-    pub fn l2(&self) -> f64 {
-        self.l2
+    /// Margin `z = y·w·x` of example `r`.
+    fn margin(&self, data: &Dataset, r: usize) -> f64 {
+        data.label(r) * data.row(r).dot(&self.w)
     }
 }
 
-impl Objective for LogisticRegression {
+impl Objective for Linear {
     fn dim(&self) -> usize {
         self.w.len()
     }
@@ -58,152 +69,62 @@ impl Objective for LogisticRegression {
     fn grad(&self, data: &Dataset, rows: &[usize], grad_out: &mut [f64]) -> f64 {
         assert!(!rows.is_empty(), "gradient over an empty batch");
         let inv_n = 1.0 / rows.len() as f64;
-        let mut loss = 0.0;
+        let mut total = 0.0;
         for &r in rows {
             let y = data.label(r);
             // Labels are exact ±1.0 sentinels. lml-analyze: allow(float-eq)
-            debug_assert!(y == 1.0 || y == -1.0, "LR expects ±1 labels");
-            let z = y * data.row(r).dot(&self.w);
-            loss += log1p_exp_neg(z);
-            // d/dw log(1+exp(-z)) = -y·sigmoid(-z)·x
-            let coeff = -y * sigmoid(-z) * inv_n;
-            data.row(r).axpy_into(coeff, grad_out);
+            debug_assert!(y == 1.0 || y == -1.0, "linear models expect ±1 labels");
+            let x = data.row(r);
+            let z = y * x.dot(&self.w);
+            match self.loss {
+                LinearLoss::Logistic => {
+                    total += log1p_exp_neg(z);
+                    // d/dw log(1+exp(-z)) = -y·sigmoid(-z)·x
+                    x.axpy_into(-y * sigmoid(-z) * inv_n, grad_out);
+                }
+                LinearLoss::Hinge => {
+                    // Flat past the margin: skip the row rather than add
+                    // 0·x, which would turn a -0.0 entry into +0.0.
+                    let slack = 1.0 - z;
+                    if slack > 0.0 {
+                        total += slack;
+                        x.axpy_into(-y * inv_n, grad_out);
+                    }
+                }
+            }
         }
         if self.l2 > 0.0 {
             lml_linalg::dense::axpy(self.l2, &self.w, grad_out);
-            loss += 0.5 * self.l2 * dot(&self.w, &self.w) * rows.len() as f64;
+            total += 0.5 * self.l2 * dot(&self.w, &self.w) * rows.len() as f64;
         }
-        loss * inv_n
+        total * inv_n
     }
 
     fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
         assert!(!rows.is_empty());
-        let mut loss = 0.0;
+        let mut total = 0.0;
         for &r in rows {
-            let z = data.label(r) * data.row(r).dot(&self.w);
-            loss += log1p_exp_neg(z);
+            let z = self.margin(data, r);
+            match self.loss {
+                LinearLoss::Logistic => total += log1p_exp_neg(z),
+                LinearLoss::Hinge => {
+                    let slack = 1.0 - z;
+                    if slack > 0.0 {
+                        total += slack;
+                    }
+                }
+            }
         }
-        loss / rows.len() as f64 + 0.5 * self.l2 * dot(&self.w, &self.w)
-    }
-
-    fn is_convex(&self) -> bool {
-        true
+        total / rows.len() as f64 + 0.5 * self.l2 * dot(&self.w, &self.w)
     }
 
     fn accuracy(&self, data: &Dataset, rows: &[usize]) -> f64 {
         if rows.is_empty() {
             return 1.0;
         }
-        let correct = rows
-            .iter()
-            .filter(|&&r| data.label(r) * data.row(r).dot(&self.w) > 0.0)
-            .count();
+        let correct = rows.iter().filter(|&&r| self.margin(data, r) > 0.0).count();
         correct as f64 / rows.len() as f64
     }
-}
-
-/// L2-regularized linear SVM (hinge loss) with ±1 labels.
-///
-/// `loss = mean_i max(0, 1 - y_i w·x_i) + (l2/2)·‖w‖²`
-#[derive(Debug, Clone)]
-pub struct LinearSvm {
-    w: Vec<f64>,
-    l2: f64,
-}
-
-impl LinearSvm {
-    pub fn new(dim: usize, l2: f64) -> Self {
-        assert!(l2 >= 0.0);
-        LinearSvm {
-            w: vec![0.0; dim],
-            l2,
-        }
-    }
-
-    pub fn decision(&self, data: &Dataset, row: usize) -> f64 {
-        data.row(row).dot(&self.w)
-    }
-
-    pub fn l2(&self) -> f64 {
-        self.l2
-    }
-}
-
-impl Objective for LinearSvm {
-    fn dim(&self) -> usize {
-        self.w.len()
-    }
-
-    fn params(&self) -> &[f64] {
-        &self.w
-    }
-
-    fn params_mut(&mut self) -> &mut [f64] {
-        &mut self.w
-    }
-
-    fn grad(&self, data: &Dataset, rows: &[usize], grad_out: &mut [f64]) -> f64 {
-        assert!(!rows.is_empty());
-        let inv_n = 1.0 / rows.len() as f64;
-        let mut loss = 0.0;
-        for &r in rows {
-            let y = data.label(r);
-            // Labels are exact ±1.0 sentinels. lml-analyze: allow(float-eq)
-            debug_assert!(y == 1.0 || y == -1.0, "SVM expects ±1 labels");
-            let margin = 1.0 - y * data.row(r).dot(&self.w);
-            if margin > 0.0 {
-                loss += margin;
-                data.row(r).axpy_into(-y * inv_n, grad_out);
-            }
-        }
-        if self.l2 > 0.0 {
-            lml_linalg::dense::axpy(self.l2, &self.w, grad_out);
-            loss += 0.5 * self.l2 * dot(&self.w, &self.w) * rows.len() as f64;
-        }
-        loss * inv_n
-    }
-
-    fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
-        assert!(!rows.is_empty());
-        let mut loss = 0.0;
-        for &r in rows {
-            let margin = 1.0 - data.label(r) * data.row(r).dot(&self.w);
-            if margin > 0.0 {
-                loss += margin;
-            }
-        }
-        loss / rows.len() as f64 + 0.5 * self.l2 * dot(&self.w, &self.w)
-    }
-
-    fn is_convex(&self) -> bool {
-        true
-    }
-
-    fn accuracy(&self, data: &Dataset, rows: &[usize]) -> f64 {
-        if rows.is_empty() {
-            return 1.0;
-        }
-        let correct = rows
-            .iter()
-            .filter(|&&r| data.label(r) * data.row(r).dot(&self.w) > 0.0)
-            .count();
-        correct as f64 / rows.len() as f64
-    }
-}
-
-/// Helper shared by tests and the single-machine baseline: take `steps`
-/// full-batch gradient steps with learning rate `lr`.
-pub fn gd_steps<O: Objective>(model: &mut O, data: &Dataset, lr: f64, steps: usize) -> f64 {
-    let rows: Vec<usize> = (0..data.len()).collect();
-    let mut grad = vec![0.0; model.dim()];
-    let mut last = f64::INFINITY;
-    for _ in 0..steps {
-        grad.iter_mut().for_each(|g| *g = 0.0);
-        last = model.grad(data, &rows, &mut grad);
-        scale(&mut grad, -lr);
-        lml_linalg::dense::add_assign(model.params_mut(), &grad);
-    }
-    last
 }
 
 #[cfg(test)]
@@ -211,6 +132,29 @@ mod tests {
     use super::*;
     use crate::objective::grad_check;
     use lml_data::generators::DatasetId;
+    use lml_linalg::dense::{add_assign, scale};
+
+    /// Take `steps` full-batch gradient steps with learning rate `lr`.
+    fn gd_steps<O: Objective>(model: &mut O, data: &Dataset, lr: f64, steps: usize) -> f64 {
+        let rows: Vec<usize> = (0..data.len()).collect();
+        let mut grad = vec![0.0; model.dim()];
+        let mut last = f64::INFINITY;
+        for _ in 0..steps {
+            grad.iter_mut().for_each(|g| *g = 0.0);
+            last = model.grad(data, &rows, &mut grad);
+            scale(&mut grad, -lr);
+            add_assign(model.params_mut(), &grad);
+        }
+        last
+    }
+
+    fn lr(dim: usize, l2: f64) -> Linear {
+        Linear::new(dim, l2, LinearLoss::Logistic)
+    }
+
+    fn svm(dim: usize, l2: f64) -> Linear {
+        Linear::new(dim, l2, LinearLoss::Hinge)
+    }
 
     fn tiny_higgs() -> Dataset {
         DatasetId::Higgs.generate_rows(400, 42).data
@@ -223,7 +167,7 @@ mod tests {
     #[test]
     fn lr_gradient_matches_numeric_dense() {
         let data = tiny_higgs();
-        let mut m = LogisticRegression::new(data.dim(), 0.01);
+        let mut m = lr(data.dim(), 0.01);
         // move off the zero point first
         gd_steps(&mut m, &data, 0.5, 3);
         let err = grad_check(&mut m, &data, &[0, 1, 2, 3, 4], 1e-5);
@@ -233,7 +177,7 @@ mod tests {
     #[test]
     fn svm_gradient_matches_numeric_dense() {
         let data = tiny_higgs();
-        let mut m = LinearSvm::new(data.dim(), 0.01);
+        let mut m = svm(data.dim(), 0.01);
         gd_steps(&mut m, &data, 0.1, 3);
         // Hinge is non-smooth at margin = 1; with random data points are a.s.
         // away from the kink, so central differences still match.
@@ -244,7 +188,7 @@ mod tests {
     #[test]
     fn lr_gradient_matches_numeric_sparse() {
         let data = tiny_rcv1();
-        let mut m = LogisticRegression::new(data.dim(), 0.0);
+        let mut m = lr(data.dim(), 0.0);
         let rows: Vec<usize> = (0..10).collect();
         let mut g = vec![0.0; m.dim()];
         m.grad(&data, &rows, &mut g);
@@ -266,7 +210,7 @@ mod tests {
     #[test]
     fn lr_trains_below_chance_loss_on_higgs() {
         let data = tiny_higgs();
-        let mut m = LogisticRegression::new(data.dim(), 0.0);
+        let mut m = lr(data.dim(), 0.0);
         let l0 = m.full_loss(&data);
         assert!((l0 - (2.0f64).ln()).abs() < 1e-9, "zero model loss = ln 2");
         let l = gd_steps(&mut m, &data, 0.5, 100);
@@ -277,7 +221,7 @@ mod tests {
     #[test]
     fn svm_trains_on_rcv1_to_low_hinge() {
         let data = tiny_rcv1();
-        let mut m = LinearSvm::new(data.dim(), 0.0);
+        let mut m = svm(data.dim(), 0.0);
         let l = gd_steps(&mut m, &data, 0.5, 200);
         assert!(l < 0.3, "RCV1 is near-separable, hinge should fall: {l}");
     }
@@ -285,8 +229,8 @@ mod tests {
     #[test]
     fn l2_pulls_weights_down() {
         let data = tiny_higgs();
-        let mut free = LogisticRegression::new(data.dim(), 0.0);
-        let mut reg = LogisticRegression::new(data.dim(), 1.0);
+        let mut free = lr(data.dim(), 0.0);
+        let mut reg = lr(data.dim(), 1.0);
         gd_steps(&mut free, &data, 0.5, 50);
         gd_steps(&mut reg, &data, 0.5, 50);
         let n_free = lml_linalg::dense::norm2(free.params());
@@ -295,11 +239,12 @@ mod tests {
     }
 
     /// One line per {loss} × {dataset} × {l2}: ten full-batch steps from
-    /// zero (enough for hinge to skip rows on both datasets), then four Pcg64-drawn batches of 32 rows. `grad` folds each
-    /// batch's gradient and returned loss, `loss` the batch `loss`, `acc`
-    /// the batch `accuracy`, all as FNV-1a over `to_bits`. Every other
-    /// gradient starts from `-0.0`, which an entry no row touches must keep.
-    /// A mismatch prints the whole new table.
+    /// zero (enough for hinge to skip rows on both datasets), then four
+    /// Pcg64-drawn batches of 32 rows. `grad` folds each batch's gradient
+    /// and returned loss, `loss` the batch `loss`, `acc` the batch
+    /// `accuracy`, all as FNV-1a over `to_bits`. Every other gradient
+    /// starts from `-0.0`, which an entry no row touches must keep. A
+    /// mismatch prints the whole new table.
     const GOLDEN: &str = "\
 logistic higgs_dense l2=0 grad=8fd67e3338e066f4 loss=c1cfa7361d114d5b acc=4ee9a7ddb1ec6fcd
 logistic higgs_dense l2=0.01 grad=5b51e57c677cc3c5 loss=6ba8753066b56084 acc=4ee9a7ddb1ec6fcd
@@ -343,16 +288,14 @@ hinge rcv1_sparse l2=0.01 grad=1e23e29433838e4a loss=c5082d493a5b61b3 acc=eb6c35
     fn losses_match_the_golden_table() {
         let (higgs, rcv1) = (tiny_higgs(), tiny_rcv1());
         let mut table = String::new();
-        for loss in ["logistic", "hinge"] {
+        for (loss, kind) in [
+            ("logistic", LinearLoss::Logistic),
+            ("hinge", LinearLoss::Hinge),
+        ] {
             for (name, data) in [("higgs_dense", &higgs), ("rcv1_sparse", &rcv1)] {
                 for l2 in [0.0, 0.01] {
-                    let dim = data.dim();
-                    table += &match loss {
-                        "logistic" => {
-                            golden_line(LogisticRegression::new(dim, l2), loss, name, data, l2)
-                        }
-                        _ => golden_line(LinearSvm::new(dim, l2), loss, name, data, l2),
-                    };
+                    let model = Linear::new(data.dim(), l2, kind);
+                    table += &golden_line(model, loss, name, data, l2);
                     table.push('\n');
                 }
             }
@@ -361,11 +304,5 @@ hinge rcv1_sparse l2=0.01 grad=1e23e29433838e4a loss=c5082d493a5b61b3 acc=eb6c35
             table == GOLDEN,
             "linear golden table moved; new table:\n{table}"
         );
-    }
-
-    #[test]
-    fn both_are_convex() {
-        assert!(LogisticRegression::new(2, 0.0).is_convex());
-        assert!(LinearSvm::new(2, 0.0).is_convex());
     }
 }

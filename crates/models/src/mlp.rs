@@ -341,10 +341,6 @@ impl Objective for Mlp {
         total / rows.len() as f64
     }
 
-    fn is_convex(&self) -> bool {
-        false
-    }
-
     fn accuracy(&self, data: &Dataset, rows: &[usize]) -> f64 {
         if rows.is_empty() {
             return 1.0;
@@ -766,11 +762,6 @@ mod tests {
         }
         let acc = mlp.accuracy(&data, &rows);
         assert!(acc > 0.5, "training accuracy {acc}");
-    }
-
-    #[test]
-    fn not_convex() {
-        assert!(!Mlp::new(&[2, 2, 2], 1).is_convex());
     }
 
     #[test]

@@ -25,10 +25,6 @@ pub trait Objective {
     /// Mean loss over `rows` (no gradient).
     fn loss(&self, data: &Dataset, rows: &[usize]) -> f64;
 
-    /// Whether the objective is convex in its parameters. ADMM is only
-    /// applicable to convex objectives (§4.2 of the paper).
-    fn is_convex(&self) -> bool;
-
     /// Fraction of `rows` classified correctly (1.0 for non-classifiers).
     fn accuracy(&self, data: &Dataset, rows: &[usize]) -> f64;
 
@@ -45,9 +41,10 @@ pub trait Objective {
     }
 }
 
-/// Numerical gradient check helper used by model unit tests: compares the
+/// Numerical gradient check for the model unit tests: compares the
 /// analytic gradient against central differences at the current parameters.
 /// Returns the max absolute element-wise error.
+#[cfg(test)]
 pub fn grad_check<O: Objective>(model: &mut O, data: &Dataset, rows: &[usize], eps: f64) -> f64 {
     let dim = model.dim();
     let mut analytic = vec![0.0; dim];
@@ -98,9 +95,6 @@ mod tests {
         }
         fn loss(&self, _d: &Dataset, _rows: &[usize]) -> f64 {
             0.5 * self.w.iter().map(|v| v * v).sum::<f64>()
-        }
-        fn is_convex(&self) -> bool {
-            true
         }
         fn accuracy(&self, _d: &Dataset, _rows: &[usize]) -> f64 {
             1.0

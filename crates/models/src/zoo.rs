@@ -9,7 +9,8 @@
 //! depends only on bytes-on-the-wire and seconds-of-compute.
 
 use crate::kmeans::KMeans;
-use crate::linear::{LinearSvm, LogisticRegression};
+use crate::linear::Linear;
+use crate::linear::LinearLoss::{Hinge, Logistic};
 use crate::mlp::Mlp;
 use crate::objective::Objective;
 use lml_data::Dataset;
@@ -44,8 +45,8 @@ impl ModelId {
     /// Build the model for a dataset.
     pub fn build(self, data: &Dataset, seed: u64) -> AnyModel {
         match self {
-            ModelId::Lr { l2 } => AnyModel::Lr(LogisticRegression::new(data.dim(), l2)),
-            ModelId::Svm { l2 } => AnyModel::Svm(LinearSvm::new(data.dim(), l2)),
+            ModelId::Lr { l2 } => AnyModel::Linear(Linear::new(data.dim(), l2, Logistic)),
+            ModelId::Svm { l2 } => AnyModel::Linear(Linear::new(data.dim(), l2, Hinge)),
             ModelId::KMeans { k } => AnyModel::KMeans(KMeans::init_from_data(data, k, seed)),
             ModelId::MobileNet => AnyModel::Mlp {
                 net: Mlp::new(&[data.dim(), 256, 10], seed),
@@ -87,8 +88,7 @@ impl DeepProfile {
 /// A built model: the statistical engine plus its system profile.
 #[derive(Debug, Clone)]
 pub enum AnyModel {
-    Lr(LogisticRegression),
-    Svm(LinearSvm),
+    Linear(Linear),
     KMeans(KMeans),
     Mlp { net: Mlp, profile: DeepProfile },
 }
@@ -96,8 +96,7 @@ pub enum AnyModel {
 impl AnyModel {
     pub fn name(&self) -> &'static str {
         match self {
-            AnyModel::Lr(_) => "LR",
-            AnyModel::Svm(_) => "SVM",
+            AnyModel::Linear(m) => m.name(),
             AnyModel::KMeans(_) => "KMeans",
             AnyModel::Mlp { profile, .. } => profile.name,
         }
@@ -106,8 +105,7 @@ impl AnyModel {
     /// Length of the flat parameter vector (centroids for k-means).
     pub fn param_len(&self) -> usize {
         match self {
-            AnyModel::Lr(m) => m.dim(),
-            AnyModel::Svm(m) => m.dim(),
+            AnyModel::Linear(m) => m.dim(),
             AnyModel::KMeans(m) => m.params().len(),
             AnyModel::Mlp { net, .. } => net.dim(),
         }
@@ -115,8 +113,7 @@ impl AnyModel {
 
     pub fn params(&self) -> &[f64] {
         match self {
-            AnyModel::Lr(m) => m.params(),
-            AnyModel::Svm(m) => m.params(),
+            AnyModel::Linear(m) => m.params(),
             AnyModel::KMeans(m) => m.params(),
             AnyModel::Mlp { net, .. } => net.params(),
         }
@@ -124,8 +121,7 @@ impl AnyModel {
 
     pub fn params_mut(&mut self) -> &mut [f64] {
         match self {
-            AnyModel::Lr(m) => m.params_mut(),
-            AnyModel::Svm(m) => m.params_mut(),
+            AnyModel::Linear(m) => m.params_mut(),
             AnyModel::KMeans(m) => m.params_mut(),
             AnyModel::Mlp { net, .. } => net.params_mut(),
         }
@@ -154,7 +150,7 @@ impl AnyModel {
     pub fn flops_per_example(&self, nnz: f64) -> f64 {
         match self {
             // dot + axpy forward/backward: ~4 flops per stored feature.
-            AnyModel::Lr(_) | AnyModel::Svm(_) => 4.0 * nnz,
+            AnyModel::Linear(_) => 4.0 * nnz,
             // distance to k centroids: ~3 flops per feature per centroid.
             AnyModel::KMeans(m) => 3.0 * nnz * m.k() as f64,
             AnyModel::Mlp { profile, .. } => profile.flops_per_example,
@@ -164,17 +160,15 @@ impl AnyModel {
     /// Whether ADMM may be applied (§4.2: convex objectives only).
     pub fn is_convex(&self) -> bool {
         match self {
-            AnyModel::Lr(_) | AnyModel::Svm(_) => true,
-            AnyModel::KMeans(_) => false,
-            AnyModel::Mlp { .. } => false,
+            AnyModel::Linear(_) => true,
+            AnyModel::KMeans(_) | AnyModel::Mlp { .. } => false,
         }
     }
 
     /// Mean loss over `rows` (clustering objective for k-means).
     pub fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
         match self {
-            AnyModel::Lr(m) => m.loss(data, rows),
-            AnyModel::Svm(m) => m.loss(data, rows),
+            AnyModel::Linear(m) => m.loss(data, rows),
             AnyModel::KMeans(m) => m.loss(data, rows),
             AnyModel::Mlp { net, .. } => net.loss(data, rows),
         }
@@ -190,8 +184,7 @@ impl AnyModel {
     pub fn full_accuracy(&self, data: &Dataset) -> f64 {
         let rows: Vec<usize> = (0..data.len()).collect();
         match self {
-            AnyModel::Lr(m) => m.accuracy(data, &rows),
-            AnyModel::Svm(m) => m.accuracy(data, &rows),
+            AnyModel::Linear(m) => m.accuracy(data, &rows),
             AnyModel::KMeans(_) => 1.0,
             AnyModel::Mlp { net, .. } => net.accuracy(data, &rows),
         }
@@ -201,8 +194,7 @@ impl AnyModel {
     /// [`AnyModel::em_stats`]).
     pub fn grad(&self, data: &Dataset, rows: &[usize], grad_out: &mut [f64]) -> f64 {
         match self {
-            AnyModel::Lr(m) => m.grad(data, rows, grad_out),
-            AnyModel::Svm(m) => m.grad(data, rows, grad_out),
+            AnyModel::Linear(m) => m.grad(data, rows, grad_out),
             AnyModel::KMeans(_) => panic!("k-means has no gradient; use em_stats"),
             AnyModel::Mlp { net, .. } => net.grad(data, rows, grad_out),
         }
