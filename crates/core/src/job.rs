@@ -59,8 +59,9 @@ pub enum JobError {
     /// The (algorithm, model, backend) combination is invalid
     /// (e.g. ADMM on a neural network, §4.2).
     NotApplicable(String),
-    /// A `JobConfig` field, or the workload's training or validation set,
-    /// holds a value no executor can run, e.g. zero workers.
+    /// A `JobConfig` field, a `ModelId` parameter, or the workload's
+    /// training or validation set holds a value no executor can run, e.g.
+    /// zero workers or a negative L2 weight.
     InvalidConfig {
         field: &'static str,
         value: String,
@@ -146,6 +147,20 @@ impl<'a> TrainingJob<'a> {
         if self.workload.valid.is_empty() {
             let reason = "the validation loss needs at least one row";
             return invalid("valid", "0 rows", reason);
+        }
+        match self.model_id {
+            ModelId::Lr { l2 } | ModelId::Svm { l2 } if !(l2.is_finite() && l2 >= 0.0) => {
+                let reason = "the L2 weight must be finite and non-negative";
+                return invalid("l2", &l2.to_string(), reason);
+            }
+            ModelId::KMeans { k: 0 } => {
+                return invalid("k", "0", "k-means needs at least one cluster");
+            }
+            ModelId::KMeans { k } if k > rows => {
+                let reason = format!("k-means needs k distinct training rows and has {rows}");
+                return invalid("k", &k.to_string(), &reason);
+            }
+            _ => {}
         }
         if workers == 0 {
             return invalid("workers", "0", "a job needs at least one worker");
@@ -303,6 +318,22 @@ mod tests {
         }
     }
 
+    /// The field `check_config` names for `lr_on_higgs` on 10 IaaS
+    /// workers with `model` trained by `algo` instead, or `None` when the
+    /// job runs.
+    fn rejected_model(wl: &Workload, model: ModelId, algo: Algorithm) -> Option<&'static str> {
+        let mut job = lr_on_higgs(wl, 10);
+        job.model_id = model;
+        job.config = job.config.with_backend(Backend::iaas_default());
+        job.config.algorithm = algo;
+        match job.run() {
+            Err(JobError::InvalidConfig { field, .. }) => Some(field),
+            _ => None,
+        }
+    }
+
+    const SGD: Algorithm = Algorithm::GaSgd { batch: 10 };
+
     fn higgs400() -> Workload {
         Workload::from_generated(&DatasetId::Higgs.generate_rows(400, 1), 1)
     }
@@ -443,6 +474,53 @@ mod tests {
             instance: InstanceType::C5XLarge4,
         };
         assert_eq!(rejected_field(&wl, |c| c.backend = single), Some("train"));
+    }
+
+    #[test]
+    fn nan_l2_is_rejected() {
+        let wl = higgs400();
+        for model in [ModelId::Lr { l2: f64::NAN }, ModelId::Svm { l2: f64::NAN }] {
+            assert_eq!(rejected_model(&wl, model, SGD), Some("l2"), "{model:?}");
+        }
+    }
+
+    #[test]
+    fn negative_l2_is_rejected() {
+        let wl = higgs400();
+        for model in [ModelId::Lr { l2: -1.0 }, ModelId::Svm { l2: -0.5 }] {
+            assert_eq!(rejected_model(&wl, model, SGD), Some("l2"), "{model:?}");
+        }
+        assert_eq!(rejected_model(&wl, ModelId::Svm { l2: 0.01 }, SGD), None);
+    }
+
+    /// An infinite L2 weight would run to a NaN loss.
+    #[test]
+    fn infinite_l2_is_rejected() {
+        let wl = higgs400();
+        for model in [
+            ModelId::Lr { l2: f64::INFINITY },
+            ModelId::Svm { l2: f64::INFINITY },
+        ] {
+            assert_eq!(rejected_model(&wl, model, SGD), Some("l2"), "{model:?}");
+        }
+    }
+
+    #[test]
+    fn zero_clusters_is_rejected() {
+        let wl = higgs400();
+        let km = ModelId::KMeans { k: 0 };
+        assert_eq!(rejected_model(&wl, km, Algorithm::Em), Some("k"));
+    }
+
+    /// K-means seeds each centroid from a distinct training row, so `k`
+    /// may reach the 360 training rows but not pass them.
+    #[test]
+    fn more_clusters_than_training_rows_is_rejected() {
+        let wl = higgs400();
+        let km = |k| ModelId::KMeans { k };
+        assert_eq!(rejected_model(&wl, km(10_000), Algorithm::Em), Some("k"));
+        assert_eq!(rejected_model(&wl, km(361), Algorithm::Em), Some("k"));
+        assert_eq!(rejected_model(&wl, km(360), Algorithm::Em), None);
     }
 
     #[test]
