@@ -40,7 +40,7 @@ impl Linear {
     }
 
     /// The paper's name for the model: "LR" or "SVM".
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self.loss {
             LinearLoss::Logistic => "LR",
             LinearLoss::Hinge => "SVM",
