@@ -320,4 +320,54 @@ mod tests {
         let rounds = (n.workload.train.len() / 10) as f64 / scaled as f64;
         assert!((50.0..220.0).contains(&rounds), "rounds/epoch {rounds}");
     }
+
+    /// One line per Table 4 row: its name, dataset and model, its workers
+    /// and max epochs in fast and full mode, its paper batch, `lr` and
+    /// `threshold` as bits, and its best algorithm at a sample batch of
+    /// 100. A mismatch prints the whole new table to paste over this one.
+    const GOLDEN: &str = "\
+LR/Higgs dataset=Higgs model=Lr { l2: 0.0 } workers=10/10 batch=10000 lr=3fe0000000000000 threshold=3fe4a3d70a3d70a4 epochs=20/60 best=Admm { rho: 0.1, local_scans: 10, batch: 100 }
+SVM/Higgs dataset=Higgs model=Svm { l2: 0.0 } workers=10/10 batch=10000 lr=3fd3333333333333 threshold=3fe999999999999a epochs=20/60 best=Admm { rho: 0.1, local_scans: 10, batch: 100 }
+KMeans/Higgs dataset=Higgs model=KMeans { k: 10 } workers=10/10 batch=10000 lr=0000000000000000 threshold=4039800000000000 epochs=20/60 best=Em
+LR/RCV1 dataset=RCV1 model=Lr { l2: 0.0 } workers=5/5 batch=2000 lr=3ff0000000000000 threshold=3fd6666666666666 epochs=20/60 best=Admm { rho: 0.1, local_scans: 10, batch: 100 }
+SVM/RCV1 dataset=RCV1 model=Svm { l2: 0.0 } workers=5/5 batch=2000 lr=3ff0000000000000 threshold=3fcc28f5c28f5c29 epochs=20/60 best=Admm { rho: 0.1, local_scans: 10, batch: 100 }
+KMeans/RCV1 dataset=RCV1 model=KMeans { k: 3 } workers=10/50 batch=2000 lr=0000000000000000 threshold=3fd3333333333333 epochs=20/60 best=Em
+LR/YFCC100M dataset=YFCC100M model=Lr { l2: 0.0 } workers=100/100 batch=800 lr=3fb999999999999a threshold=3fbeb851eb851eb8 epochs=20/60 best=Admm { rho: 0.1, local_scans: 10, batch: 100 }
+SVM/YFCC100M dataset=YFCC100M model=Svm { l2: 0.0 } workers=100/100 batch=800 lr=3fb999999999999a threshold=3faeb851eb851eb8 epochs=20/60 best=Admm { rho: 0.1, local_scans: 10, batch: 100 }
+KMeans/YFCC100M dataset=YFCC100M model=KMeans { k: 10 } workers=100/100 batch=800 lr=0000000000000000 threshold=4074d00000000000 epochs=20/60 best=Em
+LR/Criteo dataset=Criteo model=Lr { l2: 0.0 } workers=10/10 batch=650000 lr=3fe0000000000000 threshold=3fdeb851eb851eb8 epochs=20/60 best=Admm { rho: 0.1, local_scans: 10, batch: 100 }
+MobileNet/Cifar10 dataset=Cifar10 model=MobileNet workers=10/10 batch=128 lr=3fc3333333333333 threshold=3fc999999999999a epochs=20/25 best=GaSgd { batch: 100 }
+ResNet50/Cifar10 dataset=Cifar10 model=ResNet50 workers=10/10 batch=32 lr=3fb999999999999a threshold=3fd999999999999a epochs=20/25 best=GaSgd { batch: 100 }
+";
+
+    #[test]
+    fn table4_matches_the_golden_table() {
+        let fast = Harness::default();
+        let full = Harness {
+            fast: false,
+            ..Harness::default()
+        };
+        let mut table = String::new();
+        for id in WorkloadId::ALL {
+            // A sample spec whose scaled batch is 100 at this row's paper batch.
+            let mut wl = Workload::from_generated(&id.dataset().generate_rows(10, 1), 1);
+            let paper = wl.spec.paper_instances as f64;
+            wl.spec.sample_instances = (paper * 100.0 / id.paper_batch() as f64).round() as u64;
+            table += &format!(
+                "{} dataset={} model={:?} workers={}/{} batch={} lr={:016x} threshold={:016x} epochs={}/{} best={:?}\n",
+                id.name(),
+                id.dataset().name(),
+                id.model(),
+                id.workers(&fast),
+                id.workers(&full),
+                id.paper_batch(),
+                id.lr().to_bits(),
+                id.threshold().to_bits(),
+                id.max_epochs(&fast),
+                id.max_epochs(&full),
+                id.best_algorithm(&wl),
+            );
+        }
+        assert!(table == GOLDEN, "Table 4 moved; new table:\n{table}");
+    }
 }

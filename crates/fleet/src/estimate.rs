@@ -849,6 +849,14 @@ impl RiskModel {
 mod tests {
     use super::*;
 
+    /// The one fleet path that trains on Table 4 values: the §5.3
+    /// sampling estimator on 20% of SVM/RCV1.
+    #[test]
+    fn calibrate_epochs_is_pinned() {
+        let epochs = calibrate_epochs(JobClass::SvmRcv1, 0.2, 12, 5);
+        assert_eq!(epochs.to_bits(), 0x4029_7a4b_01a1_6d40, "{epochs}");
+    }
+
     fn job(class: JobClass) -> JobRequest {
         JobRequest::new(0, class, SimTime::ZERO, class.default_workers())
     }

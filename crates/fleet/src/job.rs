@@ -316,6 +316,40 @@ mod tests {
         assert!(JobClass::RnCifar.nominal_runtime() > JobClass::LrHiggs.nominal_runtime());
     }
 
+    /// One line per class: the Table 4 values the fleet reads (dataset,
+    /// model, default workers, the §5.3 calibration algorithm, `lr` and
+    /// `threshold` as bits) and the profile's paper dataset bytes as bits.
+    /// A mismatch prints the whole new table to paste over this one.
+    const GOLDEN: &str = "\
+lr-higgs dataset=Higgs model=Lr { l2: 0.0 } workers=10 algo=Admm { rho: 0.1, local_scans: 10, batch: 500 } lr=3fe0000000000000 threshold=3fe4a3d70a3d70a4 bytes=41fdcd6500000000
+svm-rcv1 dataset=RCV1 model=Svm { l2: 0.0 } workers=5 algo=Admm { rho: 0.1, local_scans: 10, batch: 500 } lr=3ff0000000000000 threshold=3fcc28f5c28f5c29 bytes=41d1e1a300000000
+km-higgs dataset=Higgs model=KMeans { k: 10 } workers=10 algo=Em lr=0000000000000000 threshold=4039800000000000 bytes=41fdcd6500000000
+lr-yfcc dataset=YFCC100M model=Lr { l2: 0.0 } workers=100 algo=Admm { rho: 0.1, local_scans: 10, batch: 500 } lr=3fb999999999999a threshold=3fbeb851eb851eb8 bytes=422e80355e000000
+mn-cifar dataset=Cifar10 model=MobileNet workers=10 algo=GaSgd { batch: 128 } lr=3fc3333333333333 threshold=3fc999999999999a bytes=41aa39de00000000
+rn-cifar dataset=Cifar10 model=ResNet50 workers=10 algo=GaSgd { batch: 128 } lr=3fb999999999999a threshold=3fd999999999999a bytes=41aa39de00000000
+";
+
+    #[test]
+    fn zoo_matches_the_golden_table() {
+        let table: String = JobClass::ALL
+            .iter()
+            .map(|&c| {
+                format!(
+                    "{} dataset={} model={:?} workers={} algo={:?} lr={:016x} threshold={:016x} bytes={:016x}\n",
+                    c.name(),
+                    c.dataset().name(),
+                    c.model(),
+                    c.default_workers(),
+                    c.algorithm(),
+                    c.lr().to_bits(),
+                    c.threshold().to_bits(),
+                    c.profile().dataset_bytes.to_bits(),
+                )
+            })
+            .collect();
+        assert!(table == GOLDEN, "the job zoo moved; new table:\n{table}");
+    }
+
     #[test]
     fn laxity_measures_submit_to_deadline() {
         let mut j = JobRequest::new(0, JobClass::LrHiggs, SimTime::secs(10.0), 10);
