@@ -15,6 +15,10 @@
 //! merged state makes one extra hop.
 //!
 //! * [`constants`] — Table 6 as code.
+//! * [`table4`] — Table 4 as code: the twelve workloads'
+//!   [`table4::WorkloadId`] rows (dataset, model, workers, paper batch,
+//!   learning rate, loss threshold, best algorithm), the one home the
+//!   experiment registry and the fleet's job zoo both read.
 //! * [`model`] — the two formulas as one body keyed by
 //!   [`model::Substrate`] and evaluated through the closed form
 //!   [`Scenario`] (`startup + load + R·(ρ·comm_round + compute)`, with
@@ -32,6 +36,7 @@
 pub mod constants;
 pub mod estimator;
 pub mod model;
+pub mod table4;
 pub mod whatif;
 
 pub use estimator::estimate_epochs;

@@ -1,9 +1,10 @@
 //! Ablations of three design choices: the BSP polling interval, ADMM's
 //! local scans per round, and the 15-minute Lambda lifetime mechanism.
 
-use crate::registry::{scaled_batch, workload, WorkloadId};
+use crate::registry::workload;
 use crate::tablefmt::table;
 use crate::Harness;
+use lml_analytic::table4::WorkloadId;
 use lml_comm::{Bsp, Pattern};
 use lml_core::{JobConfig, TrainingJob};
 use lml_faas::LifetimeManager;
@@ -47,7 +48,7 @@ fn polling_interval(_h: &Harness) -> String {
 fn admm_local_scans(h: &Harness) -> String {
     let wid = WorkloadId::LrHiggs;
     let wl = workload(wid.dataset(), h);
-    let batch = scaled_batch(&wl, wid.paper_batch());
+    let batch = wl.spec.scaled_batch(wid.paper_batch());
     let mut rows = Vec::new();
     for scans in [1usize, 2, 5, 10, 20] {
         let algo = Algorithm::Admm {

@@ -1,11 +1,12 @@
 //! §5.3: the analytical model — calibration, validation and what-ifs.
 
-use crate::registry::{workload, WorkloadId};
+use crate::registry::{self, workload};
 use crate::tablefmt::{f, table};
 use crate::Harness;
 use lml_analytic::constants;
 use lml_analytic::estimator::estimate_epochs;
 use lml_analytic::model::{time, AnalyticCase, AnalyticParams, Scenario, Substrate};
+use lml_analytic::table4::WorkloadId;
 use lml_core::{Backend, JobConfig, RunResult, TrainingJob};
 use lml_iaas::{InstanceType, SystemProfile};
 use lml_optim::StopSpec;
@@ -90,7 +91,7 @@ pub fn fig13_model(h: &Harness) -> String {
     // (a) model vs simulator, LR on Higgs, W = 10, forced epoch budgets.
     {
         let wid = WorkloadId::LrHiggs;
-        let named = wid.build(h);
+        let named = registry::build(wid, h);
         let epoch_grid: &[usize] = if h.fast {
             &[1, 5, 10, 30]
         } else {
@@ -147,7 +148,7 @@ pub fn fig13_model(h: &Harness) -> String {
             WorkloadId::SvmYfcc,
         ] {
             let wl = workload(wid.dataset(), h);
-            let algo = wid.best_algorithm(&wl);
+            let algo = registry::best_algorithm(wid, &wl);
             let est = estimate_epochs(
                 wid.dataset(),
                 wid.model(),
@@ -155,7 +156,7 @@ pub fn fig13_model(h: &Harness) -> String {
                 wid.lr(),
                 wid.threshold(),
                 0.1,
-                wid.max_epochs(h),
+                registry::max_epochs(wid, h),
                 h.seed,
             );
             let actual = estimate_epochs(
@@ -165,7 +166,7 @@ pub fn fig13_model(h: &Harness) -> String {
                 wid.lr(),
                 wid.threshold(),
                 1.0,
-                wid.max_epochs(h),
+                registry::max_epochs(wid, h),
                 h.seed,
             );
             rows.push(vec![
@@ -217,7 +218,7 @@ fn scenario_of(
 
 /// Run the three base systems for a workload and return their scenarios.
 fn base_scenarios(h: &Harness, wid: WorkloadId, max_ep: usize) -> Vec<Scenario> {
-    let mut named = wid.build(h);
+    let mut named = registry::build(wid, h);
     named.config.stop = StopSpec::new(wid.threshold(), max_ep);
     let w = named.config.workers;
     let lambda_rate =
@@ -268,7 +269,11 @@ fn base_scenarios(h: &Harness, wid: WorkloadId, max_ep: usize) -> Vec<Scenario> 
 pub fn fig14_fast_hybrid(h: &Harness) -> String {
     let mut out = String::new();
     for wid in [WorkloadId::LrYfcc, WorkloadId::MnCifar] {
-        let max_ep = if h.fast { 4 } else { wid.max_epochs(h) };
+        let max_ep = if h.fast {
+            4
+        } else {
+            registry::max_epochs(wid, h)
+        };
         let mut scenarios = base_scenarios(h, wid, max_ep);
         // 10 Gbps hybrid: the wire share of a PS round is ~60% for big
         // payloads (serialization keeps the rest).
@@ -313,7 +318,11 @@ pub fn fig14_fast_hybrid(h: &Harness) -> String {
 pub fn fig15_hot_data(h: &Harness) -> String {
     let mut out = String::new();
     for wid in [WorkloadId::LrYfcc, WorkloadId::MnCifar] {
-        let max_ep = if h.fast { 4 } else { wid.max_epochs(h) };
+        let max_ep = if h.fast {
+            4
+        } else {
+            registry::max_epochs(wid, h)
+        };
         let scenarios = base_scenarios(h, wid, max_ep);
         let wl = workload(wid.dataset(), h);
         let host_nic = InstanceType::M5a12XLarge.vm_link().bandwidth_bps;

@@ -1,8 +1,9 @@
 //! §4: evaluation of LambdaML's design space.
 
-use crate::registry::{scaled_batch, workload, WorkloadId, ADMM_LOCAL_SCANS};
+use crate::registry::{self, workload};
 use crate::tablefmt::{f, table};
 use crate::Harness;
+use lml_analytic::table4::{WorkloadId, ADMM_LOCAL_SCANS};
 use lml_comm::Pattern;
 use lml_core::{Backend, ChannelKind, JobConfig, Protocol, TrainingJob};
 use lml_data::generators::DatasetId;
@@ -17,7 +18,7 @@ use lml_storage::{CacheNode, ServiceProfile, StorageChannel};
 pub fn fig6_datasets(h: &Harness) -> String {
     let mut rows = Vec::new();
     for id in DatasetId::ALL {
-        let g = id.generate_rows(crate::registry::sample_rows(id, h), h.seed);
+        let g = id.generate_rows(registry::sample_rows(id, h), h.seed);
         let (layout, nnz) = match &g.data {
             lml_data::Dataset::Dense(_) => ("dense", g.data.dim() as f64),
             lml_data::Dataset::Sparse(s) => ("sparse", s.avg_nnz()),
@@ -56,7 +57,7 @@ pub fn fig7_optimizers(h: &Harness) -> String {
 
     for wid in [WorkloadId::LrHiggs, WorkloadId::SvmHiggs] {
         let wl = workload(DatasetId::Higgs, h);
-        let batch = scaled_batch(&wl, wid.paper_batch());
+        let batch = wl.spec.scaled_batch(wid.paper_batch());
         let algos = [
             (
                 "ADMM",
@@ -84,7 +85,7 @@ pub fn fig7_optimizers(h: &Harness) -> String {
                     w,
                     algo,
                     wid.lr(),
-                    StopSpec::new(wid.threshold(), wid.max_epochs(h)),
+                    StopSpec::new(wid.threshold(), registry::max_epochs(wid, h)),
                 )
                 .with_backend(Backend::Faas {
                     spec: LambdaSpec::gb3(),
@@ -133,7 +134,7 @@ pub fn fig7_optimizers(h: &Harness) -> String {
     {
         let wid = WorkloadId::MnCifar;
         let wl = workload(DatasetId::Cifar10, h);
-        let batch = scaled_batch(&wl, wid.paper_batch());
+        let batch = wl.spec.scaled_batch(wid.paper_batch());
         let max_ep = if h.fast { 5 } else { 12 };
         let mut rows = Vec::new();
         for (name, algo) in [
@@ -249,7 +250,7 @@ pub fn table1_channels(h: &Harness) -> String {
         };
         let algo = match model {
             ModelId::KMeans { .. } => Algorithm::Em,
-            _ => case.wid.best_algorithm(&wl),
+            _ => registry::best_algorithm(case.wid, &wl),
         };
         let base = JobConfig::new(
             case.workers,
@@ -386,7 +387,7 @@ pub fn fig8_sync_async(h: &Harness) -> String {
     let mut rows = Vec::new();
     for (wid, w, max_ep) in cases {
         let wl = workload(wid.dataset(), h);
-        let algo = wid.ga_sgd(&wl);
+        let algo = registry::ga_sgd(wid, &wl);
         for (proto, schedule) in [
             (Protocol::Sync, LrSchedule::Const(wid.lr())),
             // §4.5: 1/√T decay for S-ASP, after [104].

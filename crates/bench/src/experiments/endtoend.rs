@@ -1,9 +1,10 @@
 //! §5: the end-to-end FaaS vs IaaS study.
 
 use crate::experiments::outcome_cells;
-use crate::registry::WorkloadId;
+use crate::registry;
 use crate::tablefmt::table;
 use crate::Harness;
+use lml_analytic::table4::WorkloadId;
 use lml_core::pipeline::run_pipeline;
 use lml_core::{Backend, JobConfig, TrainingJob};
 use lml_iaas::{InstanceType, SystemProfile};
@@ -70,14 +71,14 @@ enum SystemChoice {
 pub fn fig9_end_to_end(h: &Harness) -> String {
     let mut out = String::new();
     for wid in WorkloadId::ALL {
-        let named = wid.build(h);
+        let named = registry::build(wid, h);
         let mut rows = Vec::new();
         for (name, backend, choice) in systems(wid) {
             let algo = match choice {
                 SystemChoice::Best => named.config.algorithm,
                 SystemChoice::GaSgd => match wid.model() {
                     ModelId::KMeans { .. } => Algorithm::Em,
-                    _ => wid.ga_sgd(&named.workload),
+                    _ => registry::ga_sgd(wid, &named.workload),
                 },
             };
             let cfg = JobConfig {
@@ -113,7 +114,7 @@ pub fn fig9_end_to_end(h: &Harness) -> String {
 /// Figure 10: runtime breakdown for LR on Higgs, W = 10, 10 epochs.
 pub fn fig10_breakdown(h: &Harness) -> String {
     let wid = WorkloadId::LrHiggs;
-    let named = wid.build(h);
+    let named = registry::build(wid, h);
     // fixed 10-epoch budget, ADMM (the most suitable algorithm)
     let base = JobConfig {
         stop: StopSpec::new(0.0, 10),
@@ -177,7 +178,7 @@ pub fn fig11_workers(h: &Harness) -> String {
     // LR / Higgs
     {
         let wid = WorkloadId::LrHiggs;
-        let named = wid.build(h);
+        let named = registry::build(wid, h);
         let faas_ws: &[usize] = if h.fast {
             &[10, 30, 50]
         } else {
@@ -238,7 +239,7 @@ pub fn fig11_workers(h: &Harness) -> String {
     // MobileNet / Cifar10
     {
         let wid = WorkloadId::MnCifar;
-        let mut named = wid.build(h);
+        let mut named = registry::build(wid, h);
         if h.fast {
             named.config.stop = StopSpec::new(wid.threshold(), 4);
         }
@@ -298,7 +299,7 @@ pub fn fig12_frontier(h: &Harness) -> String {
         WorkloadId::MnCifar,
     ];
     for wid in panels {
-        let mut named = wid.build(h);
+        let mut named = registry::build(wid, h);
         if h.fast && wid == WorkloadId::MnCifar {
             named.config.stop = StopSpec::new(wid.threshold(), 4);
         }
@@ -361,7 +362,7 @@ pub fn table5_pipeline(h: &Harness) -> String {
         (WorkloadId::LrHiggs, 10usize),
         (WorkloadId::MnCifar, if h.fast { 2 } else { 10 }),
     ] {
-        let named = wid.build(h);
+        let named = registry::build(wid, h);
         let base = JobConfig {
             stop: StopSpec::new(0.0, epochs),
             ..named.config
@@ -413,7 +414,7 @@ pub fn cost_sanity(h: &Harness) -> String {
         WorkloadId::MnCifar,
     ];
     for wid in cases {
-        let mut named = wid.build(h);
+        let mut named = registry::build(wid, h);
         if h.fast && wid == WorkloadId::MnCifar {
             named.config.stop = StopSpec::new(wid.threshold(), 4);
         }

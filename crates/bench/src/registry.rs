@@ -1,12 +1,13 @@
-//! The workload registry: Table 4 of the paper, scaled to the sample sizes
-//! of this reproduction.
+//! The workload registry: the harness's view of Table 4.
 //!
-//! Loss thresholds are re-calibrated to the synthetic generators (the
-//! achievable optima differ from the real datasets'); each sits slightly
-//! above the empirically observed plateau so "time to threshold" is a
-//! meaningful convergence measure, exactly as in the paper.
+//! The rows themselves ([`WorkloadId`]: dataset, model, workers, paper
+//! batch, learning rate, loss threshold) live in `lml_analytic::table4`.
+//! This module only scales them to the harness: sample sizes and the
+//! fast-mode worker override, epoch caps, the algorithms at the sample's
+//! scaled batch, and a ready-to-run [`Named`] workload.
 
 use crate::Harness;
+use lml_analytic::table4::WorkloadId;
 use lml_core::job::Workload;
 use lml_core::JobConfig;
 use lml_data::generators::DatasetId;
@@ -69,214 +70,58 @@ pub fn workload(id: DatasetId, h: &Harness) -> Workload {
     Workload::from_generated(&g, h.seed)
 }
 
-/// Convert a paper-scale per-worker batch to the sample scale.
-pub fn scaled_batch(wl: &Workload, paper_batch: usize) -> usize {
-    wl.spec.scaled_batch(paper_batch)
+/// Table 4 worker count, with KM-RCV1 reduced in fast mode. YFCC keeps
+/// its 100 workers: its partitions only fit Lambda's memory at that width.
+pub fn workers(id: WorkloadId, h: &Harness) -> usize {
+    if h.fast && id == WorkloadId::KmRcv1 {
+        10
+    } else {
+        id.workers()
+    }
 }
 
-/// The paper's ADMM setting: each round scans the data ten times (§5.1).
-pub const ADMM_LOCAL_SCANS: usize = 10;
-
-/// One Table 4 row. `WorkloadId` selects the (model, dataset) pair with its
-/// tuned hyper-parameters and thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkloadId {
-    LrHiggs,
-    SvmHiggs,
-    KmHiggs,
-    LrRcv1,
-    SvmRcv1,
-    KmRcv1,
-    LrYfcc,
-    SvmYfcc,
-    KmYfcc,
-    LrCriteo,
-    MnCifar,
-    RnCifar,
+/// Max epochs before giving up (smaller in fast mode).
+pub fn max_epochs(id: WorkloadId, h: &Harness) -> usize {
+    let base = match id {
+        WorkloadId::MnCifar | WorkloadId::RnCifar => 25,
+        _ => 60,
+    };
+    if h.fast {
+        base.min(20)
+    } else {
+        base
+    }
 }
 
-impl WorkloadId {
-    pub const ALL: [WorkloadId; 12] = [
-        WorkloadId::LrHiggs,
-        WorkloadId::SvmHiggs,
-        WorkloadId::KmHiggs,
-        WorkloadId::LrRcv1,
-        WorkloadId::SvmRcv1,
-        WorkloadId::KmRcv1,
-        WorkloadId::LrYfcc,
-        WorkloadId::SvmYfcc,
-        WorkloadId::KmYfcc,
-        WorkloadId::LrCriteo,
-        WorkloadId::MnCifar,
-        WorkloadId::RnCifar,
-    ];
+/// [`WorkloadId::best_algorithm`] at the sample's scaled paper batch.
+pub fn best_algorithm(id: WorkloadId, wl: &Workload) -> Algorithm {
+    id.best_algorithm(wl.spec.scaled_batch(id.paper_batch()))
+}
 
-    pub fn name(self) -> &'static str {
-        match self {
-            WorkloadId::LrHiggs => "LR/Higgs",
-            WorkloadId::SvmHiggs => "SVM/Higgs",
-            WorkloadId::KmHiggs => "KMeans/Higgs",
-            WorkloadId::LrRcv1 => "LR/RCV1",
-            WorkloadId::SvmRcv1 => "SVM/RCV1",
-            WorkloadId::KmRcv1 => "KMeans/RCV1",
-            WorkloadId::LrYfcc => "LR/YFCC100M",
-            WorkloadId::SvmYfcc => "SVM/YFCC100M",
-            WorkloadId::KmYfcc => "KMeans/YFCC100M",
-            WorkloadId::LrCriteo => "LR/Criteo",
-            WorkloadId::MnCifar => "MobileNet/Cifar10",
-            WorkloadId::RnCifar => "ResNet50/Cifar10",
-        }
+/// Plain GA-SGD at the scaled batch (the baseline algorithm).
+pub fn ga_sgd(id: WorkloadId, wl: &Workload) -> Algorithm {
+    Algorithm::GaSgd {
+        batch: wl.spec.scaled_batch(id.paper_batch()),
     }
+}
 
-    pub fn dataset(self) -> DatasetId {
-        match self {
-            WorkloadId::LrHiggs | WorkloadId::SvmHiggs | WorkloadId::KmHiggs => DatasetId::Higgs,
-            WorkloadId::LrRcv1 | WorkloadId::SvmRcv1 | WorkloadId::KmRcv1 => DatasetId::Rcv1,
-            WorkloadId::LrYfcc | WorkloadId::SvmYfcc | WorkloadId::KmYfcc => DatasetId::Yfcc100m,
-            WorkloadId::LrCriteo => DatasetId::Criteo,
-            WorkloadId::MnCifar | WorkloadId::RnCifar => DatasetId::Cifar10,
-        }
-    }
-
-    pub fn model(self) -> ModelId {
-        match self {
-            WorkloadId::LrHiggs
-            | WorkloadId::LrRcv1
-            | WorkloadId::LrYfcc
-            | WorkloadId::LrCriteo => ModelId::Lr { l2: 0.0 },
-            WorkloadId::SvmHiggs | WorkloadId::SvmRcv1 | WorkloadId::SvmYfcc => {
-                ModelId::Svm { l2: 0.0 }
-            }
-            WorkloadId::KmHiggs | WorkloadId::KmYfcc => ModelId::KMeans { k: 10 },
-            WorkloadId::KmRcv1 => ModelId::KMeans { k: 3 },
-            WorkloadId::MnCifar => ModelId::MobileNet,
-            WorkloadId::RnCifar => ModelId::ResNet50,
-        }
-    }
-
-    /// Table 4 worker counts (KM-RCV1 reduced in fast mode).
-    pub fn workers(self, h: &Harness) -> usize {
-        match self {
-            WorkloadId::LrHiggs | WorkloadId::SvmHiggs | WorkloadId::KmHiggs => 10,
-            WorkloadId::LrRcv1 | WorkloadId::SvmRcv1 => 5,
-            WorkloadId::KmRcv1 => {
-                if h.fast {
-                    10
-                } else {
-                    50
-                }
-            }
-            // YFCC partitions only fit Lambda's 3 GB at ≥100 workers
-            // (65.5 GB / 100 = 0.66 GB) — the paper's W=100 is a memory
-            // requirement, not a tuning choice, so fast mode keeps it.
-            WorkloadId::LrYfcc | WorkloadId::SvmYfcc | WorkloadId::KmYfcc => 100,
-            WorkloadId::LrCriteo => 10,
-            WorkloadId::MnCifar | WorkloadId::RnCifar => 10,
-        }
-    }
-
-    /// Paper-scale per-worker batch size (Table 4 / §4.1).
-    pub fn paper_batch(self) -> usize {
-        match self {
-            WorkloadId::LrHiggs | WorkloadId::SvmHiggs | WorkloadId::KmHiggs => 10_000,
-            WorkloadId::LrRcv1 | WorkloadId::SvmRcv1 | WorkloadId::KmRcv1 => 2_000,
-            WorkloadId::LrYfcc | WorkloadId::SvmYfcc | WorkloadId::KmYfcc => 800,
-            // Criteo's 1 M-dim model pays O(dim) per SGD step for its
-            // gradient buffers; the paper-scale batch keeps steps/epoch low
-            // enough that this is tractable, so the sample batch must too
-            // (≈64 after scaling, see scaled_batch's floor).
-            WorkloadId::LrCriteo => 650_000,
-            WorkloadId::MnCifar => 128,
-            WorkloadId::RnCifar => 32,
-        }
-    }
-
-    /// Tuned learning rate (the paper tunes in [0.001, 1]).
-    pub fn lr(self) -> f64 {
-        match self {
-            WorkloadId::LrHiggs => 0.5,
-            WorkloadId::SvmHiggs => 0.3,
-            WorkloadId::LrRcv1 | WorkloadId::SvmRcv1 => 1.0,
-            WorkloadId::LrYfcc | WorkloadId::SvmYfcc => 0.1,
-            WorkloadId::LrCriteo => 0.5,
-            WorkloadId::MnCifar => 0.15,
-            WorkloadId::RnCifar => 0.1,
-            _ => 0.0, // k-means (EM has no learning rate)
-        }
-    }
-
-    /// Validation-loss threshold, calibrated to the synthetic generators
-    /// (slightly above the observed plateau).
-    pub fn threshold(self) -> f64 {
-        match self {
-            WorkloadId::LrHiggs => 0.645,
-            WorkloadId::SvmHiggs => 0.80,
-            WorkloadId::KmHiggs => 25.5,
-            WorkloadId::LrRcv1 => 0.35,
-            WorkloadId::SvmRcv1 => 0.22,
-            WorkloadId::KmRcv1 => 0.30,
-            WorkloadId::LrYfcc => 0.12,
-            WorkloadId::SvmYfcc => 0.06,
-            WorkloadId::KmYfcc => 333.0,
-            WorkloadId::LrCriteo => 0.48,
-            WorkloadId::MnCifar => 0.20,
-            WorkloadId::RnCifar => 0.40,
-        }
-    }
-
-    /// Max epochs before giving up (smaller in fast mode).
-    pub fn max_epochs(self, h: &Harness) -> usize {
-        let base = match self {
-            WorkloadId::MnCifar | WorkloadId::RnCifar => 25,
-            _ => 60,
-        };
-        if h.fast {
-            base.min(20)
-        } else {
-            base
-        }
-    }
-
-    /// The most suitable algorithm per the paper's findings: ADMM for
-    /// convex models, EM for k-means, GA-SGD for deep models.
-    pub fn best_algorithm(self, wl: &Workload) -> Algorithm {
-        let batch = scaled_batch(wl, self.paper_batch());
-        match self.model() {
-            ModelId::KMeans { .. } => Algorithm::Em,
-            ModelId::MobileNet | ModelId::ResNet50 => Algorithm::GaSgd { batch },
-            _ => Algorithm::Admm {
-                rho: 0.1,
-                local_scans: ADMM_LOCAL_SCANS,
-                batch,
-            },
-        }
-    }
-
-    /// Plain GA-SGD at the scaled batch (the baseline algorithm).
-    pub fn ga_sgd(self, wl: &Workload) -> Algorithm {
-        Algorithm::GaSgd {
-            batch: scaled_batch(wl, self.paper_batch()),
-        }
-    }
-
-    /// Build the full named workload with its default (best-algorithm,
-    /// FaaS) configuration.
-    pub fn build(self, h: &Harness) -> Named {
-        let wl = workload(self.dataset(), h);
-        let algo = self.best_algorithm(&wl);
-        let config = JobConfig::new(
-            self.workers(h),
-            algo,
-            self.lr(),
-            StopSpec::new(self.threshold(), self.max_epochs(h)),
-        )
-        .with_seed(h.seed);
-        Named {
-            name: self.name(),
-            workload: wl,
-            model: self.model(),
-            config,
-        }
+/// Build the full named workload with its default (best-algorithm,
+/// FaaS) configuration.
+pub fn build(id: WorkloadId, h: &Harness) -> Named {
+    let wl = workload(id.dataset(), h);
+    let algo = best_algorithm(id, &wl);
+    let config = JobConfig::new(
+        workers(id, h),
+        algo,
+        id.lr(),
+        StopSpec::new(id.threshold(), max_epochs(id, h)),
+    )
+    .with_seed(h.seed);
+    Named {
+        name: id.name(),
+        workload: wl,
+        model: id.model(),
+        config,
     }
 }
 
@@ -289,7 +134,7 @@ mod tests {
         assert_eq!(WorkloadId::ALL.len(), 12);
         let h = Harness::default();
         for id in WorkloadId::ALL {
-            let n = id.build(&h);
+            let n = build(id, &h);
             assert!(!n.workload.train.is_empty());
             assert!(n.config.workers >= 1);
             assert!(n.config.stop.target_loss > 0.0);
@@ -304,7 +149,7 @@ mod tests {
             WorkloadId::KmHiggs,
             WorkloadId::MnCifar,
         ] {
-            let n = id.build(&h);
+            let n = build(id, &h);
             let model = n.model.build(&n.workload.train, 1);
             assert!(n.config.algorithm.applicable(&model), "{}", id.name());
         }
@@ -313,18 +158,18 @@ mod tests {
     #[test]
     fn scaled_batches_preserve_round_structure() {
         let h = Harness::default();
-        let n = WorkloadId::LrHiggs.build(&h);
+        let n = build(WorkloadId::LrHiggs, &h);
         // paper: (11M/10 workers)/10K batch = 110 rounds/epoch;
         // sample: (9K/10)/scaled-batch should be within 2×.
-        let scaled = scaled_batch(&n.workload, 10_000);
+        let scaled = n.workload.spec.scaled_batch(10_000);
         let rounds = (n.workload.train.len() / 10) as f64 / scaled as f64;
         assert!((50.0..220.0).contains(&rounds), "rounds/epoch {rounds}");
     }
 
     /// One line per Table 4 row: its name, dataset and model, its workers
     /// and max epochs in fast and full mode, its paper batch, `lr` and
-    /// `threshold` as bits, and its best algorithm at a sample batch of
-    /// 100. A mismatch prints the whole new table to paste over this one.
+    /// `threshold` as bits, and its best algorithm at a batch of 100. A
+    /// mismatch prints the whole new table to paste over this one.
     const GOLDEN: &str = "\
 LR/Higgs dataset=Higgs model=Lr { l2: 0.0 } workers=10/10 batch=10000 lr=3fe0000000000000 threshold=3fe4a3d70a3d70a4 epochs=20/60 best=Admm { rho: 0.1, local_scans: 10, batch: 100 }
 SVM/Higgs dataset=Higgs model=Svm { l2: 0.0 } workers=10/10 batch=10000 lr=3fd3333333333333 threshold=3fe999999999999a epochs=20/60 best=Admm { rho: 0.1, local_scans: 10, batch: 100 }
@@ -349,23 +194,19 @@ ResNet50/Cifar10 dataset=Cifar10 model=ResNet50 workers=10/10 batch=32 lr=3fb999
         };
         let mut table = String::new();
         for id in WorkloadId::ALL {
-            // A sample spec whose scaled batch is 100 at this row's paper batch.
-            let mut wl = Workload::from_generated(&id.dataset().generate_rows(10, 1), 1);
-            let paper = wl.spec.paper_instances as f64;
-            wl.spec.sample_instances = (paper * 100.0 / id.paper_batch() as f64).round() as u64;
             table += &format!(
                 "{} dataset={} model={:?} workers={}/{} batch={} lr={:016x} threshold={:016x} epochs={}/{} best={:?}\n",
                 id.name(),
                 id.dataset().name(),
                 id.model(),
-                id.workers(&fast),
-                id.workers(&full),
+                workers(id, &fast),
+                workers(id, &full),
                 id.paper_batch(),
                 id.lr().to_bits(),
                 id.threshold().to_bits(),
-                id.max_epochs(&fast),
-                id.max_epochs(&full),
-                id.best_algorithm(&wl),
+                max_epochs(id, &fast),
+                max_epochs(id, &full),
+                id.best_algorithm(100),
             );
         }
         assert!(table == GOLDEN, "Table 4 moved; new table:\n{table}");

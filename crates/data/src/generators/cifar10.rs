@@ -12,10 +12,10 @@
 //! regime" dynamics.
 
 use crate::dataset::{Dataset, DenseDataset};
-use crate::generators::Generated;
+use crate::generators::{DatasetId, Generated};
 use crate::spec::{DatasetSpec, Task};
 use lml_linalg::Matrix;
-use lml_sim::{ByteSize, Pcg64};
+use lml_sim::Pcg64;
 
 /// Default sample: 10% of the 60 K images.
 pub const DEFAULT_ROWS: usize = 6_000;
@@ -80,7 +80,7 @@ pub fn generate_rows(rows: usize, seed: u64) -> Generated {
             name: "Cifar10",
             paper_instances: 60_000,
             features: DIM,
-            paper_bytes: ByteSize::mb(220.0),
+            paper_bytes: DatasetId::Cifar10.paper_bytes(),
             sample_instances: rows as u64,
             task: Task::Multiclass { classes: CLASSES },
         },

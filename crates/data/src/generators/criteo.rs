@@ -12,10 +12,10 @@
 //! balances to ±1 classification, so we keep classes at 25% positive.
 
 use crate::dataset::{Dataset, SparseDataset};
-use crate::generators::Generated;
+use crate::generators::{DatasetId, Generated};
 use crate::spec::{DatasetSpec, Task};
 use lml_linalg::SparseVec;
-use lml_sim::{ByteSize, Pcg64};
+use lml_sim::Pcg64;
 
 /// Default sample rows (paper: 52 M).
 pub const DEFAULT_ROWS: usize = 10_000;
@@ -78,7 +78,7 @@ pub fn generate_rows(rows: usize, seed: u64) -> Generated {
             name: "Criteo",
             paper_instances: 52_000_000,
             features: DIM,
-            paper_bytes: ByteSize::gb(30.0),
+            paper_bytes: DatasetId::Criteo.paper_bytes(),
             sample_instances: rows as u64,
             task: Task::Binary,
         },

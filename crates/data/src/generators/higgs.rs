@@ -10,10 +10,10 @@
 //! to ~0.48 hinge loss, both a little above their optima).
 
 use crate::dataset::{Dataset, DenseDataset};
-use crate::generators::Generated;
+use crate::generators::{DatasetId, Generated};
 use crate::spec::{DatasetSpec, Task};
 use lml_linalg::Matrix;
-use lml_sim::{ByteSize, Pcg64};
+use lml_sim::Pcg64;
 
 /// Default sample: 1% of the paper's 11 M rows.
 pub const DEFAULT_ROWS: usize = 110_000;
@@ -58,7 +58,7 @@ pub fn generate_rows(rows: usize, seed: u64) -> Generated {
             name: "Higgs",
             paper_instances: 11_000_000,
             features: DIM,
-            paper_bytes: ByteSize::gb(8.0),
+            paper_bytes: DatasetId::Higgs.paper_bytes(),
             sample_instances: rows as u64,
             task: Task::Binary,
         },
@@ -123,7 +123,7 @@ mod tests {
     fn spec_matches_paper_scale() {
         let g = generate_rows(DEFAULT_ROWS, 1);
         assert_eq!(g.spec.paper_instances, 11_000_000);
-        assert_eq!(g.spec.paper_bytes, ByteSize::gb(8.0));
+        assert_eq!(g.spec.paper_bytes, lml_sim::ByteSize::gb(8.0));
         assert!((g.spec.scale() - 0.01).abs() < 1e-9);
     }
 }

@@ -23,6 +23,7 @@ pub mod yfcc;
 
 use crate::dataset::Dataset;
 use crate::spec::DatasetSpec;
+use lml_sim::ByteSize;
 
 /// A generated dataset bundle: sample + paper-scale spec.
 #[derive(Debug, Clone)]
@@ -58,6 +59,20 @@ impl DatasetId {
             DatasetId::Cifar10 => "Cifar10",
             DatasetId::Yfcc100m => "YFCC100M",
             DatasetId::Criteo => "Criteo",
+        }
+    }
+
+    /// Paper-scale on-disk size (Figure 6): the one home of these sizes,
+    /// read by each generator's [`DatasetSpec`] and by the fleet's job
+    /// profiles.
+    pub fn paper_bytes(self) -> ByteSize {
+        match self {
+            DatasetId::Higgs => ByteSize::gb(8.0),
+            DatasetId::Rcv1 => ByteSize::gb(1.2),
+            DatasetId::Cifar10 => ByteSize::mb(220.0),
+            // 4 M × 4096 float32 features ≈ 65.5 GB on the wire.
+            DatasetId::Yfcc100m => ByteSize::gb(65.5),
+            DatasetId::Criteo => ByteSize::gb(30.0),
         }
     }
 

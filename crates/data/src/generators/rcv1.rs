@@ -11,10 +11,10 @@
 //! hyperplane over the frequent terms with a small label-noise rate.
 
 use crate::dataset::{Dataset, SparseDataset};
-use crate::generators::Generated;
+use crate::generators::{DatasetId, Generated};
 use crate::spec::{DatasetSpec, Task};
 use lml_linalg::SparseVec;
-use lml_sim::{ByteSize, Pcg64};
+use lml_sim::Pcg64;
 
 /// Default sample: 1% of the paper's 697 K documents.
 pub const DEFAULT_ROWS: usize = 6_970;
@@ -78,7 +78,7 @@ pub fn generate_rows(rows: usize, seed: u64) -> Generated {
             name: "RCV1",
             paper_instances: 697_000,
             features: DIM,
-            paper_bytes: ByteSize::gb(1.2),
+            paper_bytes: DatasetId::Rcv1.paper_bytes(),
             sample_instances: rows as u64,
             task: Task::Binary,
         },

@@ -10,10 +10,10 @@
 //! the paper's loss thresholds on YFCC behave differently from Higgs.
 
 use crate::dataset::{Dataset, DenseDataset};
-use crate::generators::Generated;
+use crate::generators::{DatasetId, Generated};
 use crate::spec::{DatasetSpec, Task};
 use lml_linalg::Matrix;
-use lml_sim::{ByteSize, Pcg64};
+use lml_sim::Pcg64;
 
 /// Default sample rows (paper subset: 4 M).
 pub const DEFAULT_ROWS: usize = 2_000;
@@ -74,8 +74,7 @@ pub fn generate_rows(rows: usize, seed: u64) -> Generated {
             name: "YFCC100M",
             paper_instances: 4_000_000,
             features: DIM,
-            // 4 M × 4096 float32 features ≈ 65.5 GB on the wire.
-            paper_bytes: ByteSize::gb(65.5),
+            paper_bytes: DatasetId::Yfcc100m.paper_bytes(),
             sample_instances: rows as u64,
             task: Task::Binary,
         },

@@ -279,12 +279,13 @@ impl Clone for Box<dyn Estimator> {
 /// pinned into any estimator's analytic prior via
 /// [`Estimator::pin_epochs`].
 pub fn calibrate_epochs(class: JobClass, sample_frac: f64, max_epochs: usize, seed: u64) -> f64 {
+    let row = class.workload();
     estimate_epochs(
-        class.dataset(),
-        class.model(),
+        row.dataset(),
+        row.model(),
         class.algorithm(),
-        class.lr(),
-        class.threshold(),
+        row.lr(),
+        row.threshold(),
         sample_frac,
         max_epochs,
         seed,

@@ -1,16 +1,20 @@
 //! The tenant job zoo: what a multi-tenant training platform is asked to run.
 //!
-//! Each [`JobClass`] names one (model, dataset) pair from the repository's
-//! zoo — the same pairs as the paper's Table 4 — together with the
-//! paper-scale analytical profile ([`AnalyticParams`]) the fleet simulator
-//! prices it with. Epoch counts are calibrated defaults; the cost-aware
-//! scheduler can re-estimate them with the §5.3 sampling estimator.
+//! Each [`JobClass`] is a view over one row of the paper's Table 4
+//! ([`JobClass::workload`], a [`WorkloadId`]): its dataset, model, worker
+//! count, learning rate and loss threshold are read from there, so the
+//! §5.3 sampling estimator calibrates the fleet on exactly the values the
+//! experiments train with. The class adds the paper-scale analytical
+//! profile ([`AnalyticParams`]) the fleet simulator prices it with; its
+//! dataset size is the dataset's own paper size, while its model bytes,
+//! rounds and per-epoch compute are still typed here. Epoch counts are
+//! calibrated defaults; the cost-aware scheduler can re-estimate them with
+//! the §5.3 sampling estimator.
 
 use crate::platform::FAAS_CASE;
 use lml_analytic::model::{price, AnalyticParams, Substrate};
-use lml_data::generators::DatasetId;
+use lml_analytic::table4::WorkloadId;
 use lml_models::zoo::DeepProfile;
-use lml_models::ModelId;
 use lml_optim::Algorithm;
 use lml_sim::SimTime;
 
@@ -64,72 +68,33 @@ impl JobClass {
         JobClass::ALL[(fnv1a(id) % JobClass::ALL.len() as u64) as usize]
     }
 
-    pub fn dataset(self) -> DatasetId {
+    /// The Table 4 row this class runs: its dataset, model, workers,
+    /// learning rate and loss threshold.
+    pub fn workload(self) -> WorkloadId {
         match self {
-            JobClass::LrHiggs | JobClass::KmHiggs => DatasetId::Higgs,
-            JobClass::SvmRcv1 => DatasetId::Rcv1,
-            JobClass::LrYfcc => DatasetId::Yfcc100m,
-            JobClass::MnCifar | JobClass::RnCifar => DatasetId::Cifar10,
-        }
-    }
-
-    pub fn model(self) -> ModelId {
-        match self {
-            JobClass::LrHiggs | JobClass::LrYfcc => ModelId::Lr { l2: 0.0 },
-            JobClass::SvmRcv1 => ModelId::Svm { l2: 0.0 },
-            JobClass::KmHiggs => ModelId::KMeans { k: 10 },
-            JobClass::MnCifar => ModelId::MobileNet,
-            JobClass::RnCifar => ModelId::ResNet50,
+            JobClass::LrHiggs => WorkloadId::LrHiggs,
+            JobClass::SvmRcv1 => WorkloadId::SvmRcv1,
+            JobClass::KmHiggs => WorkloadId::KmHiggs,
+            JobClass::LrYfcc => WorkloadId::LrYfcc,
+            JobClass::MnCifar => WorkloadId::MnCifar,
+            JobClass::RnCifar => WorkloadId::RnCifar,
         }
     }
 
     /// Table 4 worker counts (YFCC needs 100 workers to fit Lambda memory).
     pub fn default_workers(self) -> usize {
-        match self {
-            JobClass::SvmRcv1 => 5,
-            JobClass::LrYfcc => 100,
-            _ => 10,
-        }
+        self.workload().workers()
     }
 
     /// Training algorithm used when the sampling estimator re-calibrates
-    /// the epoch count (ADMM for convex models, EM for k-means, GA-SGD for
-    /// deep models — the paper's best-per-class choices).
+    /// the epoch count: the paper's best per class at the estimator's
+    /// sample-scale batch (500 rows for convex models, 128 for deep ones).
     pub fn algorithm(self) -> Algorithm {
-        match self {
-            JobClass::KmHiggs => Algorithm::Em,
-            JobClass::MnCifar | JobClass::RnCifar => Algorithm::GaSgd { batch: 128 },
-            _ => Algorithm::Admm {
-                rho: 0.1,
-                local_scans: 10,
-                batch: 500,
-            },
-        }
-    }
-
-    /// Tuned learning rate for the estimator run.
-    pub fn lr(self) -> f64 {
-        match self {
-            JobClass::LrHiggs => 0.5,
-            JobClass::SvmRcv1 => 1.0,
-            JobClass::LrYfcc => 0.1,
-            JobClass::MnCifar => 0.15,
-            JobClass::RnCifar => 0.1,
-            JobClass::KmHiggs => 0.0,
-        }
-    }
-
-    /// Convergence threshold for the estimator run (calibrated to the
-    /// synthetic generators, as in the bench registry).
-    pub fn threshold(self) -> f64 {
-        match self {
-            JobClass::LrHiggs => 0.645,
-            JobClass::SvmRcv1 => 0.22,
-            JobClass::KmHiggs => 25.5,
-            JobClass::LrYfcc => 0.12,
-            JobClass::MnCifar => 0.20,
-            JobClass::RnCifar => 0.40,
-        }
+        let batch = match self {
+            JobClass::MnCifar | JobClass::RnCifar => 128,
+            _ => 500,
+        };
+        self.workload().best_algorithm(batch)
     }
 
     /// Default epochs-to-threshold (`R` in the §5.3 model). These are the
@@ -162,13 +127,6 @@ impl JobClass {
 
     /// Paper-scale analytical profile of one job of this class.
     pub fn profile(self) -> AnalyticParams {
-        let spec_bytes = match self.dataset() {
-            DatasetId::Higgs => 8e9,
-            DatasetId::Rcv1 => 1.2e9,
-            DatasetId::Yfcc100m => 65.5e9,
-            DatasetId::Cifar10 => 220e6,
-            DatasetId::Criteo => 30e9,
-        };
         let (model_bytes, rounds_per_epoch, compute_per_epoch) = match self {
             // 28 × f64 weights; ADMM exchanges once per 10 local scans.
             JobClass::LrHiggs => (224.0, 0.1, 70.0),
@@ -184,7 +142,7 @@ impl JobClass {
             JobClass::RnCifar => (DeepProfile::RESNET50.wire_bytes.as_f64(), 1_875.0, 12_000.0),
         };
         AnalyticParams {
-            dataset_bytes: spec_bytes,
+            dataset_bytes: self.workload().dataset().paper_bytes().as_f64(),
             model_bytes,
             epochs: self.default_epochs(),
             rounds_per_epoch,
@@ -247,6 +205,8 @@ impl JobRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lml_data::generators::DatasetId;
+    use lml_models::ModelId;
 
     #[test]
     fn names_roundtrip() {
@@ -294,8 +254,8 @@ mod tests {
 
     #[test]
     fn zoo_links_back_to_model_and_dataset_ids() {
-        assert_eq!(JobClass::LrHiggs.dataset(), DatasetId::Higgs);
-        assert_eq!(JobClass::MnCifar.model(), ModelId::MobileNet);
+        assert_eq!(JobClass::LrHiggs.workload().dataset(), DatasetId::Higgs);
+        assert_eq!(JobClass::MnCifar.workload().model(), ModelId::MobileNet);
     }
 
     #[test]
@@ -337,12 +297,12 @@ rn-cifar dataset=Cifar10 model=ResNet50 workers=10 algo=GaSgd { batch: 128 } lr=
                 format!(
                     "{} dataset={} model={:?} workers={} algo={:?} lr={:016x} threshold={:016x} bytes={:016x}\n",
                     c.name(),
-                    c.dataset().name(),
-                    c.model(),
+                    c.workload().dataset().name(),
+                    c.workload().model(),
                     c.default_workers(),
                     c.algorithm(),
-                    c.lr().to_bits(),
-                    c.threshold().to_bits(),
+                    c.workload().lr().to_bits(),
+                    c.workload().threshold().to_bits(),
                     c.profile().dataset_bytes.to_bits(),
                 )
             })
