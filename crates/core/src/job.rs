@@ -224,7 +224,7 @@ impl<'a> TrainingJob<'a> {
             return Err(JobError::NotApplicable(format!(
                 "{} cannot train {} (§4.2)",
                 self.config.algorithm.name(),
-                model.name(),
+                self.model_id.name(),
             )));
         }
         match self.config.backend {

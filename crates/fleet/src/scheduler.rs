@@ -435,6 +435,18 @@ impl DeadlineAware {
         &self.risk
     }
 
+    /// Startup cushion in seconds for `job` on `route`: never below the
+    /// static margin (its slack also absorbs queue-model error), but
+    /// learned cold-start draws can grow it — a class whose observed boots
+    /// exceed the margin (wide cold fan-outs) gets the honest number.
+    fn cushion(&self, job: &JobRequest, route: Route) -> f64 {
+        self.est
+            .startup_hint(job, route)
+            .unwrap_or(SimTime::ZERO)
+            .max(STARTUP_MARGIN)
+            .as_secs()
+    }
+
     /// The risk-adjusted spot ETA for a job: one clean attempt (startup
     /// cushion + quantile run) plus the expected resume-and-rerun cycles
     /// from the preemption posterior, each costing a re-boot and a redo
@@ -465,19 +477,8 @@ impl Scheduler for DeadlineAware {
             // No deadline: pure cost routing, spot-eligible.
             return cost_route(&e, job, self.spot_fraction);
         };
-        // Startup cushion per substrate: never below the static margin
-        // (its slack also absorbs queue-model error), but learned
-        // cold-start draws can grow it — a class whose observed boots
-        // exceed the cushion (wide cold fan-outs) gets the honest number.
-        let cushion = |route| {
-            self.est
-                .startup_hint(job, route)
-                .unwrap_or(SimTime::ZERO)
-                .max(STARTUP_MARGIN)
-                .as_secs()
-        };
-        let margin_f = cushion(Route::Faas);
-        let margin_i = cushion(Route::Iaas);
+        let margin_f = self.cushion(job, Route::Faas);
+        let margin_i = self.cushion(job, Route::Iaas);
         // Every deadline test prices the run at the estimator's calibrated
         // quantile (P95): tails miss deadlines, means don't.
         let t_faas_q = e.eta_q(Route::Faas, ETA_QUANTILE);
@@ -510,7 +511,7 @@ impl Scheduler for DeadlineAware {
         // alive prices itself out; a benign one prices itself in.
         if self.spot_recovery
             && spot_pick(job.id, self.spot_fraction)
-            && budget >= RECOVERY_SLACK * self.spot_eta(job, &e, cushion(Route::Spot))
+            && budget >= RECOVERY_SLACK * self.spot_eta(job, &e, self.cushion(job, Route::Spot))
         {
             return Route::Spot;
         }
@@ -553,13 +554,7 @@ impl Scheduler for DeadlineAware {
     }
 
     fn spot_eta_hint(&self, job: &JobRequest, e: &Estimate) -> Option<f64> {
-        let cushion = self
-            .est
-            .startup_hint(job, Route::Spot)
-            .unwrap_or(SimTime::ZERO)
-            .max(STARTUP_MARGIN)
-            .as_secs();
-        Some(self.spot_eta(job, e, cushion))
+        Some(self.spot_eta(job, e, self.cushion(job, Route::Spot)))
     }
 }
 

@@ -154,12 +154,6 @@ impl KMeans {
         self.for_each_nearest(data, rows, |_, _, best_d| total += best_d);
         total / rows.len() as f64
     }
-
-    /// Mean loss over the whole dataset.
-    pub fn full_loss(&self, data: &Dataset) -> f64 {
-        let rows: Vec<usize> = (0..data.len()).collect();
-        self.loss(data, &rows)
-    }
 }
 
 #[cfg(test)]
@@ -198,7 +192,7 @@ mod tests {
         for _ in 0..10 {
             em_epoch(&mut km, &data, &rows);
         }
-        let loss = km.full_loss(&data);
+        let loss = km.loss(&data, &rows);
         assert!(loss < 0.1, "loss {loss} should be tiny for separated blobs");
         // centroids near (0,0) and (10,10) in some order
         let c0 = km.centroids().row(0);

@@ -5,8 +5,6 @@
 //! implements them with analytic gradients / manual backprop — the stand-in
 //! for the paper's PyTorch engine:
 //!
-//! * [`objective`] — the [`objective::Objective`] trait for gradient-based
-//!   models, plus batch-loss/accuracy helpers.
 //! * [`linear`] — [`linear::Linear`]: logistic regression and linear SVM
 //!   as one model that differs only in its [`linear::LinearLoss`], on dense
 //!   and sparse rows.
@@ -14,9 +12,11 @@
 //!   sufficient statistics (the distributed form used by LambdaML).
 //! * [`mlp`] — [`mlp::Mlp`]: ReLU feed-forward network with softmax
 //!   cross-entropy and manual backprop over a flat parameter buffer.
-//! * [`zoo`] — paper-profile constructors: the MobileNet and ResNet50
-//!   surrogates carry the *paper's* wire sizes (12 MB / 89 MB) and per-image
-//!   FLOP counts for the system model while training a real MLP for the
+//! * [`zoo`] — [`ModelId`] and [`AnyModel`], the one model interface the
+//!   optimizers, executors and the driver train through, plus the
+//!   paper-profile constructors: the MobileNet and ResNet50 surrogates
+//!   carry the *paper's* wire sizes (12 MB / 89 MB) and per-image FLOP
+//!   counts for the system model while training a real MLP for the
 //!   statistics.
 
 #![forbid(unsafe_code)]
@@ -24,11 +24,9 @@
 pub mod kmeans;
 pub mod linear;
 pub mod mlp;
-pub mod objective;
 pub mod zoo;
 
 pub use kmeans::KMeans;
 pub use linear::{Linear, LinearLoss};
 pub use mlp::Mlp;
-pub use objective::Objective;
 pub use zoo::{AnyModel, ModelId};

@@ -5,7 +5,6 @@
 //! sparse rows, and carry optional L2 regularization — matching the models
 //! the paper trains with SGD and ADMM on Higgs, RCV1, YFCC100M and Criteo.
 
-use crate::objective::Objective;
 use lml_data::Dataset;
 use lml_linalg::dense::{dot, log1p_exp_neg, sigmoid};
 
@@ -39,34 +38,27 @@ impl Linear {
         }
     }
 
-    /// The paper's name for the model: "LR" or "SVM".
-    pub(crate) fn name(&self) -> &'static str {
-        match self.loss {
-            LinearLoss::Logistic => "LR",
-            LinearLoss::Hinge => "SVM",
-        }
-    }
-
     /// Margin `z = y·w·x` of example `r`.
     fn margin(&self, data: &Dataset, r: usize) -> f64 {
         data.label(r) * data.row(r).dot(&self.w)
     }
-}
 
-impl Objective for Linear {
-    fn dim(&self) -> usize {
+    /// Number of parameters.
+    pub fn dim(&self) -> usize {
         self.w.len()
     }
 
-    fn params(&self) -> &[f64] {
+    pub fn params(&self) -> &[f64] {
         &self.w
     }
 
-    fn params_mut(&mut self) -> &mut [f64] {
+    pub fn params_mut(&mut self) -> &mut [f64] {
         &mut self.w
     }
 
-    fn grad(&self, data: &Dataset, rows: &[usize], grad_out: &mut [f64]) -> f64 {
+    /// Accumulate the mean gradient over `rows` into `grad_out` (pre-zeroed
+    /// by the caller) and return the mean loss over those rows.
+    pub fn grad(&self, data: &Dataset, rows: &[usize], grad_out: &mut [f64]) -> f64 {
         assert!(!rows.is_empty(), "gradient over an empty batch");
         let inv_n = 1.0 / rows.len() as f64;
         let mut total = 0.0;
@@ -100,7 +92,8 @@ impl Objective for Linear {
         total * inv_n
     }
 
-    fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
+    /// Mean loss over `rows` (no gradient).
+    pub fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
         assert!(!rows.is_empty());
         let mut total = 0.0;
         for &r in rows {
@@ -118,7 +111,8 @@ impl Objective for Linear {
         total / rows.len() as f64 + 0.5 * self.l2 * dot(&self.w, &self.w)
     }
 
-    fn accuracy(&self, data: &Dataset, rows: &[usize]) -> f64 {
+    /// Fraction of `rows` classified correctly.
+    pub fn accuracy(&self, data: &Dataset, rows: &[usize]) -> f64 {
         if rows.is_empty() {
             return 1.0;
         }
@@ -130,12 +124,12 @@ impl Objective for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::grad_check;
+    use crate::zoo::{grad_check, AnyModel};
     use lml_data::generators::DatasetId;
     use lml_linalg::dense::{add_assign, scale};
 
     /// Take `steps` full-batch gradient steps with learning rate `lr`.
-    fn gd_steps<O: Objective>(model: &mut O, data: &Dataset, lr: f64, steps: usize) -> f64 {
+    fn gd_steps(model: &mut Linear, data: &Dataset, lr: f64, steps: usize) -> f64 {
         let rows: Vec<usize> = (0..data.len()).collect();
         let mut grad = vec![0.0; model.dim()];
         let mut last = f64::INFINITY;
@@ -170,7 +164,7 @@ mod tests {
         let mut m = lr(data.dim(), 0.01);
         // move off the zero point first
         gd_steps(&mut m, &data, 0.5, 3);
-        let err = grad_check(&mut m, &data, &[0, 1, 2, 3, 4], 1e-5);
+        let err = grad_check(&mut AnyModel::Linear(m), &data, &[0, 1, 2, 3, 4], 1e-5);
         assert!(err < 1e-6, "err={err}");
     }
 
@@ -181,7 +175,7 @@ mod tests {
         gd_steps(&mut m, &data, 0.1, 3);
         // Hinge is non-smooth at margin = 1; with random data points are a.s.
         // away from the kink, so central differences still match.
-        let err = grad_check(&mut m, &data, &[0, 1, 2, 3, 4], 1e-7);
+        let err = grad_check(&mut AnyModel::Linear(m), &data, &[0, 1, 2, 3, 4], 1e-7);
         assert!(err < 1e-5, "err={err}");
     }
 
@@ -211,11 +205,12 @@ mod tests {
     fn lr_trains_below_chance_loss_on_higgs() {
         let data = tiny_higgs();
         let mut m = lr(data.dim(), 0.0);
-        let l0 = m.full_loss(&data);
+        let all: Vec<usize> = (0..data.len()).collect();
+        let l0 = m.loss(&data, &all);
         assert!((l0 - (2.0f64).ln()).abs() < 1e-9, "zero model loss = ln 2");
         let l = gd_steps(&mut m, &data, 0.5, 100);
         assert!(l < 0.66, "trained loss {l}");
-        assert!(m.full_accuracy(&data) > 0.55);
+        assert!(m.accuracy(&data, &all) > 0.55);
     }
 
     #[test]
@@ -261,13 +256,7 @@ hinge rcv1_sparse l2=0.01 grad=1e23e29433838e4a loss=c5082d493a5b61b3 acc=eb6c35
         x.to_bits().to_le_bytes().iter().fold(h, fold)
     }
 
-    fn golden_line(
-        mut m: impl Objective,
-        loss: &str,
-        name: &str,
-        data: &Dataset,
-        l2: f64,
-    ) -> String {
+    fn golden_line(mut m: Linear, loss: &str, name: &str, data: &Dataset, l2: f64) -> String {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         gd_steps(&mut m, data, 0.5, 10);
         let mut rng = lml_sim::Pcg64::new(42);

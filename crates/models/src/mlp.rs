@@ -12,7 +12,6 @@
 //! `W₀, b₀, W₁, b₁, …`) so the communication layer can ship them like any
 //! other statistic vector.
 
-use crate::objective::Objective;
 use lml_data::Dataset;
 use lml_linalg::blocked::{lanes_affine, pack_lane, unpack_lane, LANES};
 use lml_linalg::dense::{argmax, axpy, softmax_inplace};
@@ -256,20 +255,23 @@ fn backpropagate<'a>(
     }
 }
 
-impl Objective for Mlp {
-    fn dim(&self) -> usize {
+impl Mlp {
+    /// Number of parameters.
+    pub fn dim(&self) -> usize {
         self.params.len()
     }
 
-    fn params(&self) -> &[f64] {
+    pub fn params(&self) -> &[f64] {
         &self.params
     }
 
-    fn params_mut(&mut self) -> &mut [f64] {
+    pub fn params_mut(&mut self) -> &mut [f64] {
         &mut self.params
     }
 
-    fn grad(&self, data: &Dataset, rows: &[usize], grad_out: &mut [f64]) -> f64 {
+    /// Accumulate the mean gradient over `rows` into `grad_out` (pre-zeroed
+    /// by the caller) and return the mean loss over those rows.
+    pub fn grad(&self, data: &Dataset, rows: &[usize], grad_out: &mut [f64]) -> f64 {
         assert!(!rows.is_empty());
         assert_eq!(grad_out.len(), self.params.len());
         let inv_n = 1.0 / rows.len() as f64;
@@ -332,7 +334,8 @@ impl Objective for Mlp {
         total_loss * inv_n
     }
 
-    fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
+    /// Mean softmax cross-entropy over `rows` (no gradient).
+    pub fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
         assert!(!rows.is_empty());
         let mut total = 0.0;
         self.for_each_proba(data, rows, |r, probs| {
@@ -341,7 +344,8 @@ impl Objective for Mlp {
         total / rows.len() as f64
     }
 
-    fn accuracy(&self, data: &Dataset, rows: &[usize]) -> f64 {
+    /// Fraction of `rows` classified correctly.
+    pub fn accuracy(&self, data: &Dataset, rows: &[usize]) -> f64 {
         if rows.is_empty() {
             return 1.0;
         }
@@ -356,7 +360,7 @@ impl Objective for Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::grad_check;
+    use crate::zoo::{grad_check, AnyModel, DeepProfile};
     use lml_data::dataset::{DenseDataset, SparseDataset};
     use lml_linalg::{Matrix, SparseVec};
 
@@ -695,9 +699,10 @@ mod tests {
         let m = Matrix::from_flat(8, 3, flat);
         let labels: Vec<f64> = (0..8).map(|i| (i % 2) as f64).collect();
         let data = Dataset::Dense(DenseDataset::new(m, labels));
-        let mut mlp = Mlp::new(&[3, 5, 2], 3);
+        let mlp = Mlp::new(&[3, 5, 2], 3);
         let rows: Vec<usize> = (0..8).collect();
-        let err = grad_check(&mut mlp, &data, &rows, 1e-5);
+        let profile = DeepProfile::MOBILENET;
+        let err = grad_check(&mut AnyModel::Mlp { net: mlp, profile }, &data, &rows, 1e-5);
         assert!(err < 1e-6, "backprop gradient error {err}");
     }
 

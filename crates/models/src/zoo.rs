@@ -12,7 +12,6 @@ use crate::kmeans::KMeans;
 use crate::linear::Linear;
 use crate::linear::LinearLoss::{Hinge, Logistic};
 use crate::mlp::Mlp;
-use crate::objective::Objective;
 use lml_data::Dataset;
 use lml_sim::ByteSize;
 
@@ -63,7 +62,6 @@ impl ModelId {
 /// System profile of a deep model: what the simulator charges.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeepProfile {
-    pub name: &'static str,
     /// Bytes of one full model/gradient message (paper: MN 12 MB, RN 89 MB).
     pub wire_bytes: ByteSize,
     /// Training FLOPs per example (forward + backward).
@@ -73,13 +71,11 @@ pub struct DeepProfile {
 impl DeepProfile {
     /// MobileNet V1: ~569 MFLOPs forward ⇒ ≈1.7 GFLOP/image for training.
     pub const MOBILENET: DeepProfile = DeepProfile {
-        name: "MobileNet",
         wire_bytes: ByteSize(12_000_000),
         flops_per_example: 1.7e9,
     };
     /// ResNet50: ~4.1 GFLOPs forward ⇒ ≈12 GFLOP/image for training.
     pub const RESNET50: DeepProfile = DeepProfile {
-        name: "ResNet50",
         wire_bytes: ByteSize(89_000_000),
         flops_per_example: 12.3e9,
     };
@@ -94,14 +90,6 @@ pub enum AnyModel {
 }
 
 impl AnyModel {
-    pub fn name(&self) -> &'static str {
-        match self {
-            AnyModel::Linear(m) => m.name(),
-            AnyModel::KMeans(_) => "KMeans",
-            AnyModel::Mlp { profile, .. } => profile.name,
-        }
-    }
-
     /// Length of the flat parameter vector (centroids for k-means).
     pub fn param_len(&self) -> usize {
         match self {
@@ -226,6 +214,28 @@ impl AnyModel {
     }
 }
 
+/// Numerical gradient check for the model unit tests: compares the
+/// analytic gradient against central differences at the current parameters.
+/// Returns the max absolute element-wise error.
+#[cfg(test)]
+pub(crate) fn grad_check(model: &mut AnyModel, data: &Dataset, rows: &[usize], eps: f64) -> f64 {
+    let dim = model.param_len();
+    let mut analytic = vec![0.0; dim];
+    model.grad(data, rows, &mut analytic);
+    let mut max_err: f64 = 0.0;
+    for (j, &want) in analytic.iter().enumerate() {
+        let orig = model.params()[j];
+        model.params_mut()[j] = orig + eps;
+        let hi = model.loss(data, rows);
+        model.params_mut()[j] = orig - eps;
+        let lo = model.loss(data, rows);
+        model.params_mut()[j] = orig;
+        let numeric = (hi - lo) / (2.0 * eps);
+        max_err = max_err.max((numeric - want).abs());
+    }
+    max_err
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,8 +299,8 @@ mod tests {
 
     #[test]
     fn names() {
-        let data = DatasetId::Higgs.generate_rows(50, 1).data;
-        assert_eq!(ModelId::Lr { l2: 0.0 }.build(&data, 1).name(), "LR");
+        assert_eq!(ModelId::Lr { l2: 0.0 }.name(), "LR");
+        assert_eq!(ModelId::Svm { l2: 0.0 }.name(), "SVM");
         assert_eq!(ModelId::MobileNet.name(), "MobileNet");
     }
 }
