@@ -1,6 +1,6 @@
 //! §5.3: the analytical model — calibration, validation and what-ifs.
 
-use crate::registry::{self, workload};
+use crate::registry::{self, max_epochs, workload};
 use crate::tablefmt::{f, table};
 use crate::Harness;
 use lml_analytic::constants;
@@ -8,6 +8,7 @@ use lml_analytic::estimator::estimate_epochs;
 use lml_analytic::model::{time, AnalyticCase, AnalyticParams, Scenario, Substrate};
 use lml_analytic::table4::WorkloadId;
 use lml_core::{Backend, JobConfig, RunResult, TrainingJob};
+use lml_data::generators::DatasetId;
 use lml_iaas::{InstanceType, SystemProfile};
 use lml_optim::StopSpec;
 use lml_sim::ByteSize;
@@ -70,7 +71,7 @@ fn measure_bandwidth(profile: ServiceProfile) -> f64 {
 /// Analytic parameters for LR/Higgs trained by ADMM.
 fn lr_higgs_params(epochs: f64) -> AnalyticParams {
     AnalyticParams {
-        dataset_bytes: 8e9,
+        dataset_bytes: DatasetId::Higgs.paper_bytes().as_f64(),
         model_bytes: 224.0,
         epochs,
         rounds_per_epoch: 0.1, // ADMM: one exchange per 10 scans
@@ -156,7 +157,7 @@ pub fn fig13_model(h: &Harness) -> String {
                 wid.lr(),
                 wid.threshold(),
                 0.1,
-                registry::max_epochs(wid, h),
+                max_epochs(wid, h),
                 h.seed,
             );
             let actual = estimate_epochs(
@@ -166,7 +167,7 @@ pub fn fig13_model(h: &Harness) -> String {
                 wid.lr(),
                 wid.threshold(),
                 1.0,
-                registry::max_epochs(wid, h),
+                max_epochs(wid, h),
                 h.seed,
             );
             rows.push(vec![
@@ -269,11 +270,7 @@ fn base_scenarios(h: &Harness, wid: WorkloadId, max_ep: usize) -> Vec<Scenario> 
 pub fn fig14_fast_hybrid(h: &Harness) -> String {
     let mut out = String::new();
     for wid in [WorkloadId::LrYfcc, WorkloadId::MnCifar] {
-        let max_ep = if h.fast {
-            4
-        } else {
-            registry::max_epochs(wid, h)
-        };
+        let max_ep = if h.fast { 4 } else { max_epochs(wid, h) };
         let mut scenarios = base_scenarios(h, wid, max_ep);
         // 10 Gbps hybrid: the wire share of a PS round is ~60% for big
         // payloads (serialization keeps the rest).
@@ -318,11 +315,7 @@ pub fn fig14_fast_hybrid(h: &Harness) -> String {
 pub fn fig15_hot_data(h: &Harness) -> String {
     let mut out = String::new();
     for wid in [WorkloadId::LrYfcc, WorkloadId::MnCifar] {
-        let max_ep = if h.fast {
-            4
-        } else {
-            registry::max_epochs(wid, h)
-        };
+        let max_ep = if h.fast { 4 } else { max_epochs(wid, h) };
         let scenarios = base_scenarios(h, wid, max_ep);
         let wl = workload(wid.dataset(), h);
         let host_nic = InstanceType::M5a12XLarge.vm_link().bandwidth_bps;
