@@ -110,15 +110,4 @@ mod tests {
         }
         assert_eq!(selected("fig6_dataset"), None);
     }
-
-    #[test]
-    fn cheap_experiments_run() {
-        let h = Harness::default();
-        let cheap = ["fig6_datasets", "table2_hybrid_rpc", "table3_patterns"];
-        let reports = EXPERIMENTS
-            .iter()
-            .filter(|e| cheap.contains(&e.0))
-            .map(|(_, run)| run(&h));
-        assert_eq!(reports.filter(|r| !r.is_empty()).count(), cheap.len());
-    }
 }

@@ -166,6 +166,28 @@ mod tests {
         assert!((50.0..220.0).contains(&rounds), "rounds/epoch {rounds}");
     }
 
+    #[test]
+    fn sample_rows_are_pinned() {
+        let full = Harness {
+            fast: false,
+            ..Harness::default()
+        };
+        let rows = DatasetId::ALL.map(|id| {
+            let (fast, full) = (sample_rows(id, &Harness::default()), sample_rows(id, &full));
+            (id.name(), fast, full)
+        });
+        assert_eq!(
+            rows,
+            [
+                ("Higgs", 10_000, 110_000),
+                ("RCV1", 2_000, 6_970),
+                ("Cifar10", 4_000, 6_000),
+                ("YFCC100M", 1_500, 4_000),
+                ("Criteo", 5_000, 10_000),
+            ]
+        );
+    }
+
     /// One line per Table 4 row: its name, dataset and model, its workers
     /// and max epochs in fast and full mode, its paper batch, `lr` and
     /// `threshold` as bits, and its best algorithm at a batch of 100. A

@@ -178,8 +178,9 @@ mod tests {
         assert_eq!(prepped.train.label(0), wl.train.label(0));
     }
 
-    #[test]
-    fn faas_pipeline_runs_grid_in_parallel() {
+    /// The 1,000-row Higgs workload and a 4-worker, 2-epoch GA-SGD config
+    /// (FaaS by default).
+    fn small_pipeline() -> (Workload, JobConfig) {
         let g = DatasetId::Higgs.generate_rows(1_000, 1);
         let wl = Workload::from_generated(&g, 1);
         let cfg = JobConfig::new(
@@ -188,6 +189,12 @@ mod tests {
             0.05,
             StopSpec::new(0.0, 2),
         );
+        (wl, cfg)
+    }
+
+    #[test]
+    fn faas_pipeline_runs_grid_in_parallel() {
+        let (wl, cfg) = small_pipeline();
         let out = run_pipeline(&wl, ModelId::Lr { l2: 0.0 }, cfg).unwrap();
         assert_eq!(out.candidates.len(), 10);
         // parallel fan-out: total ≈ slowest candidate, not the sum
@@ -201,5 +208,21 @@ mod tests {
         assert!(out.runtime.as_secs() >= slowest);
         assert!(out.best_accuracy > 0.5);
         assert!(lr_grid().contains(&out.best_lr));
+    }
+
+    /// `run_pipeline`'s wall time and bill, as bits, for the FaaS fan-out
+    /// (preprocessing billed per GB-second) and the sequential IaaS cluster.
+    #[test]
+    fn pipeline_runtime_and_cost_are_pinned() -> Result<(), JobError> {
+        let (wl, cfg) = small_pipeline();
+        let bits = |backend| -> Result<(u64, u64), JobError> {
+            let p = run_pipeline(&wl, ModelId::Lr { l2: 0.0 }, cfg.with_backend(backend))?;
+            Ok((p.runtime.as_secs().to_bits(), p.cost.as_usd().to_bits()))
+        };
+        let faas = (0x4061_98d1_a396_e816, 0x3fc5_c541_809d_0417);
+        assert_eq!(bits(Backend::faas_default())?, faas);
+        let iaas = (0x408b_7aba_2e9e_6876, 0x3fa7_3623_1fe3_19de);
+        assert_eq!(bits(Backend::iaas_default())?, iaas);
+        Ok(())
     }
 }

@@ -1,5 +1,6 @@
 //! The fleet's JSON documents, pinned byte for byte: the sweeps' artifacts,
-//! the observer's documents and the trace adapters' metrics.
+//! the observer's documents and the trace adapters' metrics, plus the
+//! reports of the six sub-second paper experiments.
 //!
 //! `golden/fleet_artifacts.txt` holds one line per artifact,
 //! `<fnv1a-64 hex> <bytes> <path>`, sorted by path. The paths:
@@ -18,6 +19,9 @@
 //!   Google cluster-usage, Azure Functions and OpenDC fixtures
 //!   (`crates/fleet/data/`), each streamed through its own `TraceSource`
 //!   under `CostAware` and the default config at seed 7.
+//! - `paper/<name>/7-fast/report.txt`: the report each of the
+//!   [`PAPER_PINS`] experiments returns at seed 7 in fast mode. The other
+//!   eleven paper experiments take minutes and are not pinned here.
 //!
 //! A mismatch names every moved, missing and extra path with its new hash,
 //! then prints the whole new manifest. A change that moves artifacts on
@@ -53,7 +57,7 @@ use lambdaml::fleet::{
     TraceSource,
 };
 use lambdaml::sim::{Cost, SimTime};
-use lml_bench::{Harness, EXPERIMENTS};
+use lml_bench::{Experiment, Harness, EXPERIMENTS};
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::path::Path;
@@ -345,6 +349,31 @@ fn adapter(out: &mut Files, name: &str, source: Result<impl TraceSource, String>
     out.insert(path, m.to_json().into_bytes());
 }
 
+/// The paper experiments that together finish in about a second.
+const PAPER_PINS: [&str; 6] = [
+    "fig6_datasets",
+    "table2_hybrid_rpc",
+    "table3_patterns",
+    "fig10_breakdown",
+    "table6_constants",
+    "ablations",
+];
+
+/// The report each [`PAPER_PINS`] experiment returns at seed 7, fast mode.
+/// None depends on the sweep worker count.
+fn paper_reports() -> Files {
+    let h = Harness {
+        seed: 7,
+        ..Harness::default()
+    };
+    let pinned = EXPERIMENTS.iter().filter(|e| PAPER_PINS.contains(&e.0));
+    let report = |(name, run): &Experiment| {
+        let path = format!("paper/{name}/7-fast/report.txt");
+        (path, run(&h).into_bytes())
+    };
+    pinned.map(report).collect()
+}
+
 /// Checks each JSON document's head, then pins each file: its FNV-1a and
 /// byte count.
 fn pin(files: Files) -> Manifest {
@@ -396,7 +425,8 @@ fn every_fleet_sweep_artifact_matches_the_manifest() {
             (path.to_string(), pin.to_string())
         })
         .collect();
-    let documents = pin(documents());
+    let mut documents = pin(documents());
+    documents.extend(pin(paper_reports()));
     for workers in [1, 2, 8] {
         let mut now = pin(artifacts(workers));
         now.extend(documents.clone());
