@@ -14,16 +14,11 @@ use lml_storage::{ServiceProfile, StorageChannel};
 
 /// Run every ablation and concatenate the reports.
 pub fn run_all(h: &Harness) -> String {
-    let mut out = String::new();
-    out.push_str(&polling_interval(h));
-    out.push_str(&admm_local_scans(h));
-    out.push_str(&lifetime_overhead(h));
-    println!("{out}");
-    out
+    polling_interval() + &admm_local_scans(h) + &lifetime_overhead()
 }
 
 /// Sweep the BSP polling interval: detection delay vs request volume.
-fn polling_interval(_h: &Harness) -> String {
+fn polling_interval() -> String {
     let stats: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64; 28]).collect();
     let mut rows = Vec::new();
     for ms in [0.0, 10.0, 100.0, 500.0, 2_000.0] {
@@ -77,7 +72,7 @@ fn admm_local_scans(h: &Harness) -> String {
 }
 
 /// Quantify the 15-minute lifetime mechanism's overhead on long jobs.
-fn lifetime_overhead(_h: &Harness) -> String {
+fn lifetime_overhead() -> String {
     let mut rows = Vec::new();
     for (label, total_work_s, rollover_s) in [
         ("short job (5 min)", 300.0, 15.0),

@@ -1,5 +1,6 @@
 //! §5.3: the analytical model — calibration, validation and what-ifs.
 
+use crate::experiments::pytorch;
 use crate::registry::{self, max_epochs, workload};
 use crate::tablefmt::{f, table};
 use crate::Harness;
@@ -7,9 +8,9 @@ use lml_analytic::constants;
 use lml_analytic::estimator::estimate_epochs;
 use lml_analytic::model::{time, AnalyticCase, AnalyticParams, Scenario, Substrate};
 use lml_analytic::table4::WorkloadId;
-use lml_core::{Backend, JobConfig, RunResult, TrainingJob};
+use lml_core::{Backend, JobConfig, RunResult};
 use lml_data::generators::DatasetId;
-use lml_iaas::{InstanceType, SystemProfile};
+use lml_iaas::InstanceType;
 use lml_optim::StopSpec;
 use lml_sim::ByteSize;
 use lml_storage::{ServiceProfile, StorageChannel};
@@ -51,13 +52,11 @@ pub fn table6_constants(_h: &Harness) -> String {
             measured.map_or("-".into(), |m| format!("{} {}", f(m), c.unit)),
         ]);
     }
-    let out = table(
+    table(
         "Table 6: analytical-model constants (paper vs simulator)",
         &["symbol", "configuration", "paper", "simulator"],
         &rows,
-    );
-    println!("{out}");
-    out
+    )
 }
 
 /// Two-point bandwidth measurement against a simulated service.
@@ -104,16 +103,9 @@ pub fn fig13_model(h: &Harness) -> String {
                 stop: StopSpec::new(0.0, e),
                 ..named.config
             };
-            let sim_faas = TrainingJob::new(&named.workload, named.model, cfg)
-                .run()
-                .expect("faas run");
-            let iaas_cfg = cfg.with_backend(Backend::Iaas {
-                instance: InstanceType::T2Medium,
-                system: SystemProfile::PyTorch,
-            });
-            let sim_iaas = TrainingJob::new(&named.workload, named.model, iaas_cfg)
-                .run()
-                .expect("iaas run");
+            let sim_faas = named.run(cfg).expect("faas run");
+            let iaas_cfg = cfg.with_backend(pytorch(InstanceType::T2Medium));
+            let sim_iaas = named.run(iaas_cfg).expect("iaas run");
             let p = lr_higgs_params(e as f64);
             let (faas_s3, iaas_t2) = (AnalyticCase::faas_s3(), AnalyticCase::iaas_t2());
             let pred_f = time(&p, &faas_s3, Substrate::Faas, 10);
@@ -150,39 +142,21 @@ pub fn fig13_model(h: &Harness) -> String {
         ] {
             let wl = workload(wid.dataset(), h);
             let algo = registry::best_algorithm(wid, &wl);
-            let est = estimate_epochs(
-                wid.dataset(),
-                wid.model(),
-                algo,
-                wid.lr(),
-                wid.threshold(),
-                0.1,
-                max_epochs(wid, h),
-                h.seed,
-            );
-            let actual = estimate_epochs(
-                wid.dataset(),
-                wid.model(),
-                algo,
-                wid.lr(),
-                wid.threshold(),
-                1.0,
-                max_epochs(wid, h),
-                h.seed,
-            );
-            rows.push(vec![
-                wid.name().into(),
-                format!(
-                    "{:.2}{}",
-                    est.epochs,
-                    if est.reached { "" } else { " (cap)" }
-                ),
-                format!(
-                    "{:.2}{}",
-                    actual.epochs,
-                    if actual.reached { "" } else { " (cap)" }
-                ),
-            ]);
+            // Epochs to the threshold when training on `fraction` of the data.
+            let epochs = |fraction| {
+                let e = estimate_epochs(
+                    wid.dataset(),
+                    wid.model(),
+                    algo,
+                    wid.lr(),
+                    wid.threshold(),
+                    fraction,
+                    max_epochs(wid, h),
+                    h.seed,
+                );
+                format!("{:.2}{}", e.epochs, if e.reached { "" } else { " (cap)" })
+            };
+            rows.push(vec![wid.name().into(), epochs(0.1), epochs(1.0)]);
         }
         out.push_str(&table(
             "Figure 13b: sampling-based epoch estimator (10% sample vs full data)",
@@ -190,7 +164,6 @@ pub fn fig13_model(h: &Harness) -> String {
             &rows,
         ));
     }
-    println!("{out}");
     out
 }
 
@@ -226,9 +199,7 @@ fn base_scenarios(h: &Harness, wid: WorkloadId, max_ep: usize) -> Vec<Scenario> 
         w as f64 * lml_faas::lambda::FUNCTION_GB * lml_faas::lambda::PRICE_PER_GB_SECOND;
     let mut v = Vec::new();
 
-    let faas = TrainingJob::new(&named.workload, named.model, named.config)
-        .run()
-        .expect("faas");
+    let faas = named.run(named.config).expect("faas");
     v.push(scenario_of("FaaS", &faas, w, lambda_rate, false));
 
     let iaas_inst = if wid == WorkloadId::MnCifar {
@@ -236,13 +207,8 @@ fn base_scenarios(h: &Harness, wid: WorkloadId, max_ep: usize) -> Vec<Scenario> 
     } else {
         InstanceType::T2Medium
     };
-    let iaas_cfg = named.config.with_backend(Backend::Iaas {
-        instance: iaas_inst,
-        system: SystemProfile::PyTorch,
-    });
-    let iaas = TrainingJob::new(&named.workload, named.model, iaas_cfg)
-        .run()
-        .expect("iaas");
+    let iaas_cfg = named.config.with_backend(pytorch(iaas_inst));
+    let iaas = named.run(iaas_cfg).expect("iaas");
     v.push(scenario_of(
         &format!("IaaS({})", iaas_inst.name()),
         &iaas,
@@ -252,9 +218,7 @@ fn base_scenarios(h: &Harness, wid: WorkloadId, max_ep: usize) -> Vec<Scenario> 
     ));
 
     let hybrid_cfg = named.config.with_backend(Backend::hybrid_default());
-    let hybrid = TrainingJob::new(&named.workload, named.model, hybrid_cfg)
-        .run()
-        .expect("hybrid");
+    let hybrid = named.run(hybrid_cfg).expect("hybrid");
     v.push(scenario_of(
         "HybridPS",
         &hybrid,
@@ -307,7 +271,6 @@ pub fn fig14_fast_hybrid(h: &Harness) -> String {
             &rows,
         ));
     }
-    println!("{out}");
     out
 }
 
@@ -345,6 +308,5 @@ pub fn fig15_hot_data(h: &Harness) -> String {
             &rows,
         ));
     }
-    println!("{out}");
     out
 }

@@ -33,7 +33,7 @@ pub fn fig6_datasets(h: &Harness) -> String {
             f(nnz),
         ]);
     }
-    let out = table(
+    table(
         "Figure 6: datasets (paper scale + generated sample)",
         &[
             "dataset",
@@ -45,9 +45,7 @@ pub fn fig6_datasets(h: &Harness) -> String {
             "avg nnz",
         ],
         &rows,
-    );
-    println!("{out}");
-    out
+    )
 }
 
 /// Figure 7: GA-SGD vs MA-SGD vs ADMM.
@@ -172,7 +170,6 @@ pub fn fig7_optimizers(h: &Harness) -> String {
             &rows,
         ));
     }
-    println!("{out}");
     out
 }
 
@@ -291,13 +288,11 @@ pub fn table1_channels(h: &Harness) -> String {
         }
         rows.push(cells);
     }
-    let out = table(
+    table(
         "Table 1: channels vs S3 (cells: cost-ratio/slowdown; >1 ⇒ S3 cheaper/faster; N/A = item cap)",
         &["workload", "S3 (abs)", "Memcached", "DynamoDB", "VM-PS"],
         &rows,
-    );
-    println!("{out}");
-    out
+    )
 }
 
 /// Table 2: Lambda ↔ VM parameter-server RPC measurements (75 MB payload).
@@ -329,17 +324,15 @@ pub fn table2_hybrid_rpc(_h: &Harness) -> String {
             ]);
         }
     }
-    let out = table(
+    table(
         "Table 2: Lambda↔VM-PS, 75 MB (cells: gRPC / Thrift)",
         &["lambda", "EC2 type", "data transmission", "model update"],
         &rows,
-    );
-    println!("{out}");
-    out
+    )
 }
 
 /// Table 3: AllReduce vs ScatterReduce over S3.
-pub fn table3_patterns(h: &Harness) -> String {
+pub fn table3_patterns(_h: &Harness) -> String {
     let cases = [
         ("LR,Higgs,W=50", 50usize, 28usize, ByteSize::bytes(224)),
         ("MobileNet,Cifar10,W=10", 10, 1_000, ByteSize::mb(12.0)),
@@ -362,8 +355,7 @@ pub fn table3_patterns(h: &Harness) -> String {
             format!("{:.1}s", times[1]),
         ]);
     }
-    let _ = h;
-    let out = table(
+    table(
         "Table 3: communication patterns on S3",
         &[
             "model & dataset",
@@ -372,9 +364,7 @@ pub fn table3_patterns(h: &Harness) -> String {
             "ScatterReduce",
         ],
         &rows,
-    );
-    println!("{out}");
-    out
+    )
 }
 
 /// Figure 8: Synchronous vs Asynchronous convergence.
@@ -419,7 +409,7 @@ pub fn fig8_sync_async(h: &Harness) -> String {
             ]);
         }
     }
-    let out = table(
+    table(
         "Figure 8: synchronous vs asynchronous (S-ASP is faster per epoch but oscillates)",
         &[
             "workload",
@@ -430,7 +420,5 @@ pub fn fig8_sync_async(h: &Harness) -> String {
             "oscillation",
         ],
         &rows,
-    );
-    println!("{out}");
-    out
+    )
 }

@@ -4,7 +4,7 @@
 //! `Cell`s — and one runner, `run_sweep`, executes them all: every cell
 //! is simulated on `lml_sim::par`'s fan-out, its full metrics rollup is
 //! written as one byte-stable JSON file (schema `lml-fleet/metrics/v1`)
-//! under `<Harness::out_root>/<sweep name>/`, and its row joins the printed
+//! under `<Harness::out_root>/<sweep name>/`, and its row joins the returned
 //! table. `tests/fleet_artifacts.rs` pins every sweep's bytes at seeds 7
 //! and 42, fast and full, at 1, 2 and 8 workers.
 
@@ -94,8 +94,8 @@ fn run_sweep(s: &Sweep, h: &Harness) -> String {
     let _ = std::fs::create_dir_all(&dir);
     let mut rows = Vec::new();
     for (file, json, row) in results {
-        // The printed table is the primary output: a read-only output
-        // root downgrades to a warning rather than aborting the sweep.
+        // The table is the primary output: a read-only output root
+        // downgrades to a warning rather than aborting the sweep.
         let file = dir.join(file);
         if let Err(e) = std::fs::write(&file, json) {
             eprintln!("warning: could not write {}: {e}", file.display());
@@ -105,10 +105,8 @@ fn run_sweep(s: &Sweep, h: &Harness) -> String {
     let mut headers = s.labels.to_vec();
     headers.extend(s.columns.iter().map(|c| c.0));
     let title = format!("{}: {n_jobs}-job {}", s.name, s.title);
-    let out = table(&title, &headers, &rows);
-    println!("{out}");
-    println!("per-run JSON written to {}", dir.display());
-    out
+    eprintln!("per-run JSON written to {}", dir.display());
+    table(&title, &headers, &rows)
 }
 
 /// `fleet_scale`: arrival rate × routing policy on Poisson fleets — warm

@@ -14,7 +14,16 @@ pub mod design;
 pub mod endtoend;
 pub mod fleet;
 
-use lml_core::{JobError, RunResult};
+use lml_core::{Backend, JobError, RunResult};
+use lml_iaas::{InstanceType, SystemProfile};
+
+/// Distributed PyTorch on a cluster of `instance`s.
+pub(crate) fn pytorch(instance: InstanceType) -> Backend {
+    Backend::Iaas {
+        instance,
+        system: SystemProfile::PyTorch,
+    }
+}
 
 /// Render a run (or its failure) as table cells `[time, cost, note]`.
 pub(crate) fn outcome_cells(r: &Result<RunResult, JobError>) -> [String; 3] {

@@ -1,10 +1,12 @@
 //! # lml-bench — the experiment harness
 //!
 //! One module per paper section, each experiment a `fn(&Harness) ->
-//! String` that regenerates the artifact's rows/series, prints them, and
-//! returns the printed report. [`EXPERIMENTS`] is the one registry (and
-//! index) of them; the `lml-bench` binary is a thin CLI over
-//! [`select`]: `lml-bench <experiment|all> [--seed N] [--full]`.
+//! String` that regenerates the artifact's rows/series and returns them as
+//! a report; no experiment prints. [`EXPERIMENTS`] is the one registry
+//! (and index) of them; the `lml-bench` binary is a thin CLI over
+//! [`select`]: `lml-bench <experiment|all> [--seed N] [--full]`. It is the
+//! one print site: each report goes to stdout, while the `>>> <name>`
+//! progress lines and each fleet sweep's output directory go to stderr.
 //!
 //! The harness defaults to **fast mode** (reduced samples/worker counts) so
 //! the whole suite finishes in minutes; pass `--full` for the paper-scale

@@ -2,6 +2,11 @@
 //! artifact or fleet sweep (the index is `lml_bench::EXPERIMENTS`), or all
 //! of them in paper order.
 //!
+//! This is the only place that prints a report: stdout carries each
+//! experiment's report and nothing else, so it depends only on the seed and
+//! the mode. Stderr carries a `>>> <name>` line before each experiment and,
+//! for a fleet sweep, the directory its per-run JSON went to.
+//!
 //! One environment knob, read here and nowhere else: `LML_FLEET_OUT`
 //! roots the fleet sweeps' per-cell JSON (default `target/`, each sweep
 //! writing `<root>/<sweep name>/`). Sweeps fan out over every core; the
@@ -59,7 +64,7 @@ fn main() -> ExitCode {
         Ok((selected, h)) => {
             for (name, run) in selected {
                 eprintln!(">>> {name}");
-                run(&h);
+                println!("{}", run(&h));
             }
             ExitCode::SUCCESS
         }

@@ -9,58 +9,39 @@
 use crate::Harness;
 use lml_analytic::table4::WorkloadId;
 use lml_core::job::Workload;
-use lml_core::JobConfig;
+use lml_core::{JobConfig, JobError, RunResult, TrainingJob};
 use lml_data::generators::DatasetId;
 use lml_models::ModelId;
 use lml_optim::{Algorithm, StopSpec};
 
 /// A ready-to-run workload: dataset + model + tuned hyper-parameters.
 pub struct Named {
-    pub name: &'static str,
     pub workload: Workload,
     pub model: ModelId,
     pub config: JobConfig,
 }
 
-/// Default sample rows per dataset under the harness mode.
+impl Named {
+    /// Train the model on the workload under `cfg`.
+    pub(crate) fn run(&self, cfg: JobConfig) -> Result<RunResult, JobError> {
+        TrainingJob::new(&self.workload, self.model, cfg).run()
+    }
+}
+
+/// Sample rows per dataset under the harness mode: a reduced sample in
+/// fast mode, the generator's default sample in full mode.
 pub fn sample_rows(id: DatasetId, h: &Harness) -> usize {
-    let fast = h.fast;
-    match id {
-        DatasetId::Higgs => {
-            if fast {
-                10_000
-            } else {
-                110_000
-            }
-        }
-        DatasetId::Rcv1 => {
-            if fast {
-                2_000
-            } else {
-                6_970
-            }
-        }
-        DatasetId::Cifar10 => {
-            if fast {
-                4_000
-            } else {
-                6_000
-            }
-        }
-        DatasetId::Yfcc100m => {
-            if fast {
-                1_500
-            } else {
-                4_000
-            }
-        }
-        DatasetId::Criteo => {
-            if fast {
-                5_000
-            } else {
-                10_000
-            }
-        }
+    match (id, h.fast) {
+        (DatasetId::Higgs, true) => 10_000,
+        (DatasetId::Rcv1, true) => 2_000,
+        (DatasetId::Cifar10, true) => 4_000,
+        (DatasetId::Yfcc100m, true) => 1_500,
+        (DatasetId::Criteo, true) => 5_000,
+        // Twice YFCC's default sample. The reason was not recorded: the
+        // value dates from the first commit. At YFCC's 100 workers it gives
+        // each worker 36 training rows rather than 18.
+        (DatasetId::Yfcc100m, false) => 4_000,
+        (_, false) => id.default_rows(),
     }
 }
 
@@ -118,7 +99,6 @@ pub fn build(id: WorkloadId, h: &Harness) -> Named {
     )
     .with_seed(h.seed);
     Named {
-        name: id.name(),
         workload: wl,
         model: id.model(),
         config,
