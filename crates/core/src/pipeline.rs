@@ -7,12 +7,12 @@
 //! fan-out); on IaaS the one reserved cluster runs them **sequentially**.
 
 use crate::config::{Backend, JobConfig};
-use crate::executor::{partition_load_time, s3_data_link};
+use crate::executor::{lambda_bill, partition_load_time, s3_data_link};
 use crate::job::{JobError, TrainingJob, Workload};
 use crate::result::RunResult;
 use lml_data::transform::normalize_minmax;
 use lml_data::Dataset;
-use lml_faas::{faas_startup_time, GbSecondsMeter};
+use lml_faas::faas_startup_time;
 use lml_iaas::ClusterSpec;
 use lml_models::ModelId;
 use lml_optim::{LrSchedule, StopSpec};
@@ -105,12 +105,8 @@ pub fn run_pipeline(
                 .iter()
                 .map(|c| c.runtime())
                 .fold(SimTime::ZERO, SimTime::max);
-            let mut prep_meter = GbSecondsMeter::new();
-            for _ in 0..base.workers {
-                prep_meter.charge(spec, prep_time);
-            }
-            let cost: Cost =
-                prep_meter.cost() + candidates.iter().map(|c| c.dollars()).sum::<Cost>();
+            let cost = lambda_bill(spec, base.workers, prep_time)
+                + candidates.iter().map(|c| c.dollars()).sum::<Cost>();
             ("FaaS".to_string(), prep_startup + prep_time + search, cost)
         }
         Backend::Iaas { instance, .. } | Backend::Single { instance } => {
