@@ -141,7 +141,7 @@ pub fn fig10_breakdown(h: &Harness) -> String {
 }
 
 /// One Figure 11 series: a system label, its backend and its worker counts.
-type Series<'a> = (&'a str, Backend, &'a [usize]);
+type Series = (&'static str, Backend, &'static [usize]);
 
 /// Figure 11: runtime vs cost as the worker count scales.
 pub fn fig11_workers(h: &Harness) -> String {
