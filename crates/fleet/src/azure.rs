@@ -184,20 +184,31 @@ mod tests {
         assert_eq!(t.jobs[0].tenant, 0);
     }
 
+    const RANGE: &str = "timestamps must be finite, duration >= 0";
+
     #[test]
     fn malformed_rows_are_rejected_with_line_numbers() {
-        // Wrong arity.
-        let e = parse("1000,o,a,f\n").unwrap_err();
-        assert!(e.contains("line 1"), "{e}");
-        // Unparsable timestamp / duration.
-        assert!(parse("soon,o,a,f,10\n").is_err());
-        assert!(parse("1000,o,a,f,later\n").is_err());
-        // Negative duration and pre-epoch start.
-        assert!(parse("1000,o,a,f,-5\n").is_err());
-        assert!(parse("1000,o,a,f,2000\n").is_err());
-        // Empty owner / function ids.
-        assert!(parse("1000,,a,f,10\n").is_err());
-        assert!(parse("1000,o,a,,10\n").is_err());
+        for (bad, want) in [
+            ("1000,o,a,f\n", "expected 5 comma-separated fields, got 4"),
+            (
+                "soon,o,a,f,10\n",
+                "bad end timestamp: invalid float literal",
+            ),
+            ("1000,o,a,f,later\n", "bad duration: invalid float literal"),
+            // Both fields parse before either is range-checked.
+            ("nan,o,a,f,later\n", "bad duration: invalid float literal"),
+            ("1000,o,a,f,-5\n", RANGE),
+            ("inf,o,a,f,-5\n", RANGE),
+            (
+                "1000,o,a,f,2000\n",
+                "invocation starts before the trace epoch",
+            ),
+            ("1000,,a,f,10\n", "empty owner or function id"),
+            ("1000,o,a,,10\n", "empty owner or function id"),
+        ] {
+            let want = format!("line 1: {want}");
+            assert_eq!(parse(bad).unwrap_err(), want, "{bad:?}");
+        }
     }
 
     #[test]
@@ -240,18 +251,38 @@ mod tests {
 
     #[test]
     fn malformed_rows_beyond_the_happy_path_are_rejected() {
-        // Non-finite timestamps and durations.
-        assert!(parse("nan,o,a,f,10\n").is_err());
-        assert!(parse("inf,o,a,f,10\n").is_err());
-        assert!(parse("1000,o,a,f,nan\n").is_err());
-        // Too many fields (a quoted comma would need real CSV parsing —
-        // fail loudly instead of mis-attributing columns).
-        assert!(parse("1000,o,a,f,10,extra\n").is_err());
-        // Whitespace-only fields count as empty ids.
-        assert!(parse("1000,   ,a,f,10\n").is_err());
-        assert!(parse("1000,o,a,   ,10\n").is_err());
-        // Errors carry the 1-based line number of the offending row.
-        let e = parse("2000,o1,a,f1,1000\nbad,o,a,f,10\n").unwrap_err();
-        assert!(e.contains("line 2"), "{e}");
+        for (bad, want) in [
+            // Non-finite timestamps and durations.
+            ("nan,o,a,f,10\n", format!("line 1: {RANGE}")),
+            ("inf,o,a,f,10\n", format!("line 1: {RANGE}")),
+            ("1000,o,a,f,nan\n", format!("line 1: {RANGE}")),
+            // Too many fields (a quoted comma would need real CSV parsing —
+            // fail loudly instead of mis-attributing columns).
+            (
+                "1000,o,a,f,10,extra\n",
+                "line 1: expected 5 comma-separated fields, got 6".into(),
+            ),
+            // Whitespace-only fields count as empty ids.
+            (
+                "1000,   ,a,f,10\n",
+                "line 1: empty owner or function id".into(),
+            ),
+            (
+                "1000,o,a,   ,10\n",
+                "line 1: empty owner or function id".into(),
+            ),
+            // Errors carry the 1-based line number of the offending row;
+            // blank, `#` and header lines count.
+            (
+                "2000,o1,a,f1,1000\nbad,o,a,f,10\n",
+                "line 2: bad end timestamp: invalid float literal".into(),
+            ),
+            (
+                "# c\r\n\r\nend_timestamp_ms,owner,app,func,duration_ms\r\n1000,o,a,f\r\n",
+                "line 4: expected 5 comma-separated fields, got 4".into(),
+            ),
+        ] {
+            assert_eq!(parse(bad).unwrap_err(), want, "{bad:?}");
+        }
     }
 }

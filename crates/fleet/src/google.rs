@@ -183,23 +183,59 @@ mod tests {
         let csv = "\
             5000000,,1,0,,0,alice,2,9,,,,\n\
             2000000,,2,0,,0,bob,2,9,,,,\n";
-        let e = parse(csv).unwrap_err();
-        assert!(e.contains("line 2") && e.contains("not sorted"), "{e}");
+        assert_eq!(
+            parse(csv).unwrap_err(),
+            "line 2: task_events not sorted by timestamp (the streaming adapter cannot re-sort)"
+        );
     }
 
     #[test]
     fn malformed_rows_are_rejected_with_line_numbers() {
-        // Too few fields.
-        let e = parse("1000,,42,0,,0\n").unwrap_err();
-        assert!(e.contains("line 1"), "{e}");
-        // Bad timestamp / event type / job id, empty user.
-        assert!(parse("soon,,42,0,,0,alice\n").is_err());
-        assert!(parse("nan,,42,0,,0,alice\n").is_err());
-        assert!(parse("-1,,42,0,,0,alice\n").is_err());
-        assert!(parse("1000,,42,0,,boot,alice\n").is_err());
-        assert!(parse("1000,,soon,0,,0,alice\n").is_err());
-        let e = parse("1000,,41,0,,0,alice\n2000,,42,0,,0,\n").unwrap_err();
-        assert!(e.contains("line 2") && e.contains("empty user"), "{e}");
+        for (bad, want) in [
+            (
+                "1000,,42,0,,0\n",
+                "line 1: expected >= 7 comma-separated fields, got 6",
+            ),
+            (
+                "soon,,42,0,,0,alice\n",
+                "line 1: bad timestamp: invalid float literal",
+            ),
+            (
+                "nan,,42,0,,0,alice\n",
+                "line 1: timestamp must be finite and >= 0",
+            ),
+            (
+                "-1,,42,0,,0,alice\n",
+                "line 1: timestamp must be finite and >= 0",
+            ),
+            (
+                "1000,,42,0,,boot,alice\n",
+                "line 1: bad event type: invalid digit found in string",
+            ),
+            (
+                "1000,,soon,0,,0,alice\n",
+                "line 1: bad job id: invalid digit found in string",
+            ),
+            (
+                "1000,,41,0,,0,alice\n2000,,42,0,,0,\n",
+                "line 2: empty user",
+            ),
+            // Blank, `#` and header lines count; CRLF is trimmed.
+            (
+                "# shard\r\n\r\ntime_us,missing,job,task,machine,event,user\r\n1000,,42,0,,0,   \r\n",
+                "line 4: empty user",
+            ),
+        ] {
+            assert_eq!(parse(bad).unwrap_err(), want, "{bad:?}");
+        }
+        // Only SUBMIT rows are read past the event type.
+        assert_eq!(parse("soon,,x,0,,1,\n").map(|t| t.len()), Ok(0));
+        // A read error names the line it stopped at.
+        let bytes: &[u8] = b"1000,,41,0,,0,alice\n\xff,,42,0,,0,bob\n";
+        assert_eq!(
+            crate::stream::collect(GoogleSource::new(bytes)).unwrap_err(),
+            "line 2: read error: stream did not contain valid UTF-8"
+        );
     }
 
     #[test]

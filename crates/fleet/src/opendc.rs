@@ -262,25 +262,52 @@ mod tests {
         assert_eq!(t.jobs[0].submit, SimTime::secs(2.0));
     }
 
+    const UNSORTED: &str =
+        "timeline not sorted by timestamp (the streaming adapter cannot re-sort)";
+
     #[test]
     fn out_of_order_timelines_are_rejected() {
         let e = parse(&[("f", "Timestamp [ms],Invocations\n5000,1\n2000,1\n")]).unwrap_err();
-        assert!(e.contains("f: line 3") && e.contains("not sorted"), "{e}");
+        assert_eq!(e, format!("f: line 3: {UNSORTED}"));
+        // Zero-invocation rows are still checked for order.
+        let e = parse(&[("g", "5000,0\n\n2000,1\n")]).unwrap_err();
+        assert_eq!(e, format!("g: line 3: {UNSORTED}"));
     }
 
     #[test]
     fn malformed_rows_are_rejected_with_function_and_line() {
-        let e = parse(&[("f", "soon,1\n")]).unwrap_err();
-        assert!(
-            e.contains("f: line 1") && e.contains("bad timestamp"),
-            "{e}"
+        for (bad, want) in [
+            (
+                "soon,1\n",
+                "f: line 1: bad timestamp: invalid float literal",
+            ),
+            ("nan,1\n", "f: line 1: timestamp must be finite and >= 0"),
+            ("-1,1\n", "f: line 1: timestamp must be finite and >= 0"),
+            (
+                "1000,often\n",
+                "f: line 1: bad invocation count: invalid digit found in string",
+            ),
+            (
+                "1000\n",
+                "f: line 1: bad invocation count: cannot parse integer from empty string",
+            ),
+            // Blank, `#` and header lines count; CRLF is trimmed.
+            (
+                "# c\r\n\r\nTimestamp [ms],Invocations\r\n1000,-1\r\n",
+                "f: line 4: bad invocation count: invalid digit found in string",
+            ),
+        ] {
+            assert_eq!(parse(&[("f", bad)]).unwrap_err(), want, "{bad:?}");
+        }
+        // The faulty function is named, whichever file it is.
+        let e = parse(&[("ok", "1000,1\n"), ("bad", "1000,1\nsoon,1\n")]).unwrap_err();
+        assert_eq!(e, "bad: line 2: bad timestamp: invalid float literal");
+        // A read error names the function and the line it stopped at.
+        let bytes: &[u8] = b"1000,1\n\xff,1\n";
+        assert_eq!(
+            collect(OpenDcSource::new([("f".to_string(), bytes)])).unwrap_err(),
+            "f: line 2: read error: stream did not contain valid UTF-8"
         );
-        assert!(parse(&[("f", "nan,1\n")]).is_err());
-        assert!(parse(&[("f", "-1,1\n")]).is_err());
-        let e = parse(&[("f", "1000,often\n")]).unwrap_err();
-        assert!(e.contains("bad invocation count"), "{e}");
-        let e = parse(&[("f", "1000\n")]).unwrap_err();
-        assert!(e.contains("bad invocation count"), "{e}");
     }
 
     #[test]

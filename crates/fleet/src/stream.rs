@@ -530,21 +530,73 @@ mod tests {
                 "1.0\tnot-a-class\t10\n",
                 "line 1: unknown job class \"not-a-class\"",
             ),
-            ("abc\tlr-higgs\t10\n", "line 1: bad time: "),
+            (
+                "abc\tlr-higgs\t10\n",
+                "line 1: bad time: invalid float literal",
+            ),
+            (
+                "-1.0\tlr-higgs\t10\n",
+                "line 1: time must be finite and >= 0",
+            ),
+            (
+                "inf\tlr-higgs\t10\n",
+                "line 1: time must be finite and >= 0",
+            ),
+            (
+                "1.0\tlr-higgs\tten\n",
+                "line 1: bad workers: invalid digit found in string",
+            ),
             ("1.0\tlr-higgs\t0\n", "line 1: zero workers"),
             (
                 "1.0\tlr-higgs\t10\t0\n",
                 "line 1: expected 3 (v1) or 5 (v2) fields, got 4",
             ),
-            ("1.0\tlr-higgs\t10\t0\tsoon\n", "line 1: bad deadline: "),
+            (
+                "1.0\tlr-higgs\t10\t0\t-\t9\n",
+                "line 1: expected 3 (v1) or 5 (v2) fields, got 6",
+            ),
+            (
+                "1.0\tlr-higgs\t10\tx\t-\n",
+                "line 1: bad tenant id: invalid digit found in string",
+            ),
+            // The tenant is read before the deadline.
+            (
+                "1.0\tlr-higgs\t10\tx\tsoon\n",
+                "line 1: bad tenant id: invalid digit found in string",
+            ),
+            (
+                "1.0\tlr-higgs\t10\t0\tsoon\n",
+                "line 1: bad deadline: invalid float literal",
+            ),
+            (
+                "5.0\tlr-higgs\t10\t0\t4.0\n",
+                "line 1: deadline must be finite and >= submit time",
+            ),
+            (
+                "5.0\tlr-higgs\t10\t0\tinf\n",
+                "line 1: deadline must be finite and >= submit time",
+            ),
             (
                 "budget\t0\n",
                 "line 1: budget line needs `budget <tenant> <usd>`, got 2 fields",
             ),
             (
+                "budget\t0\t1.0\textra\n",
+                "line 1: budget line needs `budget <tenant> <usd>`, got 4 fields",
+            ),
+            (
+                "budget\tx\t1.0\n",
+                "line 1: bad budget tenant id: invalid digit found in string",
+            ),
+            (
+                "budget\t0\tlots\n",
+                "line 1: bad budget amount: invalid float literal",
+            ),
+            (
                 "budget\t0\t-1.0\n",
                 "line 1: budget must be finite and >= 0",
             ),
+            ("budget\t0\tnan\n", "line 1: budget must be finite and >= 0"),
             (
                 "budget\t0\t1.0\nbudget\t0\t2.0\n",
                 "line 2: duplicate budget for tenant 0",
@@ -553,12 +605,29 @@ mod tests {
                 "5.0\tlr-higgs\t10\n1.0\tlr-higgs\t10\n",
                 "trace not sorted by submission time",
             ),
+            // CRLF endings, blank and `#` lines are skipped but counted.
+            (
+                "# v3\r\nbudget\t0\t1.0\r\n\r\n   \n# again\nbudget\t0\t2.0\r\n",
+                "line 6: duplicate budget for tenant 0",
+            ),
+            (
+                "# v1\r\n\r\n1.0\tlr-higgs\t10\r\n\n# mid\r\nabc\tlr-higgs\t10\r\n",
+                "line 6: bad time: invalid float literal",
+            ),
         ] {
-            let got = Trace::from_text(bad).unwrap_err();
-            // The two `parse::<f64>` faults end in std's own wording.
-            assert!(got.starts_with(want), "{bad:?}: got {got:?}, want {want:?}");
-            assert!(want.ends_with(": ") || got == want, "{bad:?}: got {got:?}");
+            assert_eq!(Trace::from_text(bad).unwrap_err(), want, "{bad:?}");
         }
+        // A read error names the line it stopped at.
+        let bytes: &[u8] = b"1.0\tlr-higgs\t10\n\xff\tlr-higgs\t10\n";
+        assert_eq!(
+            collect(TextSource::new(bytes)).unwrap_err(),
+            "line 2: read error: stream did not contain valid UTF-8"
+        );
+        // CRLF, blank and comment lines read back as the LF trace.
+        let lf = "1.0\tlr-higgs\t10\t0\t-\n2.5\tsvm-rcv1\t5\t1\t9.0\n";
+        let crlf = "# v2\r\n\r\n1.0\tlr-higgs\t10\t0\t-\r\n  \r\n2.5 svm-rcv1 5 1 9.0\r\n";
+        assert_eq!(Trace::from_text(crlf), Trace::from_text(lf));
+        assert_eq!(Trace::from_text(lf).map(|t| t.len()), Ok(2));
     }
 
     #[test]
