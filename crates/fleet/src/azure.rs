@@ -5,12 +5,12 @@
 //! an end timestamp and a duration. This module adapts that shape onto the
 //! fleet simulator: each row becomes one training-job submission, owners
 //! become tenants (dense ids in order of first appearance), and function
-//! ids are hashed deterministically onto the Table 4 job zoo. The adapter
-//! converts rows directly into [`JobRequest`]s (sorted, validated) and
-//! hands them to the replay engine through [`AzureSource`], the adapter's
-//! [`TraceSource`], so an adapted trace obeys exactly the same validation
-//! and replay guarantees as a hand-written one (`parse(csv)?.to_text()`
-//! renders it in the portable native text form).
+//! ids are hashed deterministically onto the Table 4 job zoo. The public
+//! CSVs are not sorted by submission time, so [`parse`] buffers and sorts
+//! the rows into a [`Trace`]; an [`InMemorySource`](crate::InMemorySource)
+//! streams it into the replay engine, so an adapted trace obeys exactly
+//! the same validation and replay guarantees as a hand-written one
+//! (`parse(csv)?.to_text()` renders it in the portable native text form).
 //!
 //! Accepted line format (header line and `#` comments are skipped):
 //!
@@ -21,135 +21,56 @@
 //!
 //! A bundled sample lives at `crates/fleet/data/azure_sample.csv`.
 
-use crate::job::{JobClass, JobRequest, TenantId};
-use crate::stream::{CsvRows, TraceSource};
+use crate::stream::{adapted_job, Lines, Tenants};
 use crate::workload::Trace;
 use lml_sim::SimTime;
-use std::collections::BTreeMap;
 
-/// One parsed invocation row, before conversion to a job submission.
-#[derive(Debug, Clone, PartialEq)]
-struct AzureRow {
-    submit_secs: f64,
-    owner: String,
-    func: String,
-}
+const RANGE: &str = "timestamps must be finite, duration >= 0";
 
-fn parse_rows(csv: &str) -> Result<Vec<AzureRow>, String> {
-    let mut rows = Vec::new();
-    let mut lines = CsvRows::new(csv.as_bytes(), "endtimestamp");
-    while let Some((line, fields)) = lines.next_row()? {
-        let parts: Vec<&str> = fields.collect();
-        if parts.len() != 5 {
-            return Err(format!(
-                "line {line}: expected 5 comma-separated fields, got {}",
-                parts.len()
-            ));
-        }
-        let end_ms: f64 = parts[0]
-            .parse()
-            .map_err(|e| format!("line {line}: bad end timestamp: {e}"))?;
-        let duration_ms: f64 = parts[4]
-            .parse()
-            .map_err(|e| format!("line {line}: bad duration: {e}"))?;
-        if !end_ms.is_finite() || !duration_ms.is_finite() || duration_ms < 0.0 {
-            return Err(format!(
-                "line {line}: timestamps must be finite, duration >= 0"
-            ));
-        }
-        let submit_secs = (end_ms - duration_ms) / 1_000.0;
-        if submit_secs < 0.0 {
-            return Err(format!(
-                "line {line}: invocation starts before the trace epoch"
-            ));
-        }
-        if parts[1].is_empty() || parts[3].is_empty() {
-            return Err(format!("line {line}: empty owner or function id"));
-        }
-        rows.push(AzureRow {
-            submit_secs,
-            owner: parts[1].to_string(),
-            func: parts[3].to_string(),
-        });
-    }
-    Ok(rows)
-}
-
-/// Rows sorted and converted: owners become dense tenant ids in order of
-/// first appearance, function ids select job classes via
-/// [`JobClass::for_trace_id`], and ids are assigned in sorted-time order —
-/// the same mapping the text shim renders, without the intermediate
-/// `String`.
-fn to_jobs(csv: &str) -> Result<Vec<JobRequest>, String> {
-    let mut rows = parse_rows(csv)?;
-    rows.sort_by(|a, b| a.submit_secs.total_cmp(&b.submit_secs));
-    // Assign tenant ids by first appearance in time order, so the mapping
-    // is a pure function of the (sorted) trace.
-    let mut tenants: BTreeMap<&str, TenantId> = BTreeMap::new();
-    let mut next = 0u32;
-    Ok(rows
-        .iter()
-        .enumerate()
-        .map(|(id, r)| {
-            let tenant = *tenants.entry(r.owner.as_str()).or_insert_with(|| {
-                let t = next;
-                next += 1;
-                t
-            });
-            let class = JobClass::for_trace_id(&r.func);
-            JobRequest {
-                id: id as u64,
-                class,
-                submit: SimTime::secs(r.submit_secs),
-                workers: class.default_workers(),
-                tenant,
-                deadline: None,
-            }
-        })
-        .collect())
-}
-
-/// Parse Azure-style CSV straight into a [`Trace`] — rows convert
-/// directly to [`JobRequest`]s, no intermediate text.
+/// Parse Azure-style CSV into a [`Trace`]: rows sorted by submission time,
+/// ids assigned in that order, owners interned as tenants in order of
+/// first appearance in it, so the mapping is a pure function of the
+/// (sorted) trace.
 pub fn parse(csv: &str) -> Result<Trace, String> {
-    Ok(Trace::from_jobs(to_jobs(csv)?))
-}
-
-/// The adapter as a [`TraceSource`]: rows stream into the replay engine
-/// with no intermediate trace text or `Trace`. (The adapter must still
-/// buffer the *rows* — the public CSVs are not sorted by submission time —
-/// but that is one sort-and-drain pass, not three full renders.)
-pub struct AzureSource {
-    total: usize,
-    jobs: std::vec::IntoIter<JobRequest>,
-}
-
-/// Build an [`AzureSource`] from Azure-style CSV text.
-pub fn source(csv: &str) -> Result<AzureSource, String> {
-    let jobs = to_jobs(csv)?;
-    Ok(AzureSource {
-        total: jobs.len(),
-        jobs: jobs.into_iter(),
-    })
-}
-
-impl TraceSource for AzureSource {
-    fn budgets(&mut self) -> Result<BTreeMap<TenantId, f64>, String> {
-        Ok(BTreeMap::new())
+    let mut rows = Vec::new();
+    let mut lines = Lines::new(csv.as_bytes(), Some("endtimestamp"), String::new());
+    while let Some(row) = lines.next_row()? {
+        let n = row.len();
+        row.check(
+            n == 5,
+            format_args!("expected 5 comma-separated fields, got {n}"),
+        )?;
+        let end_ms: f64 = row.parse(0, "end timestamp")?;
+        // Both fields parse before either is range-checked.
+        let duration_ms = row.at_least(4, "duration", 0.0, RANGE)?;
+        row.check(end_ms.is_finite(), RANGE)?;
+        let submit_secs = (end_ms - duration_ms) / 1_000.0;
+        row.check(
+            submit_secs >= 0.0,
+            "invocation starts before the trace epoch",
+        )?;
+        let (owner, func) = (row.field(1), row.field(3));
+        row.check(
+            !owner.is_empty() && !func.is_empty(),
+            "empty owner or function id",
+        )?;
+        rows.push((submit_secs, owner.to_string(), func.to_string()));
     }
-
-    fn next_job(&mut self) -> Result<Option<JobRequest>, String> {
-        Ok(self.jobs.next())
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        Some(self.total)
-    }
+    rows.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut tenants = Tenants::default();
+    let jobs = (0..)
+        .zip(&rows)
+        .map(|(id, (submit, owner, func))| {
+            adapted_job(id, func, SimTime::secs(*submit), tenants.id(owner))
+        })
+        .collect();
+    Ok(Trace::from_jobs(jobs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::{collect, InMemorySource, TraceSource};
 
     const SAMPLE: &str = include_str!("../data/azure_sample.csv");
 
@@ -167,10 +88,10 @@ mod tests {
     #[test]
     fn source_streams_the_same_jobs_as_parse() {
         let trace = parse(SAMPLE).unwrap();
-        let mut src = source(SAMPLE).unwrap();
+        let mut src = InMemorySource::new(&trace);
         assert_eq!(src.len_hint(), Some(trace.len()));
         assert!(src.budgets().unwrap().is_empty());
-        let streamed = crate::stream::collect(source(SAMPLE).unwrap()).unwrap();
+        let streamed = collect(InMemorySource::new(&trace)).unwrap();
         assert_eq!(streamed, trace);
     }
 

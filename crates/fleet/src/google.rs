@@ -27,8 +27,8 @@
 //!
 //! A bundled sample lives at `crates/fleet/data/google_sample.csv`.
 
-use crate::job::{JobClass, JobRequest, TenantId};
-use crate::stream::{CsvRows, TraceSource};
+use crate::job::{JobRequest, TenantId};
+use crate::stream::{adapted_job, Lines, Tenants, TraceSource};
 use crate::workload::Trace;
 use lml_sim::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
@@ -37,10 +37,9 @@ use std::io::BufRead;
 /// Streaming adapter over task_events CSV: pull-based, constant memory
 /// per row (plus the O(#jobs) dedupe set).
 pub struct GoogleSource<R> {
-    rows: CsvRows<R>,
+    lines: Lines<R>,
     seen_jobs: BTreeSet<u64>,
-    tenants: BTreeMap<String, TenantId>,
-    next_tenant: TenantId,
+    tenants: Tenants,
     last_submit: SimTime,
     next_id: u64,
 }
@@ -48,10 +47,9 @@ pub struct GoogleSource<R> {
 impl<R: BufRead> GoogleSource<R> {
     pub fn new(reader: R) -> Self {
         GoogleSource {
-            rows: CsvRows::new(reader, "time"),
+            lines: Lines::new(reader, Some("time"), String::new()),
             seen_jobs: BTreeSet::new(),
-            tenants: BTreeMap::new(),
-            next_tenant: 0,
+            tenants: Tenants::default(),
             last_submit: SimTime::ZERO,
             next_id: 0,
         }
@@ -65,69 +63,35 @@ impl<R: BufRead> TraceSource for GoogleSource<R> {
     }
 
     fn next_job(&mut self) -> Result<Option<JobRequest>, String> {
-        loop {
-            let Some((line, fields)) = self.rows.next_row()? else {
-                return Ok(None);
-            };
-            let parts: Vec<&str> = fields.collect();
-            if parts.len() < 7 {
-                return Err(format!(
-                    "line {line}: expected >= 7 comma-separated fields, got {}",
-                    parts.len()
-                ));
-            }
-            let event_type: u32 = parts[5]
-                .parse()
-                .map_err(|e| format!("line {line}: bad event type: {e}"))?;
+        while let Some(row) = self.lines.next_row()? {
+            let n = row.len();
+            row.check(
+                n >= 7,
+                format_args!("expected >= 7 comma-separated fields, got {n}"),
+            )?;
             // Only SUBMIT (0) events become job arrivals.
-            if event_type != 0 {
+            if row.parse::<u32>(5, "event type")? != 0 {
                 continue;
             }
-            let ts_us: f64 = parts[0]
-                .parse()
-                .map_err(|e| format!("line {line}: bad timestamp: {e}"))?;
-            if !ts_us.is_finite() || ts_us < 0.0 {
-                return Err(format!("line {line}: timestamp must be finite and >= 0"));
-            }
-            let submit = SimTime::secs(ts_us / 1e6);
-            if submit < self.last_submit {
-                return Err(format!(
-                    "line {line}: task_events not sorted by timestamp (the streaming \
-                     adapter cannot re-sort)"
-                ));
-            }
+            let range = "timestamp must be finite and >= 0";
+            let submit = SimTime::secs(row.at_least(0, "timestamp", 0.0, range)? / 1e6);
+            row.check(
+                submit >= self.last_submit,
+                "task_events not sorted by timestamp (the streaming adapter cannot re-sort)",
+            )?;
             self.last_submit = submit;
-            let job_id: u64 = parts[2]
-                .parse()
-                .map_err(|e| format!("line {line}: bad job id: {e}"))?;
             // One arrival per job: later tasks / resubmissions are skipped.
-            if !self.seen_jobs.insert(job_id) {
+            if !self.seen_jobs.insert(row.parse(2, "job id")?) {
                 continue;
             }
-            if parts[6].is_empty() {
-                return Err(format!("line {line}: empty user"));
-            }
-            let tenant = match self.tenants.get(parts[6]) {
-                Some(&t) => t,
-                None => {
-                    let t = self.next_tenant;
-                    self.next_tenant += 1;
-                    self.tenants.insert(parts[6].to_string(), t);
-                    t
-                }
-            };
-            let class = JobClass::for_trace_id(parts[2]);
+            let user = row.field(6);
+            row.check(!user.is_empty(), "empty user")?;
             let id = self.next_id;
             self.next_id += 1;
-            return Ok(Some(JobRequest {
-                id,
-                class,
-                submit,
-                workers: class.default_workers(),
-                tenant,
-                deadline: None,
-            }));
+            let tenant = self.tenants.id(user);
+            return Ok(Some(adapted_job(id, row.field(2), submit, tenant)));
         }
+        Ok(None)
     }
 }
 

@@ -13,9 +13,9 @@
 //!   and a replayable plain-text trace format, all seeded and
 //!   bit-reproducible.
 //! * [`azure`] — an Azure-Functions-style CSV adapter (owners → tenants,
-//!   function ids → job classes): [`azure::parse`] materializes a
-//!   [`Trace`], [`azure::source`] streams it as a [`TraceSource`]; a
-//!   bundled sample lives under `crates/fleet/data/`.
+//!   function ids → job classes): [`azure::parse`] sorts the rows into a
+//!   [`Trace`], which an [`InMemorySource`] streams; a bundled sample
+//!   lives under `crates/fleet/data/`.
 //! * [`google`] — a Google cluster-usage (task_events) adapter: a
 //!   streaming [`TraceSource`] mapping each job's first SUBMIT event onto
 //!   the job zoo (users → tenants), constant memory per row.
@@ -32,7 +32,10 @@
 //!   ([`TextSource`], the one statement of the trace grammar), and
 //!   generator-backed ([`GeneratorSource`], the one statement of the RNG
 //!   draw order) sources, so million-job traces replay without
-//!   materializing.
+//!   materializing; and the one ingest path every trace reader shares
+//!   (text, Azure, Google, OpenDC): one line loop (`stream::Lines`) and
+//!   one row type (`stream::Row`), whose getters parse and range-check
+//!   every trace field and word every fault about a line.
 //! * [`lifecycle`] — the explicit job-lifecycle state machine
 //!   (`Queued → Booting → Running{epochs_done} → … → Done/Rejected`)
 //!   shared by all schedulers and tiers, plus [`CheckpointPolicy`] and the

@@ -31,8 +31,8 @@
 //!
 //! A bundled fixture lives under `crates/fleet/data/opendc/`.
 
-use crate::job::{JobClass, JobRequest, TenantId};
-use crate::stream::{CsvRows, TraceSource};
+use crate::job::{JobRequest, TenantId};
+use crate::stream::{adapted_job, Lines, TraceSource};
 use crate::workload::Trace;
 use lml_sim::SimTime;
 use std::collections::BTreeMap;
@@ -42,46 +42,28 @@ use std::io::BufRead;
 /// buffered row the k-way merge peeks at.
 struct FunctionStream<R> {
     name: String,
-    rows: CsvRows<R>,
+    lines: Lines<R>,
     last_ts: f64,
     /// Next unconsumed row: `(timestamp_secs, invocations_left)`.
     pending: Option<(f64, u64)>,
-    done: bool,
 }
 
 impl<R: BufRead> FunctionStream<R> {
     /// Advance to the next row with a positive invocation count, filling
-    /// `pending`. Returns an error on malformed or time-disordered rows.
+    /// `pending` (left empty at the end of the timeline). Returns an error
+    /// on malformed or time-disordered rows.
     fn refill(&mut self) -> Result<(), String> {
-        while self.pending.is_none() && !self.done {
-            let name = &self.name;
-            let row = self.rows.next_row().map_err(|e| format!("{name}: {e}"))?;
-            let Some((line, mut fields)) = row else {
-                self.done = true;
+        while self.pending.is_none() {
+            let Some(row) = self.lines.next_row()? else {
                 return Ok(());
             };
-            let ts_ms: f64 = fields
-                .next()
-                .unwrap_or("")
-                .parse()
-                .map_err(|e| format!("{name}: line {line}: bad timestamp: {e}"))?;
-            if !ts_ms.is_finite() || ts_ms < 0.0 {
-                return Err(format!(
-                    "{name}: line {line}: timestamp must be finite and >= 0"
-                ));
-            }
-            let invocations: u64 = fields
-                .next()
-                .unwrap_or("")
-                .parse()
-                .map_err(|e| format!("{name}: line {line}: bad invocation count: {e}"))?;
-            let ts = ts_ms / 1e3;
-            if ts < self.last_ts {
-                return Err(format!(
-                    "{name}: line {line}: timeline not sorted by timestamp (the streaming \
-                     adapter cannot re-sort)"
-                ));
-            }
+            let range = "timestamp must be finite and >= 0";
+            let ts = row.at_least(0, "timestamp", 0.0, range)? / 1e3;
+            let invocations: u64 = row.parse(1, "invocation count")?;
+            row.check(
+                ts >= self.last_ts,
+                "timeline not sorted by timestamp (the streaming adapter cannot re-sort)",
+            )?;
             self.last_ts = ts;
             if invocations > 0 {
                 self.pending = Some((ts, invocations));
@@ -108,11 +90,10 @@ impl<R: BufRead> OpenDcSource<R> {
             functions: functions
                 .into_iter()
                 .map(|(name, reader)| FunctionStream {
+                    lines: Lines::new(reader, Some("time"), format!("{name}: ")),
                     name,
-                    rows: CsvRows::new(reader, "time"),
                     last_ts: 0.0,
                     pending: None,
-                    done: false,
                 })
                 .collect(),
             primed: false,
@@ -183,15 +164,8 @@ impl<R: BufRead> TraceSource for OpenDcSource<R> {
         }
         let id = self.next_id;
         self.next_id += 1;
-        let class = JobClass::for_trace_id(&f.name);
-        Ok(Some(JobRequest {
-            id,
-            class,
-            submit: SimTime::secs(ts),
-            workers: class.default_workers(),
-            tenant: i as TenantId,
-            deadline: None,
-        }))
+        let submit = SimTime::secs(ts);
+        Ok(Some(adapted_job(id, &f.name, submit, i as TenantId)))
     }
 }
 

@@ -8,23 +8,37 @@
 //! *in-flight* job set, never by trace length — a 10M-job replay holds
 //! the same working set as a 400-job one.
 //!
-//! Three sources live here; the Google cluster-usage adapter
-//! ([`crate::google::GoogleSource`]) is the fourth:
+//! Three sources live here; the Google and OpenDC adapters
+//! ([`crate::google::GoogleSource`], [`crate::opendc::OpenDcSource`]) are
+//! the others:
 //!
 //! * [`InMemorySource`] — borrows an existing [`Trace`]; how
-//!   `simulate`/`simulate_observed` feed the engine.
+//!   `simulate`/`simulate_observed` feed the engine, and how an Azure trace
+//!   (which must be sorted first, [`crate::azure::parse`]) streams.
 //! * [`TextSource`] — chunked reader over the v1/v2/v3 trace text format,
-//!   one line resident at a time. The line grammar and its error strings
-//!   live here and nowhere else: [`Trace::from_text`] drains this source.
+//!   one line resident at a time. The line grammar lives here and nowhere
+//!   else: [`Trace::from_text`] drains this source.
 //! * [`GeneratorSource`] — the seeded arrival generator, one job per
 //!   pull, so million-job synthetic traces never materialize.
 //!   [`Trace::generate_multi`] is this source collected into a `Vec`.
+//!
+//! Every trace reader — the text format and the Azure, Google and OpenDC
+//! CSV adapters — ingests through one path, at the end of this file:
+//! `Lines` reads, counts and trims each line and skips the blank, `#` and
+//! CSV header ones; each data line comes out as a `Row`. A fault about one
+//! line — a read error, a wrong field count, a field that does not parse
+//! or is out of range, an order or a duplicate the reader's state finds —
+//! is worded by `Row` (`line N: …`, after `{name}: ` for an OpenDC
+//! timeline). The one fault that names no line is the text format's
+//! "trace not sorted by submission time".
 
 use crate::job::{JobClass, JobRequest, TenantId};
 use crate::workload::{ArrivalProcess, JobMix, TenantSpec, Trace};
 use lml_sim::{Pcg64, SimTime};
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::io::BufRead;
+use std::str::FromStr;
 
 /// A pull-based trace: a budget preamble, then jobs in non-decreasing
 /// submission order.
@@ -102,83 +116,46 @@ enum TraceLine {
     Job(JobRequest),
 }
 
-/// Parse one trimmed, non-empty, non-comment trace-text line. `lineno` is
-/// zero-based (error messages report `lineno + 1`). Duplicate-budget and
+/// Parse one data line of the trace text format. Duplicate-budget and
 /// sortedness checks stay with the caller, which owns the cross-line state.
-fn parse_trace_line(line: &str, lineno: usize) -> Result<TraceLine, String> {
-    let parts: Vec<&str> = line.split_whitespace().collect();
-    if parts[0] == "budget" {
-        if parts.len() != 3 {
-            return Err(format!(
-                "line {}: budget line needs `budget <tenant> <usd>`, got {} fields",
-                lineno + 1,
-                parts.len()
-            ));
-        }
-        let tenant: TenantId = parts[1]
-            .parse()
-            .map_err(|e| format!("line {}: bad budget tenant id: {e}", lineno + 1))?;
-        let usd: f64 = parts[2]
-            .parse()
-            .map_err(|e| format!("line {}: bad budget amount: {e}", lineno + 1))?;
-        if !usd.is_finite() || usd < 0.0 {
-            return Err(format!(
-                "line {}: budget must be finite and >= 0",
-                lineno + 1
-            ));
-        }
-        return Ok(TraceLine::Budget { tenant, usd });
+fn parse_trace_line(row: &Row) -> Result<TraceLine, String> {
+    let n = row.len();
+    if row.field(0) == "budget" {
+        row.check(
+            n == 3,
+            format_args!("budget line needs `budget <tenant> <usd>`, got {n} fields"),
+        )?;
+        return Ok(TraceLine::Budget {
+            tenant: row.parse(1, "budget tenant id")?,
+            usd: row.at_least(2, "budget amount", 0.0, "budget must be finite and >= 0")?,
+        });
     }
-    if parts.len() != 3 && parts.len() != 5 {
-        return Err(format!(
-            "line {}: expected 3 (v1) or 5 (v2) fields, got {}",
-            lineno + 1,
-            parts.len()
-        ));
-    }
-    let t: f64 = parts[0]
-        .parse()
-        .map_err(|e| format!("line {}: bad time: {e}", lineno + 1))?;
-    if !t.is_finite() || t < 0.0 {
-        return Err(format!("line {}: time must be finite and >= 0", lineno + 1));
-    }
-    let class = JobClass::parse(parts[1])
-        .ok_or_else(|| format!("line {}: unknown job class {:?}", lineno + 1, parts[1]))?;
-    let workers: usize = parts[2]
-        .parse()
-        .map_err(|e| format!("line {}: bad workers: {e}", lineno + 1))?;
-    if workers == 0 {
-        return Err(format!("line {}: zero workers", lineno + 1));
-    }
-    let (tenant, deadline) = if parts.len() == 5 {
-        let tenant: TenantId = parts[3]
-            .parse()
-            .map_err(|e| format!("line {}: bad tenant id: {e}", lineno + 1))?;
-        let deadline = if parts[4] == "-" {
-            None
-        } else {
-            let d: f64 = parts[4]
-                .parse()
-                .map_err(|e| format!("line {}: bad deadline: {e}", lineno + 1))?;
-            if !d.is_finite() || d < t {
-                return Err(format!(
-                    "line {}: deadline must be finite and >= submit time",
-                    lineno + 1
-                ));
-            }
-            Some(SimTime::secs(d))
-        };
-        (tenant, deadline)
+    row.check(
+        n == 3 || n == 5,
+        format_args!("expected 3 (v1) or 5 (v2) fields, got {n}"),
+    )?;
+    let t = row.at_least(0, "time", 0.0, "time must be finite and >= 0")?;
+    let class = JobClass::parse(row.field(1))
+        .ok_or_else(|| row.fault(format_args!("unknown job class {:?}", row.field(1))))?;
+    let workers = row.parse(2, "workers")?;
+    row.check(workers > 0, "zero workers")?;
+    let tenant = if n == 5 {
+        row.parse(3, "tenant id")?
     } else {
-        (0, None)
+        0
+    };
+    // A v1 line has no field 4: `field` reads it as "".
+    let deadline = match row.field(4) {
+        "" | "-" => None,
+        _ => {
+            let range = "deadline must be finite and >= submit time";
+            Some(SimTime::secs(row.at_least(4, "deadline", t, range)?))
+        }
     };
     Ok(TraceLine::Job(JobRequest {
-        id: 0,
-        class,
-        submit: SimTime::secs(t),
-        workers,
         tenant,
         deadline,
+        ..JobRequest::new(0, class, SimTime::secs(t), workers)
     }))
 }
 
@@ -189,10 +166,7 @@ fn parse_trace_line(line: &str, lineno: usize) -> Result<TraceLine, String> {
 /// always writes them first): the budget map is handed to the engine
 /// before any job is pulled, so a late budget line is an error.
 pub struct TextSource<R> {
-    reader: R,
-    line: String,
-    /// Zero-based index of the next line to read.
-    lineno: usize,
+    lines: Lines<R>,
     preamble_done: bool,
     /// First job row, pulled while scanning the budget preamble.
     pending: Option<JobRequest>,
@@ -203,35 +177,11 @@ pub struct TextSource<R> {
 impl<R: BufRead> TextSource<R> {
     pub fn new(reader: R) -> Self {
         TextSource {
-            reader,
-            line: String::new(),
-            lineno: 0,
+            lines: Lines::new(reader, None, String::new()),
             preamble_done: false,
             pending: None,
             last_submit: SimTime::ZERO,
             next_id: 0,
-        }
-    }
-
-    /// Next parsed line with its zero-based line number, skipping blanks
-    /// and comments; `None` at end of input.
-    fn next_line(&mut self) -> Result<Option<(usize, TraceLine)>, String> {
-        loop {
-            self.line.clear();
-            let n = self
-                .reader
-                .read_line(&mut self.line)
-                .map_err(|e| format!("line {}: read error: {e}", self.lineno + 1))?;
-            if n == 0 {
-                return Ok(None);
-            }
-            let lineno = self.lineno;
-            self.lineno += 1;
-            let line = self.line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            return parse_trace_line(line, lineno).map(|l| Some((lineno, l)));
         }
     }
 
@@ -250,19 +200,14 @@ impl<R: BufRead> TextSource<R> {
 impl<R: BufRead> TraceSource for TextSource<R> {
     fn budgets(&mut self) -> Result<BTreeMap<TenantId, f64>, String> {
         let mut budgets = BTreeMap::new();
-        loop {
-            match self.next_line()? {
-                None => break,
-                Some((lineno, TraceLine::Budget { tenant, usd })) => {
-                    if budgets.insert(tenant, usd).is_some() {
-                        return Err(format!(
-                            "line {}: duplicate budget for tenant {tenant}",
-                            lineno + 1
-                        ));
-                    }
-                }
-                Some((_, TraceLine::Job(row))) => {
-                    self.pending = Some(self.admit(row)?);
+        while let Some(row) = self.lines.next_row()? {
+            match parse_trace_line(&row)? {
+                TraceLine::Budget { tenant, usd } => row.check(
+                    budgets.insert(tenant, usd).is_none(),
+                    format_args!("duplicate budget for tenant {tenant}"),
+                )?,
+                TraceLine::Job(job) => {
+                    self.pending = Some(self.admit(job)?);
                     break;
                 }
             }
@@ -276,13 +221,14 @@ impl<R: BufRead> TraceSource for TextSource<R> {
         if let Some(job) = self.pending.take() {
             return Ok(Some(job));
         }
-        match self.next_line()? {
-            None => Ok(None),
-            Some((lineno, TraceLine::Budget { .. })) => Err(format!(
-                "line {}: budget lines must precede the first job row",
-                lineno + 1
-            )),
-            Some((_, TraceLine::Job(row))) => self.admit(row).map(Some),
+        let Some(row) = self.lines.next_row()? else {
+            return Ok(None);
+        };
+        match parse_trace_line(&row)? {
+            TraceLine::Budget { .. } => {
+                Err(row.fault("budget lines must precede the first job row"))
+            }
+            TraceLine::Job(job) => self.admit(job).map(Some),
         }
     }
 }
@@ -391,54 +337,80 @@ impl TraceSource for GeneratorSource {
     }
 }
 
-/// A CSV trace export read one row at a time, with one line resident: the
-/// steps the Azure, Google and OpenDC adapters share. Lines are counted,
-/// trimmed and split on `,` into trimmed fields; blank lines, `#` comments
-/// and header lines are skipped (headers also mid-file: concatenated shards
-/// re-emit them).
-pub(crate) struct CsvRows<R> {
+/// Drain any source into an in-memory [`Trace`] (test/debug helper; the
+/// whole point of streaming is usually *not* to do this).
+pub fn collect(mut source: impl TraceSource) -> Result<Trace, String> {
+    let budgets = source.budgets()?;
+    let mut jobs = Vec::with_capacity(source.len_hint().unwrap_or(0));
+    while let Some(job) = source.next_job()? {
+        jobs.push(job);
+    }
+    Ok(Trace { jobs, budgets })
+}
+
+/// A trace file read one line at a time, with one line resident: the loop
+/// every reader shares. Lines are counted and trimmed; blank lines, `#`
+/// comments and, in a CSV, header lines are skipped (headers also
+/// mid-file: concatenated shards re-emit them).
+pub(crate) struct Lines<R> {
     reader: R,
     line: String,
     /// Lines read so far.
     lineno: usize,
-    /// What a header's normalized first field starts with (see
-    /// [`is_csv_header`]).
-    header: &'static str,
+    /// What every fault starts with: empty, or an OpenDC timeline's
+    /// `{name}: `.
+    source: String,
+    /// `None` splits lines on whitespace (the trace text format). `Some`
+    /// splits them on `,` into trimmed fields and names what a header's
+    /// normalized first field starts with (see [`is_csv_header`]).
+    csv_header: Option<&'static str>,
 }
 
-impl<R: BufRead> CsvRows<R> {
-    pub(crate) fn new(reader: R, header: &'static str) -> Self {
-        CsvRows {
+impl<R: BufRead> Lines<R> {
+    pub(crate) fn new(reader: R, csv_header: Option<&'static str>, source: String) -> Self {
+        Lines {
             reader,
             line: String::new(),
             lineno: 0,
-            header,
+            source,
+            csv_header,
         }
     }
 
-    /// The next data row: its 1-based line number and its fields, or
-    /// `None` at the end of the input. A failed read is an `Err` naming
-    /// the line.
-    pub(crate) fn next_row(
-        &mut self,
-    ) -> Result<Option<(usize, impl Iterator<Item = &str>)>, String> {
+    /// The next data line, or `None` at the end of the input. A failed
+    /// read is an `Err` naming the line.
+    pub(crate) fn next_row(&mut self) -> Result<Option<Row<'_>>, String> {
         loop {
             self.line.clear();
-            let n = self
-                .reader
-                .read_line(&mut self.line)
-                .map_err(|e| format!("line {}: read error: {e}", self.lineno + 1))?;
+            let n = self.reader.read_line(&mut self.line).map_err(|e| {
+                fault(
+                    &self.source,
+                    self.lineno + 1,
+                    format_args!("read error: {e}"),
+                )
+            })?;
             if n == 0 {
                 return Ok(None);
             }
             self.lineno += 1;
-            let row = self.line.trim();
-            if !(row.is_empty() || row.starts_with('#') || is_csv_header(row, self.header)) {
+            let line = self.line.trim();
+            let header = self.csv_header.is_some_and(|h| is_csv_header(line, h));
+            if !(line.is_empty() || line.starts_with('#') || header) {
                 break;
             }
         }
-        let fields = self.line.trim().split(',').map(str::trim);
-        Ok(Some((self.lineno, fields)))
+        let line = self.line.trim();
+        let mut row = Row {
+            source: &self.source,
+            line: self.lineno,
+            fields: [""; ROW_FIELDS],
+            len: 0,
+        };
+        match self.csv_header {
+            None => row.fill(line.split_whitespace()),
+            Some(_) => row.fill(line.split(',').map(str::trim)),
+        }
+        Ok(Some(row))
     }
 }
 
@@ -449,23 +421,125 @@ impl<R: BufRead> CsvRows<R> {
 /// field starts with `prefix`.
 fn is_csv_header(line: &str, prefix: &str) -> bool {
     let first = line.split(',').next().unwrap_or("");
-    let normalized: String = first
+    let mut normalized = first
         .chars()
-        .filter(|c| c.is_ascii_alphanumeric())
-        .collect::<String>()
-        .to_ascii_lowercase();
-    normalized.starts_with(prefix)
+        .filter(char::is_ascii_alphanumeric)
+        .map(|c| c.to_ascii_lowercase());
+    prefix.chars().all(|p| normalized.next() == Some(p))
 }
 
-/// Drain any source into an in-memory [`Trace`] (test/debug helper; the
-/// whole point of streaming is usually *not* to do this).
-pub fn collect(mut source: impl TraceSource) -> Result<Trace, String> {
-    let budgets = source.budgets()?;
-    let mut jobs = Vec::with_capacity(source.len_hint().unwrap_or(0));
-    while let Some(job) = source.next_job()? {
-        jobs.push(job);
+/// The fields a [`Row`] keeps: the widest any reader looks at (Google's
+/// user column is the seventh).
+const ROW_FIELDS: usize = 7;
+
+/// One data line of a trace file: its fields, its 1-based line number and
+/// the prefix its faults carry. Its getters are the one place a trace
+/// field is parsed or range-checked, and [`Row::fault`] the one place a
+/// fault about a line is worded.
+pub(crate) struct Row<'a> {
+    source: &'a str,
+    line: usize,
+    /// The first [`ROW_FIELDS`] fields; any further ones are only counted.
+    fields: [&'a str; ROW_FIELDS],
+    len: usize,
+}
+
+impl<'a> Row<'a> {
+    fn fill(&mut self, fields: impl Iterator<Item = &'a str>) {
+        for field in fields {
+            if let Some(slot) = self.fields.get_mut(self.len) {
+                *slot = field;
+            }
+            self.len += 1;
+        }
     }
-    Ok(Trace { jobs, budgets })
+
+    /// How many fields the line has.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Field `i`, or `""` past the end of the line.
+    pub(crate) fn field(&self, i: usize) -> &'a str {
+        debug_assert!(i < ROW_FIELDS, "field {i} is never kept");
+        self.fields.get(i).copied().unwrap_or_default()
+    }
+
+    /// The fault `what` on this line: `{source}line {line}: {what}`.
+    pub(crate) fn fault(&self, what: impl Display) -> String {
+        fault(self.source, self.line, what)
+    }
+
+    /// `Ok` when `ok` holds, else the fault `what`.
+    pub(crate) fn check(&self, ok: bool, what: impl Display) -> Result<(), String> {
+        if ok {
+            Ok(())
+        } else {
+            Err(self.fault(what))
+        }
+    }
+
+    /// Field `i` parsed as a `T`; the fault reads `bad {what}: {cause}`.
+    pub(crate) fn parse<T: FromStr>(&self, i: usize, what: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        self.field(i)
+            .parse()
+            .map_err(|e| self.fault(format_args!("bad {what}: {e}")))
+    }
+
+    /// Field `i` parsed as a finite `f64` of at least `min`; a value out
+    /// of that range is the fault `range`.
+    pub(crate) fn at_least(
+        &self,
+        i: usize,
+        what: &str,
+        min: f64,
+        range: &str,
+    ) -> Result<f64, String> {
+        let v: f64 = self.parse(i, what)?;
+        self.check(v.is_finite() && v >= min, range)?;
+        Ok(v)
+    }
+}
+
+/// The wording of every fault about a line, [`Row::fault`]'s and a failed
+/// read's.
+fn fault(source: &str, line: usize, what: impl Display) -> String {
+    format!("{source}line {line}: {what}")
+}
+
+/// An adapter's arrival: the class its trace id hashes to
+/// ([`JobClass::for_trace_id`]), at that class's default width, with no
+/// deadline.
+pub(crate) fn adapted_job(
+    id: u64,
+    trace_id: &str,
+    submit: SimTime,
+    tenant: TenantId,
+) -> JobRequest {
+    let class = JobClass::for_trace_id(trace_id);
+    JobRequest {
+        tenant,
+        ..JobRequest::new(id, class, submit, class.default_workers())
+    }
+}
+
+/// Dense tenant ids for a trace's owner or user names, in order of first
+/// appearance, so the mapping is a pure function of the row order.
+#[derive(Default)]
+pub(crate) struct Tenants(BTreeMap<String, TenantId>);
+
+impl Tenants {
+    pub(crate) fn id(&mut self, name: &str) -> TenantId {
+        if let Some(&tenant) = self.0.get(name) {
+            return tenant;
+        }
+        let tenant = self.0.len() as TenantId;
+        self.0.insert(name.to_string(), tenant);
+        tenant
+    }
 }
 
 #[cfg(test)]
@@ -756,8 +830,8 @@ mod tests {
         );
         assert!(generator.budgets().unwrap().is_empty());
 
-        let mut azure = crate::azure::source(include_str!("../data/azure_sample.csv")).unwrap();
-        assert!(azure.budgets().unwrap().is_empty());
+        let azure = crate::azure::parse(include_str!("../data/azure_sample.csv")).unwrap();
+        assert!(InMemorySource::new(&azure).budgets().unwrap().is_empty());
 
         let mut google =
             crate::google::GoogleSource::new(include_str!("../data/google_sample.csv").as_bytes());

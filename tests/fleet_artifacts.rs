@@ -17,8 +17,9 @@
 //!   of escaped byte.
 //! - `adapters/{google,azure,opendc}-sample-7/metrics.json`: the bundled
 //!   Google cluster-usage, Azure Functions and OpenDC fixtures
-//!   (`crates/fleet/data/`), each streamed through its own `TraceSource`
-//!   under `CostAware` and the default config at seed 7.
+//!   (`crates/fleet/data/`), Google's and OpenDC's streamed through their
+//!   own `TraceSource`s and Azure's sorted rows through an
+//!   `InMemorySource`, under `CostAware` and the default config at seed 7.
 //! - `paper/<name>/7-fast/report.txt`: the report each of the
 //!   [`PAPER_PINS`] experiments returns at seed 7 in fast mode. The other
 //!   eleven paper experiments take minutes and are not pinned here.
@@ -52,9 +53,9 @@ use golden::{fnv1a, FNV_OFFSET};
 use lambdaml::fleet::{
     azure, replay, simulate_observed, AllFaas, ArrivalProcess, AttemptSpan, CheckpointPolicy,
     CostAware, DeadlineAware, Decision, FleetConfig, FleetEvent, FleetMetrics, FleetObserver,
-    GaugeSample, GoogleSource, JobClass, JobLifecycle, JobMix, JobRecord, OpenDcSource,
-    PlatformEvent, PlatformTotals, RecordingObserver, Route, TenantId, TenantSpec, Trace,
-    TraceSource,
+    GaugeSample, GoogleSource, InMemorySource, JobClass, JobLifecycle, JobMix, JobRecord,
+    OpenDcSource, PlatformEvent, PlatformTotals, RecordingObserver, Route, TenantId, TenantSpec,
+    Trace, TraceSource,
 };
 use lambdaml::sim::{Cost, SimTime};
 use lml_bench::{Experiment, Harness, EXPERIMENTS};
@@ -333,7 +334,15 @@ fn documents() -> Files {
     let google = GoogleSource::new(BufReader::new(google));
     adapter(&mut out, "google", Ok(google));
     let csv = std::fs::read_to_string(data.join("azure_sample.csv")).expect("bundled fixture");
-    adapter(&mut out, "azure", azure::source(&csv));
+    let azure = azure::parse(&csv);
+    adapter(
+        &mut out,
+        "azure",
+        azure
+            .as_ref()
+            .map(InMemorySource::new)
+            .map_err(String::clone),
+    );
     let opendc = OpenDcSource::from_dir(data.join("opendc"));
     adapter(&mut out, "opendc", opendc);
     out
