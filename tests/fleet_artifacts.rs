@@ -334,15 +334,8 @@ fn documents() -> Files {
     let google = GoogleSource::new(BufReader::new(google));
     adapter(&mut out, "google", Ok(google));
     let csv = std::fs::read_to_string(data.join("azure_sample.csv")).expect("bundled fixture");
-    let azure = azure::parse(&csv);
-    adapter(
-        &mut out,
-        "azure",
-        azure
-            .as_ref()
-            .map(InMemorySource::new)
-            .map_err(String::clone),
-    );
+    let azure = azure::parse(&csv).expect("bundled fixture parses");
+    adapter(&mut out, "azure", Ok(InMemorySource::new(&azure)));
     let opendc = OpenDcSource::from_dir(data.join("opendc"));
     adapter(&mut out, "opendc", opendc);
     out
