@@ -18,8 +18,9 @@
 //! Unlike the Azure CSVs, task_events files are sorted by timestamp, so
 //! the adapter streams rows straight into the replay engine with constant
 //! memory per row — the only state that grows is the seen-job-id set,
-//! O(#distinct jobs), which is what bounds duplicate detection. Files
-//! that violate time order are rejected (streaming cannot re-sort).
+//! O(#distinct jobs), which is what bounds duplicate detection. Every
+//! row's timestamp, SUBMIT or not, is parsed and checked for time order;
+//! files that violate it are rejected (streaming cannot re-sort).
 //!
 //! Rows need at least 7 comma-separated fields; extra columns (scheduling
 //! class, priority, resource requests) are ignored. Header lines and `#`
@@ -40,7 +41,8 @@ pub struct GoogleSource<R> {
     lines: Lines<R>,
     seen_jobs: BTreeSet<u64>,
     tenants: Tenants,
-    last_submit: SimTime,
+    /// Timestamp of the last row read, of any event type.
+    last_time: SimTime,
     next_id: u64,
 }
 
@@ -50,7 +52,7 @@ impl<R: BufRead> GoogleSource<R> {
             lines: Lines::new(reader, Some("time"), String::new()),
             seen_jobs: BTreeSet::new(),
             tenants: Tenants::default(),
-            last_submit: SimTime::ZERO,
+            last_time: SimTime::ZERO,
             next_id: 0,
         }
     }
@@ -69,17 +71,17 @@ impl<R: BufRead> TraceSource for GoogleSource<R> {
                 n >= 7,
                 format_args!("expected >= 7 comma-separated fields, got {n}"),
             )?;
+            let range = "timestamp must be finite and >= 0";
+            let time = SimTime::secs(row.at_least(0, "timestamp", 0.0, range)? / 1e6);
+            row.check(
+                time >= self.last_time,
+                "task_events not sorted by timestamp (the streaming adapter cannot re-sort)",
+            )?;
+            self.last_time = time;
             // Only SUBMIT (0) events become job arrivals.
             if row.parse::<u32>(5, "event type")? != 0 {
                 continue;
             }
-            let range = "timestamp must be finite and >= 0";
-            let submit = SimTime::secs(row.at_least(0, "timestamp", 0.0, range)? / 1e6);
-            row.check(
-                submit >= self.last_submit,
-                "task_events not sorted by timestamp (the streaming adapter cannot re-sort)",
-            )?;
-            self.last_submit = submit;
             // One arrival per job: later tasks / resubmissions are skipped.
             if !self.seen_jobs.insert(row.parse(2, "job id")?) {
                 continue;
@@ -89,7 +91,7 @@ impl<R: BufRead> TraceSource for GoogleSource<R> {
             let id = self.next_id;
             self.next_id += 1;
             let tenant = self.tenants.id(user);
-            return Ok(Some(adapted_job(id, row.field(2), submit, tenant)));
+            return Ok(Some(adapted_job(id, row.field(2), time, tenant)));
         }
         Ok(None)
     }
@@ -189,11 +191,16 @@ mod tests {
                 "# shard\r\n\r\ntime_us,missing,job,task,machine,event,user\r\n1000,,42,0,,0,   \r\n",
                 "line 4: empty user",
             ),
+            // Every row's timestamp is parsed and order-checked, SUBMIT
+            // or not.
+            ("soon,,x,0,,1,\n", "line 1: bad timestamp: invalid float literal"),
+            (
+                "5000,,41,0,,0,alice\n2000,,41,0,m7,1,alice\n",
+                "line 2: task_events not sorted by timestamp (the streaming adapter cannot re-sort)",
+            ),
         ] {
             assert_eq!(parse(bad).unwrap_err(), want, "{bad:?}");
         }
-        // Only SUBMIT rows are read past the event type.
-        assert_eq!(parse("soon,,x,0,,1,\n").map(|t| t.len()), Ok(0));
         // A read error names the line it stopped at.
         let bytes: &[u8] = b"1000,,41,0,,0,alice\n\xff,,42,0,,0,bob\n";
         assert_eq!(

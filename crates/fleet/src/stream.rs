@@ -29,8 +29,7 @@
 //! line — a read error, a wrong field count, a field that does not parse
 //! or is out of range, an order or a duplicate the reader's state finds —
 //! is worded by `Row` (`line N: …`, after `{name}: ` for an OpenDC
-//! timeline). The one fault that names no line is the text format's
-//! "trace not sorted by submission time".
+//! timeline).
 
 use crate::job::{JobClass, JobRequest, TenantId};
 use crate::workload::{ArrivalProcess, JobMix, TenantSpec, Trace};
@@ -184,17 +183,6 @@ impl<R: BufRead> TextSource<R> {
             next_id: 0,
         }
     }
-
-    /// Check ordering, assign the next dense id, and admit a job row.
-    fn admit(&mut self, mut job: JobRequest) -> Result<JobRequest, String> {
-        if job.submit < self.last_submit {
-            return Err("trace not sorted by submission time".into());
-        }
-        self.last_submit = job.submit;
-        job.id = self.next_id;
-        self.next_id += 1;
-        Ok(job)
-    }
 }
 
 impl<R: BufRead> TraceSource for TextSource<R> {
@@ -207,7 +195,7 @@ impl<R: BufRead> TraceSource for TextSource<R> {
                     format_args!("duplicate budget for tenant {tenant}"),
                 )?,
                 TraceLine::Job(job) => {
-                    self.pending = Some(self.admit(job)?);
+                    self.pending = Some(job);
                     break;
                 }
             }
@@ -218,18 +206,26 @@ impl<R: BufRead> TraceSource for TextSource<R> {
 
     fn next_job(&mut self) -> Result<Option<JobRequest>, String> {
         debug_assert!(self.preamble_done, "budgets() must be called first");
-        if let Some(job) = self.pending.take() {
-            return Ok(Some(job));
-        }
-        let Some(row) = self.lines.next_row()? else {
-            return Ok(None);
-        };
-        match parse_trace_line(&row)? {
-            TraceLine::Budget { .. } => {
-                Err(row.fault("budget lines must precede the first job row"))
+        // The first job row, held back by the preamble scan, is in order:
+        // times are at least 0.
+        let mut job = match self.pending.take() {
+            Some(job) => job,
+            None => {
+                let Some(row) = self.lines.next_row()? else {
+                    return Ok(None);
+                };
+                let TraceLine::Job(job) = parse_trace_line(&row)? else {
+                    return Err(row.fault("budget lines must precede the first job row"));
+                };
+                let sorted = job.submit >= self.last_submit;
+                row.check(sorted, "trace not sorted by submission time")?;
+                job
             }
-            TraceLine::Job(job) => self.admit(job).map(Some),
-        }
+        };
+        self.last_submit = job.submit;
+        job.id = self.next_id;
+        self.next_id += 1;
+        Ok(Some(job))
     }
 }
 
@@ -677,7 +673,7 @@ mod tests {
             ),
             (
                 "5.0\tlr-higgs\t10\n1.0\tlr-higgs\t10\n",
-                "trace not sorted by submission time",
+                "line 2: trace not sorted by submission time",
             ),
             // CRLF endings, blank and `#` lines are skipped but counted.
             (
