@@ -29,11 +29,12 @@
 //! vs reject an over-budget tenant) are tail decisions, not mean
 //! decisions:
 //!
-//! * [`Estimate::eta_q`] — a calibrated quantile ETA (at P95).
-//!   [`Online`] turns its deviation EWMA into a margin whose multiplier is
-//!   calibrated online (adaptive-conformal style: the multiplier steps up
-//!   on every miss and down on every cover until empirical coverage
-//!   matches [`ETA_QUANTILE`]).
+//! * [`Estimate::eta_q`] — the calibrated P95 ETA, mean plus margin. The
+//!   fleet prices every runtime tail at this one quantile,
+//!   [`ETA_QUANTILE`]. [`Online`] turns its deviation EWMA into a margin
+//!   whose multiplier is calibrated online (adaptive-conformal style: the
+//!   multiplier steps up on every miss and down on every cover until
+//!   empirical coverage matches [`ETA_QUANTILE`]).
 //! * [`RiskModel`] — learned per-(tenant, class) spot preemption rates: a
 //!   Gamma posterior over (preemption events / held instance-seconds),
 //!   seeded from the configured mean so zero observations reproduce the
@@ -51,7 +52,7 @@ use lml_analytic::estimator::estimate_epochs;
 use lml_analytic::model::{price, Substrate};
 use lml_sim::{Cost, SimTime};
 
-/// The quantile fleet risk decisions are priced at by default: P95.
+/// The one quantile the fleet prices runtime tails at: P95.
 pub const ETA_QUANTILE: f64 = 0.95;
 
 /// Runtime/cost estimates for one job on both firm substrates, startup
@@ -71,22 +72,11 @@ pub struct Estimate {
     /// Calibrated [`ETA_QUANTILE`] (P95) runtime margin *above the mean*
     /// on FaaS, in seconds. 0 for estimators that carry no spread state
     /// (the analytic prior, cold-start learners) — their quantile ETA is
-    /// the mean.
+    /// the mean. [`Hybrid`]'s margin also spans the gap from its blended
+    /// mean up to the calibrated posterior's.
     pub m_faas: f64,
     /// Calibrated P95 runtime margin above the mean on IaaS/spot, seconds.
     pub m_iaas: f64,
-    /// Quantile-invariant tail shift on FaaS, seconds: the gap between
-    /// this estimate's published *mean* and the anchor its spread is
-    /// calibrated around. Zero for estimators whose spread is calibrated
-    /// on their own mean ([`Online`], the blind models); nonzero for
-    /// blends whose mean is dragged toward a prior ([`Hybrid`]) — there
-    /// the tail must still reach the calibrated posterior, so the shift
-    /// is applied to every quantile above the median *without* the
-    /// z-rescaling the spread gets (prior drag is a displacement, not a
-    /// dispersion).
-    pub s_faas: f64,
-    /// Quantile-invariant tail shift on IaaS/spot, seconds.
-    pub s_iaas: f64,
 }
 
 impl Estimate {
@@ -100,8 +90,6 @@ impl Estimate {
             c_iaas,
             m_faas: 0.0,
             m_iaas: 0.0,
-            s_faas: 0.0,
-            s_iaas: 0.0,
         }
     }
 
@@ -130,92 +118,10 @@ impl Estimate {
         }
     }
 
-    /// Quantile-invariant tail shift on the given route, seconds.
-    pub fn shift(&self, route: Route) -> f64 {
-        match route {
-            Route::Faas => self.s_faas,
-            Route::Iaas | Route::Spot => self.s_iaas,
-        }
-    }
-
-    /// Quantile runtime ETA on the given route: the mean, plus the tail
-    /// shift (un-rescaled — displacement, not dispersion), plus the
-    /// stored margin rescaled from its [`ETA_QUANTILE`] calibration point
-    /// to `q` through the normal z-ratio (`q = 0.95` uses the margin
-    /// verbatim; `q ≤ 0.5` is the mean). The margin is *calibrated*, not
-    /// assumed normal — the rescaling is only used for off-default
-    /// quantiles.
-    pub fn eta_q(&self, route: Route, q: f64) -> f64 {
-        assert!((0.0..1.0).contains(&q), "quantile must be in [0, 1)");
-        if q <= 0.5 {
-            return self.time(route);
-        }
-        // At the calibration point the z-ratio is exactly 1 — skip both
-        // inverse-CDF evaluations on the (default) hot path.
-        let rescale = if q == ETA_QUANTILE {
-            1.0
-        } else {
-            z_score(q) / z_score_eta_quantile()
-        };
-        self.time(route) + self.shift(route) + self.margin(route) * rescale
-    }
-}
-
-/// `z_score(ETA_QUANTILE)`, computed once: it is the denominator of every
-/// off-default quantile rescale.
-fn z_score_eta_quantile() -> f64 {
-    static Z: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
-    *Z.get_or_init(|| z_score(ETA_QUANTILE))
-}
-
-/// Inverse standard-normal CDF (Acklam's rational approximation,
-/// |ε| < 1.2e-9) — the z-score behind [`Estimate::eta_q`]'s quantile
-/// rescaling.
-fn z_score(q: f64) -> f64 {
-    assert!(q > 0.0 && q < 1.0, "z-score needs q in (0, 1), got {q}");
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e+02,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-    if q < P_LOW {
-        let u = (-2.0 * q.ln()).sqrt();
-        (((((C[0] * u + C[1]) * u + C[2]) * u + C[3]) * u + C[4]) * u + C[5])
-            / ((((D[0] * u + D[1]) * u + D[2]) * u + D[3]) * u + 1.0)
-    } else if q <= 1.0 - P_LOW {
-        let u = q - 0.5;
-        let r = u * u;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * u
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let u = (-2.0 * (1.0 - q).ln()).sqrt();
-        -(((((C[0] * u + C[1]) * u + C[2]) * u + C[3]) * u + C[4]) * u + C[5])
-            / ((((D[0] * u + D[1]) * u + D[2]) * u + D[3]) * u + 1.0)
+    /// The calibrated [`ETA_QUANTILE`] (P95) runtime ETA on the given
+    /// route: the mean plus the margin.
+    pub fn eta_q(&self, route: Route) -> f64 {
+        self.time(route) + self.margin(route)
     }
 }
 
@@ -674,18 +580,13 @@ impl Estimator for Hybrid {
             t_iaas,
             c_iaas: lerp(prior.c_iaas, post.c_iaas, wci),
             // The calibration loop lives in the posterior: its coverage
-            // feedback tracks `post.t + post.m`. The blend's quantile ETA
-            // must reach that same calibrated point at *every* quantile,
-            // however far the prior drags the blended mean — so the mean
-            // gap travels in the quantile-invariant shift (displacement)
-            // while the posterior's spread stays z-rescalable, and
-            // `eta_q(route, q)` lands exactly on `post.t + post.m·z-ratio`.
-            // The shift is clamped at zero: a pessimistic prior already
-            // over-covers. Cold start: post == prior, shift and margin 0.
-            m_faas: post.m_faas,
-            m_iaas: post.m_iaas,
-            s_faas: (post.t_faas - t_faas).max(0.0),
-            s_iaas: (post.t_iaas - t_iaas).max(0.0),
+            // feedback tracks `post.t + post.m`. The blend's P95 ETA must
+            // reach that same calibrated point however far the prior drags
+            // the blended mean, so the margin carries the mean gap too.
+            // The gap is clamped at zero: a pessimistic prior already
+            // over-covers. Cold start: post == prior, margin 0.
+            m_faas: post.m_faas + (post.t_faas - t_faas).max(0.0),
+            m_iaas: post.m_iaas + (post.t_iaas - t_iaas).max(0.0),
         }
     }
 
@@ -886,8 +787,6 @@ mod tests {
             c_iaas: 4.0,
             m_faas: 0.5,
             m_iaas: 1.5,
-            s_faas: 0.2,
-            s_iaas: 0.7,
         };
         assert_eq!(e.time(Route::Faas), 1.0);
         assert_eq!(e.cost(Route::Faas), 2.0);
@@ -895,7 +794,6 @@ mod tests {
         assert_eq!(e.time(Route::Spot), 3.0, "spot shares the IaaS numbers");
         assert_eq!(e.cost(Route::Spot), 4.0);
         assert_eq!(e.margin(Route::Spot), 1.5, "spot shares the IaaS margin");
-        assert_eq!(e.shift(Route::Spot), 0.7, "spot shares the IaaS shift");
     }
 
     #[test]
@@ -907,38 +805,14 @@ mod tests {
             c_iaas: 1.0,
             m_faas: 2.0,
             m_iaas: 4.0,
-            s_faas: 0.0,
-            s_iaas: 1.0,
         };
-        // At the calibration point the margin applies verbatim (plus any
-        // quantile-invariant shift).
-        assert!((e.eta_q(Route::Faas, ETA_QUANTILE) - 12.0).abs() < 1e-12);
-        assert!((e.eta_q(Route::Iaas, ETA_QUANTILE) - 25.0).abs() < 1e-12);
-        // Monotone in q; the median collapses to the mean.
-        assert_eq!(e.eta_q(Route::Iaas, 0.5), 20.0);
-        assert!(e.eta_q(Route::Iaas, 0.99) > e.eta_q(Route::Iaas, ETA_QUANTILE));
-        assert!(e.eta_q(Route::Iaas, 0.9) < e.eta_q(Route::Iaas, ETA_QUANTILE));
-        assert!(e.eta_q(Route::Iaas, 0.9) > e.time(Route::Iaas));
-        // The shift is a displacement, not a dispersion: it survives the
-        // z-rescaling untouched (the spread alone shrinks toward P50).
-        let spread_90 = e.eta_q(Route::Iaas, 0.9) - 20.0 - 1.0;
-        assert!(spread_90 < 4.0 && spread_90 > 0.0);
-        // A spread-free estimate's quantile ETA is the mean at every q.
+        // The P95 ETA is the mean plus the calibrated margin.
+        assert_eq!(e.eta_q(Route::Faas), 12.0);
+        assert_eq!(e.eta_q(Route::Iaas), 24.0);
+        assert_eq!(e.eta_q(Route::Spot), 24.0, "spot shares the IaaS tail");
+        // A spread-free estimate's P95 ETA is the mean.
         let p = Estimate::point(10.0, 1.0, 20.0, 1.0);
-        assert_eq!(p.eta_q(Route::Faas, 0.99), 10.0);
-    }
-
-    #[test]
-    fn z_score_matches_known_quantiles() {
-        for (q, z) in [(0.95, 1.6449), (0.975, 1.9600), (0.5, 0.0), (0.99, 2.3263)] {
-            assert!(
-                (z_score(q) - z).abs() < 1e-3,
-                "z({q}) = {} want {z}",
-                z_score(q)
-            );
-        }
-        assert!((z_score(0.05) + z_score(0.95)).abs() < 1e-6, "symmetric");
-        assert!(z_score(0.01) < -2.0, "lower tail");
+        assert_eq!(p.eta_q(Route::Faas), 10.0);
     }
 
     #[test]
@@ -954,7 +828,7 @@ mod tests {
             let e = online.predict(&j);
             if k >= 10 {
                 seen += 1;
-                if actual <= e.eta_q(Route::Iaas, ETA_QUANTILE) + 1e-9 {
+                if actual <= e.eta_q(Route::Iaas) + 1e-9 {
                     covered += 1;
                 }
             }
@@ -998,24 +872,20 @@ mod tests {
             online.predict(&j)
         };
         assert!(
-            e.t_iaas < post.eta_q(Route::Iaas, ETA_QUANTILE),
+            e.t_iaas < post.eta_q(Route::Iaas),
             "premise: the prior drags the mean"
         );
-        // At every quantile above the median — not just the calibration
-        // point — the blend lands on the posterior's calibrated ETA: the
-        // mean gap rides the un-rescaled shift, the spread alone rescales.
-        for q in [0.8, 0.9, ETA_QUANTILE, 0.99] {
-            assert!(
-                (e.eta_q(Route::Iaas, q) - post.eta_q(Route::Iaas, q)).abs() < 1e-9,
-                "blend quantile at {q}: {} must reach the calibrated posterior {}",
-                e.eta_q(Route::Iaas, q),
-                post.eta_q(Route::Iaas, q)
-            );
-        }
-        // Cold start still publishes no margin and no shift.
+        // The blend's P95 ETA lands on the posterior's calibrated one: its
+        // margin carries the mean gap as well as the posterior's spread.
+        assert!(
+            (e.eta_q(Route::Iaas) - post.eta_q(Route::Iaas)).abs() < 1e-9,
+            "blend P95 {} must reach the calibrated posterior {}",
+            e.eta_q(Route::Iaas),
+            post.eta_q(Route::Iaas)
+        );
+        // Cold start still publishes no margin.
         let unseen = job(JobClass::RnCifar);
         assert_eq!(hybrid.predict(&unseen).m_iaas, 0.0);
-        assert_eq!(hybrid.predict(&unseen).s_iaas, 0.0);
     }
 
     #[test]

@@ -56,12 +56,11 @@ pub struct JobRecord {
     /// snapshotted at admission (`None` for constant routers and rejected
     /// jobs).
     pub predicted_run: Option<SimTime>,
-    /// The calibrated quantile runtime ETA
-    /// ([`crate::estimate::Estimate::eta_q`] at the scheduler's own
-    /// quantile — [`crate::estimate::ETA_QUANTILE`] by default) on the
-    /// routed substrate, snapshotted at admission. Equal to
-    /// `predicted_run` for estimators without spread state; the coverage
-    /// rollup scores it against the actual run.
+    /// The calibrated [`crate::estimate::ETA_QUANTILE`] (P95) runtime ETA
+    /// ([`crate::estimate::Estimate::eta_q`]) on the routed substrate,
+    /// snapshotted at admission. Equal to `predicted_run` for estimators
+    /// without spread state; the coverage rollup scores it against the
+    /// actual run.
     pub predicted_run_q: Option<SimTime>,
     /// The scheduler's predicted dollars on the routed substrate. `None`
     /// for spot-routed jobs too: their attributed dollars ride the market

@@ -46,6 +46,7 @@
 //! own determinism domain): two same-seed runs with the same observer
 //! configuration still produce byte-identical traces *and* metrics.
 
+use crate::estimate::ETA_QUANTILE;
 use crate::job::TenantId;
 use crate::json::{self, JsonObject};
 use crate::lifecycle::JobLifecycle;
@@ -108,11 +109,10 @@ pub enum Decision {
     /// The job was routed onto a platform.
     Admit {
         route: Route,
-        /// The tail the policy prices runtimes at.
-        eta_quantile: f64,
         /// Mean predicted run on the routed substrate, seconds.
         predicted_run_s: Option<f64>,
-        /// Calibrated quantile ETA on the routed substrate, seconds.
+        /// Calibrated [`ETA_QUANTILE`] (P95) ETA on the routed substrate,
+        /// seconds.
         eta_q_s: Option<f64>,
         /// Risk-adjusted spot ETA (clean attempt plus expected
         /// resume-and-rerun cycles from the preemption posterior) — what
@@ -671,14 +671,13 @@ fn decision_fields(o: &mut JsonObject<'_>, d: &DecisionRecord) {
     match d.decision {
         Decision::Admit {
             route,
-            eta_quantile,
             predicted_run_s,
             eta_q_s,
             spot_eta_s,
             laxity_s,
         } => {
             o.str("route", route.name())
-                .f64("eta_quantile", eta_quantile);
+                .f64("eta_quantile", ETA_QUANTILE);
             opt_f64(o, "predicted_run_s", predicted_run_s);
             opt_f64(o, "eta_q_s", eta_q_s);
             opt_f64(o, "spot_eta_s", spot_eta_s);
@@ -841,7 +840,6 @@ mod tests {
             tenant: 1,
             decision: Decision::Admit {
                 route: Route::Spot,
-                eta_quantile: 0.95,
                 predicted_run_s: Some(10.0),
                 eta_q_s: Some(12.0),
                 spot_eta_s: Some(20.0),

@@ -133,13 +133,12 @@ pub trait Scheduler: Send {
     /// exposure-weighted — the moment it settles. Risk-aware policies
     /// forward this to their [`RiskModel`]; the default drops it.
     fn observe_preemption(&mut self, _obs: &PreemptionObs) {}
-    /// The quantile this policy prices runtime tails at. The simulator
-    /// snapshots admission-time quantile ETAs (scored as coverage in the
-    /// metrics) and prices deferral-vs-rejection at the same tail the
-    /// policy routes with, so the two subsystems can't judge one job at
-    /// different quantiles. Defaults to [`ETA_QUANTILE`], and no in-tree
-    /// policy overrides it; it stays a trait method because wrapping
-    /// schedulers forward it and the decision trace records its value.
+    /// The quantile this policy prices runtime tails at. The fleet prices
+    /// every tail (admission ETAs, deferral-vs-rejection, the coverage
+    /// score) at [`ETA_QUANTILE`], so [`crate::replay`] returns `Err` for
+    /// a policy answering anything else. No in-tree policy overrides it;
+    /// it stays a trait method only because wrapping schedulers forward
+    /// it.
     fn eta_quantile(&self) -> f64 {
         ETA_QUANTILE
     }
@@ -309,8 +308,9 @@ impl Scheduler for CostAware {
 /// spot ETA ride the market too.
 ///
 /// Deadline tests price runtimes at a quantile, not the mean: every ETA
-/// uses [`Estimate::eta_q`] at [`ETA_QUANTILE`], so an estimator that
-/// has learned its spread makes the laxity test honest about the tail.
+/// is the [`ETA_QUANTILE`] (P95) [`Estimate::eta_q`], so an estimator
+/// that has learned its spread makes the laxity test honest about the
+/// tail.
 /// Spot admission is risk-aware: the expected
 /// resume-and-rerun cycles come from the [`RiskModel`]'s learned
 /// preemption-rate posterior (per tenant and class, fed by
@@ -453,7 +453,7 @@ impl DeadlineAware {
     /// slice. This is what the laxity must cover (times
     /// `RECOVERY_SLACK`) before a deadline job rides the market.
     pub fn spot_eta(&self, job: &JobRequest, e: &Estimate, cushion_secs: f64) -> f64 {
-        let run_q = e.eta_q(Route::Spot, ETA_QUANTILE);
+        let run_q = e.eta_q(Route::Spot);
         let attempt = cushion_secs + run_q;
         let cycles = self
             .risk
@@ -481,8 +481,8 @@ impl Scheduler for DeadlineAware {
         let margin_i = self.cushion(job, Route::Iaas);
         // Every deadline test prices the run at the estimator's calibrated
         // quantile (P95): tails miss deadlines, means don't.
-        let t_faas_q = e.eta_q(Route::Faas, ETA_QUANTILE);
-        let t_iaas_q = e.eta_q(Route::Iaas, ETA_QUANTILE);
+        let t_faas_q = e.eta_q(Route::Faas);
+        let t_iaas_q = e.eta_q(Route::Iaas);
         // Predicted completion on FaaS: the run itself (Lambda is elastic)
         // unless the account concurrency limit is already saturated.
         let faas_saturated =
@@ -933,11 +933,6 @@ mod tests {
         assert_eq!(s.discipline(), QueueDiscipline::Drr);
         assert_eq!(DeadlineAware::new().discipline(), QueueDiscipline::Edf);
         assert_eq!(AllFaas.discipline(), QueueDiscipline::Fifo);
-        assert_eq!(
-            Scheduler::eta_quantile(&DeadlineAware::new()),
-            ETA_QUANTILE,
-            "every policy prices tails at the fleet standard"
-        );
     }
 
     #[test]

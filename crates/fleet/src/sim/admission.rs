@@ -136,16 +136,14 @@ impl Fleet<'_> {
         }
         if self.obs_on {
             // The audit record names the inputs routing acted on: the
-            // snapshotted prediction at the tail the policy prices, the
-            // risk-adjusted spot ETA (when the policy computes one), and
-            // the deadline slack remaining at this admission.
-            let q = sched.eta_quantile();
+            // snapshotted prediction and its P95 ETA, the risk-adjusted
+            // spot ETA (when the policy computes one), and the deadline
+            // slack remaining at this admission.
             let e = predicted;
             let admitted = Decision::Admit {
                 route,
-                eta_quantile: q,
                 predicted_run_s: e.map(|e| e.time(route)),
-                eta_q_s: e.map(|e| e.eta_q(route, q)),
+                eta_q_s: e.map(|e| e.eta_q(route)),
                 spot_eta_s: e.and_then(|e| sched.spot_eta_hint(&job, &e)),
                 laxity_s: job.laxity().map(|l| l.as_secs()),
             };
@@ -181,16 +179,15 @@ impl Fleet<'_> {
                 SimTime::secs(((now.as_secs() / w.as_secs()).floor() + 1.0) * w.as_secs())
             });
         let deadline = release.and(job.deadline);
-        // Best-substrate quantile run after release, priced at the same
-        // tail the scheduler routes with (queue/startup slack is the
-        // deadline's own business — the pricing only needs the tail run).
+        // Best-substrate P95 run after release (queue/startup slack is
+        // the deadline's own business — the pricing only needs the tail
+        // run).
         let eta_q_s = release.zip(deadline).and_then(|(release, _)| {
             let mut probe = job;
             probe.submit = release;
-            sched.estimate(&probe).map(|e| {
-                let q = sched.eta_quantile();
-                e.eta_q(Route::Faas, q).min(e.eta_q(Route::Iaas, q))
-            })
+            sched
+                .estimate(&probe)
+                .map(|e| e.eta_q(Route::Faas).min(e.eta_q(Route::Iaas)))
         });
         let FleetConfig {
             deadline_miss_cost,

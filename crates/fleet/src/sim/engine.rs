@@ -6,6 +6,7 @@
 
 use super::retire::ReplayEnd;
 use super::*;
+use crate::estimate::ETA_QUANTILE;
 use crate::job::JobRequest;
 use crate::lifecycle::JobLifecycle;
 use crate::observe::{FleetEvent, GaugeSample, PlatformEvent, ReplayStats};
@@ -192,6 +193,17 @@ pub(super) fn run_replay<S: TraceSource>(
     sink: &mut dyn Retire,
 ) -> Result<ReplayEnd, String> {
     check_config(cfg)?;
+    // Admission, deferral pricing and the coverage score all price the
+    // tail at the fleet's one quantile; a policy asking for another would
+    // be judged at a tail it did not choose.
+    let q = scheduler.eta_quantile();
+    if q != ETA_QUANTILE {
+        return Err(format!(
+            "scheduler {} prices tails at eta_quantile {q}, \
+             but the fleet prices them at ETA_QUANTILE {ETA_QUANTILE}",
+            scheduler.name()
+        ));
+    }
     // The budget preamble comes first (sources deliver it before any job).
     let budgets = source.budgets()?;
     // Advisory only: a wrong hint costs a realloc or some slack.

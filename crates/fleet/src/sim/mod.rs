@@ -341,8 +341,9 @@ impl<'a> Fleet<'a> {
 /// a non-positive [`FleetConfig::epoch_scale`], `iaas.min_instances` above
 /// `iaas.max_instances`, `faas.provisioned_concurrency` above
 /// `faas.concurrency_limit`, a non-positive `spot.mean_time_to_preempt`,
-/// [`CheckpointPolicy::EveryK`]`(0)`, or a non-positive or non-finite
-/// [`FleetConfig::budget_window`].
+/// [`CheckpointPolicy::EveryK`]`(0)`, a non-positive or non-finite
+/// [`FleetConfig::budget_window`], or a scheduler whose
+/// [`Scheduler::eta_quantile`] is not [`crate::ETA_QUANTILE`].
 ///
 /// ```
 /// use lml_fleet::{replay, AllFaas, FleetConfig, TextSource};
@@ -378,7 +379,7 @@ pub fn replay_observed<S: TraceSource>(
     seed: u64,
     observer: &mut (dyn FleetObserver + '_),
 ) -> Result<FleetMetrics, String> {
-    let mut records = RecordSink::new(source.len_hint(), scheduler.eta_quantile());
+    let mut records = RecordSink::new(source.len_hint());
     let end = run_replay(source, cfg, scheduler, seed, observer, &mut records)?;
     Ok(records.into_metrics(scheduler.name(), seed, end))
 }
@@ -746,6 +747,43 @@ mod tests {
             );
             assert_eq!(stats.unwrap_err(), err);
         }
+    }
+
+    /// The fleet prices every tail at `ETA_QUANTILE`, so a policy asking
+    /// for another quantile is refused up front, not judged at a tail it
+    /// did not choose.
+    #[test]
+    fn off_fleet_eta_quantile_is_an_error() {
+        use crate::job::JobRequest;
+        use crate::scheduler::FleetView;
+        struct P90;
+        impl Scheduler for P90 {
+            fn name(&self) -> &'static str {
+                "p90"
+            }
+            fn route(&mut self, _job: &JobRequest, _view: &FleetView) -> Route {
+                Route::Faas
+            }
+            fn eta_quantile(&self) -> f64 {
+                0.9
+            }
+        }
+        let trace = small_trace(5, 0.5, 1);
+        let cfg = FleetConfig::default();
+        let err = replay(InMemorySource::new(&trace), &cfg, &mut P90, 1).unwrap_err();
+        assert_eq!(
+            err,
+            "scheduler p90 prices tails at eta_quantile 0.9, \
+             but the fleet prices them at ETA_QUANTILE 0.95"
+        );
+        let stats = replay_stats(
+            InMemorySource::new(&trace),
+            &cfg,
+            &mut P90,
+            1,
+            &mut NullObserver,
+        );
+        assert_eq!(stats.unwrap_err(), err);
     }
 
     #[test]

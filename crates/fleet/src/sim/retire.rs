@@ -37,19 +37,15 @@ pub(super) struct ReplayEnd {
 /// exactly what [`FleetMetrics::from_records`] needs.
 pub(super) struct RecordSink {
     records: Vec<Option<JobRecord>>,
-    /// The scheduler's ETA quantile, captured once up front (constant for
-    /// every in-tree scheduler).
-    eta_quantile: f64,
 }
 
 impl RecordSink {
     /// The record vector genuinely reaches trace length, so one exact-fit
     /// allocation from the source's length hint beats a doubling chain of
     /// reallocs mid-replay.
-    pub(super) fn new(len_hint: Option<usize>, eta_quantile: f64) -> Self {
+    pub(super) fn new(len_hint: Option<usize>) -> Self {
         RecordSink {
             records: Vec::with_capacity(len_hint.unwrap_or(0)),
-            eta_quantile,
         }
     }
 
@@ -110,12 +106,9 @@ impl Retire for RecordSink {
             rejected: s.lifecycle == JobLifecycle::Rejected,
             deferred: s.deferred,
             predicted_run: s.predicted.map(|e| SimTime::secs(e.time(s.route))),
-            // The calibrated quantile ETA snapshotted at admission, at the
-            // tail the scheduler itself routed with (P95 by default) —
-            // what the coverage rollup scores against the actual run.
-            predicted_run_q: s
-                .predicted
-                .map(|e| SimTime::secs(e.eta_q(s.route, self.eta_quantile))),
+            // The calibrated P95 ETA snapshotted at admission — what the
+            // coverage rollup scores against the actual run.
+            predicted_run_q: s.predicted.map(|e| SimTime::secs(e.eta_q(s.route))),
             // Spot attributions ride the market discount the firm-price
             // prediction deliberately ignores; scoring them would report
             // the discount as estimator error, so spot jobs carry no cost
