@@ -341,6 +341,28 @@ sum_statistics sum=e9b4344a9d575bcb
         algo: Algorithm,
         lr: f64,
     ) -> String {
+        let out = train(threads, data, model, algo, lr, StopSpec::new(0.0, 2));
+        let losses = out.curve.points().iter().map(|p| &p.loss);
+        format!(
+            "{name} params={:016x} losses={:016x} rounds={} epochs={:016x}",
+            fnv_f64s(out.final_model.params()),
+            fnv_f64s(losses),
+            out.rounds,
+            out.epochs.to_bits(),
+        )
+    }
+
+    /// Train `model` on 200 rows of `data` (40-row partitions) over 5
+    /// workers on `threads` threads until `stop`, one virtual second a
+    /// round, summing in memory.
+    fn train(
+        threads: usize,
+        data: DatasetId,
+        model: ModelId,
+        algo: Algorithm,
+        lr: f64,
+        stop: StopSpec,
+    ) -> DriverOutput {
         let train = data.generate_rows(200, 42).data;
         let valid = data.generate_rows(40, 43).data;
         let model = model.build(&train, 7);
@@ -350,7 +372,7 @@ sum_statistics sum=e9b4344a9d575bcb
             valid: &valid,
             algo,
             schedule: LrSchedule::Const(lr),
-            stop: StopSpec::new(0.0, 2),
+            stop,
             eval_every: 1,
             start_offset: SimTime::ZERO,
         };
@@ -362,14 +384,7 @@ sum_statistics sum=e9b4344a9d575bcb
             &mut |_r, _e, stats| Ok((sum_statistics(&stats), SimTime::ZERO)),
             &mut |t| t,
         );
-        let losses = out.curve.points().iter().map(|p| &p.loss);
-        format!(
-            "{name} params={:016x} losses={:016x} rounds={} epochs={:016x}",
-            fnv_f64s(out.final_model.params()),
-            fnv_f64s(losses),
-            out.rounds,
-            out.epochs.to_bits(),
-        )
+        out
     }
 
     /// 5 statistics of 200,003 values (not a multiple of 2, 3 or 8), each
@@ -416,6 +431,108 @@ sum_statistics sum=e9b4344a9d575bcb
             sum_line(),
         ];
         lines.iter().map(|l| format!("{l}\n")).collect()
+    }
+
+    /// The stop rule as it behaves: the loop checks the epoch cap before
+    /// each round and counts a round's epochs after it, so a run stops at
+    /// the first round boundary at or past the cap (up to one round over),
+    /// and only a loss at or below the target stops it early — a NaN loss
+    /// never does. One line per case: `epochs`, `rounds` and `converged`,
+    /// then the last curve point's epoch, rounds, time and loss (`f64`s as
+    /// `to_bits` hex, epochs also in decimal). Every case trains on
+    /// YFCC100M rows in 40-row partitions, so a round of `b` examples
+    /// advances `b / 40` epochs; each runs at a cap its round divides and
+    /// at one it does not, except EM, whose round is always one epoch. Ten
+    /// rounds of 0.2 epochs sum to just below 2, so that case runs an
+    /// eleventh. A mismatch prints the whole new table.
+    const STOP_PIN: &str = "\
+GA-SGD, 0.75 epochs a round, cap 3: epochs=4008000000000000 (3) rounds=4 converged=false last=[epoch 4008000000000000 rounds 4 time 4010000000000000 loss 3fdd80a9eaef13c3]
+GA-SGD, 0.75 epochs a round, cap 2: epochs=4002000000000000 (2.25) rounds=3 converged=false last=[epoch 4002000000000000 rounds 3 time 4008000000000000 loss 3fc9b14dce2f457e]
+MA-SGD, 0.75 epochs a round, cap 3: epochs=4008000000000000 (3) rounds=4 converged=false last=[epoch 4008000000000000 rounds 4 time 4010000000000000 loss 3fb1b677293e2c0b]
+MA-SGD, 0.75 epochs a round, cap 2: epochs=4002000000000000 (2.25) rounds=3 converged=false last=[epoch 4002000000000000 rounds 3 time 4008000000000000 loss 3ff21108470b5417]
+ADMM, 1 scan, 1.5 epochs a round, cap 3: epochs=4008000000000000 (3) rounds=2 converged=false last=[epoch 4008000000000000 rounds 2 time 4000000000000000 loss 3fd67d9b7281cb6a]
+ADMM, 1 scan, 1.5 epochs a round, cap 2: epochs=4008000000000000 (3) rounds=2 converged=false last=[epoch 4008000000000000 rounds 2 time 4000000000000000 loss 3fd67d9b7281cb6a]
+ADMM, 10 scans, 10 epochs a round, cap 10: epochs=4024000000000000 (10) rounds=1 converged=false last=[epoch 4024000000000000 rounds 1 time 3ff0000000000000 loss 3fcfd57d81630fba]
+ADMM, 10 scans, 10 epochs a round, cap 5: epochs=4024000000000000 (10) rounds=1 converged=false last=[epoch 4024000000000000 rounds 1 time 3ff0000000000000 loss 3fcfd57d81630fba]
+ADMM, 10 scans, 10 epochs a round, cap 12: epochs=4034000000000000 (20) rounds=2 converged=false last=[epoch 4034000000000000 rounds 2 time 4000000000000000 loss 3fd03e7d5fa74e9e]
+EM, 1 epoch a round, cap 3: epochs=4008000000000000 (3) rounds=3 converged=false last=[epoch 4008000000000000 rounds 3 time 4008000000000000 loss 407547061f9af73a]
+GA-SGD, 0.2 epochs a round, cap 2: epochs=4001999999999999 (2.1999999999999997) rounds=11 converged=false last=[epoch 4001999999999999 rounds 11 time 4026000000000000 loss 3fc0a7bee3e1c99f]
+GA-SGD, target loss 0.69, cap 50: epochs=3ff8000000000000 (1.5) rounds=2 converged=true last=[epoch 3ff8000000000000 rounds 2 time 4000000000000000 loss 3fe2771f67742c18]
+GA-SGD at lr 1e300, target loss 0.69, cap 3: epochs=4008000000000000 (3) rounds=4 converged=false last=[epoch 4008000000000000 rounds 4 time 4010000000000000 loss fff8000000000000]
+";
+
+    #[test]
+    fn the_stop_rule_matches_its_table() {
+        let lr = ModelId::Lr { l2: 0.0 };
+        let ga = |batch| Algorithm::GaSgd { batch };
+        let ma = Algorithm::MaSgd {
+            batch: 10,
+            local_iters: 3,
+        };
+        let admm = |local_scans, batch| Algorithm::Admm {
+            rho: 0.1,
+            local_scans,
+            batch,
+        };
+        let km = ModelId::KMeans { k: 10 };
+        let (ga30, admm1, admm10) = (ga(30), admm(1, 30), admm(10, 8));
+        // Each setup at each of its caps, with no target loss.
+        let setups: [(&str, ModelId, Algorithm, f64, &[usize]); 6] = [
+            ("GA-SGD, 0.75 epochs a round", lr, ga30, 0.3, &[3, 2]),
+            ("MA-SGD, 0.75 epochs a round", lr, ma, 0.3, &[3, 2]),
+            ("ADMM, 1 scan, 1.5 epochs a round", lr, admm1, 0.3, &[3, 2]),
+            (
+                "ADMM, 10 scans, 10 epochs a round",
+                lr,
+                admm10,
+                0.3,
+                &[10, 5, 12],
+            ),
+            ("EM, 1 epoch a round", km, Algorithm::Em, 0.0, &[3]),
+            ("GA-SGD, 0.2 epochs a round", lr, ga(8), 0.3, &[2]),
+        ];
+        let capped = setups.iter().flat_map(|&(setup, model, algo, rate, caps)| {
+            caps.iter().map(move |&c| {
+                let name = format!("{setup}, cap {c}");
+                (name, model, algo, rate, StopSpec::new(0.0, c))
+            })
+        });
+        let target = |c| StopSpec::new(0.69, c);
+        let targeted = [
+            ("GA-SGD, target loss 0.69, cap 50", 0.3, target(50)),
+            (
+                "GA-SGD at lr 1e300, target loss 0.69, cap 3",
+                1e300,
+                target(3),
+            ),
+        ]
+        .map(|(name, rate, stop)| (name.to_string(), lr, ga30, rate, stop));
+        let table: String = capped
+            .chain(targeted)
+            .map(|(name, model, algo, rate, stop)| {
+                let out = train(1, DatasetId::Yfcc100m, model, algo, rate, stop);
+                let last = out.curve.last().map_or("none".to_string(), |p| {
+                    format!(
+                        "[epoch {:016x} rounds {} time {:016x} loss {:016x}]",
+                        p.epoch.to_bits(),
+                        p.rounds,
+                        p.time.as_secs().to_bits(),
+                        p.loss.to_bits(),
+                    )
+                });
+                format!(
+                    "{name}: epochs={:016x} ({}) rounds={} converged={} last={last}\n",
+                    out.epochs.to_bits(),
+                    out.epochs,
+                    out.rounds,
+                    out.converged,
+                )
+            })
+            .collect();
+        assert!(
+            table == STOP_PIN,
+            "the stop rule moved; new table:\n{table}"
+        );
     }
 
     #[test]
