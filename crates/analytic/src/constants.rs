@@ -35,15 +35,13 @@ pub const B_S3: f64 = 65e6;
 /// S3 latency, seconds.
 pub const L_S3: f64 = 8e-2;
 /// VM network bandwidth, t2.medium↔t2.medium.
-pub const B_N_T2: f64 = 120e6;
+pub(crate) const B_N_T2: f64 = 120e6;
 /// VM network latency, t2.
-pub const L_N_T2: f64 = 5e-4;
+pub(crate) const L_N_T2: f64 = 5e-4;
 /// VM network bandwidth, c5.large↔c5.large.
-pub const B_N_C5: f64 = 225e6;
+pub(crate) const B_N_C5: f64 = 225e6;
 /// VM network latency, c5.
-pub const L_N_C5: f64 = 1.5e-4;
-/// ElastiCache bandwidth, cache.t3.medium.
-pub const B_EC_T3: f64 = 630e6;
+pub(crate) const L_N_C5: f64 = 1.5e-4;
 /// ElastiCache latency.
 pub const L_EC: f64 = 1e-2;
 
@@ -211,7 +209,8 @@ mod tests {
         assert_eq!(s3.stream_bw, B_S3);
         assert_eq!(s3.latency.as_secs(), L_S3);
         let mc = lml_storage::ServiceProfile::memcached(lml_storage::CacheNode::T3Medium);
-        assert_eq!(mc.stream_bw, B_EC_T3);
+        let b_ec = table6().into_iter().find(|c| c.symbol == "B_EC");
+        assert_eq!(b_ec.map(|c| c.mean * 1e6), Some(mc.stream_bw));
         assert_eq!(mc.latency.as_secs(), L_EC);
     }
 }

@@ -10,12 +10,12 @@ use crate::schema::Emitter;
 
 /// The one file allowed to start threads: the deterministic fan-out that
 /// hands results back in item order.
-pub const THREAD_HOME: &str = "crates/sim/src/par.rs";
+const THREAD_HOME: &str = "crates/sim/src/par.rs";
 
 /// Lint options for workspace file `file` (workspace-relative) of a crate
 /// keyed by package name (`lml-<dir>` for `crates/<dir>`, `lambdaml` for
 /// the root `src/`).
-pub fn lint_opts(package: &str, file: &str) -> LintOpts {
+pub(crate) fn lint_opts(package: &str, file: &str) -> LintOpts {
     LintOpts {
         // Only the simulation crates carry the byte-stable-artifact
         // contract; a HashMap in the data-prep or linalg layers cannot leak
@@ -35,7 +35,7 @@ pub fn lint_opts(package: &str, file: &str) -> LintOpts {
 /// The hand-rolled JSON emitters whose field sets are schema-locked.
 /// `fleet/src/json.rs` is the generic writer — it emits no fields of its
 /// own, so the locks cover the two files that call it with literal keys.
-pub const EMITTERS: [Emitter; 2] = [
+pub(crate) const EMITTERS: [Emitter; 2] = [
     Emitter {
         name: "metrics",
         file: "crates/fleet/src/metrics.rs",
@@ -49,11 +49,11 @@ pub const EMITTERS: [Emitter; 2] = [
 ];
 
 /// Workspace-relative path of the panic-surface ratchet baseline.
-pub const PANIC_BUDGET_PATH: &str = "crates/analyze/panic_budget.toml";
+pub(crate) const PANIC_BUDGET_PATH: &str = "crates/analyze/panic_budget.toml";
 
 /// Workspace-relative directory holding the `<name>.lock` schema locks.
-pub const SCHEMAS_DIR: &str = "schemas";
+pub(crate) const SCHEMAS_DIR: &str = "schemas";
 
 /// Workspace-relative path of the human-readable schema documentation the
 /// drift report checks against.
-pub const SCHEMA_DOCS_PATH: &str = "docs/SCHEMAS.md";
+pub(crate) const SCHEMA_DOCS_PATH: &str = "docs/SCHEMAS.md";

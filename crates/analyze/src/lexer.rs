@@ -48,14 +48,14 @@ pub enum TokenKind {
 /// A comment (line `//…` or block `/*…*/`), kept for waiver parsing.
 /// `line` is the line the comment *starts* on.
 #[derive(Debug, Clone)]
-pub struct Comment {
+pub(crate) struct Comment {
     pub line: u32,
     pub text: String,
 }
 
 /// Output of [`lex`]: the token stream plus the stripped comments.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub(crate) struct Lexed {
     pub tokens: Vec<Token>,
     pub comments: Vec<Comment>,
 }
@@ -72,7 +72,7 @@ fn is_ident_continue(c: char) -> bool {
 /// input (unterminated strings, stray quotes) degrades to a best-effort
 /// token stream, which is the right behavior for a linter that must not
 /// crash on the code it is judging.
-pub fn lex(src: &str) -> Lexed {
+pub(crate) fn lex(src: &str) -> Lexed {
     Lexer {
         chars: src.chars().collect(),
         i: 0,

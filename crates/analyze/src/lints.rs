@@ -12,11 +12,11 @@ use crate::lexer::{Comment, Lexed, Token, TokenKind};
 use std::collections::BTreeMap;
 
 /// The lint names, as used in configs, waivers, and findings.
-pub const HASH_COLLECTIONS: &str = "hash-collections";
-pub const WALL_CLOCK: &str = "wall-clock";
-pub const FLOAT_EQ: &str = "float-eq";
-pub const STATIC_MUT: &str = "static-mut";
-pub const THREADS: &str = "threads";
+const HASH_COLLECTIONS: &str = "hash-collections";
+const WALL_CLOCK: &str = "wall-clock";
+const FLOAT_EQ: &str = "float-eq";
+const STATIC_MUT: &str = "static-mut";
+const THREADS: &str = "threads";
 
 /// One reported problem. `gating` findings fail `--check`; the rest are
 /// advisory.
@@ -44,7 +44,7 @@ impl Finding {
 
 /// Which determinism lints run on a given file.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LintOpts {
+pub(crate) struct LintOpts {
     pub hash_collections: bool,
     pub wall_clock: bool,
     pub float_eq: bool,
@@ -65,7 +65,7 @@ pub struct LintOpts {
 /// `lml-analyze: allow-file(<lint>)` anywhere in the file waives the lint
 /// for the whole file (used sparingly; prefer line waivers).
 #[derive(Debug, Default)]
-pub struct Waivers {
+pub(crate) struct Waivers {
     lines: BTreeMap<String, Vec<u32>>,
     file_wide: Vec<String>,
 }
@@ -118,7 +118,7 @@ fn collect_waivers(text: &str, marker: &str, mut f: impl FnMut(&str)) {
 /// brace-tracking over the token stream: an attribute whose argument list
 /// mentions `test` (and not `not`) arms the scanner, and the next
 /// brace-delimited item body — or attribute-to-semicolon span — is marked.
-pub fn test_mask(tokens: &[Token]) -> Vec<bool> {
+pub(crate) fn test_mask(tokens: &[Token]) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
     let mut depth: i32 = 0;
     // Depth of the innermost test region's opening brace, if any.
@@ -201,7 +201,7 @@ pub fn test_mask(tokens: &[Token]) -> Vec<bool> {
 }
 
 /// Run the determinism lints on one lexed file.
-pub fn check_file(file: &str, lexed: &Lexed, opts: LintOpts) -> Vec<Finding> {
+pub(crate) fn check_file(file: &str, lexed: &Lexed, opts: LintOpts) -> Vec<Finding> {
     let tokens = &lexed.tokens;
     let mask = test_mask(tokens);
     let waivers = Waivers::parse(&lexed.comments);

@@ -36,7 +36,7 @@ pub struct Emitter {
 /// Extract the set of JSON field names emitted by one lexed file.
 /// Test-gated code is skipped — fixture objects in `mod tests` are not part
 /// of the schema.
-pub fn extract_fields(lexed: &Lexed, key_helpers: &[&str]) -> BTreeSet<String> {
+pub(crate) fn extract_fields(lexed: &Lexed, key_helpers: &[&str]) -> BTreeSet<String> {
     // Every keyed method of `lml_fleet::json::JsonObject`.
     const BUILDER_METHODS: [&str; 6] = ["str", "u64", "f64", "null", "object", "array"];
     let tokens = &lexed.tokens;
@@ -120,7 +120,7 @@ fn mentioned(docs: &str, field: &str) -> bool {
 
 /// Parse a `.lock` file: one field per line, `#` comments and blanks
 /// ignored.
-pub fn parse_lock(text: &str) -> BTreeSet<String> {
+fn parse_lock(text: &str) -> BTreeSet<String> {
     text.lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
@@ -129,7 +129,7 @@ pub fn parse_lock(text: &str) -> BTreeSet<String> {
 }
 
 /// Render a `.lock` file for the extracted field set.
-pub fn render_lock(name: &str, file: &str, fields: &BTreeSet<String>) -> String {
+pub(crate) fn render_lock(name: &str, file: &str, fields: &BTreeSet<String>) -> String {
     let mut out = format!(
         "# Schema lock `{name}` (generated by `lml-analyze --write-baseline`).\n\
          # Fields emitted by {file}. The additive-only contract is machine-\n\

@@ -13,7 +13,7 @@ use lml_sim::{ByteSize, SimTime};
 use lml_storage::{ServiceProfile, StorageChannel};
 
 /// Run every ablation and concatenate the reports.
-pub fn run_all(h: &Harness) -> String {
+pub(crate) fn run_all(h: &Harness) -> String {
     polling_interval() + &admm_local_scans(h) + &lifetime_overhead()
 }
 

@@ -85,7 +85,7 @@ fn crate_engine_linear_throughput() -> f64 {
 
 /// Figure 13: (a) analytical model vs simulated runtime; (b) the
 /// sampling-based epoch estimator.
-pub fn fig13_model(h: &Harness) -> String {
+pub(crate) fn fig13_model(h: &Harness) -> String {
     let mut out = String::new();
 
     // (a) model vs simulator, LR on Higgs, W = 10, forced epoch budgets.
@@ -231,7 +231,7 @@ fn base_scenarios(h: &Harness, wid: WorkloadId, max_ep: usize) -> Vec<Scenario> 
 
 /// Figure 14: what if FaaS↔IaaS communication reached 10 Gbps (and Lambda
 /// offered GPUs at g3s-comparable pricing)?
-pub fn fig14_fast_hybrid(h: &Harness) -> String {
+pub(crate) fn fig14_fast_hybrid(h: &Harness) -> String {
     let mut out = String::new();
     for wid in [WorkloadId::LrYfcc, WorkloadId::MnCifar] {
         let max_ep = if h.fast { 4 } else { max_epochs(wid, h) };
@@ -275,7 +275,7 @@ pub fn fig14_fast_hybrid(h: &Harness) -> String {
 }
 
 /// Figure 15: what if the data is hot (resident in an m5a.12xlarge VM)?
-pub fn fig15_hot_data(h: &Harness) -> String {
+pub(crate) fn fig15_hot_data(h: &Harness) -> String {
     let mut out = String::new();
     for wid in [WorkloadId::LrYfcc, WorkloadId::MnCifar] {
         let max_ep = if h.fast { 4 } else { max_epochs(wid, h) };

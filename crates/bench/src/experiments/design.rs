@@ -49,7 +49,7 @@ pub fn fig6_datasets(h: &Harness) -> String {
 }
 
 /// Figure 7: GA-SGD vs MA-SGD vs ADMM.
-pub fn fig7_optimizers(h: &Harness) -> String {
+pub(crate) fn fig7_optimizers(h: &Harness) -> String {
     let mut out = String::new();
     let big_w = if h.fast { 60 } else { 300 };
 
@@ -174,7 +174,7 @@ pub fn fig7_optimizers(h: &Harness) -> String {
 }
 
 /// Table 1: communication channels vs S3 (cost ratio and slowdown).
-pub fn table1_channels(h: &Harness) -> String {
+pub(crate) fn table1_channels(h: &Harness) -> String {
     // Fixed-epoch budgets so channel ratios compare identical work.
     struct Case {
         label: &'static str,
@@ -368,7 +368,7 @@ pub fn table3_patterns(_h: &Harness) -> String {
 }
 
 /// Figure 8: Synchronous vs Asynchronous convergence.
-pub fn fig8_sync_async(h: &Harness) -> String {
+pub(crate) fn fig8_sync_async(h: &Harness) -> String {
     let cases: Vec<(WorkloadId, usize, usize)> = vec![
         (WorkloadId::LrHiggs, 10, if h.fast { 10 } else { 30 }),
         (WorkloadId::LrRcv1, 5, if h.fast { 10 } else { 30 }),

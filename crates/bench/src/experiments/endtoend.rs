@@ -60,7 +60,7 @@ fn point_row(named: &Named, cfg: JobConfig, lead: [String; 2]) -> Vec<String> {
 }
 
 /// Figure 9: end-to-end convergence across all twelve workloads.
-pub fn fig9_end_to_end(h: &Harness) -> String {
+pub(crate) fn fig9_end_to_end(h: &Harness) -> String {
     let mut out = String::new();
     for wid in WorkloadId::ALL {
         let named = registry::build(wid, h);
@@ -144,7 +144,7 @@ pub fn fig10_breakdown(h: &Harness) -> String {
 type Series = (&'static str, Backend, &'static [usize]);
 
 /// Figure 11: runtime vs cost as the worker count scales.
-pub fn fig11_workers(h: &Harness) -> String {
+pub(crate) fn fig11_workers(h: &Harness) -> String {
     let pick = |fast: &'static [usize], full: &'static [usize]| if h.fast { fast } else { full };
     let faas = Backend::faas_default();
     let [t2, c5, g3s] = [
@@ -194,7 +194,7 @@ fn fig11_panel(h: &Harness, side: &str, wid: WorkloadId, series: &[Series]) -> S
 }
 
 /// Figure 12: the runtime-cost frontier across instance types.
-pub fn fig12_frontier(h: &Harness) -> String {
+pub(crate) fn fig12_frontier(h: &Harness) -> String {
     let cpu = [
         InstanceType::T2Medium,
         InstanceType::C5Large,
@@ -235,7 +235,7 @@ pub fn fig12_frontier(h: &Harness) -> String {
 }
 
 /// Table 5: the ML pipeline (normalize + grid search).
-pub fn table5_pipeline(h: &Harness) -> String {
+pub(crate) fn table5_pipeline(h: &Harness) -> String {
     let mut rows = Vec::new();
     for (wid, epochs) in [
         (WorkloadId::LrHiggs, 10usize),
@@ -276,7 +276,7 @@ pub fn table5_pipeline(h: &Harness) -> String {
 }
 
 /// §5.1.1: the COST sanity check — scaled-up must beat one machine.
-pub fn cost_sanity(h: &Harness) -> String {
+pub(crate) fn cost_sanity(h: &Harness) -> String {
     let mut rows = Vec::new();
     for wid in [
         WorkloadId::LrHiggs,

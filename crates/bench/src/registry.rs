@@ -30,7 +30,7 @@ impl Named {
 
 /// Sample rows per dataset under the harness mode: a reduced sample in
 /// fast mode, the generator's default sample in full mode.
-pub fn sample_rows(id: DatasetId, h: &Harness) -> usize {
+pub(crate) fn sample_rows(id: DatasetId, h: &Harness) -> usize {
     match (id, h.fast) {
         (DatasetId::Higgs, true) => 10_000,
         (DatasetId::Rcv1, true) => 2_000,
@@ -80,7 +80,7 @@ pub fn best_algorithm(id: WorkloadId, wl: &Workload) -> Algorithm {
 }
 
 /// Plain GA-SGD at the scaled batch (the baseline algorithm).
-pub fn ga_sgd(id: WorkloadId, wl: &Workload) -> Algorithm {
+pub(crate) fn ga_sgd(id: WorkloadId, wl: &Workload) -> Algorithm {
     Algorithm::GaSgd {
         batch: wl.spec.scaled_batch(id.paper_batch()),
     }

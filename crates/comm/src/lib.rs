@@ -20,4 +20,4 @@ pub mod patterns;
 pub mod protocols;
 
 pub use patterns::{Pattern, Statistics};
-pub use protocols::{round_key, Asp, Bsp};
+pub use protocols::{Asp, Bsp};

@@ -17,7 +17,7 @@ use lml_sim::{ByteSize, SimTime};
 use lml_storage::{Blob, StorageChannel, StorageError};
 
 /// The paper's file-naming scheme: training epoch, iteration, partition.
-pub fn round_key(epoch: usize, iter: usize) -> String {
+fn round_key(epoch: usize, iter: usize) -> String {
     format!("ep{epoch}_it{iter}")
 }
 
@@ -68,7 +68,7 @@ impl Bsp {
 }
 
 /// Key under which the asynchronous global model lives.
-pub const ASP_MODEL_KEY: &str = "global_model";
+const ASP_MODEL_KEY: &str = "global_model";
 
 /// Asynchronous protocol state.
 #[derive(Debug, Clone, Copy, Default)]

@@ -30,7 +30,7 @@ pub const NN_FLOPS_LAMBDA: f64 = 5.4e10;
 
 /// Sub-linear vCPU scaling exponent of the deep-model engine across
 /// instance sizes (BLAS scales, input pipelines don't).
-pub const NN_VCPU_EXPONENT: f64 = 0.3;
+const NN_VCPU_EXPONENT: f64 = 0.3;
 
 /// Average stored features per example (drives linear-model FLOPs).
 pub fn avg_nnz(data: &Dataset) -> f64 {
@@ -42,7 +42,7 @@ pub fn avg_nnz(data: &Dataset) -> f64 {
 
 /// Effective engine throughput in FLOP/s for `model` on a worker with
 /// `vcpus` (fractional for Lambda) and optionally a GPU.
-pub fn engine_throughput(model: &AnyModel, vcpus: f64, gpu: Option<GpuKind>) -> f64 {
+fn engine_throughput(model: &AnyModel, vcpus: f64, gpu: Option<GpuKind>) -> f64 {
     assert!(vcpus > 0.0);
     match model {
         AnyModel::Mlp { .. } => match gpu {
@@ -57,7 +57,7 @@ pub fn engine_throughput(model: &AnyModel, vcpus: f64, gpu: Option<GpuKind>) -> 
 ///
 /// `system_factor` is the serverful system's compute slowdown
 /// (`SystemProfile::compute_factor`, 1.56 for Angel).
-pub fn compute_time(
+pub(crate) fn compute_time(
     model: &AnyModel,
     examples_paper: f64,
     nnz: f64,

@@ -7,7 +7,7 @@ use crate::result::RunResult;
 use lml_data::generators::Generated;
 use lml_data::transform::train_valid_split;
 use lml_data::{Dataset, DatasetSpec};
-use lml_faas::FaasError;
+use lml_faas::{FaasError, LambdaSpec};
 use lml_iaas::InstanceType;
 use lml_models::{AnyModel, ModelId};
 use lml_optim::{Algorithm, LrSchedule};
@@ -36,7 +36,7 @@ impl Workload {
 
     /// `paper_instances / sample_instances` — converts sample example
     /// counts into paper-scale counts for the system model.
-    pub fn scale_inv(&self) -> f64 {
+    pub(crate) fn scale_inv(&self) -> f64 {
         self.spec.paper_instances as f64 / self.spec.sample_instances as f64
     }
 }
@@ -47,8 +47,8 @@ pub enum JobError {
     /// The storage channel refused an operation (e.g. DynamoDB's 400 KB
     /// item cap rejecting a MobileNet payload — Table 1's "N/A").
     Storage(StorageError),
-    /// The FaaS runtime refused (out of memory, invalid function spec —
-    /// e.g. ResNet50 with batch 64, §5.2).
+    /// The FaaS runtime refused: the working set exceeds the function's
+    /// memory (e.g. ResNet50 with batch 64, §5.2).
     Faas(FaasError),
     /// A VM cannot hold its share of the data with headroom for the
     /// engine (e.g. all of Higgs on one t2.medium, Figure 11).
@@ -128,7 +128,8 @@ impl<'a> TrainingJob<'a> {
 
     /// Reject a configuration that would otherwise panic inside an
     /// executor, or run to a meaningless `Ok` (a NaN loss, a batch of one
-    /// row where zero was asked for, rounds that never finish an epoch).
+    /// row where zero was asked for, rounds that never finish an epoch, a
+    /// Lambda memory size outside the service's range).
     fn check_config(&self) -> Result<(), JobError> {
         let cfg = &self.config;
         let invalid = |field, value: &str, reason: &str| {
@@ -171,6 +172,11 @@ impl<'a> TrainingJob<'a> {
                 cfg.backend.name()
             );
             return invalid("workers", &workers.to_string(), &reason);
+        }
+        if let Backend::Faas { spec, .. } | Backend::Hybrid { spec, .. } = cfg.backend {
+            if let Err(e) = LambdaSpec::with_memory_mb(spec.memory_mb) {
+                return invalid("memory_mb", &spec.memory_mb.to_string(), &e.to_string());
+            }
         }
         // 0 is a legal rate: EM ignores it and its jobs pass 0.
         let (base, factor) = match cfg.lr {
@@ -455,6 +461,35 @@ mod tests {
         }
         let unbounded = |c: &mut JobConfig| c.stop.max_time = lml_sim::SimTime::secs(f64::INFINITY);
         assert_eq!(rejected_field(&wl, unbounded), None);
+    }
+
+    /// A Lambda function has 128 to 3,008 MB (§2.2), so a FaaS or hybrid
+    /// job sized outside that range is rejected, not billed at that size.
+    #[test]
+    fn out_of_range_lambda_memory_is_rejected() {
+        let wl = higgs400();
+        for backend in [Backend::faas_default(), Backend::hybrid_default()] {
+            for (mb, want) in [
+                (64, Some("memory_mb")),
+                (100_000, Some("memory_mb")),
+                (3_008, None),
+            ] {
+                let sized = |c: &mut JobConfig| {
+                    c.backend = backend;
+                    if let Backend::Faas { spec, .. } | Backend::Hybrid { spec, .. } =
+                        &mut c.backend
+                    {
+                        spec.memory_mb = mb;
+                    }
+                };
+                assert_eq!(
+                    rejected_field(&wl, sized),
+                    want,
+                    "{} at {mb} MB",
+                    backend.name()
+                );
+            }
+        }
     }
 
     #[test]

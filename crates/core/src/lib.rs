@@ -16,8 +16,6 @@
 //! * [`job`] — the public entry point.
 //! * [`pipeline`] — preprocessing + hyperparameter-search pipelines
 //!   (Table 5).
-//! * [`fleet`] — the multi-tenant fleet simulator layered on top of the
-//!   single-job backends (re-export of `lml-fleet`).
 
 #![forbid(unsafe_code)]
 
@@ -27,8 +25,6 @@ pub mod executor;
 pub mod job;
 pub mod pipeline;
 pub mod result;
-
-pub use lml_fleet as fleet;
 
 pub use config::{Backend, ChannelKind, JobConfig, Protocol};
 pub use job::{JobError, TrainingJob};

@@ -35,13 +35,13 @@ pub struct PipelineResult {
 }
 
 /// Grid of learning rates: [0.01, 0.1] step 0.01 (§5.2).
-pub fn lr_grid() -> Vec<f64> {
+fn lr_grid() -> Vec<f64> {
     (1..=10).map(|i| i as f64 / 100.0).collect()
 }
 
 /// Normalize the workload's features to [-1, 1] (dense datasets only —
 /// the paper's pipeline runs on Higgs and Cifar10).
-pub fn preprocess(workload: &Workload) -> Workload {
+fn preprocess(workload: &Workload) -> Workload {
     let mut wl = workload.clone();
     if let Dataset::Dense(d) = &mut wl.train {
         normalize_minmax(d);

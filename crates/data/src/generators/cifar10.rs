@@ -18,13 +18,13 @@ use lml_linalg::Matrix;
 use lml_sim::Pcg64;
 
 /// Default sample: 10% of the 60 K images.
-pub const DEFAULT_ROWS: usize = 6_000;
+pub(crate) const DEFAULT_ROWS: usize = 6_000;
 
 /// Feature dimension (paper's Figure 6 representation).
 pub const DIM: usize = 1_024;
 
 /// Number of classes.
-pub const CLASSES: usize = 10;
+const CLASSES: usize = 10;
 
 /// Class-mean scale. Tuned so nearest-mean classification lands in the
 /// 90s: classes overlap (images are hard) but a small network reaches the
@@ -40,7 +40,7 @@ const NOISE: f64 = 0.35;
 
 /// The fixed class prototypes: `(means, styles)`, both `CLASSES × DIM`.
 /// Exposed so tests and examples can evaluate against the ground truth.
-pub fn prototypes() -> (Matrix, Matrix) {
+fn prototypes() -> (Matrix, Matrix) {
     let mut mean_rng = Pcg64::new(0xD1CE_0003);
     let mut style_rng = Pcg64::new(0xD1CE_0013);
     let mut means = Matrix::zeros(CLASSES, DIM);

@@ -18,16 +18,16 @@ use lml_linalg::SparseVec;
 use lml_sim::Pcg64;
 
 /// Default sample rows (paper: 52 M).
-pub const DEFAULT_ROWS: usize = 10_000;
+pub(crate) const DEFAULT_ROWS: usize = 10_000;
 
 /// Hashed feature-space dimension (paper: 1 M features).
 pub const DIM: usize = 1_000_000;
 
 /// Numeric fields occupy indices 0..13.
-pub const NUMERIC_FIELDS: usize = 13;
+const NUMERIC_FIELDS: usize = 13;
 
 /// Categorical fields: 26, hashed into the remaining space.
-pub const CATEGORICAL_FIELDS: usize = 26;
+const CATEGORICAL_FIELDS: usize = 26;
 
 /// Ground-truth support size for the click logit.
 const TRUE_SUPPORT: usize = 50_000;

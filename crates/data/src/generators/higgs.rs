@@ -16,7 +16,7 @@ use lml_linalg::Matrix;
 use lml_sim::Pcg64;
 
 /// Default sample: 1% of the paper's 11 M rows.
-pub const DEFAULT_ROWS: usize = 110_000;
+pub(crate) const DEFAULT_ROWS: usize = 110_000;
 
 /// Feature dimension of Higgs.
 pub const DIM: usize = 28;

@@ -17,7 +17,7 @@ use lml_linalg::SparseVec;
 use lml_sim::Pcg64;
 
 /// Default sample: 1% of the paper's 697 K documents.
-pub const DEFAULT_ROWS: usize = 6_970;
+pub(crate) const DEFAULT_ROWS: usize = 6_970;
 
 /// Feature dimension of RCV1.
 pub const DIM: usize = 47_236;

@@ -16,13 +16,13 @@ use lml_linalg::Matrix;
 use lml_sim::Pcg64;
 
 /// Default sample rows (paper subset: 4 M).
-pub const DEFAULT_ROWS: usize = 2_000;
+pub(crate) const DEFAULT_ROWS: usize = 2_000;
 
 /// HNfc6 deep-feature dimension.
 pub const DIM: usize = 4_096;
 
 /// Positive ("animal") rate: 300 K / 4 M.
-pub const POSITIVE_RATE: f64 = 0.075;
+const POSITIVE_RATE: f64 = 0.075;
 
 /// Shift of positive-class activations along the signal direction.
 const SHIFT: f64 = 0.9;

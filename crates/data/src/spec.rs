@@ -59,11 +59,6 @@ impl DatasetSpec {
     pub fn scaled_batch(&self, paper_batch: usize) -> usize {
         ((paper_batch as f64 * self.scale()).round() as usize).max(1)
     }
-
-    /// Iterations per epoch at the paper-scale batch size.
-    pub fn iters_per_epoch(&self, paper_batch: usize) -> usize {
-        ((self.paper_instances as f64 / paper_batch as f64).ceil() as usize).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +91,7 @@ mod tests {
     fn scaled_batch_preserves_iters_per_epoch() {
         let s = higgs_spec();
         // Paper batch 100K on 11M rows = 110 iters/epoch.
-        assert_eq!(s.iters_per_epoch(100_000), 110);
+        assert_eq!(s.paper_instances as usize / 100_000, 110);
         // Scaled batch 1K on 110K rows = 110 iters/epoch too.
         assert_eq!(s.scaled_batch(100_000), 1_000);
         assert_eq!(s.sample_instances as usize / s.scaled_batch(100_000), 110);

@@ -29,7 +29,7 @@ pub fn shuffled(data: &Dataset, seed: u64) -> Dataset {
 
 /// Min-max statistics of a dense dataset, one (min, max) per column.
 #[derive(Debug, Clone)]
-pub struct MinMax {
+pub(crate) struct MinMax {
     pub mins: Vec<f64>,
     pub maxs: Vec<f64>,
 }

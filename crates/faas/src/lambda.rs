@@ -16,7 +16,7 @@ pub enum FaasError {
     /// when training ResNet50 with batch size 64 (§5.2: "FaaS encounters an
     /// out-of-memory error").
     OutOfMemory { required: ByteSize, limit: ByteSize },
-    /// Requested memory above the service maximum.
+    /// Requested memory outside the service's 128 to 3,008 MB range.
     InvalidMemory { requested_mb: u32 },
 }
 
@@ -26,9 +26,11 @@ impl std::fmt::Display for FaasError {
             FaasError::OutOfMemory { required, limit } => {
                 write!(f, "function needs {required} but is limited to {limit}")
             }
-            FaasError::InvalidMemory { requested_mb } => {
-                write!(f, "invalid Lambda memory {requested_mb} MB")
-            }
+            FaasError::InvalidMemory { requested_mb } => write!(
+                f,
+                "a Lambda function has 128 to {} MB, not {requested_mb} MB",
+                LambdaSpec::MAX_MEMORY_MB
+            ),
         }
     }
 }
@@ -43,11 +45,11 @@ pub struct LambdaSpec {
 
 impl LambdaSpec {
     /// The paper-era memory ceiling ("up to 3GB of memory", §2.2).
-    pub const MAX_MEMORY_MB: u32 = 3_008;
+    const MAX_MEMORY_MB: u32 = 3_008;
     /// Hard execution-time limit ("must finish within 15 minutes").
-    pub const LIFETIME: SimTime = SimTime(900.0);
+    pub(crate) const LIFETIME: SimTime = SimTime(900.0);
 
-    /// A function with the given memory; errors above the service maximum.
+    /// A function with the given memory; errors outside 128 to 3,008 MB.
     pub fn with_memory_mb(memory_mb: u32) -> Result<Self, FaasError> {
         if !(128..=Self::MAX_MEMORY_MB).contains(&memory_mb) {
             return Err(FaasError::InvalidMemory {
@@ -70,11 +72,6 @@ impl LambdaSpec {
     /// 1 GB ≈ 0.6 vCPU (Table 2's configurations).
     pub fn vcpus(&self) -> f64 {
         1.8 * self.memory_mb as f64 / 3_008.0
-    }
-
-    /// Billing rate per second of execution.
-    pub fn price_per_second(&self) -> Cost {
-        Cost::usd(PRICE_PER_GB_SECOND * self.memory_mb as f64 / 1_000.0)
     }
 
     /// Verify a working set fits this function's memory.
@@ -105,10 +102,6 @@ impl GbSecondsMeter {
     pub fn charge(&mut self, spec: LambdaSpec, duration: SimTime) {
         debug_assert!(duration.is_valid());
         self.gb_seconds += spec.memory_mb as f64 / 1_000.0 * duration.as_secs();
-    }
-
-    pub fn gb_seconds(&self) -> f64 {
-        self.gb_seconds
     }
 
     pub fn cost(&self) -> Cost {
@@ -152,17 +145,9 @@ mod tests {
         for _ in 0..10 {
             meter.charge(LambdaSpec::gb3(), SimTime::secs(100.0));
         }
-        assert!((meter.gb_seconds() - 3_008.0).abs() < 1e-9);
+        assert!((meter.gb_seconds - 3_008.0).abs() < 1e-9);
         let expected = 3_008.0 * PRICE_PER_GB_SECOND;
         assert!((meter.cost().as_usd() - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bigger_functions_cost_more_per_second() {
-        assert!(
-            LambdaSpec::gb3().price_per_second()
-                > LambdaSpec { memory_mb: 1_024 }.price_per_second()
-        );
     }
 
     #[test]

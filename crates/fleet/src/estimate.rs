@@ -31,10 +31,10 @@
 //!
 //! * [`Estimate::eta_q`] — the calibrated P95 ETA, mean plus margin. The
 //!   fleet prices every runtime tail at this one quantile,
-//!   [`ETA_QUANTILE`]. [`Online`] turns its deviation EWMA into a margin
+//!   `ETA_QUANTILE`. [`Online`] turns its deviation EWMA into a margin
 //!   whose multiplier is calibrated online (adaptive-conformal style: the
 //!   multiplier steps up on every miss and down on every cover until
-//!   empirical coverage matches [`ETA_QUANTILE`]).
+//!   empirical coverage matches `ETA_QUANTILE`).
 //! * [`RiskModel`] — learned per-(tenant, class) spot preemption rates: a
 //!   Gamma posterior over (preemption events / held instance-seconds),
 //!   seeded from the configured mean so zero observations reproduce the
@@ -53,7 +53,7 @@ use lml_analytic::model::{price, Substrate};
 use lml_sim::{Cost, SimTime};
 
 /// The one quantile the fleet prices runtime tails at: P95.
-pub const ETA_QUANTILE: f64 = 0.95;
+pub(crate) const ETA_QUANTILE: f64 = 0.95;
 
 /// Runtime/cost estimates for one job on both firm substrates, startup
 /// excluded (the fleet charges the actual simulated startup). Replaces the
@@ -69,7 +69,7 @@ pub struct Estimate {
     pub t_iaas: f64,
     /// Predicted IaaS dollars (instance-seconds for the run).
     pub c_iaas: f64,
-    /// Calibrated [`ETA_QUANTILE`] (P95) runtime margin *above the mean*
+    /// Calibrated `ETA_QUANTILE` (P95) runtime margin *above the mean*
     /// on FaaS, in seconds. 0 for estimators that carry no spread state
     /// (the analytic prior, cold-start learners) — their quantile ETA is
     /// the mean. [`Hybrid`]'s margin also spans the gap from its blended
@@ -118,7 +118,7 @@ impl Estimate {
         }
     }
 
-    /// The calibrated [`ETA_QUANTILE`] (P95) runtime ETA on the given
+    /// The calibrated `ETA_QUANTILE` (P95) runtime ETA on the given
     /// route: the mean plus the margin.
     pub fn eta_q(&self, route: Route) -> f64 {
         self.time(route) + self.margin(route)
@@ -184,7 +184,12 @@ impl Clone for Box<dyn Estimator> {
 /// `sample_frac` subsample — the paper's §5.3 estimator. The result can be
 /// pinned into any estimator's analytic prior via
 /// [`Estimator::pin_epochs`].
-pub fn calibrate_epochs(class: JobClass, sample_frac: f64, max_epochs: usize, seed: u64) -> f64 {
+pub(crate) fn calibrate_epochs(
+    class: JobClass,
+    sample_frac: f64,
+    max_epochs: usize,
+    seed: u64,
+) -> f64 {
     let row = class.workload();
     estimate_epochs(
         row.dataset(),
@@ -237,7 +242,7 @@ impl Analytic {
     }
 
     /// Epochs-to-threshold the prior assumes for `class`.
-    pub fn epochs_for(&self, class: JobClass) -> f64 {
+    fn epochs_for(&self, class: JobClass) -> f64 {
         self.epochs[class as usize].unwrap_or_else(|| class.default_epochs())
     }
 }
@@ -393,7 +398,7 @@ impl Online {
     /// Firm-route *cost* observations for (tenant, class) on the route's
     /// substrate — the honest sample size behind the cost posterior (spot
     /// completions never teach dollars).
-    pub fn cost_observations(&self, tenant: TenantId, class: JobClass, route: Route) -> u64 {
+    fn cost_observations(&self, tenant: TenantId, class: JobClass, route: Route) -> u64 {
         self.state
             .get(tenant, class)
             .and_then(|cs| cs.slot(route))
@@ -627,7 +632,7 @@ pub struct PreemptionObs {
 /// Learned per-(tenant, class) spot preemption rates.
 ///
 /// The market preempts each instance independently at some rate λ
-/// (exponential lifetimes — see [`crate::platform::SpotTier`]), so the
+/// (exponential lifetimes — see `platform::SpotTier`), so the
 /// sufficient statistics per key are (preemption events, held
 /// instance-seconds of exposure). The posterior is Gamma–Poisson: the
 /// configured mean time to preempt enters as `PREEMPT_PRIOR_WEIGHT`
@@ -677,7 +682,7 @@ impl RiskModel {
 
     /// Seeded from the fleet's spot configuration — the prior is exactly
     /// the tier's advertised exponential-clock parameter
-    /// ([`SpotConfig::preemption_rate_per_instance_s`]), so an unobserved
+    /// (`SpotConfig::preemption_rate_per_instance_s`), so an unobserved
     /// posterior and the simulated market speak the same λ. A rate of 0
     /// (`mean_time_to_preempt = +∞`, a market that never reclaims) gives
     /// an infinite prior and a posterior rate of 0.
@@ -692,7 +697,7 @@ impl RiskModel {
         self
     }
 
-    pub fn is_frozen(&self) -> bool {
+    pub(crate) fn is_frozen(&self) -> bool {
         self.frozen
     }
 
@@ -736,7 +741,7 @@ impl RiskModel {
     /// Expected preemptions a `workers`-wide job accumulates over
     /// `wall_secs` of held time: the cluster dies at `workers × λ` (first
     /// instance reclaimed kills the attempt).
-    pub fn expected_preemptions(
+    pub(crate) fn expected_preemptions(
         &self,
         tenant: TenantId,
         class: JobClass,
@@ -773,7 +778,7 @@ mod tests {
             run: SimTime::secs(run_secs),
             startup: SimTime::secs(5.0),
             cost: Cost::usd(0.2),
-            epochs_total: class.epoch_count(),
+            epochs_total: class.default_epochs().ceil() as u32,
             preemptions: 0,
         }
     }

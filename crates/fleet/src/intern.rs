@@ -18,8 +18,8 @@
 //! map only once that map has actually seen it, which exactly preserves
 //! the presence semantics of the `BTreeMap`s it replaces (e.g. the spend
 //! gauge must list precisely the tenants ever charged). Iteration on the
-//! JSON/metrics cold paths goes through [`TenantMap::iter_sorted`] /
-//! [`TenantMap::into_iter_sorted`], which order by the original tenant id
+//! JSON/metrics cold paths goes through `TenantMap::iter_sorted` /
+//! `TenantMap::into_iter_sorted`, which order by the original tenant id
 //! so emitted bytes (and float summation order) match the ordered-map
 //! output bit for bit.
 
@@ -95,7 +95,11 @@ impl<V> TenantMap<V> {
     /// The slot for `tenant`, interning it with `default()` on first
     /// touch — the dense analogue of `entry(t).or_insert_with(..)`.
     #[inline]
-    pub fn get_or_insert_with(&mut self, tenant: TenantId, default: impl FnOnce() -> V) -> &mut V {
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        tenant: TenantId,
+        default: impl FnOnce() -> V,
+    ) -> &mut V {
         let s = match self.slot(tenant) {
             Some(s) => s,
             None => self.intern(tenant, default()),
@@ -145,21 +149,21 @@ impl<V> TenantMap<V> {
 
     /// Mutable sweep over every value, in intern order. Used for bulk
     /// resets (budget-window rollover) where order is irrelevant.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
         self.vals.iter_mut()
     }
 
     /// Iterate `(tenant, &value)` ascending by tenant id — the iteration
     /// order of the `BTreeMap` this replaces. Sorts a slot permutation on
     /// each call; only for cold paths (gauges, JSON rows, Jain sums).
-    pub fn iter_sorted(&self) -> impl Iterator<Item = (TenantId, &V)> {
+    pub(crate) fn iter_sorted(&self) -> impl Iterator<Item = (TenantId, &V)> {
         let mut order: Vec<usize> = (0..self.keys.len()).collect();
         order.sort_unstable_by_key(|&s| self.keys[s]);
         order.into_iter().map(|s| (self.keys[s], &self.vals[s]))
     }
 
     /// Consume into `(tenant, value)` pairs ascending by tenant id.
-    pub fn into_iter_sorted(self) -> impl Iterator<Item = (TenantId, V)> {
+    pub(crate) fn into_iter_sorted(self) -> impl Iterator<Item = (TenantId, V)> {
         let mut pairs: Vec<(TenantId, V)> = self.keys.into_iter().zip(self.vals).collect();
         pairs.sort_unstable_by_key(|&(t, _)| t);
         pairs.into_iter()
@@ -171,7 +175,7 @@ impl<V> TenantMap<V> {
 /// plus a fixed-offset class index. Never iterated — the estimator and
 /// risk state it backs are read/update only.
 #[derive(Debug, Clone, Default)]
-pub struct TenantClassMap<V> {
+pub(crate) struct TenantClassMap<V> {
     inner: TenantMap<[Option<V>; JobClass::ALL.len()]>,
 }
 
@@ -192,7 +196,7 @@ impl<V> TenantClassMap<V> {
     /// The slot for `(tenant, class)`, created with `default()` on first
     /// touch — the dense analogue of `entry((t, c)).or_insert_with(..)`.
     #[inline]
-    pub fn get_or_insert_with(
+    pub(crate) fn get_or_insert_with(
         &mut self,
         tenant: TenantId,
         class: JobClass,

@@ -100,7 +100,7 @@ impl JobClass {
     /// Default epochs-to-threshold (`R` in the §5.3 model). These are the
     /// calibrated single-job numbers; [`crate::scheduler::CostAware`] can
     /// overwrite them per class with a live estimator run.
-    pub fn default_epochs(self) -> f64 {
+    pub(crate) fn default_epochs(self) -> f64 {
         match self {
             JobClass::LrHiggs => 6.0,
             JobClass::SvmRcv1 => 8.0,
@@ -109,12 +109,6 @@ impl JobClass {
             JobClass::MnCifar => 15.0,
             JobClass::RnCifar => 15.0,
         }
-    }
-
-    /// Whole epochs the lifecycle machine tracks for this class: `R`
-    /// rounded up to a whole number of epoch-granular checkpoints.
-    pub fn epoch_count(self) -> u32 {
-        (self.default_epochs().ceil() as u32).max(1)
     }
 
     /// Nominal single-job FaaS runtime (the fleet's FaaS case, default
@@ -256,16 +250,6 @@ mod tests {
     fn zoo_links_back_to_model_and_dataset_ids() {
         assert_eq!(JobClass::LrHiggs.workload().dataset(), DatasetId::Higgs);
         assert_eq!(JobClass::MnCifar.workload().model(), ModelId::MobileNet);
-    }
-
-    #[test]
-    fn epoch_counts_round_up_and_stay_positive() {
-        for c in JobClass::ALL {
-            assert!(c.epoch_count() >= 1, "{c:?}");
-            assert!(c.epoch_count() as f64 >= c.default_epochs(), "{c:?}");
-        }
-        assert_eq!(JobClass::LrHiggs.epoch_count(), 6);
-        assert_eq!(JobClass::RnCifar.epoch_count(), 15);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! One buffer per document: [`document`] reserves one `String` to the
 //! caller's upper bound and every nested object and array is written into
 //! it in place — no element is rendered into a `String` of its own and
-//! copied again. The bound is built from [`object_bound`] and
-//! [`quoted_bound`] (keys plus the widest value rendering), so the buffer
+//! copied again. The bound is built from `object_bound` and
+//! `quoted_bound` (keys plus the widest value rendering), so the buffer
 //! never grows while a document is written; reserved pages that are never
 //! touched cost no resident memory. Each document keeps its reserved bound,
 //! and the key lists that build it, because growing one unreserved
@@ -34,14 +34,14 @@ const VALUE_MAX: usize = 24;
 /// given keys, each once, when every value is a number, `null`, or a
 /// quoted name of at most 22 plain bytes. A nested object or array, or a
 /// longer string, adds its own bound on top.
-pub fn object_bound(keys: &[&str]) -> usize {
+pub(crate) fn object_bound(keys: &[&str]) -> usize {
     // `{}` plus, per member, `"key":`, the value and a separating comma.
     2 + keys.iter().map(|k| k.len() + 4 + VALUE_MAX).sum::<usize>()
 }
 
 /// Upper bound on the quoted, escaped rendering of `s`: no byte escapes to
 /// more than six (`\u001f`).
-pub fn quoted_bound(s: &str) -> usize {
+pub(crate) fn quoted_bound(s: &str) -> usize {
     2 + 6 * s.len()
 }
 

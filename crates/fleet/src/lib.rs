@@ -24,7 +24,7 @@
 //!   arrival stream (functions → tenants/classes); a bundled fixture
 //!   lives under `crates/fleet/data/opendc/`.
 //! * [`intern`] — dense key interning ([`TenantMap`],
-//!   [`TenantClassMap`]): the O(1) Vec-indexed tables behind every
+//!   `TenantClassMap`): the O(1) Vec-indexed tables behind every
 //!   hot-path per-tenant ledger and estimator state map, with
 //!   sorted-by-id cold iteration preserving `BTreeMap` output order.
 //! * [`stream`] — the pull-based [`TraceSource`] abstraction behind
@@ -80,9 +80,9 @@
 //! * [`observe`] — the observability layer: the [`FleetObserver`] hook
 //!   trait the simulator narrates runs through (lifecycle transitions,
 //!   scheduler decision audits, platform events, windowed gauges), with a
-//!   zero-cost [`NullObserver`] default, an in-memory [`RecordingObserver`]
-//!   (byte-stable `lml-fleet/trace/v1` JSON + Chrome trace-event export),
-//!   and a [`RollupCollector`] for per-window metric rollups.
+//!   zero-cost [`NullObserver`] default and an in-memory
+//!   [`RecordingObserver`] (byte-stable `lml-fleet/trace/v1` JSON + Chrome
+//!   trace-event export).
 
 #![forbid(unsafe_code)]
 
@@ -105,21 +105,18 @@ pub mod workload;
 
 pub use estimate::{
     Analytic, CompletedJob, Estimate, Estimator, Hybrid, Online, PreemptionObs, RiskModel,
-    ETA_QUANTILE,
 };
 pub use google::GoogleSource;
-pub use intern::{TenantClassMap, TenantMap};
+pub use intern::TenantMap;
 pub use job::{JobClass, JobRequest, TenantId};
-pub use lifecycle::{restore_beats_redo, CheckpointPolicy, JobLifecycle};
-pub use metrics::{
-    jain_index, ClassRow, FleetMetrics, JobRecord, PlatformTotals, TenantRow, WindowRollup,
-};
+pub use lifecycle::{CheckpointPolicy, JobLifecycle};
+pub use metrics::{jain_index, FleetMetrics, JobRecord, PlatformTotals, TenantRow, WindowRollup};
 pub use observe::{
     AttemptSpan, Decision, DecisionRecord, FleetEvent, FleetObserver, GaugeSample, NullObserver,
-    PlatformEvent, RecordingObserver, ReplayStats, RollupCollector,
+    PlatformEvent, RecordingObserver, ReplayStats,
 };
 pub use opendc::OpenDcSource;
-pub use platform::{FaasConfig, FaasRegion, IaasConfig, IaasPool, SpotConfig, SpotTier};
+pub use platform::{FaasConfig, IaasConfig, SpotConfig};
 pub use scheduler::{
     AllFaas, AllIaas, CostAware, DeadlineAware, FairShare, FleetView, QueueDiscipline, Route,
     Scheduler,

@@ -28,7 +28,7 @@
 //! rolls the job back to its last durable checkpoint instead of to zero;
 //! everything after it is counted as lost work.
 //!
-//! The attempt arithmetic lives in [`AttemptPlan`] / [`preempt_outcome`] as
+//! The attempt arithmetic lives in `AttemptPlan` / `preempt_outcome` as
 //! pure functions so the recovery invariants (checkpointing more often
 //! never increases lost work; any checkpointing beats `Never` once a
 //! preemption lands after a durable write) are unit-testable without
@@ -83,24 +83,13 @@ impl JobLifecycle {
     }
 
     /// Done and Rejected absorb; everything else keeps moving.
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         matches!(self, JobLifecycle::Done | JobLifecycle::Rejected)
-    }
-
-    /// Durable epoch count carried by the state, if it carries one.
-    pub fn epochs_done(self) -> Option<u32> {
-        match self {
-            JobLifecycle::Running { epochs_done }
-            | JobLifecycle::Checkpointing { epochs_done }
-            | JobLifecycle::Preempted { epochs_done }
-            | JobLifecycle::Requeued { epochs_done } => Some(epochs_done),
-            _ => None,
-        }
     }
 
     /// Is `next` a legal successor of `self`? Durable progress never moves
     /// backwards along an edge.
-    pub fn can_transition(self, next: JobLifecycle) -> bool {
+    fn can_transition(self, next: JobLifecycle) -> bool {
         use JobLifecycle::*;
         let forward = |from: u32, to: u32| to >= from;
         match (self, next) {
@@ -215,7 +204,7 @@ impl CheckpointPolicy {
 /// the instant epoch `j` completes (for `j` a multiple of the interval,
 /// `start < j < total`) and becomes durable `write_secs` later.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AttemptPlan {
+pub(crate) struct AttemptPlan {
     /// Durable epochs when the attempt begins (resume point).
     pub start_epoch: u32,
     /// Total epochs the job needs.
@@ -230,7 +219,7 @@ pub struct AttemptPlan {
 
 impl AttemptPlan {
     /// Seconds of training this attempt schedules.
-    pub fn run_secs(&self) -> f64 {
+    pub(crate) fn run_secs(&self) -> f64 {
         debug_assert!(self.start_epoch <= self.total_epochs);
         (self.total_epochs - self.start_epoch) as f64 * self.epoch_secs
     }
@@ -244,7 +233,7 @@ impl AttemptPlan {
     }
 
     /// Checkpoint uploads a *successful* attempt initiates (all billed).
-    pub fn writes_on_success(&self) -> u32 {
+    pub(crate) fn writes_on_success(&self) -> u32 {
         self.checkpoint_epochs().count() as u32
     }
 }
@@ -261,7 +250,7 @@ impl AttemptPlan {
 /// reserved-pool restores on full-price ones) against the instance-seconds
 /// of redoing the epochs. Ties go to redoing: a restore that buys nothing
 /// shouldn't bill a read.
-pub fn restore_beats_redo(
+pub(crate) fn restore_beats_redo(
     restore: SimTime,
     read_dollars: lml_sim::Cost,
     redo: SimTime,
@@ -276,7 +265,7 @@ pub fn restore_beats_redo(
 /// What a preemption `elapsed_run` seconds into the attempt's run phase
 /// left behind.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PreemptOutcome {
+pub(crate) struct PreemptOutcome {
     /// Durable progress surviving the preemption (≥ the attempt's start).
     pub durable_epochs: u32,
     /// Epochs fully trained when the market struck (durable or not).
@@ -294,7 +283,7 @@ pub struct PreemptOutcome {
 /// Resolve a preemption landing `elapsed_run` seconds into the run phase
 /// of `plan` (clamped to the phase; boot/restore-phase preemptions pass
 /// `0.0` and lose nothing).
-pub fn preempt_outcome(plan: &AttemptPlan, elapsed_run: f64) -> PreemptOutcome {
+pub(crate) fn preempt_outcome(plan: &AttemptPlan, elapsed_run: f64) -> PreemptOutcome {
     let t = elapsed_run.clamp(0.0, plan.run_secs());
     let e = plan.epoch_secs;
     let completed_rel = if e > 0.0 { (t / e).floor() as u32 } else { 0 };
@@ -357,7 +346,6 @@ mod tests {
         l.transition(Deferred);
         assert!(!l.is_terminal());
         assert_eq!(l.name(), "deferred");
-        assert_eq!(l.epochs_done(), None);
         // Released at the next accounting window, then runs normally.
         for next in [
             Queued,
@@ -398,14 +386,6 @@ mod tests {
     fn transition_panics_on_illegal_edge() {
         let mut l = Done;
         l.transition(Booting);
-    }
-
-    #[test]
-    fn epochs_done_is_carried_by_progress_states() {
-        assert_eq!(Running { epochs_done: 4 }.epochs_done(), Some(4));
-        assert_eq!(Requeued { epochs_done: 2 }.epochs_done(), Some(2));
-        assert_eq!(Queued.epochs_done(), None);
-        assert_eq!(Done.epochs_done(), None);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub struct JobRecord {
     /// snapshotted at admission (`None` for constant routers and rejected
     /// jobs).
     pub predicted_run: Option<SimTime>,
-    /// The calibrated [`crate::estimate::ETA_QUANTILE`] (P95) runtime ETA
+    /// The calibrated `ETA_QUANTILE` (P95) runtime ETA
     /// ([`crate::estimate::Estimate::eta_q`]) on the routed substrate,
     /// snapshotted at admission. Equal to `predicted_run` for estimators
     /// without spread state; the coverage rollup scores it against the
@@ -97,7 +97,7 @@ impl JobRecord {
     /// Did the job meet its deadline? `None` when it had none or was
     /// rejected at admission (it never ran, so "met" is undefined — the
     /// rejection is surfaced separately).
-    pub fn deadline_met(&self) -> Option<bool> {
+    fn deadline_met(&self) -> Option<bool> {
         if self.rejected {
             return None;
         }
@@ -109,7 +109,7 @@ impl JobRecord {
     /// quantity the estimator predicts — queue and startup are charged
     /// separately). `None` without a prediction or an actual to score
     /// against.
-    pub fn runtime_ape(&self) -> Option<f64> {
+    pub(crate) fn runtime_ape(&self) -> Option<f64> {
         if self.rejected {
             return None;
         }
@@ -119,7 +119,7 @@ impl JobRecord {
     }
 
     /// Absolute percentage error of the cost prediction.
-    pub fn cost_ape(&self) -> Option<f64> {
+    fn cost_ape(&self) -> Option<f64> {
         if self.rejected {
             return None;
         }
@@ -134,7 +134,7 @@ impl JobRecord {
     /// [`crate::estimate::Estimate::eta_q`] (a calibrated estimator sits
     /// near the target quantile; a blind one sits wherever its luck put
     /// it).
-    pub fn eta_covered(&self) -> Option<bool> {
+    fn eta_covered(&self) -> Option<bool> {
         if self.rejected {
             return None;
         }
@@ -267,7 +267,7 @@ pub struct TenantRow {
 
 /// Per-class rollup row (replaces the old anonymous tuple).
 #[derive(Debug, Clone, Copy)]
-pub struct ClassRow {
+pub(crate) struct ClassRow {
     pub class: JobClass,
     /// Jobs of this class that actually ran.
     pub jobs: usize,
@@ -583,7 +583,7 @@ impl FleetMetrics {
 
     /// Per-class breakdown of the jobs that ran, in class order — named
     /// [`ClassRow`]s, prediction error included.
-    pub fn per_class(&self) -> Vec<ClassRow> {
+    fn per_class(&self) -> Vec<ClassRow> {
         // One bucketing pass instead of a scan per class; buckets keep
         // record order, so per-class sums and quantiles are bit-identical.
         let mut buckets: Vec<Vec<&JobRecord>> = vec![Vec::new(); JobClass::ALL.len()];

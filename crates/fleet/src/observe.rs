@@ -22,7 +22,7 @@
 //!   clock: queue depth, deferred backlog, pool/warm utilization, spot
 //!   holdings, per-tenant spend.
 //!
-//! Three sinks ship with the trait:
+//! Two sinks ship with the trait:
 //!
 //! * [`NullObserver`] — the zero-cost default behind [`crate::simulate`];
 //!   every hook is a no-op and [`FleetObserver::active`] returns `false`,
@@ -33,10 +33,10 @@
 //!   `lml-fleet/trace/v1`) and a Chrome trace-event exporter
 //!   ([`RecordingObserver::to_chrome_trace`]) loadable in Perfetto or
 //!   `chrome://tracing`.
-//! * [`RollupCollector`] — collects the incremental per-window metric
-//!   rollups ([`FleetObserver::rollup_period`]) and the run's
-//!   [`ReplayStats`], and nothing else: the constant-memory way to watch a
-//!   streamed replay.
+//!
+//! An observer that returns a [`FleetObserver::rollup_period`] also gets
+//! the incremental per-window metric rollups and, at the end, the run's
+//! [`ReplayStats`]: the constant-memory way to watch a streamed replay.
 //!
 //! Determinism contract: with the default `NullObserver` nothing changes —
 //! no extra events enter the queue and every metrics byte matches the
@@ -111,7 +111,7 @@ pub enum Decision {
         route: Route,
         /// Mean predicted run on the routed substrate, seconds.
         predicted_run_s: Option<f64>,
-        /// Calibrated [`ETA_QUANTILE`] (P95) ETA on the routed substrate,
+        /// Calibrated `ETA_QUANTILE` (P95) ETA on the routed substrate,
         /// seconds.
         eta_q_s: Option<f64>,
         /// Risk-adjusted spot ETA (clean attempt plus expected
@@ -769,51 +769,49 @@ impl FleetObserver for RecordingObserver {
     }
 }
 
-/// Collects incremental window rollups from a (streaming) replay and
-/// nothing else. `active()` is `false`, so no per-event payloads are
-/// assembled and no gauge clock is armed — and because the rollup flush
-/// rides the engine's own event times, a run with this sink is
-/// byte-identical to an unobserved one. This is the constant-memory way
-/// to watch a million-job replay: one `WindowRollup` per window instead
-/// of one `JobRecord` per job.
-#[derive(Debug)]
-pub struct RollupCollector {
-    period: SimTime,
-    /// Flushed windows, in index order.
-    pub windows: Vec<WindowRollup>,
-    /// Streaming counters delivered at the end of the run.
-    pub replay_stats: Option<ReplayStats>,
-}
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
 
-impl RollupCollector {
-    pub fn new(period: SimTime) -> Self {
-        assert!(period.as_secs() > 0.0, "rollup period must be positive");
-        RollupCollector {
-            period,
-            windows: Vec::new(),
-            replay_stats: None,
+    /// Keeps the window rollups and the `ReplayStats` of a replay and
+    /// nothing else. `active()` is `false`, so no per-event payloads are
+    /// assembled and no gauge clock is armed — and because the rollup flush
+    /// rides the engine's own event times, a run with this sink is
+    /// byte-identical to an unobserved one.
+    #[derive(Debug)]
+    pub(crate) struct RollupCollector {
+        period: SimTime,
+        /// Flushed windows, in index order.
+        pub windows: Vec<WindowRollup>,
+        /// Streaming counters delivered at the end of the run.
+        pub replay_stats: Option<ReplayStats>,
+    }
+
+    impl RollupCollector {
+        pub fn new(period: SimTime) -> Self {
+            assert!(period.as_secs() > 0.0, "rollup period must be positive");
+            RollupCollector {
+                period,
+                windows: Vec::new(),
+                replay_stats: None,
+            }
         }
     }
-}
 
-impl FleetObserver for RollupCollector {
-    fn active(&self) -> bool {
-        false
+    impl FleetObserver for RollupCollector {
+        fn active(&self) -> bool {
+            false
+        }
+        fn rollup_period(&self) -> Option<SimTime> {
+            Some(self.period)
+        }
+        fn rollup(&mut self, w: &WindowRollup) {
+            self.windows.push(*w);
+        }
+        fn replay(&mut self, stats: &ReplayStats) {
+            self.replay_stats = Some(*stats);
+        }
     }
-    fn rollup_period(&self) -> Option<SimTime> {
-        Some(self.period)
-    }
-    fn rollup(&mut self, w: &WindowRollup) {
-        self.windows.push(*w);
-    }
-    fn replay(&mut self, stats: &ReplayStats) {
-        self.replay_stats = Some(*stats);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn null_observer_is_inactive() {

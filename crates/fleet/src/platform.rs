@@ -58,7 +58,7 @@ pub(crate) const MAX_RETRIES: u32 = 3;
 /// Provisioned-concurrency price per GB-second: what an always-warm
 /// container costs whether invoked or not (AWS Lambda provisioned
 /// concurrency, ≈¼ the on-demand duration rate).
-pub const PROVISIONED_PRICE_PER_GB_SECOND: f64 = 0.000_004_166_7;
+const PROVISIONED_PRICE_PER_GB_SECOND: f64 = 0.000_004_166_7;
 
 /// FaaS region configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,7 +67,7 @@ pub struct FaasConfig {
     pub concurrency_limit: usize,
     /// Always-warm containers the account pre-pays for (provisioned
     /// concurrency). They never go cold, are consumed before the organic
-    /// warm pool, and bill at [`PROVISIONED_PRICE_PER_GB_SECOND`] for the
+    /// warm pool, and bill at `PROVISIONED_PRICE_PER_GB_SECOND` for the
     /// whole simulation whether invoked or not.
     pub provisioned_concurrency: usize,
 }
@@ -83,7 +83,7 @@ impl Default for FaasConfig {
 
 /// Runtime state of the FaaS region.
 #[derive(Debug, Clone)]
-pub struct FaasRegion {
+pub(crate) struct FaasRegion {
     pub cfg: FaasConfig,
     /// Functions currently executing.
     in_use: usize,
@@ -127,7 +127,7 @@ impl FaasRegion {
     }
 
     /// Concurrency slack at `now`.
-    pub fn available(&self) -> usize {
+    pub(crate) fn available(&self) -> usize {
         self.cfg.concurrency_limit - self.in_use
     }
 
@@ -135,7 +135,7 @@ impl FaasRegion {
     /// startup latency and how many workers were served from the warm pool:
     /// warm workers re-attach with one Invoke round-trip, cold workers pay
     /// the Table 6 cold-start curve for the *cold* count only.
-    pub fn try_start(&mut self, now: SimTime, workers: usize) -> Option<(SimTime, usize)> {
+    pub(crate) fn try_start(&mut self, now: SimTime, workers: usize) -> Option<(SimTime, usize)> {
         assert!(workers >= 1);
         assert!(
             workers <= self.cfg.concurrency_limit,
@@ -191,7 +191,7 @@ impl FaasRegion {
     /// The pre-paid provisioned-concurrency bill over `horizon`: every
     /// provisioned container-second at the provisioned GB-second rate,
     /// busy or idle.
-    pub fn provisioned_cost(&self, horizon: SimTime) -> Cost {
+    pub(crate) fn provisioned_cost(&self, horizon: SimTime) -> Cost {
         Cost::usd(
             self.cfg.provisioned_concurrency as f64
                 * FUNCTION_GB
@@ -210,15 +210,11 @@ impl FaasRegion {
         }
     }
 
-    pub fn warm_starts(&self) -> u64 {
-        self.warm_starts
-    }
-
-    pub fn cold_starts(&self) -> u64 {
+    pub(crate) fn cold_starts(&self) -> u64 {
         self.cold_starts
     }
 
-    pub fn peak_concurrency(&self) -> usize {
+    pub(crate) fn peak_concurrency(&self) -> usize {
         self.peak_in_use
     }
 }
@@ -243,7 +239,7 @@ impl Default for IaasConfig {
 
 /// Runtime state of the reserved-cluster pool.
 #[derive(Debug, Clone)]
-pub struct IaasPool {
+pub(crate) struct IaasPool {
     pub cfg: IaasConfig,
     /// Instances currently booted (busy + idle).
     capacity: usize,
@@ -301,7 +297,7 @@ impl IaasPool {
     }
 
     /// Try to start a `workers`-wide job on idle instances.
-    pub fn try_start(&mut self, now: SimTime, workers: usize) -> bool {
+    pub(crate) fn try_start(&mut self, now: SimTime, workers: usize) -> bool {
         assert!(workers >= 1);
         self.tick(now);
         if self.free >= workers {
@@ -322,7 +318,7 @@ impl IaasPool {
     /// Request capacity for `deficit` more workers. Returns the number of
     /// instances actually launched and their boot time (the Table 6
     /// `t_I(k)` curve for the batch being booted).
-    pub fn scale_up(&mut self, now: SimTime, deficit: usize) -> Option<(usize, SimTime)> {
+    pub(crate) fn scale_up(&mut self, now: SimTime, deficit: usize) -> Option<(usize, SimTime)> {
         self.tick(now);
         let headroom = self.cfg.max_instances - self.capacity - self.provisioning;
         let k = deficit.min(headroom);
@@ -345,7 +341,7 @@ impl IaasPool {
 
     /// Release idle capacity above the reserved floor. Returns instances
     /// released.
-    pub fn scale_down_idle(&mut self, now: SimTime) -> usize {
+    pub(crate) fn scale_down_idle(&mut self, now: SimTime) -> usize {
         self.tick(now);
         let releasable = self
             .free
@@ -356,7 +352,7 @@ impl IaasPool {
     }
 
     /// Close the books at the end of the simulation.
-    pub fn finalize(&mut self, now: SimTime) {
+    pub(crate) fn finalize(&mut self, now: SimTime) {
         self.tick(now);
     }
 
@@ -377,7 +373,7 @@ impl IaasPool {
         }
     }
 
-    pub fn peak_capacity(&self) -> usize {
+    pub(crate) fn peak_capacity(&self) -> usize {
         self.peak_capacity
     }
 }
@@ -398,7 +394,7 @@ impl SpotConfig {
     /// zero-observation prior of [`crate::estimate::RiskModel`]. A
     /// `workers`-wide cluster dies at `workers × λ` (first instance
     /// reclaimed kills the attempt).
-    pub fn preemption_rate_per_instance_s(&self) -> f64 {
+    pub(crate) fn preemption_rate_per_instance_s(&self) -> f64 {
         assert!(self.mean_time_to_preempt.as_secs() > 0.0);
         1.0 / self.mean_time_to_preempt.as_secs()
     }
@@ -422,7 +418,7 @@ impl Default for SpotConfig {
 /// Billing covers exactly the instance-seconds actually held (boot + run
 /// until completion or preemption) at a 70% discount.
 #[derive(Debug, Clone)]
-pub struct SpotTier {
+pub(crate) struct SpotTier {
     pub cfg: SpotConfig,
     seed: u64,
     in_use: usize,
@@ -472,7 +468,7 @@ impl SpotTier {
     /// policy see identical reclaim times attempt-for-attempt, which is
     /// what makes "more frequent checkpoints never lose more work" a
     /// structural guarantee rather than a statistical accident.
-    pub fn preemption_clock(&self, job_id: u64, attempt: u32, workers: usize) -> SimTime {
+    pub(crate) fn preemption_clock(&self, job_id: u64, attempt: u32, workers: usize) -> SimTime {
         assert!(workers >= 1);
         let tag = job_id
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -506,7 +502,7 @@ impl SpotTier {
     }
 
     /// Discounted price of holding `workers` instances for `held`.
-    pub fn price_of(&self, workers: usize, held: SimTime) -> Cost {
+    pub(crate) fn price_of(&self, workers: usize, held: SimTime) -> Cost {
         self.price(workers as f64 * held.as_secs())
     }
 
@@ -519,13 +515,13 @@ impl SpotTier {
         self.preemptions
     }
 
-    pub fn peak_in_use(&self) -> usize {
+    pub(crate) fn peak_in_use(&self) -> usize {
         self.peak_in_use
     }
 
     /// Spot instances currently held — a point-in-time gauge for telemetry
     /// (peak_in_use is the high-water mark, this is the live level).
-    pub fn in_use(&self) -> usize {
+    pub(crate) fn in_use(&self) -> usize {
         self.in_use
     }
 }

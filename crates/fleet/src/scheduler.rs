@@ -16,7 +16,6 @@ use crate::estimate::{
     calibrate_epochs, Analytic, CompletedJob, Estimate, Estimator, PreemptionObs, RiskModel,
     ETA_QUANTILE,
 };
-use crate::intern::TenantMap;
 use crate::job::{JobClass, JobRequest, TenantId};
 use crate::lifecycle::CheckpointPolicy;
 use lml_sim::SimTime;
@@ -135,7 +134,7 @@ pub trait Scheduler: Send {
     fn observe_preemption(&mut self, _obs: &PreemptionObs) {}
     /// The quantile this policy prices runtime tails at. The fleet prices
     /// every tail (admission ETAs, deferral-vs-rejection, the coverage
-    /// score) at [`ETA_QUANTILE`], so [`crate::replay`] returns `Err` for
+    /// score) at `ETA_QUANTILE`, so [`crate::replay`] returns `Err` for
     /// a policy answering anything else. No in-tree policy overrides it;
     /// it stays a trait method only because wrapping schedulers forward
     /// it.
@@ -308,7 +307,7 @@ impl Scheduler for CostAware {
 /// spot ETA ride the market too.
 ///
 /// Deadline tests price runtimes at a quantile, not the mean: every ETA
-/// is the [`ETA_QUANTILE`] (P95) [`Estimate::eta_q`], so an estimator
+/// is the `ETA_QUANTILE` (P95) [`Estimate::eta_q`], so an estimator
 /// that has learned its spread makes the laxity test honest about the
 /// tail.
 /// Spot admission is risk-aware: the expected
@@ -452,7 +451,7 @@ impl DeadlineAware {
     /// from the preemption posterior, each costing a re-boot and a redo
     /// slice. This is what the laxity must cover (times
     /// `RECOVERY_SLACK`) before a deadline job rides the market.
-    pub fn spot_eta(&self, job: &JobRequest, e: &Estimate, cushion_secs: f64) -> f64 {
+    fn spot_eta(&self, job: &JobRequest, e: &Estimate, cushion_secs: f64) -> f64 {
         let run_q = e.eta_q(Route::Spot);
         let attempt = cushion_secs + run_q;
         let cycles = self
@@ -558,15 +557,15 @@ impl Scheduler for DeadlineAware {
     }
 }
 
-/// Weighted fair-share scheduler: cost-based routing (like [`CostAware`]
-/// without the escape hatch) plus deficit-round-robin admission across
-/// tenants ([`QueueDiscipline::Drr`]) — the simulator starts the queued
-/// job of the tenant with the least weighted service first, so one
-/// tenant's burst cannot starve the others.
+/// Fair-share scheduler: cost-based routing (like [`CostAware`] without
+/// the escape hatch) plus deficit-round-robin admission across tenants
+/// ([`QueueDiscipline::Drr`]) — the simulator starts the queued job of the
+/// tenant with the least service first, so one tenant's burst cannot
+/// starve the others. Every tenant weighs 1 (the
+/// [`Scheduler::tenant_weight`] default).
 #[derive(Debug, Clone)]
 pub struct FairShare {
     est: Box<dyn Estimator>,
-    weights: TenantMap<f64>,
     /// Share of IaaS-bound jobs routed to spot.
     spot_fraction: f64,
 }
@@ -581,7 +580,6 @@ impl FairShare {
     pub fn new() -> Self {
         FairShare {
             est: Box::new(Analytic::new()),
-            weights: TenantMap::new(),
             spot_fraction: 0.0,
         }
     }
@@ -595,13 +593,6 @@ impl FairShare {
     /// Swap in a different prediction model (online, hybrid, …).
     pub fn with_estimator(mut self, est: Box<dyn Estimator>) -> Self {
         self.est = est;
-        self
-    }
-
-    /// Set a tenant's fair-share weight (tenants not set weigh 1).
-    pub fn with_weight(mut self, tenant: TenantId, weight: f64) -> Self {
-        assert!(weight > 0.0, "weights must be positive");
-        self.weights.insert(tenant, weight);
         self
     }
 
@@ -620,10 +611,6 @@ impl Scheduler for FairShare {
 
     fn discipline(&self) -> QueueDiscipline {
         QueueDiscipline::Drr
-    }
-
-    fn tenant_weight(&self, tenant: TenantId) -> f64 {
-        self.weights.get(tenant).copied().unwrap_or(1.0)
     }
 
     fn route(&mut self, job: &JobRequest, _view: &FleetView) -> Route {
@@ -927,8 +914,7 @@ mod tests {
 
     #[test]
     fn fair_share_weights_default_to_one_for_unknown_tenants() {
-        let s = FairShare::new().with_weight(0, 3.0);
-        assert_eq!(s.tenant_weight(0), 3.0);
+        let s = FairShare::new();
         assert_eq!(s.tenant_weight(999), 1.0, "unknown tenant id → weight 1");
         assert_eq!(s.discipline(), QueueDiscipline::Drr);
         assert_eq!(DeadlineAware::new().discipline(), QueueDiscipline::Edf);
@@ -1009,7 +995,7 @@ mod tests {
                 run: t_i * 40.0,
                 startup: SimTime::secs(2.0),
                 cost: Cost::usd(0.5),
-                epochs_total: JobClass::LrHiggs.epoch_count(),
+                epochs_total: 6,
                 preemptions: 0,
             });
         }

@@ -343,7 +343,7 @@ impl<'a> Fleet<'a> {
 /// `faas.concurrency_limit`, a non-positive `spot.mean_time_to_preempt`,
 /// [`CheckpointPolicy::EveryK`]`(0)`, a non-positive or non-finite
 /// [`FleetConfig::budget_window`], or a scheduler whose
-/// [`Scheduler::eta_quantile`] is not [`crate::ETA_QUANTILE`].
+/// [`Scheduler::eta_quantile`] is not `ETA_QUANTILE`.
 ///
 /// ```
 /// use lml_fleet::{replay, AllFaas, FleetConfig, TextSource};

@@ -318,7 +318,7 @@ mod tests {
 
     #[test]
     fn incremental_rollups_cover_the_run() {
-        use crate::observe::RollupCollector;
+        use crate::observe::tests::RollupCollector;
         let trace = small_trace(200, 1.0, 7);
         let cfg = FleetConfig::default();
         let baseline = simulate(&trace, &cfg, &mut AllFaas, 7).to_json();

@@ -103,7 +103,7 @@ impl PsModel {
 
     /// Applying one worker's `m`-byte update to the global model
     /// (Table 2 "Model Update").
-    pub fn update_time_single(&self, m: ByteSize) -> SimTime {
+    fn update_time_single(&self, m: ByteSize) -> SimTime {
         SimTime::secs(m.as_f64() * self.rpc.update_secs_per_byte(self.instance))
     }
 

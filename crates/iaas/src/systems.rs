@@ -34,7 +34,7 @@ impl SystemProfile {
     /// Extra start-up on top of the EC2 cluster boot (starting HDFS, Yarn
     /// and submitting through the Hadoop stack). Fit: 457 − 132 = 325 s at
     /// 10 workers, growing mildly with cluster size.
-    pub fn extra_startup(self, workers: usize) -> SimTime {
+    fn extra_startup(self, workers: usize) -> SimTime {
         match self {
             SystemProfile::PyTorch => SimTime::ZERO,
             SystemProfile::Angel => SimTime::secs(300.0 + 2.5 * workers as f64),

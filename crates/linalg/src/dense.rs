@@ -76,19 +76,6 @@ pub fn argmax(x: &[f64]) -> usize {
     best.0
 }
 
-/// Index of the minimum element (first on ties). Panics on empty input.
-#[inline]
-pub fn argmin(x: &[f64]) -> usize {
-    assert!(!x.is_empty(), "argmin of empty slice");
-    let mut best = (0, x.first().copied().unwrap_or(f64::NAN));
-    for (i, &v) in x.iter().enumerate().skip(1) {
-        if v < best.1 {
-            best = (i, v);
-        }
-    }
-    best.0
-}
-
 /// Numerically-stable logistic sigmoid.
 #[inline]
 pub fn sigmoid(z: f64) -> f64 {
@@ -163,9 +150,8 @@ mod tests {
     }
 
     #[test]
-    fn argmax_argmin() {
+    fn argmax_picks_the_first_maximum() {
         assert_eq!(argmax(&[1.0, 5.0, 3.0]), 1);
-        assert_eq!(argmin(&[1.0, 5.0, 3.0]), 0);
         assert_eq!(argmax(&[2.0, 2.0]), 0, "first wins ties");
     }
 

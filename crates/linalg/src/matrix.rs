@@ -2,10 +2,8 @@
 //!
 //! Used for dense feature blocks (a dataset partition is a `rows × dim`
 //! matrix) and MLP weight layers. Only the operations the workloads need are
-//! implemented: row access, matvec, and transposed-matvec (the backprop
-//! kernel).
-
-use crate::dense;
+//! implemented: construction, element and row access, and flat views (the
+//! MLP's products run over these rows in [`crate::blocked`]).
 
 /// Row-major `rows × cols` matrix of f64.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,26 +68,6 @@ impl Matrix {
     pub fn as_flat_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
-
-    /// `out = self * x` where `x` has `cols` entries and `out` has `rows`.
-    pub fn matvec(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "matvec: x length");
-        assert_eq!(out.len(), self.rows, "matvec: out length");
-        for (r, o) in out.iter_mut().enumerate() {
-            *o = dense::dot(self.row(r), x);
-        }
-    }
-
-    /// `out = selfᵀ * x` where `x` has `rows` entries and `out` has `cols`.
-    /// This is the backprop kernel `Wᵀ δ`.
-    pub fn matvec_t(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.rows, "matvec_t: x length");
-        assert_eq!(out.len(), self.cols, "matvec_t: out length");
-        dense::zero(out);
-        for (r, &xr) in x.iter().enumerate() {
-            dense::axpy(xr, self.row(r), out);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -115,22 +93,6 @@ mod tests {
         m.set(1, 2, 7.0);
         assert_eq!(m.get(1, 2), 7.0);
         assert_eq!(m.as_flat().iter().sum::<f64>(), 7.0);
-    }
-
-    #[test]
-    fn matvec_forward() {
-        let m = m22();
-        let mut out = vec![0.0; 2];
-        m.matvec(&[1.0, 1.0], &mut out);
-        assert_eq!(out, vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn matvec_transposed() {
-        let m = m22();
-        let mut out = vec![0.0; 2];
-        m.matvec_t(&[1.0, 1.0], &mut out);
-        assert_eq!(out, vec![4.0, 6.0]);
     }
 
     #[test]

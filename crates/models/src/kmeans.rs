@@ -38,21 +38,12 @@ impl KMeans {
         KMeans { centroids }
     }
 
-    /// Initialize from an explicit centroid matrix.
-    pub fn from_centroids(centroids: Matrix) -> Self {
-        KMeans { centroids }
-    }
-
     pub fn k(&self) -> usize {
         self.centroids.rows()
     }
 
-    pub fn feature_dim(&self) -> usize {
+    fn feature_dim(&self) -> usize {
         self.centroids.cols()
-    }
-
-    pub fn centroids(&self) -> &Matrix {
-        &self.centroids
     }
 
     /// Length of the flat parameter/statistic vector: `k·(d+1)`.
@@ -132,7 +123,7 @@ impl KMeans {
 
     /// M-step: replace centroids with the means in the aggregated statistics.
     /// Empty clusters keep their previous centroid (standard practice).
-    pub fn apply_stats(&mut self, stats: &[f64]) {
+    pub(crate) fn apply_stats(&mut self, stats: &[f64]) {
         let d = self.feature_dim();
         assert_eq!(stats.len(), self.stats_len(), "stats length mismatch");
         for c in 0..self.k() {
@@ -195,8 +186,8 @@ mod tests {
         let loss = km.loss(&data, &rows);
         assert!(loss < 0.1, "loss {loss} should be tiny for separated blobs");
         // centroids near (0,0) and (10,10) in some order
-        let c0 = km.centroids().row(0);
-        let c1 = km.centroids().row(1);
+        let c0 = km.centroids.row(0);
+        let c1 = km.centroids.row(1);
         let near_origin = c0[0].abs() < 1.0 || c1[0].abs() < 1.0;
         let near_ten = c0[0] > 9.0 || c1[0] > 9.0;
         assert!(near_origin && near_ten);
@@ -237,18 +228,20 @@ mod tests {
     #[test]
     fn empty_cluster_keeps_centroid() {
         let data = two_blob_data();
-        let mut km = KMeans::from_centroids(Matrix::from_flat(
-            2,
-            2,
-            vec![0.0, 0.0, 100.0, 100.0], // second centroid far from all data
-        ));
+        let mut km = KMeans {
+            centroids: Matrix::from_flat(
+                2,
+                2,
+                vec![0.0, 0.0, 100.0, 100.0], // second centroid far from all data
+            ),
+        };
         let rows: Vec<usize> = (0..data.len()).collect();
         // All points still closer to centroid 1 than (100,100)? No: blob at
         // (10,10) is nearer to (100,100)? dist to (0,0) = 200, to (100,100)
         // = 16200 — everything assigns to centroid 0.
         em_epoch(&mut km, &data, &rows);
         assert_eq!(
-            km.centroids().row(1),
+            km.centroids.row(1),
             &[100.0, 100.0],
             "empty cluster unchanged"
         );

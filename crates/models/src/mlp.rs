@@ -63,7 +63,7 @@ impl Mlp {
     }
 
     /// Total parameter count for an architecture.
-    pub fn param_count(sizes: &[usize]) -> usize {
+    fn param_count(sizes: &[usize]) -> usize {
         dims(sizes).map(|(n_in, n_out)| n_in * n_out + n_out).sum()
     }
 
@@ -139,7 +139,7 @@ impl Mlp {
     }
 
     /// Class probabilities for one example.
-    pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
+    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
         let mut acts = self.lane_buffers();
         Self::forward(&self.layers(), &[x], &mut acts);
         let mut probs = vec![0.0; self.classes()];

@@ -85,7 +85,7 @@ impl Algorithm {
     /// Length of the statistic a worker produces for `model`: k-means'
     /// per-cluster sums and counts under EM, the model's parameters
     /// otherwise.
-    pub fn statistic_len(&self, model: &AnyModel) -> usize {
+    pub(crate) fn statistic_len(&self, model: &AnyModel) -> usize {
         match (self, model) {
             (Algorithm::Em, AnyModel::KMeans(km)) => km.stats_len(),
             _ => model.param_len(),
@@ -163,7 +163,7 @@ impl WorkerState {
     /// The caller owns the buffer, so a round that runs its workers on
     /// several threads can still allocate every statistic on the calling
     /// thread (see `lml_sim::par`).
-    pub fn produce_into(
+    pub(crate) fn produce_into(
         &mut self,
         algo: &Algorithm,
         data: &Dataset,

@@ -10,7 +10,7 @@ use lml_models::AnyModel;
 
 /// Cycling mini-batch cursor over a worker's partition rows.
 #[derive(Debug, Clone)]
-pub struct BatchCursor {
+pub(crate) struct BatchCursor {
     rows: Vec<usize>,
     pos: usize,
     batch: usize,
@@ -29,7 +29,7 @@ impl BatchCursor {
     }
 
     /// The next mini-batch of row indices (wraps around the partition).
-    pub fn next_batch(&mut self) -> Vec<usize> {
+    pub(crate) fn next_batch(&mut self) -> Vec<usize> {
         let n = self.rows.len();
         let mut out = Vec::with_capacity(self.batch);
         for _ in 0..self.batch {
@@ -40,7 +40,7 @@ impl BatchCursor {
     }
 
     /// Mini-batches per full pass over the partition.
-    pub fn batches_per_epoch(&self) -> usize {
+    pub(crate) fn batches_per_epoch(&self) -> usize {
         self.rows.len().div_ceil(self.batch)
     }
 
@@ -56,7 +56,7 @@ impl BatchCursor {
 /// One SGD step on `model` over `batch` rows: `w ← w − lr·∇f(w)`.
 /// `grad_buf` is a caller-provided scratch buffer of `param_len`. Returns
 /// the mini-batch loss *before* the step.
-pub fn sgd_step(
+pub(crate) fn sgd_step(
     model: &mut AnyModel,
     data: &Dataset,
     batch: &[usize],

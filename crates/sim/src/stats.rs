@@ -66,12 +66,12 @@ impl Summary {
     /// Several percentiles off one shared sort — the amortized form of
     /// [`Summary::percentile`] for rollups that read the whole tail
     /// (p50/p95/p99) of the same sample.
-    pub fn percentiles<const N: usize>(&self, ps: [f64; N]) -> [f64; N] {
+    fn percentiles<const N: usize>(&self, ps: [f64; N]) -> [f64; N] {
         let mut sorted = self.clone();
         sorted.into_percentiles(ps)
     }
 
-    /// Consuming form of [`Summary::percentiles`]: sorts the sample in
+    /// Consuming form of `Summary::percentiles`: sorts the sample in
     /// place instead of cloning it first. Same order statistics, same
     /// interpolation — this is the hot-rollup path, where the caller owns
     /// the sample and the clone would be pure overhead. Read `mean`/`max`

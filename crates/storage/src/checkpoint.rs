@@ -4,7 +4,7 @@
 //! per-epoch auxiliary state the algorithm needs to resume mid-run (ADMM
 //! dual variables, EM sufficient statistics, SGD momentum buffers) — the
 //! same order of magnitude as the model itself, so the checkpoint ships
-//! [`CHECKPOINT_AUX_FACTOR`] × the model's wire size.
+//! `CHECKPOINT_AUX_FACTOR` × the model's wire size.
 //!
 //! Write/read time and dollars go through the same [`ServiceProfile`]
 //! channel model as every other storage operation in the repository
@@ -24,7 +24,7 @@ use lml_sim::{ByteSize, Cost, SimTime};
 
 /// Checkpoint bytes per model byte: the model itself plus the resumable
 /// optimizer/algorithm state (dual variables, momentum, cluster stats).
-pub const CHECKPOINT_AUX_FACTOR: f64 = 2.0;
+const CHECKPOINT_AUX_FACTOR: f64 = 2.0;
 
 /// Size of one recovery checkpoint for a model of `model_bytes` wire size.
 pub fn checkpoint_bytes(model_bytes: f64) -> ByteSize {

@@ -33,6 +33,6 @@ pub mod store;
 
 pub use blob::Blob;
 pub use channel::{StorageChannel, StorageError};
-pub use checkpoint::{checkpoint_bytes, CheckpointCosting, CHECKPOINT_AUX_FACTOR};
+pub use checkpoint::{checkpoint_bytes, CheckpointCosting};
 pub use profile::{CacheNode, ServiceKind, ServiceProfile};
 pub use store::ObjectStore;

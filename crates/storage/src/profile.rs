@@ -88,7 +88,7 @@ pub struct RequestPrice {
 }
 
 impl RequestPrice {
-    pub const FREE: RequestPrice = RequestPrice {
+    const FREE: RequestPrice = RequestPrice {
         per_request: Cost(0.0),
         per_unit: Cost(0.0),
         unit_bytes: 0,
@@ -102,7 +102,7 @@ impl RequestPrice {
         }
     }
 
-    pub fn per_unit(per_unit: Cost, unit_bytes: u64) -> Self {
+    fn per_unit(per_unit: Cost, unit_bytes: u64) -> Self {
         RequestPrice {
             per_request: Cost::ZERO,
             per_unit,
