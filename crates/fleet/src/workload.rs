@@ -10,6 +10,7 @@
 //! there, once.
 
 use crate::job::{JobClass, JobRequest, TenantId};
+use crate::json::{push_f64, push_u64};
 use crate::stream::{collect, GeneratorSource, TextSource};
 use lml_sim::{Pcg64, SimTime};
 use std::collections::BTreeMap;
@@ -200,36 +201,39 @@ impl Trace {
     }
 
     /// Serialize to the replayable text format: one
-    /// `time class workers tenant deadline` line per job, times in shortest
-    /// roundtrip notation, `-` for "no deadline". Traces carrying tenant
+    /// `time class workers tenant deadline` line per job, times as `{:?}`
+    /// writes them (shortest round-trip, by [`crate::json`]'s float
+    /// writer), `-` for "no deadline". Traces carrying tenant
     /// budgets emit the v3 header and one `budget <tenant> <usd>` line per
     /// cap; budget-less traces emit v2 bytes unchanged.
     pub fn to_text(&self) -> String {
-        let mut out = if self.budgets.is_empty() {
-            String::from("# lml-fleet trace v2: submit_secs\tclass\tworkers\ttenant\tdeadline\n")
+        let mut out = String::from(if self.budgets.is_empty() {
+            "# lml-fleet trace v2: submit_secs\tclass\tworkers\ttenant\tdeadline\n"
         } else {
-            let mut s = String::from(
-                "# lml-fleet trace v3: [budget\ttenant\tusd]* then \
-                 submit_secs\tclass\tworkers\ttenant\tdeadline\n",
-            );
-            for (&t, &usd) in &self.budgets {
-                s.push_str(&format!("budget\t{t}\t{usd:?}\n"));
-            }
-            s
-        };
+            "# lml-fleet trace v3: [budget\ttenant\tusd]* then \
+             submit_secs\tclass\tworkers\ttenant\tdeadline\n"
+        });
+        for (&t, &usd) in &self.budgets {
+            out.push_str("budget\t");
+            push_u64(&mut out, u64::from(t));
+            out.push('\t');
+            push_f64(&mut out, usd);
+            out.push('\n');
+        }
         for j in &self.jobs {
-            let deadline = match j.deadline {
-                Some(d) => format!("{:?}", d.as_secs()),
-                None => "-".to_string(),
-            };
-            out.push_str(&format!(
-                "{:?}\t{}\t{}\t{}\t{}\n",
-                j.submit.as_secs(),
-                j.class.name(),
-                j.workers,
-                j.tenant,
-                deadline
-            ));
+            push_f64(&mut out, j.submit.as_secs());
+            out.push('\t');
+            out.push_str(j.class.name());
+            out.push('\t');
+            push_u64(&mut out, j.workers as u64);
+            out.push('\t');
+            push_u64(&mut out, u64::from(j.tenant));
+            out.push('\t');
+            match j.deadline {
+                Some(d) => push_f64(&mut out, d.as_secs()),
+                None => out.push('-'),
+            }
+            out.push('\n');
         }
         out
     }
