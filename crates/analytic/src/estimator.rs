@@ -11,8 +11,8 @@
 use lml_data::generators::DatasetId;
 use lml_data::transform::train_valid_split;
 use lml_models::ModelId;
-use lml_optim::algorithm::{sum_statistics, Algorithm};
-use lml_optim::driver::{replicas, run_sync, DriverCtx};
+use lml_optim::algorithm::Algorithm;
+use lml_optim::driver::{replicas, run_sync, Aggregate, DriverCtx};
 use lml_optim::{LrSchedule, StopSpec};
 use lml_sim::SimTime;
 use std::convert::Infallible;
@@ -93,7 +93,7 @@ pub fn estimate_epochs(
         &ctx,
         workers,
         &|_| SimTime::ZERO,
-        &mut |_, _, stats| Ok((sum_statistics(&stats), SimTime::ZERO)),
+        Aggregate::InMemory(SimTime::ZERO),
         &mut |t| t,
     );
     EpochEstimate {

@@ -20,7 +20,7 @@ use lml_faas::startup::{faas_startup_time, INVOKE_LATENCY};
 use lml_faas::{LambdaSpec, LifetimeManager};
 use lml_models::AnyModel;
 use lml_optim::algorithm::Algorithm;
-use lml_optim::driver::replicas;
+use lml_optim::driver::{replicas, Aggregate};
 use lml_optim::{CurvePoint, LossCurve};
 use lml_sim::{EventQueue, Pcg64, SimTime};
 use lml_storage::StorageChannel;
@@ -100,10 +100,15 @@ fn run_bsp(
     };
     let stat_wire = model.statistic_wire_bytes();
     let bsp = Bsp::new(pattern);
-    let mut run = run_backend(job, &model, backend, &mut |round, epoch, stats| {
-        let o = bsp.run_round(&mut channel, epoch, round as usize, stats, stat_wire)?;
-        Ok((o.aggregate, o.duration))
-    })?;
+    let mut run = run_backend(
+        job,
+        &model,
+        backend,
+        Aggregate::ByValue(&mut |round, epoch, stats| {
+            let o = bsp.run_round(&mut channel, epoch, round as usize, stats, stat_wire)?;
+            Ok((o.aggregate, o.duration))
+        }),
+    )?;
     run.result.cost = CostBreakdown {
         compute: lambda_bill(spec, w, run.busy),
         requests: channel.request_cost(),

@@ -14,7 +14,7 @@ use crate::result::{CostBreakdown, RunResult};
 use lml_faas::{faas_startup_time, LambdaSpec, LifetimeManager};
 use lml_iaas::{cluster::iaas_startup_table, InstanceType, PsModel, RpcKind};
 use lml_models::AnyModel;
-use lml_optim::algorithm::sum_statistics;
+use lml_optim::driver::Aggregate;
 use lml_sim::{Cost, SimTime};
 
 /// Run a hybrid job (dispatched from [`TrainingJob::run`]).
@@ -44,11 +44,9 @@ pub fn run(
         compute_factor: 1.0,
         lifetime: Some(LifetimeManager::with_overhead(rollover)),
     };
-    let stat_wire = model.statistic_wire_bytes();
-    let mut run = run_backend(job, &model, backend, &mut |_, _, stats| {
-        // The PS receives every statistic and computes the sum.
-        Ok((sum_statistics(&stats), ps.round_time(w, stat_wire)))
-    })?;
+    // The PS receives every statistic and computes the sum.
+    let round = ps.round_time(w, model.statistic_wire_bytes());
+    let mut run = run_backend(job, &model, backend, Aggregate::InMemory(round))?;
     run.result.cost = CostBreakdown {
         compute: lambda_bill(spec, w, run.busy),
         requests: Cost::ZERO,

@@ -14,7 +14,7 @@ use crate::job::{JobError, TrainingJob};
 use crate::result::{CostBreakdown, RunResult};
 use lml_iaas::{ring_allreduce_time, ClusterSpec, InstanceType, SystemProfile};
 use lml_models::AnyModel;
-use lml_optim::algorithm::sum_statistics;
+use lml_optim::driver::Aggregate;
 
 /// Run an IaaS job (dispatched from [`TrainingJob::run`]).
 pub fn run(
@@ -49,9 +49,7 @@ pub fn run(
     };
     let ring =
         ring_allreduce_time(w, model.statistic_wire_bytes(), instance.vm_link()) * comm_factor;
-    let mut run = run_backend(job, &model, backend, &mut |_, _, stats| {
-        Ok((sum_statistics(&stats), ring))
-    })?;
+    let mut run = run_backend(job, &model, backend, Aggregate::InMemory(ring))?;
     run.result.cost = CostBreakdown {
         compute: cluster.cost(run.elapsed),
         ..CostBreakdown::default()

@@ -11,6 +11,7 @@ use crate::job::{JobError, TrainingJob};
 use crate::result::{CostBreakdown, RunResult};
 use lml_iaas::{cluster::iaas_startup_table, InstanceType};
 use lml_models::AnyModel;
+use lml_optim::driver::Aggregate;
 use lml_sim::SimTime;
 
 /// Run a single-machine job (dispatched from [`TrainingJob::run`]).
@@ -35,10 +36,16 @@ pub fn run(
         compute_factor: 1.0,
         lifetime: None,
     };
-    // One worker, no communication: its statistic is the aggregate.
-    let mut run = run_backend(job, &model, backend, &mut |_, _, stats| {
-        Ok((stats.into_iter().next().unwrap_or_default(), SimTime::ZERO))
-    })?;
+    // One worker, no communication: its statistic is the aggregate, with
+    // no `0.0 +` step in front of it.
+    let mut run = run_backend(
+        job,
+        &model,
+        backend,
+        Aggregate::ByValue(&mut |_, _, stats| {
+            Ok((stats.into_iter().next().unwrap_or_default(), SimTime::ZERO))
+        }),
+    )?;
     run.result.cost = CostBreakdown {
         compute: instance.hourly() * run.elapsed.as_hours(),
         ..CostBreakdown::default()

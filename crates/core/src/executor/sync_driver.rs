@@ -2,7 +2,10 @@
 //!
 //! FaaS-BSP, IaaS, hybrid and single-machine training differ only in a
 //! `SyncBackend` (start-up, data loading, the engine a worker computes
-//! on, and Lambda lifetimes), an aggregation hook and a bill.
+//! on, and Lambda lifetimes), an [`Aggregate`] and a bill. IaaS and hybrid
+//! take the loop's in-memory sum, which allocates its statistics once
+//! per run; FaaS hands each round's statistics to the storage channel by
+//! value, and the single machine hands its one statistic over as the sum.
 //! `run_backend` builds the worker replicas and the loop's inputs from a
 //! job, runs [`run_sync`], and assembles the [`RunResult`]; the executor
 //! then prices its own [`CostBreakdown`] from the final meters. Dollars
@@ -20,7 +23,7 @@ use crate::result::{Breakdown, CostBreakdown, RunResult};
 use lml_faas::LifetimeManager;
 use lml_iaas::GpuKind;
 use lml_models::AnyModel;
-use lml_optim::driver::{replicas, run_sync, CommRoundFn, DriverCtx};
+use lml_optim::driver::{replicas, run_sync, Aggregate, DriverCtx};
 use lml_sim::SimTime;
 
 /// What one synchronous backend contributes to a run.
@@ -51,12 +54,12 @@ pub(crate) struct SyncRun {
     pub busy: SimTime,
 }
 
-/// Train `job` on `backend`, aggregating each round with `comm_round`.
+/// Train `job` on `backend`, aggregating each round as `aggregate` says.
 pub(crate) fn run_backend(
     job: &TrainingJob<'_>,
     model: &AnyModel,
     backend: SyncBackend,
-    comm_round: &mut CommRoundFn<'_, JobError>,
+    aggregate: Aggregate<'_, JobError>,
 ) -> Result<SyncRun, JobError> {
     let (cfg, wl) = (&job.config, job.workload);
     let workers = replicas(model, wl.train.len(), backend.partitions, &cfg.algorithm);
@@ -82,7 +85,7 @@ pub(crate) fn run_backend(
         )
     };
     let mut lifetime = backend.lifetime;
-    let out = run_sync(&ctx, workers, &compute_time_of, comm_round, &mut |t| {
+    let out = run_sync(&ctx, workers, &compute_time_of, aggregate, &mut |t| {
         lifetime.as_mut().map_or(t, |l| l.charge(t))
     })?;
     Ok(SyncRun {

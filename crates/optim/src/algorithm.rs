@@ -271,7 +271,13 @@ impl WorkerState {
 }
 
 /// Element-wise sum of worker statistics, added in worker order
-/// (`0, 1, …, w−1`) — the in-memory aggregation of the serverful backends.
+/// (`0, 1, …, w−1`): element `j` is `((0.0 + s₀[j]) + s₁[j]) + …`.
+///
+/// This is the specification of the in-memory form of
+/// [`run_sync`](crate::driver::run_sync), which the serverful backends
+/// aggregate with: its waves and fold must give these bits, and a test
+/// holds them to it. The benchmark's shadow of the driver loop sums its
+/// IaaS rounds with this function.
 ///
 /// From [`par::FAN_OUT_MIN_F64S`] values up, the output is split into one
 /// contiguous element range per core and the ranges are summed at once

@@ -7,19 +7,27 @@
 //! caller supplies only what infrastructure adds — compute time per round,
 //! the aggregation with its communication time, and wall time per round.
 //! `lml-core`'s executors call it with their channels and clocks, and the
-//! §5.3 epoch estimator (`lml_analytic::estimate_epochs`) with an
+//! §5.3 epoch estimator (`lml_analytic::estimate_epochs`) with the
 //! in-memory sum and no clock at all.
 //!
-//! The hook owns each round's statistics: [`run_sync`] hands them over by
-//! value, so a storage channel can take them as they are (the FaaS
-//! executor's `Bsp::run_round`) while in-memory sums read them in place.
+//! The caller picks how a round's statistics are summed ([`Aggregate`]).
+//! The in-memory form sums them in the loop, as the serverful backends'
+//! AllReduce and parameter server do: the workers produce in waves of
+//! `threads` into a pool of `threads` statistics, allocated once per run,
+//! and each wave is folded into one aggregate in worker order, every
+//! element keeping the chain [`sum_statistics`] gives it. The by-value
+//! form hands the round's `n` freshly allocated statistics to a hook, so a
+//! storage channel can take them as they are (the FaaS executor's
+//! `Bsp::run_round`).
 //!
 //! A round's workers compute at once, as the paper's Lambdas and VMs do:
-//! `produce` and `consume` fan out over the host's cores through
+//! `produce`, the fold and `consume` fan out over the host's cores through
 //! [`lml_sim::par`], which returns results in worker order, so every bit
 //! is the one a serial loop computes. Rounds below
 //! [`par::FAN_OUT_MIN_F64S`] (statistic length × workers) stay on one
 //! thread, where a fan-out would cost more than it saves.
+//!
+//! [`sum_statistics`]: crate::algorithm::sum_statistics
 
 use crate::algorithm::{Algorithm, WorkerState};
 use crate::schedule::LrSchedule;
@@ -81,14 +89,26 @@ pub struct DriverOutput {
 pub type CommRoundFn<'a, E> =
     dyn FnMut(u64, usize, Vec<Vec<f64>>) -> Result<(Vec<f64>, SimTime), E> + 'a;
 
+/// How [`run_sync`] turns a round's statistics into the sum every worker
+/// consumes.
+pub enum Aggregate<'a, E> {
+    /// Sum in memory, in worker order, with the bits of
+    /// [`sum_statistics`](crate::algorithm::sum_statistics); every round
+    /// takes this communication time. The loop allocates one statistic per
+    /// thread and one aggregate per run, not `n` statistics per round.
+    InMemory(SimTime),
+    /// Hand the round's `n` statistics to the hook by value; its error
+    /// ends the run.
+    ByValue(&'a mut CommRoundFn<'a, E>),
+}
+
 /// Run the synchronous loop.
 ///
 /// * `compute_time_of(max_examples)` — critical-path compute time of one
 ///   round in which the busiest worker touched `max_examples` *sample*
 ///   rows (the hook applies the paper-scale conversion).
-/// * `comm_round(round, epoch, stats)` — take the statistics, return
-///   the element-wise sum and the communication time; its error ends the
-///   run.
+/// * `aggregate` — how each round's statistics are summed, and the
+///   communication time that takes.
 /// * `wall_of_round(t)` — wall time consumed by a round of busy time `t`
 ///   (identity for VMs; lifetime rollovers for Lambda workers).
 ///
@@ -98,7 +118,7 @@ pub fn run_sync<E>(
     ctx: &DriverCtx<'_>,
     workers: Vec<WorkerState>,
     compute_time_of: &dyn Fn(u64) -> SimTime,
-    comm_round: &mut CommRoundFn<'_, E>,
+    aggregate: Aggregate<'_, E>,
     wall_of_round: &mut dyn FnMut(SimTime) -> SimTime,
 ) -> Result<DriverOutput, E> {
     let stat_len = workers
@@ -110,19 +130,19 @@ pub fn run_sync<E>(
         ctx,
         workers,
         compute_time_of,
-        comm_round,
+        aggregate,
         wall_of_round,
     )
 }
 
-/// [`run_sync`] with each round's `produce` and `consume` on `threads`
-/// threads.
+/// [`run_sync`] with each round's `produce`, in-memory sum and `consume`
+/// on `threads` threads.
 fn run_sync_on<E>(
     threads: usize,
     ctx: &DriverCtx<'_>,
     mut workers: Vec<WorkerState>,
     compute_time_of: &dyn Fn(u64) -> SimTime,
-    comm_round: &mut CommRoundFn<'_, E>,
+    mut aggregate: Aggregate<'_, E>,
     wall_of_round: &mut dyn FnMut(SimTime) -> SimTime,
 ) -> Result<DriverOutput, E> {
     assert!(!workers.is_empty());
@@ -139,6 +159,8 @@ fn run_sync_on<E>(
     let mut comm_total = SimTime::ZERO;
     let mut overhead_total = SimTime::ZERO;
     let mut converged = false;
+    // The in-memory form's buffers, allocated at the first round.
+    let mut waves: Option<WaveSum> = None;
 
     loop {
         if ctx.stop.exhausted(epochs, elapsed) {
@@ -147,24 +169,36 @@ fn run_sync_on<E>(
         let epoch_idx = epochs.floor() as usize;
         let lr = ctx.schedule.lr(epoch_idx);
 
-        // Every worker produces its statistic (real math). The buffers are
-        // allocated here, on the calling thread: statistics allocated by
-        // short-lived helper threads would sit in their own malloc arenas
-        // and raise peak RSS (see `lml_sim::par`).
-        let mut stats: Vec<Vec<f64>> = (0..n).map(|_| vec![0.0; stat_len]).collect();
-        let examples =
-            par::parallel_map(workers.iter_mut().zip(&mut stats), threads, |_, (w, s)| {
-                w.produce_into(&ctx.algo, ctx.train, lr, s)
-            });
-        let max_examples = examples.into_iter().fold(0, u64::max);
+        // Every worker produces its statistic (real math) and the round's
+        // statistics are summed. Every buffer is allocated here, on the
+        // calling thread: statistics allocated by short-lived helper
+        // threads would sit in their own malloc arenas and raise peak RSS
+        // (see `lml_sim::par`).
+        let produce =
+            |w: &mut WorkerState, s: &mut [f64]| w.produce_into(&ctx.algo, ctx.train, lr, s);
+        let by_value;
+        let (max_examples, agg, comm_t): (u64, &[f64], SimTime) = match &mut aggregate {
+            Aggregate::InMemory(comm_t) => {
+                let sum = waves.get_or_insert_with(|| WaveSum::new(threads.min(n), stat_len));
+                (sum.round(&mut workers, threads, produce), &sum.agg, *comm_t)
+            }
+            Aggregate::ByValue(comm_round) => {
+                // Real data through the backend's channel.
+                let mut stats: Vec<Vec<f64>> = (0..n).map(|_| vec![0.0; stat_len]).collect();
+                let examples =
+                    par::parallel_map(workers.iter_mut().zip(&mut stats), threads, |_, (w, s)| {
+                        produce(w, s)
+                    });
+                let comm_t;
+                (by_value, comm_t) = comm_round(rounds, epoch_idx, stats)?;
+                (examples.into_iter().fold(0, u64::max), &by_value, comm_t)
+            }
+        };
         let compute_t = compute_time_of(max_examples);
-
-        // Aggregate (real data through the backend's channel).
-        let (agg, comm_t) = comm_round(rounds, epoch_idx, stats)?;
 
         // Everyone consumes the sum.
         par::parallel_map(workers.iter_mut(), threads, |_, w| {
-            w.consume(&ctx.algo, &agg, n, lr)
+            w.consume(&ctx.algo, agg, n, lr)
         });
 
         rounds += 1;
@@ -194,6 +228,9 @@ fn run_sync_on<E>(
         }
     }
 
+    // The final evaluation is a run's high-water mark: free the sum's
+    // buffers first.
+    drop(waves);
     let final_model = workers[0].eval_model(&ctx.algo).into_owned();
     converged |= curve.close(&ctx.stop, elapsed, epochs, rounds, || {
         final_model.full_loss(ctx.valid)
@@ -209,6 +246,78 @@ fn run_sync_on<E>(
         converged,
         final_model,
     })
+}
+
+/// The in-memory sum's buffers for one run: a pool of one statistic per
+/// thread, and the aggregate.
+struct WaveSum {
+    /// Zeroed between waves, as `produce_into` expects.
+    pool: Vec<Vec<f64>>,
+    agg: Vec<f64>,
+}
+
+impl WaveSum {
+    fn new(pool: usize, stat_len: usize) -> Self {
+        WaveSum {
+            pool: (0..pool).map(|_| vec![0.0; stat_len]).collect(),
+            agg: vec![0.0; stat_len],
+        }
+    }
+
+    /// Have every worker `produce(worker, statistic)` into a zeroed pool
+    /// buffer, in waves of the pool's size, and sum the statistics into
+    /// `agg` in worker order; return the most examples a worker touched.
+    ///
+    /// After each wave, each of `threads` threads takes one element range
+    /// of `agg` and adds the wave's statistics to it one after the other,
+    /// zeroing each behind its read. The first wave starts the range from
+    /// +0.0, so every element is `((0.0 + s₀) + s₁) + … + sₙ₋₁`, as in
+    /// [`sum_statistics`](crate::algorithm::sum_statistics).
+    fn round<W: Send>(
+        &mut self,
+        workers: &mut [W],
+        threads: usize,
+        produce: impl Fn(&mut W, &mut [f64]) -> u64 + Sync,
+    ) -> u64 {
+        let range = self.agg.len().div_ceil(threads.max(1)).max(1);
+        let mut max_examples = 0;
+        for (wave, ws) in workers.chunks_mut(self.pool.len()).enumerate() {
+            let k = ws.len();
+            let examples = par::parallel_map(
+                ws.iter_mut().zip(self.pool.iter_mut()),
+                threads,
+                |_, (w, s)| produce(w, s),
+            );
+            max_examples = examples.into_iter().fold(max_examples, u64::max);
+
+            // One item per element range: the aggregate's and each
+            // statistic's share of it.
+            let mut ranges: Vec<(&mut [f64], Vec<&mut [f64]>)> = self
+                .agg
+                .chunks_mut(range)
+                .map(|out| (out, Vec::with_capacity(k)))
+                .collect();
+            for s in self.pool.iter_mut().take(k) {
+                for ((_, ins), part) in ranges.iter_mut().zip(s.chunks_mut(range)) {
+                    ins.push(part);
+                }
+            }
+            par::parallel_map(ranges, threads, |_, (out, ins)| {
+                let mut ins = ins.into_iter();
+                if wave == 0 {
+                    for (o, v) in out.iter_mut().zip(ins.next().into_iter().flatten()) {
+                        *o = 0.0 + std::mem::take(v);
+                    }
+                }
+                for s in ins {
+                    for (o, v) in out.iter_mut().zip(s) {
+                        *o += std::mem::take(v);
+                    }
+                }
+            });
+        }
+        max_examples
+    }
 }
 
 #[cfg(test)]
@@ -238,7 +347,7 @@ mod tests {
             &ctx,
             workers,
             &|ex| SimTime::secs(ex as f64 * 0.001),
-            &mut |_r, _e, stats| Ok((sum_statistics(&stats), SimTime::secs(0.5))),
+            Aggregate::InMemory(SimTime::secs(0.5)),
             &mut |t| t,
         );
         out
@@ -301,8 +410,9 @@ mod tests {
 
     /// One line per case: an FNV-1a over the `to_bits` of the final
     /// parameters and of the curve's losses, the rounds, and the epochs'
-    /// `to_bits` hex. Every driver case runs 5 workers and sums in memory,
-    /// as the IaaS and hybrid backends do; each is above
+    /// `to_bits` hex. Every driver case runs 5 workers through the
+    /// in-memory form that the IaaS and hybrid backends use, so its waves
+    /// and fold are pinned at every thread count; each is above
     /// `par::FAN_OUT_MIN_F64S` except the dense convex ones (no dense
     /// dataset is wide enough), and the test forces the thread count
     /// anyway. The last line pins `sum_statistics` alone (its range split
@@ -381,28 +491,86 @@ sum_statistics sum=e9b4344a9d575bcb
             &ctx,
             workers,
             &|_| SimTime::secs(1.0),
-            &mut |_r, _e, stats| Ok((sum_statistics(&stats), SimTime::ZERO)),
+            Aggregate::InMemory(SimTime::ZERO),
             &mut |t| t,
         );
         out
     }
 
-    /// 5 statistics of 200,003 values (not a multiple of 2, 3 or 8), each
-    /// a normal deviate scaled by 2^-15 … 2^15.
-    fn sum_case() -> Vec<Vec<f64>> {
-        let mut rng = lml_sim::Pcg64::new(42);
-        (0..5)
+    /// `n` Pcg64 statistics of `len` values, each a normal deviate scaled
+    /// by 2^-15 … 2^15.
+    fn statistics(seed: u64, n: usize, len: usize) -> Vec<Vec<f64>> {
+        let mut rng = lml_sim::Pcg64::new(seed);
+        (0..n)
             .map(|_| {
-                (0..200_003)
+                (0..len)
                     .map(|_| rng.normal() * 2f64.powi(rng.below(31) as i32 - 15))
                     .collect()
             })
             .collect()
     }
 
+    /// The sum of 5 statistics of 200,003 values (not a multiple of 2, 3
+    /// or 8).
     fn sum_line() -> String {
-        let sum = sum_statistics(&sum_case());
+        let sum = sum_statistics(&statistics(42, 5, 200_003));
         format!("sum_statistics sum={:016x}", fnv_f64s(&sum))
+    }
+
+    /// The in-memory form's waves and fold put every bit where
+    /// `sum_statistics` puts it, and hand `produce` a zeroed buffer every
+    /// time: two rounds per case through one pool, at lengths 7 and
+    /// 200,003 (not multiples of 2, 3 or 8), with 1, 2, 3, 5, 10 and 11
+    /// statistics on 1, 2, 3 and 8 threads. The first round scatters −0.0
+    /// over Pcg64 statistics, with every fifth element −0.0 in all of them;
+    /// in the second, statistic 0 is all −0.0, so a lone one sums to +0.0.
+    #[test]
+    fn the_wave_fold_has_the_bits_of_sum_statistics() {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for len in [7, 200_003] {
+            for n in [1, 2, 3, 5, 10, 11] {
+                let mut first = statistics(1, n, len);
+                for (k, s) in first.iter_mut().enumerate() {
+                    for (j, x) in s.iter_mut().enumerate() {
+                        if j % 3 == k % 3 || j % 5 == 0 {
+                            *x = -0.0;
+                        }
+                    }
+                }
+                let mut second = statistics(2, n, len);
+                if let Some(s) = second.first_mut() {
+                    s.fill(-0.0);
+                }
+                for threads in [1, 2, 3, 8] {
+                    let mut sum = WaveSum::new(threads.min(n), len);
+                    for (round, stats) in [&first, &second].into_iter().enumerate() {
+                        let mut workers: Vec<&[f64]> = stats.iter().map(Vec::as_slice).collect();
+                        sum.round(&mut workers, threads, |w, s| {
+                            assert!(s.iter().all(|x| x.to_bits() == 0), "a stale pool buffer");
+                            s.copy_from_slice(w);
+                            1
+                        });
+                        let case = format!(
+                            "length {len}, {n} statistics, {threads} threads, round {round}"
+                        );
+                        assert!(
+                            bits(&sum.agg) == bits(&sum_statistics(stats)),
+                            "{case}: a bit moved"
+                        );
+                    }
+                    if n == 1 {
+                        assert!(
+                            sum.agg.iter().all(|x| x.to_bits() == 0),
+                            "−0.0 alone must sum to +0.0"
+                        );
+                    }
+                    assert!(
+                        sum.pool.iter().flatten().all(|x| x.to_bits() == 0),
+                        "the pool ends zeroed"
+                    );
+                }
+            }
+        }
     }
 
     fn pin_table(threads: usize) -> String {

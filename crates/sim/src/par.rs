@@ -14,10 +14,12 @@
 //!   on the caller's thread.
 //!
 //! The callers are `lml-bench`'s sweeps (one item per grid cell),
-//! `lml-core`'s synchronous round (one item per worker, for `produce` and
-//! `consume`), [`sum_in_order`] (one item per element range; under
-//! `lml-optim`'s `sum_statistics` and `lml-comm`'s AllReduce merge) and
-//! `lml-comm`'s ScatterReduce merge (one item per chunk). The calling
+//! `lml-optim`'s synchronous round (one item per worker, for `produce` and
+//! `consume`, a wave of workers at a time in its in-memory form, and one
+//! item per element range for that form's fold of each wave),
+//! [`sum_in_order`] (one item per element range; under `lml-optim`'s
+//! `sum_statistics` and `lml-comm`'s AllReduce merge) and `lml-comm`'s
+//! ScatterReduce merge (one item per chunk). The calling
 //! thread works as one of the threads, so `t` threads
 //! spawn `t − 1` helpers: a caller that only waited would hold its own
 //! buffers while one more helper allocated, and on the training workloads
