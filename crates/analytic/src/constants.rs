@@ -31,19 +31,22 @@ pub fn t_i() -> &'static PiecewiseLinear {
 }
 
 /// S3 bandwidth, bytes/s.
-pub const B_S3: f64 = 65e6;
+pub(crate) const B_S3: f64 = 65e6;
 /// S3 latency, seconds.
-pub const L_S3: f64 = 8e-2;
+pub(crate) const L_S3: f64 = 8e-2;
 /// VM network bandwidth, t2.medium↔t2.medium.
 pub(crate) const B_N_T2: f64 = 120e6;
 /// VM network latency, t2.
 pub(crate) const L_N_T2: f64 = 5e-4;
 /// VM network bandwidth, c5.large↔c5.large.
+#[cfg(test)]
 pub(crate) const B_N_C5: f64 = 225e6;
 /// VM network latency, c5.
+#[cfg(test)]
 pub(crate) const L_N_C5: f64 = 1.5e-4;
 /// ElastiCache latency.
-pub const L_EC: f64 = 1e-2;
+#[cfg(test)]
+pub(crate) const L_EC: f64 = 1e-2;
 
 /// The full Table 6, row by row (paper means and spreads).
 pub fn table6() -> Vec<Constant> {

@@ -54,15 +54,6 @@ impl AnalyticCase {
         }
     }
 
-    /// IaaS on c5.large.
-    pub const fn iaas_c5() -> Self {
-        AnalyticCase {
-            bandwidth: constants::B_N_C5,
-            latency: constants::L_N_C5,
-            worker_price_per_s: InstanceType::C5Large.hourly().as_usd() / 3600.0,
-        }
-    }
-
     /// Dollars per second for `w` workers.
     pub fn rate(&self, w: usize) -> f64 {
         w as f64 * self.worker_price_per_s
@@ -91,8 +82,8 @@ impl Substrate {
 }
 
 /// The §5.3 closed form, `startup + load + R·(ρ·comm_round + compute)`,
-/// over already-evaluated terms. [`time`], [`cost`] and [`price`] build
-/// one from the formula's inputs; the `whatif` case studies transform one
+/// over already-evaluated terms. [`time`] and [`price`] build one from
+/// the formula's inputs; the `whatif` case studies transform one
 /// built from a simulated run.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -172,12 +163,6 @@ pub fn time(p: &AnalyticParams, c: &AnalyticCase, s: Substrate, w: usize) -> Sim
     scenario(p, c, s, w).time()
 }
 
-/// Dollar cost `w × price × billed seconds`: FaaS bills only execution
-/// (time minus start-up), IaaS bills wall time including start-up.
-pub fn cost(p: &AnalyticParams, c: &AnalyticCase, s: Substrate, w: usize) -> Cost {
-    scenario(p, c, s, w).cost()
-}
-
 /// One job on one substrate, split the way the fleet simulator uses it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Price {
@@ -189,7 +174,7 @@ pub struct Price {
     pub dollars: Cost,
 }
 
-/// The fleet's price of one job. Unlike [`cost`], `dollars` never bills
+/// The fleet's price of one job. Unlike [`Scenario::cost`], `dollars` never bills
 /// start-up, even on IaaS: the fleet simulates start-up (and bills it)
 /// itself.
 pub fn price(p: &AnalyticParams, c: &AnalyticCase, s: Substrate, w: usize) -> Price {
@@ -217,6 +202,15 @@ mod tests {
             bandwidth: ec.stream_bw,
             latency: constants::L_EC,
             ..AnalyticCase::faas_s3()
+        }
+    }
+
+    /// IaaS on c5.large.
+    fn iaas_c5() -> AnalyticCase {
+        AnalyticCase {
+            bandwidth: constants::B_N_C5,
+            latency: constants::L_N_C5,
+            worker_price_per_s: InstanceType::C5Large.hourly().as_usd() / 3600.0,
         }
     }
 
@@ -267,8 +261,12 @@ mod tests {
     fn faas_is_not_proportionally_cheaper() {
         // Even when FaaS is much faster it is never much cheaper (§1).
         let p = lr_higgs();
-        let fc = cost(&p, &AnalyticCase::faas_s3(), Faas, 10).as_usd();
-        let ic = cost(&p, &AnalyticCase::iaas_t2(), Iaas, 10).as_usd();
+        let fc = scenario(&p, &AnalyticCase::faas_s3(), Faas, 10)
+            .cost()
+            .as_usd();
+        let ic = scenario(&p, &AnalyticCase::iaas_t2(), Iaas, 10)
+            .cost()
+            .as_usd();
         assert!(fc > 0.2 * ic, "FaaS ${fc} vs IaaS ${ic}");
     }
 
@@ -301,16 +299,17 @@ mod tests {
             (AnalyticCase::faas_s3(), faas),
             (faas_elasticache(), faas),
             (AnalyticCase::iaas_t2(), black_box(0.0464) / 3600.0),
-            (AnalyticCase::iaas_c5(), black_box(0.085) / 3600.0),
+            (iaas_c5(), black_box(0.085) / 3600.0),
         ];
         for (case, want) in pins {
             assert_eq!(case.worker_price_per_s.to_bits(), want.to_bits());
         }
     }
 
-    /// One line per [`AnalyticCase`] (the three constructors and
-    /// `faas_elasticache` above), over its share of 2,000 random
-    /// workloads: an FNV-1a over the `to_bits` of [`time`], of [`cost`]
+    /// One line per [`AnalyticCase`] (the two constructors, and
+    /// `faas_elasticache` and `iaas_c5` above), over its share of 2,000
+    /// random workloads: an FNV-1a over the `to_bits` of [`time`], of
+    /// [`Scenario::cost`]
     /// and of [`price`]'s three fields, each on both substrates.
     /// A moved column names the formula that moved; the failure prints the
     /// whole new table to paste over it.
@@ -332,7 +331,7 @@ iaas_c5 time=df3b9f90f991fd3b cost=bd05a58db089bd4b price=b0d156ef910fffc6
             ("faas_s3", AnalyticCase::faas_s3(), [offset; 3]),
             ("faas_elasticache", faas_elasticache(), [offset; 3]),
             ("iaas_t2", AnalyticCase::iaas_t2(), [offset; 3]),
-            ("iaas_c5", AnalyticCase::iaas_c5(), [offset; 3]),
+            ("iaas_c5", iaas_c5(), [offset; 3]),
         ];
         let mut rng = lml_sim::Pcg64::new(0x5eed_0053);
         // 2,000 cases, dealt to the four cases in turn.
@@ -348,7 +347,7 @@ iaas_c5 time=df3b9f90f991fd3b cost=bd05a58db089bd4b price=b0d156ef910fffc6
                 let w = 1 + rng.index(1_000);
                 for s in [Faas, Iaas] {
                     *time_h = fnv(*time_h, time(&p, c, s, w).as_secs().to_bits());
-                    *cost_h = fnv(*cost_h, cost(&p, c, s, w).as_usd().to_bits());
+                    *cost_h = fnv(*cost_h, scenario(&p, c, s, w).cost().as_usd().to_bits());
                     let got = price(&p, c, s, w);
                     for v in [
                         got.startup.as_secs(),

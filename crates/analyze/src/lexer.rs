@@ -19,13 +19,13 @@
 
 /// One lexed token. Line numbers are 1-based.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     pub kind: TokenKind,
     pub line: u32,
 }
 
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// An identifier or keyword (raw identifiers are folded in, sans `r#`).
     Ident(String),
     /// A lifetime such as `'a` or `'static` (the tick and name).

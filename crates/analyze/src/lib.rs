@@ -43,7 +43,7 @@ use std::path::{Path, PathBuf};
 /// comparison: lint findings plus the measured panic counts and extracted
 /// schema fields that `--check` compares and `--write-baseline` records.
 #[derive(Debug, Default)]
-pub struct Analysis {
+struct Analysis {
     pub findings: Vec<Finding>,
     pub files_scanned: usize,
     pub panic_counts: BTreeMap<String, PanicCounts>,
@@ -122,7 +122,7 @@ fn rel(root: &Path, p: &Path) -> String {
 
 /// Lex and lint every source file; measure panic counts; extract schema
 /// fields. Pure data gathering — no baseline files are read.
-pub fn analyze(root: &Path) -> io::Result<Analysis> {
+fn analyze(root: &Path) -> io::Result<Analysis> {
     let mut a = Analysis::default();
     for (package, src_dir) in discover_crates(root)? {
         let mut counts = PanicCounts::default();

@@ -71,7 +71,7 @@ pub(crate) struct Waivers {
 }
 
 impl Waivers {
-    pub fn parse(comments: &[Comment]) -> Waivers {
+    fn parse(comments: &[Comment]) -> Waivers {
         let mut w = Waivers::default();
         for c in comments {
             collect_waivers(&c.text, "lml-analyze: allow-file(", |name| {
@@ -84,7 +84,7 @@ impl Waivers {
         w
     }
 
-    pub fn covers(&self, lint: &str, line: u32) -> bool {
+    fn covers(&self, lint: &str, line: u32) -> bool {
         if self.file_wide.iter().any(|l| l == lint) {
             return true;
         }

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 /// Panic-site counts for one crate (or one file, before aggregation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PanicCounts {
+pub(crate) struct PanicCounts {
     pub unwrap: u32,
     pub expect: u32,
     pub panic: u32,
@@ -27,7 +27,7 @@ pub struct PanicCounts {
 }
 
 impl PanicCounts {
-    pub fn add(&mut self, other: PanicCounts) {
+    pub(crate) fn add(&mut self, other: PanicCounts) {
         self.unwrap += other.unwrap;
         self.expect += other.expect;
         self.panic += other.panic;
@@ -53,7 +53,7 @@ impl PanicCounts {
 ///   than the keywords `in` and `mut`, a `)`, or a `]`) — `v[i]`, `f()[0]`,
 ///   `m[k][j]` count; slice types `&[u8]` and `&mut [f64]`, array literals
 ///   `[0; 4]`, attributes `#[…]`, and `vec![…]` do not.
-pub fn count(tokens: &[Token]) -> PanicCounts {
+pub(crate) fn count(tokens: &[Token]) -> PanicCounts {
     let mut c = PanicCounts::default();
     for (i, t) in tokens.iter().enumerate() {
         let prev = i
@@ -103,12 +103,12 @@ pub fn count(tokens: &[Token]) -> PanicCounts {
 /// lines + `#` comments), parsed by hand — this crate takes no
 /// dependencies.
 #[derive(Debug, Default, PartialEq, Eq)]
-pub struct Budget {
+pub(crate) struct Budget {
     pub crates: BTreeMap<String, PanicCounts>,
 }
 
 impl Budget {
-    pub fn parse(text: &str) -> Result<Budget, String> {
+    pub(crate) fn parse(text: &str) -> Result<Budget, String> {
         let mut b = Budget::default();
         let mut section: Option<String> = None;
         for (n, raw) in text.lines().enumerate() {
@@ -152,7 +152,7 @@ impl Budget {
         Ok(b)
     }
 
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::from(
             "# Panic-surface ratchet (generated by `lml-analyze --write-baseline`).\n\
              #\n\
@@ -174,7 +174,7 @@ impl Budget {
 /// Compare measured counts against the budget. Growth is gating; slack
 /// (measured < budget) is an advisory nudge to re-ratchet; a crate missing
 /// from the budget is gating (the inventory must stay complete).
-pub fn check(
+pub(crate) fn check(
     measured: &BTreeMap<String, PanicCounts>,
     budget: &Budget,
     file: &str,

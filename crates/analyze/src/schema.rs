@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 
 /// One emitter file to extract fields from.
 #[derive(Debug, Clone)]
-pub struct Emitter {
+pub(crate) struct Emitter {
     /// Lock name: `schemas/<name>.lock`.
     pub name: &'static str,
     /// Workspace-relative source path.
@@ -144,7 +144,7 @@ pub(crate) fn render_lock(name: &str, file: &str, fields: &BTreeSet<String>) -> 
 }
 
 /// Check one emitter against its lock and the human-readable schema docs.
-pub fn check(
+pub(crate) fn check(
     emitter: &Emitter,
     extracted: &BTreeSet<String>,
     lock: Option<&str>,

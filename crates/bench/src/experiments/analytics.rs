@@ -16,7 +16,7 @@ use lml_sim::ByteSize;
 use lml_storage::{ServiceProfile, StorageChannel};
 
 /// Table 6: paper constants vs the simulator's own behaviour.
-pub fn table6_constants(_h: &Harness) -> String {
+pub(crate) fn table6_constants(_h: &Harness) -> String {
     let mut rows = Vec::new();
     for c in constants::table6() {
         // Measure the matching quantity from the simulator where possible.

@@ -15,7 +15,7 @@ use lml_sim::ByteSize;
 use lml_storage::{CacheNode, ServiceProfile, StorageChannel};
 
 /// Figure 6: the dataset tables (generated-sample and paper-scale columns).
-pub fn fig6_datasets(h: &Harness) -> String {
+pub(crate) fn fig6_datasets(h: &Harness) -> String {
     let mut rows = Vec::new();
     for id in DatasetId::ALL {
         let g = id.generate_rows(registry::sample_rows(id, h), h.seed);
@@ -296,7 +296,7 @@ pub(crate) fn table1_channels(h: &Harness) -> String {
 }
 
 /// Table 2: Lambda ↔ VM parameter-server RPC measurements (75 MB payload).
-pub fn table2_hybrid_rpc(_h: &Harness) -> String {
+pub(crate) fn table2_hybrid_rpc(_h: &Harness) -> String {
     let m75 = ByteSize::mb(75.0);
     let mut rows = Vec::new();
     for (n, vcpus, lam) in [
@@ -332,7 +332,7 @@ pub fn table2_hybrid_rpc(_h: &Harness) -> String {
 }
 
 /// Table 3: AllReduce vs ScatterReduce over S3.
-pub fn table3_patterns(_h: &Harness) -> String {
+pub(crate) fn table3_patterns(_h: &Harness) -> String {
     let cases = [
         ("LR,Higgs,W=50", 50usize, 28usize, ByteSize::bytes(224)),
         ("MobileNet,Cifar10,W=10", 10, 1_000, ByteSize::mb(12.0)),

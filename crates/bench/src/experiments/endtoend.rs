@@ -94,7 +94,7 @@ pub(crate) fn fig9_end_to_end(h: &Harness) -> String {
 }
 
 /// Figure 10: runtime breakdown for LR on Higgs, W = 10, 10 epochs.
-pub fn fig10_breakdown(h: &Harness) -> String {
+pub(crate) fn fig10_breakdown(h: &Harness) -> String {
     let named = registry::build(WorkloadId::LrHiggs, h);
     // fixed 10-epoch budget, ADMM (the most suitable algorithm)
     let base = JobConfig {

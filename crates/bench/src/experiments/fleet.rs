@@ -425,23 +425,23 @@ const RISK: Sweep = Sweep {
     },
 };
 
-pub fn fleet_scale(h: &Harness) -> String {
+pub(crate) fn fleet_scale(h: &Harness) -> String {
     run_sweep(&SCALE, h)
 }
 
-pub fn fleet_policies(h: &Harness) -> String {
+pub(crate) fn fleet_policies(h: &Harness) -> String {
     run_sweep(&POLICIES, h)
 }
 
-pub fn fleet_recovery(h: &Harness) -> String {
+pub(crate) fn fleet_recovery(h: &Harness) -> String {
     run_sweep(&RECOVERY, h)
 }
 
-pub fn fleet_estimator(h: &Harness) -> String {
+pub(crate) fn fleet_estimator(h: &Harness) -> String {
     run_sweep(&ESTIMATOR, h)
 }
 
-pub fn fleet_risk(h: &Harness) -> String {
+pub(crate) fn fleet_risk(h: &Harness) -> String {
     run_sweep(&RISK, h)
 }
 

@@ -4,7 +4,7 @@
 //! batch, learning rate, loss threshold) live in `lml_analytic::table4`.
 //! This module only scales them to the harness: sample sizes and the
 //! fast-mode worker override, epoch caps, the algorithms at the sample's
-//! scaled batch, and a ready-to-run [`Named`] workload.
+//! scaled batch, and a ready-to-run `Named` workload.
 
 use crate::Harness;
 use lml_analytic::table4::WorkloadId;
@@ -15,7 +15,7 @@ use lml_models::ModelId;
 use lml_optim::{Algorithm, StopSpec};
 
 /// A ready-to-run workload: dataset + model + tuned hyper-parameters.
-pub struct Named {
+pub(crate) struct Named {
     pub workload: Workload,
     pub model: ModelId,
     pub config: JobConfig,
@@ -46,14 +46,14 @@ pub(crate) fn sample_rows(id: DatasetId, h: &Harness) -> usize {
 }
 
 /// Build the workload (generate + 90/10 split).
-pub fn workload(id: DatasetId, h: &Harness) -> Workload {
+pub(crate) fn workload(id: DatasetId, h: &Harness) -> Workload {
     let g = id.generate_rows(sample_rows(id, h), h.seed);
     Workload::from_generated(&g, h.seed)
 }
 
 /// Table 4 worker count, with KM-RCV1 reduced in fast mode. YFCC keeps
 /// its 100 workers: its partitions only fit Lambda's memory at that width.
-pub fn workers(id: WorkloadId, h: &Harness) -> usize {
+fn workers(id: WorkloadId, h: &Harness) -> usize {
     if h.fast && id == WorkloadId::KmRcv1 {
         10
     } else {
@@ -62,7 +62,7 @@ pub fn workers(id: WorkloadId, h: &Harness) -> usize {
 }
 
 /// Max epochs before giving up (smaller in fast mode).
-pub fn max_epochs(id: WorkloadId, h: &Harness) -> usize {
+pub(crate) fn max_epochs(id: WorkloadId, h: &Harness) -> usize {
     let base = match id {
         WorkloadId::MnCifar | WorkloadId::RnCifar => 25,
         _ => 60,
@@ -75,7 +75,7 @@ pub fn max_epochs(id: WorkloadId, h: &Harness) -> usize {
 }
 
 /// [`WorkloadId::best_algorithm`] at the sample's scaled paper batch.
-pub fn best_algorithm(id: WorkloadId, wl: &Workload) -> Algorithm {
+pub(crate) fn best_algorithm(id: WorkloadId, wl: &Workload) -> Algorithm {
     id.best_algorithm(wl.spec.scaled_batch(id.paper_batch()))
 }
 
@@ -88,7 +88,7 @@ pub(crate) fn ga_sgd(id: WorkloadId, wl: &Workload) -> Algorithm {
 
 /// Build the full named workload with its default (best-algorithm,
 /// FaaS) configuration.
-pub fn build(id: WorkloadId, h: &Harness) -> Named {
+pub(crate) fn build(id: WorkloadId, h: &Harness) -> Named {
     let wl = workload(id.dataset(), h);
     let algo = best_algorithm(id, &wl);
     let config = JobConfig::new(

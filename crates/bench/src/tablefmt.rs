@@ -1,7 +1,7 @@
 //! Plain-text table rendering for experiment reports.
 
 /// Render an aligned table with a title. Returns the text (callers print).
-pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -33,7 +33,7 @@ pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Format a float with sensible precision for reports.
-pub fn f(v: f64) -> String {
+pub(crate) fn f(v: f64) -> String {
     // Exact-zero is a display special case, not arithmetic.
     // lml-analyze: allow(float-eq)
     if v == 0.0 {

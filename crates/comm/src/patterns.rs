@@ -50,15 +50,6 @@ pub enum Pattern {
     ScatterReduce,
 }
 
-impl Pattern {
-    pub fn name(self) -> &'static str {
-        match self {
-            Pattern::AllReduce => "AllReduce",
-            Pattern::ScatterReduce => "ScatterReduce",
-        }
-    }
-}
-
 /// One statistic vector per worker (equal lengths), as a round takes them:
 /// owned (`Vec<Vec<f64>>`) or borrowed (`&[Vec<f64>]`, `&Vec<Vec<f64>>`).
 pub trait Statistics {

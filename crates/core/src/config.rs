@@ -29,7 +29,7 @@ impl ChannelKind {
         }
     }
 
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ChannelKind::S3 => "S3",
             ChannelKind::Memcached(_) => "Memcached",

@@ -33,7 +33,7 @@ pub const NN_FLOPS_LAMBDA: f64 = 5.4e10;
 const NN_VCPU_EXPONENT: f64 = 0.3;
 
 /// Average stored features per example (drives linear-model FLOPs).
-pub fn avg_nnz(data: &Dataset) -> f64 {
+pub(crate) fn avg_nnz(data: &Dataset) -> f64 {
     match data {
         Dataset::Dense(d) => d.dim() as f64,
         Dataset::Sparse(s) => s.avg_nnz(),

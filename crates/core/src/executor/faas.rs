@@ -26,7 +26,7 @@ use lml_sim::{EventQueue, Pcg64, SimTime};
 use lml_storage::StorageChannel;
 
 /// Run a FaaS job (dispatched from [`TrainingJob::run`]).
-pub fn run(
+pub(crate) fn run(
     job: &TrainingJob<'_>,
     model: AnyModel,
     spec: LambdaSpec,

@@ -18,7 +18,7 @@ use lml_optim::driver::Aggregate;
 use lml_sim::{Cost, SimTime};
 
 /// Run a hybrid job (dispatched from [`TrainingJob::run`]).
-pub fn run(
+pub(crate) fn run(
     job: &TrainingJob<'_>,
     model: AnyModel,
     spec: LambdaSpec,

@@ -17,7 +17,7 @@ use lml_models::AnyModel;
 use lml_optim::driver::Aggregate;
 
 /// Run an IaaS job (dispatched from [`TrainingJob::run`]).
-pub fn run(
+pub(crate) fn run(
     job: &TrainingJob<'_>,
     model: AnyModel,
     instance: InstanceType,

@@ -15,7 +15,7 @@ use lml_optim::driver::Aggregate;
 use lml_sim::SimTime;
 
 /// Run a single-machine job (dispatched from [`TrainingJob::run`]).
-pub fn run(
+pub(crate) fn run(
     job: &TrainingJob<'_>,
     model: AnyModel,
     instance: InstanceType,

@@ -162,7 +162,7 @@ mod tests {
         let wl = Workload::from_generated(&g, 1);
         let prepped = preprocess(&wl);
         if let Dataset::Dense(d) = &prepped.train {
-            for r in 0..d.len() {
+            for r in 0..prepped.train.len() {
                 for &v in d.row(r) {
                     assert!((-1.0..=1.0).contains(&v));
                 }

@@ -46,7 +46,7 @@ pub struct CostBreakdown {
 }
 
 impl CostBreakdown {
-    pub fn total(&self) -> Cost {
+    fn total(&self) -> Cost {
         self.compute + self.requests + self.nodes
     }
 }

@@ -31,14 +31,6 @@ impl<'a> Row<'a> {
             Row::Sparse(x) => x.axpy_into_dense(a, out),
         }
     }
-
-    /// Number of stored (potentially non-zero) entries.
-    pub fn nnz(&self) -> usize {
-        match self {
-            Row::Dense(x) => x.len(),
-            Row::Sparse(x) => x.nnz(),
-        }
-    }
 }
 
 /// Dense dataset: `n × dim` feature matrix plus labels.
@@ -58,12 +50,8 @@ impl DenseDataset {
         DenseDataset { features, labels }
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.labels.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
     }
 
     pub fn dim(&self) -> usize {
@@ -74,16 +62,12 @@ impl DenseDataset {
         self.features.row(i)
     }
 
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
         self.features.row_mut(i)
     }
 
-    pub fn label(&self, i: usize) -> f64 {
+    fn label(&self, i: usize) -> f64 {
         self.labels[i]
-    }
-
-    pub fn labels(&self) -> &[f64] {
-        &self.labels
     }
 }
 
@@ -109,6 +93,8 @@ impl SparseDataset {
         self.labels.len()
     }
 
+    /// `pub` beside the `pub` [`SparseDataset::len`], as clippy's
+    /// `len_without_is_empty` asks.
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
     }
@@ -123,10 +109,6 @@ impl SparseDataset {
 
     pub fn label(&self, i: usize) -> f64 {
         self.labels[i]
-    }
-
-    pub fn labels(&self) -> &[f64] {
-        &self.labels
     }
 
     /// Average number of stored entries per row.

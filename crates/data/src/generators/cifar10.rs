@@ -21,7 +21,7 @@ use lml_sim::Pcg64;
 pub(crate) const DEFAULT_ROWS: usize = 6_000;
 
 /// Feature dimension (paper's Figure 6 representation).
-pub const DIM: usize = 1_024;
+const DIM: usize = 1_024;
 
 /// Number of classes.
 const CLASSES: usize = 10;
@@ -54,7 +54,7 @@ fn prototypes() -> (Matrix, Matrix) {
     (means, styles)
 }
 
-pub fn generate_rows(rows: usize, seed: u64) -> Generated {
+pub(crate) fn generate_rows(rows: usize, seed: u64) -> Generated {
     let mut rng = Pcg64::new(seed ^ 0x4349_4641_u64); // "CIFA"
     let (means, styles) = prototypes();
 

@@ -21,7 +21,7 @@ use lml_sim::Pcg64;
 pub(crate) const DEFAULT_ROWS: usize = 10_000;
 
 /// Hashed feature-space dimension (paper: 1 M features).
-pub const DIM: usize = 1_000_000;
+const DIM: usize = 1_000_000;
 
 /// Numeric fields occupy indices 0..13.
 const NUMERIC_FIELDS: usize = 13;
@@ -32,7 +32,7 @@ const CATEGORICAL_FIELDS: usize = 26;
 /// Ground-truth support size for the click logit.
 const TRUE_SUPPORT: usize = 50_000;
 
-pub fn generate_rows(rows: usize, seed: u64) -> Generated {
+pub(crate) fn generate_rows(rows: usize, seed: u64) -> Generated {
     let mut rng = Pcg64::new(seed ^ 0x4352_5445_u64); // "CRTE"
     let mut truth_rng = Pcg64::new(0xD1CE_0005);
     // Sparse ground-truth logit over frequent hash buckets.

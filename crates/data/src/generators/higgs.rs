@@ -19,14 +19,14 @@ use lml_sim::Pcg64;
 pub(crate) const DEFAULT_ROWS: usize = 110_000;
 
 /// Feature dimension of Higgs.
-pub const DIM: usize = 28;
+const DIM: usize = 28;
 
 /// Class-separation scale: `‖μ‖² = SEPARATION`, giving an optimal logistic
 /// loss ≈ 0.62 (empirically verified in tests).
 const SEPARATION: f64 = 0.12;
 
 /// Generate `rows` examples.
-pub fn generate_rows(rows: usize, seed: u64) -> Generated {
+pub(crate) fn generate_rows(rows: usize, seed: u64) -> Generated {
     let mut rng = Pcg64::new(seed ^ 0x0048_6967_6773_u64); // "Higgs"
                                                            // Fixed class-mean direction (same for every seed offset so the learning
                                                            // problem is stable across sample sizes).

@@ -20,7 +20,7 @@ use lml_sim::Pcg64;
 pub(crate) const DEFAULT_ROWS: usize = 6_970;
 
 /// Feature dimension of RCV1.
-pub const DIM: usize = 47_236;
+const DIM: usize = 47_236;
 
 /// Mean stored terms per document (real RCV1: ~76).
 const MEAN_NNZ: f64 = 76.0;
@@ -31,7 +31,7 @@ const TRUE_SUPPORT: usize = 2_000;
 /// Label noise rate — keeps the problem not-exactly-separable.
 const LABEL_NOISE: f64 = 0.02;
 
-pub fn generate_rows(rows: usize, seed: u64) -> Generated {
+pub(crate) fn generate_rows(rows: usize, seed: u64) -> Generated {
     let mut rng = Pcg64::new(seed ^ 0x5243_5631_u64); // "RCV1"
                                                       // Fixed ground-truth weights over the most frequent (low Zipf index)
                                                       // terms, independent of sample size.

@@ -19,7 +19,7 @@ use lml_sim::Pcg64;
 pub(crate) const DEFAULT_ROWS: usize = 2_000;
 
 /// HNfc6 deep-feature dimension.
-pub const DIM: usize = 4_096;
+const DIM: usize = 4_096;
 
 /// Positive ("animal") rate: 300 K / 4 M.
 const POSITIVE_RATE: f64 = 0.075;
@@ -35,7 +35,7 @@ const ZERO_RATE: f64 = 0.55;
 /// zero on a perfectly separable synthetic.
 const LABEL_NOISE: f64 = 0.03;
 
-pub fn generate_rows(rows: usize, seed: u64) -> Generated {
+pub(crate) fn generate_rows(rows: usize, seed: u64) -> Generated {
     let mut rng = Pcg64::new(seed ^ 0x5946_4343_u64); // "YFCC"
                                                       // Fixed signal direction over a subset of activations.
     let mut dir_rng = Pcg64::new(0xD1CE_0004);

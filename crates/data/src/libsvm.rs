@@ -126,7 +126,10 @@ mod tests {
         let d = parse_sparse(SAMPLE, 0).unwrap();
         assert_eq!(d.len(), 3);
         assert_eq!(d.dim(), 3);
-        assert_eq!(d.labels(), &[1.0, -1.0, 1.0]);
+        assert_eq!(
+            (0..3).map(|i| d.label(i)).collect::<Vec<_>>(),
+            [1.0, -1.0, 1.0]
+        );
         assert_eq!(d.row(0).indices(), &[0, 2]);
         assert_eq!(d.row(0).values(), &[0.5, 1.5]);
     }

@@ -17,6 +17,8 @@ impl Partition {
         self.end - self.start
     }
 
+    /// `pub` beside the `pub` [`Partition::len`], as clippy's
+    /// `len_without_is_empty` asks.
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }

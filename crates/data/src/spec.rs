@@ -39,7 +39,7 @@ pub struct DatasetSpec {
 impl DatasetSpec {
     /// `sample_instances / paper_instances` — the factor by which row counts
     /// (and mini-batch sizes) are scaled in this reproduction.
-    pub fn scale(&self) -> f64 {
+    pub(crate) fn scale(&self) -> f64 {
         self.sample_instances as f64 / self.paper_instances as f64
     }
 

@@ -20,13 +20,6 @@ pub fn train_valid_split(data: &Dataset, train_frac: f64, seed: u64) -> (Dataset
     (train, valid)
 }
 
-/// Shuffle a dataset's rows (returns a copy with permuted rows).
-pub fn shuffled(data: &Dataset, seed: u64) -> Dataset {
-    let mut order: Vec<usize> = (0..data.len()).collect();
-    Pcg64::new(seed ^ 0x5348_5546).shuffle(&mut order);
-    data.subset(&order)
-}
-
 /// Min-max statistics of a dense dataset, one (min, max) per column.
 #[derive(Debug, Clone)]
 pub(crate) struct MinMax {
@@ -36,7 +29,7 @@ pub(crate) struct MinMax {
 
 impl MinMax {
     /// Compute column-wise min/max.
-    pub fn fit(data: &DenseDataset) -> MinMax {
+    fn fit(data: &DenseDataset) -> MinMax {
         let d = data.dim();
         let mut mins = vec![f64::INFINITY; d];
         let mut maxs = vec![f64::NEG_INFINITY; d];
@@ -51,7 +44,7 @@ impl MinMax {
 
     /// Normalize a dense dataset in place to [-1, 1] per column (constant
     /// columns map to 0) — step (1) of the Table 5 pipeline.
-    pub fn apply(&self, data: &mut DenseDataset) {
+    fn apply(&self, data: &mut DenseDataset) {
         for r in 0..data.len() {
             let row = data.row_mut(r);
             for (j, v) in row.iter_mut().enumerate() {
@@ -106,18 +99,6 @@ mod tests {
         };
         assert_eq!(tr.len(), 90);
         assert_eq!(rows(&[&tr, &va]), rows(&[&big]), "a partition of the rows");
-    }
-
-    #[test]
-    fn shuffled_is_permutation() {
-        let d = toy();
-        let s = shuffled(&d, 3);
-        assert_eq!(s.len(), d.len());
-        let mut a: Vec<f64> = (0..d.len()).map(|i| d.label(i)).collect();
-        let mut b: Vec<f64> = (0..s.len()).map(|i| s.label(i)).collect();
-        a.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        b.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl LambdaSpec {
         LambdaSpec { memory_mb: 3_008 }
     }
 
-    pub fn memory(&self) -> ByteSize {
+    fn memory(&self) -> ByteSize {
         ByteSize::mb(self.memory_mb as f64)
     }
 

@@ -32,7 +32,7 @@ pub struct LifetimeManager {
 impl LifetimeManager {
     /// `margin` is the safety window before the hard limit at which the
     /// worker pauses (the paper's workers "watch for the timeout").
-    pub fn new(margin: SimTime, rollover_overhead: SimTime) -> Self {
+    fn new(margin: SimTime, rollover_overhead: SimTime) -> Self {
         let usable = LambdaSpec::LIFETIME.as_secs() - margin.as_secs();
         assert!(usable > 0.0, "margin consumes the whole lifetime");
         LifetimeManager {
@@ -75,11 +75,6 @@ impl LifetimeManager {
 
     pub fn reinvocations(&self) -> u32 {
         self.reinvocations
-    }
-
-    /// Seconds left in the current incarnation.
-    pub fn remaining(&self) -> SimTime {
-        SimTime::secs(self.usable - self.in_life)
     }
 }
 
@@ -125,7 +120,6 @@ mod tests {
     #[test]
     fn margin_shrinks_usable_life() {
         let mut lm = LifetimeManager::new(SimTime::secs(100.0), SimTime::ZERO);
-        assert_eq!(lm.remaining(), SimTime::secs(800.0));
         lm.charge(SimTime::secs(799.0));
         assert_eq!(lm.reinvocations(), 0, "799 s fits in the usable 800 s");
         lm.charge(SimTime::secs(2.0));

@@ -29,7 +29,7 @@
 //! vs reject an over-budget tenant) are tail decisions, not mean
 //! decisions:
 //!
-//! * [`Estimate::eta_q`] — the calibrated P95 ETA, mean plus margin. The
+//! * `Estimate::eta_q` — the calibrated P95 ETA, mean plus margin. The
 //!   fleet prices every runtime tail at this one quantile,
 //!   `ETA_QUANTILE`. [`Online`] turns its deviation EWMA into a margin
 //!   whose multiplier is calibrated online (adaptive-conformal style: the
@@ -82,7 +82,7 @@ pub struct Estimate {
 impl Estimate {
     /// A spread-free estimate (the quantile ETA collapses to the mean) —
     /// what every observation-blind model produces.
-    pub fn point(t_faas: f64, c_faas: f64, t_iaas: f64, c_iaas: f64) -> Estimate {
+    fn point(t_faas: f64, c_faas: f64, t_iaas: f64, c_iaas: f64) -> Estimate {
         Estimate {
             t_faas,
             c_faas,
@@ -95,7 +95,7 @@ impl Estimate {
 
     /// Predicted run seconds on the given route (spot runs on IaaS-class
     /// instances, so it shares the IaaS prediction).
-    pub fn time(&self, route: Route) -> f64 {
+    pub(crate) fn time(&self, route: Route) -> f64 {
         match route {
             Route::Faas => self.t_faas,
             Route::Iaas | Route::Spot => self.t_iaas,
@@ -103,7 +103,7 @@ impl Estimate {
     }
 
     /// Predicted dollars on the given route.
-    pub fn cost(&self, route: Route) -> f64 {
+    pub(crate) fn cost(&self, route: Route) -> f64 {
         match route {
             Route::Faas => self.c_faas,
             Route::Iaas | Route::Spot => self.c_iaas,
@@ -111,7 +111,7 @@ impl Estimate {
     }
 
     /// Calibrated P95 runtime margin on the given route, seconds.
-    pub fn margin(&self, route: Route) -> f64 {
+    fn margin(&self, route: Route) -> f64 {
         match route {
             Route::Faas => self.m_faas,
             Route::Iaas | Route::Spot => self.m_iaas,
@@ -120,7 +120,7 @@ impl Estimate {
 
     /// The calibrated `ETA_QUANTILE` (P95) runtime ETA on the given
     /// route: the mean plus the margin.
-    pub fn eta_q(&self, route: Route) -> f64 {
+    pub(crate) fn eta_q(&self, route: Route) -> f64 {
         self.time(route) + self.margin(route)
     }
 }
@@ -383,12 +383,12 @@ impl Online {
         }
     }
 
-    pub fn prior(&self) -> &Analytic {
+    fn prior(&self) -> &Analytic {
         &self.prior
     }
 
     /// Observations folded in for (tenant, class) on the route's substrate.
-    pub fn observations(&self, tenant: TenantId, class: JobClass, route: Route) -> u64 {
+    fn observations(&self, tenant: TenantId, class: JobClass, route: Route) -> u64 {
         self.state
             .get(tenant, class)
             .and_then(|cs| cs.slot(route))
@@ -640,7 +640,7 @@ pub struct PreemptionObs {
 /// — how much evidence it takes for the posterior to carry half the
 /// weight — so **zero
 /// observations reproduce the static config exactly** and sustained
-/// evidence overturns it. [`RiskModel::frozen`] pins the posterior at the
+/// evidence overturns it. `RiskModel::frozen` pins the posterior at the
 /// prior — the static-mean baseline the risk-aware admission is measured
 /// against.
 #[derive(Debug, Clone)]
@@ -668,7 +668,7 @@ struct RateStats {
 
 impl RiskModel {
     /// Posterior seeded from a per-instance mean time to preempt.
-    pub fn new(prior_mttp: SimTime) -> Self {
+    pub(crate) fn new(prior_mttp: SimTime) -> Self {
         assert!(
             prior_mttp.as_secs() > 0.0,
             "prior mean time to preempt must be positive"
@@ -686,13 +686,13 @@ impl RiskModel {
     /// posterior and the simulated market speak the same λ. A rate of 0
     /// (`mean_time_to_preempt = +∞`, a market that never reclaims) gives
     /// an infinite prior and a posterior rate of 0.
-    pub fn for_config(cfg: &SpotConfig) -> Self {
+    pub(crate) fn for_config(cfg: &SpotConfig) -> Self {
         Self::new(SimTime::secs(1.0 / cfg.preemption_rate_per_instance_s()))
     }
 
     /// Freeze the posterior at the configured prior — the static-mean
     /// baseline (observations are still counted, never weighed).
-    pub fn frozen(mut self) -> Self {
+    pub(crate) fn frozen(mut self) -> Self {
         self.frozen = true;
         self
     }
@@ -702,7 +702,7 @@ impl RiskModel {
     }
 
     /// Fold in one spot attempt outcome.
-    pub fn observe(&mut self, obs: &PreemptionObs) {
+    pub(crate) fn observe(&mut self, obs: &PreemptionObs) {
         let s = self
             .state
             .get_or_insert_with(obs.tenant, obs.class, RateStats::default);
@@ -713,15 +713,10 @@ impl RiskModel {
         }
     }
 
-    /// Spot attempts observed for (tenant, class).
-    pub fn observations(&self, tenant: TenantId, class: JobClass) -> u64 {
-        self.state.get(tenant, class).map_or(0, |s| s.attempts)
-    }
-
     /// Posterior mean preemption rate per instance-second for
     /// (tenant, class). At zero observations (or frozen) this is exactly
     /// `1 / prior_mttp`.
-    pub fn rate(&self, tenant: TenantId, class: JobClass) -> f64 {
+    fn rate(&self, tenant: TenantId, class: JobClass) -> f64 {
         let (events, exposure) = if self.frozen {
             (0.0, 0.0)
         } else {
@@ -731,11 +726,6 @@ impl RiskModel {
         };
         (PREEMPT_PRIOR_WEIGHT + events)
             / (PREEMPT_PRIOR_WEIGHT * self.prior_mttp.as_secs() + exposure)
-    }
-
-    /// Posterior mean per-instance time to preempt for (tenant, class).
-    pub fn mean_time_to_preempt(&self, tenant: TenantId, class: JobClass) -> SimTime {
-        SimTime::secs(1.0 / self.rate(tenant, class))
     }
 
     /// Expected preemptions a `workers`-wide job accumulates over
@@ -919,18 +909,25 @@ mod tests {
         assert_ne!(hybrid.predict(&j).c_iaas, prior.c_iaas);
     }
 
+    /// Posterior mean per-instance time to preempt for (tenant, class).
+    fn mttp(r: &RiskModel, tenant: TenantId, class: JobClass) -> SimTime {
+        SimTime::secs(1.0 / r.rate(tenant, class))
+    }
+
+    /// Spot attempts observed for (tenant, class).
+    fn attempts(r: &RiskModel, tenant: TenantId, class: JobClass) -> u64 {
+        r.state.get(tenant, class).map_or(0, |s| s.attempts)
+    }
+
     #[test]
     fn risk_model_zero_observations_reproduce_the_config() {
         let r = RiskModel::new(SimTime::secs(1_000.0));
-        assert_eq!(
-            r.mean_time_to_preempt(0, JobClass::LrHiggs),
-            SimTime::secs(1_000.0)
-        );
+        assert_eq!(mttp(&r, 0, JobClass::LrHiggs), SimTime::secs(1_000.0));
         assert!((r.rate(0, JobClass::LrHiggs) - 1e-3).abs() < 1e-15);
         // A 10-wide job over 50 wall-seconds: 500 instance-seconds at
         // λ = 1/1000 → 0.5 expected preemptions.
         assert!((r.expected_preemptions(0, JobClass::LrHiggs, 10, 50.0) - 0.5).abs() < 1e-12);
-        assert_eq!(r.observations(0, JobClass::LrHiggs), 0);
+        assert_eq!(attempts(&r, 0, JobClass::LrHiggs), 0);
     }
 
     #[test]
@@ -947,17 +944,14 @@ mod tests {
                 preempted: true,
             });
         }
-        let mttp = r.mean_time_to_preempt(0, JobClass::LrHiggs).as_secs();
+        let learned = mttp(&r, 0, JobClass::LrHiggs).as_secs();
         assert!(
-            (900.0..1_400.0).contains(&mttp),
-            "posterior must converge toward the true 1 000 s, got {mttp}"
+            (900.0..1_400.0).contains(&learned),
+            "posterior must converge toward the true 1 000 s, got {learned}"
         );
         // State is per-(tenant, class).
-        assert_eq!(
-            r.mean_time_to_preempt(1, JobClass::LrHiggs),
-            SimTime::secs(4_000.0)
-        );
-        assert_eq!(r.observations(0, JobClass::LrHiggs), 40);
+        assert_eq!(mttp(&r, 1, JobClass::LrHiggs), SimTime::secs(4_000.0));
+        assert_eq!(attempts(&r, 0, JobClass::LrHiggs), 40);
     }
 
     #[test]
@@ -975,7 +969,7 @@ mod tests {
             });
         }
         assert!(
-            r.mean_time_to_preempt(3, JobClass::KmHiggs) > SimTime::secs(1_000.0),
+            mttp(&r, 3, JobClass::KmHiggs) > SimTime::secs(1_000.0),
             "exposure without events must stretch the learned mttp"
         );
     }
@@ -994,11 +988,11 @@ mod tests {
             });
         }
         assert_eq!(
-            r.mean_time_to_preempt(0, JobClass::LrHiggs),
+            mttp(&r, 0, JobClass::LrHiggs),
             SimTime::secs(500.0),
             "the static-mean baseline keeps quoting the config"
         );
-        assert_eq!(r.observations(0, JobClass::LrHiggs), 50, "still counted");
+        assert_eq!(attempts(&r, 0, JobClass::LrHiggs), 50, "still counted");
     }
 
     #[test]

@@ -30,7 +30,6 @@
 
 use crate::job::{JobRequest, TenantId};
 use crate::stream::{adapted_job, Lines, Tenants, TraceSource};
-use crate::workload::Trace;
 use lml_sim::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufRead;
@@ -97,15 +96,16 @@ impl<R: BufRead> TraceSource for GoogleSource<R> {
     }
 }
 
-/// Parse task_events CSV into an in-memory [`Trace`] by draining the
-/// streaming source (convenience for small fixtures and tests).
-pub fn parse(csv: &str) -> Result<Trace, String> {
-    crate::stream::collect(GoogleSource::new(csv.as_bytes()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::Trace;
+
+    /// Parse task_events CSV into an in-memory [`Trace`] by draining the
+    /// streaming source.
+    fn parse(csv: &str) -> Result<Trace, String> {
+        crate::stream::collect(GoogleSource::new(csv.as_bytes()))
+    }
 
     const SAMPLE: &str = include_str!("../data/google_sample.csv");
 

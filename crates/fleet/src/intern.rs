@@ -87,11 +87,6 @@ impl<V> TenantMap<V> {
         self.slot(tenant).map(|s| &self.vals[s])
     }
 
-    #[inline]
-    pub fn get_mut(&mut self, tenant: TenantId) -> Option<&mut V> {
-        self.slot(tenant).map(|s| &mut self.vals[s])
-    }
-
     /// The slot for `tenant`, interning it with `default()` on first
     /// touch — the dense analogue of `entry(t).or_insert_with(..)`.
     #[inline]
@@ -139,11 +134,7 @@ impl<V> TenantMap<V> {
         slot
     }
 
-    pub fn len(&self) -> usize {
-        self.vals.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.vals.is_empty()
     }
 
@@ -180,14 +171,14 @@ pub(crate) struct TenantClassMap<V> {
 }
 
 impl<V> TenantClassMap<V> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TenantClassMap {
             inner: TenantMap::new(),
         }
     }
 
     #[inline]
-    pub fn get(&self, tenant: TenantId, class: JobClass) -> Option<&V> {
+    pub(crate) fn get(&self, tenant: TenantId, class: JobClass) -> Option<&V> {
         self.inner
             .get(tenant)
             .and_then(|slots| slots[class as usize].as_ref())
@@ -223,7 +214,7 @@ mod tests {
         assert_eq!(m.get(3), Some(&3.0));
         assert_eq!(m.get(1), Some(&5.0));
         assert_eq!(m.get(2), None);
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.iter_sorted().count(), 2);
     }
 
     #[test]
@@ -232,7 +223,7 @@ mod tests {
         assert_eq!(m.insert(7, "a"), None);
         assert_eq!(m.insert(7, "b"), Some("a"));
         assert_eq!(m.get(7), Some(&"b"));
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.iter_sorted().count(), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The tenant job zoo: what a multi-tenant training platform is asked to run.
 //!
 //! Each [`JobClass`] is a view over one row of the paper's Table 4
-//! ([`JobClass::workload`], a [`WorkloadId`]): its dataset, model, worker
+//! (`JobClass::workload`, a [`WorkloadId`]): its dataset, model, worker
 //! count, learning rate and loss threshold are read from there, so the
 //! §5.3 sampling estimator calibrates the fleet on exactly the values the
 //! experiments train with. The class adds the paper-scale analytical
@@ -36,7 +36,7 @@ pub enum JobClass {
 }
 
 impl JobClass {
-    pub const ALL: [JobClass; 6] = [
+    pub(crate) const ALL: [JobClass; 6] = [
         JobClass::LrHiggs,
         JobClass::SvmRcv1,
         JobClass::KmHiggs,
@@ -45,7 +45,7 @@ impl JobClass {
         JobClass::RnCifar,
     ];
 
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             JobClass::LrHiggs => "lr-higgs",
             JobClass::SvmRcv1 => "svm-rcv1",
@@ -57,7 +57,7 @@ impl JobClass {
     }
 
     /// Inverse of [`JobClass::name`], used by the trace text format.
-    pub fn parse(s: &str) -> Option<JobClass> {
+    pub(crate) fn parse(s: &str) -> Option<JobClass> {
         JobClass::ALL.into_iter().find(|c| c.name() == s)
     }
 
@@ -70,7 +70,7 @@ impl JobClass {
 
     /// The Table 4 row this class runs: its dataset, model, workers,
     /// learning rate and loss threshold.
-    pub fn workload(self) -> WorkloadId {
+    pub(crate) fn workload(self) -> WorkloadId {
         match self {
             JobClass::LrHiggs => WorkloadId::LrHiggs,
             JobClass::SvmRcv1 => WorkloadId::SvmRcv1,
@@ -89,7 +89,7 @@ impl JobClass {
     /// Training algorithm used when the sampling estimator re-calibrates
     /// the epoch count: the paper's best per class at the estimator's
     /// sample-scale batch (500 rows for convex models, 128 for deep ones).
-    pub fn algorithm(self) -> Algorithm {
+    pub(crate) fn algorithm(self) -> Algorithm {
         let batch = match self {
             JobClass::MnCifar | JobClass::RnCifar => 128,
             _ => 500,
@@ -120,7 +120,7 @@ impl JobClass {
     }
 
     /// Paper-scale analytical profile of one job of this class.
-    pub fn profile(self) -> AnalyticParams {
+    pub(crate) fn profile(self) -> AnalyticParams {
         let (model_bytes, rounds_per_epoch, compute_per_epoch) = match self {
             // 28 × f64 weights; ADMM exchanges once per 10 local scans.
             JobClass::LrHiggs => (224.0, 0.1, 70.0),
@@ -191,7 +191,7 @@ impl JobRequest {
 
     /// Laxity against the deadline: how many seconds after submission the
     /// job may take and still hit it. `None` when no deadline is set.
-    pub fn laxity(&self) -> Option<SimTime> {
+    pub(crate) fn laxity(&self) -> Option<SimTime> {
         self.deadline.map(|d| d - self.submit)
     }
 }

@@ -15,7 +15,7 @@
 //! test compares the two byte for byte on over ten million values, every
 //! exponent and the decimal/exponent switch points.
 //!
-//! One buffer per document: [`document`] reserves one `String` to the
+//! One buffer per document: `document` reserves one `String` to the
 //! caller's upper bound and every nested object and array is written into
 //! it in place — no element is rendered into a `String` of its own and
 //! copied again. The bound is built from `object_bound` and
@@ -26,7 +26,7 @@
 //! `String` per document instead measured worse: `fleet_trace_observed`
 //! `peak_rss_mb` 91.4 → 99.7 MB and median `wall_s` 2.10 → 2.28 s (2 vCPU,
 //! 3 alternating pairs, seed 42). The schema-lock pass of `lml-analyze`
-//! reads field names off the keyed calls of [`JsonObject`], so every key
+//! reads field names off the keyed calls of `JsonObject`, so every key
 //! is a string literal at the call site.
 
 mod ryu;
@@ -59,7 +59,7 @@ pub(crate) fn quoted_bound(s: &str) -> usize {
 /// Render one JSON object into one `String` reserved to `bound` bytes.
 /// `bound` must be an upper bound on the output (debug builds check it),
 /// so the buffer is allocated once and never grows.
-pub fn document(bound: usize, body: impl FnOnce(&mut JsonObject<'_>)) -> String {
+pub(crate) fn document(bound: usize, body: impl FnOnce(&mut JsonObject<'_>)) -> String {
     let mut out = String::with_capacity(bound);
     object(&mut out, body);
     debug_assert!(
@@ -74,14 +74,14 @@ pub fn document(bound: usize, body: impl FnOnce(&mut JsonObject<'_>)) -> String 
 /// Keys must be plain field names that need no escaping (debug builds
 /// check); string values are escaped.
 #[derive(Debug)]
-pub struct JsonObject<'a> {
+pub(crate) struct JsonObject<'a> {
     out: &'a mut String,
     any: bool,
 }
 
 /// The elements of one JSON array being written into a document buffer.
 #[derive(Debug)]
-pub struct JsonArray<'a> {
+pub(crate) struct JsonArray<'a> {
     out: &'a mut String,
     any: bool,
 }
@@ -107,36 +107,36 @@ impl JsonObject<'_> {
         self.out
     }
 
-    pub fn str(&mut self, k: &str, v: &str) -> &mut Self {
+    pub(crate) fn str(&mut self, k: &str, v: &str) -> &mut Self {
         quote_into(self.key(k), v);
         self
     }
 
-    pub fn f64(&mut self, k: &str, v: f64) -> &mut Self {
+    pub(crate) fn f64(&mut self, k: &str, v: f64) -> &mut Self {
         assert!(v.is_finite(), "JSON numbers must be finite, got {v}");
         // `{:?}`'s bytes (`1.0`, `1e16`, `2.5e-5`), which JSON accepts.
         push_f64(self.key(k), v);
         self
     }
 
-    pub fn u64(&mut self, k: &str, v: u64) -> &mut Self {
+    pub(crate) fn u64(&mut self, k: &str, v: u64) -> &mut Self {
         push_u64(self.key(k), v);
         self
     }
 
-    pub fn null(&mut self, k: &str) -> &mut Self {
+    pub(crate) fn null(&mut self, k: &str) -> &mut Self {
         self.key(k).push_str("null");
         self
     }
 
     /// A nested object, written in place by `body`.
-    pub fn object(&mut self, k: &str, body: impl FnOnce(&mut JsonObject<'_>)) -> &mut Self {
+    pub(crate) fn object(&mut self, k: &str, body: impl FnOnce(&mut JsonObject<'_>)) -> &mut Self {
         object(self.key(k), body);
         self
     }
 
     /// A nested array, written in place by `body`.
-    pub fn array(&mut self, k: &str, body: impl FnOnce(&mut JsonArray<'_>)) -> &mut Self {
+    pub(crate) fn array(&mut self, k: &str, body: impl FnOnce(&mut JsonArray<'_>)) -> &mut Self {
         let out = self.key(k);
         out.push('[');
         body(&mut JsonArray { out, any: false });
@@ -147,7 +147,7 @@ impl JsonObject<'_> {
 
 impl JsonArray<'_> {
     /// Append one object element, written in place by `body`.
-    pub fn object(&mut self, body: impl FnOnce(&mut JsonObject<'_>)) -> &mut Self {
+    pub(crate) fn object(&mut self, body: impl FnOnce(&mut JsonObject<'_>)) -> &mut Self {
         if self.any {
             self.out.push(',');
         }

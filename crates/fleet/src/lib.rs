@@ -48,7 +48,7 @@
 //!   exponential preemption; preempted jobs resume from their last durable
 //!   checkpoint).
 //! * [`estimate`] — the prediction layer: the named [`Estimate`] quadruple
-//!   (plus calibrated P95 margins, [`Estimate::eta_q`]), the pluggable
+//!   (plus calibrated P95 margins, `Estimate::eta_q`), the pluggable
 //!   [`Estimator`] trait, and its three impls — the §5.3 [`Analytic`]
 //!   model, the per-(tenant, class) [`Online`] EWMA learned from the
 //!   simulator's completion feedback, and the prior-to-posterior

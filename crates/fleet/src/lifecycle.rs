@@ -16,7 +16,7 @@
 //!  └→ Rejected                              (retry or pool fallback)
 //! ```
 //!
-//! Transitions are validated ([`JobLifecycle::transition`] panics on an
+//! Transitions are validated (`JobLifecycle::transition` panics on an
 //! illegal edge), so every simulator path — FaaS, the reserved pool, and
 //! the spot tier — moves jobs through the same machine.
 //!
@@ -68,7 +68,7 @@ pub enum JobLifecycle {
 }
 
 impl JobLifecycle {
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             JobLifecycle::Queued => "queued",
             JobLifecycle::Deferred => "deferred",
@@ -116,7 +116,7 @@ impl JobLifecycle {
     /// [`FleetObserver`](crate::observe::FleetObserver) as a typed
     /// [`FleetEvent`](crate::observe::FleetEvent) — so a trace carries
     /// exactly the transitions this machine accepted, nothing else.
-    pub fn transition(&mut self, next: JobLifecycle) {
+    pub(crate) fn transition(&mut self, next: JobLifecycle) {
         assert!(
             self.can_transition(next),
             "illegal lifecycle transition {} -> {}",

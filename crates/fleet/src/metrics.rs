@@ -57,7 +57,7 @@ pub struct JobRecord {
     /// jobs).
     pub predicted_run: Option<SimTime>,
     /// The calibrated `ETA_QUANTILE` (P95) runtime ETA
-    /// ([`crate::estimate::Estimate::eta_q`]) on the routed substrate,
+    /// (`crate::estimate::Estimate::eta_q`) on the routed substrate,
     /// snapshotted at admission. Equal to `predicted_run` for estimators
     /// without spread state; the coverage rollup scores it against the
     /// actual run.
@@ -86,7 +86,7 @@ impl JobRecord {
     /// definition of makespan, shared by the rollup and by the simulator's
     /// provisioned-floor billing so the two can never diverge. Rejected
     /// jobs carry only their submit time and don't stretch it.
-    pub fn makespan(records: &[JobRecord]) -> SimTime {
+    pub(crate) fn makespan(records: &[JobRecord]) -> SimTime {
         records
             .iter()
             .filter(|r| !r.rejected)
@@ -371,7 +371,7 @@ impl FleetMetrics {
 
     /// Mean sustained throughput over the makespan, completed jobs/second
     /// (rejected jobs never ran, so they don't count as served work).
-    pub fn throughput(&self) -> f64 {
+    fn throughput(&self) -> f64 {
         // Exact-zero guard against dividing by an empty makespan.
         // lml-analyze: allow(float-eq)
         if self.makespan.as_secs() == 0.0 {

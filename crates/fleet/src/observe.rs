@@ -788,7 +788,7 @@ pub(crate) mod tests {
     }
 
     impl RollupCollector {
-        pub fn new(period: SimTime) -> Self {
+        pub(crate) fn new(period: SimTime) -> Self {
             assert!(period.as_secs() > 0.0, "rollup period must be positive");
             RollupCollector {
                 period,

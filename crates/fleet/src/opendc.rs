@@ -33,7 +33,6 @@
 
 use crate::job::{JobRequest, TenantId};
 use crate::stream::{adapted_job, Lines, TraceSource};
-use crate::workload::Trace;
 use lml_sim::SimTime;
 use std::collections::BTreeMap;
 use std::io::BufRead;
@@ -85,7 +84,7 @@ pub struct OpenDcSource<R> {
 impl<R: BufRead> OpenDcSource<R> {
     /// Build from `(function_name, reader)` pairs. File order defines the
     /// tenant id (function index) and the merge tie-break.
-    pub fn new(functions: impl IntoIterator<Item = (String, R)>) -> Self {
+    pub(crate) fn new(functions: impl IntoIterator<Item = (String, R)>) -> Self {
         OpenDcSource {
             functions: functions
                 .into_iter()
@@ -169,20 +168,21 @@ impl<R: BufRead> TraceSource for OpenDcSource<R> {
     }
 }
 
-/// Parse `(function_name, csv)` pairs into an in-memory [`Trace`] by
-/// draining the streaming source (convenience for fixtures and tests).
-pub fn parse(functions: &[(&str, &str)]) -> Result<Trace, String> {
-    crate::stream::collect(OpenDcSource::new(
-        functions
-            .iter()
-            .map(|&(name, csv)| (name.to_string(), csv.as_bytes())),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stream::collect;
+    use crate::workload::Trace;
+
+    /// Parse `(function_name, csv)` pairs into an in-memory [`Trace`] by
+    /// draining the streaming source.
+    fn parse(functions: &[(&str, &str)]) -> Result<Trace, String> {
+        collect(OpenDcSource::new(
+            functions
+                .iter()
+                .map(|&(name, csv)| (name.to_string(), csv.as_bytes())),
+        ))
+    }
 
     const FIXTURE: [(&str, &str); 3] = [
         ("img-resize", include_str!("../data/opendc/img-resize.csv")),

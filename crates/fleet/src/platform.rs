@@ -103,7 +103,7 @@ pub(crate) struct FaasRegion {
 }
 
 impl FaasRegion {
-    pub fn new(cfg: FaasConfig) -> Self {
+    pub(crate) fn new(cfg: FaasConfig) -> Self {
         assert!(
             cfg.provisioned_concurrency <= cfg.concurrency_limit,
             "cannot provision past the account concurrency limit"
@@ -172,7 +172,7 @@ impl FaasRegion {
     /// provisioned floor is refilled first (the platform always keeps
     /// `provisioned_concurrency` containers warm; identity is irrelevant),
     /// the remainder joins the keep-alive pool.
-    pub fn release(&mut self, now: SimTime, workers: usize) {
+    pub(crate) fn release(&mut self, now: SimTime, workers: usize) {
         assert!(self.in_use >= workers, "releasing more than in use");
         self.in_use -= workers;
         self.prune(now);
@@ -201,7 +201,7 @@ impl FaasRegion {
     }
 
     /// Fraction of all started workers served warm.
-    pub fn warm_hit_rate(&self) -> f64 {
+    pub(crate) fn warm_hit_rate(&self) -> f64 {
         let total = self.warm_starts + self.cold_starts;
         if total == 0 {
             0.0
@@ -255,7 +255,7 @@ pub(crate) struct IaasPool {
 }
 
 impl IaasPool {
-    pub fn new(cfg: IaasConfig) -> Self {
+    pub(crate) fn new(cfg: IaasConfig) -> Self {
         assert!(cfg.min_instances <= cfg.max_instances);
         IaasPool {
             cfg,
@@ -284,15 +284,15 @@ impl IaasPool {
         self.last_t = t;
     }
 
-    pub fn free(&self) -> usize {
+    pub(crate) fn free(&self) -> usize {
         self.free
     }
 
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
-    pub fn provisioning(&self) -> usize {
+    pub(crate) fn provisioning(&self) -> usize {
         self.provisioning
     }
 
@@ -309,7 +309,7 @@ impl IaasPool {
     }
 
     /// A job finished; its instances become idle.
-    pub fn finish(&mut self, now: SimTime, workers: usize) {
+    pub(crate) fn finish(&mut self, now: SimTime, workers: usize) {
         self.tick(now);
         self.free += workers;
         assert!(self.free <= self.capacity, "more free than booted");
@@ -330,7 +330,7 @@ impl IaasPool {
     }
 
     /// A batch of `k` provisioned instances is ready.
-    pub fn provisioned(&mut self, now: SimTime, k: usize) {
+    pub(crate) fn provisioned(&mut self, now: SimTime, k: usize) {
         self.tick(now);
         assert!(self.provisioning >= k);
         self.provisioning -= k;
@@ -358,12 +358,12 @@ impl IaasPool {
 
     /// Reserved-capacity bill so far: every booted instance-second, busy or
     /// idle (§2.2: "reserved resources bill whether busy or idle").
-    pub fn cost(&self) -> Cost {
+    pub(crate) fn cost(&self) -> Cost {
         INSTANCE.hourly() * (self.instance_seconds / 3_600.0)
     }
 
     /// Busy fraction of all billed instance-seconds.
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         // Exact-zero guard against dividing by zero billed seconds.
         // lml-analyze: allow(float-eq)
         if self.instance_seconds == 0.0 {
@@ -428,7 +428,7 @@ pub(crate) struct SpotTier {
 }
 
 impl SpotTier {
-    pub fn new(cfg: SpotConfig, seed: u64) -> Self {
+    pub(crate) fn new(cfg: SpotConfig, seed: u64) -> Self {
         assert!(cfg.mean_time_to_preempt.as_secs() > 0.0);
         SpotTier {
             cfg,
@@ -443,7 +443,7 @@ impl SpotTier {
     /// Launch a `workers`-wide spot cluster. Returns the boot time (Table 6
     /// `t_I(w)`); sample the market's reclaim clock separately with
     /// [`SpotTier::preemption_clock`].
-    pub fn start(&mut self, workers: usize) -> SimTime {
+    pub(crate) fn start(&mut self, workers: usize) -> SimTime {
         assert!(workers >= 1);
         self.in_use += workers;
         self.peak_in_use = self.peak_in_use.max(self.in_use);
@@ -481,7 +481,7 @@ impl SpotTier {
     }
 
     /// The cluster ran to completion; bill the seconds it was held.
-    pub fn finish(&mut self, workers: usize, held: SimTime) {
+    pub(crate) fn finish(&mut self, workers: usize, held: SimTime) {
         assert!(self.in_use >= workers, "finishing more than in use");
         self.in_use -= workers;
         self.billed_instance_seconds += workers as f64 * held.as_secs();
@@ -490,7 +490,7 @@ impl SpotTier {
     /// The market reclaimed the cluster `held` seconds after launch; the
     /// partial run is billed, progress past the last durable checkpoint is
     /// lost.
-    pub fn preempted(&mut self, workers: usize, held: SimTime) {
+    pub(crate) fn preempted(&mut self, workers: usize, held: SimTime) {
         self.finish(workers, held);
         self.preemptions += 1;
     }
@@ -507,11 +507,11 @@ impl SpotTier {
     }
 
     /// Spot bill so far: held instance-seconds at the discounted rate.
-    pub fn cost(&self) -> Cost {
+    pub(crate) fn cost(&self) -> Cost {
         self.price(self.billed_instance_seconds)
     }
 
-    pub fn preemptions(&self) -> u64 {
+    pub(crate) fn preemptions(&self) -> u64 {
         self.preemptions
     }
 

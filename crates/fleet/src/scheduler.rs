@@ -31,7 +31,7 @@ pub enum Route {
 }
 
 impl Route {
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Route::Faas => "faas",
             Route::Iaas => "iaas",
@@ -307,7 +307,7 @@ impl Scheduler for CostAware {
 /// spot ETA ride the market too.
 ///
 /// Deadline tests price runtimes at a quantile, not the mean: every ETA
-/// is the `ETA_QUANTILE` (P95) [`Estimate::eta_q`], so an estimator
+/// is the `ETA_QUANTILE` (P95) `Estimate::eta_q`, so an estimator
 /// that has learned its spread makes the laxity test honest about the
 /// tail.
 /// Spot admission is risk-aware: the expected
@@ -427,11 +427,6 @@ impl DeadlineAware {
     pub fn with_static_preemption(mut self) -> Self {
         self.risk = self.risk.frozen();
         self
-    }
-
-    /// The learned preemption-rate posterior, for reporting.
-    pub fn risk(&self) -> &RiskModel {
-        &self.risk
     }
 
     /// Startup cushion in seconds for `job` on `route`: never below the
@@ -905,10 +900,13 @@ mod tests {
         assert_ne!(build(50.0).route(&j, &idle), Route::Spot);
         // The prior survives freezing order in the builder chain.
         let frozen = build(50.0).with_static_preemption();
-        assert!(frozen.risk().is_frozen());
+        assert!(frozen.risk.is_frozen());
+        // One instance held for one second expects `1 / mttp` preemptions.
         assert_eq!(
-            frozen.risk().mean_time_to_preempt(0, JobClass::LrHiggs),
-            SimTime::secs(50.0)
+            1.0 / frozen
+                .risk
+                .expected_preemptions(0, JobClass::LrHiggs, 1, 1.0),
+            50.0
         );
     }
 

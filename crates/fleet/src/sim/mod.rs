@@ -112,7 +112,7 @@ pub struct FleetConfig {
     /// The preemptible tier (only exercised when a policy routes there).
     pub spot: SpotConfig,
     /// Recovery-checkpoint policy for spot-routed jobs (uploads are priced
-    /// by size class — see [`lml_storage::checkpoint::TIER_THRESHOLD`]);
+    /// by size class — see `lml_storage::checkpoint::TIER_THRESHOLD`);
     /// `Never` reproduces the PR 2 lose-everything behaviour.
     pub checkpoint: CheckpointPolicy,
     /// Zoo miscalibration knob: the *actual* epochs every job needs are

@@ -270,12 +270,6 @@ impl GeneratorSource {
             t: 0.0,
         }
     }
-
-    /// Single-tenant, deadline-less convenience (mirrors
-    /// [`Trace::generate`]).
-    pub fn generate(process: ArrivalProcess, mix: JobMix, n_jobs: usize, seed: u64) -> Self {
-        GeneratorSource::new(process, mix, TenantSpec::default(), n_jobs, seed)
-    }
 }
 
 impl Iterator for GeneratorSource {
@@ -792,10 +786,16 @@ mod tests {
                 Some(614.1333835213758)
             ))
         );
-        // The single-tenant convenience draws neither tenant nor coin.
+        // A single-tenant, deadline-less spec draws neither tenant nor coin.
         let process = ArrivalProcess::Poisson { rate: 0.2 };
-        let plain: Vec<JobRequest> =
-            GeneratorSource::generate(process, JobMix::convex_mix(), 200, 42).collect();
+        let plain: Vec<JobRequest> = GeneratorSource::new(
+            process,
+            JobMix::convex_mix(),
+            TenantSpec::default(),
+            200,
+            42,
+        )
+        .collect();
         assert_eq!(
             plain.iter().take(2).map(row).collect::<Vec<_>>(),
             vec![
@@ -818,9 +818,10 @@ mod tests {
         let budgets = v3.budgets().unwrap();
         assert_eq!(budgets.get(&0), Some(&12.5), "v3 preamble carries caps");
 
-        let mut generator = GeneratorSource::generate(
+        let mut generator = GeneratorSource::new(
             ArrivalProcess::Poisson { rate: 0.5 },
             JobMix::default_mix(),
+            TenantSpec::default(),
             10,
             1,
         );

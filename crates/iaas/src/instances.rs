@@ -27,13 +27,6 @@ impl GpuKind {
             GpuKind::T4 => 7.5e11,
         }
     }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            GpuKind::M60 => "M60",
-            GpuKind::T4 => "T4",
-        }
-    }
 }
 
 /// EC2 instance types used anywhere in the paper.
@@ -50,17 +43,6 @@ pub enum InstanceType {
 }
 
 impl InstanceType {
-    pub const ALL: [InstanceType; 8] = [
-        InstanceType::T2Medium,
-        InstanceType::T2XLarge2,
-        InstanceType::C5Large,
-        InstanceType::C5XLarge2,
-        InstanceType::C5XLarge4,
-        InstanceType::M5a12XLarge,
-        InstanceType::G3sXLarge,
-        InstanceType::G4dnXLarge,
-    ];
-
     pub fn name(self) -> &'static str {
         match self {
             InstanceType::T2Medium => "t2.medium",
@@ -172,9 +154,19 @@ mod tests {
 
     #[test]
     fn all_names_unique() {
-        let mut names: Vec<&str> = InstanceType::ALL.iter().map(|i| i.name()).collect();
+        const ALL: [InstanceType; 8] = [
+            InstanceType::T2Medium,
+            InstanceType::T2XLarge2,
+            InstanceType::C5Large,
+            InstanceType::C5XLarge2,
+            InstanceType::C5XLarge4,
+            InstanceType::M5a12XLarge,
+            InstanceType::G3sXLarge,
+            InstanceType::G4dnXLarge,
+        ];
+        let mut names: Vec<&str> = ALL.iter().map(|i| i.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), InstanceType::ALL.len());
+        assert_eq!(names.len(), ALL.len());
     }
 }

@@ -41,7 +41,7 @@ pub fn add_assign(y: &mut [f64], x: &[f64]) {
 
 /// Set all elements to zero.
 #[inline]
-pub fn zero(x: &mut [f64]) {
+pub(crate) fn zero(x: &mut [f64]) {
     x.iter_mut().for_each(|v| *v = 0.0);
 }
 

@@ -51,10 +51,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    pub fn get(&self, r: usize, c: usize) -> f64 {
-        self.data[r * self.cols + c]
-    }
-
     pub fn set(&mut self, r: usize, c: usize, v: f64) {
         self.data[r * self.cols + c] = v;
     }
@@ -83,7 +79,7 @@ mod tests {
         let m = m22();
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 2);
-        assert_eq!(m.get(1, 0), 3.0);
+        assert_eq!(m.row(1).first(), Some(&3.0));
         assert_eq!(m.row(0), &[1.0, 2.0]);
     }
 
@@ -91,7 +87,7 @@ mod tests {
     fn zeros_and_set() {
         let mut m = Matrix::zeros(2, 3);
         m.set(1, 2, 7.0);
-        assert_eq!(m.get(1, 2), 7.0);
+        assert_eq!(m.row(1).get(2), Some(&7.0));
         assert_eq!(m.as_flat().iter().sum::<f64>(), 7.0);
     }
 
@@ -105,6 +101,6 @@ mod tests {
     fn row_mut_edits_in_place() {
         let mut m = m22();
         m.row_mut(1)[1] = 9.0;
-        assert_eq!(m.get(1, 1), 9.0);
+        assert_eq!(m.row(1).get(1), Some(&9.0));
     }
 }

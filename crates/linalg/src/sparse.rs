@@ -38,10 +38,6 @@ impl SparseVec {
         self.idx.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.idx.is_empty()
-    }
-
     pub fn indices(&self) -> &[u32] {
         &self.idx
     }
@@ -80,7 +76,7 @@ impl SparseVec {
     }
 
     /// Scale all values in place (used by TF-IDF row normalization).
-    pub fn scale(&mut self, a: f64) {
+    fn scale(&mut self, a: f64) {
         dense::scale(&mut self.val, a);
     }
 
@@ -144,7 +140,7 @@ mod tests {
         // zero vector unchanged
         let mut z = SparseVec::default();
         z.normalize();
-        assert!(z.is_empty());
+        assert_eq!(z.nnz(), 0);
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl KMeans {
         KMeans { centroids }
     }
 
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.centroids.rows()
     }
 
@@ -53,11 +53,11 @@ impl KMeans {
 
     /// Flat view of the centroids (the "model" that asynchronous protocols
     /// write to the storage channel).
-    pub fn params(&self) -> &[f64] {
+    pub(crate) fn params(&self) -> &[f64] {
         self.centroids.as_flat()
     }
 
-    pub fn params_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn params_mut(&mut self) -> &mut [f64] {
         self.centroids.as_flat_mut()
     }
 
@@ -85,13 +85,6 @@ impl KMeans {
             let (best, best_d) = nearest_row(self.centroids.as_flat(), x);
             f(x, best, best_d);
         }
-    }
-
-    /// Nearest centroid of row `r`.
-    pub fn assign(&self, data: &Dataset, r: usize) -> usize {
-        let mut nearest = 0;
-        self.for_each_nearest(data, &[r], |_, best, _| nearest = best);
-        nearest
     }
 
     /// E-step over `rows`: per-cluster feature sums and counts, flattened as
@@ -139,7 +132,7 @@ impl KMeans {
     }
 
     /// Clustering objective: mean squared distance to the nearest centroid.
-    pub fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
+    pub(crate) fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
         assert!(!rows.is_empty());
         let mut total = 0.0;
         self.for_each_nearest(data, rows, |_, _, best_d| total += best_d);
@@ -268,6 +261,13 @@ mod tests {
         assert!(after <= before + 1e-9);
     }
 
+    /// Nearest centroid of row `r`, through the rows kernel.
+    fn assign(km: &KMeans, data: &Dataset, r: usize) -> usize {
+        let mut nearest = 0;
+        km.for_each_nearest(data, &[r], |_, best, _| nearest = best);
+        nearest
+    }
+
     /// The per-centroid scan the rows kernel replaced, kept as the oracle:
     /// one `dist2` chain per centroid, first strict minimum wins.
     fn oracle_nearest(km: &KMeans, x: &[f64]) -> (usize, f64) {
@@ -302,7 +302,7 @@ mod tests {
                         lml_data::Row::Sparse(sv) => sv.to_dense(d),
                     };
                     let (best, best_d) = oracle_nearest(&km, &x);
-                    assert_eq!(km.assign(data, r), best, "k={k} row {r}");
+                    assert_eq!(assign(&km, data, r), best, "k={k} row {r}");
                     let cluster = want.iter_mut().skip(best * (d + 1));
                     for (sum, v) in cluster.zip(x.iter().chain(&[1.0])) {
                         *sum += v;

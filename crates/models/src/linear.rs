@@ -29,7 +29,7 @@ pub struct Linear {
 
 impl Linear {
     /// Zero-initialized model (the paper's convex workloads start at 0).
-    pub fn new(dim: usize, l2: f64, loss: LinearLoss) -> Self {
+    pub(crate) fn new(dim: usize, l2: f64, loss: LinearLoss) -> Self {
         assert!(l2 >= 0.0);
         Linear {
             w: vec![0.0; dim],
@@ -44,21 +44,21 @@ impl Linear {
     }
 
     /// Number of parameters.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.w.len()
     }
 
-    pub fn params(&self) -> &[f64] {
+    pub(crate) fn params(&self) -> &[f64] {
         &self.w
     }
 
-    pub fn params_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn params_mut(&mut self) -> &mut [f64] {
         &mut self.w
     }
 
     /// Accumulate the mean gradient over `rows` into `grad_out` (pre-zeroed
     /// by the caller) and return the mean loss over those rows.
-    pub fn grad(&self, data: &Dataset, rows: &[usize], grad_out: &mut [f64]) -> f64 {
+    pub(crate) fn grad(&self, data: &Dataset, rows: &[usize], grad_out: &mut [f64]) -> f64 {
         assert!(!rows.is_empty(), "gradient over an empty batch");
         let inv_n = 1.0 / rows.len() as f64;
         let mut total = 0.0;
@@ -93,7 +93,7 @@ impl Linear {
     }
 
     /// Mean loss over `rows` (no gradient).
-    pub fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
+    pub(crate) fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
         assert!(!rows.is_empty());
         let mut total = 0.0;
         for &r in rows {
@@ -112,7 +112,7 @@ impl Linear {
     }
 
     /// Fraction of `rows` classified correctly.
-    pub fn accuracy(&self, data: &Dataset, rows: &[usize]) -> f64 {
+    pub(crate) fn accuracy(&self, data: &Dataset, rows: &[usize]) -> f64 {
         if rows.is_empty() {
             return 1.0;
         }

@@ -44,7 +44,7 @@ struct Layer<'a> {
 
 impl Mlp {
     /// He-initialized network. `sizes` = `[input, hidden…, classes]`.
-    pub fn new(sizes: &[usize], seed: u64) -> Self {
+    pub(crate) fn new(sizes: &[usize], seed: u64) -> Self {
         assert!(sizes.len() >= 2, "need at least input and output layers");
         assert!(sizes.iter().all(|&s| s > 0));
         let mut rng = Pcg64::new(seed ^ 0x4d4c_5000);
@@ -67,11 +67,7 @@ impl Mlp {
         dims(sizes).map(|(n_in, n_out)| n_in * n_out + n_out).sum()
     }
 
-    pub fn sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
-    pub fn classes(&self) -> usize {
+    fn classes(&self) -> usize {
         *self.sizes.last().expect("at least two layers")
     }
 
@@ -136,21 +132,6 @@ impl Mlp {
                 f(r, &probs);
             }
         }
-    }
-
-    /// Class probabilities for one example.
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        let mut acts = self.lane_buffers();
-        Self::forward(&self.layers(), &[x], &mut acts);
-        let mut probs = vec![0.0; self.classes()];
-        unpack_lane(acts.last().map_or(&[], Vec::as_slice), 0, &mut probs);
-        softmax_inplace(&mut probs);
-        probs
-    }
-
-    /// Predicted class for one example.
-    pub fn predict(&self, x: &[f64]) -> usize {
-        argmax(&self.predict_proba(x))
     }
 }
 
@@ -257,21 +238,21 @@ fn backpropagate<'a>(
 
 impl Mlp {
     /// Number of parameters.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.params.len()
     }
 
-    pub fn params(&self) -> &[f64] {
+    pub(crate) fn params(&self) -> &[f64] {
         &self.params
     }
 
-    pub fn params_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn params_mut(&mut self) -> &mut [f64] {
         &mut self.params
     }
 
     /// Accumulate the mean gradient over `rows` into `grad_out` (pre-zeroed
     /// by the caller) and return the mean loss over those rows.
-    pub fn grad(&self, data: &Dataset, rows: &[usize], grad_out: &mut [f64]) -> f64 {
+    pub(crate) fn grad(&self, data: &Dataset, rows: &[usize], grad_out: &mut [f64]) -> f64 {
         assert!(!rows.is_empty());
         assert_eq!(grad_out.len(), self.params.len());
         let inv_n = 1.0 / rows.len() as f64;
@@ -335,7 +316,7 @@ impl Mlp {
     }
 
     /// Mean softmax cross-entropy over `rows` (no gradient).
-    pub fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
+    pub(crate) fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
         assert!(!rows.is_empty());
         let mut total = 0.0;
         self.for_each_proba(data, rows, |r, probs| {
@@ -345,7 +326,7 @@ impl Mlp {
     }
 
     /// Fraction of `rows` classified correctly.
-    pub fn accuracy(&self, data: &Dataset, rows: &[usize]) -> f64 {
+    pub(crate) fn accuracy(&self, data: &Dataset, rows: &[usize]) -> f64 {
         if rows.is_empty() {
             return 1.0;
         }
@@ -406,14 +387,14 @@ mod tests {
             }
         }
 
-        pub fn dense_row(m: &Mlp, data: &Dataset, r: usize) -> Vec<f64> {
+        pub(super) fn dense_row(m: &Mlp, data: &Dataset, r: usize) -> Vec<f64> {
             match data.row(r) {
                 lml_data::Row::Dense(v) => v.to_vec(),
                 lml_data::Row::Sparse(sv) => sv.to_dense(m.sizes[0]),
             }
         }
 
-        pub fn grad(m: &Mlp, data: &Dataset, rows: &[usize], grad_out: &mut [f64]) -> f64 {
+        pub(super) fn grad(m: &Mlp, data: &Dataset, rows: &[usize], grad_out: &mut [f64]) -> f64 {
             let inv_n = 1.0 / rows.len() as f64;
             let layers = m.sizes.len() - 1;
             let mut acts: Vec<Vec<f64>> = Vec::new();
@@ -469,7 +450,7 @@ mod tests {
             total_loss * inv_n
         }
 
-        pub fn proba(m: &Mlp, x: &[f64]) -> Vec<f64> {
+        pub(super) fn proba(m: &Mlp, x: &[f64]) -> Vec<f64> {
             let mut acts = Vec::new();
             forward(m, x, &mut acts);
             let mut logits = acts.pop().expect("forward fills acts");
@@ -477,7 +458,7 @@ mod tests {
             logits
         }
 
-        pub fn loss(m: &Mlp, data: &Dataset, rows: &[usize]) -> f64 {
+        pub(super) fn loss(m: &Mlp, data: &Dataset, rows: &[usize]) -> f64 {
             let mut total = 0.0;
             for &r in rows {
                 let probs = proba(m, &dense_row(m, data, r));
@@ -486,7 +467,7 @@ mod tests {
             total / rows.len() as f64
         }
 
-        pub fn accuracy(m: &Mlp, data: &Dataset, rows: &[usize]) -> f64 {
+        pub(super) fn accuracy(m: &Mlp, data: &Dataset, rows: &[usize]) -> f64 {
             let correct = rows
                 .iter()
                 .filter(|&&r| argmax(&proba(m, &dense_row(m, data, r))) == data.label(r) as usize)
@@ -595,9 +576,7 @@ mod tests {
                     );
                 }
                 for &r in &rows {
-                    let x = oracle::dense_row(&net, &dense, r);
-                    let p = net.predict_proba(&x);
-                    assert_eq!(bits(&p), bits(&oracle::proba(&net, &x)), "case {seed}");
+                    let p = oracle::proba(&net, &oracle::dense_row(&net, &dense, r));
                     if dense.label(r) as usize == 0 {
                         zero_deltas += usize::from(p.first() == Some(&1.0));
                     }
@@ -725,14 +704,6 @@ mod tests {
             mlp.loss(&data, &rows)
         );
         assert_eq!(mlp.accuracy(&data, &rows), 1.0, "XOR solved exactly");
-    }
-
-    #[test]
-    fn predict_proba_sums_to_one() {
-        let mlp = Mlp::new(&[3, 5, 4], 7);
-        let p = mlp.predict_proba(&[0.5, -1.0, 2.0]);
-        assert_eq!(p.len(), 4);
-        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]

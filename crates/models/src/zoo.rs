@@ -154,7 +154,7 @@ impl AnyModel {
     }
 
     /// Mean loss over `rows` (clustering objective for k-means).
-    pub fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
+    fn loss(&self, data: &Dataset, rows: &[usize]) -> f64 {
         match self {
             AnyModel::Linear(m) => m.loss(data, rows),
             AnyModel::KMeans(m) => m.loss(data, rows),

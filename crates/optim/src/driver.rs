@@ -86,7 +86,7 @@ pub struct DriverOutput {
 /// The per-round aggregation hook: `(round, epoch, stats)` → element-wise
 /// sum and communication time, or the caller's error `E`. It takes the
 /// round's statistics by value.
-pub type CommRoundFn<'a, E> =
+type CommRoundFn<'a, E> =
     dyn FnMut(u64, usize, Vec<Vec<f64>>) -> Result<(Vec<f64>, SimTime), E> + 'a;
 
 /// How [`run_sync`] turns a round's statistics into the sum every worker

@@ -32,11 +32,6 @@ impl LrSchedule {
             } => base * factor.powi((epoch / every.max(1)) as i32),
         }
     }
-
-    /// The epoch-0 rate.
-    pub fn base(&self) -> f64 {
-        self.lr(0)
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +77,7 @@ mod tests {
                 every: 5,
             },
         ] {
-            assert_eq!(s.base(), 0.3);
+            assert_eq!(s.lr(0), 0.3);
         }
     }
 }

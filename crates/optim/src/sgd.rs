@@ -17,7 +17,7 @@ pub(crate) struct BatchCursor {
 }
 
 impl BatchCursor {
-    pub fn new(rows: Vec<usize>, batch: usize) -> Self {
+    pub(crate) fn new(rows: Vec<usize>, batch: usize) -> Self {
         assert!(!rows.is_empty(), "empty partition");
         assert!(batch >= 1);
         let batch = batch.min(rows.len());
@@ -44,11 +44,11 @@ impl BatchCursor {
         self.rows.len().div_ceil(self.batch)
     }
 
-    pub fn partition_len(&self) -> usize {
+    pub(crate) fn partition_len(&self) -> usize {
         self.rows.len()
     }
 
-    pub fn rows(&self) -> &[usize] {
+    pub(crate) fn rows(&self) -> &[usize] {
         &self.rows
     }
 }

@@ -80,7 +80,7 @@ impl LossCurve {
         self.points.is_empty()
     }
 
-    pub fn last(&self) -> Option<&CurvePoint> {
+    pub(crate) fn last(&self) -> Option<&CurvePoint> {
         self.points.last()
     }
 

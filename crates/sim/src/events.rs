@@ -118,10 +118,6 @@ impl<T> EventQueue<T> {
         self.peak_len
     }
 
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -158,8 +154,8 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::secs(5.0), ());
         assert_eq!(q.peek_time(), Some(SimTime::secs(5.0)));
-        assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+        assert_eq!(q.pop().map(|(t, _)| t), Some(SimTime::secs(5.0)));
     }
 
     #[test]
@@ -209,7 +205,6 @@ mod tests {
         q.pop();
         q.push(SimTime::secs(3.0), ());
         assert_eq!(q.peak_len(), 2, "peak was two pending events");
-        assert_eq!(q.len(), 2);
     }
 
     /// The specification every pop is checked against: the pending events,

@@ -17,7 +17,7 @@ pub struct Link {
 }
 
 impl Link {
-    pub fn new(bandwidth_bps: f64, latency_s: f64) -> Self {
+    fn new(bandwidth_bps: f64, latency_s: f64) -> Self {
         assert!(bandwidth_bps > 0.0, "bandwidth must be positive");
         assert!(latency_s >= 0.0, "latency must be non-negative");
         Link {
@@ -34,12 +34,6 @@ impl Link {
     /// Time to move `size` bytes in one message: `L + size / B`.
     pub fn transfer_time(&self, size: ByteSize) -> SimTime {
         SimTime::secs(self.latency_s + size.as_f64() / self.bandwidth_bps)
-    }
-
-    /// A link with bandwidth scaled by `k` (contention sharing, GPU links,
-    /// what-if bandwidth upgrades). Latency is unchanged.
-    pub fn scaled(&self, k: f64) -> Link {
-        Link::new(self.bandwidth_bps * k, self.latency_s)
     }
 }
 
@@ -59,13 +53,6 @@ mod tests {
     fn zero_bytes_costs_latency_only() {
         let l = Link::mbps(100.0, 0.05);
         assert_eq!(l.transfer_time(ByteSize::ZERO), SimTime::secs(0.05));
-    }
-
-    #[test]
-    fn scaling_bandwidth() {
-        let l = Link::mbps(100.0, 0.0).scaled(2.0);
-        let t = l.transfer_time(ByteSize::mb(200.0));
-        assert!((t.as_secs() - 1.0).abs() < 1e-9);
     }
 
     #[test]

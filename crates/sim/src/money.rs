@@ -24,11 +24,6 @@ impl Cost {
     pub const fn as_usd(self) -> f64 {
         self.0
     }
-
-    /// True when non-negative and finite.
-    pub fn is_valid(self) -> bool {
-        self.0.is_finite() && self.0 >= 0.0
-    }
 }
 
 impl Add for Cost {
@@ -107,11 +102,5 @@ mod tests {
         assert_eq!(Cost::usd(0.0042).to_string(), "$0.0042");
         assert_eq!(Cost::usd(3.17159).to_string(), "$3.17");
         assert_eq!(Cost::ZERO.to_string(), "$0.00");
-    }
-
-    #[test]
-    fn validity() {
-        assert!(Cost::usd(1.0).is_valid());
-        assert!(!Cost::usd(-0.5).is_valid());
     }
 }

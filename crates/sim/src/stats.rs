@@ -1,31 +1,15 @@
 //! Summary statistics for the calibration harness (Table 6 reports every
 //! constant as `mean ± spread` over repeated measurements).
 
-/// Running summary of a sample of f64 observations.
-#[derive(Debug, Clone, Default)]
+/// Summary of a sample of f64 observations.
+#[derive(Debug)]
 pub struct Summary {
     values: Vec<f64>,
 }
 
 impl Summary {
-    pub fn new() -> Self {
-        Summary::default()
-    }
-
     pub fn from_values(values: Vec<f64>) -> Self {
         Summary { values }
-    }
-
-    pub fn push(&mut self, v: f64) {
-        self.values.push(v);
-    }
-
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     pub fn mean(&self) -> f64 {
@@ -35,20 +19,6 @@ impl Summary {
         self.values.iter().sum::<f64>() / self.values.len() as f64
     }
 
-    /// Sample standard deviation (n-1 denominator).
-    pub fn std(&self) -> f64 {
-        let n = self.values.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        (self.values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (n - 1) as f64).sqrt()
-    }
-
-    pub fn min(&self) -> f64 {
-        self.values.iter().cloned().fold(f64::INFINITY, f64::min)
-    }
-
     pub fn max(&self) -> f64 {
         self.values
             .iter()
@@ -56,28 +26,12 @@ impl Summary {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Percentile via linear interpolation between order statistics,
-    /// `p` in [0, 100].
-    pub fn percentile(&self, p: f64) -> f64 {
-        let [v] = self.percentiles([p]);
-        v
-    }
-
-    /// Several percentiles off one shared sort — the amortized form of
-    /// [`Summary::percentile`] for rollups that read the whole tail
-    /// (p50/p95/p99) of the same sample.
-    fn percentiles<const N: usize>(&self, ps: [f64; N]) -> [f64; N] {
-        let mut sorted = self.clone();
-        sorted.into_percentiles(ps)
-    }
-
-    /// Consuming form of `Summary::percentiles`: sorts the sample in
-    /// place instead of cloning it first. Same order statistics, same
-    /// interpolation — this is the hot-rollup path, where the caller owns
-    /// the sample and the clone would be pure overhead. Read `mean`/`max`
-    /// before calling; they see the sample in insertion order either way
-    /// (both are computed over the unsorted values), so the split cannot
-    /// change any reported float.
+    /// Several percentiles, each `p` in [0, 100], by linear interpolation
+    /// between order statistics, off one sort of the sample in place (the
+    /// rollups read the whole tail, p50/p95/p99, of a sample they own).
+    /// Read `mean`/`max` before calling; they see the sample in insertion
+    /// order either way (both are computed over the unsorted values), so
+    /// the sort cannot change any reported float.
     pub fn into_percentiles<const N: usize>(&mut self, ps: [f64; N]) -> [f64; N] {
         assert!(!self.values.is_empty());
         self.values
@@ -103,41 +57,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std() {
+    fn mean_is_the_sample_average() {
         let s = Summary::from_values(vec![2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std() - 2.138).abs() < 1e-3);
     }
 
     #[test]
     fn empty_is_safe() {
-        let s = Summary::new();
+        let s = Summary::from_values(Vec::new());
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std(), 0.0);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn single_value_has_zero_std() {
-        let mut s = Summary::new();
-        s.push(3.5);
-        assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.std(), 0.0);
-        assert_eq!(s.len(), 1);
     }
 
     #[test]
     fn percentiles() {
-        let s = Summary::from_values((1..=100).map(f64::from).collect());
-        assert!((s.percentile(0.0) - 1.0).abs() < 1e-12);
-        assert!((s.percentile(100.0) - 100.0).abs() < 1e-12);
-        assert!((s.percentile(50.0) - 50.5).abs() < 1e-12);
+        // Reversed input: the sort is part of what is checked.
+        let mut s = Summary::from_values((1..=100).rev().map(f64::from).collect());
+        let [p0, p100, p50] = s.into_percentiles([0.0, 100.0, 50.0]);
+        assert!((p0 - 1.0).abs() < 1e-12);
+        assert!((p100 - 100.0).abs() < 1e-12);
+        assert!((p50 - 50.5).abs() < 1e-12);
     }
 
     #[test]
-    fn min_max() {
+    fn max_is_the_largest_value() {
         let s = Summary::from_values(vec![3.0, -1.0, 7.0]);
-        assert_eq!(s.min(), -1.0);
         assert_eq!(s.max(), 7.0);
     }
 }

@@ -49,12 +49,6 @@ impl Blob {
         self
     }
 
-    /// An empty marker blob (checkpoint flags, trigger messages) with an
-    /// explicit wire size.
-    pub fn marker(wire: ByteSize) -> Self {
-        Blob::from_vec(Vec::new()).with_wire(wire)
-    }
-
     /// Elements `lo..hi` of this blob as a blob of their own, sharing the
     /// buffer (no copy); wire size defaults to `8 × (hi − lo)`.
     pub fn slice(&self, lo: usize, hi: usize) -> Blob {
@@ -75,11 +69,13 @@ impl Blob {
         self.end - self.start
     }
 
+    /// `pub` beside the `pub` [`Blob::len`], as clippy's
+    /// `len_without_is_empty` asks.
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
 
-    pub fn wire_bytes(&self) -> ByteSize {
+    pub(crate) fn wire_bytes(&self) -> ByteSize {
         self.wire
     }
 
@@ -114,13 +110,6 @@ mod tests {
         let b = Blob::from_vec(vec![1.0; 10]).with_wire(ByteSize::mb(12.0));
         assert_eq!(b.wire_bytes(), ByteSize::mb(12.0));
         assert_eq!(b.len(), 10);
-    }
-
-    #[test]
-    fn marker_is_empty() {
-        let m = Blob::marker(ByteSize::bytes(64));
-        assert!(m.is_empty());
-        assert_eq!(m.wire_bytes(), ByteSize::bytes(64));
     }
 
     #[test]

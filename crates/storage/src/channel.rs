@@ -1,7 +1,7 @@
 //! The storage communication channel: real data movement + modeled time.
 //!
 //! [`StorageChannel`] pairs the in-memory [`ObjectStore`] with a
-//! [`ServiceProfile`]. Data operations (`put`/`get`/`list`/`delete`) move
+//! [`ServiceProfile`]. Data operations (`put`/`get`/`list`/`clear_prefix`) move
 //! real blobs and charge request billing; the *leg* helpers convert
 //! operation patterns into virtual durations using the same `L + m/B`
 //! structure as the paper's analytical model (§5.3):
@@ -65,10 +65,6 @@ impl StorageChannel {
         }
     }
 
-    pub fn profile(&self) -> &ServiceProfile {
-        &self.profile
-    }
-
     pub fn store(&self) -> &ObjectStore {
         &self.store
     }
@@ -91,7 +87,7 @@ impl StorageChannel {
     }
 
     /// A blob holding a copy of `data`, in a buffer recycled from blobs
-    /// this channel's store has dropped (see [`ObjectStore::blob_of`]). A
+    /// this channel's store has dropped (see `ObjectStore::blob_of`). A
     /// host-side matter only: no request is made or billed until the blob
     /// is `put`.
     pub fn blob_of(&mut self, data: &[f64]) -> Blob {
@@ -114,18 +110,6 @@ impl StorageChannel {
         self.lists += 1;
         self.request_cost += self.profile.put_price.per_request; // LIST priced like PUT on S3
         (self.profile.latency, self.store.list(prefix))
-    }
-
-    /// Presence check (priced as a GET of zero bytes).
-    pub fn contains(&mut self, key: &str) -> (SimTime, bool) {
-        self.gets += 1;
-        self.request_cost += self.profile.get_price.per_request;
-        (self.profile.latency, self.store.contains(key))
-    }
-
-    pub fn delete(&mut self, key: &str) -> SimTime {
-        self.store.delete(key);
-        self.profile.latency
     }
 
     /// Drop all keys under a prefix (garbage collection between rounds; the
@@ -181,22 +165,8 @@ impl StorageChannel {
         self.profile.hourly * elapsed.as_hours()
     }
 
-    /// Total storage-side cost for a job that ran `elapsed`.
-    pub fn total_cost(&self, elapsed: SimTime) -> Cost {
-        self.request_cost + self.node_cost(elapsed)
-    }
-
     pub fn op_counts(&self) -> (u64, u64, u64) {
         (self.puts, self.gets, self.lists)
-    }
-
-    /// Clear data and counters (between experiment repetitions).
-    pub fn reset(&mut self) {
-        self.store = ObjectStore::new();
-        self.puts = 0;
-        self.gets = 0;
-        self.lists = 0;
-        self.request_cost = Cost::ZERO;
     }
 }
 
@@ -228,7 +198,7 @@ mod tests {
     #[test]
     fn dynamodb_rejects_large_items() {
         let mut ch = StorageChannel::new(ServiceProfile::dynamodb());
-        let big = Blob::marker(ByteSize::mb(12.0));
+        let big = Blob::from_vec(Vec::new()).with_wire(ByteSize::mb(12.0));
         match ch.put("mn", big) {
             Err(StorageError::ItemTooLarge { size, cap }) => {
                 assert_eq!(size, ByteSize::mb(12.0));
@@ -299,15 +269,5 @@ mod tests {
         let (t, keys) = ch.list("ep0_it0_");
         assert_eq!(keys, vec!["ep0_it0_p0", "ep0_it0_p1"]);
         assert_eq!(t, SimTime::secs(0.08));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut ch = StorageChannel::new(ServiceProfile::s3());
-        ch.put("x", Blob::from_vec(vec![1.0])).unwrap();
-        ch.reset();
-        assert!(ch.store().is_empty());
-        assert_eq!(ch.op_counts(), (0, 0, 0));
-        assert_eq!(ch.request_cost(), Cost::ZERO);
     }
 }

@@ -10,7 +10,7 @@
 //! channel model as every other storage operation in the repository
 //! (`L + m/B`, per-request billing). There is one checkpoint store,
 //! [`CheckpointCosting::tiered`], and it makes a storage-class choice per
-//! checkpoint: DynamoDB at or under [`TIER_THRESHOLD`], S3 above it.
+//! checkpoint: DynamoDB at or under `TIER_THRESHOLD`, S3 above it.
 //! S3 is always-on, has no node to keep warm, and charges a flat per-PUT
 //! price whatever the object's size, the "checkpoint to object storage"
 //! pattern serverless frameworks use. That flat price is the wrong deal
@@ -41,7 +41,7 @@ pub fn checkpoint_bytes(model_bytes: f64) -> ByteSize {
 /// PUT: at or under it DynamoDB is never dearer and always faster (30 ms
 /// vs 80 ms), so tiering is strictly dominant; above it S3's flat request
 /// price wins on dollars. It sits far below DynamoDB's 400 KB item cap.
-pub const TIER_THRESHOLD: ByteSize = ByteSize(4_000);
+const TIER_THRESHOLD: ByteSize = ByteSize(4_000);
 
 /// Checkpoint write/read pricing: DynamoDB or S3, chosen per checkpoint
 /// by size.
@@ -64,7 +64,7 @@ pub struct CheckpointCosting {
 
 impl CheckpointCosting {
     /// The checkpoint store: DynamoDB for checkpoints at or under
-    /// [`TIER_THRESHOLD`] (tiny convex models — cheaper per-unit puts,
+    /// `TIER_THRESHOLD` (tiny convex models — cheaper per-unit puts,
     /// 30 ms latency), S3 for everything larger.
     pub fn tiered() -> Self {
         CheckpointCosting {

@@ -28,17 +28,6 @@ pub enum ServiceKind {
     DynamoDb,
 }
 
-impl ServiceKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            ServiceKind::S3 => "S3",
-            ServiceKind::Memcached => "Memcached",
-            ServiceKind::Redis => "Redis",
-            ServiceKind::DynamoDb => "DynamoDB",
-        }
-    }
-}
-
 /// ElastiCache node types used in the paper (Table 6 and §5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheNode {
@@ -52,7 +41,7 @@ pub enum CacheNode {
 
 impl CacheNode {
     /// Single-stream bandwidth in bytes/s (Table 6 B_EC).
-    pub fn stream_bw(self) -> f64 {
+    fn stream_bw(self) -> f64 {
         match self {
             CacheNode::T3Small => 400e6,
             CacheNode::T3Medium => 630e6,
@@ -61,7 +50,7 @@ impl CacheNode {
     }
 
     /// Hourly node price.
-    pub fn hourly(self) -> Cost {
+    fn hourly(self) -> Cost {
         match self {
             CacheNode::T3Small => Cost::usd(0.034),
             CacheNode::T3Medium => Cost::usd(0.068),
@@ -69,7 +58,7 @@ impl CacheNode {
         }
     }
 
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             CacheNode::T3Small => "cache.t3.small",
             CacheNode::T3Medium => "cache.t3.medium",
@@ -94,7 +83,7 @@ impl RequestPrice {
         unit_bytes: 0,
     };
 
-    pub fn flat(per_request: Cost) -> Self {
+    fn flat(per_request: Cost) -> Self {
         RequestPrice {
             per_request,
             per_unit: Cost::ZERO,
@@ -111,7 +100,7 @@ impl RequestPrice {
     }
 
     /// Price of one request of the given size.
-    pub fn price(&self, bytes: ByteSize) -> Cost {
+    pub(crate) fn price(&self, bytes: ByteSize) -> Cost {
         let mut c = self.per_request;
         if self.unit_bytes > 0 {
             let units = bytes.as_bytes().div_ceil(self.unit_bytes).max(1);
@@ -214,7 +203,7 @@ impl ServiceProfile {
     }
 
     /// Fits an item of this size?
-    pub fn admits(&self, bytes: ByteSize) -> bool {
+    pub(crate) fn admits(&self, bytes: ByteSize) -> bool {
         self.max_item.is_none_or(|cap| bytes <= cap)
     }
 }

@@ -12,9 +12,9 @@ use std::collections::BTreeMap;
 
 /// In-memory key→blob store with sorted, atomic prefix listing.
 ///
-/// The store also recycles payload buffers: [`ObjectStore::blob_of`] copies
+/// The store also recycles payload buffers: `ObjectStore::blob_of` copies
 /// data into a buffer taken from blobs the store dropped earlier
-/// (overwritten, deleted or cleared) *while holding the last reference* to
+/// (overwritten or cleared) *while holding the last reference* to
 /// them, so a round that writes what the previous round cleared touches no
 /// fresh memory. It keeps only as many dropped buffers as `blob_of` has
 /// lent: in a BSP round that is the merged file's buffer, plus one copy per
@@ -53,13 +53,13 @@ impl Spare {
 }
 
 impl ObjectStore {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ObjectStore::default()
     }
 
     /// A blob holding a copy of `data` (wire size `8 × len`), in a recycled
     /// buffer when the store has one.
-    pub fn blob_of(&mut self, data: &[f64]) -> Blob {
+    pub(crate) fn blob_of(&mut self, data: &[f64]) -> Blob {
         let mut buffer = self.spare.buffers.pop().unwrap_or_default();
         buffer.clear();
         buffer.extend_from_slice(data);
@@ -74,7 +74,7 @@ impl ObjectStore {
     }
 
     /// Insert or overwrite.
-    pub fn put(&mut self, key: impl Into<String>, blob: Blob) {
+    pub(crate) fn put(&mut self, key: impl Into<String>, blob: Blob) {
         if let Some(old) = self.objects.insert(key.into(), blob) {
             self.spare.recycle(old);
         }
@@ -83,18 +83,6 @@ impl ObjectStore {
     /// Fetch a blob (cheap Arc clone).
     pub fn get(&self, key: &str) -> Option<Blob> {
         self.objects.get(key).cloned()
-    }
-
-    pub fn contains(&self, key: &str) -> bool {
-        self.objects.contains_key(key)
-    }
-
-    pub fn delete(&mut self, key: &str) -> bool {
-        let Some(old) = self.objects.remove(key) else {
-            return false;
-        };
-        self.spare.recycle(old);
-        true
     }
 
     /// All keys with the given prefix, in sorted order (atomic snapshot).
@@ -116,7 +104,7 @@ impl ObjectStore {
 
     /// Remove all keys with the given prefix, in key order; returns how
     /// many were removed.
-    pub fn clear_prefix(&mut self, prefix: &str) -> usize {
+    pub(crate) fn clear_prefix(&mut self, prefix: &str) -> usize {
         let gone = self
             .objects
             .extract_if(prefix.to_string().., |k, _| k.starts_with(prefix));
@@ -126,14 +114,6 @@ impl ObjectStore {
             n += 1;
         }
         n
-    }
-
-    pub fn len(&self) -> usize {
-        self.objects.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
     }
 
     /// Total logical bytes stored.
@@ -167,7 +147,7 @@ mod tests {
         s.put("k", blob(1.0));
         s.put("k", blob(2.0));
         assert_eq!(s.get("k").unwrap().data(), &[2.0]);
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.count(""), 1);
     }
 
     #[test]
@@ -189,16 +169,7 @@ mod tests {
         s.put("ep1_p1", blob(1.0));
         s.put("ep2_p0", blob(1.0));
         assert_eq!(s.clear_prefix("ep1_"), 2);
-        assert_eq!(s.len(), 1);
-        assert!(s.contains("ep2_p0"));
-    }
-
-    #[test]
-    fn delete_returns_presence() {
-        let mut s = ObjectStore::new();
-        s.put("x", blob(1.0));
-        assert!(s.delete("x"));
-        assert!(!s.delete("x"));
+        assert_eq!(s.list(""), vec!["ep2_p0"]);
     }
 
     #[test]
@@ -234,7 +205,7 @@ mod tests {
         drop(held);
         s.put("b", other);
         let ptr = s.get("b").map(|b| b.data().as_ptr());
-        assert!(s.delete("b"));
+        assert_eq!(s.clear_prefix("b"), 1);
         let again = s.blob_of(&[7.0, 8.0]);
         assert_eq!(
             Some(again.data().as_ptr()),
@@ -256,7 +227,7 @@ mod tests {
         s.put("r_c0", whole.slice(0, 2));
         s.put("r_c1", whole.slice(2, 4));
         drop(whole);
-        assert!(s.delete("r_c0"));
+        assert_eq!(s.clear_prefix("r_c0"), 1);
         assert_ne!(
             s.blob_of(&[5.0]).data().as_ptr(),
             ptr,

@@ -2,12 +2,12 @@
 //! tables are written in.
 
 /// The FNV-1a offset basis: the hash of no bytes.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Fold `bytes` into the running FNV-1a hash `h` (start from
 /// [`FNV_OFFSET`]).
-pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
